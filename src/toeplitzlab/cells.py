@@ -31,7 +31,6 @@ import numpy as np
 from . import budgets
 from .errors import DepthExceeded, NotInDomain, Unsupported
 from .skeleton import Undefined
-from .tower import KIND_LINE, STYLE_CENTERED
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -180,56 +179,26 @@ def normalize_cells(skeleton, cellset, budget=None):
 # -- classification of periodized points ---------------------------------
 
 
-def classify_points(skeleton, m, l, d_list, budget=None):
-    """Level-l tags of sigma^{-d} eta_m for each d: -1 for Zero, else the
-    index of the planted position in the ordered J(l)."""
+def classify_points(skeleton, m, l, d_arr, budget=None, chunk=1 << 20):
+    """Level-l tags of sigma^{-d} eta_m for each d in the element array d_arr:
+    -1 for Zero, else the index of the planted position in the ordered J(l)."""
     T = skeleton.tower
-    jl = skeleton.jset(l, budget=budget)
-    if T.kind == KIND_LINE:
-        return _classify_line(skeleton, m, l, np.asarray(d_list, dtype=np.int64))
-    out = []
-    for d in d_list:
-        v = T.reduce(d, l)
-        gamma = T.sub(d, v)
-        hit = -1
-        for idx, g in enumerate(jl.elements):
-            val = skeleton.eval_periodized(m, T.add(gamma, g))
-            if val is Undefined:
-                raise DepthExceeded(f"probe undefined at level {l}")
-            if val == 1:
-                if hit >= 0:
-                    raise ArithmeticError("two planted cells in one translate")
-                hit = idx
-        out.append(hit)
-    return np.asarray(out, dtype=np.int64)
-
-
-def _classify_line(skeleton, m, l, d_arr, chunk=1 << 20):
-    T = skeleton.tower
+    d_arr = T.array(d_arr)
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
-    size = T.size(m)
-    lo = T.lo(m)
-    jl = np.asarray(skeleton.jset(l).elements, dtype=np.int64)
-    ml = T.size(l)
-    if T.style == STYLE_CENTERED:
-        half = T.half[l]
-        v = (d_arr + half) % ml - half
-    else:
-        v = d_arr % ml
-    gamma = d_arr - v
+    jl = np.expand_dims(T.array(skeleton.jset(l, budget=budget).elements), 0)
+    gamma = T.sub_arr(d_arr, T.reduce_arr(d_arr, l))
     out = np.empty(len(d_arr), dtype=np.int64)
-    rows = max(1, chunk // max(len(jl), 1))
+    rows = max(1, chunk // jl.shape[1])
     for start in range(0, len(d_arr), rows):
-        gm = gamma[start:start + rows, None]
-        idx = (gm + jl[None, :] - lo) % size
+        gm = np.expand_dims(gamma[start:start + rows], 1)
+        idx = T.coset_index_arr(T.add_arr(gm, jl), m)
         probe = vals[idx] == 1
         counts = probe.sum(axis=1)
         if (counts > 1).any():
             raise ArithmeticError("two planted cells in one translate")
-        hit = np.where(counts == 1, probe.argmax(axis=1), -1)
-        out[start:start + rows] = hit
+        out[start:start + rows] = np.where(counts == 1, probe.argmax(axis=1), -1)
     return out
 
 
@@ -246,86 +215,56 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0, budget=None):
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
     size = T.size(m)
+    d_arr = T.domain_arr(m)
     if sample is None:
         budgets.check_enum(size * max(len(skeleton.jset(n + 1, budget=budget)), 1),
                            f"refinement n={n} m={m}", budget)
-        if T.kind == KIND_LINE:
-            lo = T.lo(m)
-            d_list = np.arange(lo, lo + size, dtype=np.int64)
-        else:
-            d_list = list(T.domain(m, budget=budget))
     else:
         rng = random.Random(seed)
-        if T.kind == KIND_LINE:
-            lo = T.lo(m)
-            d_list = np.asarray([lo + rng.randrange(size) for _ in range(sample)],
-                                dtype=np.int64)
-        else:
-            dom = list(T.domain(m, budget=budget))
-            d_list = [dom[rng.randrange(len(dom))] for _ in range(sample)]
+        d_arr = d_arr[[rng.randrange(size) for _ in range(sample)]]
 
     jn = skeleton.jset(n, budget=budget)
     jn1 = skeleton.jset(n + 1, budget=budget)
-    cidx = classify_points(skeleton, m, n + 1, d_list, budget)
-    pidx = classify_points(skeleton, m, n, d_list, budget)
+    cidx = classify_points(skeleton, m, n + 1, d_arr, budget)
+    pidx = classify_points(skeleton, m, n, d_arr, budget)
 
     kind = skeleton.steps[n]  # step n+1 decides the gamma == 0 column
     plant = kind[0] == "plant"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
 
-    if T.kind == KIND_LINE:
-        d_arr = np.asarray(d_list, dtype=np.int64)
-        vn = _red_vec(T, d_arr, n)
-        vn1 = _red_vec(T, d_arr, n + 1)
-        gamma_c = vn1 - vn
-        j1 = np.asarray(jn1.elements, dtype=np.int64)
-        j1_red = _red_vec(T, j1, n)
-        j1_gam = j1 - j1_red
-        j0 = np.asarray(jn.elements, dtype=np.int64)
+    # the five rules of the module docstring, one array op each
+    vn1 = T.reduce_arr(d_arr, n + 1)
+    gamma_c = T.sub_arr(vn1, T.reduce_arr(d_arr, n))
+    j1 = T.array(jn1.elements)
+    j1_red = T.reduce_arr(j1, n)
+    j1_gam = T.sub_arr(j1, j1_red)
+    j0 = T.array(jn.elements)
 
-        is0 = gamma_c == 0
-        has_c = cidx >= 0
-        safe = np.where(has_c, cidx, 0)
-        match = has_c & (j1_gam[safe] == gamma_c)
-        exp_one = np.where(is0, plant, match)
-        exp_g = np.where(is0, kind[1] if plant else 0, j1_red[safe])
-        act_one = pidx >= 0
-        act_g = j0[np.where(act_one, pidx, 0)]
-        bad = (exp_one != act_one) | (exp_one & act_one & (exp_g != act_g))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            return ({"d": int(d_arr[i]),
-                     "child": (int(vn1[i]),
-                               TAG_ZERO if cidx[i] < 0 else tag_one(int(j1[cidx[i]]))),
-                     "expected_parent_one": bool(exp_one[i]),
-                     "actual_parent_one": bool(act_one[i])},
-                    counts, len(d_arr))
-        counts["c1"] = int((~is0 & ~has_c).sum())
-        counts["c2"] = int((~is0 & match).sum())
-        counts["c3"] = int((~is0 & has_c & ~match).sum())
-        counts["c4"] = 0 if plant else int(is0.sum())
-        counts["c5"] = int(is0.sum()) if plant else 0
-        return None, counts, len(d_arr)
-
-    for pos, d in enumerate(d_list):
-        v1 = T.reduce(d, n + 1)
-        child = (v1, TAG_ZERO if cidx[pos] < 0 else tag_one(jn1.elements[cidx[pos]]))
-        counts[containment_case(skeleton, child, n + 1)] += 1
-        want = parent_cell(skeleton, child, n + 1)
-        got = (T.reduce(d, n),
-               TAG_ZERO if pidx[pos] < 0 else tag_one(jn.elements[pidx[pos]]))
-        if want != got:
-            return ({"d": d, "child": child, "expected": want, "actual": got},
-                    counts, len(d_list))
-    return None, counts, len(d_list)
-
-
-def _red_vec(T, arr, l):
-    ml = T.size(l)
-    if T.style == STYLE_CENTERED:
-        half = T.half[l]
-        return (arr + half) % ml - half
-    return arr % ml
+    is0 = T.eq_arr(gamma_c, T.zero)
+    has_c = cidx >= 0
+    safe = np.where(has_c, cidx, 0)
+    match = has_c & T.eq_arr(j1_gam[safe], gamma_c)
+    exp_one = np.where(is0, plant, match)
+    exp_g = j1_red[safe]
+    if plant:
+        exp_g[is0] = kind[1]
+    act_one = pidx >= 0
+    act_g = j0[np.where(act_one, pidx, 0)]
+    bad = (exp_one != act_one) | (exp_one & act_one & ~T.eq_arr(exp_g, act_g))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        return ({"d": T.element(d_arr[i]),
+                 "child": (T.element(vn1[i]),
+                           TAG_ZERO if cidx[i] < 0 else tag_one(jn1.elements[cidx[i]])),
+                 "expected_parent_one": bool(exp_one[i]),
+                 "actual_parent_one": bool(act_one[i])},
+                counts, len(d_arr))
+    counts["c1"] = int((~is0 & ~has_c).sum())
+    counts["c2"] = int((~is0 & match).sum())
+    counts["c3"] = int((~is0 & has_c & ~match).sum())
+    counts["c4"] = 0 if plant else int(is0.sum())
+    counts["c5"] = int(is0.sum()) if plant else 0
+    return None, counts, len(d_arr)
 
 
 # -- the set identities ----------------------------------------------------
@@ -402,11 +341,7 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
         else:
             count = sample if sample is not None else exhaustive_cap
             for _ in range(count):
-                if T.kind == KIND_LINE:
-                    w = T.lo(n_s) + rng.randrange(size)
-                else:
-                    dom = list(T.domain(n_s, budget=budget))
-                    w = dom[rng.randrange(len(dom))]
+                w = T.element_at(n_s, rng.randrange(size))
                 pick = rng.randrange(len(js) + 1)
                 yield (w, TAG_ZERO) if pick == 0 else (w, tag_one(js.elements[pick - 1]))
 
@@ -516,12 +451,7 @@ def mu_zero_set(skeleton, n, m, budget=None):
     T = skeleton.tower
     budgets.check_enum(T.size(m) * max(len(skeleton.jset(n, budget=budget)), 1),
                        f"mu_{m}(Z_{n})", budget)
-    if T.kind == KIND_LINE:
-        lo = T.lo(m)
-        d = np.arange(lo, lo + T.size(m), dtype=np.int64)
-    else:
-        d = list(T.domain(m, budget=budget))
-    tags = classify_points(skeleton, m, n, d, budget)
+    tags = classify_points(skeleton, m, n, T.domain_arr(m), budget)
     return Fraction(int((tags < 0).sum()), T.size(m))
 
 
@@ -530,31 +460,12 @@ def mu_w_set(skeleton, n, m, budget=None):
     T = skeleton.tower
     jn = skeleton.jset(n, budget=budget)
     budgets.check_enum(T.size(m) * max(len(jn), 1), f"mu_{m}(W_{n})", budget)
-    if T.kind == KIND_LINE:
-        lo = T.lo(m)
-        d_arr = np.arange(lo, lo + T.size(m), dtype=np.int64)
-        tags = classify_points(skeleton, m, n, d_arr, budget)
-        vn = _red_vec(T, d_arr, n)
-        vprev = _red_vec(T, d_arr, n - 1)
-        gamma = vn - vprev
-        j = np.asarray(jn.elements, dtype=np.int64)
-        j_red = _red_vec(T, j, n - 1)
-        j_gam = j - j_red
-        has = tags >= 0
-        safe = np.where(has, tags, 0)
-        member = has & (gamma != 0) & (j_gam[safe] != gamma)
-        return Fraction(int(member.sum()), T.size(m))
-    count = 0
-    dom = list(T.domain(m, budget=budget))
-    tags = classify_points(skeleton, m, n, dom, budget)
-    for pos, d in enumerate(dom):
-        if tags[pos] < 0:
-            continue
-        vn = T.reduce(d, n)
-        gamma = T.sub(vn, T.reduce(d, n - 1))
-        if gamma == T.zero:
-            continue
-        gamma_t, _ = decompose_one_position(skeleton, jn.elements[tags[pos]], n)
-        if gamma_t != gamma:
-            count += 1
-    return Fraction(count, T.size(m))
+    d_arr = T.domain_arr(m)
+    tags = classify_points(skeleton, m, n, d_arr, budget)
+    gamma = T.sub_arr(T.reduce_arr(d_arr, n), T.reduce_arr(d_arr, n - 1))
+    j = T.array(jn.elements)
+    j_gam = T.sub_arr(j, T.reduce_arr(j, n - 1))
+    has = tags >= 0
+    safe = np.where(has, tags, 0)
+    member = has & ~T.eq_arr(gamma, T.zero) & ~T.eq_arr(j_gam[safe], gamma)
+    return Fraction(int(member.sum()), T.size(m))

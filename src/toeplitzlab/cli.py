@@ -43,6 +43,13 @@ def _emit_result(res, as_json):
     return 0 if res.ok else 1
 
 
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_common(sp):
     sp.add_argument("--preset", choices=preset_names(),
                     help="shipped tower config")
@@ -52,9 +59,9 @@ def _add_common(sp):
                     help="build depth (default: preset depth / full config)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for sampled scans (default 0)")
-    sp.add_argument("--enum-budget", type=int, dest="enum_budget",
+    sp.add_argument("--enum-budget", type=_positive_int, dest="enum_budget",
                     help="cap on python-level enumeration sizes")
-    sp.add_argument("--window-budget", type=int, dest="window_budget",
+    sp.add_argument("--window-budget", type=_positive_int, dest="window_budget",
                     help="cap on materialized window sizes")
     sp.add_argument("--json", action="store_true", dest="as_json",
                     help="machine-readable output")
@@ -71,9 +78,9 @@ def _skeleton(args):
         preset_depth = PRESET_DEPTH[args.preset]
     else:
         raise InvalidIndex("need --preset or --config")
-    if args.enum_budget:
+    if args.enum_budget is not None:
         os.environ["TOEPLITZLAB_ENUM_BUDGET"] = str(args.enum_budget)
-    if args.window_budget:
+    if args.window_budget is not None:
         os.environ["TOEPLITZLAB_WINDOW_BUDGET"] = str(args.window_budget)
     tower = build_tower(cfg)
     depth = args.depth if args.depth is not None \
@@ -194,10 +201,11 @@ def _cmd_analyze_density(args):
         for n in range(1, min(levels, sk.depth - 1) + 1):
             if sk.tower.size(n) > 1 << 22:
                 break
+            routes = density_methods(sk, n)
             obj["methods"].append(
-                {"n": n, "agree": bool(density_methods(sk, n))})
+                {"n": n, "agree": len(set(routes.values())) == 1})
         print(json.dumps(obj, indent=1))
-        return 0
+        return 0 if all(m["agree"] for m in obj["methods"]) else 1
     print(report.render())
     return 0
 

@@ -15,7 +15,6 @@ from .errors import DepthExceeded, InconclusiveTail, NotInDomain
 from .density import regularity_verdict, VERDICT_INCONCLUSIVE
 from .result import failed, passed
 from .skeleton import j_size
-from .tower import KIND_LATTICE, KIND_LINE
 from .window import window_values
 
 
@@ -74,33 +73,15 @@ class PeriodicMeasure:
     def values(self):
         return self._vals
 
-    def eta(self, g):
-        return int(self._vals[self.tower.index_of(self.tower.reduce(g, self.m),
-                                                  self.m)])
-
     def mu_cylinder(self, pattern):
         """Mass of {d : eta_m(d + s) = v for every (s, v) in pattern}."""
         T = self.tower
         if not pattern:
             return Fraction(1)
-        if T.kind == KIND_LINE:
-            acc = np.ones(self.size, dtype=bool)
-            for s, v in pattern:
-                acc &= np.roll(self._vals, -int(s)) == v
-            return Fraction(int(acc.sum()), self.size)
-        if T.kind == KIND_LATTICE:
-            shape = [ax.size(self.m) for ax in T.axes]
-            grid = self._vals.reshape(shape)
-            acc = np.ones(shape, dtype=bool)
-            axes = tuple(range(T.dim))
-            for s, v in pattern:
-                acc &= np.roll(grid, tuple(-c for c in s), axis=axes) == v
-            return Fraction(int(acc.sum()), self.size)
-        count = 0
-        for d in T.domain(self.m):
-            if all(self.eta(T.add(d, s)) == v for s, v in pattern):
-                count += 1
-        return Fraction(count, self.size)
+        acc = np.ones(self.size, dtype=bool)
+        for s, v in pattern:
+            acc &= T.shift_arr(self._vals, s, self.m) == v
+        return Fraction(int(acc.sum()), self.size)
 
     def mu_symbol(self, symbol):
         return Fraction(int((self._vals == symbol).sum()), self.size)

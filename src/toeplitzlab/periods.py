@@ -15,8 +15,8 @@ import numpy as np
 from . import budgets
 from .errors import NonAbelianUnsupported, NotInDomain
 from .result import failed, inconclusive, passed
-from .skeleton import Undefined, j_size
-from .tower import KIND_GENERIC, KIND_LATTICE, KIND_LINE
+from .skeleton import j_size
+from .tower import KIND_LINE
 from .window import window_levels, window_values
 
 
@@ -150,11 +150,6 @@ def per_eq_check(skeleton, n, window=None, budget=None):
     return res
 
 
-def _shift_invariant(mask0, mask1, shift_idx):
-    return (np.array_equal(mask0, np.roll(mask0, shift_idx))
-            and np.array_equal(mask1, np.roll(mask1, shift_idx)))
-
-
 def essential_check(skeleton, n, per_sets=None, budget=None):
     """No subgroup strictly between Gamma_n and G fixes both per-sets.
 
@@ -195,21 +190,8 @@ def essential_check(skeleton, n, per_sets=None, budget=None):
         label = f"{len(cands)} nonzero translates"
 
     for v in cands:
-        if T.kind == KIND_LINE:
-            shift = v
-            inv = _shift_invariant(mask0, mask1, shift)
-        elif T.kind == KIND_LATTICE:
-            arr0 = mask0.reshape([ax.size(n) for ax in T.axes])
-            arr1 = mask1.reshape([ax.size(n) for ax in T.axes])
-            shifts = tuple(v)
-            inv = (np.array_equal(arr0, np.roll(arr0, shifts, axis=tuple(range(T.dim))))
-                   and np.array_equal(arr1, np.roll(arr1, shifts, axis=tuple(range(T.dim)))))
-        else:
-            perm = [T.index_of(T.reduce(T.add(T.element_at(n, i), v), n), n)
-                    for i in range(size)]
-            inv = (all(mask0[perm[i]] == mask0[i] for i in range(size))
-                   and all(mask1[perm[i]] == mask1[i] for i in range(size)))
-        if inv:
+        if (np.array_equal(T.shift_arr(mask0, v, n), mask0)
+                and np.array_equal(T.shift_arr(mask1, v, n), mask1)):
             res = failed(name, f"level {n} ({label})",
                          {"level": n, "invariant_shift": v,
                           "reason": "a proper supergroup of Gamma_n fixes the per-sets"})
@@ -297,121 +279,51 @@ def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
     t0 = time.perf_counter()
     T = skeleton.tower
     name = "partitions-c"
-    jk = skeleton.jset(k, budget=budget)
+    jk = T.array(skeleton.jset(k, budget=budget).elements)
     rng = random.Random(seed)
 
-    def ones_on(gamma):
-        cnt = 0
-        witness = None
-        skipped = False
+    def ones_on(gam, level):
+        """Ones on each translate gamma J(k), gamma in the array gam; the
+        tiling axiom keeps gamma + J(k) inside the decided D_level."""
+        vals = window_values(skeleton, level, budget)
+        counts = np.zeros(len(gam), dtype=np.int64)
         for g in jk:
-            v = skeleton.eval(T.add(gamma, g))
-            if v is Undefined:
-                skipped = True
-                continue
-            if v == 1:
-                cnt += 1
-                witness = g
-        return cnt, witness, skipped
+            counts += vals[T.index_of_arr(T.add_arr(gam, g), level)] == 1
+        return counts
 
-    exhaustive = 0
-    skipped = 0
+    done = {"exhaustive": 0, "sampled": 0}
     hist = {0: 0, 1: 0}
+    top = skeleton.depth - 1
+    runs = []
     if k + 3 <= T.depth and skeleton.depth >= k + 4:
         sec = T.section(k, k + 3, budget=budget)
-        budgets.check_enum(len(sec) * max(len(jk), 1), f"partitions-c k={k}", budget)
-        if T.kind == KIND_LINE:
-            # all probes land in the decided D_{k+3} block, one pass per slot
-            vals = window_values(skeleton, k + 3, budget)
-            lo = T.lo(k + 3)
-            gam = np.asarray(sec, dtype=np.int64)
-            counts = np.zeros(len(gam), dtype=np.int64)
-            for g in jk.elements:
-                counts += vals[gam + int(g) - lo] == 1
-            bad = counts > 1
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                res = failed(name, f"k={k} exhaustive",
-                             {"k": k, "gamma": int(gam[i]),
-                              "ones": int(counts[i])})
-                res.millis = (time.perf_counter() - t0) * 1e3
-                return res
-            hist[0] += int((counts == 0).sum())
-            hist[1] += int((counts == 1).sum())
-            exhaustive = len(gam)
-        else:
-            for gamma in sec:
-                cnt, wit, skip = ones_on(gamma)
-                if skip:
-                    skipped += 1
-                    continue
-                if cnt > 1:
-                    res = failed(name, f"k={k} exhaustive",
-                                 {"k": k, "gamma": gamma, "ones": cnt,
-                                  "witness": wit})
-                    res.millis = (time.perf_counter() - t0) * 1e3
-                    return res
-                hist[cnt] += 1
-                exhaustive += 1
-
-    top = skeleton.depth - 1
-    sampled = 0
-    if top >= k and samples > 0 and T.kind == KIND_LINE:
-        # D_top is fully decided, so sampled probes are window lookups
-        q = T.size(top) // T.size(k)
-        lo_mult = 0 if T.style == "NonNegative" else -((q - 1) // 2)
-        gam = np.asarray([(lo_mult + rng.randrange(q)) * T.size(k)
-                          for _ in range(samples)], dtype=np.int64)
-        vals = window_values(skeleton, top, budget)
-        lo = T.lo(top)
-        counts = np.zeros(len(gam), dtype=np.int64)
-        for g in jk.elements:
-            counts += vals[gam + int(g) - lo] == 1
+        budgets.check_enum(len(sec) * len(jk), f"partitions-c k={k}", budget)
+        runs.append(("exhaustive", T.array(sec), k + 3))
+    if top >= k and samples > 0:
+        sec = T.section(k, top)
+        gam = T.array([sec[rng.randrange(len(sec))] for _ in range(samples)])
+        runs.append(("sampled", gam, top))
+    for mode, gam, level in runs:
+        counts = ones_on(gam, level)
         bad = counts > 1
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            res = failed(name, f"k={k} sampled",
-                         {"k": k, "gamma": int(gam[i]), "ones": int(counts[i])})
+            res = failed(name, f"k={k} {mode}",
+                         {"k": k, "gamma": T.element(gam[i]),
+                          "ones": int(counts[i])})
             res.millis = (time.perf_counter() - t0) * 1e3
             return res
         hist[0] += int((counts == 0).sum())
         hist[1] += int((counts == 1).sum())
-        sampled = len(gam)
-    elif top >= k and samples > 0:
-        if T.kind == KIND_LATTICE:
-            def draw():
-                coords = []
-                for ax in T.axes:
-                    q = ax.size(top) // ax.size(k)
-                    lo_mult = 0 if ax.style == "NonNegative" else -((q - 1) // 2)
-                    coords.append((lo_mult + rng.randrange(q)) * ax.size(k))
-                return tuple(coords)
-        else:
-            sec = T.section(k, top)
-            def draw():
-                return sec[rng.randrange(len(sec))]
-        for _ in range(samples):
-            gamma = draw()
-            cnt, wit, skip = ones_on(gamma)
-            if skip:
-                skipped += 1
-                continue
-            if cnt > 1:
-                res = failed(name, f"k={k} sampled",
-                             {"k": k, "gamma": gamma, "ones": cnt, "witness": wit})
-                res.millis = (time.perf_counter() - t0) * 1e3
-                return res
-            hist[cnt] += 1
-            sampled += 1
+        done[mode] = len(gam)
 
-    if exhaustive == 0 and sampled == 0:
+    if not any(done.values()):
         res = inconclusive(name, f"k={k}: no coset checkable at depth {skeleton.depth}")
         res.millis = (time.perf_counter() - t0) * 1e3
         return res
     res = passed(name,
-                 f"k={k}: {exhaustive} cosets exhaustive in Gamma_{k} cap D_{k+3}, "
-                 f"{sampled} sampled in Gamma_{k} cap D_{top}"
-                 + (f", {skipped} skipped undefined" if skipped else ""),
+                 f"k={k}: {done['exhaustive']} cosets exhaustive in Gamma_{k} "
+                 f"cap D_{k+3}, {done['sampled']} sampled in Gamma_{k} cap D_{top}",
                  [{"ones_histogram": hist}])
     res.millis = (time.perf_counter() - t0) * 1e3
     return res

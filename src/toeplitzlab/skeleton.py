@@ -17,9 +17,11 @@ import bisect
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import budgets
 from .errors import BeyondDepth, DepthExceeded, EmptySlot, NotInDomain
-from .tower import KIND_LINE, TowerConfig, build_tower
+from .tower import KIND_GENERIC, KIND_LINE, TowerConfig, build_tower
 
 
 class _UndefinedType:
@@ -91,35 +93,11 @@ def j_set(tower, n, budget=None):
     if n > tower.depth:
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     budgets.check_enum(tower.size(n), f"J({n})", budget)
-    if n == 0:
-        return JSet(0, (tower.zero,))
-    if tower.kind == KIND_LINE:
-        elems = _j_set_line(tower, n)
-    else:
-        elems = tuple(d for d in tower.domain(n, budget=budget)
-                      if not _covered_below(tower, d, n))
-    return JSet(n, elems)
-
-
-def _j_set_line(tower, n):
-    import numpy as np
-
-    size = tower.size(n)
-    lo = tower.lo(n)
-    dtype = np.int64 if tower.size(n) > (1 << 31) - 2 else np.int32
-    g = np.arange(lo, lo + size, dtype=dtype)
-    keep = np.ones(size, dtype=bool)
+    g = tower.domain_arr(n)
+    keep = np.ones(len(g), dtype=bool)
     for i in range(n):
-        m = tower.size(i + 1)
-        if tower.style == "Centered":
-            h = (m - 1) // 2
-            r = (g + h) % m - h
-            inside = np.abs(r) <= (tower.size(i) - 1) // 2
-        else:
-            r = g % m
-            inside = r < tower.size(i)
-        keep &= ~inside
-    return tuple(int(v) for v in g[keep])
+        keep &= ~tower.in_domain_arr(tower.reduce_arr(g, i + 1), i)
+    return JSet(n, tuple(tower.elements(g[keep])))
 
 
 def j_set_recursive(tower, n, budget=None):
@@ -143,9 +121,7 @@ def j_set_recursive(tower, n, budget=None):
         for g in below:
             out.append(tower.add(gamma, g))
     # enumeration order of D_n, not discovery order
-    if tower.kind == KIND_LINE:
-        out.sort()
-    elif tower.kind == "IntegerLattice":
+    if tower.kind != KIND_GENERIC:
         out.sort()
     else:
         order = {g: i for i, g in enumerate(tower.domain(n, budget=budget))}
@@ -251,9 +227,6 @@ class ToeplitzSkeleton:
 
     def completed_blocks(self):
         return [k for k in range(len(self.m_k)) if self.m_k[k] <= self.depth]
-
-    def block_of_step(self, t):
-        return bisect.bisect_left(self.mbar, t) - 1
 
     def _record_linking(self):
         """Per completed block: does every nonidentity v in

@@ -15,11 +15,23 @@ Domain styles for the integer kinds:
 
 Elements are plain ints (line), tuples of ints (lattice), or table indices
 (generic).  All towers are abelian except possibly Generic.
+
+Every tower also has array forms of the ops (domain_arr, reduce_arr,
+in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
+elements: 1-D ints for the line and for Generic, (..., d) ints for the
+lattice.  Two more serve Gamma_n-periodic arrays: coset_index_arr is the D_n
+index of each element's coset representative, and shift_arr(vals, s, n)
+reads values over D_n at d + s for every d in D_n.  The kernels and checks
+use only these, so one implementation serves every kind; the scalar ops stay
+as the reference they are compared against.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from . import budgets
 from .errors import (DepthExceeded, InvalidIndex, NonAbelianUnsupported,
@@ -81,7 +93,33 @@ def _check_indices(indices):
             raise InvalidIndex(f"indices must be integers >= 2, got {q!r}")
 
 
-class IntegerLineTower:
+class _ArrayForms:
+    """Array-form defaults for single-int elements; the lattice overrides
+    the ones that see an element's shape.
+
+    Sums and differences come out int64, so translates never wrap.
+    """
+
+    def add_arr(self, a, b):
+        return np.add(a, b, dtype=np.int64)
+
+    def sub_arr(self, a, b):
+        return np.subtract(a, b, dtype=np.int64)
+
+    def eq_arr(self, a, b):
+        return np.equal(a, b)
+
+    def array(self, elements):
+        return np.asarray(elements, dtype=np.int64)
+
+    def element(self, x):
+        return int(x)
+
+    def elements(self, arr):
+        return arr.tolist()
+
+
+class IntegerLineTower(_ArrayForms):
     kind = KIND_LINE
 
     def __init__(self, indices, style=STYLE_NONNEG, tail=None):
@@ -164,6 +202,41 @@ class IntegerLineTower:
     def element_at(self, n, idx):
         return idx + self.lo(n)
 
+    def _arr_dtype(self, n):
+        # int32 while reducing D_n one level up stays in range
+        return np.int32 if self.N[min(n + 1, self.depth)] < 1 << 31 else np.int64
+
+    def domain_arr(self, n):
+        lo = self.lo(n)
+        return np.arange(lo, lo + self.N[n], dtype=self._arr_dtype(n))
+
+    def reduce_arr(self, g, n, out=None):
+        self._chk(n)
+        m = self.N[n]
+        if self.style == STYLE_NONNEG:
+            return np.mod(g, m, out=out)
+        out = np.add(g, self.half[n], out=out)
+        np.mod(out, m, out=out)
+        return np.subtract(out, self.half[n], out=out)
+
+    def in_domain_arr(self, g, n):
+        lo = self.lo(n)
+        out = np.greater_equal(g, lo)
+        return np.logical_and(out, g < lo + self.N[n], out=out)
+
+    def index_of_arr(self, g, n):
+        idx = np.subtract(g, self.lo(n), dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.N[n]):
+            raise NotInDomain(f"element outside D_{n}")
+        return idx
+
+    def coset_index_arr(self, g, n):
+        idx = np.subtract(g, self.lo(n), dtype=np.int64)
+        return np.mod(idx, self.N[n], out=idx)
+
+    def shift_arr(self, vals, s, n):
+        return np.roll(vals, -int(s))
+
     def parse_element(self, text):
         return int(text)
 
@@ -175,7 +248,7 @@ class IntegerLineTower:
                            tail=self.tail)
 
 
-class IntegerLatticeTower:
+class IntegerLatticeTower(_ArrayForms):
     kind = KIND_LATTICE
 
     def __init__(self, per_axis_indices, style=STYLE_NONNEG, tail=None):
@@ -259,6 +332,54 @@ class IntegerLatticeTower:
             idx //= m
         return tuple(reversed(coords))
 
+    # array forms: (..., d) ints, each axis through the line's formulas
+
+    def domain_arr(self, n):
+        grids = np.meshgrid(*[ax.domain_arr(n) for ax in self.axes],
+                            indexing="ij")
+        return np.stack(grids, axis=-1).reshape(-1, self.dim).astype(np.int64)
+
+    def reduce_arr(self, g, n, out=None):
+        out = np.empty_like(g) if out is None else out
+        for k, ax in enumerate(self.axes):
+            ax.reduce_arr(g[..., k], n, out=out[..., k])
+        return out
+
+    def in_domain_arr(self, g, n):
+        out = self.axes[0].in_domain_arr(g[..., 0], n)
+        for k, ax in enumerate(self.axes[1:], start=1):
+            out &= ax.in_domain_arr(g[..., k], n)
+        return out
+
+    def index_of_arr(self, g, n):
+        idx = 0
+        for k, ax in enumerate(self.axes):
+            idx = idx * ax.size(n) + ax.index_of_arr(g[..., k], n)
+        return idx
+
+    def coset_index_arr(self, g, n):
+        idx = 0
+        for k, ax in enumerate(self.axes):
+            idx = idx * ax.size(n) + ax.coset_index_arr(g[..., k], n)
+        return idx
+
+    def shift_arr(self, vals, s, n):
+        grid = vals.reshape([ax.size(n) for ax in self.axes])
+        shifts = tuple(-int(c) for c in s)
+        return np.roll(grid, shifts, axis=tuple(range(self.dim))).reshape(-1)
+
+    def eq_arr(self, a, b):
+        return np.equal(a, b).all(axis=-1)
+
+    def array(self, elements):
+        return np.asarray(elements, dtype=np.int64).reshape(-1, self.dim)
+
+    def element(self, x):
+        return tuple(int(c) for c in x)
+
+    def elements(self, arr):
+        return [tuple(x) for x in arr.tolist()]
+
     def parse_element(self, text):
         parts = [int(p) for p in text.replace("(", "").replace(")", "").split(",")]
         if len(parts) != self.dim:
@@ -274,7 +395,7 @@ class IntegerLatticeTower:
                            style=self.style, tail=self.tail)
 
 
-class GenericTower:
+class GenericTower(_ArrayForms):
     """Finite model of a tower given by explicit quotient tables.
 
     levels[n-1] describes G/Gamma_n for n = 1..depth: its size, its addition
@@ -403,6 +524,76 @@ class GenericTower:
 
     def element_at(self, n, idx):
         return self.domains[n][idx]
+
+    # array forms: lookups in tables built on first use, so that building
+    # the tower never pays for the op table
+
+    @cached_property
+    def _down_arr(self):
+        """_down_arr[n][g]: the level-n coset key of g."""
+        return np.array(self._down, dtype=np.int64).T.copy()
+
+    @cached_property
+    def _rep_arr(self):
+        """_rep_arr[n][key]: the D_n representative of a coset key, or -1."""
+        out = []
+        for n, reps in enumerate(self._rep):
+            arr = np.full(self.sizes[n], -1, dtype=np.int64)
+            arr[list(reps)] = list(reps.values())
+            out.append(arr)
+        return out
+
+    @cached_property
+    def _pos_arr(self):
+        """_pos_arr[n][g]: the index of g in D_n, or -1 outside D_n."""
+        out = []
+        for dom in self.domains:
+            arr = np.full(self.sizes[self.depth], -1, dtype=np.int64)
+            arr[dom] = np.arange(len(dom))
+            out.append(arr)
+        return out
+
+    @cached_property
+    def _op_arr(self):
+        return np.array(self.ops[self.depth], dtype=np.int64)
+
+    @cached_property
+    def _inv_arr(self):
+        return np.array(self._inv, dtype=np.int64)
+
+    def domain_arr(self, n):
+        self._chk(n)
+        return np.array(self.domains[n], dtype=np.int64)
+
+    def reduce_arr(self, g, n, out=None):
+        self._chk(n)
+        out = np.take(self._rep_arr[n], self._down_arr[n][g], out=out)
+        if (out < 0).any():
+            raise NotInDomain(f"D_{n} has no representative for some coset")
+        return out
+
+    def in_domain_arr(self, g, n):
+        self._chk(n)
+        return self._pos_arr[n][g] >= 0
+
+    def index_of_arr(self, g, n):
+        self._chk(n)
+        idx = self._pos_arr[n][g]
+        if (idx < 0).any():
+            raise NotInDomain(f"element outside D_{n}")
+        return idx
+
+    def coset_index_arr(self, g, n):
+        return self.index_of_arr(self.reduce_arr(g, n), n)
+
+    def shift_arr(self, vals, s, n):
+        return vals[self.coset_index_arr(self.add_arr(self.domain_arr(n), s), n)]
+
+    def add_arr(self, a, b):
+        return self._op_arr[a, b]
+
+    def sub_arr(self, a, b):
+        return self._op_arr[a, self._inv_arr[b]]
 
     def parse_element(self, text):
         return int(text)

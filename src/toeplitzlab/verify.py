@@ -13,16 +13,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .cells import (_red_vec, corollary_chain, mu_zero_set, verify_refinement,
+from .cells import (corollary_chain, mu_zero_set, verify_refinement,
                     zero_set_identity)
 from .density import ratio_term
-from .errors import BudgetExceeded, UnknownCheck
+from .errors import BudgetExceeded, DepthExceeded, UnknownCheck
 from .measures import a_counts, an_det_check
 from .periods import partitions_c_check, per_eq_check, per_member
 from .result import (SuiteReport, failed, inconclusive, passed, vacated)
 from .skeleton import j_set, j_set_recursive, j_size
-from .tower import KIND_LINE, STYLE_CENTERED, TAIL_GEOMETRIC, validate_tower
-from .window import window_values
+from .tower import KIND_LINE, TAIL_GEOMETRIC, validate_tower
+from .window import level_scan, window_levels, window_values
 
 
 # -- small helpers ---------------------------------------------------------
@@ -45,32 +45,16 @@ def _m_pairs(skeleton):
     return out
 
 
-def _in_dom_vec(T, arr, l):
-    if T.style == STYLE_CENTERED:
-        return np.abs(arr) <= T.half[l]
-    return (arr >= 0) & (arr < T.size(l))
-
-
 def good_set(skeleton, n, m, budget=None):
-    """Gamma_{n+1} cap D_m minus the union of D_l Gamma_{l+1}, l = n+1..m-1."""
+    """Gamma_{n+1} cap D_m minus the union of D_l Gamma_{l+1}, l = n+1..m-1,
+    as an element array."""
     T = skeleton.tower
-    if T.kind == KIND_LINE:
-        budgets.check_window(T.size(m), f"good set ({n},{m})", budget)
-        lo = T.lo(m)
-        g = np.arange(lo, lo + T.size(m), dtype=np.int64)
-        mask = _red_vec(T, g, n + 1) == 0
-        for l in range(n + 1, m):
-            mask &= ~_in_dom_vec(T, _red_vec(T, g, l + 1), l)
-        return g[mask]
-    budgets.check_enum(T.size(m), f"good set ({n},{m})", budget)
-    out = []
-    for g in T.domain(m, budget=budget):
-        if T.reduce(g, n + 1) != T.zero:
-            continue
-        if any(T.in_domain(T.reduce(g, l + 1), l) for l in range(n + 1, m)):
-            continue
-        out.append(g)
-    return out
+    budgets.check_window(T.size(m), f"good set ({n},{m})", budget)
+    g = T.domain_arr(m)
+    mask = T.eq_arr(T.reduce_arr(g, n + 1), T.zero)
+    for l in range(n + 1, m):
+        mask &= ~T.in_domain_arr(T.reduce_arr(g, l + 1), l)
+    return g[mask]
 
 
 def good_bound(tower, n, m):
@@ -81,36 +65,43 @@ def good_bound(tower, n, m):
 
 
 def _eta_level_targets(skeleton, n, budget=None):
-    """eta_n over D_{n+1} as an array (line towers)."""
+    """eta_n over D_{n+1}, in the enumeration order of D_{n+1}."""
     T = skeleton.tower
     vals_n = window_values(skeleton, n, budget)
-    s = np.arange(T.lo(n + 1), T.lo(n + 1) + T.size(n + 1), dtype=np.int64)
-    return vals_n[_red_vec(T, s, n) - T.lo(n)]
+    return vals_n[T.coset_index_arr(T.domain_arr(n + 1), n)]
 
 
-def _u_mask_line(skeleton, base, n, m_window, budget=None):
+def _eval_arr(skeleton, g):
+    """eval over the element array g; every probe must be defined."""
+    vals = level_scan(skeleton, g, values=True)
+    if (vals == 255).any():
+        raise DepthExceeded("a probe is undefined; increase depth")
+    return vals
+
+
+def _u_mask(skeleton, base, n, eta, budget=None):
     """Which base points v have the sigma^{v^{-1}} eta window on D_{n+1}
-    equal to eta_n.  All probes must stay inside D_{m_window}."""
+    equal to eta_n; eta(g) gives the array's values at the element array g.
+    Each probe only visits the points that matched every earlier probe, and
+    the probes for the rarer symbol 1 go first."""
     T = skeleton.tower
-    vals = window_values(skeleton, m_window, budget)
     target = _eta_level_targets(skeleton, n, budget)
-    lo_w = T.lo(m_window)
-    lo_s = T.lo(n + 1)
-    ok = np.ones(len(base), dtype=bool)
-    for i in range(T.size(n + 1)):
-        ok &= vals[base + (lo_s + i) - lo_w] == target[i]
+    shifts = T.domain_arr(n + 1)
+    alive = np.arange(len(base))
+    for i in np.argsort(target == 0, kind="stable"):
+        alive = alive[eta(T.add_arr(base[alive], shifts[i])) == target[i]]
+    ok = np.zeros(len(base), dtype=bool)
+    ok[alive] = True
     return ok
 
 
-def _y_mask_line(skeleton, base, n, m_window, budget=None):
+def _y_mask(skeleton, base, n, budget=None):
     """Which base points pass the all-zero probe over section x J(n)."""
     T = skeleton.tower
-    vals = window_values(skeleton, m_window, budget)
-    lo_w = T.lo(m_window)
-    ok = _red_vec(T, base, n) == 0
+    ok = T.eq_arr(T.reduce_arr(base, n), T.zero)
     for gamma in T.section(n, n + 1, budget=budget):
         for g in skeleton.jset(n, budget=budget).elements:
-            ok &= vals[base + (gamma + g) - lo_w] == 0
+            ok &= _eval_arr(skeleton, T.add_arr(base, T.add(gamma, g))) == 0
     return ok
 
 
@@ -123,7 +114,8 @@ def _finish(res, t0):
 
 
 def check_decom(skeleton, budget=None, max_level=None):
-    return validate_tower(skeleton.tower, max_level, budget)
+    t0 = time.perf_counter()
+    return _finish(validate_tower(skeleton.tower, max_level, budget), t0)
 
 
 def check_j_recursion(skeleton, budget=None, levels=None):
@@ -202,31 +194,16 @@ def check_good_relation(skeleton, budget=None, pairs=None):
             return _finish(failed(
                 "good-relation", f"(n,m)=({n},{m})",
                 {"n": n, "m": m, "count": count, "bound": bound}), t0)
-        if T.kind == KIND_LINE:
-            v = np.arange(T.lo(n + 1), T.lo(n + 1) + T.size(n + 1),
-                          dtype=np.int64)
-            w = np.asarray(S, dtype=np.int64)[:, None] + v[None, :]
-            bad = ~_in_dom_vec(T, w, m)
-            for l in range(n + 1, m):
-                bad |= _in_dom_vec(T, _red_vec(T, w, l + 1), l)
-            if bad.any():
-                i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-                return _finish(failed(
-                    "good-relation", f"(n,m)=({n},{m}) translate containment",
-                    {"gamma": int(S[i]), "v": int(v[j])}), t0)
-        else:
-            for gamma in S:
-                for v in T.domain(n + 1, budget=budget):
-                    gv = T.add(gamma, v)
-                    ok = T.in_domain(gv, m) and not any(
-                        T.in_domain(T.reduce(gv, l + 1), l)
-                        for l in range(n + 1, m))
-                    if not ok:
-                        return _finish(failed(
-                            "good-relation",
-                            f"(n,m)=({n},{m}) translate containment",
-                            {"gamma": T.format_element(gamma),
-                             "v": T.format_element(v)}), t0)
+        v = T.domain_arr(n + 1)
+        w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
+        bad = ~T.in_domain_arr(w, m)
+        for l in range(n + 1, m):
+            bad |= T.in_domain_arr(T.reduce_arr(w, l + 1), l)
+        if bad.any():
+            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            return _finish(failed(
+                "good-relation", f"(n,m)=({n},{m}) translate containment",
+                {"gamma": T.element(S[i]), "v": T.element(v[j])}), t0)
         done.append({"n": n, "m": m, "count": count, "bound": bound})
     scope = (f"{len(done)} pairs, n+2 <= m <= {dep}"
              + (f"; over budget: {skipped}" if skipped else ""))
@@ -235,15 +212,26 @@ def check_good_relation(skeleton, budget=None, pairs=None):
     return _finish(passed("good-relation", scope, done), t0)
 
 
-def _patch_offsets(skeleton, n, include_identity, budget=None):
-    offs = []
+def _patch_offsets(skeleton, n, budget=None):
+    """Arrays gamma, u and gamma + u over (Gamma_n cap D_{n+1}) x J(n)."""
     T = skeleton.tower
-    for gamma in T.section(n, n + 1, budget=budget):
-        if gamma == T.zero and not include_identity:
-            continue
-        for u in skeleton.jset(n, budget=budget).elements:
-            offs.append((gamma, u, T.add(gamma, u)))
-    return offs
+    rows = [(gamma, u, T.add(gamma, u))
+            for gamma in T.section(n, n + 1, budget=budget)
+            for u in skeleton.jset(n, budget=budget).elements]
+    return [T.array(col) for col in zip(*rows)]
+
+
+def _patch_values(skeleton, n, m, S, budget=None):
+    """The D_m window at every offset patch: values at (offset, gamma0 +
+    offset) for gamma0 in S, and at the bare offset u.  gamma0 + offset stays
+    inside D_m by the tiling axiom, so the window holds every probe."""
+    T = skeleton.tower
+    vals = window_values(skeleton, m, budget)
+    gam, u, off = _patch_offsets(skeleton, n, budget)
+    got = vals[T.index_of_arr(
+        T.add_arr(np.expand_dims(off, 1), np.expand_dims(S, 0)), m)]
+    want = vals[T.index_of_arr(u, m)]
+    return got, np.expand_dims(want, 1), (gam, u)
 
 
 def check_good_patches(skeleton, budget=None):
@@ -258,34 +246,18 @@ def check_good_patches(skeleton, budget=None):
     wits = []
     for n, m in pairs:
         S = good_set(skeleton, n, m, budget)
+        got, want, _ = _patch_values(skeleton, n, m, S, budget)
+        qualifying = S[(got == want).all(axis=0)]
         vals = window_values(skeleton, m, budget)
-        offs = _patch_offsets(skeleton, n, include_identity=True,
-                              budget=budget)
-        qualifying = []
-        for gamma0 in ([int(x) for x in S] if T.kind == KIND_LINE else S):
-            patch_ok = all(
-                vals[T.index_of(T.reduce(T.add(gamma0, off), m), m)]
-                == vals[T.index_of(T.reduce(u, m), m)]
-                for _, u, off in offs)
-            if patch_ok:
-                qualifying.append(gamma0)
-        if T.kind == KIND_LINE:
-            base = np.asarray(qualifying, dtype=np.int64)
-            in_u = _u_mask_line(skeleton, base, n, m, budget)
-            if not in_u.all():
-                i = int(np.flatnonzero(~in_u)[0])
-                return _finish(failed(
-                    "good-patches", f"(n,m)=({n},{m})",
-                    {"gamma0": int(base[i]),
-                     "reason": "qualifying translate missed the level window"}
-                ), t0)
-        else:
-            from .cells import orbit_member
-            for gamma0 in qualifying:
-                if not orbit_member(skeleton, gamma0, "Un", n, budget):
-                    return _finish(failed(
-                        "good-patches", f"(n,m)=({n},{m})",
-                        {"gamma0": T.format_element(gamma0)}), t0)
+        in_u = _u_mask(skeleton, qualifying, n,
+                       lambda g: vals[T.index_of_arr(g, m)], budget)
+        if not in_u.all():
+            i = int(np.flatnonzero(~in_u)[0])
+            return _finish(failed(
+                "good-patches", f"(n,m)=({n},{m})",
+                {"gamma0": T.element(qualifying[i]),
+                 "reason": "qualifying translate missed the level window"}
+            ), t0)
         wits.append({"n": n, "m": m, "good": len(S),
                      "qualifying": len(qualifying)})
     return _finish(passed("good-patches",
@@ -304,32 +276,15 @@ def check_t1t2(skeleton, budget=None):
     wits = []
     for n, m in pairs:
         S = good_set(skeleton, n, m, budget)
-        vals = window_values(skeleton, m, budget)
-        offs = _patch_offsets(skeleton, n, include_identity=True,
-                              budget=budget)
-        if T.kind == KIND_LINE:
-            lo = T.lo(m)
-            S_arr = np.asarray(S, dtype=np.int64)
-            for gamma, u, off in offs:
-                want = vals[u - lo]
-                got = vals[S_arr + off - lo]
-                if not (got == want).all():
-                    i = int(np.flatnonzero(got != want)[0])
-                    return _finish(failed(
-                        "t1t2", f"(n,m)=({n},{m})",
-                        {"gamma0": int(S_arr[i]), "gamma": gamma, "u": u}), t0)
-        else:
-            for gamma0 in S:
-                for gamma, u, off in offs:
-                    a = vals[T.index_of(T.reduce(T.add(gamma0, off), m), m)]
-                    b = vals[T.index_of(T.reduce(u, m), m)]
-                    if a != b:
-                        return _finish(failed(
-                            "t1t2", f"(n,m)=({n},{m})",
-                            {"gamma0": T.format_element(gamma0),
-                             "gamma": T.format_element(gamma),
-                             "u": T.format_element(u)}), t0)
-        wits.append({"n": n, "m": m, "good": len(S), "offsets": len(offs)})
+        got, want, (gam, u) = _patch_values(skeleton, n, m, S, budget)
+        bad = got != want
+        if bad.any():
+            j, i = np.unravel_index(int(bad.argmax()), bad.shape)
+            return _finish(failed(
+                "t1t2", f"(n,m)=({n},{m})",
+                {"gamma0": T.element(S[i]), "gamma": T.element(gam[j]),
+                 "u": T.element(u[j])}), t0)
+        wits.append({"n": n, "m": m, "good": len(S), "offsets": len(gam)})
     return _finish(passed("t1t2",
                           f"boundary pairs {[(w['n'], w['m']) for w in wits]}",
                           wits), t0)
@@ -374,70 +329,42 @@ def check_linking(skeleton, budget=None):
 def check_good_ds(skeleton, budget=None):
     t0 = time.perf_counter()
     T = skeleton.tower
-    from .window import line_levels, line_values
     levels = [nk for nk in _m_levels(skeleton)
               if nk >= 2 and nk + 1 <= skeleton.depth]
     if not levels:
         return _finish(passed(
             "good-ds", "no boundary level n_k >= 2 within depth; vacuous"),
             t0)
+
+    def per1(n):
+        """D_n cells decided below level n with the value 1."""
+        lv = window_levels(skeleton, n, budget)
+        return (lv >= 0) & (lv < n) & (window_values(skeleton, n, budget) == 1)
+
     wits = []
     for nk in levels:
-        if T.kind != KIND_LINE:
-            budgets.check_enum(T.size(nk + 1), f"good-ds at {nk}", budget)
-        if T.kind == KIND_LINE:
-            lv_up = line_levels(skeleton, nk + 1, budget)
-            va_up = line_values(skeleton, nk + 1, budget)
-            per1_up = (lv_up >= 0) & (lv_up < nk + 1) & (va_up == 1)
-            lv_lo = line_levels(skeleton, nk - 1, budget)
-            va_lo = line_values(skeleton, nk - 1, budget)
-            per1_lo = (lv_lo >= 0) & (lv_lo < nk - 1) & (va_lo == 1)
-            lo_up = T.lo(nk + 1)
-            lo_lo = T.lo(nk - 1)
-            e_all = np.arange(lo_up, lo_up + T.size(nk + 1), dtype=np.int64)
-            found = []
-            for w in range(T.lo(nk - 1), T.lo(nk - 1) + T.size(nk - 1)):
-                if w == 0:
-                    continue
-                hit = None
-                for s in range(0, len(e_all), 4096):
-                    e = e_all[s:s + 4096]
-                    g = e - w
-                    cand = per1_lo[_red_vec(T, g, nk - 1) - lo_lo] \
-                        & ~per1_up[e - lo_up]
-                    if cand.any():
-                        hit = int(g[int(cand.argmax())])
-                        break
-                if hit is None:
-                    return _finish(failed(
-                        "good-ds", f"n_k={nk}",
-                        {"n_k": nk, "w": w,
-                         "reason": "no witness in D_{n_k+1}"}), t0)
-                found.append((w, hit))
-            wits.append({"n_k": nk, "witnesses": len(found),
-                         "sample": found[:3]})
-        else:
-            from .periods import per_set
-            p1_lo = per_set(skeleton, nk - 1, 1, budget)
-            for w in T.domain(nk - 1, budget=budget):
-                if w == T.zero:
-                    continue
-                hit = None
-                for e in T.domain(nk + 1, budget=budget):
-                    g = T.sub(e, w)
-                    if T.reduce(g, nk - 1) not in p1_lo:
-                        continue
-                    lv = skeleton.level_of(e)
-                    up = lv is not None and lv < nk + 1 \
-                        and skeleton.eval(e) == 1
-                    if not up:
-                        hit = g
-                        break
-                if hit is None:
-                    return _finish(failed(
-                        "good-ds", f"n_k={nk}",
-                        {"n_k": nk, "w": T.format_element(w)}), t0)
-            wits.append({"n_k": nk, "witnesses": T.size(nk - 1) - 1})
+        per1_up = per1(nk + 1)
+        per1_lo = per1(nk - 1)
+        e_all = T.domain_arr(nk + 1)
+        found = []
+        for w in T.domain_arr(nk - 1):
+            if T.eq_arr(w, T.zero):
+                continue
+            hit = None
+            for s in range(0, len(e_all), 4096):
+                g = T.sub_arr(e_all[s:s + 4096], w)
+                cand = per1_lo[T.coset_index_arr(g, nk - 1)] \
+                    & ~per1_up[s:s + 4096]
+                if cand.any():
+                    hit = T.element(g[int(cand.argmax())])
+                    break
+            if hit is None:
+                return _finish(failed(
+                    "good-ds", f"n_k={nk}",
+                    {"n_k": nk, "w": T.element(w),
+                     "reason": "no witness in D_{n_k+1}"}), t0)
+            found.append((T.element(w), hit))
+        wits.append({"n_k": nk, "witnesses": len(found), "sample": found[:3]})
     return _finish(passed("good-ds", f"n_k in {levels}, every w in "
                           "D_{n_k-1} minus identity", wits), t0)
 
@@ -456,36 +383,22 @@ def check_u_in_y(skeleton, budget=None):
     any_vacated = False
     for k, nk in usable:
         linking = bool(skeleton.linking_ok.get(k, False))
-        if T.kind == KIND_LINE:
-            budgets.check_window(T.size(nk + 3), f"u-in-y at {nk}", budget)
-            base = np.arange(T.lo(nk + 2), T.lo(nk + 2) + T.size(nk + 2),
-                             dtype=np.int64)
-            u_mask = _u_mask_line(skeleton, base, nk, nk + 3, budget)
-            y_mask = _y_mask_line(skeleton, base, nk, nk + 3, budget)
-            holds = bool((~u_mask | y_mask).all())
-            members = int(u_mask.sum())
-            bad = None if holds else int(base[int((u_mask & ~y_mask).argmax())])
-        else:
-            from .cells import orbit_member
-            budgets.check_enum(
-                T.size(nk + 2) * T.size(nk + 1), f"u-in-y at {nk}", budget)
-            members = 0
-            holds = True
-            bad = None
-            for v in T.domain(nk + 2, budget=budget):
-                if orbit_member(skeleton, v, "Un", nk, budget):
-                    members += 1
-                    if not orbit_member(skeleton, v, "Yn", nk, budget):
-                        holds = False
-                        bad = T.format_element(v)
-                        break
+        budgets.check_window(T.size(nk + 2) * T.size(nk + 1),
+                             f"u-in-y at {nk}", budget)
+        # the probes leave D_{n_k+2}, so they go through the level scan
+        base = T.domain_arr(nk + 2)
+        members = base[_u_mask(skeleton, base, nk,
+                               lambda g: _eval_arr(skeleton, g), budget)]
+        in_y = _y_mask(skeleton, members, nk, budget)
+        holds = bool(in_y.all())
+        bad = None if holds else T.element(members[int(in_y.argmin())])
         if linking and not holds:
             return _finish(failed(
                 "u-in-y", f"n_k={nk}, reps D_{nk + 2}",
                 {"n_k": nk, "v": bad}), t0)
         if not linking:
             any_vacated = True
-        wits.append({"n_k": nk, "linking": linking, "u_members": members,
+        wits.append({"n_k": nk, "linking": linking, "u_members": len(members),
                      "contained": holds})
     scope = f"n_k in {[nk for _, nk in usable]}, reps over D_(n_k+2)"
     if any_vacated:
@@ -592,26 +505,12 @@ def check_uns_bound(skeleton, budget=None):
             if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
                 skipped.append((n, m))
                 continue
-            if T.kind == KIND_LINE:
-                vals = window_values(skeleton, m, budget)
-                target = _eta_level_targets(skeleton, n, budget)
-                acc = np.ones(T.size(m), dtype=bool)
-                lo_s = T.lo(n + 1)
-                for i in range(T.size(n + 1)):
-                    acc &= np.roll(vals, -(lo_s + i)) == target[i]
-                mu = Fraction(int(acc.sum()), T.size(m))
-            else:
-                from .cells import orbit_member
-                budgets.check_enum(T.size(m) * T.size(n + 1),
-                                   f"uns-bound ({n},{m})", budget)
-                hits = 0
-                for d in T.domain(m, budget=budget):
-                    ok = all(
-                        skeleton.eval_periodized(m, T.add(d, s))
-                        == skeleton.eval(T.reduce(s, n))
-                        for s in T.domain(n + 1, budget=budget))
-                    hits += ok
-                mu = Fraction(hits, T.size(m))
+            vals = window_values(skeleton, m, budget)
+            target = _eta_level_targets(skeleton, n, budget)
+            acc = np.ones(T.size(m), dtype=bool)
+            for i, s in enumerate(T.domain_arr(n + 1)):
+                acc &= T.shift_arr(vals, s, m) == target[i]
+            mu = Fraction(int(acc.sum()), T.size(m))
             bound = Fraction(1, T.size(n + 1))
             for l in range(1, m - n):
                 bound *= 1 - Fraction(T.size(n + l), T.size(n + l + 1))

@@ -2,9 +2,9 @@
 
 A window holds the array restricted to D_n as bit-packed values plus a
 defined-mask (cells past the constructed depth exist once n reaches the
-skeleton depth).  Windows are built by level tiling, not cell-by-cell
-evaluation: the cells of level l inside D_n form full arithmetic progressions,
-so one vectorized pass per level settles everything.
+skeleton depth).  Windows are built by one level scan over the array of D_n,
+not cell-by-cell evaluation: one vectorized pass per level settles every cell
+that level decides, for every tower kind.
 
 File formats:
   csv   one row per cell: coordinates, then 0/1 or ? for undefined
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import budgets
 from .errors import DepthExceeded, NotInDomain
-from .tower import KIND_LATTICE, KIND_LINE, STYLE_CENTERED
+from .tower import KIND_LATTICE
 
 MAGIC = b"TPW1"
 
@@ -28,123 +28,60 @@ def _cache(skeleton):
     return skeleton._wincache
 
 
-def _line_dtype(size):
-    return np.int64 if size > (1 << 31) - 2 else np.int32
+def level_scan(skeleton, g, values):
+    """Per element of the array g: its value (uint8, 255 undefined) when
+    `values` is true, else its level (int16, -1 past the built depth).
 
-
-def line_values(skeleton, n, budget=None):
-    """uint8 array over D_n in enumeration order; 255 marks undefined."""
-    key = ("vals", n)
-    cache = _cache(skeleton)
-    if key in cache:
-        return cache[key]
+    This is eval and level_of over a whole array: level l settles every
+    undecided element whose reduction mod Gamma_{l+1} lies in D_l.  The
+    reductions reuse one buffer, so no per-cell temporary grows with the
+    number of levels.
+    """
     T = skeleton.tower
-    size = T.size(n)
-    budgets.check_window(size, f"window D_{n}", budget)
-    lo = T.lo(n)
-    dt = _line_dtype(size + abs(lo))
-    g = np.arange(lo, lo + size, dtype=dt)
-    val = np.full(size, 255, dtype=np.uint8)
-    undec = np.ones(size, dtype=bool)
-    r = np.empty(size, dtype=dt)
-    for l in range(min(skeleton.depth, n + 1)):
-        m = T.size(l + 1)
-        if T.style == STYLE_CENTERED:
-            half = T.half[l + 1]
-            np.add(g, half, out=r)
-            np.mod(r, m, out=r)
-            np.subtract(r, half, out=r)
-            # in-place bool ops beat an |r| integer temp on big windows
-            cells = r <= T.half[l]
-            np.logical_and(cells, r >= -T.half[l], out=cells)
-        else:
-            np.mod(g, m, out=r)
-            cells = r < T.size(l)
+    count = len(g)
+    if values:
+        out = np.full(count, 255, dtype=np.uint8)
+    else:
+        out = np.full(count, -1, dtype=np.int16)
+    undec = np.ones(count, dtype=bool)
+    r = np.empty_like(g)
+    for l in range(skeleton.depth):
+        T.reduce_arr(g, l + 1, out=r)
+        cells = T.in_domain_arr(r, l)
         np.logical_and(cells, undec, out=cells)
         kind = skeleton.steps[l]
-        if kind[0] == "zero":
-            val[cells] = 0
+        if not values:
+            out[cells] = l
+        elif kind[0] == "zero":
+            out[cells] = 0
         else:
-            val[cells] = (r[cells] == kind[1])
+            out[cells] = T.eq_arr(r[cells], kind[1])
         np.logical_not(cells, out=cells)
         undec &= cells
         if not undec.any():
             break
-    cache[key] = val
-    return val
+    return out
 
 
-def line_levels(skeleton, n, budget=None):
-    """int16 array of cell levels over D_n; -1 marks beyond-depth cells."""
-    key = ("lvls", n)
-    cache = _cache(skeleton)
-    if key in cache:
-        return cache[key]
+def _window(skeleton, n, budget, values):
     T = skeleton.tower
-    size = T.size(n)
-    budgets.check_window(size, f"level map D_{n}", budget)
-    lo = T.lo(n)
-    dt = _line_dtype(size + abs(lo))
-    g = np.arange(lo, lo + size, dtype=dt)
-    lvl = np.full(size, -1, dtype=np.int16)
-    undec = np.ones(size, dtype=bool)
-    r = np.empty(size, dtype=dt)
-    for l in range(min(skeleton.depth, n + 1)):
-        m = T.size(l + 1)
-        if T.style == STYLE_CENTERED:
-            half = T.half[l + 1]
-            np.add(g, half, out=r)
-            np.mod(r, m, out=r)
-            np.subtract(r, half, out=r)
-            cells = r <= T.half[l]
-            np.logical_and(cells, r >= -T.half[l], out=cells)
-        else:
-            np.mod(g, m, out=r)
-            cells = r < T.size(l)
-        np.logical_and(cells, undec, out=cells)
-        lvl[cells] = l
-        np.logical_not(cells, out=cells)
-        undec &= cells
-        if not undec.any():
-            break
-    cache[key] = lvl
-    return lvl
+    what = "window" if values else "level map"
+    budgets.check_window(T.size(n), f"{what} D_{n}", budget)
+    key = ("vals" if values else "lvls", n)
+    cache = _cache(skeleton)
+    if key not in cache:
+        cache[key] = level_scan(skeleton, T.domain_arr(n), values)
+    return cache[key]
 
 
 def window_values(skeleton, n, budget=None):
-    """Values over D_n for any tower kind (line path is vectorized)."""
-    if skeleton.tower.kind == KIND_LINE:
-        return line_values(skeleton, n, budget)
-    key = ("vals", n)
-    cache = _cache(skeleton)
-    if key in cache:
-        return cache[key]
-    T = skeleton.tower
-    budgets.check_window(T.size(n), f"window D_{n}", budget)
-    from .skeleton import Undefined
-    out = np.empty(T.size(n), dtype=np.uint8)
-    for idx, d in enumerate(T.domain(n, budget=budgets.enum_budget(budget))):
-        v = skeleton.eval(d)
-        out[idx] = 255 if v is Undefined else v
-    cache[key] = out
-    return out
+    """uint8 array over D_n in enumeration order; 255 marks undefined."""
+    return _window(skeleton, n, budget, values=True)
 
 
 def window_levels(skeleton, n, budget=None):
-    if skeleton.tower.kind == KIND_LINE:
-        return line_levels(skeleton, n, budget)
-    key = ("lvls", n)
-    cache = _cache(skeleton)
-    if key in cache:
-        return cache[key]
-    T = skeleton.tower
-    budgets.check_window(T.size(n), f"level map D_{n}", budget)
-    out = np.empty(T.size(n), dtype=np.int16)
-    for idx, d in enumerate(T.domain(n, budget=budgets.enum_budget(budget))):
-        lvl = skeleton.level_of(d)
-        out[idx] = -1 if lvl is None else lvl
-    cache[key] = out
-    return out
+    """int16 array of cell levels over D_n; -1 marks beyond-depth cells."""
+    return _window(skeleton, n, budget, values=False)
 
 
 class SymbolWindow:
@@ -297,18 +234,4 @@ def restrict_window(window, tower, lower):
 
 def domain_indices(tower, lower, upper):
     """Indices of D_lower cells inside the D_upper enumeration."""
-    if tower.kind == KIND_LINE:
-        off = tower.lo(lower) - tower.lo(upper)
-        return np.arange(off, off + tower.size(lower))
-    if tower.kind == KIND_LATTICE:
-        axes_idx = []
-        for ax in tower.axes:
-            off = ax.lo(lower) - ax.lo(upper)
-            axes_idx.append(np.arange(off, off + ax.size(lower)))
-        idx = axes_idx[0]
-        for k, ax_idx in enumerate(axes_idx[1:], start=1):
-            stride = tower.axes[k].size(upper)
-            idx = (idx[:, None] * stride + ax_idx[None, :]).ravel()
-        return idx
-    return np.array([tower.index_of(g, upper) for g in tower.domain(lower)],
-                    dtype=np.int64)
+    return tower.index_of_arr(tower.domain_arr(lower), upper)

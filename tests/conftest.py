@@ -4,6 +4,8 @@ Heavy skeletons are session scoped; the naive reference models from
 bruteforce.py are kept at depths where their pure-python loops stay cheap.
 """
 
+import random
+
 import pytest
 
 import bruteforce as bf
@@ -40,6 +42,57 @@ def cyclic_generic(moduli, domains=None, style=STYLE_NONNEG):
     if domains is None:
         domains = [list(range(s)) for s in sizes]
     return GenericTower(levels, domains, style=style)
+
+
+def relabelled_cyclic(moduli, seed):
+    """cyclic_generic with every non-identity element given a seeded label.
+
+    D_n lists the labels of 0..N_n-1 in increasing order, so enumeration
+    order, and with it the whole construction, matches the line tower.
+    Returns the tower and `labels`, the label of each line element.
+    """
+    rng = random.Random(seed)
+    sizes = [1]
+    for q in moduli:
+        sizes.append(sizes[-1] * q)
+    perms = [[0]]
+    for size in sizes[1:]:
+        rest = list(range(1, size))
+        rng.shuffle(rest)
+        perms.append([0] + rest)
+    levels = []
+    for n, size in enumerate(sizes[1:], start=1):
+        pi = perms[n]
+        op = [[0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(size):
+                op[pi[a]][pi[b]] = pi[(a + b) % size]
+        lvl = {"size": size, "op": op}
+        if n > 1:
+            proj = [0] * size
+            for x in range(size):
+                proj[pi[x]] = perms[n - 1][x % sizes[n - 1]]
+            lvl["proj"] = proj
+        levels.append(lvl)
+    labels = perms[-1]
+    domains = [[labels[x] for x in range(s)] for s in sizes]
+    return GenericTower(levels, domains), labels
+
+
+@pytest.fixture(scope="session")
+def line36():
+    return build_skeleton(IntegerLineTower([3] * 6), 6)
+
+
+@pytest.fixture(scope="session")
+def generic36():
+    return build_skeleton(cyclic_generic([3] * 6), 6)
+
+
+@pytest.fixture(scope="session")
+def relabelled36():
+    tower, labels = relabelled_cyclic([3] * 6, seed=7)
+    return build_skeleton(tower, 6), labels
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 """End-to-end command line behavior: output shapes and exit codes."""
 
 import json
+import os
 
 import pytest
 
-from toeplitzlab import SymbolWindow, materialize_window
+from toeplitzlab import SymbolWindow, density, materialize_window
 from toeplitzlab.cli import main
 
 
@@ -132,3 +133,26 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["eta", "eval", "-g", "0"]) == 2  # neither preset nor config
     assert main(["--help"]) == 0
+
+
+def test_analyze_density_flags_disagreeing_routes(capsys, monkeypatch):
+    real = density.d_recursion
+    monkeypatch.setattr(density, "d_recursion",
+                        lambda tower, n: real(tower, n) + (n == 2))
+    assert main(["analyze", "density", "--preset", "threeadic", "--depth", "5",
+                 "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert [m["agree"] for m in obj["methods"]] == [True, False, True, True]
+
+
+@pytest.mark.parametrize("flag", ["--enum-budget", "--window-budget"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_is_rejected(capsys, monkeypatch, flag, value):
+    # a private environment, so that a leaked budget cannot reach other tests
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("TOEPLITZLAB_")}
+    monkeypatch.setattr(os, "environ", env)
+    assert main(["eta", "eval", "--preset", "threeadic", "--depth", "4",
+                 "-g", "14", flag, value]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not [k for k in env if k.startswith("TOEPLITZLAB_")]

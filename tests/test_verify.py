@@ -136,3 +136,7 @@ def test_result_json_shapes(threeadic5):
     assert set(REGISTRY_NAMES) <= set(names)
     text = report.render()
     assert "linking" in text and "Inconclusive" in text
+
+
+def test_decom_reports_its_time(threeadic5):
+    assert run_check(threeadic5, "decom").millis > 0

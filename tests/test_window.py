@@ -122,3 +122,13 @@ def test_window_budget_is_enforced():
     sk = build_skeleton(IntegerLineTower([3] * 10), 10)
     with pytest.raises(BudgetExceeded):
         materialize_window(sk, 9, budget=100)
+
+
+def test_window_budget_is_checked_on_cache_hits():
+    sk = build_skeleton(IntegerLineTower([3] * 10), 10)
+    window_values(sk, 9)
+    window_levels(sk, 9)
+    with pytest.raises(BudgetExceeded):
+        window_values(sk, 9, budget=100)
+    with pytest.raises(BudgetExceeded):
+        window_levels(sk, 9, budget=100)
