@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 all requested work succeeded (checks passed or were vacuous),
-1 at least one check failed with a counterexample, 2 usage or config error.
+1 at least one check failed with a counterexample, or two routes to the same
+exact quantity disagreed (an ArithmeticError), 2 usage or config error.
 Numbers print as exact fractions with a decimal approximation alongside.
 """
 
@@ -99,7 +100,7 @@ def _cmd_eta_build(args):
     if args.out:
         sk.save(args.out)
     if args.as_json:
-        print(json.dumps(sk.to_json(), indent=1))
+        print(json.dumps(sk.to_json()))
         return 0
     T = sk.tower
     print(f"tower: {T.kind}/{T.style}, depth {sk.depth}, "
@@ -379,6 +380,9 @@ def main(argv=None):
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"inconsistent: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -300,7 +300,7 @@ class ToeplitzSkeleton:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
+            json.dump(self.to_json(), fh)
             fh.write("\n")
 
 

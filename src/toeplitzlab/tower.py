@@ -16,14 +16,14 @@ Domain styles for the integer kinds:
 Elements are plain ints (line), tuples of ints (lattice), or table indices
 (generic).  All towers are abelian except possibly Generic.
 
-Every tower also has array forms of the ops (domain_arr, reduce_arr,
-in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
-elements: 1-D ints for the line and for Generic, (..., d) ints for the
-lattice.  Two more serve Gamma_n-periodic arrays: coset_index_arr is the D_n
-index of each element's coset representative, and shift_arr(vals, s, n)
-reads values over D_n at d + s for every d in D_n.  The kernels and checks
-use only these, so one implementation serves every kind; the scalar ops stay
-as the reference they are compared against.
+Every tower also has array forms of the ops (domain_arr, section_arr,
+reduce_arr, in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over
+numpy arrays of elements: 1-D ints for the line and for Generic, (..., d)
+ints for the lattice.  Two more serve Gamma_n-periodic arrays:
+coset_index_arr is the D_n index of each element's coset representative,
+and shift_arr(vals, s, n) reads values over D_n at d + s for every d in D_n.
+The kernels and checks use only these, so one implementation serves every
+kind; the scalar ops stay as the reference they are compared against.
 """
 
 import json
@@ -210,6 +210,10 @@ class IntegerLineTower(_ArrayForms):
         lo = self.lo(n)
         return np.arange(lo, lo + self.N[n], dtype=self._arr_dtype(n))
 
+    def section_arr(self, i, j, budget=None):
+        sec = self.section(i, j, budget)
+        return np.arange(sec.start, sec.stop, sec.step, dtype=np.int64)
+
     def reduce_arr(self, g, n, out=None):
         self._chk(n)
         m = self.N[n]
@@ -288,7 +292,7 @@ class IntegerLatticeTower(_ArrayForms):
         budgets.check_enum(self.size(n), f"D_{n}", budget)
         return self._product([ax.domain(n) for ax in self.axes])
 
-    def section(self, i, j, budget=None):
+    def _check_section(self, i, j, budget):
         self._chk(i)
         self._chk(j)
         if i > j:
@@ -297,6 +301,9 @@ class IntegerLatticeTower(_ArrayForms):
         for ax in self.axes:
             size *= ax.size(j) // ax.size(i)
         budgets.check_enum(size, f"Gamma_{i} cap D_{j}", budget)
+
+    def section(self, i, j, budget=None):
+        self._check_section(i, j, budget)
         return self._product([ax.section(i, j) for ax in self.axes])
 
     @staticmethod
@@ -334,10 +341,17 @@ class IntegerLatticeTower(_ArrayForms):
 
     # array forms: (..., d) ints, each axis through the line's formulas
 
-    def domain_arr(self, n):
-        grids = np.meshgrid(*[ax.domain_arr(n) for ax in self.axes],
-                            indexing="ij")
+    def _grid(self, per_axis):
+        # ij order, first axis slowest: the order of _product
+        grids = np.meshgrid(*per_axis, indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.dim).astype(np.int64)
+
+    def domain_arr(self, n):
+        return self._grid([ax.domain_arr(n) for ax in self.axes])
+
+    def section_arr(self, i, j, budget=None):
+        self._check_section(i, j, budget)
+        return self._grid([ax.section_arr(i, j) for ax in self.axes])
 
     def reduce_arr(self, g, n, out=None):
         out = np.empty_like(g) if out is None else out
@@ -565,6 +579,9 @@ class GenericTower(_ArrayForms):
         self._chk(n)
         return np.array(self.domains[n], dtype=np.int64)
 
+    def section_arr(self, i, j, budget=None):
+        return np.array(self.section(i, j, budget), dtype=np.int64)
+
     def reduce_arr(self, g, n, out=None):
         self._chk(n)
         out = np.take(self._rep_arr[n], self._down_arr[n][g], out=out)
@@ -683,8 +700,34 @@ def tile_decompose(tower, g, j, i):
     return v, u
 
 
+def _element_keys(tower, w, n):
+    """One int per element of w, equal exactly where the elements are: the
+    D_n index inside D_n, and |D_n| plus a rank among the distinct elements
+    outside it.  Also returns the inside mask."""
+    inside = tower.in_domain_arr(w, n)
+    if inside.all():
+        return tower.index_of_arr(w, n), inside
+    keys = np.empty(len(w), dtype=np.int64)
+    keys[inside] = tower.index_of_arr(w[inside], n)
+    _, rank = np.unique(w[~inside], axis=0, return_inverse=True)
+    keys[~inside] = tower.size(n) + rank.reshape(-1)
+    return keys, inside
+
+
+def _first_repeat(keys):
+    """Position of the first key equal to an earlier one."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    return int(order[1:][ordered[1:] == ordered[:-1]].min())
+
+
 def validate_tower(tower, max_level=None, budget=None):
-    """Check the nesting/tiling axioms by enumeration up to a level cap."""
+    """Check the nesting/tiling axioms by enumeration up to a level cap.
+
+    Each level is checked in the order: no repeats, size, identity, reduce
+    fixes D_n, D_{n-1} <= D_n; each pair i < j: section size, then that the
+    translates section + D_i cover D_j without overlap.
+    """
     from .result import failed, passed  # local import to avoid a cycle
 
     cap = budgets.enum_budget(budget)
@@ -700,56 +743,60 @@ def validate_tower(tower, max_level=None, budget=None):
                            "sizes": (sizes[n], sizes[n + 1])})
 
     levels_in_budget = [n for n in range(top + 1) if sizes[n] <= cap]
+    scope = f"levels {levels_in_budget}"
     for n in levels_in_budget:
-        dom = list(tower.domain(n, budget=cap))
-        if len(dom) != len(set(dom)):
-            return failed(name, f"levels {levels_in_budget}",
+        dom = tower.domain_arr(n)
+        keys, _ = _element_keys(tower, dom, n)
+        if (np.bincount(keys) > 1).any():
+            return failed(name, scope,
                           {"level": n, "reason": "repeated element in D_n"})
         if len(dom) != sizes[n]:
-            return failed(name, f"levels {levels_in_budget}",
+            return failed(name, scope,
                           {"level": n, "reason": "domain size mismatch",
                            "expected": sizes[n], "got": len(dom)})
-        if tower.zero not in set(dom):
-            return failed(name, f"levels {levels_in_budget}",
+        if not tower.eq_arr(dom, tower.zero).any():
+            return failed(name, scope,
                           {"level": n, "reason": "identity missing from D_n"})
         # one representative per coset: reduce must fix the domain pointwise
-        for d in dom:
-            if tower.reduce(d, n) != d:
-                return failed(name, f"levels {levels_in_budget}",
-                              {"level": n, "element": d,
-                               "reason": "reduce does not fix D_n"})
-        if n > 0 and sizes[n - 1] <= cap:
-            prev = set(tower.domain(n - 1, budget=cap))
-            if not prev.issubset(set(dom)):
-                missing = sorted(prev - set(dom), key=repr)[0]
-                return failed(name, f"levels {levels_in_budget}",
+        moved = ~tower.eq_arr(tower.reduce_arr(dom, n), dom)
+        if moved.any():
+            return failed(name, scope,
+                          {"level": n, "element": tower.element(dom[moved.argmax()]),
+                           "reason": "reduce does not fix D_n"})
+        if n > 0:
+            prev = tower.domain_arr(n - 1)
+            out = ~tower.in_domain_arr(prev, n)
+            if out.any():
+                return failed(name, scope,
                               {"level": n, "reason": "domains not nested",
-                               "element": missing})
+                               "element": min(tower.elements(prev[out]), key=repr)})
 
-    for i in range(top + 1):
-        for j in range(i + 1, top + 1):
-            if sizes[j] > cap:
-                continue
-            dom_j = list(tower.domain(j, budget=cap))
-            sec = list(tower.section(i, j, budget=cap))
+    scope = f"tilings up to level {top}"
+    # sizes increase, so the levels in budget are 0..L and every pair in
+    # budget lies among them
+    for i in levels_in_budget:
+        dom_i = tower.domain_arr(i)
+        for j in levels_in_budget[i + 1:]:
+            sec = tower.section_arr(i, j, budget=cap)
             if len(sec) * sizes[i] != sizes[j]:
-                return failed(name, f"tilings up to level {top}",
+                return failed(name, scope,
                               {"pair": (i, j), "reason": "section size mismatch",
                                "expected": sizes[j] // sizes[i], "got": len(sec)})
-            seen = set()
-            for v in sec:
-                for u in tower.domain(i, budget=cap):
-                    w = tower.add(v, u)
-                    if w in seen:
-                        return failed(name, f"tilings up to level {top}",
-                                      {"pair": (i, j), "reason": "tiling overlaps",
-                                       "element": w})
-                    seen.add(w)
-            if seen != set(dom_j):
-                diff = sorted(set(dom_j) ^ seen, key=repr)[0]
-                return failed(name, f"tilings up to level {top}",
+            # every v + u, v in the section, u in D_i, in section-major order
+            tiles = tower.add_arr(sec[:, None], dom_i[None])
+            tiles = tiles.reshape(-1, *tiles.shape[2:])
+            keys, inside = _element_keys(tower, tiles, j)
+            counts = np.bincount(keys, minlength=sizes[j])
+            if (counts > 1).any():
+                return failed(name, scope,
+                              {"pair": (i, j), "reason": "tiling overlaps",
+                               "element": tower.element(tiles[_first_repeat(keys)])})
+            if not inside.all():
+                missed = tower.domain_arr(j)[counts[:sizes[j]] == 0]
+                diff = tower.elements(missed) + tower.elements(tiles[~inside])
+                return failed(name, scope,
                               {"pair": (i, j), "reason": "tiling misses D_j",
-                               "element": diff})
+                               "element": min(diff, key=repr)})
             checked_pairs.append((i, j))
 
     return passed(name, f"levels 0..{top}, tilings {len(checked_pairs)} pairs, "

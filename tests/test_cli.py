@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from toeplitzlab import SymbolWindow, density, materialize_window
+from toeplitzlab import SymbolWindow, density, materialize_window, measures
 from toeplitzlab.cli import main
 
 
@@ -43,6 +43,24 @@ def test_build_and_reload(tmp_path, capsys):
     # a skeleton dump is not a tower config; the saved file reloads via the api
     from toeplitzlab import load_skeleton
     assert load_skeleton(out).eval(14) == 1
+
+
+def test_build_json_is_the_skeleton_record(tmp_path, capsys, threeadic5):
+    out = tmp_path / "sk.json"
+    assert main(["eta", "build", "--preset", "threeadic", "--depth", "5",
+                 "--json", "--out", str(out)]) == 0
+    want = threeadic5.to_json()
+    assert json.loads(capsys.readouterr().out) == want
+    saved = json.loads(out.read_text())
+    assert saved == want
+    from toeplitzlab import load_skeleton
+    assert load_skeleton(out).to_json() == want
+    # the stored tower config rebuilds the same record through --config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(saved["config"]))
+    assert main(["eta", "build", "--config", str(cfg), "--depth", "5",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == want
 
 
 def test_window_text_and_bits(tmp_path, capsys, threeadic):
@@ -156,3 +174,14 @@ def test_nonpositive_budget_is_rejected(capsys, monkeypatch, flag, value):
                  "-g", "14", flag, value]) == 2
     assert "must be positive" in capsys.readouterr().err
     assert not [k for k in env if k.startswith("TOEPLITZLAB_")]
+
+
+def test_disagreeing_routes_exit_1_without_traceback(capsys, monkeypatch):
+    # a step log that miscounts J-cells disagrees with the window's count
+    real = measures.j_size
+    monkeypatch.setattr(measures, "j_size", lambda tower, n: real(tower, n) + 1)
+    assert main(["analyze", "measures", "--preset", "threeadic", "--depth", "5",
+                 "--level", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistent: a_counts mismatch at level 4")
+    assert "Traceback" not in err

@@ -4,13 +4,13 @@ The Generic copies of the line tower [3]^6 (identity labels, and a seeded
 relabelling) run the same array kernels as the line itself, so they must
 reproduce its J-sets, windows and verdicts under the labelling.  The level
 scan must also agree with scalar eval and level_of cell by cell on every
-kind.
+kind, and section_arr with section element by element.
 """
 
 import numpy as np
 import pytest
 
-from toeplitzlab import Undefined, run_all, window_values
+from toeplitzlab import BudgetExceeded, Undefined, run_all, window_values
 from toeplitzlab.window import window_levels
 
 
@@ -51,3 +51,26 @@ def test_scan_matches_scalar_eval(request, name):
         lvls = [-1 if l is None else l for l in map(sk.level_of, dom)]
         assert window_values(sk, n).tolist() == vals, n
         assert window_levels(sk, n).tolist() == lvls, n
+
+
+def _raises_budget(fn):
+    try:
+        fn()
+    except BudgetExceeded:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",
+                                  "generic36"])
+def test_section_arr_matches_section(request, name):
+    T = request.getfixturevalue(name).tower
+    over = []
+    for j in range(T.depth + 1):
+        for i in range(j + 1):
+            want = T.array(list(T.section(i, j)))
+            assert np.array_equal(T.section_arr(i, j), want), (i, j)
+            raised = _raises_budget(lambda: T.section(i, j, budget=8))
+            assert _raises_budget(lambda: T.section_arr(i, j, budget=8)) == raised
+            over.append(raised)
+    assert any(over) and not all(over)

@@ -147,3 +147,97 @@ def test_validate_tower_flags_broken_domain():
 def test_validate_tower_passes_everywhere(threeadic, irregular, lattice):
     for sk in (threeadic, irregular, lattice):
         assert validate_tower(sk.tower).status == "Pass"
+
+
+# one corrupted tower per reason validate_tower can report; every witness
+# must be a real counterexample to the axiom it names
+
+def _fail(tower):
+    res = validate_tower(tower)
+    assert res.status == "Fail"
+    return res.counterexample
+
+
+def test_validate_tower_flags_domain_size_mismatch():
+    bad = cyclic_generic([2, 4], domains=[[0], [0, 1], list(range(7))])
+    cx = _fail(bad)
+    assert cx["reason"] == "domain size mismatch"
+    assert cx["level"] == 2
+    assert cx["expected"] == bad.size(2) != cx["got"] == len(bad.domain(2))
+
+
+def test_validate_tower_flags_missing_identity():
+    bad = cyclic_generic([2, 4], domains=[[0], [2, 1], list(range(8))])
+    cx = _fail(bad)
+    assert cx["reason"] == "identity missing from D_n"
+    assert cx["level"] == 1
+    assert bad.zero not in bad.domain(1)
+
+
+def test_validate_tower_flags_reduce_not_fixing():
+    # 0 and 2 share a mod-2 coset, so one of them is not its own reduction
+    bad = cyclic_generic([2, 4], domains=[[0], [0, 2], list(range(8))])
+    cx = _fail(bad)
+    assert cx["reason"] == "reduce does not fix D_n"
+    assert cx["level"] == 1
+    g = cx["element"]
+    assert g in bad.domain(1)
+    assert bad.reduce(g, 1) != g
+
+
+def test_validate_tower_flags_unnested_domains():
+    # D_2 = {0, 1, 2, 7} represents every mod-4 coset but drops 3 from D_1
+    bad = cyclic_generic([2, 2, 2],
+                         domains=[[0], [0, 3], [0, 1, 2, 7], list(range(8))])
+    cx = _fail(bad)
+    assert cx["reason"] == "domains not nested"
+    assert cx["level"] == 2
+    assert cx["element"] in bad.domain(1)
+    assert cx["element"] not in bad.domain(2)
+
+
+class _BadSectionTower(IntegerLineTower):
+    """Line tower whose sections are passed through `corrupt` (a list map)."""
+
+    def __init__(self, indices, corrupt):
+        super().__init__(indices)
+        self.corrupt = corrupt
+
+    def section(self, i, j, budget=None):
+        return self.corrupt(list(super().section(i, j, budget)), i, j)
+
+    def section_arr(self, i, j, budget=None):
+        return self.array(self.section(i, j, budget))
+
+
+def _tiles(tower, pair):
+    i, j = pair
+    return [tower.add(v, u) for v in tower.section(i, j) for u in tower.domain(i)]
+
+
+def test_validate_tower_flags_section_size_mismatch():
+    bad = _BadSectionTower([3, 3], lambda sec, i, j: sec[:-1])
+    cx = _fail(bad)
+    assert cx["reason"] == "section size mismatch"
+    i, j = cx["pair"]
+    assert cx["got"] == len(bad.section(i, j))
+    assert cx["got"] * bad.size(i) != bad.size(j)
+    assert cx["expected"] == bad.size(j) // bad.size(i)
+
+
+def test_validate_tower_flags_tiling_overlap():
+    bad = _BadSectionTower([3, 3], lambda sec, i, j: sec[:-1] + sec[:1])
+    cx = _fail(bad)
+    assert cx["reason"] == "tiling overlaps"
+    assert _tiles(bad, cx["pair"]).count(cx["element"]) > 1
+
+
+def test_validate_tower_flags_tiling_miss():
+    # the last translate stays in its Gamma_i coset but leaves D_j
+    bad = _BadSectionTower(
+        [3, 3], lambda sec, i, j: sec[:-1] + [sec[-1] + 9])
+    cx = _fail(bad)
+    assert cx["reason"] == "tiling misses D_j"
+    tiles = _tiles(bad, cx["pair"])
+    assert len(set(tiles)) == len(tiles)
+    assert cx["element"] in set(bad.domain(cx["pair"][1])) ^ set(tiles)
