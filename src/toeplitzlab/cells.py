@@ -22,7 +22,7 @@ identities for Z_n and the corollary chains.
 """
 
 import random
-import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -313,6 +313,36 @@ def zero_set_identity(skeleton, n, budget=None):
     return equality, containment, table
 
 
+CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
+
+
+def chain_mode(skeleton, n_s, sample=None, exhaustive_cap=200000, budget=None):
+    """How corollary_chain covers the level-n_s atoms: ("exhaustive" or
+    "sampled", the number of atoms |D_{n_s}| * (1 + |J(n_s)|))."""
+    total = skeleton.tower.size(n_s) * (1 + len(skeleton.jset(n_s, budget=budget)))
+    exhaustive = sample is None and total <= exhaustive_cap
+    return ("exhaustive" if exhaustive else "sampled"), total
+
+
+def _chain_atoms(skeleton, n_s, sample, seed, exhaustive_cap, budget):
+    """The atoms to check, in order, as D_{n_s} indices and tag picks: pick 0
+    is Zero, pick p is One(J(n_s)[p-1]).  Samples come from one seeded stream,
+    a (domain index, pick) pair per atom."""
+    size = skeleton.tower.size(n_s)
+    mode, total = chain_mode(skeleton, n_s, sample, exhaustive_cap, budget)
+    picks = total // size
+    if mode == "exhaustive":
+        budgets.check_enum(size, f"D_{n_s}", budget)
+        return np.repeat(np.arange(size), picks), np.tile(np.arange(picks), size)
+    rng = random.Random(seed)
+    draws = array("q")
+    for _ in range(sample if sample is not None else exhaustive_cap):
+        draws.append(rng.randrange(size))
+        draws.append(rng.randrange(picks))
+    draws = np.frombuffer(draws, dtype=np.int64)
+    return draws[0::2], draws[1::2]
+
+
 def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
                     exhaustive_cap=200000, budget=None):
     """Every finest Zero-ancestor atom passes through an allowed exit.
@@ -320,61 +350,57 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
     For atoms (w, tag) at level n_s whose iterated parent at level n_j is a
     Zero cell, one of: the atom itself is a Zero cell, some intermediate cell
     lies in W_r, or the chain crosses a zero-step One column at some m in M.
-    Returns (counterexample_or_None, branch_counts, atoms_checked).
+    All atoms walk down together, one level at a time, by the rules of the
+    module docstring; an atom is w over D_r with its One position as a D_r
+    index (-1 for Zero).  Returns (counterexample_or_None, branch_counts,
+    atoms_checked), stopping at the first atom with no exit.
     """
     T = skeleton.tower
     if n_s > skeleton.depth:
         raise DepthExceeded("chain exceeds constructed depth")
     js = skeleton.jset(n_s, budget=budget)
-    size = T.size(n_s)
-    total = size * (1 + len(js))
-    rng = random.Random(seed)
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
 
-    def atoms():
-        if sample is None and total <= exhaustive_cap:
-            for w in T.domain(n_s, budget=budget):
-                yield (w, TAG_ZERO)
-                for u in js:
-                    yield (w, tag_one(u))
-        else:
-            count = sample if sample is not None else exhaustive_cap
-            for _ in range(count):
-                w = T.element_at(n_s, rng.randrange(size))
-                pick = rng.randrange(len(js) + 1)
-                yield (w, TAG_ZERO) if pick == 0 else (w, tag_one(js.elements[pick - 1]))
+    idx, pick = _chain_atoms(skeleton, n_s, sample, seed, exhaustive_cap, budget)
+    w = T.domain_arr(n_s)[idx]
+    tag = np.concatenate(([-1], T.index_of_arr(T.array(js.elements), n_s)))[pick]
+    branch = np.full(len(pick), -1, dtype=np.int8)  # CHAIN_BRANCHES index, -1 if none
+    for r in range(n_s, n_j, -1):
+        dom = T.domain_arr(r)
+        g_t = T.reduce_arr(dom, r - 1)
+        gamma_t = T.sub_arr(dom, g_t)
+        v = T.reduce_arr(w, r - 1)
+        gamma = T.sub_arr(w, v)
+        is0 = T.eq_arr(gamma, T.zero)
+        one = tag >= 0
+        safe = np.where(one, tag, 0)
+        match = one & T.eq_arr(gamma_t[safe], gamma)
+        # walking down, the last exit written is the first in ascending r
+        branch[one & ~is0 & ~match] = 1                  # w_exit: rule (3)
+        kind = skeleton.steps[r - 1]
+        if kind[0] == "zero" and r - 1 in m_window:
+            branch[one & is0] = 2                        # one_column: rule (4)
+        # parent tags: rule (2), else Zero, and rules (4)/(5) on gamma == 0
+        tag = np.where(match, T.index_of_arr(g_t, r - 1)[safe], -1)
+        tag[is0] = T.index_of(kind[1], r - 1) if kind[0] == "plant" else -1
+        w = v
 
-    branches = {"already_zero": 0, "w_exit": 0, "one_column": 0, "not_zero_ancestor": 0}
-    checked = 0
-    for atom in atoms():
-        checked += 1
-        chain = {n_s: atom}
-        cell = atom
-        for r in range(n_s, n_j, -1):
-            cell = parent_cell(skeleton, cell, r)
-            chain[r - 1] = cell
-        if chain[n_j][1] != TAG_ZERO:
-            branches["not_zero_ancestor"] += 1
-            continue
-        if atom[1] == TAG_ZERO:
-            branches["already_zero"] += 1
-            continue
-        exited = False
-        for r in range(n_j + 1, n_s + 1):
-            w_r, tag_r = chain[r]
-            case = containment_case(skeleton, chain[r], r)
-            if case == "c3":
-                branches["w_exit"] += 1
-                exited = True
-                break
-            if r - 1 in m_window and case == "c4" and tag_r[0] == "One":
-                branches["one_column"] += 1
-                exited = True
-                break
-        if not exited:
-            return {"atom": atom, "chain": sorted(chain.items())}, branches, checked
-    return None, branches, checked
+    branch[pick == 0] = 0                                # already_zero
+    branch[tag >= 0] = 3                                 # not_zero_ancestor
+    missing = np.flatnonzero(branch < 0)
+    first = int(missing[0]) if len(missing) else len(branch)
+    counts = np.bincount(branch[:first], minlength=len(CHAIN_BRANCHES))
+    branches = {name: int(c) for name, c in zip(CHAIN_BRANCHES, counts)}
+    if first == len(branch):
+        return None, branches, first
+    p = int(pick[first])
+    atom = (T.element_at(n_s, int(idx[first])),
+            TAG_ZERO if p == 0 else tag_one(js.elements[p - 1]))
+    chain = {n_s: atom}
+    for r in range(n_s, n_j, -1):
+        chain[r - 1] = parent_cell(skeleton, chain[r], r)
+    return {"atom": atom, "chain": sorted(chain.items())}, branches, first + 1
 
 
 # -- orbit membership ------------------------------------------------------

@@ -71,6 +71,12 @@ class CheckResult:
 
     def render(self):
         head = f"[{self.status:>12}] {self.name}: {self.scope}"
+        # a witness with an "of" says whether it covered those cases
+        # exhaustively or checked a sample of "atoms" of them ("mode")
+        for w in self.witnesses:
+            if isinstance(w, dict) and "of" in w:
+                head += (f"\n{'':15}{w.get('span', '')} {w['mode']}: "
+                         f"{w['atoms']} of {w['of']} atoms")
         if self.counterexample is not None:
             head += f"\n{'':15}counterexample: {self.counterexample}"
         return head

@@ -455,19 +455,16 @@ class GenericTower(_ArrayForms):
         self.style = style
         self.tail = _coerce_tail(tail)
         self.zero = 0
-        top = self.ops[self.depth]
-        self.abelian = all(top[a][b] == top[b][a]
-                           for a in range(self.sizes[self.depth])
-                           for b in range(self.sizes[self.depth]))
-        # inverse lookup at the deepest level
-        self._inv = [None] * self.sizes[self.depth]
-        for a in range(self.sizes[self.depth]):
-            for b in range(self.sizes[self.depth]):
-                if top[a][b] == 0:
-                    self._inv[a] = b
-                    break
-            if self._inv[a] is None:
-                raise InvalidIndex(f"element {a} has no inverse; op table is not a group")
+        op = self._op_arr
+        self.abelian = bool((op == op.T).all())
+        # inverse lookup at the deepest level: the first b with a + b = 0
+        is_id = op == 0
+        has_inv = is_id.any(axis=1)
+        if not has_inv.all():
+            a = int(np.argmin(has_inv))
+            raise InvalidIndex(f"element {a} has no inverse; op table is not a group")
+        self._inv_arr = np.argmax(is_id, axis=1)
+        self._inv = self._inv_arr.tolist()
         # coset key of g at level n: project the deepest index down
         self._down = []
         for g in range(self.sizes[self.depth]):
@@ -539,8 +536,8 @@ class GenericTower(_ArrayForms):
     def element_at(self, n, idx):
         return self.domains[n][idx]
 
-    # array forms: lookups in tables built on first use, so that building
-    # the tower never pays for the op table
+    # array forms: lookups in tables built on first use (the op table and
+    # the inverses are built with the tower, which checks them)
 
     @cached_property
     def _down_arr(self):
@@ -570,10 +567,6 @@ class GenericTower(_ArrayForms):
     @cached_property
     def _op_arr(self):
         return np.array(self.ops[self.depth], dtype=np.int64)
-
-    @cached_property
-    def _inv_arr(self):
-        return np.array(self._inv, dtype=np.int64)
 
     def domain_arr(self, n):
         self._chk(n)

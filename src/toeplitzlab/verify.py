@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .cells import (corollary_chain, mu_zero_set, verify_refinement,
-                    zero_set_identity)
+from .cells import (chain_mode, corollary_chain, mu_zero_set,
+                    verify_refinement, zero_set_identity)
 from .density import ratio_term
 from .errors import BudgetExceeded, DepthExceeded, UnknownCheck
 from .measures import a_counts, an_det_check
@@ -468,14 +468,18 @@ def check_z_identity(skeleton, budget=None, chain_samples=200000, seed=0):
         for ns in ms[i + 1:]:
             if ns > skeleton.depth:
                 continue
+            cap = min(chain_samples, 200000)
             cx, branches, checked = corollary_chain(
                 skeleton, nj, ns, sample=None, seed=seed,
-                exhaustive_cap=min(chain_samples, 200000), budget=budget)
+                exhaustive_cap=cap, budget=budget)
             if cx is not None:
                 return _finish(failed("z-identity",
                                       f"chain ({nj},{ns})", cx), t0)
+            mode, total = chain_mode(skeleton, ns, exhaustive_cap=cap,
+                                     budget=budget)
             chain_wits.append({"span": (nj, ns), "atoms": checked,
-                               "branches": branches})
+                               "branches": branches, "mode": mode,
+                               "of": total})
     return _finish(passed(
         "z-identity",
         f"class algebra n=1..{skeleton.depth - 1}; "

@@ -1,5 +1,7 @@
 """Cell refinement, the zero-set class algebra, and orbit membership."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from toeplitzlab.cells import (
     TAG_ZERO,
     cell_decompose,
     classify_points,
+    containment_case,
     corollary_chain,
     mu_w_set,
     mu_zero_set,
@@ -70,6 +73,81 @@ def test_corollary_chain_frozen_counts(threeadic):
     assert checked == 1377
     assert branches == {"already_zero": 69, "w_exit": 816, "one_column": 240,
                         "not_zero_ancestor": 252}
+
+
+def _reference_chain(skeleton, n_j, n_s, sample=None, seed=0,
+                     exhaustive_cap=200000):
+    """corollary_chain one atom at a time, through parent_cell and
+    containment_case."""
+    T = skeleton.tower
+    js = skeleton.jset(n_s)
+    size = T.size(n_s)
+    m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
+    m_window = {m for m in m_zero_steps if n_j <= m < n_s}
+    if sample is None and size * (1 + len(js)) <= exhaustive_cap:
+        atoms = [(w, tag) for w in T.domain(n_s)
+                 for tag in [TAG_ZERO] + [tag_one(u) for u in js]]
+    else:
+        rng = random.Random(seed)
+        atoms = []
+        for _ in range(sample if sample is not None else exhaustive_cap):
+            w = T.element_at(n_s, rng.randrange(size))
+            pick = rng.randrange(len(js) + 1)
+            atoms.append((w, TAG_ZERO if pick == 0 else tag_one(js.elements[pick - 1])))
+    branches = {"already_zero": 0, "w_exit": 0, "one_column": 0, "not_zero_ancestor": 0}
+    for checked, atom in enumerate(atoms, start=1):
+        chain = {n_s: atom}
+        for r in range(n_s, n_j, -1):
+            chain[r - 1] = parent_cell(skeleton, chain[r], r)
+        if chain[n_j][1] != TAG_ZERO:
+            branches["not_zero_ancestor"] += 1
+            continue
+        if atom[1] == TAG_ZERO:
+            branches["already_zero"] += 1
+            continue
+        for r in range(n_j + 1, n_s + 1):
+            case = containment_case(skeleton, chain[r], r)
+            if case == "c3":
+                branches["w_exit"] += 1
+                break
+            if r - 1 in m_window and case == "c4" and chain[r][1][0] == "One":
+                branches["one_column"] += 1
+                break
+        else:
+            return {"atom": atom, "chain": sorted(chain.items())}, branches, checked
+    return None, branches, len(atoms)
+
+
+@pytest.mark.parametrize("name, n_j, n_s, sample", [
+    ("threeadic", 1, 4, None),
+    ("threeadic", 1, 9, 3000),
+    ("centered6", 1, 4, None),
+    ("lattice", 1, 2, None),
+    ("lattice", 1, 3, 3000),
+    ("relabelled36", 1, 4, None),
+])
+def test_corollary_chain_matches_reference_walk(request, name, n_j, n_s, sample):
+    sk = request.getfixturevalue(name)
+    if name == "relabelled36":
+        sk = sk[0]
+    got = corollary_chain(sk, n_j, n_s, sample=sample, seed=5)
+    assert got == _reference_chain(sk, n_j, n_s, sample=sample, seed=5)
+    assert got[0] is None
+
+
+def test_corollary_chain_fails_without_the_m_window(threeadic):
+    # with every block boundary past the depth no zero-step One column counts
+    # as an exit, so an atom that leaves only through one has none
+    sk = copy.copy(threeadic)
+    sk.m_k = [m + threeadic.depth for m in threeadic.m_k]
+    assert sk.completed_blocks() == []
+    got = corollary_chain(sk, 1, 4)
+    assert got == _reference_chain(sk, 1, 4)
+    cex, branches, checked = got
+    assert cex["atom"] == (0, tag_one(40))
+    assert checked == 2
+    assert [lvl for lvl, _ in cex["chain"]] == [1, 2, 3, 4]
+    assert cex["chain"][0][1][1] == TAG_ZERO
 
 
 def test_corollary_chain_irregular(irregular):

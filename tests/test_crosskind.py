@@ -4,7 +4,8 @@ The Generic copies of the line tower [3]^6 (identity labels, and a seeded
 relabelling) run the same array kernels as the line itself, so they must
 reproduce its J-sets, windows and verdicts under the labelling.  The level
 scan must also agree with scalar eval and level_of cell by cell on every
-kind, and section_arr with section element by element.
+kind, section_arr with section element by element, and element_at with
+domain_arr index by index.
 """
 
 import numpy as np
@@ -74,3 +75,13 @@ def test_section_arr_matches_section(request, name):
             assert _raises_budget(lambda: T.section_arr(i, j, budget=8)) == raised
             over.append(raised)
     assert any(over) and not all(over)
+
+
+@pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",
+                                  "generic36", "relabelled36"])
+def test_element_at_indexes_domain_arr(request, name):
+    sk = request.getfixturevalue(name)
+    T = (sk[0] if name == "relabelled36" else sk).tower
+    for n in range(T.depth + 1):
+        dom = T.elements(T.domain_arr(n))
+        assert [T.element_at(n, i) for i in range(len(dom))] == dom, n

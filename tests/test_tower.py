@@ -1,7 +1,9 @@
 """Tower arithmetic against the naive reference model."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import cyclic_generic
 from toeplitzlab import (
+    GenericTower,
     IntegerLatticeTower,
     IntegerLineTower,
     InvalidIndex,
+    NonAbelianUnsupported,
     NotInDomain,
     ParityError,
     STYLE_CENTERED,
@@ -135,6 +139,33 @@ def test_generic_tower_nonstandard_reps():
     assert validate_tower(G).status == "Pass"
     with pytest.raises(NotInDomain):
         G.index_of(2, 1)
+
+
+def _one_level(op):
+    return GenericTower([{"size": len(op), "op": op}], [[0], list(range(len(op)))])
+
+
+def test_generic_tower_rejects_a_non_group_table():
+    # rows 1 and 3 have no identity entry; the first is named
+    op = [[0, 1, 2, 3], [1, 1, 1, 1], [2, 3, 0, 1], [3, 3, 3, 3]]
+    with pytest.raises(InvalidIndex,
+                       match=r"^element 1 has no inverse; op table is not a group$"):
+        _one_level(op)
+    # with several identity entries in a row, the first one is the inverse
+    G = _one_level([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+    assert [G.neg(a) for a in range(3)] == [0, 1, 1]
+    assert G.sub_arr(np.array([1, 2]), np.array([1, 2])).tolist() == [0, 0]
+
+
+def test_generic_tower_flags_a_non_abelian_table():
+    perms = list(itertools.permutations(range(3)))  # S_3, identity first
+    op = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+          for p in perms]
+    G = _one_level(op)
+    assert not G.abelian
+    with pytest.raises(NonAbelianUnsupported):
+        G.require_abelian("density")
+    assert cyclic_generic([2, 4]).abelian
 
 
 def test_validate_tower_flags_broken_domain():

@@ -14,7 +14,7 @@ from toeplitzlab import (
     zero_mass_lower_bound,
 )
 from toeplitzlab.cells import mu_zero_set
-from toeplitzlab.verify import good_bound, good_set
+from toeplitzlab.verify import check_z_identity, good_bound, good_set
 
 
 def test_registry_names_are_stable():
@@ -140,3 +140,15 @@ def test_result_json_shapes(threeadic5):
 
 def test_decom_reports_its_time(threeadic5):
     assert run_check(threeadic5, "decom").millis > 0
+
+
+def test_z_identity_says_when_a_chain_is_sampled(threeadic5):
+    # (1,4) has |D_4| * (1 + |J(4)|) = 81 * 17 = 1377 atoms
+    full = check_z_identity(threeadic5)
+    part = check_z_identity(threeadic5, chain_samples=100)
+    assert full.scope == part.scope == "class algebra n=1..4; chains [(1, 4)]"
+    (wf,), (wp,) = ([w for w in r.witnesses if "span" in w] for r in (full, part))
+    assert (wf["mode"], wf["atoms"], wf["of"]) == ("exhaustive", 1377, 1377)
+    assert (wp["mode"], wp["atoms"], wp["of"]) == ("sampled", 100, 1377)
+    assert "(1, 4) exhaustive: 1377 of 1377 atoms" in full.render()
+    assert "(1, 4) sampled: 100 of 1377 atoms" in part.render()
