@@ -8,23 +8,17 @@ rational arithmetic.
 """
 
 from .budgets import enum_budget, window_budget
-from .cells import (CellSet, cell_decompose, classify_points, corollary_chain,
-                    mu_w_set, mu_zero_set, orbit_member, parent_cell,
-                    verify_refinement, zero_set_identity)
-from .density import (d_enumeration, d_exact, d_product, d_recursion,
-                      density_methods, exp_enclosure, L_series,
-                      regularity_verdict)
-from .errors import (BeyondDepth, BudgetExceeded, DepthExceeded, EmptySlot,
+from .cells import (classify_points, corollary_chain, mu_zero_set,
+                    parent_cell, verify_refinement, zero_set_identity)
+from .density import (d_enumeration, d_product, d_recursion, density_methods,
+                      exp_enclosure, L_series, regularity_verdict)
+from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
                      InconclusiveTail, InvalidIndex, NonAbelianUnsupported,
-                     NotInDomain, ParityError, UnknownCheck, Unsupported)
-from .factor import (FiberProfile, OdometerPoint, fiber_profile,
-                     haar_cylinder, odometer_point, pi_of_orbit,
-                     pushforward_check, toeplitz_mass_estimate)
+                     NotInDomain, ParityError, UnknownCheck)
+from .factor import FiberProfile, OdometerPoint, fiber_profile, pi_of_orbit
 from .measures import (PeriodicMeasure, a_counts, an_det_check, limit_01,
                        mu_cylinder, parse_pattern, periodic_measure)
-from .periods import (auxiliar_cover_check, essential_check,
-                      partitions_c_check, per1_structure_check, per_eq_check,
-                      per_member, per_set)
+from .periods import invariant_shift, partitions_c_check, per_eq_check, per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
 from .result import CheckResult, SuiteReport
 from .skeleton import (JSet, ToeplitzSkeleton, Undefined, build_skeleton,
@@ -32,11 +26,11 @@ from .skeleton import (JSet, ToeplitzSkeleton, Undefined, build_skeleton,
 from .tower import (GenericTower, IntegerLatticeTower, IntegerLineTower,
                     KIND_GENERIC, KIND_LATTICE, KIND_LINE, STYLE_CENTERED,
                     STYLE_NONNEG, TAIL_DIVERGENT, TAIL_GEOMETRIC,
-                    TailDecl, TowerConfig, build_tower, tile_decompose,
-                    validate_tower)
+                    TailDecl, TowerConfig, build_tower, validate_tower)
 from .verify import (ALIASES, REGISTRY_NAMES, good_bound, good_set,
                      registry_self_test, run_all, run_check,
                      zero_mass_closed_form, zero_mass_lower_bound)
-from .window import SymbolWindow, materialize_window, window_values
+from .window import (SymbolWindow, materialize_window, per_masks,
+                     window_values)
 
 __version__ = "0.1.0"

@@ -1,9 +1,8 @@
-"""Cells, their refinement between consecutive levels, and orbit tests.
+"""Cells and their refinement between consecutive levels.
 
 A level-n cell is a pair (v, tag) with v in D_n and tag one of
   ("Zero",)    the translate of the all-zero slot block
   ("One", g)   the translate picking the planted position g in J(n)
-  ("Full",)    the whole translate, i.e. the union over all tags
 
 Every level-(n+1) cell sits inside exactly one level-n cell.  With
 w = gamma + v (gamma in Gamma_n cap D_{n+1}, v = reduce(w, n)) and a One-tag
@@ -23,37 +22,19 @@ identities for Z_n and the corollary chains.
 
 import random
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import budgets
-from .errors import DepthExceeded, NotInDomain, Unsupported
-from .skeleton import Undefined
+from .errors import DepthExceeded, NotInDomain
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
-TAG_FULL = ("Full",)
 
 
 def tag_one(g):
     return ("One", g)
-
-
-@dataclass(frozen=True)
-class CellSet:
-    level: int
-    cells: frozenset
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __contains__(self, cell):
-        return cell in self.cells
 
 
 def decompose_one_position(skeleton, u, n1):
@@ -82,10 +63,8 @@ def parent_cell(skeleton, cell, child_level):
         return (v, tag_one(kind[1]) if kind[0] == "plant" else TAG_ZERO)
     if tag == TAG_ZERO:
         return (v, TAG_ZERO)
-    if tag[0] == "One":
-        gamma_t, g_t = decompose_one_position(skeleton, tag[1], child_level)
-        return (v, tag_one(g_t)) if gamma_t == gamma else (v, TAG_ZERO)
-    raise Unsupported("Full cells have mixed parents; normalize first")
+    gamma_t, g_t = decompose_one_position(skeleton, tag[1], child_level)
+    return (v, tag_one(g_t)) if gamma_t == gamma else (v, TAG_ZERO)
 
 
 def containment_case(skeleton, cell, child_level):
@@ -99,81 +78,6 @@ def containment_case(skeleton, cell, child_level):
         return "c1"
     gamma_t, _ = decompose_one_position(skeleton, tag[1], child_level)
     return "c2" if gamma_t == gamma else "c3"
-
-
-def cell_decompose(skeleton, set_id, n, budget=None):
-    """Named sets as unions of level-n cells.
-
-    Ids: Cn, Cn0, Cn1, Zn, Wn, [0], [1], or ("Cng", g).  U_n and Y_n are not
-    cell unions at their own level and raise Unsupported.
-    """
-    T = skeleton.tower
-    zero = T.zero
-    if isinstance(set_id, tuple) and len(set_id) == 2 and set_id[0] == "Cng":
-        g = set_id[1]
-        if not skeleton.in_jset(g, n):
-            raise NotInDomain(f"{g} is not in J({n})")
-        return CellSet(n, frozenset({(zero, tag_one(g))}))
-    if set_id == "Cn":
-        return CellSet(n, frozenset({(zero, TAG_FULL)}))
-    if set_id == "Cn0":
-        return CellSet(n, frozenset({(zero, TAG_ZERO)}))
-    if set_id == "Cn1":
-        jn = skeleton.jset(n, budget=budget)
-        return CellSet(n, frozenset((zero, tag_one(g)) for g in jn))
-    if set_id == "Zn":
-        budgets.check_enum(T.size(n), f"Zn cells level {n}", budget)
-        return CellSet(n, frozenset((v, TAG_ZERO) for v in T.domain(n, budget=budget)))
-    if set_id == "Wn":
-        if n < 1:
-            raise DepthExceeded("Wn needs n >= 1")
-        sec = [s for s in T.section(n - 1, n, budget=budget) if s != zero]
-        jn1 = skeleton.jset(n - 1, budget=budget)
-        size = T.size(n - 1) * len(jn1) * len(sec) * max(len(sec) - 1, 0)
-        budgets.check_enum(size, f"Wn cells level {n}", budget)
-        cells = set()
-        for v in T.domain(n - 1, budget=budget):
-            for g in jn1:
-                for g_t in sec:
-                    u = T.add(g_t, g)
-                    for gam in sec:
-                        if gam == g_t:
-                            continue
-                        cells.add((T.add(gam, v), tag_one(u)))
-        return CellSet(n, frozenset(cells))
-    if set_id in ("[0]", "[1]"):
-        from .periods import per_set
-        symbol = int(set_id[1])
-        pset = per_set(skeleton, n, symbol, budget)
-        jn = skeleton.jset(n, budget=budget)
-        cells = set((v, TAG_FULL) for v in pset)
-        if symbol == 1:
-            for g in jn:
-                cells.add((g, tag_one(g)))
-        else:
-            for g in jn:
-                cells.add((g, TAG_ZERO))
-                for h in jn:
-                    if h != g:
-                        cells.add((g, tag_one(h)))
-        return CellSet(n, frozenset(cells))
-    if set_id in ("Un", "Yn"):
-        raise Unsupported(f"{set_id} is not a union of level-{n} cells")
-    raise NotInDomain(f"unknown set id {set_id!r}")
-
-
-def normalize_cells(skeleton, cellset, budget=None):
-    """Expand Full tags into Zero plus every One tag."""
-    jn = skeleton.jset(cellset.level, budget=budget)
-    out = set()
-    for v, tag in cellset:
-        if tag == TAG_FULL:
-            out.add((v, TAG_ZERO))
-            for g in jn:
-                out.add((v, tag_one(g)))
-        else:
-            out.add((v, tag))
-    return CellSet(cellset.level, frozenset(out))
 
 
 # -- classification of periodized points ---------------------------------
@@ -403,72 +307,6 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
     return {"atom": atom, "chain": sorted(chain.items())}, branches, first + 1
 
 
-# -- orbit membership ------------------------------------------------------
-
-
-def orbit_member(skeleton, v, set_id, n, budget=None):
-    """Membership of the orbit point indexed by v in the named level-n set."""
-    T = skeleton.tower
-
-    def probe(g):
-        val = skeleton.eval(T.add(v, g))
-        if val is Undefined:
-            raise DepthExceeded(
-                f"probe at {T.format_element(T.add(v, g))} is undefined; "
-                "increase depth")
-        return val
-
-    if set_id == "Un":
-        for s in T.domain(n + 1, budget=budget):
-            want = skeleton.eval(T.reduce(s, n))
-            if want is Undefined:
-                raise DepthExceeded(f"eta_{n} undefined; increase depth")
-            if probe(s) != want:
-                return False
-        return True
-    if set_id == "Yn":
-        if T.reduce(v, n) != T.zero:
-            return False
-        jn = skeleton.jset(n, budget=budget)
-        for gamma in T.section(n, n + 1, budget=budget):
-            for g in jn:
-                if probe(T.add(gamma, g)) != 0:
-                    return False
-        return True
-    if set_id == "Zn":
-        jn = skeleton.jset(n, budget=budget)
-        gamma_v = T.sub(v, T.reduce(v, n))
-        for g in jn:
-            val = skeleton.eval(T.add(gamma_v, g))
-            if val is Undefined:
-                raise DepthExceeded("probe undefined; increase depth")
-            if val != 0:
-                return False
-        return True
-    if set_id in ("Cn", "Cn0", "Cn1") or (isinstance(set_id, tuple)
-                                          and set_id[0] == "Cng"):
-        if T.reduce(v, n) != T.zero:
-            return False
-        # per-agreement over the visible saturation
-        from .periods import per_set
-        top = min(n + 1, T.depth)
-        for symbol in (0, 1):
-            for c in per_set(skeleton, n, symbol, budget):
-                for gamma in T.section(n, top, budget=budget):
-                    if probe(T.add(c, gamma)) != symbol:
-                        return False
-        if set_id == "Cn":
-            return True
-        jn = skeleton.jset(n, budget=budget)
-        ones = [g for g in jn if probe(g) == 1]
-        if set_id == "Cn0":
-            return not ones
-        if set_id == "Cn1":
-            return len(ones) == 1
-        return set_id[1] in ones
-    raise NotInDomain(f"unknown set id {set_id!r}")
-
-
 # -- measures of cell families --------------------------------------------
 
 
@@ -480,18 +318,3 @@ def mu_zero_set(skeleton, n, m, budget=None):
     tags = classify_points(skeleton, m, n, T.domain_arr(m), budget)
     return Fraction(int((tags < 0).sum()), T.size(m))
 
-
-def mu_w_set(skeleton, n, m, budget=None):
-    """mu_m(W_n): gamma nonzero, a One tag whose gamma~ differs from gamma."""
-    T = skeleton.tower
-    jn = skeleton.jset(n, budget=budget)
-    budgets.check_enum(T.size(m) * max(len(jn), 1), f"mu_{m}(W_{n})", budget)
-    d_arr = T.domain_arr(m)
-    tags = classify_points(skeleton, m, n, d_arr, budget)
-    gamma = T.sub_arr(T.reduce_arr(d_arr, n), T.reduce_arr(d_arr, n - 1))
-    j = T.array(jn.elements)
-    j_gam = T.sub_arr(j, T.reduce_arr(j, n - 1))
-    has = tags >= 0
-    safe = np.where(has, tags, 0)
-    member = has & ~T.eq_arr(gamma, T.zero) & ~T.eq_arr(j_gam[safe], gamma)
-    return Fraction(int(member.sum()), T.size(m))

@@ -14,20 +14,23 @@ from fractions import Fraction
 
 from .cells import mu_zero_set
 from .density import density_methods, regularity_verdict
-from .errors import (BudgetExceeded, DepthExceeded, InvalidIndex, NotInDomain,
-                     ParityError, UnknownCheck)
+from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
+                     InconclusiveTail, InvalidIndex, NonAbelianUnsupported,
+                     NotInDomain, ParityError, UnknownCheck)
 from .factor import fiber_profile, pi_of_orbit
 from .measures import limit_01, mu_cylinder, parse_pattern
-from .periods import (essential_check, partitions_c_check, per1_structure_check,
-                      per_eq_check, per_set)
+from .periods import per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
 from .skeleton import Undefined, build_skeleton
 from .tower import TowerConfig, build_tower, validate_tower
 from .verify import REGISTRY_NAMES, run_all, run_check
 from .window import materialize_window
 
+# every outside input is checked where it is parsed and fails with one of
+# these; any other exception is a fault of the program and keeps its traceback
 _USAGE_ERRORS = (InvalidIndex, NotInDomain, ParityError, DepthExceeded,
-                 UnknownCheck, FileNotFoundError, KeyError, ValueError)
+                 UnknownCheck, EmptySlot, InconclusiveTail,
+                 NonAbelianUnsupported, OSError)
 
 
 def _fmt_q(x):
@@ -71,8 +74,7 @@ def _add_common(sp):
 
 def _skeleton(args):
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = TowerConfig.from_json(json.load(fh))
+        cfg = TowerConfig.load(args.config)
         preset_depth = None
     elif args.preset:
         cfg = preset_config(args.preset)
@@ -166,8 +168,8 @@ def _cmd_periods_show(args):
         fmt = sk.tower.format_element
         print(json.dumps({
             "level": n,
-            "per0": [fmt(g) for g in p0.ordered],
-            "per1": [fmt(g) for g in p1.ordered],
+            "per0": [fmt(g) for g in p0],
+            "per1": [fmt(g) for g in p1],
             "jset": [fmt(g) for g in jn.elements],
         }, indent=1))
         return 0
@@ -176,20 +178,6 @@ def _cmd_periods_show(args):
     print(f"  Per(,1) cells: {len(p1)}  mass {_fmt_q(Fraction(len(p1), size))}")
     print(f"  J(n) cells:    {len(jn)}  mass {_fmt_q(Fraction(len(jn), size))}")
     return 0
-
-
-def _cmd_periods_check(args):
-    sk = _skeleton(args)
-    n = args.level
-    if args.which == "per-eq":
-        res = per_eq_check(sk, n)
-    elif args.which == "essential":
-        res = essential_check(sk, n)
-    elif args.which == "periodo1":
-        res = per1_structure_check(sk, n)
-    else:
-        res = partitions_c_check(sk, n, samples=args.samples, seed=args.seed)
-    return _emit_result(res, args.as_json)
 
 
 def _cmd_analyze_density(args):
@@ -230,7 +218,10 @@ def _cmd_analyze_measures(args):
                "verdict": enc["verdict"]}
     if args.cylinders:
         with open(args.cylinders, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except ValueError as exc:
+                raise NotInDomain(f"{args.cylinders} is not JSON: {exc}") from None
         pats = spec if isinstance(spec, list) else [spec]
         payload["cylinders"] = []
         for i, obj in enumerate(pats):
@@ -323,13 +314,6 @@ def _build_parser():
     s = _add_common(ps.add_parser("show", help="per-sets at one level"))
     s.add_argument("--level", type=int, default=2)
     s.set_defaults(fn=_cmd_periods_show)
-    c = _add_common(ps.add_parser("check", help="named period checks"))
-    c.add_argument("which",
-                   choices=["per-eq", "essential", "periodo1", "partitions-c"])
-    c.add_argument("--level", type=int, default=2,
-                   help="level n / block level s / coset level k")
-    c.add_argument("--samples", type=int, default=10000)
-    c.set_defaults(fn=_cmd_periods_check)
 
     ana = groups.add_parser("analyze", help="density and measures")
     asu = ana.add_subparsers(dest="action", required=True)

@@ -18,6 +18,7 @@ from . import budgets
 from .errors import DepthExceeded
 from .skeleton import j_size
 from .tower import TAIL_DIVERGENT, TAIL_GEOMETRIC
+from .window import per_masks
 
 VERDICT_REGULAR = "Regular"
 VERDICT_IRREGULAR = "Irregular"
@@ -49,10 +50,8 @@ def d_recursion(tower, n):
 
 
 def d_enumeration(skeleton, n, budget=None):
-    from .window import window_levels
     budgets.check_enum(skeleton.tower.size(n), f"density level {n}", budget)
-    lvls = window_levels(skeleton, n, budget)
-    decided = int(((lvls >= 0) & (lvls < n)).sum())
+    decided = sum(int(m.sum()) for m in per_masks(skeleton, n, budget))
     return Fraction(decided, skeleton.tower.size(n))
 
 
@@ -66,14 +65,6 @@ def density_methods(skeleton, n, budget=None):
     except budgets.BudgetExceeded:
         pass
     return out
-
-
-def d_exact(skeleton, n, budget=None):
-    vals = density_methods(skeleton, n, budget)
-    distinct = set(vals.values())
-    if len(distinct) != 1:
-        raise ArithmeticError(f"density methods disagree at level {n}: {vals}")
-    return distinct.pop()
 
 
 @dataclass

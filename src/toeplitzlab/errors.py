@@ -28,10 +28,6 @@ class EmptySlot(RuntimeError):
     """A construction step found no candidate symbol position (invalid tower)."""
 
 
-class BeyondDepth(LookupError):
-    """A block or record index refers past the constructed steps."""
-
-
 class NonAbelianUnsupported(TypeError):
     """Operation defined here only for abelian towers."""
 
@@ -46,7 +42,3 @@ class UnknownCheck(KeyError):
     def __str__(self):
         # KeyError.__str__ is repr(key); surface the message verbatim
         return Exception.__str__(self)
-
-
-class Unsupported(TypeError):
-    """The requested set has no cell-union representation."""

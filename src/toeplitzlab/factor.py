@@ -3,13 +3,12 @@ fiber diagnostics.
 
 The inverse limit of the quotients G/Gamma_n is represented up to the
 constructed depth as a coherent coset sequence.  Orbit points map to their
-reduction sequence; cylinder masses under the limit measure are uniform.
+reduction sequence.
 """
 
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import budgets
 from .errors import DepthExceeded, NotInDomain
@@ -38,10 +37,6 @@ class OdometerPoint:
         return {"depth": self.depth, "cosets": [fmt(c) for c in self.cosets]}
 
 
-def odometer_point(tower, cosets):
-    return OdometerPoint(len(cosets), tuple(cosets)).verify(tower)
-
-
 def pi_of_orbit(skeleton, v, depth=None):
     """Coset coordinates of the orbit point indexed by v.
 
@@ -56,32 +51,6 @@ def pi_of_orbit(skeleton, v, depth=None):
     return OdometerPoint(depth,
                          tuple(T.reduce(v, n) for n in range(1, depth + 1))
                          ).verify(T)
-
-
-def haar_cylinder(tower, c, n):
-    """Mass of the level-n cylinder at coset c: uniform over D_n."""
-    if not tower.in_domain(c, n):
-        raise NotInDomain(f"{tower.format_element(c)} not in D_{n}")
-    return Fraction(1, tower.size(n))
-
-
-def toeplitz_mass_estimate(skeleton, depth=None, budget=None):
-    """Fraction of depth-level cosets whose symbol is forced by periodicity.
-
-    Computed from the step log and cross-checked against the density value,
-    which is derived independently.
-    """
-    from .density import d_exact
-    from .measures import a_counts
-    if depth is None:
-        depth = skeleton.depth
-    a0, a1 = a_counts(skeleton, depth, budget=budget)
-    est = Fraction(a0 + a1, skeleton.tower.size(depth))
-    d = d_exact(skeleton, depth, budget)
-    if est != d:
-        raise ArithmeticError(
-            f"mass estimate {est} disagrees with density {d} at level {depth}")
-    return est
 
 
 @dataclass
@@ -147,24 +116,3 @@ def fiber_profile(skeleton, n, budget=None):
     counts = {fmt(c): len(seen[c]) for c in dom_n}
     return FiberProfile(n, counts, {fmt(c): partial[c] for c in dom_n})
 
-
-def pushforward_check(skeleton, n, m, budget=None):
-    """Every level-n cylinder pulls back to mu_m-mass 1/|D_n| exactly."""
-    from .measures import periodic_measure
-    T = skeleton.tower
-    if m < n:
-        raise DepthExceeded("pushforward needs m >= n")
-    periodic_measure(skeleton, m, budget)  # existence: all cells decided
-    want = Fraction(1, T.size(n))
-    tallies = {}
-    for d in T.domain(m, budget=budget):
-        c = T.reduce(d, n)
-        tallies[c] = tallies.get(c, 0) + 1
-    size = T.size(m)
-    for c, hit in tallies.items():
-        if Fraction(hit, size) != want:
-            return False, {"coset": T.format_element(c),
-                           "mass": Fraction(hit, size), "want": want}
-    if len(tallies) != T.size(n):
-        return False, {"missing_cosets": T.size(n) - len(tallies)}
-    return True, {"cosets": len(tallies), "mass": want}

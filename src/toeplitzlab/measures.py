@@ -13,9 +13,9 @@ import numpy as np
 from . import budgets
 from .errors import DepthExceeded, InconclusiveTail, NotInDomain
 from .density import regularity_verdict, VERDICT_INCONCLUSIVE
-from .result import failed, passed
+from .result import failed, finish, passed
 from .skeleton import j_size
-from .window import window_values
+from .window import per_masks, window_values
 
 
 def a_counts(skeleton, n, cross_check=None, budget=None):
@@ -40,12 +40,7 @@ def a_counts(skeleton, n, cross_check=None, budget=None):
     if cross_check is None:
         cross_check = T.size(n) <= 1 << 16
     if cross_check:
-        from .window import window_levels
-        lvls = window_levels(skeleton, n, budget)
-        vals = window_values(skeleton, n, budget)
-        decided = (lvls >= 0) & (lvls < n)
-        e0 = int((decided & (vals == 0)).sum())
-        e1 = int((decided & (vals == 1)).sum())
+        e0, e1 = (int(m.sum()) for m in per_masks(skeleton, n, budget))
         if (e0, e1) != (a0, a1):
             raise ArithmeticError(
                 f"a_counts mismatch at level {n}: log {(a0, a1)} vs count {(e0, e1)}")
@@ -83,9 +78,6 @@ class PeriodicMeasure:
             acc &= T.shift_arr(self._vals, s, self.m) == v
         return Fraction(int(acc.sum()), self.size)
 
-    def mu_symbol(self, symbol):
-        return Fraction(int((self._vals == symbol).sum()), self.size)
-
 
 def periodic_measure(skeleton, m, budget=None):
     return PeriodicMeasure(skeleton, m, budget)
@@ -96,18 +88,21 @@ def mu_cylinder(skeleton, m, pattern, budget=None):
 
 
 def parse_pattern(tower, obj):
-    """JSON form: {"support": [g, ...], "values": [0/1, ...]}."""
+    """JSON form: {"support": [g, ...], "values": [0/1, ...]}, each g in the
+    JSON form of the tower's elements (an int, or a list of coordinates)."""
+    if not isinstance(obj, dict):
+        raise NotInDomain(f"a pattern is a JSON object, got {obj!r}")
     support = obj.get("support", [])
     values = obj.get("values", [])
-    if len(support) != len(values):
-        raise NotInDomain("pattern support and values need equal lengths")
+    if not isinstance(support, list) or not isinstance(values, list) \
+            or len(support) != len(values):
+        raise NotInDomain("pattern support and values need to be lists of "
+                          "equal length")
     out = []
     for g, v in zip(support, values):
-        if isinstance(g, list):
-            g = tuple(g)
-        if v not in (0, 1):
+        if isinstance(v, bool) or v not in (0, 1):
             raise NotInDomain(f"pattern value must be 0/1, got {v!r}")
-        out.append((g, v))
+        out.append((tower.coerce(g), v))
     return out
 
 
@@ -169,11 +164,8 @@ def an_det_check(skeleton, n, override_counts=None, budget=None):
     mat = ((a0 + j, a0 + j - 1), (a1, a1 + 1))
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     if det != size:
-        res = failed(name, f"level {n}",
-                     {"level": n, "matrix": mat, "det": det, "expected": size})
-    else:
-        res = passed(name, f"level {n}: det {det} = |D_{n}|"
-                           + (", injected counts" if override_counts else ""),
-                     [{"a0": a0, "a1": a1, "j": j}])
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
+        return finish(failed(name, f"level {n}", {"level": n, "matrix": mat,
+                                                  "det": det, "expected": size}), t0)
+    return finish(passed(name, f"level {n}: det {det} = |D_{n}|"
+                               + (", injected counts" if override_counts else ""),
+                         [{"a0": a0, "a1": a1, "j": j}]), t0)

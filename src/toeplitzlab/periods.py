@@ -1,42 +1,22 @@
-"""Periodic structure of the array: per-sets and the lemmas about them.
+"""Periodic structure of the array: per-sets and the checks on them.
 
 Per(n, a) collects the D_n representatives whose whole Gamma_n-coset is
 already forced to the symbol a, i.e. the cells decided strictly below level
-n.  Membership is exact: level_of(d) < n decides it, and the planted step for
-that level gives the symbol.
+n; window.per_masks gives both as masks over D_n.  per_eq_check rebuilds the
+same masks from the step log alone, reads the array on every Gamma_n-translate
+of every per-cell, and asks that no larger subgroup fix them (essential).
 """
 
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import budgets
-from .errors import NonAbelianUnsupported, NotInDomain
-from .result import failed, inconclusive, passed
-from .skeleton import j_size
+from .errors import BudgetExceeded, NonAbelianUnsupported, NotInDomain
+from .result import failed, finish, inconclusive, passed
 from .tower import KIND_LINE
-from .window import window_levels, window_values
-
-
-@dataclass(frozen=True)
-class PerSet:
-    level: int
-    symbol: int
-    ordered: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.ordered))
-
-    def __len__(self):
-        return len(self.ordered)
-
-    def __iter__(self):
-        return iter(self.ordered)
-
-    def __contains__(self, g):
-        return g in self.members
+from .window import materialize_window, per_masks, window_values
 
 
 def per_set(skeleton, n, symbol, budget=None):
@@ -45,76 +25,81 @@ def per_set(skeleton, n, symbol, budget=None):
         raise NotInDomain(f"symbol must be 0 or 1, got {symbol!r}")
     T = skeleton.tower
     budgets.check_enum(T.size(n), f"Per({n},{symbol})", budget)
-    lvls = window_levels(skeleton, n, budget)
-    vals = window_values(skeleton, n, budget)
-    decided = (lvls >= 0) & (lvls < n) & (vals == symbol)
-    idx = np.flatnonzero(decided)
-    ordered = tuple(T.element_at(n, int(i)) for i in idx)
-    return PerSet(n, symbol, ordered)
+    mask = per_masks(skeleton, n, budget)[symbol]
+    return tuple(T.elements(T.domain_arr(n)[mask]))
 
 
-def per_member(skeleton, n, g, symbol=None):
-    """Exact membership of the Gamma_n-coset of g in the per-structure.
-
-    Returns the forced symbol (0/1) when level_of(g) < n, else None.  With
-    `symbol` given, returns a bool instead.
-    """
-    d = skeleton.tower.reduce(g, n)
-    lvl = skeleton.level_of(d)
-    if lvl is None or lvl >= n:
-        return None if symbol is None else False
-    val = skeleton.eval(d)
-    return val if symbol is None else val == symbol
-
-
-def _plant_union(skeleton, n, budget=None):
-    """Independent rebuild of the decided cells from the step log alone."""
+def _step_log_masks(skeleton, n, budget=None):
+    """Per(n, 0) and Per(n, 1) rebuilt from the step log alone: step t forces
+    J(t-1) + Gamma_t, to 1 on its planted position's translates and to 0 on
+    the rest.  Returns the two masks over D_n and, per symbol, the elements
+    it reached outside D_n (none unless the tower is corrupted)."""
     T = skeleton.tower
-    ones, zeros = set(), set()
+    masks = (np.zeros(T.size(n), dtype=bool), np.zeros(T.size(n), dtype=bool))
+    outside = ([], [])
     for t in range(1, n + 1):
         kind = skeleton.steps[t - 1]
-        sec = list(T.section(t, n, budget=budget))
+        cells = T.array(skeleton.jset(t - 1, budget=budget).elements)
+        parts = [cells]
         if kind[0] == "plant":
-            h = kind[1]
-            for gamma in sec:
-                ones.add(T.add(h, gamma))
             # h lies in J(t-1) itself; other J(t-1) cells of this step get 0
-            for g in skeleton.jset(t - 1, budget=budget):
-                if g == h:
-                    continue
-                for gamma in sec:
-                    zeros.add(T.add(g, gamma))
-        else:
-            for g in skeleton.jset(t - 1, budget=budget):
-                for gamma in sec:
-                    zeros.add(T.add(g, gamma))
-    return zeros, ones
+            parts = [cells[~T.eq_arr(cells, kind[1])], T.array([kind[1]])]
+        sec = T.section_arr(t, n, budget)
+        for symbol, part in enumerate(parts):
+            e = T.add_arr(np.expand_dims(part, 1), np.expand_dims(sec, 0))
+            e = e.reshape(-1, *e.shape[2:])
+            inside = T.in_domain_arr(e, n)
+            masks[symbol][T.index_of_arr(e[inside], n)] = True
+            outside[symbol].extend(T.elements(e[~inside]))
+    return masks, outside
+
+
+def invariant_shift(tower, n, mask0, mask1, budget=None):
+    """(v, label): a nonzero v in D_n whose translation fixes both masks over
+    D_n, or None, and what was tried.
+
+    Any subgroup strictly between Gamma_n and G contains a nonidentity coset
+    of D_n, so single translates decide it.  On the line, shifts by the
+    divisors of |D_n| suffice: they generate every subgroup of Z/|D_n|.
+    """
+    T = tower
+    if not T.abelian:
+        raise NonAbelianUnsupported("the essential facet needs an abelian tower")
+    size = T.size(n)
+    budgets.check_enum(size, f"essential level {n}", budget)
+    if T.kind == KIND_LINE:
+        cands = [d for d in range(1, size) if size % d == 0]
+        label = f"{len(cands)} divisor shifts of {size}"
+    else:
+        cands = [v for v in T.domain(n, budget=budget) if v != T.zero]
+        label = f"{len(cands)} nonzero translates"
+    for v in cands:
+        if (np.array_equal(T.shift_arr(mask0, v, n), mask0)
+                and np.array_equal(T.shift_arr(mask1, v, n), mask1)):
+            return v, label
+    return None, label
 
 
 def per_eq_check(skeleton, n, window=None, budget=None):
-    """Two independent routes to Per(n, .) must coincide, and a window must
-    show the right symbol on every translate of every per-cell."""
+    """Per(n, .) from the level scan and from the step log must coincide, a
+    window must show the right symbol on every translate of every per-cell,
+    and no subgroup strictly between Gamma_n and G may fix the per-sets."""
     t0 = time.perf_counter()
     T = skeleton.tower
     name = "per-eq"
-    p0 = per_set(skeleton, n, 0, budget)
-    p1 = per_set(skeleton, n, 1, budget)
-
-    zeros, ones = _plant_union(skeleton, n, budget)
-    if ones != p1.members or zeros != p0.members:
-        bad = sorted(ones ^ p1.members or zeros ^ p0.members, key=repr)[0]
-        return failed(name, f"level {n}",
-                      {"level": n, "element": bad,
-                       "reason": "step-log union disagrees with level scan"},
-                      [])
-    if p0.members & p1.members:
-        bad = sorted(p0.members & p1.members, key=repr)[0]
-        return failed(name, f"level {n}", {"level": n, "element": bad,
-                                           "reason": "per-sets overlap"})
+    budgets.check_enum(T.size(n), f"Per({n},.)", budget)
+    dom = T.domain_arr(n)
+    per = per_masks(skeleton, n, budget)
+    logged, outside = _step_log_masks(skeleton, n, budget)
+    for symbol in (1, 0):
+        diff = T.elements(dom[logged[symbol] != per[symbol]]) + outside[symbol]
+        if diff:
+            return finish(failed(
+                name, f"level {n}",
+                {"level": n, "element": sorted(diff, key=repr)[0],
+                 "reason": "step-log union disagrees with level scan"}), t0)
 
     if window is None:
-        from .errors import BudgetExceeded
-        from .window import materialize_window
         wlevel = min(n + 1, T.depth)
         try:
             window = materialize_window(skeleton, wlevel, budget)
@@ -126,148 +111,36 @@ def per_eq_check(skeleton, n, window=None, budget=None):
         if wlevel < n:
             raise NotInDomain(f"window level {wlevel} below per level {n}")
 
-    # every Gamma_n-translate of a per cell visible in the window agrees
-    probes = 0
-    for pset in (p0, p1):
-        for d in pset:
-            for gamma in T.section(n, wlevel, budget=budget):
-                e = T.add(d, gamma)
-                got = window.value_at(T.index_of(e, wlevel))
-                probes += 1
-                if got is not None and got != pset.symbol:
-                    res = failed(
-                        name, f"level {n}, window level {wlevel}",
-                        {"level": n, "element": e, "expected": pset.symbol,
-                         "got": got,
-                         "coset": f"{T.format_element(d)}+Gamma_{n}"},
-                        [{"probes": probes}])
-                    res.millis = (time.perf_counter() - t0) * 1e3
-                    return res
-    res = passed(name, f"level {n}: {len(p0)} zero-cells, {len(p1)} one-cells, "
-                       f"{probes} window probes at level {wlevel}",
-                 [{"zeros": len(p0), "ones": len(p1), "probes": probes}])
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
+    # every Gamma_n-translate of a per-cell, zero-cells first, agrees with
+    # the window wherever it is defined
+    counts = [int(m.sum()) for m in per]
+    cells = np.concatenate((dom[per[0]], dom[per[1]]))
+    want = np.repeat(np.uint8([0, 1]), counts)[:, None]
+    e = T.add_arr(np.expand_dims(cells, 1),
+                  np.expand_dims(T.section_arr(n, wlevel, budget), 0))
+    got = window.values_array()[T.index_of_arr(e, wlevel)]
+    bad = (got != 255) & (got != want)
+    if bad.any():
+        first = int(bad.argmax())
+        i, j = np.unravel_index(first, bad.shape)
+        return finish(failed(
+            name, f"level {n}, window level {wlevel}",
+            {"level": n, "element": T.element(e[i, j]),
+             "expected": int(want[i, 0]), "got": int(got[i, j]),
+             "coset": f"{T.format_element(T.element(cells[i]))}+Gamma_{n}"},
+            [{"probes": first + 1}]), t0)
 
-
-def essential_check(skeleton, n, per_sets=None, budget=None):
-    """No subgroup strictly between Gamma_n and G fixes both per-sets.
-
-    Any such subgroup contains a nonidentity coset of D_n, so it is enough to
-    test single-translate invariance for every nonzero v in D_n (for the line,
-    only divisor shifts, which generate all cyclic subgroups).
-    """
-    t0 = time.perf_counter()
-    T = skeleton.tower
-    name = "essential"
-    if not getattr(T, "abelian", True):
-        raise NonAbelianUnsupported("essential_check needs an abelian tower")
-    size = T.size(n)
-    budgets.check_enum(size, f"essential level {n}", budget)
-
-    if per_sets is None:
-        lvls = window_levels(skeleton, n, budget)
-        vals = window_values(skeleton, n, budget)
-        decided = (lvls >= 0) & (lvls < n)
-        mask0 = decided & (vals == 0)
-        mask1 = decided & (vals == 1)
-        injected = False
-    else:
-        mask0 = np.zeros(size, dtype=bool)
-        mask1 = np.zeros(size, dtype=bool)
-        for g in per_sets[0]:
-            mask0[T.index_of(g, n)] = True
-        for g in per_sets[1]:
-            mask1[T.index_of(g, n)] = True
-        injected = True
-
-    if T.kind == KIND_LINE:
-        # shifts by v generate gcd(v, N) Z; divisors cover every subgroup
-        cands = [d for d in range(1, size) if size % d == 0]
-        label = f"{len(cands)} divisor shifts of {size}"
-    else:
-        cands = [v for v in T.domain(n, budget=budget) if v != T.zero]
-        label = f"{len(cands)} nonzero translates"
-
-    for v in cands:
-        if (np.array_equal(T.shift_arr(mask0, v, n), mask0)
-                and np.array_equal(T.shift_arr(mask1, v, n), mask1)):
-            res = failed(name, f"level {n} ({label})",
-                         {"level": n, "invariant_shift": v,
-                          "reason": "a proper supergroup of Gamma_n fixes the per-sets"})
-            res.millis = (time.perf_counter() - t0) * 1e3
-            return res
-
-    res = passed(name, f"level {n} ({label}{', injected per-sets' if injected else ''})",
-                 [{"candidates": len(cands)}])
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
-
-
-def per1_structure_check(skeleton, s, budget=None):
-    """Per(s, 1) is exactly Gamma_1 plus the recorded plants reduced mod
-    Gamma_s; at a block end the last recorded plant completes the union."""
-    t0 = time.perf_counter()
-    T = skeleton.tower
-    name = "periodo1"
-    if s > skeleton.depth:
-        raise NotInDomain(f"per1 structure needs s <= depth, got {s}")
-    budgets.check_enum(T.size(s), f"per1 structure level {s}", budget)
-
-    expected = set(T.section(1, s, budget=budget))
-    used = []
-    for rec in skeleton.h_records:
-        if rec.step <= s:
-            for gamma in T.section(rec.step, s, budget=budget):
-                expected.add(T.add(rec.h, gamma))
-            used.append(rec.step)
-
-    got = per_set(skeleton, s, 1, budget).members
-    if got != expected:
-        bad = sorted(got ^ expected, key=repr)[0]
-        return failed(name, f"level {s}",
-                      {"level": s, "element": bad,
-                       "side": "missing" if bad in expected else "extra"})
-
-    inside = [k for k in range(len(skeleton.m_k))
-              if skeleton.mbar[k] < s < skeleton.m_k[k]]
-    at_end = [k for k in range(len(skeleton.m_k)) if s == skeleton.m_k[k]]
-    res = passed(name,
-                 f"level {s}: Gamma_1 plus {len(used)} recorded plants"
-                 + (f", inside block {inside[0]}" if inside else "")
-                 + (f", closes block {at_end[0]}" if at_end else ""),
-                 [{"plants": used, "cells": len(got)}])
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
-
-
-def auxiliar_cover_check(skeleton, i, gamma):
-    """Least block position l in 1..i where gamma leaves Gamma_{n_l+1}.
-
-    Returns (l, kind): kind "proper" when reduce(gamma, n_l+1) is nonzero at
-    the found l, "terminal" when gamma stays in every Gamma_{n_l+1} (then
-    l = i), and (None, "BeyondDepth") when the needed levels are not built.
-    """
-    from .errors import BeyondDepth
-    T = skeleton.tower
-    if i < 1:
-        raise NotInDomain(f"block index must be >= 1, got {i}")
-    try:
-        n_prev = skeleton.subsequence_M(i - 1)
-    except BeyondDepth:
-        return None, "BeyondDepth"
-    if n_prev + 1 > T.depth or T.reduce(gamma, n_prev + 1) != T.zero:
-        raise NotInDomain(
-            f"gamma must lie in Gamma_{{n_{i-1}+1}} = Gamma_{n_prev + 1}")
-    for l in range(1, i + 1):
-        if l >= len(skeleton.m_k) or skeleton.m_k[l] > skeleton.depth:
-            return None, "BeyondDepth"
-        n_l = skeleton.m_k[l] - 1
-        if n_l + 1 > T.depth:
-            return None, "BeyondDepth"
-        if T.reduce(gamma, n_l + 1) != T.zero:
-            return l, "proper"
-    return i, "terminal"
+    shift, label = invariant_shift(T, n, per[0], per[1], budget)
+    if shift is not None:
+        return finish(failed(
+            name, f"level {n}, essential ({label})",
+            {"level": n, "invariant_shift": shift,
+             "reason": "a proper supergroup of Gamma_n fixes the per-sets"}), t0)
+    return finish(passed(
+        name, f"level {n}: {counts[0]} zero-cells, {counts[1]} one-cells, "
+              f"{got.size} window probes at level {wlevel}",
+        [{"zeros": counts[0], "ones": counts[1], "probes": got.size},
+         {"essential": label}]), t0)
 
 
 def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
@@ -308,22 +181,17 @@ def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
         bad = counts > 1
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            res = failed(name, f"k={k} {mode}",
-                         {"k": k, "gamma": T.element(gam[i]),
-                          "ones": int(counts[i])})
-            res.millis = (time.perf_counter() - t0) * 1e3
-            return res
+            return finish(failed(name, f"k={k} {mode}",
+                                 {"k": k, "gamma": T.element(gam[i]),
+                                  "ones": int(counts[i])}), t0)
         hist[0] += int((counts == 0).sum())
         hist[1] += int((counts == 1).sum())
         done[mode] = len(gam)
 
     if not any(done.values()):
-        res = inconclusive(name, f"k={k}: no coset checkable at depth {skeleton.depth}")
-        res.millis = (time.perf_counter() - t0) * 1e3
-        return res
-    res = passed(name,
-                 f"k={k}: {done['exhaustive']} cosets exhaustive in Gamma_{k} "
-                 f"cap D_{k+3}, {done['sampled']} sampled in Gamma_{k} cap D_{top}",
-                 [{"ones_histogram": hist}])
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
+        return finish(inconclusive(
+            name, f"k={k}: no coset checkable at depth {skeleton.depth}"), t0)
+    return finish(passed(
+        name, f"k={k}: {done['exhaustive']} cosets exhaustive in Gamma_{k} "
+              f"cap D_{k+3}, {done['sampled']} sampled in Gamma_{k} cap D_{top}",
+        [{"ones_histogram": hist}]), t0)

@@ -10,6 +10,7 @@ A CheckResult is the single currency every verifier returns.  Status values:
                 statement's hypothesis never triggers; the scan still ran
 """
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,6 +81,12 @@ class CheckResult:
         if self.counterexample is not None:
             head += f"\n{'':15}counterexample: {self.counterexample}"
         return head
+
+
+def finish(res, t0):
+    """res, with the milliseconds since the perf_counter reading t0."""
+    res.millis = (time.perf_counter() - t0) * 1e3
+    return res
 
 
 def passed(name, scope, witnesses=None):

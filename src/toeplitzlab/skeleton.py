@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budgets
-from .errors import BeyondDepth, DepthExceeded, EmptySlot, NotInDomain
+from .errors import DepthExceeded, EmptySlot, NotInDomain
 from .tower import KIND_GENERIC, KIND_LINE, TowerConfig, build_tower
 
 
@@ -49,17 +49,11 @@ class JSet:
     level: int
     elements: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
-
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, g):
-        return g in self._members
 
     def __eq__(self, other):
         if isinstance(other, JSet):
@@ -213,17 +207,6 @@ class ToeplitzSkeleton:
         raise EmptySlot(f"no position over slot {g_slot} at level {n}")
 
     # -- construction bookkeeping ---------------------------------------
-
-    def step_kind(self, t):
-        if not 1 <= t <= self.depth:
-            raise BeyondDepth(f"step {t} outside 1..{self.depth}")
-        return self.steps[t - 1]
-
-    def subsequence_M(self, k):
-        """n_k = m_k - 1, defined once block k has completed."""
-        if k < 0 or k >= len(self.m_k) or self.m_k[k] > self.depth:
-            raise BeyondDepth(f"block {k} is not completed at depth {self.depth}")
-        return self.m_k[k] - 1
 
     def completed_blocks(self):
         return [k for k in range(len(self.m_k)) if self.m_k[k] <= self.depth]

@@ -27,7 +27,7 @@ kind; the scalar ops stay as the reference they are compared against.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -69,16 +69,22 @@ class TailDecl:
     def from_json(obj):
         if obj is None:
             return None
-        kind = obj["kind"]
+        kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind == TAIL_DIVERGENT:
             return TailDecl(TAIL_DIVERGENT)
         if kind == TAIL_GEOMETRIC:
+            if "ratio" not in obj:
+                raise InvalidIndex("a geometric tail needs a ratio")
             raw = obj["ratio"]
-            ratio = Fraction(raw[0], raw[1]) if isinstance(raw, (list, tuple)) else Fraction(raw)
+            try:
+                ratio = (Fraction(*raw) if isinstance(raw, (list, tuple))
+                         else Fraction(raw))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise InvalidIndex(f"tail ratio {raw!r} is not a fraction") from None
             if not 0 < ratio < 1:
                 raise InvalidIndex(f"geometric tail ratio must be in (0,1), got {ratio}")
             return TailDecl(TAIL_GEOMETRIC, ratio)
-        raise InvalidIndex(f"unknown tail kind {kind!r}")
+        raise InvalidIndex(f"unknown tail {obj!r}")
 
 
 def _coerce_tail(tail):
@@ -86,11 +92,16 @@ def _coerce_tail(tail):
 
 
 def _check_indices(indices):
-    if not indices:
-        raise InvalidIndex("need at least one index")
+    if not isinstance(indices, (list, tuple)) or not indices:
+        raise InvalidIndex(f"indices must be a nonempty list, got {indices!r}")
     for q in indices:
         if not isinstance(q, int) or q < 2:
             raise InvalidIndex(f"indices must be integers >= 2, got {q!r}")
+
+
+def _indices_below(values, size):
+    """Whether every entry is an int in 0..size-1."""
+    return all(isinstance(x, int) and 0 <= x < size for x in values)
 
 
 class _ArrayForms:
@@ -117,6 +128,21 @@ class _ArrayForms:
 
     def elements(self, arr):
         return arr.tolist()
+
+    def coerce(self, obj):
+        """The element that the JSON value obj names; NotInDomain if none."""
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise NotInDomain(f"{obj!r} is not a group element")
+        return obj
+
+    def parse_element(self, text):
+        try:
+            return int(text)
+        except ValueError:
+            raise NotInDomain(f"{text!r} is not a group element") from None
+
+    def format_element(self, g):
+        return str(g)
 
 
 class IntegerLineTower(_ArrayForms):
@@ -241,12 +267,6 @@ class IntegerLineTower(_ArrayForms):
     def shift_arr(self, vals, s, n):
         return np.roll(vals, -int(s))
 
-    def parse_element(self, text):
-        return int(text)
-
-    def format_element(self, g):
-        return str(g)
-
     def config(self):
         return TowerConfig(KIND_LINE, indices=list(self.indices), style=self.style,
                            tail=self.tail)
@@ -256,13 +276,13 @@ class IntegerLatticeTower(_ArrayForms):
     kind = KIND_LATTICE
 
     def __init__(self, per_axis_indices, style=STYLE_NONNEG, tail=None):
-        if not per_axis_indices:
-            raise InvalidIndex("need at least one axis")
-        depth = len(per_axis_indices[0])
+        if not isinstance(per_axis_indices, (list, tuple)) or not per_axis_indices:
+            raise InvalidIndex("need a nonempty list of axes")
         for chain in per_axis_indices:
-            if len(chain) != depth:
-                raise InvalidIndex("all axes need the same number of levels")
             _check_indices(chain)
+        depth = len(per_axis_indices[0])
+        if any(len(chain) != depth for chain in per_axis_indices):
+            raise InvalidIndex("all axes need the same number of levels")
         self.axes = [IntegerLineTower(chain, style) for chain in per_axis_indices]
         self.dim = len(self.axes)
         self.style = style
@@ -394,8 +414,18 @@ class IntegerLatticeTower(_ArrayForms):
     def elements(self, arr):
         return [tuple(x) for x in arr.tolist()]
 
+    def coerce(self, obj):
+        if (not isinstance(obj, (list, tuple)) or len(obj) != self.dim
+                or not all(isinstance(c, int) and not isinstance(c, bool)
+                           for c in obj)):
+            raise NotInDomain(f"{obj!r} is not {self.dim} integer coordinates")
+        return tuple(obj)
+
     def parse_element(self, text):
-        parts = [int(p) for p in text.replace("(", "").replace(")", "").split(",")]
+        try:
+            parts = [int(p) for p in text.replace("(", "").replace(")", "").split(",")]
+        except ValueError:
+            raise NotInDomain(f"{text!r} is not a group element") from None
         if len(parts) != self.dim:
             raise NotInDomain(f"expected {self.dim} coordinates, got {len(parts)}")
         return tuple(parts)
@@ -421,8 +451,8 @@ class GenericTower(_ArrayForms):
     kind = KIND_GENERIC
 
     def __init__(self, levels, domains, style=STYLE_NONNEG, tail=None):
-        if not levels:
-            raise InvalidIndex("generic tower needs at least one level")
+        if not isinstance(levels, list) or not levels:
+            raise InvalidIndex("generic tower needs a nonempty list of levels")
         self.depth = len(levels)
         self.sizes = [1]
         self.ops = [None]
@@ -431,31 +461,38 @@ class GenericTower(_ArrayForms):
         for n, lvl in enumerate(levels, start=1):
             try:
                 size = int(lvl["size"])
-                op = lvl["op"]
-            except KeyError as exc:
-                raise InvalidIndex(f"level {n} table missing field {exc}") from exc
+                op = [list(row) for row in lvl["op"]]
+                proj = [0] * size if n == 1 else list(lvl["proj"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InvalidIndex(f"level {n} table is malformed: {exc!r}") from None
             if size % prev != 0 or size // prev < 2:
                 raise InvalidIndex(f"level {n} size {size} not a multiple >=2 of {prev}")
             if len(op) != size or any(len(row) != size for row in op):
                 raise InvalidIndex(f"level {n} op table must be {size}x{size}")
-            if n == 1:
-                proj = [0] * size
-            else:
-                proj = list(lvl["proj"])
-                if len(proj) != size:
-                    raise InvalidIndex(f"level {n} proj must have {size} entries")
+            if len(proj) != size or not _indices_below(proj, prev):
+                raise InvalidIndex(
+                    f"level {n} proj must map {size} entries into 0..{prev - 1}")
             self.sizes.append(size)
-            self.ops.append([list(row) for row in op])
+            self.ops.append(op)
             self.projs.append(proj)
             prev = size
         # domains[0] is D_0 = {identity}; identity is table index 0 at depth
-        if len(domains) != self.depth + 1 or list(domains[0]) != [0]:
-            raise InvalidIndex("domains must list D_0..D_depth with D_0 = [0]")
+        if (not isinstance(domains, list) or len(domains) != self.depth + 1
+                or not all(isinstance(d, list) and _indices_below(d, prev)
+                           for d in domains)
+                or domains[0] != [0]):
+            raise InvalidIndex("domains must list D_0..D_depth as table "
+                               "indices, with D_0 = [0]")
         self.domains = [list(d) for d in domains]
         self.style = style
         self.tail = _coerce_tail(tail)
         self.zero = 0
-        op = self._op_arr
+        try:
+            op = self._op_arr
+        except (TypeError, ValueError) as exc:
+            raise InvalidIndex(f"op table is malformed: {exc!r}") from None
+        if op.min() < 0 or op.max() >= prev:
+            raise InvalidIndex(f"op table entries must lie in 0..{prev - 1}")
         self.abelian = bool((op == op.T).all())
         # inverse lookup at the deepest level: the first b with a + b = 0
         is_id = op == 0
@@ -486,9 +523,6 @@ class GenericTower(_ArrayForms):
     def size(self, n):
         self._chk(n)
         return self.sizes[n]
-
-    def coset_key(self, g, n):
-        return self._down[g][n]
 
     def reduce(self, g, n):
         self._chk(n)
@@ -605,11 +639,13 @@ class GenericTower(_ArrayForms):
     def sub_arr(self, a, b):
         return self._op_arr[a, self._inv_arr[b]]
 
-    def parse_element(self, text):
-        return int(text)
+    def coerce(self, obj):
+        if not 0 <= super().coerce(obj) < self.sizes[self.depth]:
+            raise NotInDomain(f"{obj!r} is not a group element")
+        return obj
 
-    def format_element(self, g):
-        return str(g)
+    def parse_element(self, text):
+        return self.coerce(super().parse_element(text))
 
     def require_abelian(self, what):
         if not self.abelian:
@@ -651,6 +687,8 @@ class TowerConfig:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict):
+            raise InvalidIndex(f"a tower config is a JSON object, got {obj!r}")
         kind = obj.get("kind")
         if kind not in (KIND_LINE, KIND_LATTICE, KIND_GENERIC):
             raise InvalidIndex(f"unknown tower kind {kind!r}")
@@ -664,7 +702,11 @@ class TowerConfig:
     @staticmethod
     def load(path):
         with open(path, "r", encoding="utf-8") as fh:
-            return TowerConfig.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise InvalidIndex(f"{path} is not JSON: {exc}") from None
+        return TowerConfig.from_json(obj)
 
 
 def build_tower(config):
@@ -677,20 +719,6 @@ def build_tower(config):
     if config.kind == KIND_GENERIC:
         return GenericTower(config.levels, config.domains, config.style, config.tail)
     raise InvalidIndex(f"unknown tower kind {config.kind!r}")
-
-
-def tile_decompose(tower, g, j, i):
-    """Split g in D_j uniquely as v + u with v in D_j cap Gamma_i, u in D_i."""
-    if i > j:
-        raise DepthExceeded(f"tile_decompose needs i <= j, got ({i},{j})")
-    if not tower.in_domain(g, j):
-        raise NotInDomain(f"{g} not in D_{j}")
-    u = tower.reduce(g, i)
-    v = tower.sub(g, u)
-    if not tower.in_domain(v, j):
-        # only reachable on a corrupted generic tower
-        raise NotInDomain(f"tile part {v} escapes D_{j}; tower domains inconsistent")
-    return v, u
 
 
 def _element_keys(tower, w, n):

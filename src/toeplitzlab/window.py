@@ -63,6 +63,15 @@ def level_scan(skeleton, g, values):
     return out
 
 
+def per_masks(skeleton, n, budget=None):
+    """Boolean masks over D_n of Per(n, 0) and Per(n, 1): the cells that a
+    level below n decides, split by the symbol it gives them."""
+    lvls = window_levels(skeleton, n, budget)
+    vals = window_values(skeleton, n, budget)
+    decided = (lvls >= 0) & (lvls < n)
+    return decided & (vals == 0), decided & (vals == 1)
+
+
 def _window(skeleton, n, budget, values):
     T = skeleton.tower
     what = "window" if values else "level map"
@@ -222,16 +231,3 @@ def materialize_window(skeleton, n, budget=None):
     vals = window_values(skeleton, n, budget)
     return SymbolWindow(n, vals, dims=_dims_for(skeleton.tower, n))
 
-
-def restrict_window(window, tower, lower):
-    """The D_lower part of a D_level window, as its own window."""
-    if lower > window.level:
-        raise DepthExceeded(f"cannot restrict level {window.level} to {lower}")
-    vals = window.values_array()
-    idx = domain_indices(tower, lower, window.level)
-    return SymbolWindow(lower, vals[idx], dims=_dims_for(tower, lower))
-
-
-def domain_indices(tower, lower, upper):
-    """Indices of D_lower cells inside the D_upper enumeration."""
-    return tower.index_of_arr(tower.domain_arr(lower), upper)

@@ -7,23 +7,17 @@ from fractions import Fraction
 import pytest
 
 from toeplitzlab.cells import (
-    TAG_FULL,
     TAG_ZERO,
-    cell_decompose,
     classify_points,
     containment_case,
     corollary_chain,
-    mu_w_set,
     mu_zero_set,
-    normalize_cells,
-    orbit_member,
     parent_cell,
     tag_one,
     verify_refinement,
     zero_set_identity,
 )
-from toeplitzlab.errors import Unsupported
-from toeplitzlab.periods import per_set
+from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask
 
 
 def test_classify_matches_reference(threeadic, oracle3):
@@ -157,52 +151,22 @@ def test_corollary_chain_irregular(irregular):
 
 
 def test_orbit_membership_matches_reference(threeadic, oracle3):
-    for v in range(27):
-        assert orbit_member(threeadic, v, "Un", 1) == oracle3.in_un(v, 1)
-        assert orbit_member(threeadic, v, "Yn", 1) == oracle3.in_yn(v, 1)
-        assert orbit_member(threeadic, v, "Cn0", 1) == oracle3.in_cn0(v, 1)
-    hits = [v for v in range(27) if orbit_member(threeadic, v, "Un", 1)]
-    assert hits == [15, 18, 21]
+    # U_1 and Y_1 membership as the u-in-y check computes it
+    base = threeadic.tower.array(range(27))
+    in_u = _u_mask(threeadic, base, 1, lambda g: _eval_arr(threeadic, g))
+    in_y = _y_mask(threeadic, base, 1)
+    assert in_u.tolist() == [oracle3.in_un(v, 1) for v in range(27)]
+    assert in_y.tolist() == [oracle3.in_yn(v, 1) for v in range(27)]
+    assert [v for v in range(27) if in_u[v]] == [15, 18, 21]
 
 
 def test_zero_set_masses(threeadic):
     assert mu_zero_set(threeadic, 1, 4) == Fraction(23, 27)
     assert mu_zero_set(threeadic, 1, 9) == Fraction(5549, 6561)
     assert mu_zero_set(threeadic, 4, 9) == Fraction(203, 243)
-    assert mu_w_set(threeadic, 4, 9) == Fraction(40, 729)
 
 
 def test_zero_set_mass_matches_reference(threeadic, oracle3):
     for n, m in ((1, 3), (1, 4), (2, 4)):
         assert mu_zero_set(threeadic, n, m) == oracle3.mu_zn(n, m)
 
-
-def test_cell_decompositions(threeadic):
-    ones = cell_decompose(threeadic, "[1]", 2)
-    want = {(v, TAG_FULL) for v in per_set(threeadic, 2, 1)}
-    want |= {(g, tag_one(g)) for g in threeadic.jset(2).elements}
-    assert set(ones) == want
-    zeros = cell_decompose(threeadic, "[0]", 2)
-    jn = threeadic.jset(2).elements
-    assert (1, TAG_FULL) in zeros
-    assert all((g, TAG_ZERO) in zeros for g in jn)
-    assert (4, tag_one(5)) in zeros and (4, tag_one(4)) not in zeros
-
-    flat = normalize_cells(threeadic, ones)
-    assert len(flat) == 3 * (1 + len(jn)) + len(jn)
-
-    with pytest.raises(Unsupported):
-        cell_decompose(threeadic, "Un", 2)
-    with pytest.raises(Unsupported):
-        cell_decompose(threeadic, "Yn", 2)
-
-
-def test_w_cells_are_mismatched_columns(threeadic):
-    w2 = cell_decompose(threeadic, "Wn", 2)
-    for v, tag in w2:
-        assert tag[0] == "One"
-        gamma = v - (v % 3)
-        gamma_t = tag[1] - (tag[1] % 3)
-        assert gamma != 0 and gamma_t != 0 and gamma != gamma_t
-    # |W_2| = |D_1| * |J(1)| * (q-1) * (q-2) with q = 3
-    assert len(w2) == 3 * 2 * 2 * 1

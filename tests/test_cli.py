@@ -87,10 +87,11 @@ def test_periods_show_and_check(capsys):
                  "--level", "2"]) == 0
     text = capsys.readouterr().out
     assert "Per(,1) cells: 3" in text
-    assert main(["periods", "check", "per-eq", "--preset", "threeadic",
-                 "--depth", "5", "--level", "2"]) == 0
-    assert main(["periods", "check", "partitions-c", "--preset", "threeadic",
-                 "--depth", "5", "--level", "1", "--samples", "200"]) == 0
+    # the period checks run through verify only
+    for which in ("per-eq", "essential", "periodo1", "partitions-c"):
+        assert main(["periods", "check", which, "--preset", "threeadic",
+                     "--depth", "5", "--level", "2"]) == 2
+    assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 def test_analyze_density_json(capsys):
@@ -185,3 +186,53 @@ def test_disagreeing_routes_exit_1_without_traceback(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("inconsistent: a_counts mismatch at level 4")
     assert "Traceback" not in err
+
+
+_THREEADIC = ["--preset", "threeadic", "--depth", "5"]
+_MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (_MEASURES, "[1]", "a pattern is a JSON object"),
+    (_MEASURES, '{"support": [[1, 2]], "values": [1]}',
+     "[1, 2] is not a group element"),
+    (_MEASURES, "{", "is not JSON"),
+    (["analyze", "density", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3], '
+     '"tail": {"kind": "geometric", "ratio": "1/0"}}',
+     "tail ratio '1/0' is not a fraction"),
+    (["analyze", "density", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3], '
+     '"tail": {"kind": "geometric"}}', "a geometric tail needs a ratio"),
+    (["eta", "build", "--config"], '{"kind": "IntegerLine", "indices": 5}',
+     "indices must be a nonempty list"),
+    (["eta", "build", "--config"], "[1, 2]", "a tower config is a JSON object"),
+    (["eta", "build", "--config"], '{"kind": "IntegerLattice", "indices": [3, 3]}',
+     "indices must be a nonempty list"),
+    (["eta", "build", "--config"], "not json", "is not JSON"),
+], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
+        "ratio-1/0", "ratio-missing", "line-indices-int", "config-list",
+        "lattice-flat-indices", "config-not-json"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("g", ["abc", "1,2", "2.5"])
+def test_unparsable_element_is_a_usage_error(capsys, g):
+    assert main(["eta", "eval", *_THREEADIC, "-g", g]) == 2
+    assert f"{g!r} is not a group element" in capsys.readouterr().err
+
+
+def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch):
+    from toeplitzlab import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("a fault of the program")
+    monkeypatch.setattr(cli, "build_skeleton", broken)
+    with pytest.raises(KeyError):
+        main(["eta", "eval", *_THREEADIC, "-g", "14"])

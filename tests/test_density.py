@@ -9,7 +9,6 @@ from toeplitzlab import IntegerLineTower
 from toeplitzlab.density import (
     DensityReport,
     L_series,
-    d_exact,
     density_methods,
     exp_enclosure,
     ratio_term,
@@ -33,21 +32,27 @@ def test_density_methods_agree(threeadic, irregular):
         assert len(set(vals.values())) == 1
 
 
+def _routes(skeleton, n):
+    """The values every density route gives for d_n, with all three run."""
+    routes = density_methods(skeleton, n)
+    assert set(routes) == {"product", "recursion", "enumeration"}
+    return set(routes.values())
+
+
 def test_d_exact_matches_reference(threeadic, oracle3):
     want = [Fraction(1, 3), Fraction(5, 9), Fraction(19, 27),
             Fraction(65, 81), Fraction(211, 243)]
     for n in range(1, 6):
-        d = d_exact(threeadic, n)
-        assert d == want[n - 1] == oracle3.d_exact(n)
-    assert 1 - d_exact(threeadic, 2) == Fraction(4, 9)
+        assert _routes(threeadic, n) == {want[n - 1]} == {oracle3.d_exact(n)}
+    assert _routes(threeadic, 2) == {1 - Fraction(4, 9)}
 
 
 def test_d_exact_irregular(irregular, oracle_irr):
     want = [Fraction(1, 15), Fraction(3, 31), Fraction(1, 9), Fraction(15, 127)]
     for n in range(1, 5):
-        assert d_exact(irregular, n) == want[n - 1]
+        assert _routes(irregular, n) == {want[n - 1]}
     for n in range(1, 4):
-        assert d_exact(irregular, n) == oracle_irr.d_exact(n)
+        assert _routes(irregular, n) == {oracle_irr.d_exact(n)}
 
 
 def test_l_series_tail_bound(irregular):

@@ -1,4 +1,4 @@
-"""Odometer coordinates, pushforward uniformity, and fiber multiplicity."""
+"""Odometer coordinates, decided mass, and fiber multiplicity."""
 
 import csv
 import io
@@ -8,13 +8,11 @@ import pytest
 
 from toeplitzlab import (
     NotInDomain,
-    d_exact,
+    OdometerPoint,
+    a_counts,
+    d_recursion,
     fiber_profile,
-    haar_cylinder,
-    odometer_point,
     pi_of_orbit,
-    pushforward_check,
-    toeplitz_mass_estimate,
 )
 
 
@@ -39,30 +37,20 @@ def test_pi_is_equivariant(threeadic):
 
 def test_odometer_point_coherence(threeadic):
     T = threeadic.tower
-    odometer_point(T, [2, 5, 14])
+    OdometerPoint(3, (2, 5, 14)).verify(T)
     with pytest.raises(NotInDomain):
-        odometer_point(T, [2, 4, 14])  # 4 does not reduce to 2
+        OdometerPoint(3, (2, 4, 14)).verify(T)  # 4 does not reduce to 2
     with pytest.raises(NotInDomain):
-        odometer_point(T, [2, 5, 99])
-
-
-def test_haar_cylinder_uniform(threeadic):
-    T = threeadic.tower
-    assert haar_cylinder(T, 5, 2) == Fraction(1, 9)
-    with pytest.raises(NotInDomain):
-        haar_cylinder(T, 9, 2)
-
-
-def test_pushforward_uniform(threeadic, centered6):
-    ok, info = pushforward_check(threeadic, 2, 5)
-    assert ok and info["mass"] == Fraction(1, 9)
-    ok2, _ = pushforward_check(centered6, 1, 4)
-    assert ok2
+        OdometerPoint(3, (2, 5, 99)).verify(T)
 
 
 def test_mass_estimate_equals_density(threeadic, irregular):
-    assert toeplitz_mass_estimate(threeadic, 5) == d_exact(threeadic, 5)
-    assert toeplitz_mass_estimate(irregular, 3) == Fraction(1, 9)
+    # the decided cosets a_0 + a_1 inside D_n make up the density d_n
+    for sk, n in ((threeadic, 5), (irregular, 3)):
+        a0, a1 = a_counts(sk, n)
+        assert Fraction(a0 + a1, sk.tower.size(n)) == d_recursion(sk.tower, n)
+    assert Fraction(sum(a_counts(irregular, 3)), irregular.tower.size(3)) \
+        == Fraction(1, 9)
 
 
 def test_fiber_profile_counts(threeadic):

@@ -1,15 +1,14 @@
 """Periodic structure checks and their negative controls."""
 
+import numpy as np
 import pytest
 
 from toeplitzlab import (
     SymbolWindow,
-    auxiliar_cover_check,
-    essential_check,
+    invariant_shift,
     partitions_c_check,
-    per1_structure_check,
     per_eq_check,
-    per_member,
+    per_masks,
     per_set,
 )
 from toeplitzlab.window import window_values
@@ -28,13 +27,13 @@ def test_frozen_per_sets(threeadic):
 
 
 def test_per_member_returns_forced_symbol(threeadic):
-    assert per_member(threeadic, 2, 3) == 1
-    assert per_member(threeadic, 2, 1) == 0
+    zeros, ones = per_masks(threeadic, 2)
+    assert ones[3] and not zeros[3]
+    assert zeros[1] and not ones[1]
     # 4 is planted at level 2, so no level below 2 forces it
-    assert per_member(threeadic, 2, 4) is None
-    assert per_member(threeadic, 1, 4) is None
-    assert per_member(threeadic, 2, 3, symbol=1) is True
-    assert per_member(threeadic, 2, 3, symbol=0) is False
+    assert not zeros[4] and not ones[4]
+    # at level 1 the coset of 4 is cell 1, which only level 1 decides
+    assert not any(m[1] for m in per_masks(threeadic, 1))
 
 
 def test_per_eq_passes(threeadic, centered6, lattice):
@@ -54,29 +53,46 @@ def test_per_eq_catches_flipped_symbol(threeadic):
     assert res.counterexample["coset"] == "4+Gamma_3"
 
 
-def test_essential_passes(threeadic, centered6):
-    for n in range(1, 5):
-        assert essential_check(threeadic, n).status == "Pass"
-    assert essential_check(centered6, 2).status == "Pass"
+def test_essential_passes(threeadic, centered6, lattice):
+    for sk, levels in ((threeadic, range(1, 5)), (centered6, [2]),
+                       (lattice, [1, 2])):
+        for n in levels:
+            assert invariant_shift(sk.tower, n, *per_masks(sk, n))[0] is None
+            res = per_eq_check(sk, n)
+            assert res.status == "Pass"
+            assert "essential" in res.witnesses[-1]
+    assert per_eq_check(threeadic, 3).witnesses[-1] == {
+        "essential": "3 divisor shifts of 27"}
+
+
+@pytest.mark.parametrize("name", ["threeadic", "centered6", "lattice",
+                                  "relabelled36"])
+def test_essential_negative_control(request, name):
+    # masks lifted from level n-1 are Gamma_{n-1}-periodic, so a shift in
+    # Gamma_{n-1} cap D_n must fix them
+    sk = request.getfixturevalue(name)
+    sk = sk[0] if isinstance(sk, tuple) else sk
+    T = sk.tower
+    n = 2
+    up = T.coset_index_arr(T.domain_arr(n), n - 1)
+    masks = [m[up] for m in per_masks(sk, n - 1)]
+    shift, _ = invariant_shift(T, n, *masks)
+    assert shift is not None and shift != T.zero
+    assert T.reduce(shift, n - 1) == T.zero
+    for m in masks:
+        assert np.array_equal(T.shift_arr(m, shift, n), m)
 
 
 def test_per1_structure(threeadic, irregular):
-    for s in range(1, 6):
-        assert per1_structure_check(threeadic, s).status == "Pass"
-    for s in range(1, 5):
-        assert per1_structure_check(irregular, s).status == "Pass"
-
-
-def test_auxiliar_cover_levels(threeadic):
-    # blocks end at n_0 = 1, n_1 = 4, n_2 = 9; position i presumes
-    # gamma already survived the first i-1 memberships
-    assert auxiliar_cover_check(threeadic, 1, 9) == (1, "proper")
-    assert auxiliar_cover_check(threeadic, 1, 486) == (1, "terminal")
-    assert auxiliar_cover_check(threeadic, 2, 486) == (2, "proper")
-    assert auxiliar_cover_check(threeadic, 2, 2 * 3**10) == (2, "terminal")
-    assert auxiliar_cover_check(threeadic, 3, 2 * 3**10) == (None, "BeyondDepth")
-    with pytest.raises(Exception):
-        auxiliar_cover_check(threeadic, 2, 3)  # not in Gamma_5
+    # Per(s, 1) is Gamma_1 plus the recorded plants, each reduced mod Gamma_s
+    for sk, top in ((threeadic, 5), (irregular, 4)):
+        T = sk.tower
+        for s in range(1, top + 1):
+            want = set(T.section(1, s))
+            for rec in sk.h_records:
+                if rec.step <= s:
+                    want |= {T.add(rec.h, g) for g in T.section(rec.step, s)}
+            assert set(per_set(sk, s, 1)) == want, s
 
 
 def test_partitions_c_clean(threeadic, irregular):
@@ -92,3 +108,18 @@ def test_partitions_c_seeded_repeatability(threeadic):
     a = partitions_c_check(threeadic, 2, samples=300, seed=5)
     b = partitions_c_check(threeadic, 2, samples=300, seed=5)
     assert a.to_json() == b.to_json() or a.witnesses == b.witnesses
+
+
+def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):
+    from toeplitzlab import periods
+    monkeypatch.setattr(periods, "invariant_shift",
+                        lambda T, n, m0, m1, budget=None: (9, "stub"))
+    res = per_eq_check(threeadic, 3)
+    assert res.status == "Fail"
+    assert res.scope == "level 3, essential (stub)"
+    assert res.counterexample["invariant_shift"] == 9
+    # a flipped window still fails first, on its probe
+    vals = window_values(threeadic, 4).copy()
+    vals[4] ^= 1
+    res = per_eq_check(threeadic, 3, window=SymbolWindow(4, vals))
+    assert "coset" in res.counterexample

@@ -5,7 +5,6 @@ import pytest
 import bruteforce as bf
 from conftest import cyclic_generic
 from toeplitzlab import (
-    BeyondDepth,
     IntegerLineTower,
     Undefined,
     build_skeleton,
@@ -19,11 +18,7 @@ from toeplitzlab import (
 def test_block_boundaries_threeadic(threeadic):
     assert threeadic.mbar == [0, 2, 5, 10]
     assert threeadic.m_k == [2, 5, 10]
-    assert threeadic.subsequence_M(0) == 1
-    assert threeadic.subsequence_M(2) == 9
     assert threeadic.completed_blocks() == [0, 1, 2]
-    with pytest.raises(BeyondDepth):
-        threeadic.subsequence_M(3)
 
 
 def test_block_boundaries_irregular(irregular):
@@ -35,9 +30,8 @@ def test_block_boundaries_irregular(irregular):
 def test_first_steps_threeadic(threeadic):
     assert threeadic.steps[:4] == [("plant", 0), ("zero",), ("plant", 4),
                                    ("plant", 14)]
-    assert threeadic.step_kind(5) == ("zero",)
-    with pytest.raises(BeyondDepth):
-        threeadic.step_kind(11)
+    assert threeadic.steps[4] == ("zero",)
+    assert len(threeadic.steps) == 10
 
 
 def test_h_records_threeadic(threeadic):

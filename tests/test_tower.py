@@ -1,5 +1,6 @@
 """Tower arithmetic against the naive reference model."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from toeplitzlab import (
     STYLE_CENTERED,
     TowerConfig,
     build_tower,
-    tile_decompose,
     validate_tower,
 )
 
@@ -95,12 +95,14 @@ def test_lattice_matches_reference():
 
 
 def test_tile_decompose_recombines():
+    # g in D_3 splits as v + u, v in Gamma_1 cap D_3 and u in D_1
     T = IntegerLineTower([3, 3, 3, 3])
-    for g in T.domain(3):
-        v, u = tile_decompose(T, g, 3, 1)
-        assert T.add(v, u) == g
-        assert T.in_domain(u, 1)
-        assert T.reduce(v, 1) == 0
+    g = T.domain_arr(3)
+    u = T.reduce_arr(g, 1)
+    v = T.sub_arr(g, u)
+    assert np.array_equal(T.add_arr(v, u), g)
+    assert T.in_domain_arr(u, 1).all()
+    assert set(v.tolist()) == set(T.section(1, 3))
 
 
 def test_element_text_round_trip():
@@ -155,6 +157,42 @@ def test_generic_tower_rejects_a_non_group_table():
     G = _one_level([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
     assert [G.neg(a) for a in range(3)] == [0, 1, 1]
     assert G.sub_arr(np.array([1, 2]), np.array([1, 2])).tolist() == [0, 0]
+
+
+def test_generic_tower_rejects_malformed_tables():
+    good = cyclic_generic([2, 2]).config()
+    levels, domains = good.levels, good.domains
+
+    def broken(what, fix):
+        lv, dm = copy.deepcopy((levels, domains))
+        fix(lv, dm)
+        with pytest.raises(InvalidIndex, match=what):
+            GenericTower(lv, dm)
+
+    broken("table is malformed", lambda lv, dm: lv[1].pop("proj"))
+    broken("table is malformed", lambda lv, dm: lv[0].update(size="two"))
+    broken("proj must map", lambda lv, dm: lv[1].update(proj=[0, 1, 2, 1]))
+    broken("op table entries", lambda lv, dm: lv[1]["op"].__setitem__(
+        1, [1, 2, 3, 4]))
+    broken("domains must list", lambda lv, dm: dm[2].__setitem__(0, -1))
+    broken("domains must list", lambda lv, dm: dm.pop())
+    with pytest.raises(InvalidIndex):
+        GenericTower(None, domains)
+
+
+def test_elements_from_json_values():
+    G = cyclic_generic([2, 2])
+    assert G.coerce(3) == 3
+    for bad in (-1, 4, True, "1", [1]):
+        with pytest.raises(NotInDomain):
+            G.coerce(bad)
+    L = IntegerLatticeTower([[3], [3]])
+    assert L.coerce([1, -2]) == (1, -2)
+    for bad in (1, [1], [1, 2, 3], [1, "2"]):
+        with pytest.raises(NotInDomain):
+            L.coerce(bad)
+    with pytest.raises(NotInDomain):
+        IntegerLineTower([3]).coerce(1.5)
 
 
 def test_generic_tower_flags_a_non_abelian_table():

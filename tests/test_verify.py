@@ -25,6 +25,14 @@ def test_registry_names_are_stable():
     assert registry_self_test().status == "Pass"
 
 
+def test_registry_self_test_catches_a_dangling_alias(monkeypatch):
+    from toeplitzlab import verify
+    monkeypatch.setitem(verify.ALIASES, "j-gone", "no-such-check")
+    res = registry_self_test()
+    assert res.status == "Fail"
+    assert res.counterexample == {"bad_alias": ["j-gone"]}
+
+
 def test_unknown_check_is_rejected(threeadic5):
     with pytest.raises(UnknownCheck):
         run_check(threeadic5, "nope")
