@@ -9,7 +9,7 @@ rational arithmetic.
 
 from .budgets import enum_budget, window_budget
 from .cells import (classify_points, corollary_chain, mu_zero_set,
-                    parent_cell, verify_refinement, zero_set_identity)
+                    verify_refinement, zero_set_identity)
 from .density import (d_enumeration, d_product, d_recursion, density_methods,
                       exp_enclosure, L_series, regularity_verdict)
 from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
@@ -21,8 +21,8 @@ from .measures import (PeriodicMeasure, a_counts, an_det_check, limit_01,
 from .periods import invariant_shift, partitions_c_check, per_eq_check, per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
 from .result import CheckResult, SuiteReport
-from .skeleton import (JSet, ToeplitzSkeleton, Undefined, build_skeleton,
-                       j_set, j_set_recursive, j_size, load_skeleton)
+from .skeleton import (ToeplitzSkeleton, Undefined, build_skeleton, j_set,
+                       j_set_recursive, j_size, load_skeleton)
 from .tower import (GenericTower, IntegerLatticeTower, IntegerLineTower,
                     KIND_GENERIC, KIND_LATTICE, KIND_LINE, STYLE_CENTERED,
                     STYLE_NONNEG, TAIL_DIVERGENT, TAIL_GEOMETRIC,

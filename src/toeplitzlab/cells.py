@@ -17,7 +17,10 @@ translates of J(n)), the parent tag is:
 
 These rules are verified empirically on the periodized measures by
 classify/parent comparison over whole domains, and they drive the set
-identities for Z_n and the corollary chains.
+identities for Z_n and the corollary chains.  Here they exist only as array
+ops over many cells at once (verify_refinement, _chain_level); their
+one-cell form, parent_cell and containment_case, lives in tests/test_cells.py
+as the oracle those array walks are compared against.
 """
 
 import random
@@ -27,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .errors import DepthExceeded, NotInDomain
+from .errors import DepthExceeded
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -35,49 +38,6 @@ TAG_ZERO = ("Zero",)
 
 def tag_one(g):
     return ("One", g)
-
-
-def decompose_one_position(skeleton, u, n1):
-    """u in J(n1) as gamma~ + g~ with g~ = reduce(u, n1 - 1)."""
-    T = skeleton.tower
-    g_t = T.reduce(u, n1 - 1)
-    gamma_t = T.sub(u, g_t)
-    return gamma_t, g_t
-
-
-def parent_cell(skeleton, cell, child_level):
-    """The unique level-(child_level - 1) cell containing the given cell."""
-    T = skeleton.tower
-    n = child_level - 1
-    if n < 0:
-        raise DepthExceeded("no parent below level 0")
-    w, tag = cell
-    if not T.in_domain(w, child_level):
-        raise NotInDomain(f"cell rep {w} not in D_{child_level}")
-    v = T.reduce(w, n)
-    gamma = T.sub(w, v)
-    if gamma == T.zero:
-        if child_level > skeleton.depth:
-            raise DepthExceeded(f"step {child_level} not constructed")
-        kind = skeleton.steps[child_level - 1]
-        return (v, tag_one(kind[1]) if kind[0] == "plant" else TAG_ZERO)
-    if tag == TAG_ZERO:
-        return (v, TAG_ZERO)
-    gamma_t, g_t = decompose_one_position(skeleton, tag[1], child_level)
-    return (v, tag_one(g_t)) if gamma_t == gamma else (v, TAG_ZERO)
-
-
-def containment_case(skeleton, cell, child_level):
-    """Which of the five refinement rules applies to this child cell."""
-    T = skeleton.tower
-    w, tag = cell
-    gamma = T.sub(w, T.reduce(w, child_level - 1))
-    if gamma == T.zero:
-        return "c4" if skeleton.steps[child_level - 1][0] == "zero" else "c5"
-    if tag == TAG_ZERO:
-        return "c1"
-    gamma_t, _ = decompose_one_position(skeleton, tag[1], child_level)
-    return "c2" if gamma_t == gamma else "c3"
 
 
 # -- classification of periodized points ---------------------------------
@@ -91,7 +51,7 @@ def classify_points(skeleton, m, l, d_arr, budget=None, chunk=1 << 20):
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
-    jl = np.expand_dims(T.array(skeleton.jset(l, budget=budget).elements), 0)
+    jl = np.expand_dims(skeleton.jset(l, budget=budget), 0)
     gamma = T.sub_arr(d_arr, T.reduce_arr(d_arr, l))
     out = np.empty(len(d_arr), dtype=np.int64)
     rows = max(1, chunk // jl.shape[1])
@@ -139,10 +99,8 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0, budget=None):
     # the five rules of the module docstring, one array op each
     vn1 = T.reduce_arr(d_arr, n + 1)
     gamma_c = T.sub_arr(vn1, T.reduce_arr(d_arr, n))
-    j1 = T.array(jn1.elements)
-    j1_red = T.reduce_arr(j1, n)
-    j1_gam = T.sub_arr(j1, j1_red)
-    j0 = T.array(jn.elements)
+    j1_red = T.reduce_arr(jn1, n)
+    j1_gam = T.sub_arr(jn1, j1_red)
 
     is0 = T.eq_arr(gamma_c, T.zero)
     has_c = cidx >= 0
@@ -153,13 +111,13 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0, budget=None):
     if plant:
         exp_g[is0] = kind[1]
     act_one = pidx >= 0
-    act_g = j0[np.where(act_one, pidx, 0)]
+    act_g = jn[np.where(act_one, pidx, 0)]
     bad = (exp_one != act_one) | (exp_one & act_one & ~T.eq_arr(exp_g, act_g))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         return ({"d": T.element(d_arr[i]),
                  "child": (T.element(vn1[i]),
-                           TAG_ZERO if cidx[i] < 0 else tag_one(jn1.elements[cidx[i]])),
+                           TAG_ZERO if cidx[i] < 0 else tag_one(T.element(jn1[cidx[i]]))),
                  "expected_parent_one": bool(exp_one[i]),
                  "actual_parent_one": bool(act_one[i])},
                 counts, len(d_arr))
@@ -183,38 +141,40 @@ def zero_set_identity(skeleton, n, budget=None):
     gamma == 0 when step n+1 is a zero step.  Equality must hold exactly at
     zero steps (n in M) and containment LHS <= RHS otherwise.
 
-    Returns (equality_holds, containment_holds, class_table).
+    Returns (equality_holds, containment_holds, class_table).  The table
+    holds the section as "gamma", its nonzero part as "nonzero" (the
+    gamma~ of the One classes, after the Zero class), and the LHS and RHS as
+    boolean "parent_zero" and "rhs" arrays over gamma x tag-class.
     """
     T = skeleton.tower
     if n + 1 > skeleton.depth:
         raise DepthExceeded(f"zero-set identity at {n} needs depth >= {n + 1}")
     plant = skeleton.steps[n][0] == "plant"
-    sec = list(T.section(n, n + 1, budget=budget))
-    nz = [g for g in sec if g != T.zero]
-    table = []
-    equality = True
-    containment = True
-    for gamma in sec:
-        is0 = gamma == T.zero
-        for tagc in [("Zero",)] + [("OneClass", gt) for gt in nz]:
-            if tagc[0] == "Zero":
-                lhs = True if not is0 else not plant
-                in_rhs = True  # Z_{n+1}
-            else:
-                gt = tagc[1]
-                if is0:
-                    lhs = not plant
-                    in_rhs = not plant  # the C^1 column exists at zero steps
-                else:
-                    lhs = gt != gamma
-                    in_rhs = gt != gamma  # W_{n+1} needs gamma not in {0, gamma~}
-            if lhs and not in_rhs:
-                containment = False
-            if lhs != in_rhs:
-                equality = False
-            table.append({"gamma": gamma, "tag": tagc, "parent_zero": lhs,
-                          "rhs": in_rhs})
-    return equality, containment, table
+    sec = T.section_arr(n, n + 1, budget=budget)
+    is0 = T.eq_arr(sec, T.zero)
+    nz = sec[~is0]
+    # One classes: W_{n+1} needs gamma not in {0, gamma~}; at gamma == 0
+    # the C^1 column exists at zero steps, on both sides
+    one = ~T.eq_arr(np.expand_dims(sec, 1), np.expand_dims(nz, 0))
+    one[is0] = not plant
+    # the Zero class: LHS unless gamma == 0 at a plant step; RHS is Z_{n+1}
+    lhs = np.column_stack((~is0 | (not plant), one))
+    rhs = np.column_stack((np.ones(len(sec), dtype=bool), one))
+    table = {"gamma": sec, "nonzero": nz, "parent_zero": lhs, "rhs": rhs}
+    return bool((lhs == rhs).all()), bool((rhs | ~lhs).all()), table
+
+
+def class_rows(tower, table, mask, limit=3):
+    """The first `limit` classes of a zero_set_identity table where the
+    boolean mask over gamma x tag-class holds, gamma-major, as dicts."""
+    rows = []
+    for i, c in np.argwhere(mask)[:limit].tolist():
+        tag = TAG_ZERO if c == 0 else ("OneClass",
+                                       tower.element(table["nonzero"][c - 1]))
+        rows.append({"gamma": tower.element(table["gamma"][i]), "tag": tag,
+                     "parent_zero": bool(table["parent_zero"][i, c]),
+                     "rhs": bool(table["rhs"][i, c])})
+    return rows
 
 
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
@@ -247,6 +207,28 @@ def _chain_atoms(skeleton, n_s, sample, seed, exhaustive_cap, budget):
     return draws[0::2], draws[1::2]
 
 
+def _chain_level(skeleton, r, w, tag):
+    """One level of the corollary-chain walk for atoms w over D_r with One
+    positions as D_r indices in tag (-1 for Zero).  Returns their level-(r-1)
+    parents (v, tag) by the rules of the module docstring, and the masks of
+    the One atoms that exit through rule (3) and of those at gamma == 0."""
+    T = skeleton.tower
+    dom = T.domain_arr(r)
+    g_t = T.reduce_arr(dom, r - 1)
+    gamma_t = T.sub_arr(dom, g_t)
+    v = T.reduce_arr(w, r - 1)
+    gamma = T.sub_arr(w, v)
+    is0 = T.eq_arr(gamma, T.zero)
+    one = tag >= 0
+    safe = np.where(one, tag, 0)
+    match = one & T.eq_arr(gamma_t[safe], gamma)
+    # parent tags: rule (2), else Zero, and rules (4)/(5) on gamma == 0
+    parent = np.where(match, T.index_of_arr(g_t, r - 1)[safe], -1)
+    kind = skeleton.steps[r - 1]
+    parent[is0] = T.index_of(kind[1], r - 1) if kind[0] == "plant" else -1
+    return v, parent, one & ~is0 & ~match, one & is0
+
+
 def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
                     exhaustive_cap=200000, budget=None):
     """Every finest Zero-ancestor atom passes through an allowed exit.
@@ -257,7 +239,8 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
     All atoms walk down together, one level at a time, by the rules of the
     module docstring; an atom is w over D_r with its One position as a D_r
     index (-1 for Zero).  Returns (counterexample_or_None, branch_counts,
-    atoms_checked), stopping at the first atom with no exit.
+    atoms_checked), stopping at the first atom with no exit, whose chain the
+    same walk rebuilds.
     """
     T = skeleton.tower
     if n_s > skeleton.depth:
@@ -267,28 +250,17 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
 
     idx, pick = _chain_atoms(skeleton, n_s, sample, seed, exhaustive_cap, budget)
-    w = T.domain_arr(n_s)[idx]
-    tag = np.concatenate(([-1], T.index_of_arr(T.array(js.elements), n_s)))[pick]
+    atoms = T.domain_arr(n_s)[idx], np.concatenate(
+        ([-1], T.index_of_arr(js, n_s)))[pick]
+    w, tag = atoms
     branch = np.full(len(pick), -1, dtype=np.int8)  # CHAIN_BRANCHES index, -1 if none
     for r in range(n_s, n_j, -1):
-        dom = T.domain_arr(r)
-        g_t = T.reduce_arr(dom, r - 1)
-        gamma_t = T.sub_arr(dom, g_t)
-        v = T.reduce_arr(w, r - 1)
-        gamma = T.sub_arr(w, v)
-        is0 = T.eq_arr(gamma, T.zero)
-        one = tag >= 0
-        safe = np.where(one, tag, 0)
-        match = one & T.eq_arr(gamma_t[safe], gamma)
+        w, parent, w_exit, zero_col = _chain_level(skeleton, r, w, tag)
         # walking down, the last exit written is the first in ascending r
-        branch[one & ~is0 & ~match] = 1                  # w_exit: rule (3)
-        kind = skeleton.steps[r - 1]
-        if kind[0] == "zero" and r - 1 in m_window:
-            branch[one & is0] = 2                        # one_column: rule (4)
-        # parent tags: rule (2), else Zero, and rules (4)/(5) on gamma == 0
-        tag = np.where(match, T.index_of_arr(g_t, r - 1)[safe], -1)
-        tag[is0] = T.index_of(kind[1], r - 1) if kind[0] == "plant" else -1
-        w = v
+        branch[w_exit] = 1                               # w_exit: rule (3)
+        if skeleton.steps[r - 1][0] == "zero" and r - 1 in m_window:
+            branch[zero_col] = 2                         # one_column: rule (4)
+        tag = parent
 
     branch[pick == 0] = 0                                # already_zero
     branch[tag >= 0] = 3                                 # not_zero_ancestor
@@ -298,13 +270,15 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
     branches = {name: int(c) for name, c in zip(CHAIN_BRANCHES, counts)}
     if first == len(branch):
         return None, branches, first
-    p = int(pick[first])
-    atom = (T.element_at(n_s, int(idx[first])),
-            TAG_ZERO if p == 0 else tag_one(js.elements[p - 1]))
-    chain = {n_s: atom}
-    for r in range(n_s, n_j, -1):
-        chain[r - 1] = parent_cell(skeleton, chain[r], r)
-    return {"atom": atom, "chain": sorted(chain.items())}, branches, first + 1
+    w, tag = (a[first:first + 1] for a in atoms)
+    chain = []
+    for r in range(n_s, n_j - 1, -1):
+        one = T.domain_arr(r)[tag[0]] if tag[0] >= 0 else None
+        chain.append((r, (T.element(w[0]),
+                          TAG_ZERO if one is None else tag_one(T.element(one)))))
+        if r > n_j:
+            w, tag, _, _ = _chain_level(skeleton, r, w, tag)
+    return {"atom": chain[0][1], "chain": chain[::-1]}, branches, first + 1
 
 
 # -- measures of cell families --------------------------------------------

@@ -170,7 +170,7 @@ def _cmd_periods_show(args):
             "level": n,
             "per0": [fmt(g) for g in p0],
             "per1": [fmt(g) for g in p1],
-            "jset": [fmt(g) for g in jn.elements],
+            "jset": [fmt(g) for g in sk.tower.elements(jn)],
         }, indent=1))
         return 0
     print(f"level {n}: |D_n| = {size}")

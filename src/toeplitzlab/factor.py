@@ -10,9 +10,11 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import budgets
 from .errors import DepthExceeded, NotInDomain
-from .skeleton import Undefined
+from .window import level_scan
 
 
 @dataclass(frozen=True)
@@ -87,32 +89,34 @@ class FiberProfile:
 def fiber_profile(skeleton, n, budget=None):
     """Window multiplicity over each level-n coset, from level-(n+1) lifts.
 
-    For every v in D_{n+1} the D_n-window of sigma^{v^{-1}} eta is read off;
-    windows group by reduce(v, n).  Cosets whose whole neighborhood is
-    periodically forced below level n always report exactly one window.
+    For every v in D_{n+1} the D_n-window of sigma^{v^{-1}} eta is read off,
+    by one level scan over the products v s, s in D_n; windows group by
+    reduce(v, n).  Cosets whose whole neighborhood is periodically forced
+    below level n always report exactly one window.
     """
     T = skeleton.tower
     if n + 1 > T.depth:
         raise DepthExceeded(f"fiber profile at {n} needs tower depth {n + 1}")
-    dom_n = list(T.domain(n, budget=budget))
-    budgets.check_enum(T.size(n + 1) * len(dom_n), f"fiber profile at {n}",
+    budgets.check_enum(T.size(n), f"D_{n}", budget)
+    budgets.check_enum(T.size(n + 1) * T.size(n), f"fiber profile at {n}",
                        budget)
-    seen = {c: set() for c in dom_n}
-    partial = {c: 0 for c in dom_n}
-    fmt = T.format_element
-    for v in T.domain(n + 1, budget=budget):
-        c = T.reduce(v, n)
-        window = []
-        for s in dom_n:
-            val = skeleton.eval(T.add(v, s))
-            if val is Undefined:
-                window = None
-                break
-            window.append(val)
-        if window is None:
-            partial[c] += 1
-        else:
-            seen[c].add(tuple(window))
-    counts = {fmt(c): len(seen[c]) for c in dom_n}
-    return FiberProfile(n, counts, {fmt(c): partial[c] for c in dom_n})
-
+    dom_n = T.domain_arr(n)
+    lifts = T.domain_arr(n + 1)
+    rows = max(1, (1 << 20) // len(dom_n))  # lifts per scan of ~1M cells
+    windows = []
+    for start in range(0, len(lifts), rows):
+        g = T.add_arr(np.expand_dims(lifts[start:start + rows], 1),
+                      np.expand_dims(dom_n, 0))
+        vals = level_scan(skeleton, g.reshape(-1, *g.shape[2:]), values=True)
+        windows.append(vals.reshape(-1, len(dom_n)))
+    windows = np.concatenate(windows)
+    coset = T.coset_index_arr(lifts, n)
+    full = ~(windows == 255).any(axis=1)
+    # one row per distinct (coset, window) pair among the fully defined lifts
+    keys = np.column_stack((coset[full], np.packbits(windows[full], axis=1)))
+    seen = np.unique(keys, axis=0)[:, 0]
+    counts = np.bincount(seen, minlength=len(dom_n))
+    partial = np.bincount(coset[~full], minlength=len(dom_n))
+    names = [T.format_element(c) for c in T.elements(dom_n)]
+    return FiberProfile(n, {c: int(k) for c, k in zip(names, counts)},
+                        {c: int(k) for c, k in zip(names, partial)})

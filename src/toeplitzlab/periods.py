@@ -39,7 +39,7 @@ def _step_log_masks(skeleton, n, budget=None):
     outside = ([], [])
     for t in range(1, n + 1):
         kind = skeleton.steps[t - 1]
-        cells = T.array(skeleton.jset(t - 1, budget=budget).elements)
+        cells = skeleton.jset(t - 1, budget=budget)
         parts = [cells]
         if kind[0] == "plant":
             # h lies in J(t-1) itself; other J(t-1) cells of this step get 0
@@ -71,12 +71,13 @@ def invariant_shift(tower, n, mask0, mask1, budget=None):
         cands = [d for d in range(1, size) if size % d == 0]
         label = f"{len(cands)} divisor shifts of {size}"
     else:
-        cands = [v for v in T.domain(n, budget=budget) if v != T.zero]
+        cands = T.domain_arr(n)
+        cands = cands[~T.eq_arr(cands, T.zero)]
         label = f"{len(cands)} nonzero translates"
     for v in cands:
         if (np.array_equal(T.shift_arr(mask0, v, n), mask0)
                 and np.array_equal(T.shift_arr(mask1, v, n), mask1)):
-            return v, label
+            return T.element(v), label
     return None, label
 
 
@@ -152,7 +153,7 @@ def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
     t0 = time.perf_counter()
     T = skeleton.tower
     name = "partitions-c"
-    jk = T.array(skeleton.jset(k, budget=budget).elements)
+    jk = skeleton.jset(k, budget=budget)
     rng = random.Random(seed)
 
     def ones_on(gam, level):
@@ -169,12 +170,12 @@ def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
     top = skeleton.depth - 1
     runs = []
     if k + 3 <= T.depth and skeleton.depth >= k + 4:
-        sec = T.section(k, k + 3, budget=budget)
+        sec = T.section_arr(k, k + 3, budget=budget)
         budgets.check_enum(len(sec) * len(jk), f"partitions-c k={k}", budget)
-        runs.append(("exhaustive", T.array(sec), k + 3))
+        runs.append(("exhaustive", sec, k + 3))
     if top >= k and samples > 0:
-        sec = T.section(k, top)
-        gam = T.array([sec[rng.randrange(len(sec))] for _ in range(samples)])
+        sec = T.section_arr(k, top)
+        gam = sec[[rng.randrange(len(sec)) for _ in range(samples)]]
         runs.append(("sampled", gam, top))
     for mode, gam, level in runs:
         counts = ones_on(gam, level)

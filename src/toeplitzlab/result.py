@@ -7,7 +7,9 @@ A CheckResult is the single currency every verifier returns.  Status values:
   Inconclusive  the scope was empty-by-budget or the input lacks the data
                 needed to decide (e.g. no tail declaration)
   Vacated       a prerequisite recorded on the skeleton is false, so the
-                statement's hypothesis never triggers; the scan still ran
+                statement's hypothesis never triggers; the scan still ran.
+                In a suite, also a check that broke on tower axioms that
+                decom has already refuted
 """
 
 import time

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import budgets
 from .errors import DepthExceeded, EmptySlot, NotInDomain
-from .tower import KIND_GENERIC, KIND_LINE, TowerConfig, build_tower
+from .tower import TowerConfig, build_tower, element_keys
 
 
 class _UndefinedType:
@@ -44,26 +44,6 @@ class _UndefinedType:
 Undefined = _UndefinedType()
 
 
-@dataclass(frozen=True)
-class JSet:
-    level: int
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other):
-        if isinstance(other, JSet):
-            return self.level == other.level and self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.level, self.elements))
-
-
 def j_size(tower, n):
     """|J(n)| from index products alone; no enumeration."""
     if n < 0:
@@ -74,53 +54,48 @@ def j_size(tower, n):
     return out
 
 
-def _covered_below(tower, d, n):
-    """True when d already belongs to some J(i)Gamma_{i+1} with i < n."""
+def _j_mask(tower, g, n):
+    """Which elements of the array g, all in D_n, lie in J(n): those that no
+    lower level saturates."""
+    keep = np.ones(len(g), dtype=bool)
     for i in range(n):
-        if tower.in_domain(tower.reduce(d, i + 1), i):
-            return True
-    return False
+        keep &= ~tower.in_domain_arr(tower.reduce_arr(g, i + 1), i)
+    return keep
 
 
 def j_set(tower, n, budget=None):
-    """J(n) in enumeration order: D_n minus everything lower levels saturate."""
+    """J(n) as an element array in enumeration order: D_n minus everything
+    lower levels saturate."""
     if n > tower.depth:
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     budgets.check_enum(tower.size(n), f"J({n})", budget)
     g = tower.domain_arr(n)
-    keep = np.ones(len(g), dtype=bool)
-    for i in range(n):
-        keep &= ~tower.in_domain_arr(tower.reduce_arr(g, i + 1), i)
-    return JSet(n, tuple(tower.elements(g[keep])))
+    return g[_j_mask(tower, g, n)]
 
 
 def j_set_recursive(tower, n, budget=None):
     """J(n) via the translation recursion; must agree with j_set.
 
     Level 1 is the definitional base.  For n >= 2, J(n) is the union of
-    gamma J(n-1) over nonidentity gamma in Gamma_{n-1} cap D_n.
+    gamma J(n-1) over nonidentity gamma in Gamma_{n-1} cap D_n, in the
+    enumeration order of D_n; on a broken tower the translates that leave
+    D_n come last.
     """
     if n > tower.depth:
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     if n == 0:
-        return JSet(0, (tower.zero,))
+        return tower.array([tower.zero])
     if n == 1:
         return j_set(tower, 1, budget=budget)
     budgets.check_enum(j_size(tower, n), f"J({n}) recursion", budget)
     below = j_set_recursive(tower, n - 1, budget=budget)
-    out = []
-    for gamma in tower.section(n - 1, n, budget=budget):
-        if gamma == tower.zero:
-            continue
-        for g in below:
-            out.append(tower.add(gamma, g))
-    # enumeration order of D_n, not discovery order
-    if tower.kind != KIND_GENERIC:
-        out.sort()
-    else:
-        order = {g: i for i, g in enumerate(tower.domain(n, budget=budget))}
-        out.sort(key=order.__getitem__)
-    return JSet(n, tuple(out))
+    sec = tower.section_arr(n - 1, n, budget=budget)
+    sec = sec[~tower.eq_arr(sec, tower.zero)]
+    out = tower.add_arr(np.expand_dims(sec, 1), np.expand_dims(below, 0))
+    out = out.reshape(-1, *out.shape[2:])
+    budgets.check_enum(tower.size(n), f"D_{n}", budget)
+    keys, _ = element_keys(tower, out, n)
+    return out[np.argsort(keys, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -169,7 +144,7 @@ class ToeplitzSkeleton:
                 self.steps.append(("zero",))
                 continue
             slot = t - self.mbar[k]
-            g_slot = self.jset(k).elements[slot - 1]
+            g_slot = tower.element(self.jset(k)[slot - 1])
             h = self._first_over(g_slot, k, t - 1)
             self.steps.append(("plant", h))
             if k >= 1:
@@ -185,25 +160,18 @@ class ToeplitzSkeleton:
             self._jcache[n] = j_set(self.tower, n, budget=budget)
         return self._jcache[n]
 
-    def in_jset(self, g, n):
-        if not self.tower.in_domain(g, n):
-            return False
-        return not _covered_below(self.tower, g, n)
-
     def _first_over(self, g_slot, k, n):
         """First element of J(n) cap g_slot Gamma_k in enumeration order."""
         T = self.tower
-        if T.kind == KIND_LINE:
-            step = T.size(k)
-            lo = T.lo(n)
-            first = lo + (g_slot - lo) % step
-            for c in range(first, lo + T.size(n), step):
-                if self.in_jset(c, n):
-                    return c
-        else:
-            for c in T.domain(n):
-                if T.reduce(c, k) == T.reduce(g_slot, k) and self.in_jset(c, n):
-                    return c
+        slot = T.reduce(g_slot, k)
+        dom = T.domain_arr(n)
+        chunk = 1 << 16
+        for start in range(0, len(dom), chunk):
+            c = dom[start:start + chunk]
+            hit = T.eq_arr(T.reduce_arr(c, k), slot)
+            hit[hit] = _j_mask(T, c[hit], n)
+            if hit.any():
+                return T.element(c[hit.argmax()])
         raise EmptySlot(f"no position over slot {g_slot} at level {n}")
 
     # -- construction bookkeeping ---------------------------------------
@@ -222,18 +190,13 @@ class ToeplitzSkeleton:
             kind = self.steps[self.mbar[k + 1] - 2]  # last slot step of block k
             if kind[0] != "plant":
                 continue
-            h_last = kind[1]
-            ok = True
-            bad = None
-            for v in T.section(mk - 2, mk - 1):
-                if v == T.zero:
-                    continue
-                if not T.in_domain(T.add(T.neg(v), h_last), mk):
-                    ok = False
-                    bad = v
-                    break
-            self.linking_ok[k] = ok
-            if not ok:
+            sec = T.section_arr(mk - 2, mk - 1)
+            sec = sec[~T.eq_arr(sec, T.zero)]
+            v_inv_h = T.add_arr(T.sub_arr(T.zero, sec), kind[1])
+            out = ~T.in_domain_arr(v_inv_h, mk)
+            self.linking_ok[k] = not out.any()
+            if out.any():
+                bad = T.element(sec[out.argmax()])
                 self.warnings.append(
                     f"LinkingViolation: block {k}, witness v={T.format_element(bad)}")
 
@@ -255,10 +218,6 @@ class ToeplitzSkeleton:
         if kind[0] == "zero":
             return 0
         return 1 if self.tower.reduce(g, lvl + 1) == kind[1] else 0
-
-    def eval_periodized(self, m, g):
-        """eta_m(g): the Gamma_m-periodization, total once depth > m."""
-        return self.eval(self.tower.reduce(g, m))
 
     # -- serialization ----------------------------------------------------
 

@@ -16,14 +16,16 @@ Domain styles for the integer kinds:
 Elements are plain ints (line), tuples of ints (lattice), or table indices
 (generic).  All towers are abelian except possibly Generic.
 
-Every tower also has array forms of the ops (domain_arr, section_arr,
-reduce_arr, in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over
-numpy arrays of elements: 1-D ints for the line and for Generic, (..., d)
-ints for the lattice.  Two more serve Gamma_n-periodic arrays:
-coset_index_arr is the D_n index of each element's coset representative,
-and shift_arr(vals, s, n) reads values over D_n at d + s for every d in D_n.
-The kernels and checks use only these, so one implementation serves every
-kind; the scalar ops stay as the reference they are compared against.
+A tower's interface is its array ops (domain_arr, section_arr, reduce_arr,
+in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
+elements: 1-D ints for the line and for Generic, (..., d) ints for the
+lattice.  Two more serve Gamma_n-periodic arrays: coset_index_arr is the D_n
+index of each element's coset representative, and shift_arr(vals, s, n)
+reads values over D_n at d + s for every d in D_n.  The kernels and checks
+use only these, so one implementation serves every kind.  The scalar ops
+left are size, reduce, in_domain and index_of (plus lo on the line), which
+evaluating or locating one element needs; the reference the ops are
+compared against is the independent naive model in tests/bruteforce.py.
 """
 
 import json
@@ -34,8 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import budgets
-from .errors import (DepthExceeded, InvalidIndex, NonAbelianUnsupported,
-                     NotInDomain, ParityError)
+from .errors import DepthExceeded, InvalidIndex, NotInDomain, ParityError
 
 KIND_LINE = "IntegerLine"
 KIND_LATTICE = "IntegerLattice"
@@ -123,6 +124,10 @@ class _ArrayForms:
     def array(self, elements):
         return np.asarray(elements, dtype=np.int64)
 
+    def index_of(self, g, n):
+        """The D_n index of the element g; NotInDomain outside D_n."""
+        return int(self.index_of_arr(self.array([g]), n)[0])
+
     def element(self, x):
         return int(x)
 
@@ -192,42 +197,6 @@ class IntegerLineTower(_ArrayForms):
             return 0 <= g < self.N[n]
         return abs(g) <= self.half[n]
 
-    def domain(self, n, budget=None):
-        budgets.check_enum(self.size(n), f"D_{n}", budget)
-        lo = self.lo(n)
-        return range(lo, lo + self.N[n])
-
-    def section(self, i, j, budget=None):
-        """Gamma_i intersected with D_j, in enumeration order."""
-        self._chk(i)
-        self._chk(j)
-        if i > j:
-            raise DepthExceeded(f"section needs i <= j, got ({i},{j})")
-        q = self.N[j] // self.N[i]
-        budgets.check_enum(q, f"Gamma_{i} cap D_{j}", budget)
-        step = self.N[i]
-        if self.style == STYLE_NONNEG:
-            return range(0, self.N[j], step)
-        k = (q - 1) // 2
-        return range(-k * step, (k + 1) * step, step)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def index_of(self, g, n):
-        if not self.in_domain(g, n):
-            raise NotInDomain(f"{g} not in D_{n}")
-        return g - self.lo(n)
-
-    def element_at(self, n, idx):
-        return idx + self.lo(n)
-
     def _arr_dtype(self, n):
         # int32 while reducing D_n one level up stays in range
         return np.int32 if self.N[min(n + 1, self.depth)] < 1 << 31 else np.int64
@@ -237,8 +206,15 @@ class IntegerLineTower(_ArrayForms):
         return np.arange(lo, lo + self.N[n], dtype=self._arr_dtype(n))
 
     def section_arr(self, i, j, budget=None):
-        sec = self.section(i, j, budget)
-        return np.arange(sec.start, sec.stop, sec.step, dtype=np.int64)
+        """Gamma_i intersected with D_j, in enumeration order."""
+        self._chk(i)
+        self._chk(j)
+        if i > j:
+            raise DepthExceeded(f"section needs i <= j, got ({i},{j})")
+        q = self.N[j] // self.N[i]
+        budgets.check_enum(q, f"Gamma_{i} cap D_{j}", budget)
+        first = 0 if self.style == STYLE_NONNEG else -((q - 1) // 2)
+        return np.arange(first, first + q, dtype=np.int64) * self.N[i]
 
     def reduce_arr(self, g, n, out=None):
         self._chk(n)
@@ -308,61 +284,10 @@ class IntegerLatticeTower(_ArrayForms):
     def in_domain(self, g, n):
         return all(ax.in_domain(c, n) for ax, c in zip(self.axes, g))
 
-    def domain(self, n, budget=None):
-        budgets.check_enum(self.size(n), f"D_{n}", budget)
-        return self._product([ax.domain(n) for ax in self.axes])
-
-    def _check_section(self, i, j, budget):
-        self._chk(i)
-        self._chk(j)
-        if i > j:
-            raise DepthExceeded(f"section needs i <= j, got ({i},{j})")
-        size = 1
-        for ax in self.axes:
-            size *= ax.size(j) // ax.size(i)
-        budgets.check_enum(size, f"Gamma_{i} cap D_{j}", budget)
-
-    def section(self, i, j, budget=None):
-        self._check_section(i, j, budget)
-        return self._product([ax.section(i, j) for ax in self.axes])
-
-    @staticmethod
-    def _product(ranges):
-        # lexicographic, first axis slowest: matches tuple comparison order
-        out = [()]
-        for r in ranges:
-            out = [t + (v,) for t in out for v in r]
-        return out
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def index_of(self, g, n):
-        if not self.in_domain(g, n):
-            raise NotInDomain(f"{g} not in D_{n}")
-        idx = 0
-        for ax, c in zip(self.axes, g):
-            idx = idx * ax.size(n) + (c - ax.lo(n))
-        return idx
-
-    def element_at(self, n, idx):
-        coords = []
-        for ax in reversed(self.axes):
-            m = ax.size(n)
-            coords.append(idx % m + ax.lo(n))
-            idx //= m
-        return tuple(reversed(coords))
-
     # array forms: (..., d) ints, each axis through the line's formulas
 
     def _grid(self, per_axis):
-        # ij order, first axis slowest: the order of _product
+        # ij order, first axis slowest: lexicographic, as tuples compare
         grids = np.meshgrid(*per_axis, indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.dim).astype(np.int64)
 
@@ -370,7 +295,11 @@ class IntegerLatticeTower(_ArrayForms):
         return self._grid([ax.domain_arr(n) for ax in self.axes])
 
     def section_arr(self, i, j, budget=None):
-        self._check_section(i, j, budget)
+        # the axes check the levels and the order of i and j
+        size = 1
+        for ax in self.axes:
+            size *= ax.size(j) // ax.size(i)
+        budgets.check_enum(size, f"Gamma_{i} cap D_{j}", budget)
         return self._grid([ax.section_arr(i, j) for ax in self.axes])
 
     def reduce_arr(self, g, n, out=None):
@@ -501,7 +430,6 @@ class GenericTower(_ArrayForms):
             a = int(np.argmin(has_inv))
             raise InvalidIndex(f"element {a} has no inverse; op table is not a group")
         self._inv_arr = np.argmax(is_id, axis=1)
-        self._inv = self._inv_arr.tolist()
         # coset key of g at level n: project the deepest index down
         self._down = []
         for g in range(self.sizes[self.depth]):
@@ -540,36 +468,6 @@ class GenericTower(_ArrayForms):
             self._dsets = [frozenset(d) for d in self.domains]
         return self._dsets[n]
 
-    def domain(self, n, budget=None):
-        self._chk(n)
-        budgets.check_enum(len(self.domains[n]), f"D_{n}", budget)
-        return list(self.domains[n])
-
-    def section(self, i, j, budget=None):
-        self._chk(i)
-        self._chk(j)
-        out = [g for g in self.domains[j] if self._down[g][i] == self._down[0][i]]
-        budgets.check_enum(len(out), f"Gamma_{i} cap D_{j}", budget)
-        return out
-
-    def add(self, a, b):
-        return self.ops[self.depth][a][b]
-
-    def sub(self, a, b):
-        return self.ops[self.depth][a][self._inv[b]]
-
-    def neg(self, a):
-        return self._inv[a]
-
-    def index_of(self, g, n):
-        try:
-            return self.domains[n].index(g)
-        except ValueError:
-            raise NotInDomain(f"{g} not in D_{n}")
-
-    def element_at(self, n, idx):
-        return self.domains[n][idx]
-
     # array forms: lookups in tables built on first use (the op table and
     # the inverses are built with the tower, which checks them)
 
@@ -607,7 +505,12 @@ class GenericTower(_ArrayForms):
         return np.array(self.domains[n], dtype=np.int64)
 
     def section_arr(self, i, j, budget=None):
-        return np.array(self.section(i, j, budget), dtype=np.int64)
+        self._chk(i)
+        dom = self.domain_arr(j)
+        down = self._down_arr[i]
+        out = dom[down[dom] == down[0]]
+        budgets.check_enum(len(out), f"Gamma_{i} cap D_{j}", budget)
+        return out
 
     def reduce_arr(self, g, n, out=None):
         self._chk(n)
@@ -646,10 +549,6 @@ class GenericTower(_ArrayForms):
 
     def parse_element(self, text):
         return self.coerce(super().parse_element(text))
-
-    def require_abelian(self, what):
-        if not self.abelian:
-            raise NonAbelianUnsupported(f"{what} needs an abelian tower")
 
     def config(self):
         levels = []
@@ -721,7 +620,7 @@ def build_tower(config):
     raise InvalidIndex(f"unknown tower kind {config.kind!r}")
 
 
-def _element_keys(tower, w, n):
+def element_keys(tower, w, n):
     """One int per element of w, equal exactly where the elements are: the
     D_n index inside D_n, and |D_n| plus a rank among the distinct elements
     outside it.  Also returns the inside mask."""
@@ -767,7 +666,7 @@ def validate_tower(tower, max_level=None, budget=None):
     scope = f"levels {levels_in_budget}"
     for n in levels_in_budget:
         dom = tower.domain_arr(n)
-        keys, _ = _element_keys(tower, dom, n)
+        keys, _ = element_keys(tower, dom, n)
         if (np.bincount(keys) > 1).any():
             return failed(name, scope,
                           {"level": n, "reason": "repeated element in D_n"})
@@ -806,7 +705,7 @@ def validate_tower(tower, max_level=None, budget=None):
             # every v + u, v in the section, u in D_i, in section-major order
             tiles = tower.add_arr(sec[:, None], dom_i[None])
             tiles = tiles.reshape(-1, *tiles.shape[2:])
-            keys, inside = _element_keys(tower, tiles, j)
+            keys, inside = element_keys(tower, tiles, j)
             counts = np.bincount(keys, minlength=sizes[j])
             if (counts > 1).any():
                 return failed(name, scope,

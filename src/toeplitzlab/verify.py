@@ -13,10 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .cells import (chain_mode, corollary_chain, mu_zero_set,
+from .cells import (chain_mode, class_rows, corollary_chain, mu_zero_set,
                     verify_refinement, zero_set_identity)
 from .density import ratio_term
-from .errors import BudgetExceeded, DepthExceeded, UnknownCheck
+from .errors import BudgetExceeded, DepthExceeded, NotInDomain, UnknownCheck
 from .measures import an_det_check
 from .periods import partitions_c_check, per_eq_check
 from .result import (SuiteReport, failed, finish, inconclusive, passed,
@@ -96,13 +96,23 @@ def _u_mask(skeleton, base, n, eta, budget=None):
     return ok
 
 
+def _patch_offsets(skeleton, n, budget=None):
+    """Arrays gamma, u and gamma + u over (Gamma_n cap D_{n+1}) x J(n),
+    gamma-major."""
+    T = skeleton.tower
+    gam = np.expand_dims(T.section_arr(n, n + 1, budget=budget), 1)
+    u = np.expand_dims(skeleton.jset(n, budget=budget), 0)
+    off = T.add_arr(gam, u)
+    return [np.broadcast_to(a, off.shape).reshape(-1, *off.shape[2:])
+            for a in (gam, u, off)]
+
+
 def _y_mask(skeleton, base, n, budget=None):
     """Which base points pass the all-zero probe over section x J(n)."""
     T = skeleton.tower
     ok = T.eq_arr(T.reduce_arr(base, n), T.zero)
-    for gamma in T.section(n, n + 1, budget=budget):
-        for g in skeleton.jset(n, budget=budget).elements:
-            ok &= _eval_arr(skeleton, T.add_arr(base, T.add(gamma, g))) == 0
+    for off in _patch_offsets(skeleton, n, budget)[2]:
+        ok &= _eval_arr(skeleton, T.add_arr(base, off)) == 0
     return ok
 
 
@@ -127,9 +137,10 @@ def check_j_recursion(skeleton, budget=None, levels=None):
             continue
         a = j_set(T, n, budget)
         b = j_set_recursive(T, n, budget)
-        if a != b:
-            only_a = sorted(set(a.elements) - set(b.elements))[:3]
-            only_b = sorted(set(b.elements) - set(a.elements))[:3]
+        if len(a) != len(b) or not T.eq_arr(a, b).all():
+            ea, eb = set(T.elements(a)), set(T.elements(b))
+            only_a = sorted(ea - eb)[:3]
+            only_b = sorted(eb - ea)[:3]
             return finish(failed(
                 "j-recursion", f"n={n}",
                 {"n": n, "direct_only": only_a, "recursive_only": only_b}), t0)
@@ -156,7 +167,7 @@ def check_per_eq(skeleton, budget=None, levels=None, cap=100000):
             return finish(sub, t0)
         # the membership facet: J(n) gains the period only one level up,
         # so every cell of J(n) is decided exactly at level n
-        jn = T.array(skeleton.jset(n, budget=budget).elements)
+        jn = skeleton.jset(n, budget=budget)
         off = window_levels(skeleton, n, budget)[T.index_of_arr(jn, n)] != n
         if off.any():
             return finish(failed(
@@ -209,15 +220,6 @@ def check_good_relation(skeleton, budget=None, pairs=None):
     if not done:
         return finish(inconclusive("good-relation", scope), t0)
     return finish(passed("good-relation", scope, done), t0)
-
-
-def _patch_offsets(skeleton, n, budget=None):
-    """Arrays gamma, u and gamma + u over (Gamma_n cap D_{n+1}) x J(n)."""
-    T = skeleton.tower
-    rows = [(gamma, u, T.add(gamma, u))
-            for gamma in T.section(n, n + 1, budget=budget)
-            for u in skeleton.jset(n, budget=budget).elements]
-    return [T.array(col) for col in zip(*rows)]
 
 
 def _patch_values(skeleton, n, m, S, budget=None):
@@ -447,11 +449,13 @@ def check_z_identity(skeleton, budget=None, chain_samples=200000, seed=0):
     for n in range(1, skeleton.depth):
         eq, cont, table = zero_set_identity(skeleton, n, budget)
         if n in m_set and not eq:
-            bad = [r for r in table if r["parent_zero"] != r["rhs"]][:3]
+            bad = class_rows(skeleton.tower, table,
+                             table["parent_zero"] != table["rhs"])
             return finish(failed("z-identity", f"n={n} boundary equality",
                                  {"n": n, "classes": bad}), t0)
         if not cont:
-            bad = [r for r in table if r["parent_zero"] and not r["rhs"]][:3]
+            bad = class_rows(skeleton.tower, table,
+                             table["parent_zero"] & ~table["rhs"])
             return finish(failed("z-identity", f"n={n} containment",
                                  {"n": n, "classes": bad}), t0)
         wits.append({"n": n, "boundary": n in m_set, "equality": eq,
@@ -680,9 +684,20 @@ def run_check(skeleton, name, params=None):
 def run_all(skeleton, budget=None, params=None):
     results = [registry_self_test()]
     overrides = params or {}
+    axioms_fail = False
     for name in REGISTRY_NAMES:
         kw = dict(overrides.get(name, {}))
         if budget is not None:
             kw.setdefault("budget", budget)
-        results.append(run_check(skeleton, name, kw))
+        t0 = time.perf_counter()
+        try:
+            res = run_check(skeleton, name, kw)
+        except (NotInDomain, ArithmeticError) as exc:
+            # a check may lean on the tower axioms; once decom has refuted
+            # them, its breaking on them is not a finding of its own
+            if not axioms_fail:
+                raise
+            res = finish(vacated(name, f"tower axioms fail (decom): {exc}"), t0)
+        axioms_fail = axioms_fail or (name == "decom" and not res.ok)
+        results.append(res)
     return SuiteReport(results)

@@ -104,10 +104,6 @@ class SymbolWindow:
         self.mask = np.packbits(defined, bitorder="little")
         self.dims = dims
 
-    @property
-    def fully_defined(self):
-        return bool(self.defined_array().all())
-
     def values_array(self):
         """uint8 with 0/1 where defined and 255 elsewhere."""
         vals = np.unpackbits(self.bits, count=self.n_cells, bitorder="little")
@@ -118,13 +114,6 @@ class SymbolWindow:
     def defined_array(self):
         return np.unpackbits(self.mask, count=self.n_cells,
                              bitorder="little").astype(bool)
-
-    def value_at(self, idx):
-        if not 0 <= idx < self.n_cells:
-            raise NotInDomain(f"cell {idx} outside window of {self.n_cells}")
-        if not self.mask[idx >> 3] >> (idx & 7) & 1:
-            return None
-        return int(self.bits[idx >> 3] >> (idx & 7) & 1)
 
     def counts(self):
         vals = self.values_array()
@@ -171,10 +160,9 @@ class SymbolWindow:
         vals = self.values_array()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# level={self.level}\n# cells={self.n_cells}\n")
-            for idx in range(self.n_cells):
-                g = tower.element_at(self.level, idx)
-                v = vals[idx]
-                fh.write(f"{tower.format_element(g)},{'?' if v == 255 else int(v)}\n")
+            for g, v in zip(tower.elements(tower.domain_arr(self.level)),
+                            vals.tolist()):
+                fh.write(f"{tower.format_element(g)},{'?' if v == 255 else v}\n")
 
     @staticmethod
     def from_csv(tower, path):
@@ -199,8 +187,9 @@ class SymbolWindow:
         if level is None or cells != len(rows):
             raise NotInDomain(f"{path} has a malformed window header")
         vals = np.full(cells, 255, dtype=np.uint8)
-        for g, v in rows:
-            vals[tower.index_of(g, level)] = v
+        if rows:
+            elements, symbols = zip(*rows)
+            vals[tower.index_of_arr(tower.array(elements), level)] = symbols
         return SymbolWindow(level, vals, dims=_dims_for(tower, level))
 
     def to_pgm(self, path):

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from toeplitzlab import DepthExceeded, NotInDomain
 from toeplitzlab.cells import (
     TAG_ZERO,
     classify_points,
-    containment_case,
     corollary_chain,
     mu_zero_set,
-    parent_cell,
     tag_one,
     verify_refinement,
     zero_set_identity,
@@ -20,11 +19,61 @@ from toeplitzlab.cells import (
 from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask
 
 
+# -- the refinement rules one cell at a time: the oracle for the array walks
+
+
+def _sub(T, a, b):
+    return T.element(T.sub_arr(T.array([a]), T.array([b]))[0])
+
+
+def decompose_one_position(skeleton, u, n1):
+    """u in J(n1) as gamma~ + g~ with g~ = reduce(u, n1 - 1)."""
+    T = skeleton.tower
+    g_t = T.reduce(u, n1 - 1)
+    return _sub(T, u, g_t), g_t
+
+
+def parent_cell(skeleton, cell, child_level):
+    """The unique level-(child_level - 1) cell containing the given cell."""
+    T = skeleton.tower
+    n = child_level - 1
+    if n < 0:
+        raise DepthExceeded("no parent below level 0")
+    w, tag = cell
+    if not T.in_domain(w, child_level):
+        raise NotInDomain(f"cell rep {w} not in D_{child_level}")
+    v = T.reduce(w, n)
+    gamma = _sub(T, w, v)
+    if gamma == T.zero:
+        if child_level > skeleton.depth:
+            raise DepthExceeded(f"step {child_level} not constructed")
+        kind = skeleton.steps[child_level - 1]
+        return (v, tag_one(kind[1]) if kind[0] == "plant" else TAG_ZERO)
+    if tag == TAG_ZERO:
+        return (v, TAG_ZERO)
+    gamma_t, g_t = decompose_one_position(skeleton, tag[1], child_level)
+    return (v, tag_one(g_t)) if gamma_t == gamma else (v, TAG_ZERO)
+
+
+def containment_case(skeleton, cell, child_level):
+    """Which of the five refinement rules applies to this child cell."""
+    T = skeleton.tower
+    w, tag = cell
+    gamma = _sub(T, w, T.reduce(w, child_level - 1))
+    if gamma == T.zero:
+        return "c4" if skeleton.steps[child_level - 1][0] == "zero" else "c5"
+    if tag == TAG_ZERO:
+        return "c1"
+    gamma_t, _ = decompose_one_position(skeleton, tag[1], child_level)
+    return "c2" if gamma_t == gamma else "c3"
+
+
 def test_classify_matches_reference(threeadic, oracle3):
     for l, m in ((1, 3), (2, 4)):
-        dom = list(threeadic.tower.domain(m))
+        T = threeadic.tower
+        dom = T.elements(T.domain_arr(m))
         tags = classify_points(threeadic, m, l, dom)
-        jl = threeadic.jset(l).elements
+        jl = T.elements(threeadic.jset(l))
         for d, idx in zip(dom, tags):
             got = None if idx < 0 else jl[idx]
             _, want = oracle3.atom_tag(d, l, m)
@@ -74,20 +123,21 @@ def _reference_chain(skeleton, n_j, n_s, sample=None, seed=0,
     """corollary_chain one atom at a time, through parent_cell and
     containment_case."""
     T = skeleton.tower
-    js = skeleton.jset(n_s)
+    js = T.elements(skeleton.jset(n_s))
+    dom = T.elements(T.domain_arr(n_s))
     size = T.size(n_s)
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
     if sample is None and size * (1 + len(js)) <= exhaustive_cap:
-        atoms = [(w, tag) for w in T.domain(n_s)
+        atoms = [(w, tag) for w in dom
                  for tag in [TAG_ZERO] + [tag_one(u) for u in js]]
     else:
         rng = random.Random(seed)
         atoms = []
         for _ in range(sample if sample is not None else exhaustive_cap):
-            w = T.element_at(n_s, rng.randrange(size))
+            w = dom[rng.randrange(size)]
             pick = rng.randrange(len(js) + 1)
-            atoms.append((w, TAG_ZERO if pick == 0 else tag_one(js.elements[pick - 1])))
+            atoms.append((w, TAG_ZERO if pick == 0 else tag_one(js[pick - 1])))
     branches = {"already_zero": 0, "w_exit": 0, "one_column": 0, "not_zero_ancestor": 0}
     for checked, atom in enumerate(atoms, start=1):
         chain = {n_s: atom}

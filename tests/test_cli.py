@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from toeplitzlab import SymbolWindow, density, materialize_window, measures
+from conftest import cyclic_generic
+from toeplitzlab import (REGISTRY_NAMES, SymbolWindow, density,
+                         materialize_window, measures)
 from toeplitzlab.cli import main
 
 
@@ -236,3 +238,20 @@ def test_key_error_in_a_command_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "build_skeleton", broken)
     with pytest.raises(KeyError):
         main(["eta", "eval", *_THREEADIC, "-g", "14"])
+
+
+def test_broken_generic_tower_fails_without_traceback(tmp_path, capsys):
+    # D_2 drops 3 from D_1, so the translate 2 + J(1) = {5} leaves D_2
+    bad = cyclic_generic([2, 2, 2],
+                         domains=[[0], [0, 3], [0, 1, 2, 7], list(range(8))])
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad.config().to_json()))
+    assert main(["verify", "all", "--config", str(cfg), "--depth", "3",
+                 "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    results = {r["name"]: r for r in json.loads(out)["results"]}
+    assert list(results) == ["registry", *REGISTRY_NAMES]
+    assert results["decom"]["status"] == "Fail"
+    assert results["j-recursion"]["status"] == "Fail"
+    assert results["j-recursion"]["counterexample"]["recursive_only"] == [5]

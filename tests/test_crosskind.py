@@ -2,16 +2,17 @@
 
 The Generic copies of the line tower [3]^6 (identity labels, and a seeded
 relabelling) run the same array kernels as the line itself, so they must
-reproduce its J-sets, windows and verdicts under the labelling.  The level
-scan must also agree with scalar eval and level_of cell by cell on every
-kind, section_arr with section element by element, and element_at with
-domain_arr index by index.
+reproduce its J-sets, windows, fiber profiles and verdicts under the
+labelling.  The level scan must also agree with scalar eval and level_of
+cell by cell on every kind, section_arr with the section's definition
+element by element, and the scalar index_of with domain_arr index by index.
 """
 
 import numpy as np
 import pytest
 
-from toeplitzlab import BudgetExceeded, Undefined, run_all, window_values
+from toeplitzlab import (BudgetExceeded, Undefined, fiber_profile, run_all,
+                         window_values)
 from toeplitzlab.window import window_levels
 
 
@@ -24,8 +25,8 @@ def copies(generic36, relabelled36):
 def test_j_sets_follow_the_labelling(line36, copies):
     for sk, labels in copies:
         for n in range(7):
-            want = tuple(labels[g] for g in line36.jset(n).elements)
-            assert sk.jset(n).elements == want, n
+            want = [labels[g] for g in line36.jset(n).tolist()]
+            assert sk.jset(n).tolist() == want, n
 
 
 def test_windows_match_the_line(line36, copies):
@@ -47,7 +48,7 @@ def test_run_all_matches_the_line(line36, copies):
 def test_scan_matches_scalar_eval(request, name):
     sk = request.getfixturevalue(name)
     for n in range(sk.depth + 1):
-        dom = list(sk.tower.domain(n))
+        dom = sk.tower.elements(sk.tower.domain_arr(n))
         vals = [255 if v is Undefined else v for v in map(sk.eval, dom)]
         lvls = [-1 if l is None else l for l in map(sk.level_of, dom)]
         assert window_values(sk, n).tolist() == vals, n
@@ -69,10 +70,12 @@ def test_section_arr_matches_section(request, name):
     over = []
     for j in range(T.depth + 1):
         for i in range(j + 1):
-            want = T.array(list(T.section(i, j)))
+            # Gamma_i cap D_j: the elements of D_j that reduce to 0 mod Gamma_i
+            dom = T.domain_arr(j)
+            want = dom[T.eq_arr(T.reduce_arr(dom, i), T.zero)]
             assert np.array_equal(T.section_arr(i, j), want), (i, j)
-            raised = _raises_budget(lambda: T.section(i, j, budget=8))
-            assert _raises_budget(lambda: T.section_arr(i, j, budget=8)) == raised
+            raised = _raises_budget(lambda: T.section_arr(i, j, budget=8))
+            assert raised == (len(want) > 8)
             over.append(raised)
     assert any(over) and not all(over)
 
@@ -84,4 +87,15 @@ def test_element_at_indexes_domain_arr(request, name):
     T = (sk[0] if name == "relabelled36" else sk).tower
     for n in range(T.depth + 1):
         dom = T.elements(T.domain_arr(n))
-        assert [T.element_at(n, i) for i in range(len(dom))] == dom, n
+        assert [T.index_of(g, n) for g in dom] == list(range(len(dom))), n
+
+
+def test_fiber_profiles_follow_the_labelling(line36, relabelled36):
+    sk, labels = relabelled36
+    fmt = sk.tower.format_element
+    for n in range(1, 5):
+        want = fiber_profile(line36, n)
+        got = fiber_profile(sk, n)
+        relabel = {str(g): fmt(labels[g]) for g in range(line36.tower.size(n))}
+        assert got.counts == {relabel[c]: k for c, k in want.counts.items()}, n
+        assert got.partial == {relabel[c]: k for c, k in want.partial.items()}, n

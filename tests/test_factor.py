@@ -28,11 +28,11 @@ def test_pi_is_equivariant(threeadic):
     T = threeadic.tower
     for v in (0, 7, 100):
         for g in (1, 9, 40):
-            shifted = pi_of_orbit(threeadic, T.add(v, g))
+            shifted = pi_of_orbit(threeadic, T.element(T.add_arr(v, g)))
             base = pi_of_orbit(threeadic, v)
+            moved = T.add_arr(T.array(base.cosets), g)
             assert shifted.cosets == tuple(
-                T.reduce(T.add(c, g), n)
-                for n, c in enumerate(base.cosets, start=1))
+                T.reduce(c, n) for n, c in enumerate(T.elements(moved), start=1))
 
 
 def test_odometer_point_coherence(threeadic):

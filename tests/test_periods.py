@@ -46,7 +46,7 @@ def test_per_eq_passes(threeadic, centered6, lattice):
 
 def test_per_eq_catches_flipped_symbol(threeadic):
     vals = window_values(threeadic, 4).copy()
-    idx = list(threeadic.tower.domain(4)).index(4)
+    idx = threeadic.tower.index_of(4, 4)
     vals[idx] ^= 1
     res = per_eq_check(threeadic, 3, window=SymbolWindow(4, vals))
     assert res.status == "Fail"
@@ -88,10 +88,10 @@ def test_per1_structure(threeadic, irregular):
     for sk, top in ((threeadic, 5), (irregular, 4)):
         T = sk.tower
         for s in range(1, top + 1):
-            want = set(T.section(1, s))
+            want = set(T.section_arr(1, s).tolist())
             for rec in sk.h_records:
                 if rec.step <= s:
-                    want |= {T.add(rec.h, g) for g in T.section(rec.step, s)}
+                    want |= set(T.add_arr(rec.h, T.section_arr(rec.step, s)).tolist())
             assert set(per_set(sk, s, 1)) == want, s
 
 

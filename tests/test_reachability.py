@@ -1,10 +1,18 @@
-"""No orphan API: every top-level function and class of the package is
-reached from `cli.main` or from module-level code (such as the check
-registry), apart from the named exceptions below.
+"""Static guards on the package source.
+
+No orphan API: every top-level function and class, and every method, of the
+package is reached from `cli.main` or from module-level code (such as the
+check registry), apart from the named exceptions below.
 
 Reachability is by name: a definition is reached once a reached body uses
-its name, as a bare name or as an attribute.  Imports do not count, so an
-export from `__init__` alone does not keep a definition alive.
+its name, as a bare name or as an attribute.  A reached class contributes
+its bases, decorators and class-level statements, and its dunder methods
+count as reached with it; any other method is reached only when a reached
+body names it.  Imports do not count, so an export from `__init__` alone
+does not keep a definition alive.
+
+One array interface: a comparison of a tower's `kind` outside tower.py is
+allowed only at the sites named in KIND_SITES.
 """
 
 import ast
@@ -15,26 +23,60 @@ import toeplitzlab
 SRC = pathlib.Path(toeplitzlab.__file__).parent
 
 ALLOWED = {
-    "containment_case": "the per-cell rule oracle that the corollary-chain "
-                        "tests compare the array walk against",
     "load_skeleton": "the reader for the build record `eta build --out` "
                      "writes",
+    "from_bits": "the reader for `eta window --format bits` output; the "
+                 "benchmark round-trips windows through it",
+    "from_csv": "the reader for `eta window --format csv` output; the "
+                "benchmark round-trips windows through it",
 }
+
+KIND_SITES = {
+    ("periods", "invariant_shift"): "essential's divisor shifts: on the "
+                                    "line, the divisors of |D_n| suffice",
+    ("verify", "check_measure_one_trend"): "measure-1-trend's probe gate: "
+                                           "the closed-form cross-check runs "
+                                           "on line towers only",
+    ("window", "_dims_for"): "a 2-D lattice window has a picture shape",
+}
+
+TOWER_KINDS = {"IntegerLine", "IntegerLattice", "Generic"}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(src):
-    """(name -> [(module, node)] of top-level defs, root statements)."""
+    """(name -> [(owner, node)] of top-level defs and methods, root
+    statements); the owner is the module, or module.Class for a method."""
     defs, roots = {}, []
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append((path.stem, node))
+                if isinstance(node, ast.ClassDef):
+                    for sub in _methods(node):
+                        defs.setdefault(sub.name, []).append(
+                            (f"{path.stem}.{node.name}", sub))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots.append(node)
     return defs, roots
 
 
+def _methods(cls):
+    return [sub for sub in cls.body if isinstance(sub, ast.FunctionDef)]
+
+
 def _names(node):
+    """Names a reached definition uses; a class gives everything but its
+    non-dunder methods."""
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.bases, *node.keywords, *node.decorator_list,
+                 *(sub for sub in node.body
+                   if not isinstance(sub, ast.FunctionDef)
+                   or _is_dunder(sub.name))]
+        return set().union(*map(_names, parts)) if parts else set()
     return {sub.id if isinstance(sub, ast.Name) else sub.attr
             for sub in ast.walk(node)
             if isinstance(sub, (ast.Name, ast.Attribute))}
@@ -43,16 +85,48 @@ def _names(node):
 def unreachable(src):
     defs, roots = _definitions(src)
     todo = roots + [node for mod, node in defs["main"] if mod == "cli"]
-    seen = {"main"}
+    seen = {"main"} | {name for name in defs if _is_dunder(name)}
     while todo:
         for name in _names(todo.pop()) & set(defs) - seen:
             seen.add(name)
             todo.extend(node for _, node in defs[name])
-    return sorted(f"{mod}.{name}" for name, nodes in defs.items()
-                  for mod, _ in nodes if name not in seen | set(ALLOWED))
+    return sorted(f"{owner}.{name}" for name, nodes in defs.items()
+                  for owner, _ in nodes if name not in seen | set(ALLOWED))
 
 
 def test_every_definition_is_reachable():
     assert unreachable(SRC) == []
     defs, _ = _definitions(SRC)
     assert set(ALLOWED) <= set(defs)
+
+
+def _is_kind_comparison(node):
+    """A comparison of some `.kind` against a tower kind constant or name."""
+    parts = [part for side in (node.left, *node.comparators)
+             for part in ast.walk(side)]
+    names_kind = any(isinstance(p, ast.Attribute) and p.attr == "kind"
+                     for p in parts)
+    names_tower_kind = any(
+        (isinstance(p, ast.Name) and p.id.startswith("KIND_"))
+        or (isinstance(p, ast.Constant) and p.value in TOWER_KINDS)
+        for p in parts)
+    return names_kind and names_tower_kind
+
+
+def kind_sites(src):
+    """(module, top-level definition) of every tower-kind comparison outside
+    tower.py, once per comparison."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "tower":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Compare)
+                    and _is_kind_comparison(node)]
+    return sorted(out)
+
+
+def test_kind_branches_only_at_the_named_sites():
+    assert kind_sites(SRC) == sorted(KIND_SITES)

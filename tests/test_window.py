@@ -26,7 +26,7 @@ def test_threeadic_windows_match_reference(threeadic, oracle3):
         vals = window_values(threeadic, n)
         lvls = window_levels(threeadic, n)
         ref = _ref_window(oracle3, n)
-        dom = list(threeadic.tower.domain(n))
+        dom = threeadic.tower.domain_arr(n).tolist()
         assert [int(v) for v in vals] == [ref[d] for d in dom]
         assert [int(l) for l in lvls] == [oracle3.level(d) for d in dom]
 
@@ -38,7 +38,7 @@ def test_frozen_level_two_window(threeadic):
 
 def test_irregular_window_matches_reference(irregular, oracle_irr):
     vals = window_values(irregular, 3)
-    dom = list(irregular.tower.domain(3))
+    dom = irregular.tower.domain_arr(3).tolist()
     ref = _ref_window(oracle_irr, 3)
     assert [int(v) for v in vals] == [ref[d] for d in dom]
 
@@ -46,28 +46,26 @@ def test_irregular_window_matches_reference(irregular, oracle_irr):
 def test_lattice_window_matches_reference(lattice, oracle_lat):
     vals = window_values(lattice, 2)
     ref = _ref_window(oracle_lat, 2)
-    dom = list(lattice.tower.domain(2))
+    dom = lattice.tower.elements(lattice.tower.domain_arr(2))
     assert [int(v) for v in vals] == [ref[d] for d in dom]
 
 
 def test_undecided_cells_at_top_level():
     sk = build_skeleton(IntegerLineTower([3] * 10), 3)
     win = materialize_window(sk, 3)
-    assert not win.fully_defined
+    assert not win.defined_array().all()
     c = win.counts()
     assert c["undefined"] > 0
     assert c["zeros"] + c["ones"] + c["undefined"] == 27
     # one level down everything is decided
-    assert materialize_window(sk, 2).fully_defined
+    assert materialize_window(sk, 2).defined_array().all()
 
 
 def test_value_at_agrees_with_eval(threeadic):
-    win = materialize_window(threeadic, 4)
-    T = threeadic.tower
-    for idx in range(0, win.n_cells, 7):
-        assert win.value_at(idx) == threeadic.eval(T.element_at(4, idx))
-    with pytest.raises(NotInDomain):
-        win.value_at(win.n_cells)
+    vals = materialize_window(threeadic, 4).values_array()
+    dom = threeadic.tower.domain_arr(4).tolist()
+    for idx in range(0, len(dom), 7):
+        assert vals[idx] == threeadic.eval(dom[idx])
 
 
 def test_bits_round_trip(tmp_path, threeadic):
