@@ -164,11 +164,11 @@ def zero_set_identity(skeleton, n, budget=None):
     return bool((lhs == rhs).all()), bool((rhs | ~lhs).all()), table
 
 
-def class_rows(tower, table, mask, limit=3):
-    """The first `limit` classes of a zero_set_identity table where the
+def class_rows(tower, table, mask):
+    """The first three classes of a zero_set_identity table where the
     boolean mask over gamma x tag-class holds, gamma-major, as dicts."""
     rows = []
-    for i, c in np.argwhere(mask)[:limit].tolist():
+    for i, c in np.argwhere(mask)[:3].tolist():
         tag = TAG_ZERO if c == 0 else ("OneClass",
                                        tower.element(table["nonzero"][c - 1]))
         rows.append({"gamma": tower.element(table["gamma"][i]), "tag": tag,
