@@ -180,27 +180,26 @@ def class_rows(tower, table, mask):
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
 
 
-def chain_mode(skeleton, n_s, sample=None, exhaustive_cap=200000, budget=None):
+def chain_mode(skeleton, n_s, exhaustive_cap=200000, budget=None):
     """How corollary_chain covers the level-n_s atoms: ("exhaustive" or
     "sampled", the number of atoms |D_{n_s}| * (1 + |J(n_s)|))."""
     total = skeleton.tower.size(n_s) * (1 + len(skeleton.jset(n_s, budget=budget)))
-    exhaustive = sample is None and total <= exhaustive_cap
-    return ("exhaustive" if exhaustive else "sampled"), total
+    return ("exhaustive" if total <= exhaustive_cap else "sampled"), total
 
 
-def _chain_atoms(skeleton, n_s, sample, seed, exhaustive_cap, budget):
+def _chain_atoms(skeleton, n_s, seed, exhaustive_cap, budget):
     """The atoms to check, in order, as D_{n_s} indices and tag picks: pick 0
-    is Zero, pick p is One(J(n_s)[p-1]).  Samples come from one seeded stream,
-    a (domain index, pick) pair per atom."""
+    is Zero, pick p is One(J(n_s)[p-1]).  Past exhaustive_cap atoms, that
+    many are drawn from one seeded stream, a (domain index, pick) pair each."""
     size = skeleton.tower.size(n_s)
-    mode, total = chain_mode(skeleton, n_s, sample, exhaustive_cap, budget)
+    mode, total = chain_mode(skeleton, n_s, exhaustive_cap, budget)
     picks = total // size
     if mode == "exhaustive":
         budgets.check_enum(size, f"D_{n_s}", budget)
         return np.repeat(np.arange(size), picks), np.tile(np.arange(picks), size)
     rng = random.Random(seed)
     draws = array("q")
-    for _ in range(sample if sample is not None else exhaustive_cap):
+    for _ in range(exhaustive_cap):
         draws.append(rng.randrange(size))
         draws.append(rng.randrange(picks))
     draws = np.frombuffer(draws, dtype=np.int64)
@@ -229,8 +228,8 @@ def _chain_level(skeleton, r, w, tag):
     return v, parent, one & ~is0 & ~match, one & is0
 
 
-def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
-                    exhaustive_cap=200000, budget=None):
+def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000,
+                    budget=None):
     """Every finest Zero-ancestor atom passes through an allowed exit.
 
     For atoms (w, tag) at level n_s whose iterated parent at level n_j is a
@@ -249,7 +248,7 @@ def corollary_chain(skeleton, n_j, n_s, sample=None, seed=0,
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
 
-    idx, pick = _chain_atoms(skeleton, n_s, sample, seed, exhaustive_cap, budget)
+    idx, pick = _chain_atoms(skeleton, n_s, seed, exhaustive_cap, budget)
     atoms = T.domain_arr(n_s)[idx], np.concatenate(
         ([-1], T.index_of_arr(js, n_s)))[pick]
     w, tag = atoms

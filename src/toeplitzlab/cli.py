@@ -15,22 +15,21 @@ from fractions import Fraction
 from .cells import mu_zero_set
 from .density import density_methods, regularity_verdict
 from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
-                     InconclusiveTail, InvalidIndex, NonAbelianUnsupported,
-                     NotInDomain, ParityError, UnknownCheck)
+                     InconclusiveTail, InvalidIndex, NotInDomain, ParityError,
+                     UnknownCheck)
 from .factor import fiber_profile, pi_of_orbit
 from .measures import limit_01, mu_cylinder, parse_pattern
 from .periods import per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
 from .skeleton import Undefined, build_skeleton
-from .tower import TowerConfig, build_tower, validate_tower
-from .verify import REGISTRY_NAMES, run_all, run_check
+from .tower import TowerConfig, build_tower
+from .verify import AXIOMS_FAIL, REGISTRY_NAMES, run_all, run_check
 from .window import materialize_window
 
 # every outside input is checked where it is parsed and fails with one of
 # these; any other exception is a fault of the program and keeps its traceback
 _USAGE_ERRORS = (InvalidIndex, NotInDomain, ParityError, DepthExceeded,
-                 UnknownCheck, EmptySlot, InconclusiveTail,
-                 NonAbelianUnsupported, OSError)
+                 UnknownCheck, EmptySlot, InconclusiveTail, OSError)
 
 
 def _fmt_q(x):
@@ -61,8 +60,6 @@ def _add_common(sp):
                     help="tower config JSON file")
     sp.add_argument("--depth", type=int,
                     help="build depth (default: preset depth / full config)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled scans (default 0)")
     sp.add_argument("--enum-budget", type=_positive_int, dest="enum_budget",
                     help="cap on python-level enumeration sizes")
     sp.add_argument("--window-budget", type=_positive_int, dest="window_budget",
@@ -93,8 +90,7 @@ def _skeleton(args):
 
 def _cmd_tower_validate(args):
     sk = _skeleton(args)
-    res = validate_tower(sk.tower, max_level=None)
-    return _emit_result(res, args.as_json)
+    return _emit_result(run_check(sk, "decom"), args.as_json)
 
 
 def _cmd_eta_build(args):
@@ -279,6 +275,12 @@ def _cmd_verify(args):
             print(rep.render())
         return 0 if rep.all_ok else 1
     res = run_check(sk, args.check)
+    if res.scope.startswith(AXIOMS_FAIL):
+        # alone, a check vacated by a broken tower has no verdict to give
+        cx = res.witnesses[0]
+        where = " ".join(f"{k} {cx[k]}" for k in ("level", "pair") if k in cx)
+        raise NotInDomain(f"{res.name}: {res.scope}; decom: {cx['reason']} "
+                          f"at {where}")
     return _emit_result(res, args.as_json)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import budgets
 from .errors import DepthExceeded, InconclusiveTail, NotInDomain
 from .density import regularity_verdict, VERDICT_INCONCLUSIVE
-from .result import failed, finish, passed
+from .result import failed, passed
 from .skeleton import j_size
 from .window import per_masks, window_values
 
@@ -155,7 +155,6 @@ def limit_01(skeleton, level=None, budget=None):
 
 def an_det_check(skeleton, n, override_counts=None, budget=None):
     """det [[a0+j, a0+j-1], [a1, a1+1]] must equal |D_n| exactly."""
-    t0 = time.perf_counter()
     name = "an-det"
     a0, a1 = override_counts if override_counts is not None \
         else a_counts(skeleton, n, budget=budget)
@@ -164,8 +163,8 @@ def an_det_check(skeleton, n, override_counts=None, budget=None):
     mat = ((a0 + j, a0 + j - 1), (a1, a1 + 1))
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     if det != size:
-        return finish(failed(name, f"level {n}", {"level": n, "matrix": mat,
-                                                  "det": det, "expected": size}), t0)
-    return finish(passed(name, f"level {n}: det {det} = |D_{n}|"
-                               + (", injected counts" if override_counts else ""),
-                         [{"a0": a0, "a1": a1, "j": j}]), t0)
+        return failed(name, f"level {n}", {"level": n, "matrix": mat,
+                                           "det": det, "expected": size})
+    return passed(name, f"level {n}: det {det} = |D_{n}|"
+                        + (", injected counts" if override_counts else ""),
+                  [{"a0": a0, "a1": a1, "j": j}])

@@ -8,13 +8,12 @@ of every per-cell, and asks that no larger subgroup fix them (essential).
 """
 
 import random
-import time
 
 import numpy as np
 
 from . import budgets
 from .errors import BudgetExceeded, NonAbelianUnsupported, NotInDomain
-from .result import failed, finish, inconclusive, passed
+from .result import failed, inconclusive, passed
 from .tower import KIND_LINE
 from .window import materialize_window, per_masks, window_values
 
@@ -85,7 +84,6 @@ def per_eq_check(skeleton, n, window=None, budget=None):
     """Per(n, .) from the level scan and from the step log must coincide, a
     window must show the right symbol on every translate of every per-cell,
     and no subgroup strictly between Gamma_n and G may fix the per-sets."""
-    t0 = time.perf_counter()
     T = skeleton.tower
     name = "per-eq"
     budgets.check_enum(T.size(n), f"Per({n},.)", budget)
@@ -95,10 +93,10 @@ def per_eq_check(skeleton, n, window=None, budget=None):
     for symbol in (1, 0):
         diff = T.elements(dom[logged[symbol] != per[symbol]]) + outside[symbol]
         if diff:
-            return finish(failed(
+            return failed(
                 name, f"level {n}",
                 {"level": n, "element": sorted(diff, key=repr)[0],
-                 "reason": "step-log union disagrees with level scan"}), t0)
+                 "reason": "step-log union disagrees with level scan"})
 
     if window is None:
         wlevel = min(n + 1, T.depth)
@@ -124,33 +122,32 @@ def per_eq_check(skeleton, n, window=None, budget=None):
     if bad.any():
         first = int(bad.argmax())
         i, j = np.unravel_index(first, bad.shape)
-        return finish(failed(
+        return failed(
             name, f"level {n}, window level {wlevel}",
             {"level": n, "element": T.element(e[i, j]),
              "expected": int(want[i, 0]), "got": int(got[i, j]),
              "coset": f"{T.format_element(T.element(cells[i]))}+Gamma_{n}"},
-            [{"probes": first + 1}]), t0)
+            [{"probes": first + 1}])
 
     shift, label = invariant_shift(T, n, per[0], per[1], budget)
     if shift is not None:
-        return finish(failed(
+        return failed(
             name, f"level {n}, essential ({label})",
             {"level": n, "invariant_shift": shift,
-             "reason": "a proper supergroup of Gamma_n fixes the per-sets"}), t0)
-    return finish(passed(
+             "reason": "a proper supergroup of Gamma_n fixes the per-sets"})
+    return passed(
         name, f"level {n}: {counts[0]} zero-cells, {counts[1]} one-cells, "
               f"{got.size} window probes at level {wlevel}",
         [{"zeros": counts[0], "ones": counts[1], "probes": got.size},
-         {"essential": label}]), t0)
+         {"essential": label}])
 
 
-def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
+def partitions_c_check(skeleton, k, samples=10000, seed=0, budget=None):
     """Every Gamma_k-translate of J(k) carries at most one planted 1.
 
     Exhaustive over Gamma_k cap D_{k+3} when those probes are defined, then a
     seeded sample of cosets near the top of the built region.
     """
-    t0 = time.perf_counter()
     T = skeleton.tower
     name = "partitions-c"
     jk = skeleton.jset(k, budget=budget)
@@ -182,17 +179,17 @@ def partitions_c_check(skeleton, k, samples=10000, seed=None, budget=None):
         bad = counts > 1
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            return finish(failed(name, f"k={k} {mode}",
-                                 {"k": k, "gamma": T.element(gam[i]),
-                                  "ones": int(counts[i])}), t0)
+            return failed(name, f"k={k} {mode}",
+                          {"k": k, "gamma": T.element(gam[i]),
+                           "ones": int(counts[i])})
         hist[0] += int((counts == 0).sum())
         hist[1] += int((counts == 1).sum())
         done[mode] = len(gam)
 
     if not any(done.values()):
-        return finish(inconclusive(
-            name, f"k={k}: no coset checkable at depth {skeleton.depth}"), t0)
-    return finish(passed(
+        return inconclusive(
+            name, f"k={k}: no coset checkable at depth {skeleton.depth}")
+    return passed(
         name, f"k={k}: {done['exhaustive']} cosets exhaustive in Gamma_{k} "
               f"cap D_{k+3}, {done['sampled']} sampled in Gamma_{k} cap D_{top}",
-        [{"ones_histogram": hist}]), t0)
+        [{"ones_histogram": hist}])

@@ -8,11 +8,12 @@ A CheckResult is the single currency every verifier returns.  Status values:
                 needed to decide (e.g. no tail declaration)
   Vacated       a prerequisite recorded on the skeleton is false, so the
                 statement's hypothesis never triggers; the scan still ran.
-                In a suite, also a check that broke on tower axioms that
-                decom has already refuted
+                Also a check that broke on tower axioms that decom refutes
+
+A check builds its result without timing itself: `millis` is set by
+verify.run_check, which reads the clock once around the check's call.
 """
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,12 +84,6 @@ class CheckResult:
         if self.counterexample is not None:
             head += f"\n{'':15}counterexample: {self.counterexample}"
         return head
-
-
-def finish(res, t0):
-    """res, with the milliseconds since the perf_counter reading t0."""
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
 
 
 def passed(name, scope, witnesses=None):

@@ -641,8 +641,9 @@ def _first_repeat(keys):
     return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
-def validate_tower(tower, max_level=None, budget=None):
-    """Check the nesting/tiling axioms by enumeration up to a level cap.
+def validate_tower(tower, budget=None):
+    """Check the nesting/tiling axioms on every level, by enumeration where
+    the level fits the enumeration budget.
 
     Each level is checked in the order: no repeats, size, identity, reduce
     fixes D_n, D_{n-1} <= D_n; each pair i < j: section size, then that the
@@ -651,7 +652,7 @@ def validate_tower(tower, max_level=None, budget=None):
     from .result import failed, passed  # local import to avoid a cycle
 
     cap = budgets.enum_budget(budget)
-    top = tower.depth if max_level is None else min(max_level, tower.depth)
+    top = tower.depth
     checked_pairs = []
     name = "decom"
 

@@ -1,5 +1,14 @@
 """Named verification checks over a built array, runnable singly or as a suite.
 
+The check contract: every registered check is a plain function
+check_x(skeleton, budget=None) that returns a CheckResult.  It has no other
+settings and does not time itself.  run_check is the one dispatcher: it
+reads the clock around the call and sets `millis`, and it decides what an
+error raised inside a check means.  A NonAbelianUnsupported makes the check
+Inconclusive, with the unsupported facet in its scope; a NotInDomain or
+ArithmeticError on a tower that decom refutes makes it Vacated, with decom's
+counterexample as its witness.  Any other error propagates.
+
 Every check reports its exhaustive range in `scope`; a quantifier over all n
 always becomes "all n in the computed range" and is never extrapolated.  A
 Fail carries a concrete counterexample.  Checks whose hypotheses are not met
@@ -16,11 +25,11 @@ from . import budgets
 from .cells import (chain_mode, class_rows, corollary_chain, mu_zero_set,
                     verify_refinement, zero_set_identity)
 from .density import ratio_term
-from .errors import BudgetExceeded, DepthExceeded, NotInDomain, UnknownCheck
+from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
+                     NotInDomain, UnknownCheck)
 from .measures import an_det_check
 from .periods import partitions_c_check, per_eq_check
-from .result import (SuiteReport, failed, finish, inconclusive, passed,
-                     vacated)
+from .result import SuiteReport, failed, inconclusive, passed, vacated
 from .skeleton import j_set, j_set_recursive, j_size
 from .tower import KIND_LINE, TAIL_GEOMETRIC, validate_tower
 from .window import level_scan, per_masks, window_levels, window_values
@@ -119,19 +128,16 @@ def _y_mask(skeleton, base, n, budget=None):
 # -- the checks ------------------------------------------------------------
 
 
-def check_decom(skeleton, budget=None, max_level=None):
-    t0 = time.perf_counter()
-    return finish(validate_tower(skeleton.tower, max_level, budget), t0)
+def check_decom(skeleton, budget=None):
+    return validate_tower(skeleton.tower, budget)
 
 
-def check_j_recursion(skeleton, budget=None, levels=None):
-    t0 = time.perf_counter()
+def check_j_recursion(skeleton, budget=None):
     T = skeleton.tower
     cap = budgets.enum_budget(budget)
     done = []
     skipped = []
-    top = levels if levels is not None else T.depth
-    for n in range(1, top + 1):
+    for n in range(1, T.depth + 1):
         if j_size(T, n) > cap or T.size(n) > budgets.window_budget(budget):
             skipped.append(n)
             continue
@@ -141,85 +147,81 @@ def check_j_recursion(skeleton, budget=None, levels=None):
             ea, eb = set(T.elements(a)), set(T.elements(b))
             only_a = sorted(ea - eb)[:3]
             only_b = sorted(eb - ea)[:3]
-            return finish(failed(
-                "j-recursion", f"n={n}",
-                {"n": n, "direct_only": only_a, "recursive_only": only_b}), t0)
+            return failed("j-recursion", f"n={n}",
+                          {"n": n, "direct_only": only_a,
+                           "recursive_only": only_b})
         done.append(n)
     scope = f"n in {done}" + (f", over budget: {skipped}" if skipped else "")
     if not done:
-        return finish(inconclusive("j-recursion", scope), t0)
-    return finish(passed("j-recursion", scope,
-                         [{"sizes": {n: j_size(T, n) for n in done}}]), t0)
+        return inconclusive("j-recursion", scope)
+    return passed("j-recursion", scope,
+                  [{"sizes": {n: j_size(T, n) for n in done}}])
 
 
-def check_per_eq(skeleton, budget=None, levels=None, cap=100000):
-    t0 = time.perf_counter()
+_PER_EQ_CAP = 100000  # largest |D_n| per-eq checks
+
+
+def check_per_eq(skeleton, budget=None):
     T = skeleton.tower
     done = []
     skipped = []
-    top = levels if levels is not None else skeleton.depth - 1
-    for n in range(1, top + 1):
-        if T.size(n) > cap:
+    for n in range(1, skeleton.depth):
+        if T.size(n) > _PER_EQ_CAP:
             skipped.append(n)
             continue
         sub = per_eq_check(skeleton, n, budget=budget)
         if sub.status == "Fail":
-            return finish(sub, t0)
+            return sub
         # the membership facet: J(n) gains the period only one level up,
         # so every cell of J(n) is decided exactly at level n
         jn = skeleton.jset(n, budget=budget)
         off = window_levels(skeleton, n, budget)[T.index_of_arr(jn, n)] != n
         if off.any():
-            return finish(failed(
+            return failed(
                 "per-eq", f"n={n} membership",
-                {"n": n, "g": T.format_element(T.element(jn[off.argmax()]))}),
-                t0)
+                {"n": n, "g": T.format_element(T.element(jn[off.argmax()]))})
         done.append(n)
     scope = (f"n in {done}, window saturation + step-log rebuild + "
              f"J-membership + essential"
              + (f"; over cap: {skipped}" if skipped else ""))
     if not done:
-        return finish(inconclusive("per-eq", scope), t0)
-    return finish(passed("per-eq", scope), t0)
+        return inconclusive("per-eq", scope)
+    return passed("per-eq", scope)
 
 
-def check_good_relation(skeleton, budget=None, pairs=None):
-    t0 = time.perf_counter()
+def check_good_relation(skeleton, budget=None):
     T = skeleton.tower
     dep = T.depth
     wb = budgets.window_budget(budget)
-    if pairs is None:
-        pairs = [(n, m) for n in range(1, dep - 1)
-                 for m in range(n + 2, dep + 1)]
     done = []
     skipped = []
-    for n, m in pairs:
-        if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
-            skipped.append((n, m))
-            continue
-        S = good_set(skeleton, n, m, budget)
-        count = len(S)
-        bound = good_bound(T, n, m)
-        if count < 1 or Fraction(count) < bound:
-            return finish(failed(
-                "good-relation", f"(n,m)=({n},{m})",
-                {"n": n, "m": m, "count": count, "bound": bound}), t0)
-        v = T.domain_arr(n + 1)
-        w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
-        bad = ~T.in_domain_arr(w, m)
-        for l in range(n + 1, m):
-            bad |= T.in_domain_arr(T.reduce_arr(w, l + 1), l)
-        if bad.any():
-            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-            return finish(failed(
-                "good-relation", f"(n,m)=({n},{m}) translate containment",
-                {"gamma": T.element(S[i]), "v": T.element(v[j])}), t0)
-        done.append({"n": n, "m": m, "count": count, "bound": bound})
+    for n in range(1, dep - 1):
+        for m in range(n + 2, dep + 1):
+            if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
+                skipped.append((n, m))
+                continue
+            S = good_set(skeleton, n, m, budget)
+            count = len(S)
+            bound = good_bound(T, n, m)
+            if count < 1 or Fraction(count) < bound:
+                return failed("good-relation", f"(n,m)=({n},{m})",
+                              {"n": n, "m": m, "count": count, "bound": bound})
+            v = T.domain_arr(n + 1)
+            w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
+            bad = ~T.in_domain_arr(w, m)
+            for l in range(n + 1, m):
+                bad |= T.in_domain_arr(T.reduce_arr(w, l + 1), l)
+            if bad.any():
+                i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+                return failed(
+                    "good-relation", f"(n,m)=({n},{m}) translate containment",
+                    {"gamma": T.element(S[i]), "v": T.element(v[j])})
+            done.append({"n": n, "m": m, "count": count, "bound": bound})
     scope = (f"{len(done)} pairs, n+2 <= m <= {dep}"
              + (f"; over budget: {skipped}" if skipped else ""))
     if not done:
-        return finish(inconclusive("good-relation", scope), t0)
-    return finish(passed("good-relation", scope, done), t0)
+        return inconclusive("good-relation", scope)
+    return passed("good-relation", scope, done)
 
 
 def _patch_values(skeleton, n, m, S, budget=None):
@@ -236,14 +238,12 @@ def _patch_values(skeleton, n, m, S, budget=None):
 
 
 def check_good_patches(skeleton, budget=None):
-    t0 = time.perf_counter()
     T = skeleton.tower
     pairs = _m_pairs(skeleton)
     if not pairs:
-        return finish(passed(
-            "good-patches",
-            f"no boundary pairs with m <= depth-1 = {skeleton.depth - 1}; "
-            "vacuous"), t0)
+        return passed("good-patches",
+                      f"no boundary pairs with m <= depth-1 = "
+                      f"{skeleton.depth - 1}; vacuous")
     wits = []
     for n, m in pairs:
         S = good_set(skeleton, n, m, budget)
@@ -254,26 +254,22 @@ def check_good_patches(skeleton, budget=None):
                        lambda g: vals[T.index_of_arr(g, m)], budget)
         if not in_u.all():
             i = int(np.flatnonzero(~in_u)[0])
-            return finish(failed(
+            return failed(
                 "good-patches", f"(n,m)=({n},{m})",
                 {"gamma0": T.element(qualifying[i]),
-                 "reason": "qualifying translate missed the level window"}
-            ), t0)
+                 "reason": "qualifying translate missed the level window"})
         wits.append({"n": n, "m": m, "good": len(S),
                      "qualifying": len(qualifying)})
-    return finish(passed("good-patches",
-                         f"boundary pairs {[(w['n'], w['m']) for w in wits]}",
-                         wits), t0)
+    return passed("good-patches",
+                  f"boundary pairs {[(w['n'], w['m']) for w in wits]}", wits)
 
 
 def check_t1t2(skeleton, budget=None):
-    t0 = time.perf_counter()
     T = skeleton.tower
     pairs = _m_pairs(skeleton)
     if not pairs:
-        return finish(passed(
-            "t1t2", f"no boundary pairs with m <= depth-1 = "
-            f"{skeleton.depth - 1}; vacuous"), t0)
+        return passed("t1t2", f"no boundary pairs with m <= depth-1 = "
+                              f"{skeleton.depth - 1}; vacuous")
     wits = []
     for n, m in pairs:
         S = good_set(skeleton, n, m, budget)
@@ -281,61 +277,52 @@ def check_t1t2(skeleton, budget=None):
         bad = got != want
         if bad.any():
             j, i = np.unravel_index(int(bad.argmax()), bad.shape)
-            return finish(failed(
-                "t1t2", f"(n,m)=({n},{m})",
-                {"gamma0": T.element(S[i]), "gamma": T.element(gam[j]),
-                 "u": T.element(u[j])}), t0)
+            return failed("t1t2", f"(n,m)=({n},{m})",
+                          {"gamma0": T.element(S[i]),
+                           "gamma": T.element(gam[j]), "u": T.element(u[j])})
         wits.append({"n": n, "m": m, "good": len(S), "offsets": len(gam)})
-    return finish(passed("t1t2",
-                         f"boundary pairs {[(w['n'], w['m']) for w in wits]}",
-                         wits), t0)
+    return passed("t1t2",
+                  f"boundary pairs {[(w['n'], w['m']) for w in wits]}", wits)
 
 
-def check_partitions_c(skeleton, budget=None, k_values=None, samples=10000,
-                       seed=0):
-    t0 = time.perf_counter()
-    ks = list(k_values) if k_values is not None \
-        else list(range(1, max(2, skeleton.depth - 1)))
+def check_partitions_c(skeleton, budget=None):
+    ks = list(range(1, max(2, skeleton.depth - 1)))
     subs = []
     for k in ks:
         try:
-            sub = partitions_c_check(skeleton, k, samples=samples, seed=seed,
-                                     budget=budget)
+            sub = partitions_c_check(skeleton, k, budget=budget)
         except BudgetExceeded:
             subs.append({"k": k, "status": "skipped over budget"})
             continue
         if sub.status == "Fail":
-            return finish(sub, t0)
+            return sub
         subs.append({"k": k, "status": sub.status, "scope": sub.scope})
     statuses = {s.get("status") for s in subs}
     if statuses <= {"Inconclusive", "skipped over budget"}:
-        return finish(inconclusive("partitions-c", f"k in {ks}", subs), t0)
-    return finish(passed("partitions-c", f"k in {ks}", subs), t0)
+        return inconclusive("partitions-c", f"k in {ks}", subs)
+    return passed("partitions-c", f"k in {ks}", subs)
 
 
 def check_linking(skeleton, budget=None):
-    t0 = time.perf_counter()
     ok_map = dict(skeleton.linking_ok)
     wits = [{"block": k, "holds": bool(v)} for k, v in sorted(ok_map.items())]
     scope = f"completed blocks {sorted(ok_map)}"
     if not ok_map:
-        return finish(inconclusive("linking", "no completed blocks"), t0)
+        return inconclusive("linking", "no completed blocks")
     if all(ok_map.values()):
-        return finish(passed("linking", scope, wits), t0)
-    return finish(inconclusive(
+        return passed("linking", scope, wits)
+    return inconclusive(
         "linking", scope + "; condition fails on some blocks, so "
-        "linking-dependent statements are not testable here", wits), t0)
+        "linking-dependent statements are not testable here", wits)
 
 
 def check_good_ds(skeleton, budget=None):
-    t0 = time.perf_counter()
     T = skeleton.tower
     levels = [nk for nk in _m_levels(skeleton)
               if nk >= 2 and nk + 1 <= skeleton.depth]
     if not levels:
-        return finish(passed(
-            "good-ds", "no boundary level n_k >= 2 within depth; vacuous"),
-            t0)
+        return passed("good-ds",
+                      "no boundary level n_k >= 2 within depth; vacuous")
 
     wits = []
     for nk in levels:
@@ -355,26 +342,23 @@ def check_good_ds(skeleton, budget=None):
                     hit = T.element(g[int(cand.argmax())])
                     break
             if hit is None:
-                return finish(failed(
-                    "good-ds", f"n_k={nk}",
-                    {"n_k": nk, "w": T.element(w),
-                     "reason": "no witness in D_{n_k+1}"}), t0)
+                return failed("good-ds", f"n_k={nk}",
+                              {"n_k": nk, "w": T.element(w),
+                               "reason": "no witness in D_{n_k+1}"})
             found.append((T.element(w), hit))
         wits.append({"n_k": nk, "witnesses": len(found), "sample": found[:3]})
-    return finish(passed("good-ds", f"n_k in {levels}, every w in "
-                         "D_{n_k-1} minus identity", wits), t0)
+    return passed("good-ds", f"n_k in {levels}, every w in "
+                  "D_{n_k-1} minus identity", wits)
 
 
 def check_u_in_y(skeleton, budget=None):
-    t0 = time.perf_counter()
     T = skeleton.tower
     ms = _m_levels(skeleton)
     usable = [(k, nk) for k, nk in enumerate(ms)
               if skeleton.depth >= nk + 4]
     if not usable:
-        return finish(inconclusive(
-            "u-in-y", f"depth {skeleton.depth} below n_k+4 for all blocks"),
-            t0)
+        return inconclusive(
+            "u-in-y", f"depth {skeleton.depth} below n_k+4 for all blocks")
     wits = []
     any_vacated = False
     for k, nk in usable:
@@ -389,23 +373,23 @@ def check_u_in_y(skeleton, budget=None):
         holds = bool(in_y.all())
         bad = None if holds else T.element(members[int(in_y.argmin())])
         if linking and not holds:
-            return finish(failed(
-                "u-in-y", f"n_k={nk}, reps D_{nk + 2}",
-                {"n_k": nk, "v": bad}), t0)
+            return failed("u-in-y", f"n_k={nk}, reps D_{nk + 2}",
+                          {"n_k": nk, "v": bad})
         if not linking:
             any_vacated = True
         wits.append({"n_k": nk, "linking": linking, "u_members": len(members),
                      "contained": holds})
     scope = f"n_k in {[nk for _, nk in usable]}, reps over D_(n_k+2)"
     if any_vacated:
-        return finish(vacated(
-            "u-in-y", scope + "; linking fails on some blocks "
-            "(observed outcomes in witnesses)", wits), t0)
-    return finish(passed("u-in-y", scope, wits), t0)
+        return vacated("u-in-y", scope + "; linking fails on some blocks "
+                       "(observed outcomes in witnesses)", wits)
+    return passed("u-in-y", scope, wits)
 
 
-def check_containings(skeleton, budget=None, samples=5000, seed=0):
-    t0 = time.perf_counter()
+_CONTAININGS_SAMPLES = 5000  # points per level once D_m is over budget
+
+
+def check_containings(skeleton, budget=None):
     T = skeleton.tower
     dep = skeleton.depth
     wb = budgets.window_budget(budget)
@@ -420,17 +404,16 @@ def check_containings(skeleton, budget=None, samples=5000, seed=0):
             cx, counts, pts = verify_refinement(skeleton, n, m,
                                                 budget=budget or wb)
             mode = "exhaustive"
-        elif samples * probe_cost <= wb:
-            cx, counts, pts = verify_refinement(skeleton, n, m,
-                                                sample=samples, seed=seed,
-                                                budget=budget or wb)
-            mode = f"sampled {samples}"
+        elif _CONTAININGS_SAMPLES * probe_cost <= wb:
+            cx, counts, pts = verify_refinement(
+                skeleton, n, m, sample=_CONTAININGS_SAMPLES,
+                budget=budget or wb)
+            mode = f"sampled {_CONTAININGS_SAMPLES}"
         else:
             skipped.append(n)
             continue
         if cx is not None:
-            return finish(failed("containings", f"n={n} m={m} {mode}", cx),
-                           t0)
+            return failed("containings", f"n={n} m={m} {mode}", cx)
         wits.append({"n": n, "m": m, "mode": mode, "points": pts,
                      "cases": counts,
                      "partial": "parent column only" if m == n + 1 else None})
@@ -438,12 +421,11 @@ def check_containings(skeleton, budget=None, samples=5000, seed=0):
              f"{dep - 2}" + (f"; probe cost over budget: {skipped}"
                              if skipped else ""))
     if not wits:
-        return finish(inconclusive("containings", scope), t0)
-    return finish(passed("containings", scope, wits), t0)
+        return inconclusive("containings", scope)
+    return passed("containings", scope, wits)
 
 
-def check_z_identity(skeleton, budget=None, chain_samples=200000, seed=0):
-    t0 = time.perf_counter()
+def check_z_identity(skeleton, budget=None):
     m_set = set(_m_levels(skeleton))
     wits = []
     for n in range(1, skeleton.depth):
@@ -451,13 +433,13 @@ def check_z_identity(skeleton, budget=None, chain_samples=200000, seed=0):
         if n in m_set and not eq:
             bad = class_rows(skeleton.tower, table,
                              table["parent_zero"] != table["rhs"])
-            return finish(failed("z-identity", f"n={n} boundary equality",
-                                 {"n": n, "classes": bad}), t0)
+            return failed("z-identity", f"n={n} boundary equality",
+                          {"n": n, "classes": bad})
         if not cont:
             bad = class_rows(skeleton.tower, table,
                              table["parent_zero"] & ~table["rhs"])
-            return finish(failed("z-identity", f"n={n} containment",
-                                 {"n": n, "classes": bad}), t0)
+            return failed("z-identity", f"n={n} containment",
+                          {"n": n, "classes": bad})
         wits.append({"n": n, "boundary": n in m_set, "equality": eq,
                      "containment": cont})
     chain_wits = []
@@ -466,37 +448,29 @@ def check_z_identity(skeleton, budget=None, chain_samples=200000, seed=0):
         for ns in ms[i + 1:]:
             if ns > skeleton.depth:
                 continue
-            cap = min(chain_samples, 200000)
-            cx, branches, checked = corollary_chain(
-                skeleton, nj, ns, sample=None, seed=seed,
-                exhaustive_cap=cap, budget=budget)
+            cx, branches, checked = corollary_chain(skeleton, nj, ns,
+                                                    budget=budget)
             if cx is not None:
-                return finish(failed("z-identity",
-                                     f"chain ({nj},{ns})", cx), t0)
-            mode, total = chain_mode(skeleton, ns, exhaustive_cap=cap,
-                                     budget=budget)
+                return failed("z-identity", f"chain ({nj},{ns})", cx)
+            mode, total = chain_mode(skeleton, ns, budget=budget)
             chain_wits.append({"span": (nj, ns), "atoms": checked,
                                "branches": branches, "mode": mode,
                                "of": total})
-    return finish(passed(
-        "z-identity",
-        f"class algebra n=1..{skeleton.depth - 1}; "
-        f"chains {[w['span'] for w in chain_wits]}",
-        wits + chain_wits), t0)
+    return passed("z-identity",
+                  f"class algebra n=1..{skeleton.depth - 1}; "
+                  f"chains {[w['span'] for w in chain_wits]}",
+                  wits + chain_wits)
 
 
-def check_an_det(skeleton, budget=None, levels=None):
-    t0 = time.perf_counter()
-    top = levels if levels is not None else skeleton.depth
-    for n in range(1, top + 1):
+def check_an_det(skeleton, budget=None):
+    for n in range(1, skeleton.depth + 1):
         sub = an_det_check(skeleton, n, budget=budget)
         if sub.status != "Pass":
-            return finish(sub, t0)
-    return finish(passed("an-det", f"n = 1..{top}, det equals |D_n|"), t0)
+            return sub
+    return passed("an-det", f"n = 1..{skeleton.depth}, det equals |D_n|")
 
 
 def check_uns_bound(skeleton, budget=None):
-    t0 = time.perf_counter()
     T = skeleton.tower
     dep = skeleton.depth
     wb = budgets.window_budget(budget)
@@ -513,29 +487,24 @@ def check_uns_bound(skeleton, budget=None):
             for i, s in enumerate(T.domain_arr(n + 1)):
                 acc &= T.shift_arr(vals, s, m) == target[i]
             mu = Fraction(int(acc.sum()), T.size(m))
-            bound = Fraction(1, T.size(n + 1))
-            for l in range(1, m - n):
-                bound *= 1 - Fraction(T.size(n + l), T.size(n + l + 1))
+            bound = good_bound(T, n, m) / T.size(m)
             if mu < bound:
-                return finish(failed(
-                    "uns-bound", f"(n,m)=({n},{m})",
-                    {"n": n, "m": m, "mu": mu, "bound": bound}), t0)
+                return failed("uns-bound", f"(n,m)=({n},{m})",
+                              {"n": n, "m": m, "mu": mu, "bound": bound})
             wits.append({"n": n, "m": m, "mu": mu, "bound": bound,
                          "strict": mu > bound})
     scope = (f"{len(wits)} pairs, n in boundary levels, n+2 <= m <= {dep - 1}"
              + (f"; over budget: {skipped}" if skipped else ""))
     if not wits:
-        return finish(inconclusive("uns-bound", scope), t0)
-    return finish(passed("uns-bound", scope, wits), t0)
+        return inconclusive("uns-bound", scope)
+    return passed("uns-bound", scope, wits)
 
 
-def _plant_tail_sum(skeleton, n):
-    """Exact sum of 1/|D_t| over planted steps t in (n, depth]."""
-    s = Fraction(0)
-    for t in range(n + 1, skeleton.depth + 1):
-        if skeleton.steps[t - 1][0] == "plant":
-            s += Fraction(1, skeleton.tower.size(t))
-    return s
+def _plant_tail_sum(skeleton, n, top):
+    """Exact sum of 1/|D_t| over planted steps t in (n, top]."""
+    return sum((Fraction(1, skeleton.tower.size(t))
+                for t in range(n + 1, top + 1)
+                if skeleton.steps[t - 1][0] == "plant"), Fraction(0))
 
 
 def _future_factor_bound(tower, at):
@@ -560,10 +529,7 @@ def zero_mass_closed_form(skeleton, n, m):
     class: its representative sits in J(m), hence inside D_m.  Later steps
     plant outside D_m entirely.
     """
-    s = Fraction(0)
-    for t in range(n + 1, m + 1):
-        if skeleton.steps[t - 1][0] == "plant":
-            s += Fraction(1, skeleton.tower.size(t))
+    s = _plant_tail_sum(skeleton, n, m)
     if m + 1 <= skeleton.depth and skeleton.steps[m][0] == "plant":
         s += Fraction(1, skeleton.tower.size(m))
     return 1 - skeleton.tower.size(n) * s
@@ -579,7 +545,7 @@ def zero_mass_lower_bound(skeleton, n):
         tail = Fraction(1, T.size(dep)) * b / (1 - b) if b < 1 else None
         if tail is None:
             return None
-        return 1 - T.size(n) * (_plant_tail_sum(skeleton, n) + tail)
+        return 1 - T.size(n) * (_plant_tail_sum(skeleton, n, dep) + tail)
     b = _future_factor_bound(T, n)
     if b >= 1:
         return None
@@ -587,7 +553,6 @@ def zero_mass_lower_bound(skeleton, n):
 
 
 def check_measure_one_trend(skeleton, budget=None):
-    t0 = time.perf_counter()
     T = skeleton.tower
     dep = skeleton.depth
     levels = _m_levels(skeleton)
@@ -603,9 +568,8 @@ def check_measure_one_trend(skeleton, budget=None):
         direct = mu_zero_set(skeleton, n, m, budget or wb)
         closed = zero_mass_closed_form(skeleton, n, m)
         if direct != closed:
-            return finish(failed(
-                "measure-1-trend", f"closed form at ({n},{m})",
-                {"direct": direct, "closed": closed}), t0)
+            return failed("measure-1-trend", f"closed form at ({n},{m})",
+                          {"direct": direct, "closed": closed})
         cross = {"pair": (n, m), "mu": closed}
     exact = [{"n": n, "m": dep - 1,
               "mu": zero_mass_closed_form(skeleton, n, dep - 1)}
@@ -617,20 +581,20 @@ def check_measure_one_trend(skeleton, budget=None):
             bounds.append({"n": n, "lower_bound": lb})
     wits = ([cross] if cross else []) + exact + bounds
     if len(bounds) < 2:
-        return finish(inconclusive(
+        return inconclusive(
             "measure-1-trend",
             f"fewer than two boundary levels with certified bounds "
-            f"(levels {levels})", wits), t0)
+            f"(levels {levels})", wits)
     seq = [b["lower_bound"] for b in bounds]
     if all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-        return finish(passed(
+        return passed(
             "measure-1-trend",
             f"certified lower bounds at boundary levels "
-            f"{[b['n'] for b in bounds]} are nondecreasing", wits), t0)
-    return finish(inconclusive(
+            f"{[b['n'] for b in bounds]} are nondecreasing", wits)
+    return inconclusive(
         "measure-1-trend",
         "certified bounds are not monotone at this depth; the statement "
-        "needs deeper construction to witness", wits), t0)
+        "needs deeper construction to witness", wits)
 
 
 # -- registry --------------------------------------------------------------
@@ -658,6 +622,8 @@ REGISTRY_NAMES = tuple(_REGISTRY)
 
 ALIASES = {"j-sub": "per-eq"}
 
+AXIOMS_FAIL = "tower axioms fail (decom)"
+
 
 def registry_self_test():
     """Every alias must name a registered check."""
@@ -669,35 +635,32 @@ def registry_self_test():
                   f"{len(REGISTRY_NAMES)} checks + aliases {sorted(ALIASES)}")
 
 
-def run_check(skeleton, name, params=None):
+def run_check(skeleton, name, budget=None):
+    """Run one registered check (or alias), timed, with the errors a check
+    may raise turned into its status."""
     canonical = ALIASES.get(name, name)
     fn = _REGISTRY.get(canonical)
     if fn is None:
         raise UnknownCheck(
             f"{name!r}; known: {', '.join(REGISTRY_NAMES)} "
             f"and aliases {sorted(ALIASES)}")
-    res = fn(skeleton, **(params or {}))
+    t0 = time.perf_counter()
+    try:
+        res = fn(skeleton, budget=budget)
+    except NonAbelianUnsupported as exc:
+        res = inconclusive(name, f"unsupported on this tower: {exc}")
+    except (NotInDomain, ArithmeticError) as exc:
+        # a check may lean on the tower axioms; once decom refutes them,
+        # its breaking on them is not a finding of its own
+        decom = None if canonical == "decom" else check_decom(skeleton, budget)
+        if decom is None or decom.ok:
+            raise
+        res = vacated(name, f"{AXIOMS_FAIL}: {exc}", [decom.counterexample])
     res.name = name
+    res.millis = (time.perf_counter() - t0) * 1e3
     return res
 
 
-def run_all(skeleton, budget=None, params=None):
-    results = [registry_self_test()]
-    overrides = params or {}
-    axioms_fail = False
-    for name in REGISTRY_NAMES:
-        kw = dict(overrides.get(name, {}))
-        if budget is not None:
-            kw.setdefault("budget", budget)
-        t0 = time.perf_counter()
-        try:
-            res = run_check(skeleton, name, kw)
-        except (NotInDomain, ArithmeticError) as exc:
-            # a check may lean on the tower axioms; once decom has refuted
-            # them, its breaking on them is not a finding of its own
-            if not axioms_fail:
-                raise
-            res = finish(vacated(name, f"tower axioms fail (decom): {exc}"), t0)
-        axioms_fail = axioms_fail or (name == "decom" and not res.ok)
-        results.append(res)
-    return SuiteReport(results)
+def run_all(skeleton, budget=None):
+    return SuiteReport([registry_self_test()] + [
+        run_check(skeleton, name, budget) for name in REGISTRY_NAMES])

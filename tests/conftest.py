@@ -4,6 +4,7 @@ Heavy skeletons are session scoped; the naive reference models from
 bruteforce.py are kept at depths where their pure-python loops stay cheap.
 """
 
+import itertools
 import random
 
 import pytest
@@ -77,6 +78,42 @@ def relabelled_cyclic(moduli, seed):
     labels = perms[-1]
     domains = [[labels[x] for x in range(s)] for s in sizes]
     return GenericTower(levels, domains), labels
+
+
+def s3_by_z(depth):
+    """G = S3 x Z with Gamma_1 = A3 x 2Z and Gamma_n = {e} x 2^(n-1) Z.
+
+    Level 1 is G/Gamma_1 = Z/2 x Z/2, labelled 2 * parity + (z mod 2);
+    level n >= 2 is S3 x Z/2^(n-1), labelled s * 2^(n-1) + z with s the
+    index of the permutation.  D_1 = {e, (01)} x {0, 1} and, for n >= 2,
+    D_n = S3 x [0, 2^(n-1)), so the level sizes are 4, 12, 24, 48, ...
+    """
+    perms = list(itertools.permutations(range(3)))  # perms[0] is e
+    compose = [[perms.index(tuple(p[i] for i in q)) for q in perms]
+               for p in perms]
+    parity = [sum(p[i] > p[j] for i, j in itertools.combinations(range(3), 2))
+              % 2 for p in perms]
+    levels = [{"size": 4, "op": [[a ^ b for b in range(4)] for a in range(4)]}]
+    for n in range(2, depth + 1):
+        z = 1 << (n - 1)
+        op = [[compose[a // z][b // z] * z + (a + b) % z
+               for b in range(6 * z)] for a in range(6 * z)]
+        if n == 2:
+            proj = [2 * parity[g // z] + g % 2 for g in range(6 * z)]
+        else:
+            proj = [g // z * (z // 2) + g % (z // 2) for g in range(6 * z)]
+        levels.append({"size": 6 * z, "op": op, "proj": proj})
+    top = 1 << (depth - 1)
+    swap = perms.index((1, 0, 2))
+    domains = [[0], [s * top + k for s in (0, swap) for k in (0, 1)]]
+    domains += [[s * top + k for s in range(6) for k in range(1 << (n - 1))]
+                for n in range(2, depth + 1)]
+    return GenericTower(levels, domains)
+
+
+@pytest.fixture(scope="session")
+def s3_by_z5():
+    return build_skeleton(s3_by_z(5), 5)
 
 
 @pytest.fixture(scope="session")

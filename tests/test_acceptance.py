@@ -172,7 +172,10 @@ def test_criterion_10_zero_set_identity(criterion, threeadic):
         for n in (1, 2, 3):
             cex, _, npts = verify_refinement(threeadic, n, n + 2)
             assert cex is None and npts == 3 ** (n + 2)
-        assert run_check(threeadic, "z-identity").status == "Pass"
+        z_id = run_check(threeadic, "z-identity")
+        assert z_id.status == "Pass"
+        # |D_9| * (1 + |J(9)|) atoms are past the cap, so the chain is sampled
+        assert "(1, 9) sampled: 200000 of 10097379 atoms" in z_id.render()
         assert run_check(threeadic, "containings").status == "Pass"
         rec["detail"] = "levels 1..8 + pointwise refinement"
 

@@ -118,8 +118,7 @@ def test_corollary_chain_frozen_counts(threeadic):
                         "not_zero_ancestor": 252}
 
 
-def _reference_chain(skeleton, n_j, n_s, sample=None, seed=0,
-                     exhaustive_cap=200000):
+def _reference_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
     """corollary_chain one atom at a time, through parent_cell and
     containment_case."""
     T = skeleton.tower
@@ -128,13 +127,13 @@ def _reference_chain(skeleton, n_j, n_s, sample=None, seed=0,
     size = T.size(n_s)
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
-    if sample is None and size * (1 + len(js)) <= exhaustive_cap:
+    if size * (1 + len(js)) <= exhaustive_cap:
         atoms = [(w, tag) for w in dom
                  for tag in [TAG_ZERO] + [tag_one(u) for u in js]]
     else:
         rng = random.Random(seed)
         atoms = []
-        for _ in range(sample if sample is not None else exhaustive_cap):
+        for _ in range(exhaustive_cap):
             w = dom[rng.randrange(size)]
             pick = rng.randrange(len(js) + 1)
             atoms.append((w, TAG_ZERO if pick == 0 else tag_one(js[pick - 1])))
@@ -162,7 +161,7 @@ def _reference_chain(skeleton, n_j, n_s, sample=None, seed=0,
     return None, branches, len(atoms)
 
 
-@pytest.mark.parametrize("name, n_j, n_s, sample", [
+@pytest.mark.parametrize("name, n_j, n_s, cap", [
     ("threeadic", 1, 4, None),
     ("threeadic", 1, 9, 3000),
     ("centered6", 1, 4, None),
@@ -170,12 +169,13 @@ def _reference_chain(skeleton, n_j, n_s, sample=None, seed=0,
     ("lattice", 1, 3, 3000),
     ("relabelled36", 1, 4, None),
 ])
-def test_corollary_chain_matches_reference_walk(request, name, n_j, n_s, sample):
+def test_corollary_chain_matches_reference_walk(request, name, n_j, n_s, cap):
     sk = request.getfixturevalue(name)
     if name == "relabelled36":
         sk = sk[0]
-    got = corollary_chain(sk, n_j, n_s, sample=sample, seed=5)
-    assert got == _reference_chain(sk, n_j, n_s, sample=sample, seed=5)
+    kw = {} if cap is None else {"exhaustive_cap": cap}  # None: the default
+    got = corollary_chain(sk, n_j, n_s, seed=5, **kw)
+    assert got == _reference_chain(sk, n_j, n_s, seed=5, **kw)
     assert got[0] is None
 
 
@@ -195,7 +195,8 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
 
 
 def test_corollary_chain_irregular(irregular):
-    cex, branches, checked = corollary_chain(irregular, 1, 3, sample=400, seed=3)
+    cex, branches, checked = corollary_chain(irregular, 1, 3, seed=3,
+                                             exhaustive_cap=400)
     assert cex is None
     assert checked == 400
 

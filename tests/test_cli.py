@@ -35,6 +35,13 @@ def test_tower_validate(capsys):
     assert "Pass" in capsys.readouterr().out
 
 
+def test_tower_validate_reports_its_time(capsys):
+    assert main(["tower", "validate", "--preset", "threeadic", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["name"] == "decom" and obj["status"] == "Pass"
+    assert obj["millis"] > 0
+
+
 def test_build_and_reload(tmp_path, capsys):
     out = tmp_path / "sk.json"
     assert main(["eta", "build", "--preset", "threeadic", "--depth", "4",
@@ -146,6 +153,12 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_has_no_seed_flag(capsys):
+    assert main(["verify", "linking", "--preset", "threeadic", "--depth", "4",
+                 "--seed", "99"]) == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys, tmp_path):
     assert main(["eta", "eval", "--preset", "threeadic"]) == 2  # missing -g
     capsys.readouterr()
@@ -255,3 +268,30 @@ def test_broken_generic_tower_fails_without_traceback(tmp_path, capsys):
     assert results["decom"]["status"] == "Fail"
     assert results["j-recursion"]["status"] == "Fail"
     assert results["j-recursion"]["counterexample"]["recursive_only"] == [5]
+
+
+def _broken_tiling_config(tmp_path):
+    # D_1 = {0, 1} but D_2 = {0, 1, 2, 7}: the translates of D_1 by
+    # Gamma_1 cap D_2 miss 3, so the tiling of D_2 fails at pair (1, 2)
+    bad = cyclic_generic([2, 2, 2],
+                         domains=[[0], [0, 1], [0, 1, 2, 7], list(range(8))])
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad.config().to_json()))
+    return ["--config", str(cfg), "--depth", "3"]
+
+
+def test_single_check_on_a_broken_tower_names_the_check_and_decom(
+        tmp_path, capsys):
+    argv = _broken_tiling_config(tmp_path)
+    assert main(["verify", "partitions-c", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: partitions-c: tower axioms fail (decom): element "
+                   "outside D_2; decom: tiling misses D_j at pair (1, 2)\n")
+    # in the suite the same check is a Vacated row with the same scope
+    assert main(["verify", "all", *argv, "--json"]) == 1
+    results = {r["name"]: r for r in json.loads(capsys.readouterr().out)
+               ["results"]}
+    assert results["partitions-c"]["status"] == "Vacated"
+    assert results["partitions-c"]["scope"] == \
+        "tower axioms fail (decom): element outside D_2"

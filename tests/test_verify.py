@@ -1,5 +1,6 @@
 """The check registry: names, statuses, and honest degradation under budgets."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from toeplitzlab import (
     zero_mass_lower_bound,
 )
 from toeplitzlab.cells import mu_zero_set
-from toeplitzlab.verify import check_z_identity, good_bound, good_set
+from toeplitzlab.verify import _REGISTRY, good_bound, good_set
 
 
 def test_registry_names_are_stable():
@@ -31,6 +32,15 @@ def test_registry_self_test_catches_a_dangling_alias(monkeypatch):
     res = registry_self_test()
     assert res.status == "Fail"
     assert res.counterexample == {"bad_alias": ["j-gone"]}
+
+
+def test_every_check_takes_only_the_skeleton_and_a_budget():
+    # run_check is the one caller; a check has no settings of its own
+    for name, fn in _REGISTRY.items():
+        params = inspect.signature(fn).parameters
+        assert list(params) == ["skeleton", "budget"], name
+        assert params["skeleton"].default is inspect.Parameter.empty, name
+        assert params["budget"].default is None, name
 
 
 def test_unknown_check_is_rejected(threeadic5):
@@ -105,7 +115,7 @@ def test_zero_mass_lower_bounds(threeadic, irregular):
 
 
 def test_containings_degrades_honestly(threeadic):
-    res = run_check(threeadic, "containings", {"budget": 100})
+    res = run_check(threeadic, "containings", budget=100)
     assert res.status == "Inconclusive"
     assert res.witnesses == [] or all(
         w.get("mode") != "exhaustive" for w in res.witnesses)
@@ -150,13 +160,27 @@ def test_decom_reports_its_time(threeadic5):
     assert run_check(threeadic5, "decom").millis > 0
 
 
-def test_z_identity_says_when_a_chain_is_sampled(threeadic5):
-    # (1,4) has |D_4| * (1 + |J(4)|) = 81 * 17 = 1377 atoms
-    full = check_z_identity(threeadic5)
-    part = check_z_identity(threeadic5, chain_samples=100)
-    assert full.scope == part.scope == "class algebra n=1..4; chains [(1, 4)]"
-    (wf,), (wp,) = ([w for w in r.witnesses if "span" in w] for r in (full, part))
+def test_z_identity_says_when_a_chain_is_exhaustive(threeadic5):
+    # (1,4) has |D_4| * (1 + |J(4)|) = 81 * 17 = 1377 atoms; the sampled
+    # form is pinned on threeadic depth 10 in test_acceptance.py
+    full = run_check(threeadic5, "z-identity")
+    assert full.scope == "class algebra n=1..4; chains [(1, 4)]"
+    (wf,) = [w for w in full.witnesses if "span" in w]
     assert (wf["mode"], wf["atoms"], wf["of"]) == ("exhaustive", 1377, 1377)
-    assert (wp["mode"], wp["atoms"], wp["of"]) == ("sampled", 100, 1377)
     assert "(1, 4) exhaustive: 1377 of 1377 atoms" in full.render()
-    assert "(1, 4) sampled: 100 of 1377 atoms" in part.render()
+
+
+def test_suite_runs_on_a_non_abelian_tower(s3_by_z5):
+    T = s3_by_z5.tower
+    assert not T.abelian
+    assert [T.size(n) for n in range(1, 6)] == [4, 12, 24, 48, 96]
+    # the essential facet of per-eq needs an abelian tower; the suite goes on
+    report = run_all(s3_by_z5)
+    by_name = {r.name: r for r in report.results}
+    assert list(by_name) == ["registry", *REGISTRY_NAMES]
+    assert by_name["decom"].status == "Pass"
+    per_eq = by_name["per-eq"]
+    assert per_eq.status == "Inconclusive"
+    assert per_eq.scope == ("unsupported on this tower: the essential facet "
+                            "needs an abelian tower")
+    assert all(r.millis > 0 for r in report.results[1:])
