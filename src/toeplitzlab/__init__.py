@@ -7,7 +7,7 @@ counting bounds, and certified density/measure enclosures, all in exact
 rational arithmetic.
 """
 
-from .budgets import enum_budget, window_budget
+from .budgets import Budget
 from .cells import (classify_points, corollary_chain, mu_zero_set,
                     verify_refinement, zero_set_identity)
 from .density import (d_enumeration, d_product, d_recursion, density_methods,

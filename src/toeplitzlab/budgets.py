@@ -2,54 +2,27 @@
 
 Every exhaustive walk over a fundamental domain goes through check_enum, and
 every materialized symbol window through check_window.  Exceeding a cap raises
-BudgetExceeded instead of silently degrading to floats or samples.
+BudgetExceeded instead of silently degrading to floats or samples.  A skeleton
+holds one Budget for everything computed from it; a function that sees only
+a tower takes one, by default Budget().
 """
 
-import os
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 
-DEFAULT_ENUM_BUDGET = 1 << 22
-DEFAULT_WINDOW_BUDGET = 1 << 28
 
-ENUM_ENV = "TOEPLITZLAB_ENUM_BUDGET"
-WINDOW_ENV = "TOEPLITZLAB_WINDOW_BUDGET"
+@dataclass(frozen=True)
+class Budget:
+    enum: int = 1 << 22
+    window: int = 1 << 28
 
+    def check_enum(self, size, what):
+        if size > self.enum:
+            raise BudgetExceeded(
+                f"{what} needs {size} elements, budget is {self.enum}")
 
-def _from_env(var, default):
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BudgetExceeded(f"{var} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise BudgetExceeded(f"{var} must be positive, got {value}")
-    return value
-
-
-def enum_budget(override=None):
-    if override is not None:
-        return int(override)
-    return _from_env(ENUM_ENV, DEFAULT_ENUM_BUDGET)
-
-
-def window_budget(override=None):
-    if override is not None:
-        return int(override)
-    return _from_env(WINDOW_ENV, DEFAULT_WINDOW_BUDGET)
-
-
-def check_enum(size, what="enumeration", override=None):
-    cap = enum_budget(override)
-    if size > cap:
-        raise BudgetExceeded(f"{what} needs {size} elements, budget is {cap}")
-    return size
-
-
-def check_window(size, what="window", override=None):
-    cap = window_budget(override)
-    if size > cap:
-        raise BudgetExceeded(f"{what} needs {size} cells, budget is {cap}")
-    return size
+    def check_window(self, size, what):
+        if size > self.window:
+            raise BudgetExceeded(
+                f"{what} needs {size} cells, budget is {self.window}")

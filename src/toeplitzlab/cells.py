@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budgets
 from .errors import DepthExceeded
 from .window import window_values
 
@@ -43,7 +42,7 @@ def tag_one(g):
 # -- classification of periodized points ---------------------------------
 
 
-def classify_points(skeleton, m, l, d_arr, budget=None, chunk=1 << 20):
+def classify_points(skeleton, m, l, d_arr, chunk=1 << 20):
     """Level-l tags of sigma^{-d} eta_m for each d in the element array d_arr:
     -1 for Zero, else the index of the planted position in the ordered J(l)."""
     T = skeleton.tower
@@ -51,7 +50,7 @@ def classify_points(skeleton, m, l, d_arr, budget=None, chunk=1 << 20):
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
-    jl = np.expand_dims(skeleton.jset(l, budget=budget), 0)
+    jl = np.expand_dims(skeleton.jset(l), 0)
     gamma = T.sub_arr(d_arr, T.reduce_arr(d_arr, l))
     out = np.empty(len(d_arr), dtype=np.int64)
     rows = max(1, chunk // jl.shape[1])
@@ -66,11 +65,12 @@ def classify_points(skeleton, m, l, d_arr, budget=None, chunk=1 << 20):
     return out
 
 
-def verify_refinement(skeleton, n, m, sample=None, seed=0, budget=None):
+def verify_refinement(skeleton, n, m, sample=None, seed=0):
     """Compare the symbolic parent rule against pointwise classification.
 
     Classifies sigma^{-d} eta_m at levels n and n+1 for d over D_m (or a
-    seeded sample) and checks the child cell's parent matches.  Returns
+    seeded sample) and checks the child cell's parent matches.  The probe
+    cost, points times J(n+1) cells, is held to the window cap.  Returns
     (counterexample_or_None, case_counts, points).
     """
     T = skeleton.tower
@@ -81,16 +81,16 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0, budget=None):
     size = T.size(m)
     d_arr = T.domain_arr(m)
     if sample is None:
-        budgets.check_enum(size * max(len(skeleton.jset(n + 1, budget=budget)), 1),
-                           f"refinement n={n} m={m}", budget)
+        skeleton.budget.check_window(size * max(len(skeleton.jset(n + 1)), 1),
+                                     f"refinement n={n} m={m}")
     else:
         rng = random.Random(seed)
         d_arr = d_arr[[rng.randrange(size) for _ in range(sample)]]
 
-    jn = skeleton.jset(n, budget=budget)
-    jn1 = skeleton.jset(n + 1, budget=budget)
-    cidx = classify_points(skeleton, m, n + 1, d_arr, budget)
-    pidx = classify_points(skeleton, m, n, d_arr, budget)
+    jn = skeleton.jset(n)
+    jn1 = skeleton.jset(n + 1)
+    cidx = classify_points(skeleton, m, n + 1, d_arr)
+    pidx = classify_points(skeleton, m, n, d_arr)
 
     kind = skeleton.steps[n]  # step n+1 decides the gamma == 0 column
     plant = kind[0] == "plant"
@@ -132,7 +132,7 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0, budget=None):
 # -- the set identities ----------------------------------------------------
 
 
-def zero_set_identity(skeleton, n, budget=None):
+def zero_set_identity(skeleton, n):
     """Class algebra for the Z_n recursion at level n.
 
     Children classes are (gamma, tag-class) with gamma over Gamma_n cap
@@ -150,7 +150,7 @@ def zero_set_identity(skeleton, n, budget=None):
     if n + 1 > skeleton.depth:
         raise DepthExceeded(f"zero-set identity at {n} needs depth >= {n + 1}")
     plant = skeleton.steps[n][0] == "plant"
-    sec = T.section_arr(n, n + 1, budget=budget)
+    sec = T.section_arr(n, n + 1, skeleton.budget)
     is0 = T.eq_arr(sec, T.zero)
     nz = sec[~is0]
     # One classes: W_{n+1} needs gamma not in {0, gamma~}; at gamma == 0
@@ -180,22 +180,22 @@ def class_rows(tower, table, mask):
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
 
 
-def chain_mode(skeleton, n_s, exhaustive_cap=200000, budget=None):
+def chain_mode(skeleton, n_s, exhaustive_cap=200000):
     """How corollary_chain covers the level-n_s atoms: ("exhaustive" or
     "sampled", the number of atoms |D_{n_s}| * (1 + |J(n_s)|))."""
-    total = skeleton.tower.size(n_s) * (1 + len(skeleton.jset(n_s, budget=budget)))
+    total = skeleton.tower.size(n_s) * (1 + len(skeleton.jset(n_s)))
     return ("exhaustive" if total <= exhaustive_cap else "sampled"), total
 
 
-def _chain_atoms(skeleton, n_s, seed, exhaustive_cap, budget):
+def _chain_atoms(skeleton, n_s, seed, exhaustive_cap):
     """The atoms to check, in order, as D_{n_s} indices and tag picks: pick 0
     is Zero, pick p is One(J(n_s)[p-1]).  Past exhaustive_cap atoms, that
     many are drawn from one seeded stream, a (domain index, pick) pair each."""
     size = skeleton.tower.size(n_s)
-    mode, total = chain_mode(skeleton, n_s, exhaustive_cap, budget)
+    mode, total = chain_mode(skeleton, n_s, exhaustive_cap)
     picks = total // size
     if mode == "exhaustive":
-        budgets.check_enum(size, f"D_{n_s}", budget)
+        skeleton.budget.check_enum(size, f"D_{n_s}")
         return np.repeat(np.arange(size), picks), np.tile(np.arange(picks), size)
     rng = random.Random(seed)
     draws = array("q")
@@ -228,8 +228,7 @@ def _chain_level(skeleton, r, w, tag):
     return v, parent, one & ~is0 & ~match, one & is0
 
 
-def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000,
-                    budget=None):
+def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
     """Every finest Zero-ancestor atom passes through an allowed exit.
 
     For atoms (w, tag) at level n_s whose iterated parent at level n_j is a
@@ -244,11 +243,11 @@ def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000,
     T = skeleton.tower
     if n_s > skeleton.depth:
         raise DepthExceeded("chain exceeds constructed depth")
-    js = skeleton.jset(n_s, budget=budget)
+    js = skeleton.jset(n_s)
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
 
-    idx, pick = _chain_atoms(skeleton, n_s, seed, exhaustive_cap, budget)
+    idx, pick = _chain_atoms(skeleton, n_s, seed, exhaustive_cap)
     atoms = T.domain_arr(n_s)[idx], np.concatenate(
         ([-1], T.index_of_arr(js, n_s)))[pick]
     w, tag = atoms
@@ -283,11 +282,12 @@ def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000,
 # -- measures of cell families --------------------------------------------
 
 
-def mu_zero_set(skeleton, n, m, budget=None):
-    """mu_m(Z_n): translates whose level-n tag is Zero."""
+def mu_zero_set(skeleton, n, m):
+    """mu_m(Z_n): translates whose level-n tag is Zero.  The probe cost,
+    |D_m| times J(n) cells, is held to the window cap."""
     T = skeleton.tower
-    budgets.check_enum(T.size(m) * max(len(skeleton.jset(n, budget=budget)), 1),
-                       f"mu_{m}(Z_{n})", budget)
-    tags = classify_points(skeleton, m, n, T.domain_arr(m), budget)
+    skeleton.budget.check_window(T.size(m) * max(len(skeleton.jset(n)), 1),
+                                 f"mu_{m}(Z_{n})")
+    tags = classify_points(skeleton, m, n, T.domain_arr(m))
     return Fraction(int((tags < 0).sum()), T.size(m))
 

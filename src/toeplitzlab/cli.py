@@ -8,10 +8,10 @@ Numbers print as exact fractions with a decimal approximation alongside.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
+from .budgets import Budget
 from .cells import mu_zero_set
 from .density import density_methods, regularity_verdict
 from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
@@ -61,8 +61,10 @@ def _add_common(sp):
     sp.add_argument("--depth", type=int,
                     help="build depth (default: preset depth / full config)")
     sp.add_argument("--enum-budget", type=_positive_int, dest="enum_budget",
+                    default=Budget().enum,
                     help="cap on python-level enumeration sizes")
     sp.add_argument("--window-budget", type=_positive_int, dest="window_budget",
+                    default=Budget().window,
                     help="cap on materialized window sizes")
     sp.add_argument("--json", action="store_true", dest="as_json",
                     help="machine-readable output")
@@ -78,14 +80,11 @@ def _skeleton(args):
         preset_depth = PRESET_DEPTH[args.preset]
     else:
         raise InvalidIndex("need --preset or --config")
-    if args.enum_budget is not None:
-        os.environ["TOEPLITZLAB_ENUM_BUDGET"] = str(args.enum_budget)
-    if args.window_budget is not None:
-        os.environ["TOEPLITZLAB_WINDOW_BUDGET"] = str(args.window_budget)
     tower = build_tower(cfg)
     depth = args.depth if args.depth is not None \
         else (preset_depth or tower.depth)
-    return build_skeleton(tower, depth)
+    return build_skeleton(tower, depth,
+                          Budget(args.enum_budget, args.window_budget))
 
 
 def _cmd_tower_validate(args):
@@ -184,7 +183,7 @@ def _cmd_analyze_density(args):
         obj = report.to_json()
         obj["methods"] = []
         for n in range(1, min(levels, sk.depth - 1) + 1):
-            if sk.tower.size(n) > 1 << 22:
+            if sk.tower.size(n) > sk.budget.enum:
                 break
             routes = density_methods(sk, n)
             obj["methods"].append(
@@ -205,8 +204,11 @@ def _cmd_analyze_measures(args):
         print(f"  mu[1] in [{_fmt_q(lo)}, {_fmt_q(hi)}]")
         lo, hi = enc["zero"]
         print(f"  mu[0] in [{_fmt_q(lo)}, {_fmt_q(hi)}]")
-        if m >= 2 and sk.tower.size(m) <= 1 << 22:
-            print(f"  mu_{m}(Z_1) = {_fmt_q(mu_zero_set(sk, 1, m))}")
+        if m >= 2:
+            try:
+                print(f"  mu_{m}(Z_1) = {_fmt_q(mu_zero_set(sk, 1, m))}")
+            except BudgetExceeded as exc:
+                print(f"  mu_{m}(Z_1): over budget ({exc})")
     payload = {"level": m,
                "one": [str(x) for x in enc["one"]],
                "zero": [str(x) for x in enc["zero"]],

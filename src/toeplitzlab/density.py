@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import budgets
-from .errors import DepthExceeded
+from .errors import BudgetExceeded, DepthExceeded
 from .skeleton import j_size
 from .tower import TAIL_DIVERGENT, TAIL_GEOMETRIC
 from .window import per_masks
@@ -49,20 +48,20 @@ def d_recursion(tower, n):
     return Fraction(total, tower.size(n))
 
 
-def d_enumeration(skeleton, n, budget=None):
-    budgets.check_enum(skeleton.tower.size(n), f"density level {n}", budget)
-    decided = sum(int(m.sum()) for m in per_masks(skeleton, n, budget))
+def d_enumeration(skeleton, n):
+    skeleton.budget.check_enum(skeleton.tower.size(n), f"density level {n}")
+    decided = sum(int(m.sum()) for m in per_masks(skeleton, n))
     return Fraction(decided, skeleton.tower.size(n))
 
 
-def density_methods(skeleton, n, budget=None):
+def density_methods(skeleton, n):
     """All computable routes to d_n; enumeration is skipped past the budget."""
     tower = skeleton.tower
     out = {"product": d_product(tower, n), "recursion": d_recursion(tower, n)}
     try:
         if skeleton.depth >= n:
-            out["enumeration"] = d_enumeration(skeleton, n, budget)
-    except budgets.BudgetExceeded:
+            out["enumeration"] = d_enumeration(skeleton, n)
+    except BudgetExceeded:
         pass
     return out
 

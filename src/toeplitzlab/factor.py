@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import budgets
 from .errors import DepthExceeded, NotInDomain
 from .window import level_scan
 
@@ -86,7 +85,7 @@ class FiberProfile:
         return buf.getvalue()
 
 
-def fiber_profile(skeleton, n, budget=None):
+def fiber_profile(skeleton, n):
     """Window multiplicity over each level-n coset, from level-(n+1) lifts.
 
     For every v in D_{n+1} the D_n-window of sigma^{v^{-1}} eta is read off,
@@ -97,9 +96,9 @@ def fiber_profile(skeleton, n, budget=None):
     T = skeleton.tower
     if n + 1 > T.depth:
         raise DepthExceeded(f"fiber profile at {n} needs tower depth {n + 1}")
-    budgets.check_enum(T.size(n), f"D_{n}", budget)
-    budgets.check_enum(T.size(n + 1) * T.size(n), f"fiber profile at {n}",
-                       budget)
+    skeleton.budget.check_enum(T.size(n), f"D_{n}")
+    skeleton.budget.check_enum(T.size(n + 1) * T.size(n),
+                               f"fiber profile at {n}")
     dom_n = T.domain_arr(n)
     lifts = T.domain_arr(n + 1)
     rows = max(1, (1 << 20) // len(dom_n))  # lifts per scan of ~1M cells

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budgets
 from .errors import DepthExceeded, InconclusiveTail, NotInDomain
 from .density import regularity_verdict, VERDICT_INCONCLUSIVE
 from .result import failed, passed
@@ -18,7 +17,7 @@ from .skeleton import j_size
 from .window import per_masks, window_values
 
 
-def a_counts(skeleton, n, cross_check=None, budget=None):
+def a_counts(skeleton, n, cross_check=None):
     """(a_{n,0}, a_{n,1}): decided cosets of each symbol inside D_n.
 
     Computed from the step log; when `cross_check` is true (default for small
@@ -40,7 +39,7 @@ def a_counts(skeleton, n, cross_check=None, budget=None):
     if cross_check is None:
         cross_check = T.size(n) <= 1 << 16
     if cross_check:
-        e0, e1 = (int(m.sum()) for m in per_masks(skeleton, n, budget))
+        e0, e1 = (int(m.sum()) for m in per_masks(skeleton, n))
         if (e0, e1) != (a0, a1):
             raise ArithmeticError(
                 f"a_counts mismatch at level {n}: log {(a0, a1)} vs count {(e0, e1)}")
@@ -50,7 +49,7 @@ def a_counts(skeleton, n, cross_check=None, budget=None):
 class PeriodicMeasure:
     """mu_m: exact masses for eta_m-cylinders; needs depth > m."""
 
-    def __init__(self, skeleton, m, budget=None):
+    def __init__(self, skeleton, m):
         if m < 1:
             raise DepthExceeded("measure level must be >= 1")
         if skeleton.depth < m + 1:
@@ -60,8 +59,8 @@ class PeriodicMeasure:
         self.m = m
         self.tower = skeleton.tower
         self.size = self.tower.size(m)
-        budgets.check_window(self.size, f"mu_{m}", budget)
-        self._vals = window_values(skeleton, m, budget)
+        skeleton.budget.check_window(self.size, f"mu_{m}")
+        self._vals = window_values(skeleton, m)
         if (self._vals == 255).any():
             raise DepthExceeded(f"mu_{m} found undecided cells")
 
@@ -79,12 +78,12 @@ class PeriodicMeasure:
         return Fraction(int(acc.sum()), self.size)
 
 
-def periodic_measure(skeleton, m, budget=None):
-    return PeriodicMeasure(skeleton, m, budget)
+def periodic_measure(skeleton, m):
+    return PeriodicMeasure(skeleton, m)
 
 
-def mu_cylinder(skeleton, m, pattern, budget=None):
-    return periodic_measure(skeleton, m, budget).mu_cylinder(pattern)
+def mu_cylinder(skeleton, m, pattern):
+    return periodic_measure(skeleton, m).mu_cylinder(pattern)
 
 
 def parse_pattern(tower, obj):
@@ -106,7 +105,7 @@ def parse_pattern(tower, obj):
     return out
 
 
-def limit_01(skeleton, level=None, budget=None):
+def limit_01(skeleton, level=None):
     """Certified enclosures for the limiting masses of the symbol cylinders.
 
     The one-mass partials a_{m,1}/|D_m| are nondecreasing, and every later
@@ -124,7 +123,7 @@ def limit_01(skeleton, level=None, budget=None):
     if report.verdict == VERDICT_INCONCLUSIVE:
         raise InconclusiveTail(
             "limit_01 needs a certified density interval; declare a tail")
-    a0, a1 = a_counts(skeleton, m, budget=budget)
+    a0, a1 = a_counts(skeleton, m)
     size = T.size(m)
     one_lo = Fraction(a1, size)
     one_hi = one_lo + Fraction(1, size)
@@ -153,11 +152,11 @@ def limit_01(skeleton, level=None, budget=None):
     }
 
 
-def an_det_check(skeleton, n, override_counts=None, budget=None):
+def an_det_check(skeleton, n, override_counts=None):
     """det [[a0+j, a0+j-1], [a1, a1+1]] must equal |D_n| exactly."""
     name = "an-det"
     a0, a1 = override_counts if override_counts is not None \
-        else a_counts(skeleton, n, budget=budget)
+        else a_counts(skeleton, n)
     j = j_size(skeleton.tower, n)
     size = skeleton.tower.size(n)
     mat = ((a0 + j, a0 + j - 1), (a1, a1 + 1))

@@ -11,24 +11,24 @@ import random
 
 import numpy as np
 
-from . import budgets
+from .budgets import Budget
 from .errors import BudgetExceeded, NonAbelianUnsupported, NotInDomain
 from .result import failed, inconclusive, passed
 from .tower import KIND_LINE
 from .window import materialize_window, per_masks, window_values
 
 
-def per_set(skeleton, n, symbol, budget=None):
+def per_set(skeleton, n, symbol):
     """Per(n, symbol) as D_n representatives, in enumeration order."""
     if symbol not in (0, 1):
         raise NotInDomain(f"symbol must be 0 or 1, got {symbol!r}")
     T = skeleton.tower
-    budgets.check_enum(T.size(n), f"Per({n},{symbol})", budget)
-    mask = per_masks(skeleton, n, budget)[symbol]
+    skeleton.budget.check_enum(T.size(n), f"Per({n},{symbol})")
+    mask = per_masks(skeleton, n)[symbol]
     return tuple(T.elements(T.domain_arr(n)[mask]))
 
 
-def _step_log_masks(skeleton, n, budget=None):
+def _step_log_masks(skeleton, n):
     """Per(n, 0) and Per(n, 1) rebuilt from the step log alone: step t forces
     J(t-1) + Gamma_t, to 1 on its planted position's translates and to 0 on
     the rest.  Returns the two masks over D_n and, per symbol, the elements
@@ -38,12 +38,12 @@ def _step_log_masks(skeleton, n, budget=None):
     outside = ([], [])
     for t in range(1, n + 1):
         kind = skeleton.steps[t - 1]
-        cells = skeleton.jset(t - 1, budget=budget)
+        cells = skeleton.jset(t - 1)
         parts = [cells]
         if kind[0] == "plant":
             # h lies in J(t-1) itself; other J(t-1) cells of this step get 0
             parts = [cells[~T.eq_arr(cells, kind[1])], T.array([kind[1]])]
-        sec = T.section_arr(t, n, budget)
+        sec = T.section_arr(t, n, skeleton.budget)
         for symbol, part in enumerate(parts):
             e = T.add_arr(np.expand_dims(part, 1), np.expand_dims(sec, 0))
             e = e.reshape(-1, *e.shape[2:])
@@ -53,7 +53,7 @@ def _step_log_masks(skeleton, n, budget=None):
     return masks, outside
 
 
-def invariant_shift(tower, n, mask0, mask1, budget=None):
+def invariant_shift(tower, n, mask0, mask1, budget=Budget()):
     """(v, label): a nonzero v in D_n whose translation fixes both masks over
     D_n, or None, and what was tried.
 
@@ -65,7 +65,7 @@ def invariant_shift(tower, n, mask0, mask1, budget=None):
     if not T.abelian:
         raise NonAbelianUnsupported("the essential facet needs an abelian tower")
     size = T.size(n)
-    budgets.check_enum(size, f"essential level {n}", budget)
+    budget.check_enum(size, f"essential level {n}")
     if T.kind == KIND_LINE:
         cands = [d for d in range(1, size) if size % d == 0]
         label = f"{len(cands)} divisor shifts of {size}"
@@ -80,16 +80,16 @@ def invariant_shift(tower, n, mask0, mask1, budget=None):
     return None, label
 
 
-def per_eq_check(skeleton, n, window=None, budget=None):
+def per_eq_check(skeleton, n, window=None):
     """Per(n, .) from the level scan and from the step log must coincide, a
     window must show the right symbol on every translate of every per-cell,
     and no subgroup strictly between Gamma_n and G may fix the per-sets."""
     T = skeleton.tower
     name = "per-eq"
-    budgets.check_enum(T.size(n), f"Per({n},.)", budget)
+    skeleton.budget.check_enum(T.size(n), f"Per({n},.)")
     dom = T.domain_arr(n)
-    per = per_masks(skeleton, n, budget)
-    logged, outside = _step_log_masks(skeleton, n, budget)
+    per = per_masks(skeleton, n)
+    logged, outside = _step_log_masks(skeleton, n)
     for symbol in (1, 0):
         diff = T.elements(dom[logged[symbol] != per[symbol]]) + outside[symbol]
         if diff:
@@ -101,10 +101,10 @@ def per_eq_check(skeleton, n, window=None, budget=None):
     if window is None:
         wlevel = min(n + 1, T.depth)
         try:
-            window = materialize_window(skeleton, wlevel, budget)
+            window = materialize_window(skeleton, wlevel)
         except BudgetExceeded:
             wlevel = n
-            window = materialize_window(skeleton, wlevel, budget)
+            window = materialize_window(skeleton, wlevel)
     else:
         wlevel = window.level
         if wlevel < n:
@@ -116,7 +116,7 @@ def per_eq_check(skeleton, n, window=None, budget=None):
     cells = np.concatenate((dom[per[0]], dom[per[1]]))
     want = np.repeat(np.uint8([0, 1]), counts)[:, None]
     e = T.add_arr(np.expand_dims(cells, 1),
-                  np.expand_dims(T.section_arr(n, wlevel, budget), 0))
+                  np.expand_dims(T.section_arr(n, wlevel, skeleton.budget), 0))
     got = window.values_array()[T.index_of_arr(e, wlevel)]
     bad = (got != 255) & (got != want)
     if bad.any():
@@ -129,7 +129,7 @@ def per_eq_check(skeleton, n, window=None, budget=None):
              "coset": f"{T.format_element(T.element(cells[i]))}+Gamma_{n}"},
             [{"probes": first + 1}])
 
-    shift, label = invariant_shift(T, n, per[0], per[1], budget)
+    shift, label = invariant_shift(T, n, per[0], per[1], skeleton.budget)
     if shift is not None:
         return failed(
             name, f"level {n}, essential ({label})",
@@ -142,7 +142,7 @@ def per_eq_check(skeleton, n, window=None, budget=None):
          {"essential": label}])
 
 
-def partitions_c_check(skeleton, k, samples=10000, seed=0, budget=None):
+def partitions_c_check(skeleton, k, samples=10000, seed=0):
     """Every Gamma_k-translate of J(k) carries at most one planted 1.
 
     Exhaustive over Gamma_k cap D_{k+3} when those probes are defined, then a
@@ -150,13 +150,13 @@ def partitions_c_check(skeleton, k, samples=10000, seed=0, budget=None):
     """
     T = skeleton.tower
     name = "partitions-c"
-    jk = skeleton.jset(k, budget=budget)
+    jk = skeleton.jset(k)
     rng = random.Random(seed)
 
     def ones_on(gam, level):
         """Ones on each translate gamma J(k), gamma in the array gam; the
         tiling axiom keeps gamma + J(k) inside the decided D_level."""
-        vals = window_values(skeleton, level, budget)
+        vals = window_values(skeleton, level)
         counts = np.zeros(len(gam), dtype=np.int64)
         for g in jk:
             counts += vals[T.index_of_arr(T.add_arr(gam, g), level)] == 1
@@ -167,11 +167,11 @@ def partitions_c_check(skeleton, k, samples=10000, seed=0, budget=None):
     top = skeleton.depth - 1
     runs = []
     if k + 3 <= T.depth and skeleton.depth >= k + 4:
-        sec = T.section_arr(k, k + 3, budget=budget)
-        budgets.check_enum(len(sec) * len(jk), f"partitions-c k={k}", budget)
+        sec = T.section_arr(k, k + 3, skeleton.budget)
+        skeleton.budget.check_enum(len(sec) * len(jk), f"partitions-c k={k}")
         runs.append(("exhaustive", sec, k + 3))
     if top >= k and samples > 0:
-        sec = T.section_arr(k, top)
+        sec = T.section_arr(k, top, skeleton.budget)
         gam = sec[[rng.randrange(len(sec)) for _ in range(samples)]]
         runs.append(("sampled", gam, top))
     for mode, gam, level in runs:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import budgets
+from .budgets import Budget
 from .errors import DepthExceeded, EmptySlot, NotInDomain
 from .tower import TowerConfig, build_tower, element_keys
 
@@ -63,17 +63,17 @@ def _j_mask(tower, g, n):
     return keep
 
 
-def j_set(tower, n, budget=None):
+def j_set(tower, n, budget=Budget()):
     """J(n) as an element array in enumeration order: D_n minus everything
     lower levels saturate."""
     if n > tower.depth:
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
-    budgets.check_enum(tower.size(n), f"J({n})", budget)
+    budget.check_enum(tower.size(n), f"J({n})")
     g = tower.domain_arr(n)
     return g[_j_mask(tower, g, n)]
 
 
-def j_set_recursive(tower, n, budget=None):
+def j_set_recursive(tower, n, budget=Budget()):
     """J(n) via the translation recursion; must agree with j_set.
 
     Level 1 is the definitional base.  For n >= 2, J(n) is the union of
@@ -86,14 +86,14 @@ def j_set_recursive(tower, n, budget=None):
     if n == 0:
         return tower.array([tower.zero])
     if n == 1:
-        return j_set(tower, 1, budget=budget)
-    budgets.check_enum(j_size(tower, n), f"J({n}) recursion", budget)
-    below = j_set_recursive(tower, n - 1, budget=budget)
-    sec = tower.section_arr(n - 1, n, budget=budget)
+        return j_set(tower, 1, budget)
+    budget.check_enum(j_size(tower, n), f"J({n}) recursion")
+    below = j_set_recursive(tower, n - 1, budget)
+    sec = tower.section_arr(n - 1, n, budget)
     sec = sec[~tower.eq_arr(sec, tower.zero)]
     out = tower.add_arr(np.expand_dims(sec, 1), np.expand_dims(below, 0))
     out = out.reshape(-1, *out.shape[2:])
-    budgets.check_enum(tower.size(n), f"D_{n}", budget)
+    budget.check_enum(tower.size(n), f"D_{n}")
     keys, _ = element_keys(tower, out, n)
     return out[np.argsort(keys, kind="stable")]
 
@@ -112,9 +112,11 @@ class HRecord:
 
 
 class ToeplitzSkeleton:
-    """Everything the lazy evaluator needs: step kinds and planted positions."""
+    """Everything the lazy evaluator needs: step kinds and planted positions,
+    the caps everything computed from it obeys, and the J-set and window
+    caches."""
 
-    def __init__(self, tower, depth):
+    def __init__(self, tower, depth, budget=Budget()):
         if depth < 1:
             raise DepthExceeded("depth must be >= 1")
         if depth > tower.depth:
@@ -122,7 +124,9 @@ class ToeplitzSkeleton:
                 f"depth {depth} exceeds the tower's {tower.depth} levels")
         self.tower = tower
         self.depth = depth
+        self.budget = budget
         self._jcache = {}
+        self._wincache = {}  # window.py's level scans over D_n
 
         # block boundaries: m_k = 1 + k + sum of |J(i)| for i <= k
         self.m_of = [1]
@@ -155,9 +159,9 @@ class ToeplitzSkeleton:
 
     # -- J-sets ---------------------------------------------------------
 
-    def jset(self, n, budget=None):
+    def jset(self, n):
         if n not in self._jcache:
-            self._jcache[n] = j_set(self.tower, n, budget=budget)
+            self._jcache[n] = j_set(self.tower, n, self.budget)
         return self._jcache[n]
 
     def _first_over(self, g_slot, k, n):
@@ -190,7 +194,7 @@ class ToeplitzSkeleton:
             kind = self.steps[self.mbar[k + 1] - 2]  # last slot step of block k
             if kind[0] != "plant":
                 continue
-            sec = T.section_arr(mk - 2, mk - 1)
+            sec = T.section_arr(mk - 2, mk - 1, self.budget)
             sec = sec[~T.eq_arr(sec, T.zero)]
             v_inv_h = T.add_arr(T.sub_arr(T.zero, sec), kind[1])
             out = ~T.in_domain_arr(v_inv_h, mk)
@@ -246,12 +250,12 @@ class ToeplitzSkeleton:
             fh.write("\n")
 
 
-def build_skeleton(tower_or_config, depth):
+def build_skeleton(tower_or_config, depth, budget=Budget()):
     if isinstance(tower_or_config, (dict, TowerConfig)):
         tower = build_tower(tower_or_config)
     else:
         tower = tower_or_config
-    return ToeplitzSkeleton(tower, depth)
+    return ToeplitzSkeleton(tower, depth, budget)
 
 
 def load_skeleton(path):

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import budgets
+from .budgets import Budget
 from .errors import DepthExceeded, InvalidIndex, NotInDomain, ParityError
 
 KIND_LINE = "IntegerLine"
@@ -205,14 +205,14 @@ class IntegerLineTower(_ArrayForms):
         lo = self.lo(n)
         return np.arange(lo, lo + self.N[n], dtype=self._arr_dtype(n))
 
-    def section_arr(self, i, j, budget=None):
+    def section_arr(self, i, j, budget=Budget()):
         """Gamma_i intersected with D_j, in enumeration order."""
         self._chk(i)
         self._chk(j)
         if i > j:
             raise DepthExceeded(f"section needs i <= j, got ({i},{j})")
         q = self.N[j] // self.N[i]
-        budgets.check_enum(q, f"Gamma_{i} cap D_{j}", budget)
+        budget.check_enum(q, f"Gamma_{i} cap D_{j}")
         first = 0 if self.style == STYLE_NONNEG else -((q - 1) // 2)
         return np.arange(first, first + q, dtype=np.int64) * self.N[i]
 
@@ -294,13 +294,13 @@ class IntegerLatticeTower(_ArrayForms):
     def domain_arr(self, n):
         return self._grid([ax.domain_arr(n) for ax in self.axes])
 
-    def section_arr(self, i, j, budget=None):
+    def section_arr(self, i, j, budget=Budget()):
         # the axes check the levels and the order of i and j
         size = 1
         for ax in self.axes:
             size *= ax.size(j) // ax.size(i)
-        budgets.check_enum(size, f"Gamma_{i} cap D_{j}", budget)
-        return self._grid([ax.section_arr(i, j) for ax in self.axes])
+        budget.check_enum(size, f"Gamma_{i} cap D_{j}")
+        return self._grid([ax.section_arr(i, j, budget) for ax in self.axes])
 
     def reduce_arr(self, g, n, out=None):
         out = np.empty_like(g) if out is None else out
@@ -504,12 +504,12 @@ class GenericTower(_ArrayForms):
         self._chk(n)
         return np.array(self.domains[n], dtype=np.int64)
 
-    def section_arr(self, i, j, budget=None):
+    def section_arr(self, i, j, budget=Budget()):
         self._chk(i)
         dom = self.domain_arr(j)
         down = self._down_arr[i]
         out = dom[down[dom] == down[0]]
-        budgets.check_enum(len(out), f"Gamma_{i} cap D_{j}", budget)
+        budget.check_enum(len(out), f"Gamma_{i} cap D_{j}")
         return out
 
     def reduce_arr(self, g, n, out=None):
@@ -641,7 +641,7 @@ def _first_repeat(keys):
     return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
-def validate_tower(tower, budget=None):
+def validate_tower(tower, budget=Budget()):
     """Check the nesting/tiling axioms on every level, by enumeration where
     the level fits the enumeration budget.
 
@@ -651,7 +651,6 @@ def validate_tower(tower, budget=None):
     """
     from .result import failed, passed  # local import to avoid a cycle
 
-    cap = budgets.enum_budget(budget)
     top = tower.depth
     checked_pairs = []
     name = "decom"
@@ -663,7 +662,7 @@ def validate_tower(tower, budget=None):
                           {"level": n + 1, "reason": "index below 2",
                            "sizes": (sizes[n], sizes[n + 1])})
 
-    levels_in_budget = [n for n in range(top + 1) if sizes[n] <= cap]
+    levels_in_budget = [n for n in range(top + 1) if sizes[n] <= budget.enum]
     scope = f"levels {levels_in_budget}"
     for n in levels_in_budget:
         dom = tower.domain_arr(n)
@@ -698,7 +697,7 @@ def validate_tower(tower, budget=None):
     for i in levels_in_budget:
         dom_i = tower.domain_arr(i)
         for j in levels_in_budget[i + 1:]:
-            sec = tower.section_arr(i, j, budget=cap)
+            sec = tower.section_arr(i, j, budget)
             if len(sec) * sizes[i] != sizes[j]:
                 return failed(name, scope,
                               {"pair": (i, j), "reason": "section size mismatch",
@@ -721,5 +720,5 @@ def validate_tower(tower, budget=None):
             checked_pairs.append((i, j))
 
     return passed(name, f"levels 0..{top}, tilings {len(checked_pairs)} pairs, "
-                        f"enumerated where |D_j| <= {cap}",
+                        f"enumerated where |D_j| <= {budget.enum}",
                   [{"pairs": checked_pairs}])

@@ -1,13 +1,14 @@
 """Named verification checks over a built array, runnable singly or as a suite.
 
 The check contract: every registered check is a plain function
-check_x(skeleton, budget=None) that returns a CheckResult.  It has no other
-settings and does not time itself.  run_check is the one dispatcher: it
-reads the clock around the call and sets `millis`, and it decides what an
-error raised inside a check means.  A NonAbelianUnsupported makes the check
-Inconclusive, with the unsupported facet in its scope; a NotInDomain or
-ArithmeticError on a tower that decom refutes makes it Vacated, with decom's
-counterexample as its witness.  Any other error propagates.
+check_x(skeleton) that returns a CheckResult.  It has no settings of its own;
+the caps it works under are the skeleton's budget.  It does not time itself.
+run_check is the one dispatcher: it reads the clock around the call and sets
+`millis`, and it decides what an error raised inside a check means.  A
+NonAbelianUnsupported makes the check Inconclusive, with the unsupported facet
+in its scope; a NotInDomain or ArithmeticError on a tower that decom refutes
+makes it Vacated, with decom's counterexample as its witness.  Any other error
+propagates.
 
 Every check reports its exhaustive range in `scope`; a quantifier over all n
 always becomes "all n in the computed range" and is never extrapolated.  A
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budgets
 from .cells import (chain_mode, class_rows, corollary_chain, mu_zero_set,
                     verify_refinement, zero_set_identity)
 from .density import ratio_term
@@ -55,11 +55,11 @@ def _m_pairs(skeleton):
     return out
 
 
-def good_set(skeleton, n, m, budget=None):
+def good_set(skeleton, n, m):
     """Gamma_{n+1} cap D_m minus the union of D_l Gamma_{l+1}, l = n+1..m-1,
     as an element array."""
     T = skeleton.tower
-    budgets.check_window(T.size(m), f"good set ({n},{m})", budget)
+    skeleton.budget.check_window(T.size(m), f"good set ({n},{m})")
     g = T.domain_arr(m)
     mask = T.eq_arr(T.reduce_arr(g, n + 1), T.zero)
     for l in range(n + 1, m):
@@ -74,10 +74,10 @@ def good_bound(tower, n, m):
     return b
 
 
-def _eta_level_targets(skeleton, n, budget=None):
+def _eta_level_targets(skeleton, n):
     """eta_n over D_{n+1}, in the enumeration order of D_{n+1}."""
     T = skeleton.tower
-    vals_n = window_values(skeleton, n, budget)
+    vals_n = window_values(skeleton, n)
     return vals_n[T.coset_index_arr(T.domain_arr(n + 1), n)]
 
 
@@ -89,13 +89,13 @@ def _eval_arr(skeleton, g):
     return vals
 
 
-def _u_mask(skeleton, base, n, eta, budget=None):
+def _u_mask(skeleton, base, n, eta):
     """Which base points v have the sigma^{v^{-1}} eta window on D_{n+1}
     equal to eta_n; eta(g) gives the array's values at the element array g.
     Each probe only visits the points that matched every earlier probe, and
     the probes for the rarer symbol 1 go first."""
     T = skeleton.tower
-    target = _eta_level_targets(skeleton, n, budget)
+    target = _eta_level_targets(skeleton, n)
     shifts = T.domain_arr(n + 1)
     alive = np.arange(len(base))
     for i in np.argsort(target == 0, kind="stable"):
@@ -105,22 +105,22 @@ def _u_mask(skeleton, base, n, eta, budget=None):
     return ok
 
 
-def _patch_offsets(skeleton, n, budget=None):
+def _patch_offsets(skeleton, n):
     """Arrays gamma, u and gamma + u over (Gamma_n cap D_{n+1}) x J(n),
     gamma-major."""
     T = skeleton.tower
-    gam = np.expand_dims(T.section_arr(n, n + 1, budget=budget), 1)
-    u = np.expand_dims(skeleton.jset(n, budget=budget), 0)
+    gam = np.expand_dims(T.section_arr(n, n + 1, skeleton.budget), 1)
+    u = np.expand_dims(skeleton.jset(n), 0)
     off = T.add_arr(gam, u)
     return [np.broadcast_to(a, off.shape).reshape(-1, *off.shape[2:])
             for a in (gam, u, off)]
 
 
-def _y_mask(skeleton, base, n, budget=None):
+def _y_mask(skeleton, base, n):
     """Which base points pass the all-zero probe over section x J(n)."""
     T = skeleton.tower
     ok = T.eq_arr(T.reduce_arr(base, n), T.zero)
-    for off in _patch_offsets(skeleton, n, budget)[2]:
+    for off in _patch_offsets(skeleton, n)[2]:
         ok &= _eval_arr(skeleton, T.add_arr(base, off)) == 0
     return ok
 
@@ -128,17 +128,17 @@ def _y_mask(skeleton, base, n, budget=None):
 # -- the checks ------------------------------------------------------------
 
 
-def check_decom(skeleton, budget=None):
-    return validate_tower(skeleton.tower, budget)
+def check_decom(skeleton):
+    return validate_tower(skeleton.tower, skeleton.budget)
 
 
-def check_j_recursion(skeleton, budget=None):
+def check_j_recursion(skeleton):
     T = skeleton.tower
-    cap = budgets.enum_budget(budget)
+    budget = skeleton.budget
     done = []
     skipped = []
     for n in range(1, T.depth + 1):
-        if j_size(T, n) > cap or T.size(n) > budgets.window_budget(budget):
+        if j_size(T, n) > budget.enum or T.size(n) > budget.window:
             skipped.append(n)
             continue
         a = j_set(T, n, budget)
@@ -161,7 +161,7 @@ def check_j_recursion(skeleton, budget=None):
 _PER_EQ_CAP = 100000  # largest |D_n| per-eq checks
 
 
-def check_per_eq(skeleton, budget=None):
+def check_per_eq(skeleton):
     T = skeleton.tower
     done = []
     skipped = []
@@ -169,13 +169,13 @@ def check_per_eq(skeleton, budget=None):
         if T.size(n) > _PER_EQ_CAP:
             skipped.append(n)
             continue
-        sub = per_eq_check(skeleton, n, budget=budget)
+        sub = per_eq_check(skeleton, n)
         if sub.status == "Fail":
             return sub
         # the membership facet: J(n) gains the period only one level up,
         # so every cell of J(n) is decided exactly at level n
-        jn = skeleton.jset(n, budget=budget)
-        off = window_levels(skeleton, n, budget)[T.index_of_arr(jn, n)] != n
+        jn = skeleton.jset(n)
+        off = window_levels(skeleton, n)[T.index_of_arr(jn, n)] != n
         if off.any():
             return failed(
                 "per-eq", f"n={n} membership",
@@ -189,10 +189,10 @@ def check_per_eq(skeleton, budget=None):
     return passed("per-eq", scope)
 
 
-def check_good_relation(skeleton, budget=None):
+def check_good_relation(skeleton):
     T = skeleton.tower
     dep = T.depth
-    wb = budgets.window_budget(budget)
+    wb = skeleton.budget.window
     done = []
     skipped = []
     for n in range(1, dep - 1):
@@ -200,7 +200,7 @@ def check_good_relation(skeleton, budget=None):
             if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
                 skipped.append((n, m))
                 continue
-            S = good_set(skeleton, n, m, budget)
+            S = good_set(skeleton, n, m)
             count = len(S)
             bound = good_bound(T, n, m)
             if count < 1 or Fraction(count) < bound:
@@ -224,20 +224,20 @@ def check_good_relation(skeleton, budget=None):
     return passed("good-relation", scope, done)
 
 
-def _patch_values(skeleton, n, m, S, budget=None):
+def _patch_values(skeleton, n, m, S):
     """The D_m window at every offset patch: values at (offset, gamma0 +
     offset) for gamma0 in S, and at the bare offset u.  gamma0 + offset stays
     inside D_m by the tiling axiom, so the window holds every probe."""
     T = skeleton.tower
-    vals = window_values(skeleton, m, budget)
-    gam, u, off = _patch_offsets(skeleton, n, budget)
+    vals = window_values(skeleton, m)
+    gam, u, off = _patch_offsets(skeleton, n)
     got = vals[T.index_of_arr(
         T.add_arr(np.expand_dims(off, 1), np.expand_dims(S, 0)), m)]
     want = vals[T.index_of_arr(u, m)]
     return got, np.expand_dims(want, 1), (gam, u)
 
 
-def check_good_patches(skeleton, budget=None):
+def check_good_patches(skeleton):
     T = skeleton.tower
     pairs = _m_pairs(skeleton)
     if not pairs:
@@ -246,12 +246,12 @@ def check_good_patches(skeleton, budget=None):
                       f"{skeleton.depth - 1}; vacuous")
     wits = []
     for n, m in pairs:
-        S = good_set(skeleton, n, m, budget)
-        got, want, _ = _patch_values(skeleton, n, m, S, budget)
+        S = good_set(skeleton, n, m)
+        got, want, _ = _patch_values(skeleton, n, m, S)
         qualifying = S[(got == want).all(axis=0)]
-        vals = window_values(skeleton, m, budget)
+        vals = window_values(skeleton, m)
         in_u = _u_mask(skeleton, qualifying, n,
-                       lambda g: vals[T.index_of_arr(g, m)], budget)
+                       lambda g: vals[T.index_of_arr(g, m)])
         if not in_u.all():
             i = int(np.flatnonzero(~in_u)[0])
             return failed(
@@ -264,7 +264,7 @@ def check_good_patches(skeleton, budget=None):
                   f"boundary pairs {[(w['n'], w['m']) for w in wits]}", wits)
 
 
-def check_t1t2(skeleton, budget=None):
+def check_t1t2(skeleton):
     T = skeleton.tower
     pairs = _m_pairs(skeleton)
     if not pairs:
@@ -272,8 +272,8 @@ def check_t1t2(skeleton, budget=None):
                               f"{skeleton.depth - 1}; vacuous")
     wits = []
     for n, m in pairs:
-        S = good_set(skeleton, n, m, budget)
-        got, want, (gam, u) = _patch_values(skeleton, n, m, S, budget)
+        S = good_set(skeleton, n, m)
+        got, want, (gam, u) = _patch_values(skeleton, n, m, S)
         bad = got != want
         if bad.any():
             j, i = np.unravel_index(int(bad.argmax()), bad.shape)
@@ -285,12 +285,12 @@ def check_t1t2(skeleton, budget=None):
                   f"boundary pairs {[(w['n'], w['m']) for w in wits]}", wits)
 
 
-def check_partitions_c(skeleton, budget=None):
+def check_partitions_c(skeleton):
     ks = list(range(1, max(2, skeleton.depth - 1)))
     subs = []
     for k in ks:
         try:
-            sub = partitions_c_check(skeleton, k, budget=budget)
+            sub = partitions_c_check(skeleton, k)
         except BudgetExceeded:
             subs.append({"k": k, "status": "skipped over budget"})
             continue
@@ -303,7 +303,7 @@ def check_partitions_c(skeleton, budget=None):
     return passed("partitions-c", f"k in {ks}", subs)
 
 
-def check_linking(skeleton, budget=None):
+def check_linking(skeleton):
     ok_map = dict(skeleton.linking_ok)
     wits = [{"block": k, "holds": bool(v)} for k, v in sorted(ok_map.items())]
     scope = f"completed blocks {sorted(ok_map)}"
@@ -316,7 +316,7 @@ def check_linking(skeleton, budget=None):
         "linking-dependent statements are not testable here", wits)
 
 
-def check_good_ds(skeleton, budget=None):
+def check_good_ds(skeleton):
     T = skeleton.tower
     levels = [nk for nk in _m_levels(skeleton)
               if nk >= 2 and nk + 1 <= skeleton.depth]
@@ -326,8 +326,8 @@ def check_good_ds(skeleton, budget=None):
 
     wits = []
     for nk in levels:
-        per1_up = per_masks(skeleton, nk + 1, budget)[1]
-        per1_lo = per_masks(skeleton, nk - 1, budget)[1]
+        per1_up = per_masks(skeleton, nk + 1)[1]
+        per1_lo = per_masks(skeleton, nk - 1)[1]
         e_all = T.domain_arr(nk + 1)
         found = []
         for w in T.domain_arr(nk - 1):
@@ -351,7 +351,7 @@ def check_good_ds(skeleton, budget=None):
                   "D_{n_k-1} minus identity", wits)
 
 
-def check_u_in_y(skeleton, budget=None):
+def check_u_in_y(skeleton):
     T = skeleton.tower
     ms = _m_levels(skeleton)
     usable = [(k, nk) for k, nk in enumerate(ms)
@@ -363,13 +363,13 @@ def check_u_in_y(skeleton, budget=None):
     any_vacated = False
     for k, nk in usable:
         linking = bool(skeleton.linking_ok.get(k, False))
-        budgets.check_window(T.size(nk + 2) * T.size(nk + 1),
-                             f"u-in-y at {nk}", budget)
+        skeleton.budget.check_window(T.size(nk + 2) * T.size(nk + 1),
+                                     f"u-in-y at {nk}")
         # the probes leave D_{n_k+2}, so they go through the level scan
         base = T.domain_arr(nk + 2)
         members = base[_u_mask(skeleton, base, nk,
-                               lambda g: _eval_arr(skeleton, g), budget)]
-        in_y = _y_mask(skeleton, members, nk, budget)
+                               lambda g: _eval_arr(skeleton, g))]
+        in_y = _y_mask(skeleton, members, nk)
         holds = bool(in_y.all())
         bad = None if holds else T.element(members[int(in_y.argmin())])
         if linking and not holds:
@@ -389,10 +389,10 @@ def check_u_in_y(skeleton, budget=None):
 _CONTAININGS_SAMPLES = 5000  # points per level once D_m is over budget
 
 
-def check_containings(skeleton, budget=None):
+def check_containings(skeleton):
     T = skeleton.tower
     dep = skeleton.depth
-    wb = budgets.window_budget(budget)
+    wb = skeleton.budget.window
     wits = []
     skipped = []
     for n in range(1, dep - 1):
@@ -401,13 +401,11 @@ def check_containings(skeleton, budget=None):
             continue
         probe_cost = j_size(T, n + 1)
         if T.size(m) * probe_cost <= wb:
-            cx, counts, pts = verify_refinement(skeleton, n, m,
-                                                budget=budget or wb)
+            cx, counts, pts = verify_refinement(skeleton, n, m)
             mode = "exhaustive"
         elif _CONTAININGS_SAMPLES * probe_cost <= wb:
             cx, counts, pts = verify_refinement(
-                skeleton, n, m, sample=_CONTAININGS_SAMPLES,
-                budget=budget or wb)
+                skeleton, n, m, sample=_CONTAININGS_SAMPLES)
             mode = f"sampled {_CONTAININGS_SAMPLES}"
         else:
             skipped.append(n)
@@ -425,11 +423,11 @@ def check_containings(skeleton, budget=None):
     return passed("containings", scope, wits)
 
 
-def check_z_identity(skeleton, budget=None):
+def check_z_identity(skeleton):
     m_set = set(_m_levels(skeleton))
     wits = []
     for n in range(1, skeleton.depth):
-        eq, cont, table = zero_set_identity(skeleton, n, budget)
+        eq, cont, table = zero_set_identity(skeleton, n)
         if n in m_set and not eq:
             bad = class_rows(skeleton.tower, table,
                              table["parent_zero"] != table["rhs"])
@@ -448,11 +446,10 @@ def check_z_identity(skeleton, budget=None):
         for ns in ms[i + 1:]:
             if ns > skeleton.depth:
                 continue
-            cx, branches, checked = corollary_chain(skeleton, nj, ns,
-                                                    budget=budget)
+            cx, branches, checked = corollary_chain(skeleton, nj, ns)
             if cx is not None:
                 return failed("z-identity", f"chain ({nj},{ns})", cx)
-            mode, total = chain_mode(skeleton, ns, budget=budget)
+            mode, total = chain_mode(skeleton, ns)
             chain_wits.append({"span": (nj, ns), "atoms": checked,
                                "branches": branches, "mode": mode,
                                "of": total})
@@ -462,18 +459,18 @@ def check_z_identity(skeleton, budget=None):
                   wits + chain_wits)
 
 
-def check_an_det(skeleton, budget=None):
+def check_an_det(skeleton):
     for n in range(1, skeleton.depth + 1):
-        sub = an_det_check(skeleton, n, budget=budget)
+        sub = an_det_check(skeleton, n)
         if sub.status != "Pass":
             return sub
     return passed("an-det", f"n = 1..{skeleton.depth}, det equals |D_n|")
 
 
-def check_uns_bound(skeleton, budget=None):
+def check_uns_bound(skeleton):
     T = skeleton.tower
     dep = skeleton.depth
-    wb = budgets.window_budget(budget)
+    wb = skeleton.budget.window
     wits = []
     skipped = []
     for n in _m_levels(skeleton):
@@ -481,8 +478,8 @@ def check_uns_bound(skeleton, budget=None):
             if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
                 skipped.append((n, m))
                 continue
-            vals = window_values(skeleton, m, budget)
-            target = _eta_level_targets(skeleton, n, budget)
+            vals = window_values(skeleton, m)
+            target = _eta_level_targets(skeleton, n)
             acc = np.ones(T.size(m), dtype=bool)
             for i, s in enumerate(T.domain_arr(n + 1)):
                 acc &= T.shift_arr(vals, s, m) == target[i]
@@ -552,12 +549,12 @@ def zero_mass_lower_bound(skeleton, n):
     return 1 - b / (1 - b)
 
 
-def check_measure_one_trend(skeleton, budget=None):
+def check_measure_one_trend(skeleton):
     T = skeleton.tower
     dep = skeleton.depth
     levels = _m_levels(skeleton)
     # closed form vs direct classification at one affordable pair
-    wb = budgets.window_budget(budget)
+    wb = skeleton.budget.window
     probe = next(((n, min(n + 2, dep - 1)) for n in levels
                   if n + 1 <= dep - 1
                   and T.size(min(n + 2, dep - 1)) * j_size(T, n) <= wb
@@ -565,7 +562,7 @@ def check_measure_one_trend(skeleton, budget=None):
     cross = None
     if probe is not None:
         n, m = probe
-        direct = mu_zero_set(skeleton, n, m, budget or wb)
+        direct = mu_zero_set(skeleton, n, m)
         closed = zero_mass_closed_form(skeleton, n, m)
         if direct != closed:
             return failed("measure-1-trend", f"closed form at ({n},{m})",
@@ -635,7 +632,7 @@ def registry_self_test():
                   f"{len(REGISTRY_NAMES)} checks + aliases {sorted(ALIASES)}")
 
 
-def run_check(skeleton, name, budget=None):
+def run_check(skeleton, name):
     """Run one registered check (or alias), timed, with the errors a check
     may raise turned into its status."""
     canonical = ALIASES.get(name, name)
@@ -646,13 +643,13 @@ def run_check(skeleton, name, budget=None):
             f"and aliases {sorted(ALIASES)}")
     t0 = time.perf_counter()
     try:
-        res = fn(skeleton, budget=budget)
+        res = fn(skeleton)
     except NonAbelianUnsupported as exc:
         res = inconclusive(name, f"unsupported on this tower: {exc}")
     except (NotInDomain, ArithmeticError) as exc:
         # a check may lean on the tower axioms; once decom refutes them,
         # its breaking on them is not a finding of its own
-        decom = None if canonical == "decom" else check_decom(skeleton, budget)
+        decom = None if canonical == "decom" else check_decom(skeleton)
         if decom is None or decom.ok:
             raise
         res = vacated(name, f"{AXIOMS_FAIL}: {exc}", [decom.counterexample])
@@ -661,6 +658,6 @@ def run_check(skeleton, name, budget=None):
     return res
 
 
-def run_all(skeleton, budget=None):
+def run_all(skeleton):
     return SuiteReport([registry_self_test()] + [
-        run_check(skeleton, name, budget) for name in REGISTRY_NAMES])
+        run_check(skeleton, name) for name in REGISTRY_NAMES])

@@ -15,17 +15,10 @@ File formats:
 
 import numpy as np
 
-from . import budgets
 from .errors import DepthExceeded, NotInDomain
 from .tower import KIND_LATTICE
 
 MAGIC = b"TPW1"
-
-
-def _cache(skeleton):
-    if not hasattr(skeleton, "_wincache"):
-        skeleton._wincache = {}
-    return skeleton._wincache
 
 
 def level_scan(skeleton, g, values):
@@ -63,34 +56,34 @@ def level_scan(skeleton, g, values):
     return out
 
 
-def per_masks(skeleton, n, budget=None):
+def per_masks(skeleton, n):
     """Boolean masks over D_n of Per(n, 0) and Per(n, 1): the cells that a
     level below n decides, split by the symbol it gives them."""
-    lvls = window_levels(skeleton, n, budget)
-    vals = window_values(skeleton, n, budget)
+    lvls = window_levels(skeleton, n)
+    vals = window_values(skeleton, n)
     decided = (lvls >= 0) & (lvls < n)
     return decided & (vals == 0), decided & (vals == 1)
 
 
-def _window(skeleton, n, budget, values):
+def _window(skeleton, n, values):
     T = skeleton.tower
     what = "window" if values else "level map"
-    budgets.check_window(T.size(n), f"{what} D_{n}", budget)
+    skeleton.budget.check_window(T.size(n), f"{what} D_{n}")
     key = ("vals" if values else "lvls", n)
-    cache = _cache(skeleton)
+    cache = skeleton._wincache
     if key not in cache:
         cache[key] = level_scan(skeleton, T.domain_arr(n), values)
     return cache[key]
 
 
-def window_values(skeleton, n, budget=None):
+def window_values(skeleton, n):
     """uint8 array over D_n in enumeration order; 255 marks undefined."""
-    return _window(skeleton, n, budget, values=True)
+    return _window(skeleton, n, values=True)
 
 
-def window_levels(skeleton, n, budget=None):
+def window_levels(skeleton, n):
     """int16 array of cell levels over D_n; -1 marks beyond-depth cells."""
-    return _window(skeleton, n, budget, values=False)
+    return _window(skeleton, n, values=False)
 
 
 class SymbolWindow:
@@ -211,12 +204,12 @@ def _dims_for(tower, n):
     return None
 
 
-def materialize_window(skeleton, n, budget=None):
+def materialize_window(skeleton, n):
     """Build the D_n window; raises BudgetExceeded past the window cap."""
     if n < 0:
         raise DepthExceeded(f"negative level {n}")
     if n > skeleton.tower.depth:
         raise DepthExceeded(f"window level {n} exceeds tower depth")
-    vals = window_values(skeleton, n, budget)
+    vals = window_values(skeleton, n)
     return SymbolWindow(n, vals, dims=_dims_for(skeleton.tower, n))
 

@@ -6,8 +6,9 @@ import os
 import pytest
 
 from conftest import cyclic_generic
-from toeplitzlab import (REGISTRY_NAMES, SymbolWindow, density,
-                         materialize_window, measures)
+from toeplitzlab import (REGISTRY_NAMES, SymbolWindow, build_skeleton,
+                         density, materialize_window, measures, preset_config,
+                         run_check)
 from toeplitzlab.cli import main
 
 
@@ -110,6 +111,38 @@ def test_analyze_density_json(capsys):
     assert obj["verdict"] == "Irregular"
     assert obj["d_interval"][1]["approx"] < 0.25
     assert obj["methods"]
+
+
+def test_analyze_density_json_honours_the_enum_budget(capsys):
+    # |D_3| = 29295 is over a cap of 1000, so the routes stop at n = 2
+    assert main(["analyze", "density", "--preset", "irregular-demo",
+                 "--json", "--enum-budget", "1000"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [m["n"] for m in obj["methods"]] == [1, 2]
+
+
+def test_analyze_measures_computes_mu_z1_at_the_default_level(capsys):
+    # its probe cost, |D_4| x |J(1)| = 52086510, is within the window cap
+    assert main(["analyze", "measures", "--preset", "irregular-demo"]) == 0
+    assert "  mu_4(Z_1) = 82634/82677 ~ " in capsys.readouterr().out
+
+
+def test_analyze_measures_reports_a_refused_mu_z1(capsys):
+    assert main(["analyze", "measures", "--preset", "irregular-demo",
+                 "--window-budget", "1000000"]) == 0
+    out = capsys.readouterr().out
+    assert "  mu[0] in [" in out
+    assert ("  mu_4(Z_1): over budget (mu_4(Z_1) needs 52086510 cells, "
+            "budget is 1000000)") in out
+
+
+def test_budget_flags_end_with_the_call(capsys):
+    # the caps live on the skeleton main builds, so a skeleton built later
+    # works under the defaults again
+    assert main(["eta", "eval", "--preset", "threeadic", "--depth", "4",
+                 "-g", "14", "--window-budget", "100"]) == 0
+    sk = build_skeleton(preset_config("threeadic"), 10)
+    assert run_check(sk, "good-relation").scope.startswith("36 pairs")
 
 
 def test_analyze_measures_with_cylinders(tmp_path, capsys):

@@ -11,8 +11,8 @@ element by element, and the scalar index_of with domain_arr index by index.
 import numpy as np
 import pytest
 
-from toeplitzlab import (BudgetExceeded, Undefined, fiber_profile, run_all,
-                         window_values)
+from toeplitzlab import (Budget, BudgetExceeded, Undefined, fiber_profile,
+                         run_all, window_values)
 from toeplitzlab.window import window_levels
 
 
@@ -74,7 +74,7 @@ def test_section_arr_matches_section(request, name):
             dom = T.domain_arr(j)
             want = dom[T.eq_arr(T.reduce_arr(dom, i), T.zero)]
             assert np.array_equal(T.section_arr(i, j), want), (i, j)
-            raised = _raises_budget(lambda: T.section_arr(i, j, budget=8))
+            raised = _raises_budget(lambda: T.section_arr(i, j, Budget(8)))
             assert raised == (len(want) > 8)
             over.append(raised)
     assert any(over) and not all(over)

@@ -13,6 +13,10 @@ does not keep a definition alive.
 
 One array interface: a comparison of a tower's `kind` outside tower.py is
 allowed only at the sites named in KIND_SITES.
+
+One budget: no module reads the process environment, and only the functions
+named in BUDGET_PARAMS take a `budget`; everything else that needs the caps
+reads the skeleton's.
 """
 
 import ast
@@ -41,6 +45,20 @@ KIND_SITES = {
 }
 
 TOWER_KINDS = {"IntegerLine", "IntegerLattice", "Generic"}
+
+# (owner, function): the skeleton's builders, which store the budget, and
+# the functions that see a tower and no skeleton
+BUDGET_PARAMS = [
+    ("periods", "invariant_shift"),
+    ("skeleton", "build_skeleton"),
+    ("skeleton", "j_set"),
+    ("skeleton", "j_set_recursive"),
+    ("skeleton.ToeplitzSkeleton", "__init__"),
+    ("tower", "validate_tower"),
+    ("tower.GenericTower", "section_arr"),
+    ("tower.IntegerLatticeTower", "section_arr"),
+    ("tower.IntegerLineTower", "section_arr"),
+]
 
 
 def _is_dunder(name):
@@ -130,3 +148,23 @@ def kind_sites(src):
 
 def test_kind_branches_only_at_the_named_sites():
     assert kind_sites(SRC) == sorted(KIND_SITES)
+
+
+def test_no_module_reads_the_environment():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "os"
+                  for alias in node.names}
+        assert not names & {"environ", "getenv"}, path.name
+
+
+def test_budget_is_a_parameter_only_where_named():
+    defs, _ = _definitions(SRC)
+    takers = sorted((owner, name) for name, nodes in defs.items()
+                    for owner, node in nodes
+                    if isinstance(node, ast.FunctionDef)
+                    and "budget" in [a.arg for a in node.args.args])
+    assert takers == BUDGET_PARAMS

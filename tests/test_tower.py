@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import cyclic_generic
 from toeplitzlab import (
+    Budget,
     GenericTower,
     IntegerLatticeTower,
     IntegerLineTower,
@@ -270,7 +271,7 @@ class _BadSectionTower(IntegerLineTower):
         super().__init__(indices)
         self.corrupt = corrupt
 
-    def section_arr(self, i, j, budget=None):
+    def section_arr(self, i, j, budget=Budget()):
         sec = super().section_arr(i, j, budget).tolist()
         return self.array(self.corrupt(sec, i, j))
 

@@ -7,11 +7,13 @@ import pytest
 
 from toeplitzlab import (
     REGISTRY_NAMES,
+    Budget,
     UnknownCheck,
     registry_self_test,
     run_all,
     run_check,
     zero_mass_closed_form,
+    build_skeleton,
     zero_mass_lower_bound,
 )
 from toeplitzlab.cells import mu_zero_set
@@ -34,13 +36,13 @@ def test_registry_self_test_catches_a_dangling_alias(monkeypatch):
     assert res.counterexample == {"bad_alias": ["j-gone"]}
 
 
-def test_every_check_takes_only_the_skeleton_and_a_budget():
-    # run_check is the one caller; a check has no settings of its own
+def test_every_check_takes_only_the_skeleton():
+    # run_check is the one caller; a check has no settings of its own, and
+    # its caps are the skeleton's budget
     for name, fn in _REGISTRY.items():
         params = inspect.signature(fn).parameters
-        assert list(params) == ["skeleton", "budget"], name
+        assert list(params) == ["skeleton"], name
         assert params["skeleton"].default is inspect.Parameter.empty, name
-        assert params["budget"].default is None, name
 
 
 def test_unknown_check_is_rejected(threeadic5):
@@ -115,7 +117,8 @@ def test_zero_mass_lower_bounds(threeadic, irregular):
 
 
 def test_containings_degrades_honestly(threeadic):
-    res = run_check(threeadic, "containings", budget=100)
+    small = build_skeleton(threeadic.tower, threeadic.depth, Budget(100, 100))
+    res = run_check(small, "containings")
     assert res.status == "Inconclusive"
     assert res.witnesses == [] or all(
         w.get("mode") != "exhaustive" for w in res.witnesses)

@@ -5,6 +5,7 @@ import pytest
 
 import bruteforce as bf
 from toeplitzlab import (
+    Budget,
     BudgetExceeded,
     IntegerLineTower,
     NotInDomain,
@@ -119,16 +120,17 @@ def test_restrict_window(threeadic):
 
 
 def test_window_budget_is_enforced():
-    sk = build_skeleton(IntegerLineTower([3] * 10), 10)
+    sk = build_skeleton(IntegerLineTower([3] * 10), 10, Budget(window=100))
     with pytest.raises(BudgetExceeded):
-        materialize_window(sk, 9, budget=100)
+        materialize_window(sk, 9)
 
 
 def test_window_budget_is_checked_on_cache_hits():
     sk = build_skeleton(IntegerLineTower([3] * 10), 10)
     window_values(sk, 9)
     window_levels(sk, 9)
+    sk.budget = Budget(window=100)
     with pytest.raises(BudgetExceeded):
-        window_values(sk, 9, budget=100)
+        window_values(sk, 9)
     with pytest.raises(BudgetExceeded):
-        window_levels(sk, 9, budget=100)
+        window_levels(sk, 9)
