@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthExceeded
+from .skeleton import j_size
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -70,8 +71,8 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0):
 
     Classifies sigma^{-d} eta_m at levels n and n+1 for d over D_m (or a
     seeded sample) and checks the child cell's parent matches.  The probe
-    cost, points times J(n+1) cells, is held to the window cap.  Returns
-    (counterexample_or_None, case_counts, points).
+    cost, points times J(n+1) cells, is held to the window cap before any
+    build.  Returns (counterexample_or_None, case_counts, points).
     """
     T = skeleton.tower
     if skeleton.depth < m + 1:
@@ -79,11 +80,10 @@ def verify_refinement(skeleton, n, m, sample=None, seed=0):
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
     size = T.size(m)
+    skeleton.budget.check_window((size if sample is None else sample)
+                                 * j_size(T, n + 1), f"refinement n={n} m={m}")
     d_arr = T.domain_arr(m)
-    if sample is None:
-        skeleton.budget.check_window(size * max(len(skeleton.jset(n + 1)), 1),
-                                     f"refinement n={n} m={m}")
-    else:
+    if sample is not None:
         rng = random.Random(seed)
         d_arr = d_arr[[rng.randrange(size) for _ in range(sample)]]
 
@@ -284,10 +284,9 @@ def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
 
 def mu_zero_set(skeleton, n, m):
     """mu_m(Z_n): translates whose level-n tag is Zero.  The probe cost,
-    |D_m| times J(n) cells, is held to the window cap."""
+    |D_m| times J(n) cells, is held to the window cap before any build."""
     T = skeleton.tower
-    skeleton.budget.check_window(T.size(m) * max(len(skeleton.jset(n)), 1),
-                                 f"mu_{m}(Z_{n})")
+    skeleton.budget.check_window(T.size(m) * j_size(T, n), f"mu_{m}(Z_{n})")
     tags = classify_points(skeleton, m, n, T.domain_arr(m))
     return Fraction(int((tags < 0).sum()), T.size(m))
 

@@ -183,9 +183,9 @@ def _cmd_analyze_density(args):
         obj = report.to_json()
         obj["methods"] = []
         for n in range(1, min(levels, sk.depth - 1) + 1):
-            if sk.tower.size(n) > sk.budget.enum:
-                break
             routes = density_methods(sk, n)
+            if "enumeration" not in routes:
+                break
             obj["methods"].append(
                 {"n": n, "agree": len(set(routes.values())) == 1})
         print(json.dumps(obj, indent=1))
@@ -270,12 +270,7 @@ def _cmd_factor_fibers(args):
 def _cmd_verify(args):
     sk = _skeleton(args)
     if args.check == "all":
-        rep = run_all(sk)
-        if args.as_json:
-            print(json.dumps(rep.to_json(), indent=1))
-        else:
-            print(rep.render())
-        return 0 if rep.all_ok else 1
+        return _emit_result(run_all(sk), args.as_json)
     res = run_check(sk, args.check)
     if res.scope.startswith(AXIOMS_FAIL):
         # alone, a check vacated by a broken tower has no verdict to give

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DepthExceeded
+from .result import jsonable
 from .skeleton import j_size
 from .tower import TAIL_DIVERGENT, TAIL_GEOMETRIC
 from .window import per_masks
@@ -144,24 +145,19 @@ class DensityReport:
     millis: float = 0.0
 
     def to_json(self):
-        def frac(f):
-            if f is None:
-                return None
-            return {"num": str(f.numerator), "den": str(f.denominator),
-                    "approx": float(f)}
-        return {
+        return jsonable({
             "verdict": self.verdict,
             "depth": self.depth,
-            "d_seq": [{"n": n, "d": frac(d)} for n, d in self.d_seq],
-            "d_interval": [frac(self.d_interval[0]), frac(self.d_interval[1])],
-            "L_partial": frac(self.L_partial),
-            "L_tail_bound": frac(self.L_tail_bound),
-            "product_partial": frac(self.product_partial),
-            "exp_interval": [frac(self.exp_interval[0]), frac(self.exp_interval[1])],
-            "exp_width": frac(self.exp_width),
+            "d_seq": [{"n": n, "d": d} for n, d in self.d_seq],
+            "d_interval": self.d_interval,
+            "L_partial": self.L_partial,
+            "L_tail_bound": self.L_tail_bound,
+            "product_partial": self.product_partial,
+            "exp_interval": self.exp_interval,
+            "exp_width": self.exp_width,
             "notes": self.notes,
             "millis": round(self.millis, 3),
-        }
+        })
 
     def render(self):
         lines = [f"verdict: {self.verdict}"]

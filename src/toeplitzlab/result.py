@@ -5,13 +5,15 @@ A CheckResult is the single currency every verifier returns.  Status values:
   Pass          the asserted relation held on the whole reported scope
   Fail          a counterexample was found (always attached)
   Inconclusive  the scope was empty-by-budget or the input lacks the data
-                needed to decide (e.g. no tail declaration)
+                needed to decide (e.g. no tail declaration); also a check a
+                cap stopped, or one that does not support the tower
   Vacated       a prerequisite recorded on the skeleton is false, so the
                 statement's hypothesis never triggers; the scan still ran.
                 Also a check that broke on tower axioms that decom refutes
 
 A check builds its result without timing itself: `millis` is set by
-verify.run_check, which reads the clock once around the check's call.
+verify.run_check, which also turns the errors a check raises into these
+statuses (the table is in verify's docstring).
 """
 
 from dataclasses import dataclass, field
@@ -25,15 +27,15 @@ VACATED = "Vacated"
 _STATUSES = (PASS, FAIL, INCONCLUSIVE, VACATED)
 
 
-def _jsonable(value):
+def jsonable(value):
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator),
                 "approx": float(value)}
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         seq = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in seq]
+        return [jsonable(v) for v in seq]
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -68,8 +70,8 @@ class CheckResult:
             "name": self.name,
             "status": self.status,
             "scope": self.scope,
-            "witnesses": _jsonable(self.witnesses),
-            "counterexample": _jsonable(self.counterexample),
+            "witnesses": jsonable(self.witnesses),
+            "counterexample": jsonable(self.counterexample),
             "millis": round(self.millis, 3),
         }
 
@@ -107,11 +109,11 @@ class SuiteReport:
     results: list
 
     @property
-    def all_ok(self):
+    def ok(self):
         return all(r.ok for r in self.results)
 
     def to_json(self):
-        return {"all_ok": self.all_ok, "results": [r.to_json() for r in self.results]}
+        return {"all_ok": self.ok, "results": [r.to_json() for r in self.results]}
 
     def render(self):
         lines = [r.render() for r in self.results]

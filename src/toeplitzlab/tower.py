@@ -422,6 +422,25 @@ class GenericTower(_ArrayForms):
             raise InvalidIndex(f"op table is malformed: {exc!r}") from None
         if op.min() < 0 or op.max() >= prev:
             raise InvalidIndex(f"op table entries must lie in 0..{prev - 1}")
+        # config() writes every level's table back out, so each must be the
+        # image of the table below it under that level's proj; blocks of 64
+        # rows keep the temporaries small
+        child = op
+        for n in range(self.depth, 1, -1):
+            try:
+                parent = np.array(self.ops[n - 1], dtype=np.int64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidIndex(
+                    f"level {n - 1} op table is malformed: {exc!r}") from None
+            proj = np.array(self.projs[n], dtype=np.int64)
+            ok = parent.min() >= 0 and parent.max() < self.sizes[n - 1]
+            for s in range(0, len(proj), 64):
+                ok = ok and (parent[proj[s:s + 64, None], proj]
+                             == proj[child[s:s + 64]]).all()
+            if not ok:
+                raise InvalidIndex(f"level {n - 1} op table is not the image "
+                                   f"of level {n}'s under its proj")
+            child = parent
         self.abelian = bool((op == op.T).all())
         # inverse lookup at the deepest level: the first b with a + b = 0
         is_id = op == 0

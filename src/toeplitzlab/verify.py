@@ -2,13 +2,16 @@
 
 The check contract: every registered check is a plain function
 check_x(skeleton) that returns a CheckResult.  It has no settings of its own;
-the caps it works under are the skeleton's budget.  It does not time itself.
-run_check is the one dispatcher: it reads the clock around the call and sets
-`millis`, and it decides what an error raised inside a check means.  A
-NonAbelianUnsupported makes the check Inconclusive, with the unsupported facet
-in its scope; a NotInDomain or ArithmeticError on a tower that decom refutes
-makes it Vacated, with decom's counterexample as its witness.  Any other error
-propagates.
+its caps are the skeleton's budget.  Only the Budget check of the function
+doing the work compares a size with a cap; a check that loops over units
+skips a unit that raises BudgetExceeded and names it in its scope.  run_check
+is the one dispatcher: it times the call, sets `millis`, and turns these
+errors raised inside a check into its status (any other error propagates):
+
+  NonAbelianUnsupported   Inconclusive, "unsupported on this tower: ..."
+  BudgetExceeded          Inconclusive, "over budget: ..."
+  NotInDomain or          Vacated, "tower axioms fail (decom): ...", with
+  ArithmeticError         decom's counterexample, when decom refutes the tower
 
 Every check reports its exhaustive range in `scope`; a quantifier over all n
 always becomes "all n in the computed range" and is never extrapolated.  A
@@ -31,7 +34,7 @@ from .measures import an_det_check
 from .periods import partitions_c_check, per_eq_check
 from .result import SuiteReport, failed, inconclusive, passed, vacated
 from .skeleton import j_set, j_set_recursive, j_size
-from .tower import KIND_LINE, TAIL_GEOMETRIC, validate_tower
+from .tower import TAIL_GEOMETRIC, validate_tower
 from .window import level_scan, per_masks, window_levels, window_values
 
 
@@ -134,15 +137,15 @@ def check_decom(skeleton):
 
 def check_j_recursion(skeleton):
     T = skeleton.tower
-    budget = skeleton.budget
     done = []
     skipped = []
     for n in range(1, T.depth + 1):
-        if j_size(T, n) > budget.enum or T.size(n) > budget.window:
+        try:
+            a = j_set(T, n, skeleton.budget)
+            b = j_set_recursive(T, n, skeleton.budget)
+        except BudgetExceeded:
             skipped.append(n)
             continue
-        a = j_set(T, n, budget)
-        b = j_set_recursive(T, n, budget)
         if len(a) != len(b) or not T.eq_arr(a, b).all():
             ea, eb = set(T.elements(a)), set(T.elements(b))
             only_a = sorted(ea - eb)[:3]
@@ -159,6 +162,7 @@ def check_j_recursion(skeleton):
 
 
 _PER_EQ_CAP = 100000  # largest |D_n| per-eq checks
+_PAIR_WORK_CAP = 1 << 31  # largest |D_m| * |D_{n+1}| a pair (n, m) checks
 
 
 def check_per_eq(skeleton):
@@ -166,10 +170,13 @@ def check_per_eq(skeleton):
     done = []
     skipped = []
     for n in range(1, skeleton.depth):
-        if T.size(n) > _PER_EQ_CAP:
+        try:
+            if T.size(n) > _PER_EQ_CAP:
+                raise BudgetExceeded
+            sub = per_eq_check(skeleton, n)
+        except BudgetExceeded:
             skipped.append(n)
             continue
-        sub = per_eq_check(skeleton, n)
         if sub.status == "Fail":
             return sub
         # the membership facet: J(n) gains the period only one level up,
@@ -192,15 +199,17 @@ def check_per_eq(skeleton):
 def check_good_relation(skeleton):
     T = skeleton.tower
     dep = T.depth
-    wb = skeleton.budget.window
     done = []
     skipped = []
     for n in range(1, dep - 1):
         for m in range(n + 2, dep + 1):
-            if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
+            try:
+                if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
+                    raise BudgetExceeded
+                S = good_set(skeleton, n, m)
+            except BudgetExceeded:
                 skipped.append((n, m))
                 continue
-            S = good_set(skeleton, n, m)
             count = len(S)
             bound = good_bound(T, n, m)
             if count < 1 or Fraction(count) < bound:
@@ -392,24 +401,20 @@ _CONTAININGS_SAMPLES = 5000  # points per level once D_m is over budget
 def check_containings(skeleton):
     T = skeleton.tower
     dep = skeleton.depth
-    wb = skeleton.budget.window
     wits = []
     skipped = []
     for n in range(1, dep - 1):
         m = min(n + 2, dep - 1)
-        if m < n + 1:
-            continue
-        probe_cost = j_size(T, n + 1)
-        if T.size(m) * probe_cost <= wb:
-            cx, counts, pts = verify_refinement(skeleton, n, m)
-            mode = "exhaustive"
-        elif _CONTAININGS_SAMPLES * probe_cost <= wb:
-            cx, counts, pts = verify_refinement(
-                skeleton, n, m, sample=_CONTAININGS_SAMPLES)
-            mode = f"sampled {_CONTAININGS_SAMPLES}"
+        for sample in (None, _CONTAININGS_SAMPLES):
+            try:
+                cx, counts, pts = verify_refinement(skeleton, n, m, sample)
+                break
+            except BudgetExceeded:
+                pass
         else:
             skipped.append(n)
             continue
+        mode = "exhaustive" if sample is None else f"sampled {sample}"
         if cx is not None:
             return failed("containings", f"n={n} m={m} {mode}", cx)
         wits.append({"n": n, "m": m, "mode": mode, "points": pts,
@@ -470,15 +475,17 @@ def check_an_det(skeleton):
 def check_uns_bound(skeleton):
     T = skeleton.tower
     dep = skeleton.depth
-    wb = skeleton.budget.window
     wits = []
     skipped = []
     for n in _m_levels(skeleton):
         for m in range(n + 2, dep):
-            if T.size(m) > wb or T.size(m) * T.size(n + 1) > (1 << 31):
+            try:
+                if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
+                    raise BudgetExceeded
+                vals = window_values(skeleton, m)
+            except BudgetExceeded:
                 skipped.append((n, m))
                 continue
-            vals = window_values(skeleton, m)
             target = _eta_level_targets(skeleton, n)
             acc = np.ones(T.size(m), dtype=bool)
             for i, s in enumerate(T.domain_arr(n + 1)):
@@ -550,24 +557,22 @@ def zero_mass_lower_bound(skeleton, n):
 
 
 def check_measure_one_trend(skeleton):
-    T = skeleton.tower
     dep = skeleton.depth
     levels = _m_levels(skeleton)
-    # closed form vs direct classification at one affordable pair
-    wb = skeleton.budget.window
-    probe = next(((n, min(n + 2, dep - 1)) for n in levels
-                  if n + 1 <= dep - 1
-                  and T.size(min(n + 2, dep - 1)) * j_size(T, n) <= wb
-                  and T.kind == KIND_LINE), None)
+    # closed form vs direct classification at the first affordable pair
     cross = None
-    if probe is not None:
-        n, m = probe
-        direct = mu_zero_set(skeleton, n, m)
+    for n in [n for n in levels if n + 2 <= dep]:
+        m = min(n + 2, dep - 1)
+        try:
+            direct = mu_zero_set(skeleton, n, m)
+        except BudgetExceeded:
+            continue
         closed = zero_mass_closed_form(skeleton, n, m)
         if direct != closed:
             return failed("measure-1-trend", f"closed form at ({n},{m})",
                           {"direct": direct, "closed": closed})
         cross = {"pair": (n, m), "mu": closed}
+        break
     exact = [{"n": n, "m": dep - 1,
               "mu": zero_mass_closed_form(skeleton, n, dep - 1)}
              for n in levels if n <= dep - 2]
@@ -646,6 +651,8 @@ def run_check(skeleton, name):
         res = fn(skeleton)
     except NonAbelianUnsupported as exc:
         res = inconclusive(name, f"unsupported on this tower: {exc}")
+    except BudgetExceeded as exc:
+        res = inconclusive(name, f"over budget: {exc}")
     except (NotInDomain, ArithmeticError) as exc:
         # a check may lean on the tower axioms; once decom refutes them,
         # its breaking on them is not a finding of its own

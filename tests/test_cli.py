@@ -181,6 +181,67 @@ def test_verify_single_and_all(capsys):
     assert "registry" in text
 
 
+# what each check refuses under three user caps; a check that cannot finish
+# is Inconclusive with the cap's message as its scope, and a per-unit check
+# names the units it skipped
+_CAPPED = {
+    "threeadic-window": (
+        ["--preset", "threeadic", "--window-budget", "20000"], {
+            "good-ds": "over budget: level map D_10 needs 59049 cells, "
+                       "budget is 20000",
+            "u-in-y": "over budget: u-in-y at 4 needs 177147 cells, "
+                      "budget is 20000",
+            "an-det": "over budget: level map D_10 needs 59049 cells, "
+                      "budget is 20000",
+        }, {"j-recursion": "n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
+            "containings": "; probe cost over budget: [4, 5, 6, 7, 8]"}),
+    "threeadic-enum": (
+        ["--preset", "threeadic", "--enum-budget", "5000"], {
+            "z-identity": "over budget: J(9) needs 19683 elements, "
+                          "budget is 5000",
+        }, {"j-recursion": ", over budget: [8, 9, 10]",
+            "per-eq": "; over cap: [8, 9]",
+            "containings": "; probe cost over budget: [7, 8]"}),
+    "irregular-window": (
+        ["--preset", "irregular-demo", "--window-budget", "1000000"], {
+            "u-in-y": "over budget: u-in-y at 1 needs 13622175 cells, "
+                      "budget is 1000000",
+        }, {"j-recursion": "n in [1, 2, 3, 4], over budget: [5]",
+            "containings": "; probe cost over budget: [1, 2, 3]"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CAPPED))
+def test_verify_all_under_a_user_cap_prints_every_row(capsys, case):
+    argv, refused, skipping = _CAPPED[case]
+    assert main(["verify", "all", *argv, "--json"]) == 0
+    results = {r["name"]: r for r in json.loads(capsys.readouterr().out)
+               ["results"]}
+    assert list(results) == ["registry", *REGISTRY_NAMES]
+    for name, scope in refused.items():
+        assert (results[name]["status"], results[name]["scope"]) == \
+            ("Inconclusive", scope), name
+    for name, tail in skipping.items():
+        assert results[name]["status"] in ("Pass", "Inconclusive"), name
+        assert results[name]["scope"].endswith(tail), name
+    others = set(REGISTRY_NAMES) - set(refused)
+    assert not any(results[n]["scope"].startswith("over budget")
+                   for n in others)
+
+
+def test_single_check_under_a_user_cap_exits_0(capsys):
+    assert main(["verify", "j-recursion", "--preset", "threeadic",
+                 "--enum-budget", "5000"]) == 0
+    assert capsys.readouterr().out == (
+        "[        Pass] j-recursion: n in [1, 2, 3, 4, 5, 6, 7], "
+        "over budget: [8, 9, 10]\n")
+    assert main(["verify", "good-ds", "--preset", "threeadic",
+                 "--window-budget", "20000"]) == 0
+    assert capsys.readouterr().out == (
+        "[Inconclusive] good-ds: over budget: level map D_10 needs 59049 "
+        "cells, budget is 20000\n")
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     assert main(["verify", "nope", "--preset", "threeadic", "--depth", "4"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -16,7 +16,9 @@ allowed only at the sites named in KIND_SITES.
 
 One budget: no module reads the process environment, and only the functions
 named in BUDGET_PARAMS take a `budget`; everything else that needs the caps
-reads the skeleton's.
+reads the skeleton's.  A size is compared against a cap only in budgets.py,
+by the Budget check the working function calls, apart from the sites named
+in CAP_SITES.
 """
 
 import ast
@@ -38,13 +40,18 @@ ALLOWED = {
 KIND_SITES = {
     ("periods", "invariant_shift"): "essential's divisor shifts: on the "
                                     "line, the divisors of |D_n| suffice",
-    ("verify", "check_measure_one_trend"): "measure-1-trend's probe gate: "
-                                           "the closed-form cross-check runs "
-                                           "on line towers only",
     ("window", "_dims_for"): "a 2-D lattice window has a picture shape",
 }
 
 TOWER_KINDS = {"IntegerLine", "IntegerLattice", "Generic"}
+
+CAP_SITES = {
+    ("tower", "validate_tower"): "decom's level selection: it checks the "
+                                 "levels within the enumeration cap and "
+                                 "names that cap in its scope",
+}
+
+CAPS = {"enum", "window"}
 
 # (owner, function): the skeleton's builders, which store the budget, and
 # the functions that see a tower and no skeleton
@@ -168,3 +175,33 @@ def test_budget_is_a_parameter_only_where_named():
                     if isinstance(node, ast.FunctionDef)
                     and "budget" in [a.arg for a in node.args.args])
     assert takers == BUDGET_PARAMS
+
+
+def _reads_cap(node, aliases):
+    return any((isinstance(p, ast.Attribute) and p.attr in CAPS)
+               or (isinstance(p, ast.Name) and p.id in aliases)
+               for p in ast.walk(node))
+
+
+def cap_sites(src):
+    """(module, top-level definition) of every comparison against a
+    Budget's `enum` or `window`, read directly or through a local name
+    bound to one, outside budgets.py, once per comparison."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "budgets":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            aliases = {t.id for node in ast.walk(top)
+                       if isinstance(node, ast.Assign)
+                       and _reads_cap(node.value, set())
+                       for t in node.targets if isinstance(t, ast.Name)}
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Compare)
+                    and _reads_cap(node, aliases)]
+    return sorted(out)
+
+
+def test_caps_are_compared_only_in_budgets():
+    assert cap_sites(SRC) == sorted(CAP_SITES)

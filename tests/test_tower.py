@@ -175,7 +175,16 @@ def test_generic_tower_rejects_malformed_tables():
     broken("proj must map", lambda lv, dm: lv[1].update(proj=[0, 1, 2, 1]))
     broken("op table entries", lambda lv, dm: lv[1]["op"].__setitem__(
         1, [1, 2, 3, 4]))
+    # an upper level's table must be the image of the one below it
+    broken("^level 1 op table is not the image of level 2's under its proj$",
+           lambda lv, dm: lv[0].update(op=[[0, 0], [0, 0]]))
+    broken("^level 1 op table is not the image",
+           lambda lv, dm: lv[0].update(op=[[0, 1], [1, -1]]))
     broken("domains must list", lambda lv, dm: dm[2].__setitem__(0, -1))
+    deep = cyclic_generic([2, 2, 2]).config()
+    deep.levels[1]["op"] = [[1] * 4 for _ in range(4)]
+    with pytest.raises(InvalidIndex, match="^level 2 op table is not"):
+        GenericTower(deep.levels, deep.domains)
     broken("domains must list", lambda lv, dm: dm.pop())
     with pytest.raises(InvalidIndex):
         GenericTower(None, domains)

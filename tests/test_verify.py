@@ -8,15 +8,17 @@ import pytest
 from toeplitzlab import (
     REGISTRY_NAMES,
     Budget,
+    BudgetExceeded,
     UnknownCheck,
     registry_self_test,
     run_all,
     run_check,
     zero_mass_closed_form,
     build_skeleton,
+    preset_config,
     zero_mass_lower_bound,
 )
-from toeplitzlab.cells import mu_zero_set
+from toeplitzlab.cells import mu_zero_set, verify_refinement
 from toeplitzlab.verify import _REGISTRY, good_bound, good_set
 
 
@@ -58,7 +60,7 @@ def test_alias_keeps_requested_name(threeadic5):
 
 def test_suite_threeadic_depth5(threeadic5):
     report = run_all(threeadic5)
-    assert report.all_ok
+    assert report.ok
     by_name = {r.name: r for r in report.results}
     assert by_name["linking"].status == "Inconclusive"  # blocks 0 and 1 fail
     assert by_name["u-in-y"].status == "Vacated"
@@ -73,7 +75,7 @@ def test_suite_threeadic_depth5(threeadic5):
 
 def test_suite_irregular_all_pass(irregular):
     report = run_all(irregular)
-    assert report.all_ok
+    assert report.ok
     by_name = {r.name: r for r in report.results}
     assert all(r.status == "Pass" for r in report.results), [
         (r.name, r.status) for r in report.results if r.status != "Pass"]
@@ -187,3 +189,28 @@ def test_suite_runs_on_a_non_abelian_tower(s3_by_z5):
     assert per_eq.scope == ("unsupported on this tower: the essential facet "
                             "needs an abelian tower")
     assert all(r.millis > 0 for r in report.results[1:])
+    assert by_name["measure-1-trend"].witnesses[0] == {
+        "pair": (1, 3), "mu": Fraction(2, 3)}
+
+
+def test_measure_one_trend_cross_checks_a_lattice(lattice):
+    assert run_check(lattice, "measure-1-trend").witnesses[0] == {
+        "pair": (1, 2), "mu": Fraction(8, 9)}
+
+
+def test_probe_cost_is_refused_before_the_j_set_is_built(threeadic):
+    # J(4) is not cached by the construction, whose blocks reach J(2)
+    sk = build_skeleton(threeadic.tower, 10, Budget(window=1000))
+    for sample in (None, 100):
+        with pytest.raises(BudgetExceeded):
+            verify_refinement(sk, 3, 5, sample)
+    with pytest.raises(BudgetExceeded):
+        mu_zero_set(sk, 4, 6)
+    assert 4 not in sk._jcache
+    # irregular-demo at the default caps: J(4) has 3,281,040 elements, and
+    # both containings paths refuse n = 3 without building it
+    irr = build_skeleton(preset_config("irregular-demo"), 5)
+    for sample in (None, 5000):
+        with pytest.raises(BudgetExceeded):
+            verify_refinement(irr, 3, 4, sample)
+    assert 4 not in irr._jcache
