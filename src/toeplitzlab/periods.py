@@ -5,6 +5,8 @@ already forced to the symbol a, i.e. the cells decided strictly below level
 n; window.per_masks gives both as masks over D_n.  per_eq_check rebuilds the
 same masks from the step log alone, reads the array on every Gamma_n-translate
 of every per-cell, and asks that no larger subgroup fix them (essential).
+per_eq_check and partitions_c_check are unit bodies of verify's checks: each
+returns its level's witness, or a Fail.
 """
 
 import random
@@ -13,9 +15,9 @@ import numpy as np
 
 from .budgets import Budget
 from .errors import BudgetExceeded, NonAbelianUnsupported, NotInDomain
-from .result import failed, inconclusive, passed
+from .result import failed
 from .tower import KIND_LINE
-from .window import materialize_window, per_masks, window_values
+from .window import per_masks, window_values
 
 
 def per_set(skeleton, n, symbol):
@@ -80,7 +82,7 @@ def invariant_shift(tower, n, mask0, mask1, budget=Budget()):
     return None, label
 
 
-def per_eq_check(skeleton, n, window=None):
+def per_eq_check(skeleton, n):
     """Per(n, .) from the level scan and from the step log must coincide, a
     window must show the right symbol on every translate of every per-cell,
     and no subgroup strictly between Gamma_n and G may fix the per-sets."""
@@ -98,17 +100,12 @@ def per_eq_check(skeleton, n, window=None):
                 {"level": n, "element": sorted(diff, key=repr)[0],
                  "reason": "step-log union disagrees with level scan"})
 
-    if window is None:
-        wlevel = min(n + 1, T.depth)
-        try:
-            window = materialize_window(skeleton, wlevel)
-        except BudgetExceeded:
-            wlevel = n
-            window = materialize_window(skeleton, wlevel)
-    else:
-        wlevel = window.level
-        if wlevel < n:
-            raise NotInDomain(f"window level {wlevel} below per level {n}")
+    wlevel = min(n + 1, T.depth)
+    try:
+        vals = window_values(skeleton, wlevel)
+    except BudgetExceeded:
+        wlevel = n
+        vals = window_values(skeleton, wlevel)
 
     # every Gamma_n-translate of a per-cell, zero-cells first, agrees with
     # the window wherever it is defined
@@ -117,7 +114,7 @@ def per_eq_check(skeleton, n, window=None):
     want = np.repeat(np.uint8([0, 1]), counts)[:, None]
     e = T.add_arr(np.expand_dims(cells, 1),
                   np.expand_dims(T.section_arr(n, wlevel, skeleton.budget), 0))
-    got = window.values_array()[T.index_of_arr(e, wlevel)]
+    got = vals[T.index_of_arr(e, wlevel)]
     bad = (got != 255) & (got != want)
     if bad.any():
         first = int(bad.argmax())
@@ -135,23 +132,24 @@ def per_eq_check(skeleton, n, window=None):
             name, f"level {n}, essential ({label})",
             {"level": n, "invariant_shift": shift,
              "reason": "a proper supergroup of Gamma_n fixes the per-sets"})
-    return passed(
-        name, f"level {n}: {counts[0]} zero-cells, {counts[1]} one-cells, "
-              f"{got.size} window probes at level {wlevel}",
-        [{"zeros": counts[0], "ones": counts[1], "probes": got.size},
-         {"essential": label}])
+    return {"zeros": counts[0], "ones": counts[1], "probes": got.size,
+            "essential": label}
 
 
-def partitions_c_check(skeleton, k, samples=10000, seed=0):
+_PARTITIONS_SAMPLES = 10000  # seeded cosets per k near the built top
+
+
+def partitions_c_check(skeleton, k):
     """Every Gamma_k-translate of J(k) carries at most one planted 1.
 
     Exhaustive over Gamma_k cap D_{k+3} when those probes are defined, then a
-    seeded sample of cosets near the top of the built region.
+    seeded sample of cosets near the top of the built region, which needs
+    k <= depth-1.  Returns the witness of k, or a Fail.
     """
     T = skeleton.tower
-    name = "partitions-c"
+    top = skeleton.depth - 1
     jk = skeleton.jset(k)
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def ones_on(gam, level):
         """Ones on each translate gamma J(k), gamma in the array gam; the
@@ -162,34 +160,25 @@ def partitions_c_check(skeleton, k, samples=10000, seed=0):
             counts += vals[T.index_of_arr(T.add_arr(gam, g), level)] == 1
         return counts
 
-    done = {"exhaustive": 0, "sampled": 0}
     hist = {0: 0, 1: 0}
-    top = skeleton.depth - 1
+    wit = {"k": k, "exhaustive": 0, "sampled": 0, "ones_histogram": hist}
     runs = []
     if k + 3 <= T.depth and skeleton.depth >= k + 4:
         sec = T.section_arr(k, k + 3, skeleton.budget)
         skeleton.budget.check_enum(len(sec) * len(jk), f"partitions-c k={k}")
         runs.append(("exhaustive", sec, k + 3))
-    if top >= k and samples > 0:
-        sec = T.section_arr(k, top, skeleton.budget)
-        gam = sec[[rng.randrange(len(sec)) for _ in range(samples)]]
-        runs.append(("sampled", gam, top))
+    sec = T.section_arr(k, top, skeleton.budget)
+    gam = sec[[rng.randrange(len(sec)) for _ in range(_PARTITIONS_SAMPLES)]]
+    runs.append(("sampled", gam, top))
     for mode, gam, level in runs:
         counts = ones_on(gam, level)
         bad = counts > 1
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            return failed(name, f"k={k} {mode}",
+            return failed("partitions-c", f"k={k} {mode}",
                           {"k": k, "gamma": T.element(gam[i]),
                            "ones": int(counts[i])})
         hist[0] += int((counts == 0).sum())
         hist[1] += int((counts == 1).sum())
-        done[mode] = len(gam)
-
-    if not any(done.values()):
-        return inconclusive(
-            name, f"k={k}: no coset checkable at depth {skeleton.depth}")
-    return passed(
-        name, f"k={k}: {done['exhaustive']} cosets exhaustive in Gamma_{k} "
-              f"cap D_{k+3}, {done['sampled']} sampled in Gamma_{k} cap D_{top}",
-        [{"ones_histogram": hist}])
+        wit[mode] = len(gam)
+    return wit

@@ -3,10 +3,16 @@
 The check contract: every registered check is a plain function
 check_x(skeleton) that returns a CheckResult.  It has no settings of its own;
 its caps are the skeleton's budget.  Only the Budget check of the function
-doing the work compares a size with a cap; a check that loops over units
-skips a unit that raises BudgetExceeded and names it in its scope.  run_check
-is the one dispatcher: it times the call, sets `millis`, and turns these
-errors raised inside a check into its status (any other error propagates):
+doing the work compares a size with a cap.
+
+The unit contract: a check over units (levels n, pairs (n, m), boundary
+levels n_k or chains (n_j, n_s)) runs them through _per_unit.  Its body
+returns a unit's witness (or None), or a Fail, which ends the check; a unit
+whose budgeted callee raises BudgetExceeded is skipped.  The scope names the
+units that ran, then "; over budget: [...]" the skipped ones.  The check is
+Pass once a unit ran, else Inconclusive.  run_check is the one dispatcher:
+it times the call, sets `millis`, and turns these errors raised inside a
+check into its status (any other error propagates):
 
   NonAbelianUnsupported   Inconclusive, "unsupported on this tower: ..."
   BudgetExceeded          Inconclusive, "over budget: ..."
@@ -32,7 +38,8 @@ from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
                      NotInDomain, UnknownCheck)
 from .measures import an_det_check
 from .periods import partitions_c_check, per_eq_check
-from .result import SuiteReport, failed, inconclusive, passed, vacated
+from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
+                     vacated)
 from .skeleton import j_set, j_set_recursive, j_size
 from .tower import TAIL_GEOMETRIC, validate_tower
 from .window import level_scan, per_masks, window_levels, window_values
@@ -135,17 +142,31 @@ def check_decom(skeleton):
     return validate_tower(skeleton.tower, skeleton.budget)
 
 
+def _per_unit(name, units, body, scope):
+    """Run body(u) over the units in order; see the unit contract above.
+    scope(done) describes the units that ran."""
+    done, wits, skipped = [], [], []
+    for u in units:
+        try:
+            out = body(u)
+        except BudgetExceeded:
+            skipped.append(u)
+            continue
+        if isinstance(out, CheckResult):
+            return out
+        done.append(u)
+        if out is not None:
+            wits.append(out)
+    text = scope(done) + (f"; over budget: {skipped}" if skipped else "")
+    return (passed if done else inconclusive)(name, text, wits)
+
+
 def check_j_recursion(skeleton):
     T = skeleton.tower
-    done = []
-    skipped = []
-    for n in range(1, T.depth + 1):
-        try:
-            a = j_set(T, n, skeleton.budget)
-            b = j_set_recursive(T, n, skeleton.budget)
-        except BudgetExceeded:
-            skipped.append(n)
-            continue
+
+    def unit(n):
+        a = j_set(T, n, skeleton.budget)
+        b = j_set_recursive(T, n, skeleton.budget)
         if len(a) != len(b) or not T.eq_arr(a, b).all():
             ea, eb = set(T.elements(a)), set(T.elements(b))
             only_a = sorted(ea - eb)[:3]
@@ -153,12 +174,10 @@ def check_j_recursion(skeleton):
             return failed("j-recursion", f"n={n}",
                           {"n": n, "direct_only": only_a,
                            "recursive_only": only_b})
-        done.append(n)
-    scope = f"n in {done}" + (f", over budget: {skipped}" if skipped else "")
-    if not done:
-        return inconclusive("j-recursion", scope)
-    return passed("j-recursion", scope,
-                  [{"sizes": {n: j_size(T, n) for n in done}}])
+        return {"n": n, "size": j_size(T, n)}
+
+    return _per_unit("j-recursion", range(1, T.depth + 1), unit,
+                     lambda done: f"n in {done}")
 
 
 _PER_EQ_CAP = 100000  # largest |D_n| per-eq checks
@@ -167,17 +186,12 @@ _PAIR_WORK_CAP = 1 << 31  # largest |D_m| * |D_{n+1}| a pair (n, m) checks
 
 def check_per_eq(skeleton):
     T = skeleton.tower
-    done = []
-    skipped = []
-    for n in range(1, skeleton.depth):
-        try:
-            if T.size(n) > _PER_EQ_CAP:
-                raise BudgetExceeded
-            sub = per_eq_check(skeleton, n)
-        except BudgetExceeded:
-            skipped.append(n)
-            continue
-        if sub.status == "Fail":
+
+    def unit(n):
+        if T.size(n) > _PER_EQ_CAP:
+            raise BudgetExceeded(f"per-eq at {n}")
+        sub = per_eq_check(skeleton, n)
+        if isinstance(sub, CheckResult):
             return sub
         # the membership facet: J(n) gains the period only one level up,
         # so every cell of J(n) is decided exactly at level n
@@ -187,50 +201,41 @@ def check_per_eq(skeleton):
             return failed(
                 "per-eq", f"n={n} membership",
                 {"n": n, "g": T.format_element(T.element(jn[off.argmax()]))})
-        done.append(n)
-    scope = (f"n in {done}, window saturation + step-log rebuild + "
-             f"J-membership + essential"
-             + (f"; over cap: {skipped}" if skipped else ""))
-    if not done:
-        return inconclusive("per-eq", scope)
-    return passed("per-eq", scope)
+
+    return _per_unit("per-eq", range(1, skeleton.depth), unit,
+                     lambda done: f"n in {done}, window saturation + "
+                                  "step-log rebuild + J-membership + essential")
 
 
 def check_good_relation(skeleton):
     T = skeleton.tower
     dep = T.depth
-    done = []
-    skipped = []
-    for n in range(1, dep - 1):
-        for m in range(n + 2, dep + 1):
-            try:
-                if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
-                    raise BudgetExceeded
-                S = good_set(skeleton, n, m)
-            except BudgetExceeded:
-                skipped.append((n, m))
-                continue
-            count = len(S)
-            bound = good_bound(T, n, m)
-            if count < 1 or Fraction(count) < bound:
-                return failed("good-relation", f"(n,m)=({n},{m})",
-                              {"n": n, "m": m, "count": count, "bound": bound})
-            v = T.domain_arr(n + 1)
-            w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
-            bad = ~T.in_domain_arr(w, m)
-            for l in range(n + 1, m):
-                bad |= T.in_domain_arr(T.reduce_arr(w, l + 1), l)
-            if bad.any():
-                i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-                return failed(
-                    "good-relation", f"(n,m)=({n},{m}) translate containment",
-                    {"gamma": T.element(S[i]), "v": T.element(v[j])})
-            done.append({"n": n, "m": m, "count": count, "bound": bound})
-    scope = (f"{len(done)} pairs, n+2 <= m <= {dep}"
-             + (f"; over budget: {skipped}" if skipped else ""))
-    if not done:
-        return inconclusive("good-relation", scope)
-    return passed("good-relation", scope, done)
+
+    def unit(pair):
+        n, m = pair
+        if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
+            raise BudgetExceeded(f"good relation ({n},{m})")
+        S = good_set(skeleton, n, m)
+        count = len(S)
+        bound = good_bound(T, n, m)
+        if count < 1 or Fraction(count) < bound:
+            return failed("good-relation", f"(n,m)=({n},{m})",
+                          {"n": n, "m": m, "count": count, "bound": bound})
+        v = T.domain_arr(n + 1)
+        w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
+        bad = ~T.in_domain_arr(w, m)
+        for l in range(n + 1, m):
+            bad |= T.in_domain_arr(T.reduce_arr(w, l + 1), l)
+        if bad.any():
+            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            return failed(
+                "good-relation", f"(n,m)=({n},{m}) translate containment",
+                {"gamma": T.element(S[i]), "v": T.element(v[j])})
+        return {"n": n, "m": m, "count": count, "bound": bound}
+
+    pairs = [(n, m) for n in range(1, dep - 1) for m in range(n + 2, dep + 1)]
+    return _per_unit("good-relation", pairs, unit,
+                     lambda done: f"{len(done)} pairs, n+2 <= m <= {dep}")
 
 
 def _patch_values(skeleton, n, m, S):
@@ -246,15 +251,22 @@ def _patch_values(skeleton, n, m, S):
     return got, np.expand_dims(want, 1), (gam, u)
 
 
-def check_good_patches(skeleton):
-    T = skeleton.tower
+def _boundary_pairs(name, skeleton, unit):
+    """A check over the boundary pairs (n, m) with m <= depth-1; a vacuous
+    Pass when there are none."""
     pairs = _m_pairs(skeleton)
     if not pairs:
-        return passed("good-patches",
-                      f"no boundary pairs with m <= depth-1 = "
-                      f"{skeleton.depth - 1}; vacuous")
-    wits = []
-    for n, m in pairs:
+        return passed(name, f"no boundary pairs with m <= depth-1 = "
+                            f"{skeleton.depth - 1}; vacuous")
+    return _per_unit(name, pairs, unit,
+                     lambda done: f"boundary pairs {done}")
+
+
+def check_good_patches(skeleton):
+    T = skeleton.tower
+
+    def unit(pair):
+        n, m = pair
         S = good_set(skeleton, n, m)
         got, want, _ = _patch_values(skeleton, n, m, S)
         qualifying = S[(got == want).all(axis=0)]
@@ -267,20 +279,16 @@ def check_good_patches(skeleton):
                 "good-patches", f"(n,m)=({n},{m})",
                 {"gamma0": T.element(qualifying[i]),
                  "reason": "qualifying translate missed the level window"})
-        wits.append({"n": n, "m": m, "good": len(S),
-                     "qualifying": len(qualifying)})
-    return passed("good-patches",
-                  f"boundary pairs {[(w['n'], w['m']) for w in wits]}", wits)
+        return {"n": n, "m": m, "good": len(S), "qualifying": len(qualifying)}
+
+    return _boundary_pairs("good-patches", skeleton, unit)
 
 
 def check_t1t2(skeleton):
     T = skeleton.tower
-    pairs = _m_pairs(skeleton)
-    if not pairs:
-        return passed("t1t2", f"no boundary pairs with m <= depth-1 = "
-                              f"{skeleton.depth - 1}; vacuous")
-    wits = []
-    for n, m in pairs:
+
+    def unit(pair):
+        n, m = pair
         S = good_set(skeleton, n, m)
         got, want, (gam, u) = _patch_values(skeleton, n, m, S)
         bad = got != want
@@ -289,27 +297,17 @@ def check_t1t2(skeleton):
             return failed("t1t2", f"(n,m)=({n},{m})",
                           {"gamma0": T.element(S[i]),
                            "gamma": T.element(gam[j]), "u": T.element(u[j])})
-        wits.append({"n": n, "m": m, "good": len(S), "offsets": len(gam)})
-    return passed("t1t2",
-                  f"boundary pairs {[(w['n'], w['m']) for w in wits]}", wits)
+        return {"n": n, "m": m, "good": len(S), "offsets": len(gam)}
+
+    return _boundary_pairs("t1t2", skeleton, unit)
 
 
 def check_partitions_c(skeleton):
-    ks = list(range(1, max(2, skeleton.depth - 1)))
-    subs = []
-    for k in ks:
-        try:
-            sub = partitions_c_check(skeleton, k)
-        except BudgetExceeded:
-            subs.append({"k": k, "status": "skipped over budget"})
-            continue
-        if sub.status == "Fail":
-            return sub
-        subs.append({"k": k, "status": sub.status, "scope": sub.scope})
-    statuses = {s.get("status") for s in subs}
-    if statuses <= {"Inconclusive", "skipped over budget"}:
-        return inconclusive("partitions-c", f"k in {ks}", subs)
-    return passed("partitions-c", f"k in {ks}", subs)
+    dep = skeleton.depth
+    # the sampled run needs k <= depth-1
+    return _per_unit("partitions-c", range(1, min(dep, max(2, dep - 1))),
+                     lambda k: partitions_c_check(skeleton, k),
+                     lambda done: f"k in {done}")
 
 
 def check_linking(skeleton):
@@ -333,8 +331,7 @@ def check_good_ds(skeleton):
         return passed("good-ds",
                       "no boundary level n_k >= 2 within depth; vacuous")
 
-    wits = []
-    for nk in levels:
+    def unit(nk):
         per1_up = per_masks(skeleton, nk + 1)[1]
         per1_lo = per_masks(skeleton, nk - 1)[1]
         e_all = T.domain_arr(nk + 1)
@@ -355,23 +352,23 @@ def check_good_ds(skeleton):
                               {"n_k": nk, "w": T.element(w),
                                "reason": "no witness in D_{n_k+1}"})
             found.append((T.element(w), hit))
-        wits.append({"n_k": nk, "witnesses": len(found), "sample": found[:3]})
-    return passed("good-ds", f"n_k in {levels}, every w in "
-                  "D_{n_k-1} minus identity", wits)
+        return {"n_k": nk, "witnesses": len(found), "sample": found[:3]}
+
+    return _per_unit("good-ds", levels, unit,
+                     lambda done: f"n_k in {done}, every w in "
+                                  "D_{n_k-1} minus identity")
 
 
 def check_u_in_y(skeleton):
     T = skeleton.tower
     ms = _m_levels(skeleton)
-    usable = [(k, nk) for k, nk in enumerate(ms)
-              if skeleton.depth >= nk + 4]
+    usable = [nk for nk in ms if skeleton.depth >= nk + 4]
     if not usable:
         return inconclusive(
             "u-in-y", f"depth {skeleton.depth} below n_k+4 for all blocks")
-    wits = []
-    any_vacated = False
-    for k, nk in usable:
-        linking = bool(skeleton.linking_ok.get(k, False))
+
+    def unit(nk):
+        linking = bool(skeleton.linking_ok.get(ms.index(nk), False))
         skeleton.budget.check_window(T.size(nk + 2) * T.size(nk + 1),
                                      f"u-in-y at {nk}")
         # the probes leave D_{n_k+2}, so they go through the level scan
@@ -380,128 +377,114 @@ def check_u_in_y(skeleton):
                                lambda g: _eval_arr(skeleton, g))]
         in_y = _y_mask(skeleton, members, nk)
         holds = bool(in_y.all())
-        bad = None if holds else T.element(members[int(in_y.argmin())])
         if linking and not holds:
             return failed("u-in-y", f"n_k={nk}, reps D_{nk + 2}",
-                          {"n_k": nk, "v": bad})
-        if not linking:
-            any_vacated = True
-        wits.append({"n_k": nk, "linking": linking, "u_members": len(members),
-                     "contained": holds})
-    scope = f"n_k in {[nk for _, nk in usable]}, reps over D_(n_k+2)"
-    if any_vacated:
-        return vacated("u-in-y", scope + "; linking fails on some blocks "
-                       "(observed outcomes in witnesses)", wits)
-    return passed("u-in-y", scope, wits)
+                          {"n_k": nk,
+                           "v": T.element(members[int(in_y.argmin())])})
+        return {"n_k": nk, "linking": linking, "u_members": len(members),
+                "contained": holds}
+
+    res = _per_unit("u-in-y", usable, unit,
+                    lambda done: f"n_k in {done}, reps over D_(n_k+2)")
+    if any(not w["linking"] for w in res.witnesses):
+        return vacated("u-in-y", res.scope + "; linking fails on some blocks "
+                       "(observed outcomes in witnesses)", res.witnesses)
+    return res
 
 
 _CONTAININGS_SAMPLES = 5000  # points per level once D_m is over budget
 
 
 def check_containings(skeleton):
-    T = skeleton.tower
     dep = skeleton.depth
-    wits = []
-    skipped = []
-    for n in range(1, dep - 1):
+
+    def unit(n):
         m = min(n + 2, dep - 1)
-        for sample in (None, _CONTAININGS_SAMPLES):
-            try:
-                cx, counts, pts = verify_refinement(skeleton, n, m, sample)
-                break
-            except BudgetExceeded:
-                pass
-        else:
-            skipped.append(n)
-            continue
-        mode = "exhaustive" if sample is None else f"sampled {sample}"
+        mode = "exhaustive"
+        try:
+            cx, counts, pts = verify_refinement(skeleton, n, m, None)
+        except BudgetExceeded:
+            mode = f"sampled {_CONTAININGS_SAMPLES}"
+            cx, counts, pts = verify_refinement(skeleton, n, m,
+                                                _CONTAININGS_SAMPLES)
         if cx is not None:
             return failed("containings", f"n={n} m={m} {mode}", cx)
-        wits.append({"n": n, "m": m, "mode": mode, "points": pts,
-                     "cases": counts,
-                     "partial": "parent column only" if m == n + 1 else None})
-    scope = ("pointwise parent rule, n up to "
-             f"{dep - 2}" + (f"; probe cost over budget: {skipped}"
-                             if skipped else ""))
-    if not wits:
-        return inconclusive("containings", scope)
-    return passed("containings", scope, wits)
+        return {"n": n, "m": m, "mode": mode, "points": pts, "cases": counts,
+                "partial": "parent column only" if m == n + 1 else None}
+
+    return _per_unit("containings", range(1, dep - 1), unit,
+                     lambda done: "pointwise parent rule, n up to "
+                                  f"{max(done, default=0)}")
 
 
 def check_z_identity(skeleton):
-    m_set = set(_m_levels(skeleton))
-    wits = []
-    for n in range(1, skeleton.depth):
-        eq, cont, table = zero_set_identity(skeleton, n)
-        if n in m_set and not eq:
-            bad = class_rows(skeleton.tower, table,
-                             table["parent_zero"] != table["rhs"])
-            return failed("z-identity", f"n={n} boundary equality",
-                          {"n": n, "classes": bad})
-        if not cont:
-            bad = class_rows(skeleton.tower, table,
-                             table["parent_zero"] & ~table["rhs"])
-            return failed("z-identity", f"n={n} containment",
-                          {"n": n, "classes": bad})
-        wits.append({"n": n, "boundary": n in m_set, "equality": eq,
-                     "containment": cont})
-    chain_wits = []
-    ms = sorted(m_set)
-    for i, nj in enumerate(ms):
-        for ns in ms[i + 1:]:
-            if ns > skeleton.depth:
-                continue
+    ms = _m_levels(skeleton)
+    chains = [(nj, ns) for i, nj in enumerate(ms) for ns in ms[i + 1:]
+              if ns <= skeleton.depth]
+
+    def unit(u):
+        if isinstance(u, tuple):
+            nj, ns = u
             cx, branches, checked = corollary_chain(skeleton, nj, ns)
             if cx is not None:
                 return failed("z-identity", f"chain ({nj},{ns})", cx)
             mode, total = chain_mode(skeleton, ns)
-            chain_wits.append({"span": (nj, ns), "atoms": checked,
-                               "branches": branches, "mode": mode,
-                               "of": total})
-    return passed("z-identity",
-                  f"class algebra n=1..{skeleton.depth - 1}; "
-                  f"chains {[w['span'] for w in chain_wits]}",
-                  wits + chain_wits)
+            return {"span": u, "atoms": checked, "branches": branches,
+                    "mode": mode, "of": total}
+        eq, cont, table = zero_set_identity(skeleton, u)
+        if u in ms and not eq:
+            bad = class_rows(skeleton.tower, table,
+                             table["parent_zero"] != table["rhs"])
+            return failed("z-identity", f"n={u} boundary equality",
+                          {"n": u, "classes": bad})
+        if not cont:
+            bad = class_rows(skeleton.tower, table,
+                             table["parent_zero"] & ~table["rhs"])
+            return failed("z-identity", f"n={u} containment",
+                          {"n": u, "classes": bad})
+        return {"n": u, "boundary": u in ms, "equality": eq,
+                "containment": cont}
+
+    def scope(done):
+        classes = [u for u in done if not isinstance(u, tuple)]
+        return (f"class algebra n=1..{max(classes, default=0)}; chains "
+                f"{[u for u in done if isinstance(u, tuple)]}")
+
+    return _per_unit("z-identity", [*range(1, skeleton.depth), *chains],
+                     unit, scope)
 
 
 def check_an_det(skeleton):
-    for n in range(1, skeleton.depth + 1):
-        sub = an_det_check(skeleton, n)
-        if sub.status != "Pass":
-            return sub
-    return passed("an-det", f"n = 1..{skeleton.depth}, det equals |D_n|")
+    return _per_unit("an-det", range(1, skeleton.depth + 1),
+                     lambda n: an_det_check(skeleton, n),
+                     lambda done: f"n = 1..{max(done, default=0)}, "
+                                  "det equals |D_n|")
 
 
 def check_uns_bound(skeleton):
     T = skeleton.tower
     dep = skeleton.depth
-    wits = []
-    skipped = []
-    for n in _m_levels(skeleton):
-        for m in range(n + 2, dep):
-            try:
-                if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
-                    raise BudgetExceeded
-                vals = window_values(skeleton, m)
-            except BudgetExceeded:
-                skipped.append((n, m))
-                continue
-            target = _eta_level_targets(skeleton, n)
-            acc = np.ones(T.size(m), dtype=bool)
-            for i, s in enumerate(T.domain_arr(n + 1)):
-                acc &= T.shift_arr(vals, s, m) == target[i]
-            mu = Fraction(int(acc.sum()), T.size(m))
-            bound = good_bound(T, n, m) / T.size(m)
-            if mu < bound:
-                return failed("uns-bound", f"(n,m)=({n},{m})",
-                              {"n": n, "m": m, "mu": mu, "bound": bound})
-            wits.append({"n": n, "m": m, "mu": mu, "bound": bound,
-                         "strict": mu > bound})
-    scope = (f"{len(wits)} pairs, n in boundary levels, n+2 <= m <= {dep - 1}"
-             + (f"; over budget: {skipped}" if skipped else ""))
-    if not wits:
-        return inconclusive("uns-bound", scope)
-    return passed("uns-bound", scope, wits)
+
+    def unit(pair):
+        n, m = pair
+        if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
+            raise BudgetExceeded(f"uns bound ({n},{m})")
+        vals = window_values(skeleton, m)
+        target = _eta_level_targets(skeleton, n)
+        acc = np.ones(T.size(m), dtype=bool)
+        for i, s in enumerate(T.domain_arr(n + 1)):
+            acc &= T.shift_arr(vals, s, m) == target[i]
+        mu = Fraction(int(acc.sum()), T.size(m))
+        bound = good_bound(T, n, m) / T.size(m)
+        if mu < bound:
+            return failed("uns-bound", f"(n,m)=({n},{m})",
+                          {"n": n, "m": m, "mu": mu, "bound": bound})
+        return {"n": n, "m": m, "mu": mu, "bound": bound, "strict": mu > bound}
+
+    pairs = [(n, m) for n in _m_levels(skeleton) for m in range(n + 2, dep)]
+    return _per_unit("uns-bound", pairs, unit,
+                     lambda done: f"{len(done)} pairs, n in boundary levels, "
+                                  f"n+2 <= m <= {dep - 1}")
 
 
 def _plant_tail_sum(skeleton, n, top):

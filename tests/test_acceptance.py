@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from toeplitzlab import (
+    CheckResult,
     IntegerLineTower,
     an_det_check,
     build_skeleton,
@@ -82,7 +83,7 @@ def test_criterion_02_j_recursion(criterion, threeadic, irregular):
 def test_criterion_03_per_eq(criterion, threeadic):
     with criterion(3, "per-set equalities hold through level 5") as rec:
         for n in range(1, 6):
-            assert per_eq_check(threeadic, n).status == "Pass"
+            assert not isinstance(per_eq_check(threeadic, n), CheckResult)
         rec["detail"] = "levels 1..5"
 
 
@@ -120,7 +121,7 @@ def test_criterion_06_determinant(criterion, threeadic, irregular):
     with criterion(6, "count determinant equals |D_n| through level 5") as rec:
         for sk in (threeadic, irregular):
             for n in range(1, 6):
-                assert an_det_check(sk, n).status == "Pass"
+                assert not isinstance(an_det_check(sk, n), CheckResult)
         rec["detail"] = "both presets, n <= 5"
 
 
@@ -134,8 +135,8 @@ def test_criterion_07_partitions(criterion, threeadic):
                 ones = sum(int(vals[gamma + g - lo]) == 1
                            for g in threeadic.jset(k).tolist())
                 assert ones <= 1, (k, gamma)
-            res = partitions_c_check(threeadic, k, samples=10**4, seed=0)
-            assert res.status == "Pass"
+            assert not isinstance(partitions_c_check(threeadic, k),
+                                  CheckResult)
         rec["detail"] = "k <= 3 exhaustive on D_{k+2} + 10^4 sampled"
 
 

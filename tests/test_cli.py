@@ -181,65 +181,70 @@ def test_verify_single_and_all(capsys):
     assert "registry" in text
 
 
-# what each check refuses under three user caps; a check that cannot finish
-# is Inconclusive with the cap's message as its scope, and a per-unit check
-# names the units it skipped
+# the rows three user caps change: a check skips each unit a cap refuses
+# and names it after its scope, so no check loses the units that fit
 _CAPPED = {
     "threeadic-window": (
         ["--preset", "threeadic", "--window-budget", "20000"], {
-            "good-ds": "over budget: level map D_10 needs 59049 cells, "
-                       "budget is 20000",
-            "u-in-y": "over budget: u-in-y at 4 needs 177147 cells, "
-                      "budget is 20000",
-            "an-det": "over budget: level map D_10 needs 59049 cells, "
-                      "budget is 20000",
-        }, {"j-recursion": "n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
-            "containings": "; probe cost over budget: [4, 5, 6, 7, 8]"}),
+            "j-recursion": ("Pass", "n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            "good-ds": ("Pass", "n_k in [4], every w in D_{n_k-1} minus "
+                                "identity; over budget: [9]"),
+            "u-in-y": ("Vacated", "n_k in [1], reps over D_(n_k+2); over "
+                                  "budget: [4]; linking fails on some blocks "
+                                  "(observed outcomes in witnesses)"),
+            "containings": ("Pass", "pointwise parent rule, n up to 3; over "
+                                    "budget: [4, 5, 6, 7, 8]"),
+            "an-det": ("Pass", "n = 1..9, det equals |D_n|; over budget: "
+                               "[10]"),
+        }),
     "threeadic-enum": (
         ["--preset", "threeadic", "--enum-budget", "5000"], {
-            "z-identity": "over budget: J(9) needs 19683 elements, "
-                          "budget is 5000",
-        }, {"j-recursion": ", over budget: [8, 9, 10]",
-            "per-eq": "; over cap: [8, 9]",
-            "containings": "; probe cost over budget: [7, 8]"}),
+            "j-recursion": ("Pass", "n in [1, 2, 3, 4, 5, 6, 7]; over budget: "
+                                    "[8, 9, 10]"),
+            "per-eq": ("Pass", "n in [1, 2, 3, 4, 5, 6, 7], window saturation "
+                               "+ step-log rebuild + J-membership + "
+                               "essential; over budget: [8, 9]"),
+            "containings": ("Pass", "pointwise parent rule, n up to 6; over "
+                                    "budget: [7, 8]"),
+            "z-identity": ("Pass", "class algebra n=1..9; chains [(1, 4)]; "
+                                   "over budget: [(1, 9), (4, 9)]"),
+        }),
     "irregular-window": (
         ["--preset", "irregular-demo", "--window-budget", "1000000"], {
-            "u-in-y": "over budget: u-in-y at 1 needs 13622175 cells, "
-                      "budget is 1000000",
-        }, {"j-recursion": "n in [1, 2, 3, 4], over budget: [5]",
-            "containings": "; probe cost over budget: [1, 2, 3]"}),
+            "j-recursion": ("Pass", "n in [1, 2, 3, 4]; over budget: [5]"),
+            "u-in-y": ("Inconclusive", "n_k in [], reps over D_(n_k+2); over "
+                                       "budget: [1]"),
+            "containings": ("Inconclusive", "pointwise parent rule, n up to "
+                                            "0; over budget: [1, 2, 3]"),
+        }),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CAPPED))
 def test_verify_all_under_a_user_cap_prints_every_row(capsys, case):
-    argv, refused, skipping = _CAPPED[case]
+    argv, rows = _CAPPED[case]
     assert main(["verify", "all", *argv, "--json"]) == 0
     results = {r["name"]: r for r in json.loads(capsys.readouterr().out)
                ["results"]}
     assert list(results) == ["registry", *REGISTRY_NAMES]
-    for name, scope in refused.items():
-        assert (results[name]["status"], results[name]["scope"]) == \
-            ("Inconclusive", scope), name
-    for name, tail in skipping.items():
-        assert results[name]["status"] in ("Pass", "Inconclusive"), name
-        assert results[name]["scope"].endswith(tail), name
-    others = set(REGISTRY_NAMES) - set(refused)
-    assert not any(results[n]["scope"].startswith("over budget")
-                   for n in others)
+    for name, row in rows.items():
+        assert (results[name]["status"], results[name]["scope"]) == row, name
+    # no check is stopped whole
+    assert not any(r["scope"].startswith("over budget")
+                   for r in results.values())
 
 
 def test_single_check_under_a_user_cap_exits_0(capsys):
     assert main(["verify", "j-recursion", "--preset", "threeadic",
                  "--enum-budget", "5000"]) == 0
     assert capsys.readouterr().out == (
-        "[        Pass] j-recursion: n in [1, 2, 3, 4, 5, 6, 7], "
+        "[        Pass] j-recursion: n in [1, 2, 3, 4, 5, 6, 7]; "
         "over budget: [8, 9, 10]\n")
     assert main(["verify", "good-ds", "--preset", "threeadic",
                  "--window-budget", "20000"]) == 0
     assert capsys.readouterr().out == (
-        "[Inconclusive] good-ds: over budget: level map D_10 needs 59049 "
-        "cells, budget is 20000\n")
+        "[        Pass] good-ds: n_k in [4], every w in D_{n_k-1} minus "
+        "identity; over budget: [9]\n")
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

@@ -11,6 +11,7 @@ from toeplitzlab import (
     a_counts,
     an_det_check,
     build_skeleton,
+    measures,
     limit_01,
     mu_cylinder,
     parse_pattern,
@@ -21,23 +22,26 @@ from toeplitzlab.window import window_values
 
 def test_a_counts_match_reference(threeadic, oracle3, irregular):
     want3 = [(0, 1), (2, 3), (9, 10), (34, 31), (118, 93)]
+    # every level here has |D_n| <= 2**16, so a_counts cross-checks it
     for n in range(1, 6):
-        assert a_counts(threeadic, n, cross_check=True) == want3[n - 1]
+        assert a_counts(threeadic, n) == want3[n - 1]
         assert tuple(oracle3.a_counts(n)) == want3[n - 1]
     wanti = [(0, 1), (14, 31), (1301, 1954)]
     for n in range(1, 4):
-        assert a_counts(irregular, n, cross_check=True) == wanti[n - 1]
+        assert a_counts(irregular, n) == wanti[n - 1]
 
 
 def test_an_det_everywhere(threeadic, irregular):
     for n in range(1, 6):
-        assert an_det_check(threeadic, n).status == "Pass"
+        assert an_det_check(threeadic, n)["n"] == n
     for n in range(1, 5):
-        assert an_det_check(irregular, n).status == "Pass"
+        assert an_det_check(irregular, n)["n"] == n
+    assert an_det_check(threeadic, 3) == {"n": 3, "a0": 9, "a1": 10, "j": 8}
 
 
-def test_an_det_rejects_wrong_counts(threeadic):
-    res = an_det_check(threeadic, 3, override_counts=(9, 11))
+def test_an_det_rejects_wrong_counts(threeadic, monkeypatch):
+    monkeypatch.setattr(measures, "a_counts", lambda sk, n: (9, 11))
+    res = an_det_check(threeadic, 3)
     assert res.status == "Fail"
     assert res.counterexample["expected"] == 27
 

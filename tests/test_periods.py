@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toeplitzlab import (
-    SymbolWindow,
+    CheckResult,
     invariant_shift,
     partitions_c_check,
     per_eq_check,
@@ -36,19 +36,30 @@ def test_per_member_returns_forced_symbol(threeadic):
     assert not any(m[1] for m in per_masks(threeadic, 1))
 
 
+def _passes(res):
+    """A unit body passes when it returns its witness, not a result."""
+    return not isinstance(res, CheckResult)
+
+
 def test_per_eq_passes(threeadic, centered6, lattice):
     for n in range(1, 5):
-        assert per_eq_check(threeadic, n).status == "Pass"
+        assert _passes(per_eq_check(threeadic, n))
     for n in range(1, 4):
-        assert per_eq_check(centered6, n).status == "Pass"
-    assert per_eq_check(lattice, 2).status == "Pass"
+        assert _passes(per_eq_check(centered6, n))
+    assert _passes(per_eq_check(lattice, 2))
 
 
-def test_per_eq_catches_flipped_symbol(threeadic):
-    vals = window_values(threeadic, 4).copy()
-    idx = threeadic.tower.index_of(4, 4)
-    vals[idx] ^= 1
-    res = per_eq_check(threeadic, 3, window=SymbolWindow(4, vals))
+def _flip_window_at_4(sk, monkeypatch):
+    """Plant a D_4 window with the symbol at 4 flipped in the skeleton's
+    cache, where per_eq_check reads its level-4 window."""
+    vals = window_values(sk, 4).copy()
+    vals[sk.tower.index_of(4, 4)] ^= 1
+    monkeypatch.setitem(sk._wincache, ("vals", 4), vals)
+
+
+def test_per_eq_catches_flipped_symbol(threeadic, monkeypatch):
+    _flip_window_at_4(threeadic, monkeypatch)
+    res = per_eq_check(threeadic, 3)
     assert res.status == "Fail"
     assert res.counterexample["coset"] == "4+Gamma_3"
 
@@ -58,11 +69,8 @@ def test_essential_passes(threeadic, centered6, lattice):
                        (lattice, [1, 2])):
         for n in levels:
             assert invariant_shift(sk.tower, n, *per_masks(sk, n))[0] is None
-            res = per_eq_check(sk, n)
-            assert res.status == "Pass"
-            assert "essential" in res.witnesses[-1]
-    assert per_eq_check(threeadic, 3).witnesses[-1] == {
-        "essential": "3 divisor shifts of 27"}
+            assert "essential" in per_eq_check(sk, n)
+    assert per_eq_check(threeadic, 3)["essential"] == "3 divisor shifts of 27"
 
 
 @pytest.mark.parametrize("name", ["threeadic", "centered6", "lattice",
@@ -97,17 +105,15 @@ def test_per1_structure(threeadic, irregular):
 
 def test_partitions_c_clean(threeadic, irregular):
     for k in (1, 2, 3):
-        res = partitions_c_check(threeadic, k, samples=2000, seed=11)
-        assert res.status == "Pass"
-        assert "2000 sampled" in res.scope
-        assert res.witnesses[0]["ones_histogram"][1] > 0
-    assert partitions_c_check(irregular, 1, samples=500, seed=11).status == "Pass"
+        wit = partitions_c_check(threeadic, k)
+        assert _passes(wit)
+        assert wit["sampled"] == 10000
+        assert wit["ones_histogram"][1] > 0
+    assert _passes(partitions_c_check(irregular, 1))
 
 
 def test_partitions_c_seeded_repeatability(threeadic):
-    a = partitions_c_check(threeadic, 2, samples=300, seed=5)
-    b = partitions_c_check(threeadic, 2, samples=300, seed=5)
-    assert a.to_json() == b.to_json() or a.witnesses == b.witnesses
+    assert partitions_c_check(threeadic, 2) == partitions_c_check(threeadic, 2)
 
 
 def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):
@@ -119,7 +125,6 @@ def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):
     assert res.scope == "level 3, essential (stub)"
     assert res.counterexample["invariant_shift"] == 9
     # a flipped window still fails first, on its probe
-    vals = window_values(threeadic, 4).copy()
-    vals[4] ^= 1
-    res = per_eq_check(threeadic, 3, window=SymbolWindow(4, vals))
+    _flip_window_at_4(threeadic, monkeypatch)
+    res = per_eq_check(threeadic, 3)
     assert "coset" in res.counterexample

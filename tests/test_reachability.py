@@ -16,9 +16,11 @@ allowed only at the sites named in KIND_SITES.
 
 One budget: no module reads the process environment, and only the functions
 named in BUDGET_PARAMS take a `budget`; everything else that needs the caps
-reads the skeleton's.  A size is compared against a cap only in budgets.py,
-by the Budget check the working function calls, apart from the sites named
-in CAP_SITES.
+reads the skeleton's.  A size is compared against a cap (a Budget's `enum`
+or `window`, or a module-level `_*_CAP` constant) only in budgets.py, by the
+Budget check the working function calls, apart from the sites named in
+CAP_SITES.  In verify.py, only the functions named in CATCH_SITES catch
+BudgetExceeded, so what a check skipped has one home.
 """
 
 import ast
@@ -49,9 +51,27 @@ CAP_SITES = {
     ("tower", "validate_tower"): "decom's level selection: it checks the "
                                  "levels within the enumeration cap and "
                                  "names that cap in its scope",
+    ("verify", "check_per_eq"): "per-eq's own size limit on |D_n|, below "
+                                "the enumeration cap; a larger level is "
+                                "skipped as over budget",
+    ("verify", "check_good_relation"): "the pair work |D_m| * |D_{n+1}| of "
+                                       "the translate containment, which no "
+                                       "single build sees",
+    ("verify", "check_uns_bound"): "the pair work |D_m| * |D_{n+1}| of the "
+                                   "shifted-window products",
 }
 
 CAPS = {"enum", "window"}
+
+CATCH_SITES = {
+    "_per_unit": "the one per-unit loop: a refused unit is skipped and "
+                 "named in the scope",
+    "run_check": "the dispatcher: a check a cap stops is Inconclusive",
+    "check_containings": "a level over budget exhaustively falls back to "
+                         "the declared sample",
+    "check_measure_one_trend": "the cross-check probe is the first "
+                               "boundary pair the caps allow",
+}
 
 # (owner, function): the skeleton's builders, which store the budget, and
 # the functions that see a tower and no skeleton
@@ -183,19 +203,30 @@ def _reads_cap(node, aliases):
                for p in ast.walk(node))
 
 
+def _cap_constants(tree):
+    """Module-level names `_*_CAP` bound by an assignment."""
+    return {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)
+            and t.id.startswith("_") and t.id.endswith("_CAP")}
+
+
 def cap_sites(src):
     """(module, top-level definition) of every comparison against a
     Budget's `enum` or `window`, read directly or through a local name
-    bound to one, outside budgets.py, once per comparison."""
+    bound to one, or against a module-level `_*_CAP` constant, outside
+    budgets.py, once per comparison."""
     out = []
     for path in sorted(src.glob("*.py")):
         if path.stem == "budgets":
             continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            aliases = {t.id for node in ast.walk(top)
-                       if isinstance(node, ast.Assign)
-                       and _reads_cap(node.value, set())
-                       for t in node.targets if isinstance(t, ast.Name)}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        consts = _cap_constants(tree)
+        for top in tree.body:
+            aliases = consts | {
+                t.id for node in ast.walk(top)
+                if isinstance(node, ast.Assign)
+                and _reads_cap(node.value, consts)
+                for t in node.targets if isinstance(t, ast.Name)}
             out += [(path.stem, getattr(top, "name", None))
                     for node in ast.walk(top)
                     if isinstance(node, ast.Compare)
@@ -205,3 +236,17 @@ def cap_sites(src):
 
 def test_caps_are_compared_only_in_budgets():
     assert cap_sites(SRC) == sorted(CAP_SITES)
+
+
+def budget_catch_sites(path):
+    """Top-level definitions of the module at path with an except clause
+    that names BudgetExceeded, once per clause."""
+    return sorted(top.name
+                  for top in ast.parse(path.read_text(encoding="utf-8")).body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.ExceptHandler) and node.type
+                  and "BudgetExceeded" in _names(node.type))
+
+
+def test_only_the_named_sites_catch_budget_exceeded_in_verify():
+    assert budget_catch_sites(SRC / "verify.py") == sorted(CATCH_SITES)

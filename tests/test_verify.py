@@ -19,7 +19,8 @@ from toeplitzlab import (
     zero_mass_lower_bound,
 )
 from toeplitzlab.cells import mu_zero_set, verify_refinement
-from toeplitzlab.verify import _REGISTRY, good_bound, good_set
+from toeplitzlab.result import failed
+from toeplitzlab.verify import _REGISTRY, _per_unit, good_bound, good_set
 
 
 def test_registry_names_are_stable():
@@ -45,6 +46,39 @@ def test_every_check_takes_only_the_skeleton():
         params = inspect.signature(fn).parameters
         assert list(params) == ["skeleton"], name
         assert params["skeleton"].default is inspect.Parameter.empty, name
+
+
+def test_per_unit_skips_only_the_refused_unit():
+    def body(u):
+        if u == 2:
+            raise BudgetExceeded("unit 2")
+        if u == 4:
+            return failed("x", "u=4", {"u": u})
+        return {"u": u} if u == 1 else None
+
+    def run(units):
+        return _per_unit("x", units, body, lambda done: f"u in {done}")
+
+    res = run([1, 2, 3])
+    assert (res.status, res.scope, res.witnesses) == (
+        "Pass", "u in [1, 3]; over budget: [2]", [{"u": 1}])
+    assert run([1, 4, 2]).scope == "u=4"
+    assert (run([2]).status, run([2]).scope) == (
+        "Inconclusive", "u in []; over budget: [2]")
+
+
+def test_a_scope_names_only_the_units_that_ran(irregular, threeadic):
+    # irregular-demo at the default caps: containings refuses n = 3
+    res = run_check(irregular, "containings")
+    assert (res.status, res.scope) == (
+        "Pass", "pointwise parent rule, n up to 2; over budget: [3]")
+    assert [w["n"] for w in res.witnesses] == [1, 2]
+    # the D_10 level map is over this window cap, so an-det stops at n = 9
+    capped = build_skeleton(threeadic.tower, 10, Budget(window=20000))
+    res = run_check(capped, "an-det")
+    assert (res.status, res.scope) == (
+        "Pass", "n = 1..9, det equals |D_n|; over budget: [10]")
+    assert [w["n"] for w in res.witnesses] == list(range(1, 10))
 
 
 def test_unknown_check_is_rejected(threeadic5):
