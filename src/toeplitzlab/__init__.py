@@ -12,7 +12,7 @@ from .cells import (classify_points, corollary_chain, mu_zero_set,
                     verify_refinement, zero_set_identity)
 from .density import (d_enumeration, d_product, d_recursion, density_methods,
                       exp_enclosure, L_series, regularity_verdict)
-from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
+from .errors import (BudgetExceeded, DepthExceeded, DoubledOne, EmptySlot,
                      InconclusiveTail, InvalidIndex, NonAbelianUnsupported,
                      NotInDomain, ParityError, UnknownCheck)
 from .factor import FiberProfile, OdometerPoint, fiber_profile, pi_of_orbit

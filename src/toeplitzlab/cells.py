@@ -21,6 +21,10 @@ identities for Z_n and the corollary chains.  Here they exist only as array
 ops over many cells at once (verify_refinement, _chain_level); their
 one-cell form, parent_cell and containment_case, lives in tests/test_cells.py
 as the oracle those array walks are compared against.
+
+Each Gamma_l-translate of J(l) carries at most one planted 1: translate_ones
+reads it off a window's 1-cells in one pass, and every level-l tag here, as
+well as the partitions check, is a lookup in that table.
 """
 
 import random
@@ -29,8 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthExceeded
-from .skeleton import j_size
+from .errors import DepthExceeded, DoubledOne
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -42,91 +45,107 @@ def tag_one(g):
 
 # -- classification of periodized points ---------------------------------
 
+_POINT_CHUNK = 1 << 18  # points of D_m per array pass of verify_refinement
 
-def classify_points(skeleton, m, l, d_arr, chunk=1 << 20):
-    """Level-l tags of sigma^{-d} eta_m for each d in the element array d_arr:
-    -1 for Zero, else the index of the planted position in the ordered J(l)."""
+
+def translate_ones(skeleton, m, l):
+    """The planted 1 of every translate gamma + J(l), gamma in Gamma_l cap
+    D_m, read from the 1-cells of the D_m window in one pass.
+
+    Each 1-cell x of D_m lies in the translate gamma + D_l with gamma =
+    x - reduce(x, l) (the tiling axiom), and in gamma + J(l) when reduce(x, l)
+    is in J(l).  Returns an array over D_m holding, at the D_m index of each
+    such gamma, the J(l) index of its translate's 1, and -1 everywhere else.
+    Raises DepthExceeded on undecided cells, and DoubledOne when a translate
+    carries two 1s.
+    """
     T = skeleton.tower
-    d_arr = T.array(d_arr)
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
-    jl = np.expand_dims(skeleton.jset(l), 0)
+    jl = skeleton.jset(l)
+    dtype = np.min_scalar_type(-T.size(l))
+    jpos = np.full(T.size(l), -1, dtype=dtype)
+    jpos[T.index_of_arr(jl, l)] = np.arange(len(jl))
+    x = T.domain_arr(m)[vals == 1]
+    r = T.reduce_arr(x, l)
+    pick = jpos[T.index_of_arr(r, l)]
+    gamma = T.sub_arr(x, r)[pick >= 0]
+    pick = pick[pick >= 0]
+    key = T.index_of_arr(gamma, m)
+    table = np.full(T.size(m), -1, dtype=dtype)
+    table[key] = pick
+    if (table >= 0).sum() < len(key):
+        keys, counts = np.unique(key, return_counts=True)
+        i = int((counts > 1).argmax())
+        raise DoubledOne(T.element(gamma[key == keys[i]][0]), int(counts[i]))
+    return table
+
+
+def classify_points(skeleton, m, l, d_arr):
+    """Level-l tags of sigma^{-d} eta_m for each d in the element array d_arr:
+    -1 for Zero, else the index of the planted position in the ordered J(l).
+    A point's translate gamma is taken mod Gamma_m into D_m."""
+    T = skeleton.tower
+    d_arr = T.array(d_arr)
     gamma = T.sub_arr(d_arr, T.reduce_arr(d_arr, l))
-    out = np.empty(len(d_arr), dtype=np.int64)
-    rows = max(1, chunk // jl.shape[1])
-    for start in range(0, len(d_arr), rows):
-        gm = np.expand_dims(gamma[start:start + rows], 1)
-        idx = T.coset_index_arr(T.add_arr(gm, jl), m)
-        probe = vals[idx] == 1
-        counts = probe.sum(axis=1)
-        if (counts > 1).any():
-            raise ArithmeticError("two planted cells in one translate")
-        out[start:start + rows] = np.where(counts == 1, probe.argmax(axis=1), -1)
-    return out
+    return translate_ones(skeleton, m, l)[T.coset_index_arr(gamma, m)]
 
 
-def verify_refinement(skeleton, n, m, sample=None, seed=0):
+def verify_refinement(skeleton, n, m):
     """Compare the symbolic parent rule against pointwise classification.
 
-    Classifies sigma^{-d} eta_m at levels n and n+1 for d over D_m (or a
-    seeded sample) and checks the child cell's parent matches.  The probe
-    cost, points times J(n+1) cells, is held to the window cap before any
-    build.  Returns (counterexample_or_None, case_counts, points).
+    Classifies sigma^{-d} eta_m at levels n and n+1 for every d in D_m and
+    checks the child cell's parent matches, _POINT_CHUNK points at a time.
+    Returns (counterexample_or_None, case_counts, points).
     """
     T = skeleton.tower
     if skeleton.depth < m + 1:
         raise DepthExceeded(f"mu_{m} needs depth >= {m + 1}")
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
-    size = T.size(m)
-    skeleton.budget.check_window((size if sample is None else sample)
-                                 * j_size(T, n + 1), f"refinement n={n} m={m}")
-    d_arr = T.domain_arr(m)
-    if sample is not None:
-        rng = random.Random(seed)
-        d_arr = d_arr[[rng.randrange(size) for _ in range(sample)]]
-
+    ones_c = translate_ones(skeleton, m, n + 1)
+    ones_p = translate_ones(skeleton, m, n)
     jn = skeleton.jset(n)
     jn1 = skeleton.jset(n + 1)
-    cidx = classify_points(skeleton, m, n + 1, d_arr)
-    pidx = classify_points(skeleton, m, n, d_arr)
-
     kind = skeleton.steps[n]  # step n+1 decides the gamma == 0 column
     plant = kind[0] == "plant"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
+    dom = T.domain_arr(m)
+    for start in range(0, len(dom), _POINT_CHUNK):
+        d_arr = dom[start:start + _POINT_CHUNK]
+        vn1 = T.reduce_arr(d_arr, n + 1)
+        vn = T.reduce_arr(d_arr, n)
+        cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, vn1), m)]
+        pidx = ones_p[T.coset_index_arr(T.sub_arr(d_arr, vn), m)]
 
-    # the five rules of the module docstring, one array op each
-    vn1 = T.reduce_arr(d_arr, n + 1)
-    gamma_c = T.sub_arr(vn1, T.reduce_arr(d_arr, n))
-    j1_red = T.reduce_arr(jn1, n)
-    j1_gam = T.sub_arr(jn1, j1_red)
-
-    is0 = T.eq_arr(gamma_c, T.zero)
-    has_c = cidx >= 0
-    safe = np.where(has_c, cidx, 0)
-    match = has_c & T.eq_arr(j1_gam[safe], gamma_c)
-    exp_one = np.where(is0, plant, match)
-    exp_g = j1_red[safe]
-    if plant:
-        exp_g[is0] = kind[1]
-    act_one = pidx >= 0
-    act_g = jn[np.where(act_one, pidx, 0)]
-    bad = (exp_one != act_one) | (exp_one & act_one & ~T.eq_arr(exp_g, act_g))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        return ({"d": T.element(d_arr[i]),
-                 "child": (T.element(vn1[i]),
-                           TAG_ZERO if cidx[i] < 0 else tag_one(T.element(jn1[cidx[i]]))),
-                 "expected_parent_one": bool(exp_one[i]),
-                 "actual_parent_one": bool(act_one[i])},
-                counts, len(d_arr))
-    counts["c1"] = int((~is0 & ~has_c).sum())
-    counts["c2"] = int((~is0 & match).sum())
-    counts["c3"] = int((~is0 & has_c & ~match).sum())
-    counts["c4"] = 0 if plant else int(is0.sum())
-    counts["c5"] = int(is0.sum()) if plant else 0
-    return None, counts, len(d_arr)
+        # the five rules of the module docstring, one array op each
+        gamma_c = T.sub_arr(vn1, vn)
+        is0 = T.eq_arr(gamma_c, T.zero)
+        has_c = cidx >= 0
+        u = jn1[np.where(has_c, cidx, 0)]
+        exp_g = T.reduce_arr(u, n)
+        match = has_c & T.eq_arr(T.sub_arr(u, exp_g), gamma_c)
+        exp_one = np.where(is0, plant, match)
+        if plant:
+            exp_g[is0] = kind[1]
+        act_one = pidx >= 0
+        act_g = jn[np.where(act_one, pidx, 0)]
+        bad = (exp_one != act_one) | (exp_one & act_one
+                                      & ~T.eq_arr(exp_g, act_g))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            child = TAG_ZERO if cidx[i] < 0 else tag_one(T.element(u[i]))
+            return ({"d": T.element(d_arr[i]),
+                     "child": (T.element(vn1[i]), child),
+                     "expected_parent_one": bool(exp_one[i]),
+                     "actual_parent_one": bool(act_one[i])},
+                    counts, start + i + 1)
+        counts["c1"] += int((~is0 & ~has_c).sum())
+        counts["c2"] += int((~is0 & match).sum())
+        counts["c3"] += int((~is0 & has_c & ~match).sum())
+        counts["c5" if plant else "c4"] += int(is0.sum())
+    return None, counts, len(dom)
 
 
 # -- the set identities ----------------------------------------------------
@@ -283,10 +302,10 @@ def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
 
 
 def mu_zero_set(skeleton, n, m):
-    """mu_m(Z_n): translates whose level-n tag is Zero.  The probe cost,
-    |D_m| times J(n) cells, is held to the window cap before any build."""
-    T = skeleton.tower
-    skeleton.budget.check_window(T.size(m) * j_size(T, n), f"mu_{m}(Z_{n})")
-    tags = classify_points(skeleton, m, n, T.domain_arr(m))
-    return Fraction(int((tags < 0).sum()), T.size(m))
+    """mu_m(Z_n): the share of D_m whose level-n tag is Zero.  The |D_n|
+    points of a translate gamma + D_n share gamma's tag, so the section
+    Gamma_n cap D_m stands for all of D_m."""
+    tags = classify_points(skeleton, m, n,
+                           skeleton.tower.section_arr(n, m, skeleton.budget))
+    return Fraction(int((tags < 0).sum()), len(tags))
 

@@ -23,6 +23,7 @@ from .window import per_masks
 VERDICT_REGULAR = "Regular"
 VERDICT_IRREGULAR = "Irregular"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+_EXP_WIDTH = Fraction(1, 10**7)  # width of each exp(-2L) enclosure
 
 
 def ratio_term(tower, j):
@@ -176,7 +177,7 @@ class DensityReport:
         return "\n".join(lines)
 
 
-def regularity_verdict(tower, levels=None, exp_width=Fraction(1, 10**7)):
+def regularity_verdict(tower, levels=None):
     """Certified judgment of whether the decided density tends to 1."""
     t0 = time.perf_counter()
     depth = tower.depth
@@ -198,7 +199,7 @@ def regularity_verdict(tower, levels=None, exp_width=Fraction(1, 10**7)):
             L_lo, None, product_partial, (Fraction(0), Fraction(1)), Fraction(1),
             ["no tail declaration: the limit of d_n cannot be certified"])
     elif tail.kind == TAIL_DIVERGENT:
-        lo, hi = exp_enclosure(-2 * L_lo, exp_width)
+        lo, hi = exp_enclosure(-2 * L_lo, _EXP_WIDTH)
         report = DensityReport(
             VERDICT_REGULAR, depth, d_seq, (d_depth, Fraction(1)),
             L_lo, None, product_partial, (lo, hi), hi - lo,
@@ -210,8 +211,8 @@ def regularity_verdict(tower, levels=None, exp_width=Fraction(1, 10**7)):
         if d_hi > 1:
             d_hi = Fraction(1)
         L_hi = L_lo + future
-        lo_hi, hi_hi = exp_enclosure(-2 * L_lo, exp_width)   # largest exp(-2L)
-        lo_lo, hi_lo = exp_enclosure(-2 * L_hi, exp_width)   # smallest exp(-2L)
+        lo_hi, hi_hi = exp_enclosure(-2 * L_lo, _EXP_WIDTH)  # largest exp(-2L)
+        lo_lo, hi_lo = exp_enclosure(-2 * L_hi, _EXP_WIDTH)  # smallest
         exp_iv = (lo_lo, hi_hi)
         notes.append(f"remark bound: sup d_n <= 1 - exp(-2L) <= {float(1 - lo_lo):.9f}")
         verdict = VERDICT_IRREGULAR if d_hi < 1 else VERDICT_INCONCLUSIVE

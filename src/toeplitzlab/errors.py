@@ -20,6 +20,15 @@ class NotInDomain(ValueError):
     """An element was required to lie in some D_n and does not."""
 
 
+class DoubledOne(ArithmeticError):
+    """A translate gamma + J(l) carries two planted 1s."""
+
+    def __init__(self, gamma, ones):
+        super().__init__(
+            f"the J-translate by {gamma} carries {ones} planted 1s")
+        self.gamma, self.ones = gamma, ones
+
+
 class BudgetExceeded(RuntimeError):
     """An enumeration or window materialization would exceed its cap."""
 

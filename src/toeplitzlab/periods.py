@@ -5,16 +5,18 @@ already forced to the symbol a, i.e. the cells decided strictly below level
 n; window.per_masks gives both as masks over D_n.  per_eq_check rebuilds the
 same masks from the step log alone, reads the array on every Gamma_n-translate
 of every per-cell, and asks that no larger subgroup fix them (essential).
-per_eq_check and partitions_c_check are unit bodies of verify's checks: each
-returns its level's witness, or a Fail.
+partitions_c_check reads the planted 1 of every J(k)-translate of the
+D_{depth-1} window from cells.translate_ones.  per_eq_check and
+partitions_c_check are unit bodies of verify's checks: each returns its
+level's witness, or a Fail.
 """
-
-import random
 
 import numpy as np
 
 from .budgets import Budget
-from .errors import BudgetExceeded, NonAbelianUnsupported, NotInDomain
+from .cells import translate_ones
+from .errors import (BudgetExceeded, DoubledOne, NonAbelianUnsupported,
+                     NotInDomain)
 from .result import failed
 from .tower import KIND_LINE
 from .window import per_masks, window_values
@@ -136,49 +138,20 @@ def per_eq_check(skeleton, n):
             "essential": label}
 
 
-_PARTITIONS_SAMPLES = 10000  # seeded cosets per k near the built top
-
-
 def partitions_c_check(skeleton, k):
     """Every Gamma_k-translate of J(k) carries at most one planted 1.
 
-    Exhaustive over Gamma_k cap D_{k+3} when those probes are defined, then a
-    seeded sample of cosets near the top of the built region, which needs
-    k <= depth-1.  Returns the witness of k, or a Fail.
+    Exhaustive over the translates by Gamma_k cap D_{depth-1}, read from the
+    D_{depth-1} window by cells.translate_ones.  Returns the witness of k, or
+    a Fail naming a translate with two 1s.
     """
     T = skeleton.tower
     top = skeleton.depth - 1
-    jk = skeleton.jset(k)
-    rng = random.Random(0)
-
-    def ones_on(gam, level):
-        """Ones on each translate gamma J(k), gamma in the array gam; the
-        tiling axiom keeps gamma + J(k) inside the decided D_level."""
-        vals = window_values(skeleton, level)
-        counts = np.zeros(len(gam), dtype=np.int64)
-        for g in jk:
-            counts += vals[T.index_of_arr(T.add_arr(gam, g), level)] == 1
-        return counts
-
-    hist = {0: 0, 1: 0}
-    wit = {"k": k, "exhaustive": 0, "sampled": 0, "ones_histogram": hist}
-    runs = []
-    if k + 3 <= T.depth and skeleton.depth >= k + 4:
-        sec = T.section_arr(k, k + 3, skeleton.budget)
-        skeleton.budget.check_enum(len(sec) * len(jk), f"partitions-c k={k}")
-        runs.append(("exhaustive", sec, k + 3))
-    sec = T.section_arr(k, top, skeleton.budget)
-    gam = sec[[rng.randrange(len(sec)) for _ in range(_PARTITIONS_SAMPLES)]]
-    runs.append(("sampled", gam, top))
-    for mode, gam, level in runs:
-        counts = ones_on(gam, level)
-        bad = counts > 1
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            return failed("partitions-c", f"k={k} {mode}",
-                          {"k": k, "gamma": T.element(gam[i]),
-                           "ones": int(counts[i])})
-        hist[0] += int((counts == 0).sum())
-        hist[1] += int((counts == 1).sum())
-        wit[mode] = len(gam)
-    return wit
+    try:
+        ones = int((translate_ones(skeleton, top, k) >= 0).sum())
+    except DoubledOne as exc:
+        return failed("partitions-c", f"k={k}",
+                      {"k": k, "gamma": exc.gamma, "ones": exc.ones})
+    translates = T.size(top) // T.size(k)
+    return {"k": k, "translates": translates,
+            "ones_histogram": {0: translates - ones, 1: ones}}

@@ -36,7 +36,7 @@ from .cells import (chain_mode, class_rows, corollary_chain, mu_zero_set,
 from .density import ratio_term
 from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
                      NotInDomain, UnknownCheck)
-from .measures import an_det_check
+from .measures import PeriodicMeasure, an_det_check
 from .periods import partitions_c_check, per_eq_check
 from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
                      vacated)
@@ -140,6 +140,11 @@ def _y_mask(skeleton, base, n):
 
 def check_decom(skeleton):
     return validate_tower(skeleton.tower, skeleton.budget)
+
+
+def _last(done, text):
+    """text naming the last unit that ran, or "no unit ran"."""
+    return text.format(max(done)) if done else "no unit ran"
 
 
 def _per_unit(name, units, body, scope):
@@ -304,7 +309,7 @@ def check_t1t2(skeleton):
 
 def check_partitions_c(skeleton):
     dep = skeleton.depth
-    # the sampled run needs k <= depth-1
+    # k up to depth-2: every J(k)-translate is read in the D_{depth-1} window
     return _per_unit("partitions-c", range(1, min(dep, max(2, dep - 1))),
                      lambda k: partitions_c_check(skeleton, k),
                      lambda done: f"k in {done}")
@@ -392,29 +397,20 @@ def check_u_in_y(skeleton):
     return res
 
 
-_CONTAININGS_SAMPLES = 5000  # points per level once D_m is over budget
-
-
 def check_containings(skeleton):
     dep = skeleton.depth
 
     def unit(n):
         m = min(n + 2, dep - 1)
-        mode = "exhaustive"
-        try:
-            cx, counts, pts = verify_refinement(skeleton, n, m, None)
-        except BudgetExceeded:
-            mode = f"sampled {_CONTAININGS_SAMPLES}"
-            cx, counts, pts = verify_refinement(skeleton, n, m,
-                                                _CONTAININGS_SAMPLES)
+        cx, counts, pts = verify_refinement(skeleton, n, m)
         if cx is not None:
-            return failed("containings", f"n={n} m={m} {mode}", cx)
-        return {"n": n, "m": m, "mode": mode, "points": pts, "cases": counts,
+            return failed("containings", f"n={n} m={m}", cx)
+        return {"n": n, "m": m, "points": pts, "cases": counts,
                 "partial": "parent column only" if m == n + 1 else None}
 
     return _per_unit("containings", range(1, dep - 1), unit,
-                     lambda done: "pointwise parent rule, n up to "
-                                  f"{max(done, default=0)}")
+                     lambda done: "pointwise parent rule, "
+                                  + _last(done, "n up to {}"))
 
 
 def check_z_identity(skeleton):
@@ -447,7 +443,7 @@ def check_z_identity(skeleton):
 
     def scope(done):
         classes = [u for u in done if not isinstance(u, tuple)]
-        return (f"class algebra n=1..{max(classes, default=0)}; chains "
+        return (f"class algebra {_last(classes, 'n=1..{}')}; chains "
                 f"{[u for u in done if isinstance(u, tuple)]}")
 
     return _per_unit("z-identity", [*range(1, skeleton.depth), *chains],
@@ -457,8 +453,8 @@ def check_z_identity(skeleton):
 def check_an_det(skeleton):
     return _per_unit("an-det", range(1, skeleton.depth + 1),
                      lambda n: an_det_check(skeleton, n),
-                     lambda done: f"n = 1..{max(done, default=0)}, "
-                                  "det equals |D_n|")
+                     lambda done: _last(done, "n = 1..{}")
+                                  + ", det equals |D_n|")
 
 
 def check_uns_bound(skeleton):
@@ -469,12 +465,8 @@ def check_uns_bound(skeleton):
         n, m = pair
         if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
             raise BudgetExceeded(f"uns bound ({n},{m})")
-        vals = window_values(skeleton, m)
-        target = _eta_level_targets(skeleton, n)
-        acc = np.ones(T.size(m), dtype=bool)
-        for i, s in enumerate(T.domain_arr(n + 1)):
-            acc &= T.shift_arr(vals, s, m) == target[i]
-        mu = Fraction(int(acc.sum()), T.size(m))
+        mu = PeriodicMeasure(skeleton, m).mu_cylinder(
+            list(zip(T.domain_arr(n + 1), _eta_level_targets(skeleton, n))))
         bound = good_bound(T, n, m) / T.size(m)
         if mu < bound:
             return failed("uns-bound", f"(n,m)=({n},{m})",

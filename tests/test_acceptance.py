@@ -137,7 +137,8 @@ def test_criterion_07_partitions(criterion, threeadic):
                 assert ones <= 1, (k, gamma)
             assert not isinstance(partitions_c_check(threeadic, k),
                                   CheckResult)
-        rec["detail"] = "k <= 3 exhaustive on D_{k+2} + 10^4 sampled"
+        rec["detail"] = ("k <= 3 exhaustive on D_{k+2} + every translate in "
+                         "D_{depth-1}")
 
 
 def test_criterion_08_good_relation(criterion, threeadic):

@@ -132,7 +132,7 @@ def test_analyze_measures_reports_a_refused_mu_z1(capsys):
                  "--window-budget", "1000000"]) == 0
     out = capsys.readouterr().out
     assert "  mu[0] in [" in out
-    assert ("  mu_4(Z_1): over budget (mu_4(Z_1) needs 52086510 cells, "
+    assert ("  mu_4(Z_1): over budget (window D_4 needs 3720465 cells, "
             "budget is 1000000)") in out
 
 
@@ -181,7 +181,7 @@ def test_verify_single_and_all(capsys):
     assert "registry" in text
 
 
-# the rows three user caps change: a check skips each unit a cap refuses
+# the rows three user caps touch: a check skips each unit a cap refuses
 # and names it after its scope, so no check loses the units that fit
 _CAPPED = {
     "threeadic-window": (
@@ -192,8 +192,7 @@ _CAPPED = {
             "u-in-y": ("Vacated", "n_k in [1], reps over D_(n_k+2); over "
                                   "budget: [4]; linking fails on some blocks "
                                   "(observed outcomes in witnesses)"),
-            "containings": ("Pass", "pointwise parent rule, n up to 3; over "
-                                    "budget: [4, 5, 6, 7, 8]"),
+            "containings": ("Pass", "pointwise parent rule, n up to 8"),
             "an-det": ("Pass", "n = 1..9, det equals |D_n|; over budget: "
                                "[10]"),
         }),
@@ -204,6 +203,8 @@ _CAPPED = {
             "per-eq": ("Pass", "n in [1, 2, 3, 4, 5, 6, 7], window saturation "
                                "+ step-log rebuild + J-membership + "
                                "essential; over budget: [8, 9]"),
+            "partitions-c": ("Pass", "k in [1, 2, 3, 4, 5, 6, 7]; over "
+                                     "budget: [8]"),
             "containings": ("Pass", "pointwise parent rule, n up to 6; over "
                                     "budget: [7, 8]"),
             "z-identity": ("Pass", "class algebra n=1..9; chains [(1, 4)]; "
@@ -214,8 +215,8 @@ _CAPPED = {
             "j-recursion": ("Pass", "n in [1, 2, 3, 4]; over budget: [5]"),
             "u-in-y": ("Inconclusive", "n_k in [], reps over D_(n_k+2); over "
                                        "budget: [1]"),
-            "containings": ("Inconclusive", "pointwise parent rule, n up to "
-                                            "0; over budget: [1, 2, 3]"),
+            "containings": ("Pass", "pointwise parent rule, n up to 1; over "
+                                    "budget: [2, 3]"),
         }),
 }
 
@@ -232,6 +233,22 @@ def test_verify_all_under_a_user_cap_prints_every_row(capsys, case):
     # no check is stopped whole
     assert not any(r["scope"].startswith("over budget")
                    for r in results.values())
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["containings", "--preset", "threeadic", "--window-budget", "20"],
+     "[Inconclusive] containings: pointwise parent rule, no unit ran; "
+     "over budget: [1, 2, 3, 4, 5, 6, 7, 8]"),
+    (["an-det", "--preset", "threeadic", "--window-budget", "2"],
+     "[Inconclusive] an-det: no unit ran, det equals |D_n|; over budget: "
+     "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    (["z-identity", "--preset", "irregular-demo", "--enum-budget", "20"],
+     "[Inconclusive] z-identity: class algebra no unit ran; chains []; "
+     "over budget: [1, 2, 3, 4]"),
+])
+def test_a_cap_that_refuses_every_unit_says_no_unit_ran(capsys, argv, line):
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_single_check_under_a_user_cap_exits_0(capsys):

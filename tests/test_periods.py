@@ -11,6 +11,7 @@ from toeplitzlab import (
     per_masks,
     per_set,
 )
+from toeplitzlab.cells import classify_points
 from toeplitzlab.window import window_values
 
 
@@ -107,13 +108,29 @@ def test_partitions_c_clean(threeadic, irregular):
     for k in (1, 2, 3):
         wit = partitions_c_check(threeadic, k)
         assert _passes(wit)
-        assert wit["sampled"] == 10000
+        assert wit["translates"] == 3 ** (9 - k)
         assert wit["ones_histogram"][1] > 0
+    # the J(1)-translates of D_9 without a 1 are Z_1: mu_9(Z_1) = 5549/6561
+    assert partitions_c_check(threeadic, 1)["ones_histogram"][0] == 5549
     assert _passes(partitions_c_check(irregular, 1))
 
 
-def test_partitions_c_seeded_repeatability(threeadic):
-    assert partitions_c_check(threeadic, 2) == partitions_c_check(threeadic, 2)
+def test_a_doubled_one_fails_partitions_c(threeadic, monkeypatch):
+    # plant a second 1 in the first J(2)-translate of the cached D_9 window
+    # that carries one, where partitions_c_check reads
+    sk, T, k = threeadic, threeadic.tower, 2
+    vals = window_values(sk, 9).copy()
+    for gamma in T.section_arr(k, 9).tolist():
+        cells = T.index_of_arr(T.add_arr(gamma, sk.jset(k)), 9)
+        if (vals[cells] == 1).sum() == 1:
+            break
+    vals[cells[vals[cells] == 0][0]] = 1
+    monkeypatch.setitem(sk._wincache, ("vals", 9), vals)
+    res = partitions_c_check(sk, k)
+    assert res.status == "Fail"
+    assert res.counterexample == {"k": k, "gamma": gamma, "ones": 2}
+    with pytest.raises(ArithmeticError):
+        classify_points(sk, 9, k, [gamma])
 
 
 def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):

@@ -67,8 +67,6 @@ CATCH_SITES = {
     "_per_unit": "the one per-unit loop: a refused unit is skipped and "
                  "named in the scope",
     "run_check": "the dispatcher: a check a cap stops is Inconclusive",
-    "check_containings": "a level over budget exhaustively falls back to "
-                         "the declared sample",
     "check_measure_one_trend": "the cross-check probe is the first "
                                "boundary pair the caps allow",
 }

@@ -67,12 +67,13 @@ def test_per_unit_skips_only_the_refused_unit():
         "Inconclusive", "u in []; over budget: [2]")
 
 
-def test_a_scope_names_only_the_units_that_ran(irregular, threeadic):
-    # irregular-demo at the default caps: containings refuses n = 3
-    res = run_check(irregular, "containings")
+def test_a_scope_names_only_the_units_that_ran(threeadic):
+    # the D_7 window is over this cap, so containings stops at n = 4
+    res = run_check(build_skeleton(threeadic.tower, 10, Budget(window=2000)),
+                    "containings")
     assert (res.status, res.scope) == (
-        "Pass", "pointwise parent rule, n up to 2; over budget: [3]")
-    assert [w["n"] for w in res.witnesses] == [1, 2]
+        "Pass", "pointwise parent rule, n up to 4; over budget: [5, 6, 7, 8]")
+    assert [w["n"] for w in res.witnesses] == [1, 2, 3, 4]
     # the D_10 level map is over this window cap, so an-det stops at n = 9
     capped = build_skeleton(threeadic.tower, 10, Budget(window=20000))
     res = run_check(capped, "an-det")
@@ -153,11 +154,13 @@ def test_zero_mass_lower_bounds(threeadic, irregular):
 
 
 def test_containings_degrades_honestly(threeadic):
+    # each unit that runs covers all of D_m; the others are named
     small = build_skeleton(threeadic.tower, threeadic.depth, Budget(100, 100))
     res = run_check(small, "containings")
-    assert res.status == "Inconclusive"
-    assert res.witnesses == [] or all(
-        w.get("mode") != "exhaustive" for w in res.witnesses)
+    assert (res.status, res.scope) == (
+        "Pass", "pointwise parent rule, n up to 2; over budget: "
+                "[3, 4, 5, 6, 7, 8]")
+    assert [(w["m"], w["points"]) for w in res.witnesses] == [(3, 27), (4, 81)]
 
 
 def test_uns_bound_witnesses_strict(threeadic):
@@ -232,19 +235,19 @@ def test_measure_one_trend_cross_checks_a_lattice(lattice):
         "pair": (1, 2), "mu": Fraction(8, 9)}
 
 
-def test_probe_cost_is_refused_before_the_j_set_is_built(threeadic):
-    # J(4) is not cached by the construction, whose blocks reach J(2)
-    sk = build_skeleton(threeadic.tower, 10, Budget(window=1000))
-    for sample in (None, 100):
-        with pytest.raises(BudgetExceeded):
-            verify_refinement(sk, 3, 5, sample)
-    with pytest.raises(BudgetExceeded):
+def test_the_window_is_refused_before_the_j_set_is_built(threeadic):
+    # J(4) is not cached by the construction, whose blocks reach J(2); a
+    # classification is charged |D_m| against the window cap
+    sk = build_skeleton(threeadic.tower, 10, Budget(window=200))
+    with pytest.raises(BudgetExceeded, match="window D_5 needs 243 cells"):
+        verify_refinement(sk, 3, 5)
+    with pytest.raises(BudgetExceeded, match="window D_6 needs 729 cells"):
         mu_zero_set(sk, 4, 6)
     assert 4 not in sk._jcache
-    # irregular-demo at the default caps: J(4) has 3,281,040 elements, and
-    # both containings paths refuse n = 3 without building it
-    irr = build_skeleton(preset_config("irregular-demo"), 5)
-    for sample in (None, 5000):
-        with pytest.raises(BudgetExceeded):
-            verify_refinement(irr, 3, 4, sample)
+    # irregular-demo: J(4) has 3,281,040 elements, and a cap below |D_4|
+    # refuses containings n = 3 without building it
+    irr = build_skeleton(preset_config("irregular-demo"), 5,
+                         Budget(window=1000000))
+    with pytest.raises(BudgetExceeded):
+        verify_refinement(irr, 3, 4)
     assert 4 not in irr._jcache
