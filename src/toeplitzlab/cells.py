@@ -28,7 +28,6 @@ well as the partitions check, is a lookup in that table.
 """
 
 import random
-from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -206,23 +205,61 @@ def chain_mode(skeleton, n_s, exhaustive_cap=200000):
     return ("exhaustive" if total <= exhaustive_cap else "sampled"), total
 
 
+_WORD_PASS = 1 << 16  # MT19937 words _randrange_pairs reads per pass
+
+
+def _randrange_pairs(seed, size, picks, count):
+    """The first count pairs (randrange(size), randrange(picks)) that
+    random.Random(seed) draws in turn, as two int64 arrays, read from its
+    32-bit words _WORD_PASS at a time.
+
+    randrange(n) takes the top n.bit_length() bits of one word and draws
+    again while they are >= n.  Which draw a word serves is then a two-state
+    machine, state 0 awaiting a size and state 1 a pick: a word both draws
+    accept flips the state, one only the size draw (pick draw) accepts sets
+    it to 1 (0), and one neither accepts keeps it.  The state after a word
+    is that of the last setting word, flipped once per flip since, and a
+    word is used when it changes the state.
+    """
+    if max(size, picks).bit_length() > 32:
+        raise ValueError(f"sampled chain draws need size and picks below "
+                         f"2**32, got {size} and {picks}")
+    shift_size, shift_pick = 32 - size.bit_length(), 32 - picks.bit_length()
+    rng = random.Random(seed)
+    # a setting word's key: 2 + twice its position, plus its state with the
+    # flips up to it undone, so a running maximum picks the last one
+    key = np.arange(2, 2 * _WORD_PASS + 2, 2, dtype=np.int32)
+    before = np.empty(_WORD_PASS, dtype=bool)
+    state, got, out = 0, 0, []
+    while got < 2 * count:
+        words = np.frombuffer(rng.getrandbits(32 * _WORD_PASS).to_bytes(
+            4 * _WORD_PASS, "little"), dtype="<u4")
+        to_one = (words >> shift_size) < size
+        to_zero = (words >> shift_pick) < picks
+        flipped = np.bitwise_xor.accumulate(to_one & to_zero)
+        last = np.maximum.accumulate((key | (to_one ^ flipped))
+                                     * (to_one ^ to_zero))
+        after = (np.maximum(last, state) & 1).astype(bool) ^ flipped
+        before[0], before[1:] = state, after[:-1]
+        out.append(np.compress(before ^ after, words))
+        got += len(out[-1])
+        state = int(after[-1])
+    draws = np.concatenate(out)[:2 * count]
+    return ((draws[0::2] >> shift_size).astype(np.int64),
+            (draws[1::2] >> shift_pick).astype(np.int64))
+
+
 def _chain_atoms(skeleton, n_s, seed, exhaustive_cap):
     """The atoms to check, in order, as D_{n_s} indices and tag picks: pick 0
     is Zero, pick p is One(J(n_s)[p-1]).  Past exhaustive_cap atoms, that
-    many are drawn from one seeded stream, a (domain index, pick) pair each."""
+    many (domain index, pick) pairs are drawn from random.Random(seed)."""
     size = skeleton.tower.size(n_s)
     mode, total = chain_mode(skeleton, n_s, exhaustive_cap)
     picks = total // size
     if mode == "exhaustive":
         skeleton.budget.check_enum(size, f"D_{n_s}")
         return np.repeat(np.arange(size), picks), np.tile(np.arange(picks), size)
-    rng = random.Random(seed)
-    draws = array("q")
-    for _ in range(exhaustive_cap):
-        draws.append(rng.randrange(size))
-        draws.append(rng.randrange(picks))
-    draws = np.frombuffer(draws, dtype=np.int64)
-    return draws[0::2], draws[1::2]
+    return _randrange_pairs(seed, size, picks, exhaustive_cap)
 
 
 def _chain_level(skeleton, r, w, tag):

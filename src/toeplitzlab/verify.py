@@ -142,9 +142,14 @@ def check_decom(skeleton):
     return validate_tower(skeleton.tower, skeleton.budget)
 
 
-def _last(done, text):
-    """text naming the last unit that ran, or "no unit ran"."""
-    return text.format(max(done)) if done else "no unit ran"
+def _level_range(done, text):
+    """The levels that ran: text naming the last when they are 1..k, else
+    "n in [...]", or "no unit ran"."""
+    if not done:
+        return "no unit ran"
+    if done == list(range(1, len(done) + 1)):
+        return text.format(done[-1])
+    return f"n in {done}"
 
 
 def _per_unit(name, units, body, scope):
@@ -328,6 +333,41 @@ def check_linking(skeleton):
         "linking-dependent statements are not testable here", wits)
 
 
+_GOOD_DS_FIRST = 16       # prefix of D_{n_k+1} good-ds scans first
+_GOOD_DS_CELLS = 1 << 16  # (w, e) pairs per good-ds broadcast
+
+
+def good_ds_witnesses(skeleton, nk):
+    """Every w in D_{n_k-1} minus the identity, and the D_{n_k+1} index of
+    the first e, in enumeration order, with e - w in Per(n_k-1, 1) and e not
+    in Per(n_k+1, 1) (-1 where there is none).
+
+    All w still lacking a witness are scanned at once, over prefixes of
+    D_{n_k+1} growing fourfold, each pass only past the last prefix; most w
+    find theirs in the first pass, so the wide passes see few rows."""
+    T = skeleton.tower
+    per1_up = per_masks(skeleton, nk + 1)[1]
+    per1_lo = per_masks(skeleton, nk - 1)[1]
+    e_all = T.domain_arr(nk + 1)
+    ws = T.domain_arr(nk - 1)
+    ws = ws[~T.eq_arr(ws, T.zero)]
+    first = np.full(len(ws), -1)
+    lo, hi = 0, _GOOD_DS_FIRST
+    while lo < len(e_all):
+        hi = min(hi, len(e_all))
+        todo = np.flatnonzero(first < 0)
+        rows = max(1, _GOOD_DS_CELLS // (hi - lo))
+        for s in range(0, len(todo), rows):
+            r = todo[s:s + rows]
+            g = T.sub_arr(np.expand_dims(e_all[lo:hi], 0),
+                          np.expand_dims(ws[r], 1))
+            cand = per1_lo[T.coset_index_arr(g, nk - 1)] & ~per1_up[lo:hi]
+            hit = cand.any(axis=1)
+            first[r[hit]] = lo + cand[hit].argmax(axis=1)
+        lo, hi = hi, 4 * hi
+    return ws, first
+
+
 def check_good_ds(skeleton):
     T = skeleton.tower
     levels = [nk for nk in _m_levels(skeleton)
@@ -337,27 +377,16 @@ def check_good_ds(skeleton):
                       "no boundary level n_k >= 2 within depth; vacuous")
 
     def unit(nk):
-        per1_up = per_masks(skeleton, nk + 1)[1]
-        per1_lo = per_masks(skeleton, nk - 1)[1]
-        e_all = T.domain_arr(nk + 1)
-        found = []
-        for w in T.domain_arr(nk - 1):
-            if T.eq_arr(w, T.zero):
-                continue
-            hit = None
-            for s in range(0, len(e_all), 4096):
-                g = T.sub_arr(e_all[s:s + 4096], w)
-                cand = per1_lo[T.coset_index_arr(g, nk - 1)] \
-                    & ~per1_up[s:s + 4096]
-                if cand.any():
-                    hit = T.element(g[int(cand.argmax())])
-                    break
-            if hit is None:
-                return failed("good-ds", f"n_k={nk}",
-                              {"n_k": nk, "w": T.element(w),
-                               "reason": "no witness in D_{n_k+1}"})
-            found.append((T.element(w), hit))
-        return {"n_k": nk, "witnesses": len(found), "sample": found[:3]}
+        ws, first = good_ds_witnesses(skeleton, nk)
+        missing = np.flatnonzero(first < 0)
+        if len(missing):
+            return failed("good-ds", f"n_k={nk}",
+                          {"n_k": nk, "w": T.element(ws[missing[0]]),
+                           "reason": "no witness in D_{n_k+1}"})
+        e = T.domain_arr(nk + 1)[first[:3]]
+        sample = zip(T.elements(ws[:3]),
+                     T.elements(T.sub_arr(e, ws[:3])))
+        return {"n_k": nk, "witnesses": len(ws), "sample": list(sample)}
 
     return _per_unit("good-ds", levels, unit,
                      lambda done: f"n_k in {done}, every w in "
@@ -410,7 +439,7 @@ def check_containings(skeleton):
 
     return _per_unit("containings", range(1, dep - 1), unit,
                      lambda done: "pointwise parent rule, "
-                                  + _last(done, "n up to {}"))
+                                  + _level_range(done, "n up to {}"))
 
 
 def check_z_identity(skeleton):
@@ -443,7 +472,7 @@ def check_z_identity(skeleton):
 
     def scope(done):
         classes = [u for u in done if not isinstance(u, tuple)]
-        return (f"class algebra {_last(classes, 'n=1..{}')}; chains "
+        return (f"class algebra {_level_range(classes, 'n=1..{}')}; chains "
                 f"{[u for u in done if isinstance(u, tuple)]}")
 
     return _per_unit("z-identity", [*range(1, skeleton.depth), *chains],
@@ -453,7 +482,7 @@ def check_z_identity(skeleton):
 def check_an_det(skeleton):
     return _per_unit("an-det", range(1, skeleton.depth + 1),
                      lambda n: an_det_check(skeleton, n),
-                     lambda done: _last(done, "n = 1..{}")
+                     lambda done: _level_range(done, "n = 1..{}")
                                   + ", det equals |D_n|")
 
 

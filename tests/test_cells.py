@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from toeplitzlab import DepthExceeded, NotInDomain
+from toeplitzlab import cells
 from toeplitzlab.cells import (
     TAG_ZERO,
+    _randrange_pairs,
     classify_points,
     corollary_chain,
     mu_zero_set,
@@ -192,6 +194,45 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
     assert checked == 2
     assert [lvl for lvl, _ in cex["chain"]] == [1, 2, 3, 4]
     assert cex["chain"][0][1][1] == TAG_ZERO
+
+
+@pytest.mark.parametrize("span, branches", [
+    ((1, 9), {"already_zero": 309, "w_exit": 123081, "one_column": 45852,
+              "not_zero_ancestor": 30758}),
+    ((4, 9), {"already_zero": 300, "w_exit": 132532, "one_column": 33628,
+              "not_zero_ancestor": 33540}),
+])
+def test_sampled_chain_branch_counts_are_pinned(threeadic, span, branches):
+    # seed 0 and the default cap, as z-identity runs them: the pinned counts
+    # hold the randrange stream's 200,000 atoms of each chain fixed
+    cex, got, checked = corollary_chain(threeadic, *span)
+    assert cex is None
+    assert checked == 200000
+    assert got == branches
+
+
+@pytest.mark.parametrize("seed, size, picks, count", [
+    (0, 1 << 14, 512, 3000),     # power-of-two sizes reject half the words
+    (1, 19683, 513, 3000),       # threeadic D_9 and 1 + |J(9)|
+    (2, 7, 1, 70000),            # a tiny size, picks 1; four word passes
+    (3, 512, 2, 3000),
+    (4, 2 ** 32 - 1, 3, 1000),   # the widest size one word holds
+])
+def test_bulk_draw_is_the_randrange_stream(seed, size, picks, count):
+    rng = random.Random(seed)
+    want = [(rng.randrange(size), rng.randrange(picks)) for _ in range(count)]
+    idx, pick = _randrange_pairs(seed, size, picks, count)
+    assert list(zip(idx.tolist(), pick.tolist())) == want
+
+
+@pytest.mark.parametrize("size, picks", [(2 ** 32, 2), (3, 2 ** 32 + 5)])
+def test_bulk_draw_refuses_multi_word_values(monkeypatch, size, picks):
+    def no_stream(seed):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(cells.random, "Random", no_stream)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        _randrange_pairs(0, size, picks, 10 ** 12)
 
 
 def test_corollary_chain_irregular(irregular):

@@ -251,6 +251,16 @@ def test_a_cap_that_refuses_every_unit_says_no_unit_ran(capsys, argv, line):
     assert capsys.readouterr().out == line + "\n"
 
 
+def test_a_scope_names_the_levels_that_ran_past_a_refused_one(capsys):
+    # a_counts cross-checks against the window only up to |D_n| = 2**16, so
+    # this cap refuses an-det's low levels of irregular-demo and not 4 and 5
+    assert main(["verify", "an-det", "--preset", "irregular-demo",
+                 "--window-budget", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "[        Pass] an-det: n in [4, 5], det equals |D_n|; "
+        "over budget: [1, 2, 3]\n")
+
+
 def test_single_check_under_a_user_cap_exits_0(capsys):
     assert main(["verify", "j-recursion", "--preset", "threeadic",
                  "--enum-budget", "5000"]) == 0

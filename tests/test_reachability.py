@@ -21,6 +21,11 @@ or `window`, or a module-level `_*_CAP` constant) only in budgets.py, by the
 Budget check the working function calls, apart from the sites named in
 CAP_SITES.  In verify.py, only the functions named in CATCH_SITES catch
 BudgetExceeded, so what a check skipped has one home.
+
+No scalar loops where arrays do: no module calls `randrange` (a sampled
+draw reads the stream's words in bulk), and no loop iterates over a
+`domain_arr(...)`, directly or through a name bound to one, outside the
+sites named in SCALAR_LOOP_SITES.
 """
 
 import ast
@@ -69,6 +74,16 @@ CATCH_SITES = {
     "run_check": "the dispatcher: a check a cap stops is Inconclusive",
     "check_measure_one_trend": "the cross-check probe is the first "
                                "boundary pair the caps allow",
+}
+
+SCALAR_LOOP_SITES = {
+    ("factor", "fiber_profile"): "names each coset in the profile it "
+                                 "returns",
+    ("periods", "invariant_shift"): "essential's translates off the line: "
+                                    "each is one whole-mask comparison, and "
+                                    "the first that fixes both masks ends "
+                                    "the scan",
+    ("window", "SymbolWindow"): "to_csv writes one text row per cell",
 }
 
 # (owner, function): the skeleton's builders, which store the budget, and
@@ -248,3 +263,73 @@ def budget_catch_sites(path):
 
 def test_only_the_named_sites_catch_budget_exceeded_in_verify():
     assert budget_catch_sites(SRC / "verify.py") == sorted(CATCH_SITES)
+
+
+def _is_domain_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "domain_arr")
+
+
+def _iterates_domain(node, aliases):
+    """node, once unwrapped from zip/enumerate, `.elements(...)`,
+    `.tolist()` and subscripts, is a domain_arr call or a name bound to
+    one."""
+    if isinstance(node, ast.Subscript):
+        return _iterates_domain(node.value, aliases)
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    if not isinstance(node, ast.Call):
+        return False
+    if _is_domain_call(node):
+        return True
+    func = node.func
+    if getattr(func, "id", getattr(func, "attr", None)) in (
+            "zip", "enumerate", "elements"):
+        return any(_iterates_domain(a, aliases) for a in node.args)
+    return (isinstance(func, ast.Attribute) and func.attr == "tolist"
+            and _iterates_domain(func.value, aliases))
+
+
+def scalar_loop_sites(src):
+    """(module, top-level definition) of every loop or comprehension over a
+    domain, once per loop."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            aliases = {t.id for node in ast.walk(top)
+                       if isinstance(node, ast.Assign)
+                       and _is_domain_call(node.value)
+                       for t in node.targets if isinstance(t, ast.Name)}
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if isinstance(node, (ast.For, ast.comprehension))
+                    and _iterates_domain(node.iter, aliases)]
+    return sorted(out)
+
+
+def randrange_calls(src):
+    return sorted(path.stem for path in src.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                  if isinstance(node, ast.Call) and "randrange" in {
+                      getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None)})
+
+
+def test_no_scalar_draws_or_domain_loops():
+    assert randrange_calls(SRC) == []
+    assert scalar_loop_sites(SRC) == sorted(SCALAR_LOOP_SITES)
+
+
+def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
+    # the per-w good-ds loop and the one-pair-at-a-time chain draw
+    (tmp_path / "verify.py").write_text(
+        "def check_good_ds(skeleton):\n"
+        "    for w in T.domain_arr(nk - 1):\n"
+        "        pass\n"
+        "    dom = T.domain_arr(nk)\n"
+        "    return [g for g, v in zip(T.elements(dom), vals)]\n")
+    (tmp_path / "cells.py").write_text(
+        "def _chain_atoms(rng, size):\n"
+        "    return rng.randrange(size)\n")
+    assert scalar_loop_sites(tmp_path) == [("verify", "check_good_ds")] * 2
+    assert randrange_calls(tmp_path) == ["cells"]

@@ -20,7 +20,9 @@ from toeplitzlab import (
 )
 from toeplitzlab.cells import mu_zero_set, verify_refinement
 from toeplitzlab.result import failed
-from toeplitzlab.verify import _REGISTRY, _per_unit, good_bound, good_set
+from toeplitzlab.verify import (_REGISTRY, _per_unit, good_bound,
+                                good_ds_witnesses, good_set)
+from toeplitzlab.window import per_masks
 
 
 def test_registry_names_are_stable():
@@ -185,6 +187,63 @@ def test_good_ds_first_witnesses(threeadic, oracle3):
     assert all(g is not None for g in ref.values())
     for w, g_w in by_nk[4]["sample"]:
         assert ref[w] is not None
+
+
+def _first_witness_scan(skeleton, nk, per1_up, per1_lo):
+    """good-ds one w at a time, 4,096 cells of D_{n_k+1} per step: each
+    nonzero w of D_{n_k-1} with the D_{n_k+1} index of its first witness
+    e, or -1."""
+    T = skeleton.tower
+    e_all = T.domain_arr(nk + 1)
+    out = []
+    for w in T.elements(T.domain_arr(nk - 1)):
+        if w == T.zero:
+            continue
+        first = -1
+        for s in range(0, len(e_all), 4096):
+            g = T.sub_arr(e_all[s:s + 4096], w)
+            cand = per1_lo[T.coset_index_arr(g, nk - 1)] & ~per1_up[s:s + 4096]
+            if cand.any():
+                first = s + int(cand.argmax())
+                break
+        out.append((w, first))
+    return out
+
+
+def test_good_ds_finds_every_first_witness_at_once(threeadic):
+    ws, first = good_ds_witnesses(threeadic, 9)
+    ref = _first_witness_scan(threeadic, 9, per_masks(threeadic, 10)[1],
+                              per_masks(threeadic, 8)[1])
+    assert list(zip(threeadic.tower.elements(ws), first.tolist())) == ref
+    # the witnesses lie in every pass of the fourfold prefixes, one of them
+    # past the first 4,096 cells
+    assert [int((first >= k).sum()) for k in (16, 1024, 4096)] == [932, 7, 1]
+    assert first.max() == 5470
+
+
+def test_good_ds_fails_on_the_first_w_without_a_witness(threeadic,
+                                                        monkeypatch):
+    # mark Per(5, 1) on every candidate e of the w = 17 at n_k = 4, so that
+    # it, and any w whose candidates it covers, has no witness
+    from toeplitzlab import verify
+    T = threeadic.tower
+    lo = per_masks(threeadic, 3)[1]
+    e_all = T.domain_arr(5)
+    blocked = lo[T.coset_index_arr(T.sub_arr(e_all, 17), 3)]
+
+    def patched(skeleton, n):
+        per0, per1 = per_masks(skeleton, n)
+        return (per0, per1 | blocked) if n == 5 else (per0, per1)
+
+    monkeypatch.setattr(verify, "per_masks", patched)
+    ref = _first_witness_scan(threeadic, 4, per_masks(threeadic, 5)[1]
+                              | blocked, lo)
+    missing = [w for w, first in ref if first < 0]
+    assert 17 in missing and missing[0] != 1
+    res = run_check(threeadic, "good-ds")
+    assert (res.status, res.scope) == ("Fail", "n_k=4")
+    assert res.counterexample == {"n_k": 4, "w": missing[0],
+                                  "reason": "no witness in D_{n_k+1}"}
 
 
 def test_result_json_shapes(threeadic5):
