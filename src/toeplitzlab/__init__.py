@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, DepthExceeded, DoubledOne, EmptySlot,
                      NotInDomain, ParityError, UnknownCheck)
 from .factor import FiberProfile, OdometerPoint, fiber_profile, pi_of_orbit
 from .measures import (PeriodicMeasure, a_counts, an_det_check, limit_01,
-                       mu_cylinder, parse_pattern, periodic_measure)
+                       mu_cylinder, parse_pattern)
 from .periods import invariant_shift, partitions_c_check, per_eq_check, per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
 from .result import CheckResult, SuiteReport

@@ -198,11 +198,17 @@ def class_rows(tower, table, mask):
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
 
 
-def chain_mode(skeleton, n_s, exhaustive_cap=200000):
+# a corollary chain checks every atom when there are at most _CHAIN_ATOMS,
+# else that many drawn from random.Random(_CHAIN_SEED)
+_CHAIN_ATOMS = 200000
+_CHAIN_SEED = 0
+
+
+def chain_mode(skeleton, n_s):
     """How corollary_chain covers the level-n_s atoms: ("exhaustive" or
     "sampled", the number of atoms |D_{n_s}| * (1 + |J(n_s)|))."""
     total = skeleton.tower.size(n_s) * (1 + len(skeleton.jset(n_s)))
-    return ("exhaustive" if total <= exhaustive_cap else "sampled"), total
+    return ("exhaustive" if total <= _CHAIN_ATOMS else "sampled"), total
 
 
 _WORD_PASS = 1 << 16  # MT19937 words _randrange_pairs reads per pass
@@ -249,17 +255,18 @@ def _randrange_pairs(seed, size, picks, count):
             (draws[1::2] >> shift_pick).astype(np.int64))
 
 
-def _chain_atoms(skeleton, n_s, seed, exhaustive_cap):
+def _chain_atoms(skeleton, n_s):
     """The atoms to check, in order, as D_{n_s} indices and tag picks: pick 0
-    is Zero, pick p is One(J(n_s)[p-1]).  Past exhaustive_cap atoms, that
-    many (domain index, pick) pairs are drawn from random.Random(seed)."""
+    is Zero, pick p is One(J(n_s)[p-1]).  Past _CHAIN_ATOMS atoms, that
+    many (domain index, pick) pairs are drawn from
+    random.Random(_CHAIN_SEED)."""
     size = skeleton.tower.size(n_s)
-    mode, total = chain_mode(skeleton, n_s, exhaustive_cap)
+    mode, total = chain_mode(skeleton, n_s)
     picks = total // size
     if mode == "exhaustive":
         skeleton.budget.check_enum(size, f"D_{n_s}")
         return np.repeat(np.arange(size), picks), np.tile(np.arange(picks), size)
-    return _randrange_pairs(seed, size, picks, exhaustive_cap)
+    return _randrange_pairs(_CHAIN_SEED, size, picks, _CHAIN_ATOMS)
 
 
 def _chain_level(skeleton, r, w, tag):
@@ -284,7 +291,7 @@ def _chain_level(skeleton, r, w, tag):
     return v, parent, one & ~is0 & ~match, one & is0
 
 
-def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
+def corollary_chain(skeleton, n_j, n_s):
     """Every finest Zero-ancestor atom passes through an allowed exit.
 
     For atoms (w, tag) at level n_s whose iterated parent at level n_j is a
@@ -303,7 +310,7 @@ def corollary_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
     m_window = {m for m in m_zero_steps if n_j <= m < n_s}
 
-    idx, pick = _chain_atoms(skeleton, n_s, seed, exhaustive_cap)
+    idx, pick = _chain_atoms(skeleton, n_s)
     atoms = T.domain_arr(n_s)[idx], np.concatenate(
         ([-1], T.index_of_arr(js, n_s)))[pick]
     w, tag = atoms

@@ -90,7 +90,7 @@ def L_series(tower, terms):
     return LSeries(terms, partial, None, declared)
 
 
-def exp_enclosure(x, width=Fraction(1, 10**7)):
+def exp_enclosure(x, width=_EXP_WIDTH):
     """Certified rational interval around e^x, x <= 0, of at most `width`.
 
     Halve the argument until it is small, bracket by alternating Taylor
@@ -199,7 +199,7 @@ def regularity_verdict(tower, levels=None):
             L_lo, None, product_partial, (Fraction(0), Fraction(1)), Fraction(1),
             ["no tail declaration: the limit of d_n cannot be certified"])
     elif tail.kind == TAIL_DIVERGENT:
-        lo, hi = exp_enclosure(-2 * L_lo, _EXP_WIDTH)
+        lo, hi = exp_enclosure(-2 * L_lo)
         report = DensityReport(
             VERDICT_REGULAR, depth, d_seq, (d_depth, Fraction(1)),
             L_lo, None, product_partial, (lo, hi), hi - lo,
@@ -211,8 +211,8 @@ def regularity_verdict(tower, levels=None):
         if d_hi > 1:
             d_hi = Fraction(1)
         L_hi = L_lo + future
-        lo_hi, hi_hi = exp_enclosure(-2 * L_lo, _EXP_WIDTH)  # largest exp(-2L)
-        lo_lo, hi_lo = exp_enclosure(-2 * L_hi, _EXP_WIDTH)  # smallest
+        lo_hi, hi_hi = exp_enclosure(-2 * L_lo)  # largest exp(-2L)
+        lo_lo, hi_lo = exp_enclosure(-2 * L_hi)  # smallest
         exp_iv = (lo_lo, hi_hi)
         notes.append(f"remark bound: sup d_n <= 1 - exp(-2L) <= {float(1 - lo_lo):.9f}")
         verdict = VERDICT_IRREGULAR if d_hi < 1 else VERDICT_INCONCLUSIVE

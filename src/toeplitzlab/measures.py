@@ -62,9 +62,6 @@ class PeriodicMeasure:
         if (self._vals == 255).any():
             raise DepthExceeded(f"mu_{m} found undecided cells")
 
-    def values(self):
-        return self._vals
-
     def mu_cylinder(self, pattern):
         """Mass of {d : eta_m(d + s) = v for every (s, v) in pattern}."""
         T = self.tower
@@ -76,12 +73,8 @@ class PeriodicMeasure:
         return Fraction(int(acc.sum()), self.size)
 
 
-def periodic_measure(skeleton, m):
-    return PeriodicMeasure(skeleton, m)
-
-
 def mu_cylinder(skeleton, m, pattern):
-    return periodic_measure(skeleton, m).mu_cylinder(pattern)
+    return PeriodicMeasure(skeleton, m).mu_cylinder(pattern)
 
 
 def parse_pattern(tower, obj):

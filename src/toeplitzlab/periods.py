@@ -13,10 +13,8 @@ level's witness, or a Fail.
 
 import numpy as np
 
-from .budgets import Budget
 from .cells import translate_ones
-from .errors import (BudgetExceeded, DoubledOne, NonAbelianUnsupported,
-                     NotInDomain)
+from .errors import DoubledOne, NonAbelianUnsupported, NotInDomain
 from .result import failed
 from .tower import KIND_LINE
 from .window import per_masks, window_values
@@ -57,9 +55,9 @@ def _step_log_masks(skeleton, n):
     return masks, outside
 
 
-def invariant_shift(tower, n, mask0, mask1, budget=Budget()):
+def invariant_shift(tower, n, mask0, mask1):
     """(v, label): a nonzero v in D_n whose translation fixes both masks over
-    D_n, or None, and what was tried.
+    D_n, or None, and what was tried.  The caller charges |D_n| to its budget.
 
     Any subgroup strictly between Gamma_n and G contains a nonidentity coset
     of D_n, so single translates decide it.  On the line, shifts by the
@@ -69,7 +67,6 @@ def invariant_shift(tower, n, mask0, mask1, budget=Budget()):
     if not T.abelian:
         raise NonAbelianUnsupported("the essential facet needs an abelian tower")
     size = T.size(n)
-    budget.check_enum(size, f"essential level {n}")
     if T.kind == KIND_LINE:
         cands = [d for d in range(1, size) if size % d == 0]
         label = f"{len(cands)} divisor shifts of {size}"
@@ -85,12 +82,15 @@ def invariant_shift(tower, n, mask0, mask1, budget=Budget()):
 
 
 def per_eq_check(skeleton, n):
-    """Per(n, .) from the level scan and from the step log must coincide, a
-    window must show the right symbol on every translate of every per-cell,
-    and no subgroup strictly between Gamma_n and G may fix the per-sets."""
+    """Per(n, .) from the level scan and from the step log must coincide, the
+    D_{n+1} window must show the right symbol on every translate of every
+    per-cell, and no subgroup strictly between Gamma_n and G may fix the
+    per-sets.  |D_n| and the window are charged before any mask is built."""
     T = skeleton.tower
     name = "per-eq"
     skeleton.budget.check_enum(T.size(n), f"Per({n},.)")
+    wlevel = min(n + 1, T.depth)
+    vals = window_values(skeleton, wlevel)
     dom = T.domain_arr(n)
     per = per_masks(skeleton, n)
     logged, outside = _step_log_masks(skeleton, n)
@@ -101,13 +101,6 @@ def per_eq_check(skeleton, n):
                 name, f"level {n}",
                 {"level": n, "element": sorted(diff, key=repr)[0],
                  "reason": "step-log union disagrees with level scan"})
-
-    wlevel = min(n + 1, T.depth)
-    try:
-        vals = window_values(skeleton, wlevel)
-    except BudgetExceeded:
-        wlevel = n
-        vals = window_values(skeleton, wlevel)
 
     # every Gamma_n-translate of a per-cell, zero-cells first, agrees with
     # the window wherever it is defined
@@ -128,7 +121,7 @@ def per_eq_check(skeleton, n):
              "coset": f"{T.format_element(T.element(cells[i]))}+Gamma_{n}"},
             [{"probes": first + 1}])
 
-    shift, label = invariant_shift(T, n, per[0], per[1], skeleton.budget)
+    shift, label = invariant_shift(T, n, per[0], per[1])
     if shift is not None:
         return failed(
             name, f"level {n}, essential ({label})",

@@ -190,16 +190,10 @@ def check_j_recursion(skeleton):
                      lambda done: f"n in {done}")
 
 
-_PER_EQ_CAP = 100000  # largest |D_n| per-eq checks
-_PAIR_WORK_CAP = 1 << 31  # largest |D_m| * |D_{n+1}| a pair (n, m) checks
-
-
 def check_per_eq(skeleton):
     T = skeleton.tower
 
     def unit(n):
-        if T.size(n) > _PER_EQ_CAP:
-            raise BudgetExceeded(f"per-eq at {n}")
         sub = per_eq_check(skeleton, n)
         if isinstance(sub, CheckResult):
             return sub
@@ -223,8 +217,7 @@ def check_good_relation(skeleton):
 
     def unit(pair):
         n, m = pair
-        if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
-            raise BudgetExceeded(f"good relation ({n},{m})")
+        # good_set charges |D_m|; the translates S + D_{n+1} are no more
         S = good_set(skeleton, n, m)
         count = len(S)
         bound = good_bound(T, n, m)
@@ -492,8 +485,8 @@ def check_uns_bound(skeleton):
 
     def unit(pair):
         n, m = pair
-        if T.size(m) * T.size(n + 1) > _PAIR_WORK_CAP:
-            raise BudgetExceeded(f"uns bound ({n},{m})")
+        # PeriodicMeasure charges |D_m|; the cylinder is one pass per shift
+        skeleton.budget.check_enum(T.size(n + 1), f"uns bound ({n},{m})")
         mu = PeriodicMeasure(skeleton, m).mu_cylinder(
             list(zip(T.domain_arr(n + 1), _eta_level_targets(skeleton, n))))
         bound = good_bound(T, n, m) / T.size(m)

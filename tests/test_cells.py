@@ -171,13 +171,17 @@ def _reference_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
     ("lattice", 1, 3, 3000),
     ("relabelled36", 1, 4, None),
 ])
-def test_corollary_chain_matches_reference_walk(request, name, n_j, n_s, cap):
+def test_corollary_chain_matches_reference_walk(request, monkeypatch, name,
+                                                n_j, n_s, cap):
     sk = request.getfixturevalue(name)
     if name == "relabelled36":
         sk = sk[0]
-    kw = {} if cap is None else {"exhaustive_cap": cap}  # None: the default
-    got = corollary_chain(sk, n_j, n_s, seed=5, **kw)
-    assert got == _reference_chain(sk, n_j, n_s, seed=5, **kw)
+    monkeypatch.setattr(cells, "_CHAIN_SEED", 5)
+    if cap is not None:  # None: the default
+        monkeypatch.setattr(cells, "_CHAIN_ATOMS", cap)
+    got = corollary_chain(sk, n_j, n_s)
+    assert got == _reference_chain(sk, n_j, n_s, seed=5,
+                                   exhaustive_cap=cells._CHAIN_ATOMS)
     assert got[0] is None
 
 
@@ -235,9 +239,10 @@ def test_bulk_draw_refuses_multi_word_values(monkeypatch, size, picks):
         _randrange_pairs(0, size, picks, 10 ** 12)
 
 
-def test_corollary_chain_irregular(irregular):
-    cex, branches, checked = corollary_chain(irregular, 1, 3, seed=3,
-                                             exhaustive_cap=400)
+def test_corollary_chain_irregular(irregular, monkeypatch):
+    monkeypatch.setattr(cells, "_CHAIN_SEED", 3)
+    monkeypatch.setattr(cells, "_CHAIN_ATOMS", 400)
+    cex, branches, checked = corollary_chain(irregular, 1, 3)
     assert cex is None
     assert checked == 400
 

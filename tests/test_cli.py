@@ -187,6 +187,10 @@ _CAPPED = {
     "threeadic-window": (
         ["--preset", "threeadic", "--window-budget", "20000"], {
             "j-recursion": ("Pass", "n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            # n = 9 reads the D_10 window, which the cap refuses
+            "per-eq": ("Pass", "n in [1, 2, 3, 4, 5, 6, 7, 8], window "
+                               "saturation + step-log rebuild + "
+                               "J-membership + essential; over budget: [9]"),
             "good-ds": ("Pass", "n_k in [4], every w in D_{n_k-1} minus "
                                 "identity; over budget: [9]"),
             "u-in-y": ("Vacated", "n_k in [1], reps over D_(n_k+2); over "
@@ -213,6 +217,9 @@ _CAPPED = {
     "irregular-window": (
         ["--preset", "irregular-demo", "--window-budget", "1000000"], {
             "j-recursion": ("Pass", "n in [1, 2, 3, 4]; over budget: [5]"),
+            "per-eq": ("Pass", "n in [1, 2], window saturation + step-log "
+                               "rebuild + J-membership + essential; over "
+                               "budget: [3, 4]"),
             "u-in-y": ("Inconclusive", "n_k in [], reps over D_(n_k+2); over "
                                        "budget: [1]"),
             "containings": ("Pass", "pointwise parent rule, n up to 1; over "

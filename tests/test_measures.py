@@ -8,6 +8,7 @@ from toeplitzlab import (
     DepthExceeded,
     IntegerLineTower,
     InconclusiveTail,
+    PeriodicMeasure,
     a_counts,
     an_det_check,
     build_skeleton,
@@ -15,7 +16,6 @@ from toeplitzlab import (
     limit_01,
     mu_cylinder,
     parse_pattern,
-    periodic_measure,
 )
 from toeplitzlab.window import window_values
 
@@ -65,7 +65,7 @@ def test_mu_multi_point_matches_brute_force(threeadic, oracle3):
 
 def test_mu_needs_decided_level(threeadic):
     with pytest.raises(DepthExceeded):
-        periodic_measure(threeadic, 10)  # level 10 cells are not decided
+        PeriodicMeasure(threeadic, 10)  # level 10 cells are not decided
 
 
 def test_parse_pattern(threeadic):

@@ -136,7 +136,7 @@ def test_a_doubled_one_fails_partitions_c(threeadic, monkeypatch):
 def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):
     from toeplitzlab import periods
     monkeypatch.setattr(periods, "invariant_shift",
-                        lambda T, n, m0, m1, budget=None: (9, "stub"))
+                        lambda T, n, m0, m1: (9, "stub"))
     res = per_eq_check(threeadic, 3)
     assert res.status == "Fail"
     assert res.scope == "level 3, essential (stub)"

@@ -19,8 +19,9 @@ named in BUDGET_PARAMS take a `budget`; everything else that needs the caps
 reads the skeleton's.  A size is compared against a cap (a Budget's `enum`
 or `window`, or a module-level `_*_CAP` constant) only in budgets.py, by the
 Budget check the working function calls, apart from the sites named in
-CAP_SITES.  In verify.py, only the functions named in CATCH_SITES catch
-BudgetExceeded, so what a check skipped has one home.
+CAP_SITES.  Only the functions named in CATCH_SITES catch BudgetExceeded, so
+what a check skipped has one home and no computation retreats to a smaller
+one when a cap refuses it.
 
 No scalar loops where arrays do: no module calls `randrange` (a sampled
 draw reads the stream's words in bulk), and no loop iterates over a
@@ -56,24 +57,23 @@ CAP_SITES = {
     ("tower", "validate_tower"): "decom's level selection: it checks the "
                                  "levels within the enumeration cap and "
                                  "names that cap in its scope",
-    ("verify", "check_per_eq"): "per-eq's own size limit on |D_n|, below "
-                                "the enumeration cap; a larger level is "
-                                "skipped as over budget",
-    ("verify", "check_good_relation"): "the pair work |D_m| * |D_{n+1}| of "
-                                       "the translate containment, which no "
-                                       "single build sees",
-    ("verify", "check_uns_bound"): "the pair work |D_m| * |D_{n+1}| of the "
-                                   "shifted-window products",
 }
 
 CAPS = {"enum", "window"}
 
 CATCH_SITES = {
-    "_per_unit": "the one per-unit loop: a refused unit is skipped and "
-                 "named in the scope",
-    "run_check": "the dispatcher: a check a cap stops is Inconclusive",
-    "check_measure_one_trend": "the cross-check probe is the first "
-                               "boundary pair the caps allow",
+    ("verify", "_per_unit"): "the one per-unit loop: a refused unit is "
+                             "skipped and named in the scope",
+    ("verify", "run_check"): "the dispatcher: a check a cap stops is "
+                             "Inconclusive",
+    ("verify", "check_measure_one_trend"): "the cross-check probe is the "
+                                           "first boundary pair the caps "
+                                           "allow",
+    ("density", "density_methods"): "the enumeration route is listed only "
+                                    "when the caps allow it",
+    ("cli", "_cmd_analyze_measures"): "the optional mu_m(Z_1) line says "
+                                      "it is over budget",
+    ("cli", "main"): "a command a cap stops exits 2 with the cap's message",
 }
 
 SCALAR_LOOP_SITES = {
@@ -89,7 +89,6 @@ SCALAR_LOOP_SITES = {
 # (owner, function): the skeleton's builders, which store the budget, and
 # the functions that see a tower and no skeleton
 BUDGET_PARAMS = [
-    ("periods", "invariant_shift"),
     ("skeleton", "build_skeleton"),
     ("skeleton", "j_set"),
     ("skeleton", "j_set_recursive"),
@@ -251,18 +250,30 @@ def test_caps_are_compared_only_in_budgets():
     assert cap_sites(SRC) == sorted(CAP_SITES)
 
 
-def budget_catch_sites(path):
-    """Top-level definitions of the module at path with an except clause
-    that names BudgetExceeded, once per clause."""
-    return sorted(top.name
+def budget_catch_sites(src):
+    """(module, top-level definition) of every except clause that names
+    BudgetExceeded, once per clause."""
+    return sorted((path.stem, top.name)
+                  for path in sorted(src.glob("*.py"))
                   for top in ast.parse(path.read_text(encoding="utf-8")).body
                   for node in ast.walk(top)
                   if isinstance(node, ast.ExceptHandler) and node.type
                   and "BudgetExceeded" in _names(node.type))
 
 
-def test_only_the_named_sites_catch_budget_exceeded_in_verify():
-    assert budget_catch_sites(SRC / "verify.py") == sorted(CATCH_SITES)
+def test_only_the_named_sites_catch_budget_exceeded():
+    assert budget_catch_sites(SRC) == sorted(CATCH_SITES)
+
+
+def test_the_catch_guard_flags_a_fallback_window(tmp_path):
+    # per-eq's old retreat to the D_n window when D_{n+1} was refused
+    (tmp_path / "periods.py").write_text(
+        "def per_eq_check(skeleton, n):\n"
+        "    try:\n"
+        "        vals = window_values(skeleton, n + 1)\n"
+        "    except BudgetExceeded:\n"
+        "        vals = window_values(skeleton, n)\n")
+    assert budget_catch_sites(tmp_path) == [("periods", "per_eq_check")]
 
 
 def _is_domain_call(node):

@@ -9,6 +9,7 @@ from toeplitzlab import (
     REGISTRY_NAMES,
     Budget,
     BudgetExceeded,
+    IntegerLineTower,
     UnknownCheck,
     registry_self_test,
     run_all,
@@ -18,6 +19,7 @@ from toeplitzlab import (
     preset_config,
     zero_mass_lower_bound,
 )
+from toeplitzlab import periods
 from toeplitzlab.cells import mu_zero_set, verify_refinement
 from toeplitzlab.result import failed
 from toeplitzlab.verify import (_REGISTRY, _per_unit, good_bound,
@@ -310,3 +312,27 @@ def test_the_window_is_refused_before_the_j_set_is_built(threeadic):
     with pytest.raises(BudgetExceeded):
         verify_refinement(irr, 3, 4)
     assert 4 not in irr._jcache
+
+
+def test_per_eq_is_refused_before_any_mask_is_built(threeadic, monkeypatch):
+    # n = 9 reads the D_10 window, which this cap refuses; no smaller window
+    # stands in for it, and the step-log rebuild never starts
+    def no_rebuild(skeleton, n):
+        raise AssertionError("built the step-log masks")
+
+    monkeypatch.setattr(periods, "_step_log_masks", no_rebuild)
+    sk = build_skeleton(threeadic.tower, 10, Budget(window=20000))
+    with pytest.raises(BudgetExceeded, match="window D_10 needs 59049 cells"):
+        periods.per_eq_check(sk, 9)
+
+
+def test_only_the_budget_limits_per_eq_and_good_relation():
+    # |D_11| = 177,147 and every window here sit far inside the default caps,
+    # so no level or pair is skipped
+    sk = build_skeleton(IntegerLineTower([3] * 12), 12)
+    per_eq = run_check(sk, "per-eq")
+    assert per_eq.status == "Pass"
+    assert per_eq.scope.startswith(f"n in {list(range(1, 12))}, ")
+    assert "over budget" not in per_eq.scope
+    assert (run_check(sk, "good-relation").scope
+            == "55 pairs, n+2 <= m <= 12")
