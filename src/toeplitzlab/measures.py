@@ -62,15 +62,28 @@ class PeriodicMeasure:
         if (self._vals == 255).any():
             raise DepthExceeded(f"mu_{m} found undecided cells")
 
-    def mu_cylinder(self, pattern):
-        """Mass of {d : eta_m(d + s) = v for every (s, v) in pattern}."""
-        T = self.tower
-        if not pattern:
-            return Fraction(1)
+    def _matches(self, pattern):
         acc = np.ones(self.size, dtype=bool)
         for s, v in pattern:
-            acc &= T.shift_arr(self._vals, s, self.m) == v
-        return Fraction(int(acc.sum()), self.size)
+            acc &= self.tower.shift_arr(self._vals, s, self.m) == v
+        return acc
+
+    def mu_cylinder(self, pattern):
+        """Mass of {d : eta_m(d + s) = v for every (s, v) in pattern}."""
+        return Fraction(int(self._matches(pattern).sum()), self.size)
+
+    def mu_level_cylinder(self, n):
+        """mu_cylinder of the pairs (s, eta_n(s)), s in D_{n+1}.  D_{n+1}
+        tiles as c + u, c in Gamma_n cap D_{n+1}, u in D_n (decom checks it),
+        and eta_n(c + u) = eta_n(u): one pass per u, then one per c."""
+        T, budget = self.tower, self.skeleton.budget
+        passes = T.size(n) + T.size(n + 1) // T.size(n)
+        budget.check_window(passes * self.size, f"mu_{self.m} of eta_{n}")
+        acc = self._matches(zip(T.domain_arr(n), window_values(self.skeleton, n)))
+        out = np.ones(self.size, dtype=bool)
+        for c in T.section_arr(n, n + 1, budget):
+            out &= T.shift_arr(acc, c, self.m)
+        return Fraction(int(out.sum()), self.size)
 
 
 def mu_cylinder(skeleton, m, pattern):

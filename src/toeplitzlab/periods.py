@@ -55,25 +55,31 @@ def _step_log_masks(skeleton, n):
     return masks, outside
 
 
-def invariant_shift(tower, n, mask0, mask1):
-    """(v, label): a nonzero v in D_n whose translation fixes both masks over
-    D_n, or None, and what was tried.  The caller charges |D_n| to its budget.
+def _shift_candidates(tower, n):
+    """The nonzero translates of D_n the essential facet tries, and a label.
 
     Any subgroup strictly between Gamma_n and G contains a nonidentity coset
     of D_n, so single translates decide it.  On the line, shifts by the
     divisors of |D_n| suffice: they generate every subgroup of Z/|D_n|.
     """
     T = tower
-    if not T.abelian:
-        raise NonAbelianUnsupported("the essential facet needs an abelian tower")
     size = T.size(n)
     if T.kind == KIND_LINE:
         cands = [d for d in range(1, size) if size % d == 0]
-        label = f"{len(cands)} divisor shifts of {size}"
-    else:
-        cands = T.domain_arr(n)
-        cands = cands[~T.eq_arr(cands, T.zero)]
-        label = f"{len(cands)} nonzero translates"
+        return cands, f"{len(cands)} divisor shifts of {size}"
+    cands = T.domain_arr(n)
+    cands = cands[~T.eq_arr(cands, T.zero)]
+    return cands, f"{len(cands)} nonzero translates"
+
+
+def invariant_shift(tower, n, mask0, mask1):
+    """(v, label): a nonzero v in D_n whose translation fixes both masks over
+    D_n, or None, and what was tried.  Each candidate compares |D_n| cells;
+    the caller charges that work to its budget."""
+    T = tower
+    if not T.abelian:
+        raise NonAbelianUnsupported("the essential facet needs an abelian tower")
+    cands, label = _shift_candidates(T, n)
     for v in cands:
         if (np.array_equal(T.shift_arr(mask0, v, n), mask0)
                 and np.array_equal(T.shift_arr(mask1, v, n), mask1)):
@@ -85,10 +91,13 @@ def per_eq_check(skeleton, n):
     """Per(n, .) from the level scan and from the step log must coincide, the
     D_{n+1} window must show the right symbol on every translate of every
     per-cell, and no subgroup strictly between Gamma_n and G may fix the
-    per-sets.  |D_n| and the window are charged before any mask is built."""
+    per-sets.  |D_n|, the essential facet's |D_n| cells per candidate shift
+    and the window are charged before any mask is built."""
     T = skeleton.tower
     name = "per-eq"
     skeleton.budget.check_enum(T.size(n), f"Per({n},.)")
+    shifts = len(_shift_candidates(T, n)[0])
+    skeleton.budget.check_enum(shifts * T.size(n), f"essential level {n}")
     wlevel = min(n + 1, T.depth)
     vals = window_values(skeleton, wlevel)
     dom = T.domain_arr(n)

@@ -84,13 +84,6 @@ def good_bound(tower, n, m):
     return b
 
 
-def _eta_level_targets(skeleton, n):
-    """eta_n over D_{n+1}, in the enumeration order of D_{n+1}."""
-    T = skeleton.tower
-    vals_n = window_values(skeleton, n)
-    return vals_n[T.coset_index_arr(T.domain_arr(n + 1), n)]
-
-
 def _eval_arr(skeleton, g):
     """eval over the element array g; every probe must be defined."""
     vals = level_scan(skeleton, g, values=True)
@@ -105,8 +98,8 @@ def _u_mask(skeleton, base, n, eta):
     Each probe only visits the points that matched every earlier probe, and
     the probes for the rarer symbol 1 go first."""
     T = skeleton.tower
-    target = _eta_level_targets(skeleton, n)
     shifts = T.domain_arr(n + 1)
+    target = window_values(skeleton, n)[T.coset_index_arr(shifts, n)]
     alive = np.arange(len(base))
     for i in np.argsort(target == 0, kind="stable"):
         alive = alive[eta(T.add_arr(base[alive], shifts[i])) == target[i]]
@@ -217,7 +210,8 @@ def check_good_relation(skeleton):
 
     def unit(pair):
         n, m = pair
-        # good_set charges |D_m|; the translates S + D_{n+1} are no more
+        # good_set charges |D_m|; S + D_{n+1} are at most |D_m| cells,
+        # since S lies in Gamma_{n+1} cap D_m
         S = good_set(skeleton, n, m)
         count = len(S)
         bound = good_bound(T, n, m)
@@ -485,10 +479,7 @@ def check_uns_bound(skeleton):
 
     def unit(pair):
         n, m = pair
-        # PeriodicMeasure charges |D_m|; the cylinder is one pass per shift
-        skeleton.budget.check_enum(T.size(n + 1), f"uns bound ({n},{m})")
-        mu = PeriodicMeasure(skeleton, m).mu_cylinder(
-            list(zip(T.domain_arr(n + 1), _eta_level_targets(skeleton, n))))
+        mu = PeriodicMeasure(skeleton, m).mu_level_cylinder(n)
         bound = good_bound(T, n, m) / T.size(m)
         if mu < bound:
             return failed("uns-bound", f"(n,m)=({n},{m})",

@@ -8,6 +8,8 @@ from toeplitzlab import (
     DepthExceeded,
     IntegerLineTower,
     InconclusiveTail,
+    Budget,
+    BudgetExceeded,
     PeriodicMeasure,
     a_counts,
     an_det_check,
@@ -61,6 +63,31 @@ def test_mu_multi_point_matches_brute_force(threeadic, oracle3):
                    if all(oracle3.eta_n(m, d + s) == v for s, v in pattern))
         assert mu_cylinder(threeadic, m, pattern) == Fraction(hits, 3**m)
     assert mu_cylinder(threeadic, 3, []) == 1
+
+
+@pytest.mark.parametrize("name, n, m", [
+    ("threeadic", 1, 4), ("threeadic", 4, 9), ("centered6", 1, 5),
+    ("irregular", 1, 3), ("lattice", 0, 2), ("relabelled36", 1, 5),
+    ("s3_by_z5", 1, 4), ("s3_by_z5", 2, 4),
+])
+def test_level_cylinder_matches_the_cell_by_cell_pattern(request, name, n, m):
+    sk = request.getfixturevalue(name)
+    if name == "relabelled36":
+        sk = sk[0]
+    T = sk.tower
+    vals_n = window_values(sk, n)
+    dom = T.domain_arr(n + 1)
+    pattern = list(zip(dom, vals_n[T.coset_index_arr(dom, n)]))
+    pm = PeriodicMeasure(sk, m)
+    assert pm.mu_level_cylinder(n) == pm.mu_cylinder(pattern)
+
+
+def test_level_cylinder_charges_its_passes(threeadic):
+    # (|D_4| + 3) passes over D_9: 84 * 19683 cells
+    sk = build_skeleton(threeadic.tower, 10, Budget(window=1000000))
+    with pytest.raises(BudgetExceeded, match="needs 1653372 cells"):
+        PeriodicMeasure(sk, 9).mu_level_cylinder(4)
+    assert PeriodicMeasure(sk, 9).mu_level_cylinder(1) == Fraction(1175, 6561)
 
 
 def test_mu_needs_decided_level(threeadic):

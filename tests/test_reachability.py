@@ -46,8 +46,8 @@ ALLOWED = {
 }
 
 KIND_SITES = {
-    ("periods", "invariant_shift"): "essential's divisor shifts: on the "
-                                    "line, the divisors of |D_n| suffice",
+    ("periods", "_shift_candidates"): "essential's divisor shifts: on the "
+                                      "line, the divisors of |D_n| suffice",
     ("window", "_dims_for"): "a 2-D lattice window has a picture shape",
 }
 
@@ -301,16 +301,49 @@ def _iterates_domain(node, aliases):
             and _iterates_domain(func.value, aliases))
 
 
+def _domain_aliases(top, returners):
+    """Names top binds to a domain_arr call, or to the domain (alone or
+    first of a tuple) that a module function in `returners` returns."""
+    out = set()
+    for node in ast.walk(top):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        for t in node.targets:
+            if isinstance(t, ast.Name) and _is_domain_call(value):
+                out.add(t.id)
+            elif (isinstance(value, ast.Call)
+                  and getattr(value.func, "id", None) in returners):
+                first = t.elts[0] if isinstance(t, ast.Tuple) else t
+                if isinstance(first, ast.Name):
+                    out.add(first.id)
+    return out
+
+
+def _domain_returners(body):
+    """Module functions that return a domain (as _iterates_domain reads
+    one), alone or first of a tuple."""
+    out = set()
+    for top in body:
+        aliases = _domain_aliases(top, set())
+        for node in ast.walk(top):
+            if isinstance(node, ast.Return) and node.value is not None:
+                value = node.value
+                first = value.elts[0] if isinstance(value, ast.Tuple) else value
+                if _iterates_domain(first, aliases):
+                    out.add(top.name)
+    return out
+
+
 def scalar_loop_sites(src):
     """(module, top-level definition) of every loop or comprehension over a
     domain, once per loop."""
     out = []
     for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            aliases = {t.id for node in ast.walk(top)
-                       if isinstance(node, ast.Assign)
-                       and _is_domain_call(node.value)
-                       for t in node.targets if isinstance(t, ast.Name)}
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        returners = _domain_returners(body)
+        for top in body:
+            aliases = _domain_aliases(top, returners)
             out += [(path.stem, getattr(top, "name", None))
                     for node in ast.walk(top)
                     if isinstance(node, (ast.For, ast.comprehension))
@@ -342,5 +375,15 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
     (tmp_path / "cells.py").write_text(
         "def _chain_atoms(rng, size):\n"
         "    return rng.randrange(size)\n")
-    assert scalar_loop_sites(tmp_path) == [("verify", "check_good_ds")] * 2
+    # a domain that a module helper returns is still a domain
+    (tmp_path / "periods.py").write_text(
+        "def _shift_candidates(T, n):\n"
+        "    cands = T.domain_arr(n)\n"
+        "    return cands[1:], 'label'\n"
+        "def invariant_shift(T, n):\n"
+        "    cands, label = _shift_candidates(T, n)\n"
+        "    for v in cands:\n"
+        "        pass\n")
+    assert scalar_loop_sites(tmp_path) == [
+        ("periods", "invariant_shift"), *[("verify", "check_good_ds")] * 2]
     assert randrange_calls(tmp_path) == ["cells"]

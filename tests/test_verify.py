@@ -9,6 +9,7 @@ from toeplitzlab import (
     REGISTRY_NAMES,
     Budget,
     BudgetExceeded,
+    IntegerLatticeTower,
     IntegerLineTower,
     UnknownCheck,
     registry_self_test,
@@ -326,7 +327,7 @@ def test_per_eq_is_refused_before_any_mask_is_built(threeadic, monkeypatch):
         periods.per_eq_check(sk, 9)
 
 
-def test_only_the_budget_limits_per_eq_and_good_relation():
+def test_only_the_budget_limits_per_eq_and_good_relation(monkeypatch):
     # |D_11| = 177,147 and every window here sit far inside the default caps,
     # so no level or pair is skipped
     sk = build_skeleton(IntegerLineTower([3] * 12), 12)
@@ -336,3 +337,24 @@ def test_only_the_budget_limits_per_eq_and_good_relation():
     assert "over budget" not in per_eq.scope
     assert (run_check(sk, "good-relation").scope
             == "55 pairs, n+2 <= m <= 12")
+
+    # off the line the essential facet compares |D_n| cells for each of the
+    # |D_n| - 1 nonzero translates: 1024 * 1023 fits the enumeration cap,
+    # 4096 * 4095 does not, and level 6 builds no mask
+    masked = []
+
+    def per_masks(skeleton, n):
+        masked.append(n)
+        return real(skeleton, n)
+
+    real = periods.per_masks
+    monkeypatch.setattr(periods, "per_masks", per_masks)
+    sk = build_skeleton(IntegerLatticeTower([[2] * 7, [2] * 7]), 7)
+    res = run_check(sk, "per-eq")
+    assert res.status == "Pass"
+    assert res.scope.startswith("n in [1, 2, 3, 4, 5], ")
+    assert res.scope.endswith("; over budget: [6]")
+    assert masked == [1, 2, 3, 4, 5]
+    with pytest.raises(BudgetExceeded,
+                       match="essential level 6 needs 16773120 elements"):
+        periods.per_eq_check(sk, 6)
