@@ -9,7 +9,7 @@ rational arithmetic.
 
 from .budgets import Budget
 from .cells import (classify_points, corollary_chain, mu_zero_set,
-                    verify_refinement, zero_set_identity)
+                    parent_cells, verify_refinement)
 from .density import (d_enumeration, d_product, d_recursion, density_methods,
                       exp_enclosure, L_series, regularity_verdict)
 from .errors import (BudgetExceeded, DepthExceeded, DoubledOne, EmptySlot,

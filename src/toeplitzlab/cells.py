@@ -15,12 +15,12 @@ translates of J(n)), the parent tag is:
   (4) gamma == 0, step n+1 is zero     -> Zero      (whole child cell)
   (5) gamma == 0, step n+1 plants h    -> One(h)    (whole child cell)
 
-These rules are verified empirically on the periodized measures by
-classify/parent comparison over whole domains, and they drive the set
-identities for Z_n and the corollary chains.  Here they exist only as array
-ops over many cells at once (verify_refinement, _chain_level); their
-one-cell form, parent_cell and containment_case, lives in tests/test_cells.py
-as the oracle those array walks are compared against.
+parent_cells is the one encoding of these rules: array ops over many cells
+at once, on the cells' elements alone.  verify_refinement checks it against
+the classification of periodized points over whole domains, and the
+corollary-chain walk applies it once per level.  Its one-cell form,
+parent_cell and containment_case, lives in tests/test_cells.py as the oracle
+both are compared against.
 
 Each Gamma_l-translate of J(l) carries at most one planted 1: translate_ones
 reads it off a window's 1-cells in one pass, and every level-l tag here, as
@@ -91,12 +91,36 @@ def classify_points(skeleton, m, l, d_arr):
     return translate_ones(skeleton, m, l)[T.coset_index_arr(gamma, m)]
 
 
+def parent_cells(skeleton, r, w, one, u):
+    """Level-(r-1) parents of the level-r cells (w, tag), by the rules of
+    the module docstring.  w is an element array over D_r, the mask `one`
+    marks the One cells and u holds their positions in J(r) (any element
+    where `one` is false).
+
+    Returns (v, parent_one, g, w_exit, is0): the parents' points v, which
+    parents are One and their positions g in J(r-1), the One cells that
+    exit through rule (3), and the cells at gamma == 0.
+    """
+    T = skeleton.tower
+    v = T.reduce_arr(w, r - 1)
+    gamma = T.sub_arr(w, v)
+    is0 = T.eq_arr(gamma, T.zero)
+    g = T.reduce_arr(u, r - 1)
+    match = one & T.eq_arr(T.sub_arr(u, g), gamma)      # rule (2)
+    kind = skeleton.steps[r - 1]                        # rules (4) and (5)
+    parent_one = np.where(is0, kind[0] == "plant", match)
+    if kind[0] == "plant":
+        g[is0] = kind[1]
+    return v, parent_one, g, one & ~is0 & ~match, is0
+
+
 def verify_refinement(skeleton, n, m):
     """Compare the symbolic parent rule against pointwise classification.
 
     Classifies sigma^{-d} eta_m at levels n and n+1 for every d in D_m and
-    checks the child cell's parent matches, _POINT_CHUNK points at a time.
-    Returns (counterexample_or_None, case_counts, points).
+    checks that parent_cells maps the child cell to the parent it sees,
+    _POINT_CHUNK points at a time.  Returns (counterexample_or_None,
+    case_counts, points).
     """
     T = skeleton.tower
     if skeleton.depth < m + 1:
@@ -107,27 +131,18 @@ def verify_refinement(skeleton, n, m):
     ones_p = translate_ones(skeleton, m, n)
     jn = skeleton.jset(n)
     jn1 = skeleton.jset(n + 1)
-    kind = skeleton.steps[n]  # step n+1 decides the gamma == 0 column
-    plant = kind[0] == "plant"
+    zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
     dom = T.domain_arr(m)
     for start in range(0, len(dom), _POINT_CHUNK):
         d_arr = dom[start:start + _POINT_CHUNK]
-        vn1 = T.reduce_arr(d_arr, n + 1)
-        vn = T.reduce_arr(d_arr, n)
-        cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, vn1), m)]
-        pidx = ones_p[T.coset_index_arr(T.sub_arr(d_arr, vn), m)]
-
-        # the five rules of the module docstring, one array op each
-        gamma_c = T.sub_arr(vn1, vn)
-        is0 = T.eq_arr(gamma_c, T.zero)
+        w = T.reduce_arr(d_arr, n + 1)
+        cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, w), m)]
         has_c = cidx >= 0
         u = jn1[np.where(has_c, cidx, 0)]
-        exp_g = T.reduce_arr(u, n)
-        match = has_c & T.eq_arr(T.sub_arr(u, exp_g), gamma_c)
-        exp_one = np.where(is0, plant, match)
-        if plant:
-            exp_g[is0] = kind[1]
+        v, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, w,
+                                                      has_c, u)
+        pidx = ones_p[T.coset_index_arr(T.sub_arr(d_arr, v), m)]
         act_one = pidx >= 0
         act_g = jn[np.where(act_one, pidx, 0)]
         bad = (exp_one != act_one) | (exp_one & act_one
@@ -136,63 +151,16 @@ def verify_refinement(skeleton, n, m):
             i = int(np.flatnonzero(bad)[0])
             child = TAG_ZERO if cidx[i] < 0 else tag_one(T.element(u[i]))
             return ({"d": T.element(d_arr[i]),
-                     "child": (T.element(vn1[i]), child),
+                     "child": (T.element(w[i]), child),
                      "expected_parent_one": bool(exp_one[i]),
                      "actual_parent_one": bool(act_one[i])},
                     counts, start + i + 1)
+        exits = int(w_exit.sum())
         counts["c1"] += int((~is0 & ~has_c).sum())
-        counts["c2"] += int((~is0 & match).sum())
-        counts["c3"] += int((~is0 & has_c & ~match).sum())
-        counts["c5" if plant else "c4"] += int(is0.sum())
+        counts["c2"] += int((~is0 & has_c).sum()) - exits
+        counts["c3"] += exits
+        counts[zero_col] += int(is0.sum())
     return None, counts, len(dom)
-
-
-# -- the set identities ----------------------------------------------------
-
-
-def zero_set_identity(skeleton, n):
-    """Class algebra for the Z_n recursion at level n.
-
-    Children classes are (gamma, tag-class) with gamma over Gamma_n cap
-    D_{n+1} and tag-class Zero or One(gamma~).  LHS: classes whose parent tag
-    is Zero.  RHS: Z_{n+1} union W_{n+1}, plus the full One column at
-    gamma == 0 when step n+1 is a zero step.  Equality must hold exactly at
-    zero steps (n in M) and containment LHS <= RHS otherwise.
-
-    Returns (equality_holds, containment_holds, class_table).  The table
-    holds the section as "gamma", its nonzero part as "nonzero" (the
-    gamma~ of the One classes, after the Zero class), and the LHS and RHS as
-    boolean "parent_zero" and "rhs" arrays over gamma x tag-class.
-    """
-    T = skeleton.tower
-    if n + 1 > skeleton.depth:
-        raise DepthExceeded(f"zero-set identity at {n} needs depth >= {n + 1}")
-    plant = skeleton.steps[n][0] == "plant"
-    sec = T.section_arr(n, n + 1, skeleton.budget)
-    is0 = T.eq_arr(sec, T.zero)
-    nz = sec[~is0]
-    # One classes: W_{n+1} needs gamma not in {0, gamma~}; at gamma == 0
-    # the C^1 column exists at zero steps, on both sides
-    one = ~T.eq_arr(np.expand_dims(sec, 1), np.expand_dims(nz, 0))
-    one[is0] = not plant
-    # the Zero class: LHS unless gamma == 0 at a plant step; RHS is Z_{n+1}
-    lhs = np.column_stack((~is0 | (not plant), one))
-    rhs = np.column_stack((np.ones(len(sec), dtype=bool), one))
-    table = {"gamma": sec, "nonzero": nz, "parent_zero": lhs, "rhs": rhs}
-    return bool((lhs == rhs).all()), bool((rhs | ~lhs).all()), table
-
-
-def class_rows(tower, table, mask):
-    """The first three classes of a zero_set_identity table where the
-    boolean mask over gamma x tag-class holds, gamma-major, as dicts."""
-    rows = []
-    for i, c in np.argwhere(mask)[:3].tolist():
-        tag = TAG_ZERO if c == 0 else ("OneClass",
-                                       tower.element(table["nonzero"][c - 1]))
-        rows.append({"gamma": tower.element(table["gamma"][i]), "tag": tag,
-                     "parent_zero": bool(table["parent_zero"][i, c]),
-                     "rhs": bool(table["rhs"][i, c])})
-    return rows
 
 
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
@@ -256,89 +224,82 @@ def _randrange_pairs(seed, size, picks, count):
 
 
 def _chain_atoms(skeleton, n_s):
-    """The atoms to check, in order, as D_{n_s} indices and tag picks: pick 0
-    is Zero, pick p is One(J(n_s)[p-1]).  Past _CHAIN_ATOMS atoms, that
-    many (domain index, pick) pairs are drawn from
-    random.Random(_CHAIN_SEED)."""
-    size = skeleton.tower.size(n_s)
+    """The atoms to check, in order: their points w in D_{n_s}, a mask of
+    the One atoms and their positions u in J(n_s) (the identity for Zero).
+    Atom (i, p) is the i-th point of D_{n_s} with tag pick p: 0 is Zero, p
+    is One(J(n_s)[p-1]).  Past _CHAIN_ATOMS atoms, that many (i, p) pairs
+    are drawn from random.Random(_CHAIN_SEED)."""
+    T = skeleton.tower
+    size = T.size(n_s)
     mode, total = chain_mode(skeleton, n_s)
     picks = total // size
     if mode == "exhaustive":
         skeleton.budget.check_enum(size, f"D_{n_s}")
-        return np.repeat(np.arange(size), picks), np.tile(np.arange(picks), size)
-    return _randrange_pairs(_CHAIN_SEED, size, picks, _CHAIN_ATOMS)
+        idx, pick = (np.repeat(np.arange(size), picks),
+                     np.tile(np.arange(picks), size))
+    else:
+        idx, pick = _randrange_pairs(_CHAIN_SEED, size, picks, _CHAIN_ATOMS)
+    u = np.concatenate((T.array([T.zero]), skeleton.jset(n_s)))[pick]
+    return T.domain_arr(n_s)[idx], pick > 0, u
 
 
-def _chain_level(skeleton, r, w, tag):
-    """One level of the corollary-chain walk for atoms w over D_r with One
-    positions as D_r indices in tag (-1 for Zero).  Returns their level-(r-1)
-    parents (v, tag) by the rules of the module docstring, and the masks of
-    the One atoms that exit through rule (3) and of those at gamma == 0."""
-    T = skeleton.tower
-    dom = T.domain_arr(r)
-    g_t = T.reduce_arr(dom, r - 1)
-    gamma_t = T.sub_arr(dom, g_t)
-    v = T.reduce_arr(w, r - 1)
-    gamma = T.sub_arr(w, v)
-    is0 = T.eq_arr(gamma, T.zero)
-    one = tag >= 0
-    safe = np.where(one, tag, 0)
-    match = one & T.eq_arr(gamma_t[safe], gamma)
-    # parent tags: rule (2), else Zero, and rules (4)/(5) on gamma == 0
-    parent = np.where(match, T.index_of_arr(g_t, r - 1)[safe], -1)
-    kind = skeleton.steps[r - 1]
-    parent[is0] = T.index_of(kind[1], r - 1) if kind[0] == "plant" else -1
-    return v, parent, one & ~is0 & ~match, one & is0
+def _chain_cell(tower, r, w, one, u):
+    return r, (tower.element(w[0]),
+               tag_one(tower.element(u[0])) if one[0] else TAG_ZERO)
 
 
-def corollary_chain(skeleton, n_j, n_s):
-    """Every finest Zero-ancestor atom passes through an allowed exit.
+def corollary_chain(skeleton, n_js, n_s):
+    """Every finest Zero-ancestor atom passes through an allowed exit, for
+    the chains (n_j, n_s) of each n_j in n_js at once.
 
     For atoms (w, tag) at level n_s whose iterated parent at level n_j is a
     Zero cell, one of: the atom itself is a Zero cell, some intermediate cell
     lies in W_r, or the chain crosses a zero-step One column at some m in M.
-    All atoms walk down together, one level at a time, by the rules of the
-    module docstring; an atom is w over D_r with its One position as a D_r
-    index (-1 for Zero).  Returns (counterexample_or_None, branch_counts,
-    atoms_checked), stopping at the first atom with no exit, whose chain the
-    same walk rebuilds.
+    The atoms are drawn once and walk down together, one level at a time,
+    by parent_cells; each chain's branches are read off when the walk
+    reaches its n_j.  Returns {n_j: (counterexample_or_None, branch_counts,
+    atoms_checked)}, a chain's count stopping at its first atom with no
+    exit, whose chain the same rule rebuilds.
     """
-    T = skeleton.tower
     if n_s > skeleton.depth:
         raise DepthExceeded("chain exceeds constructed depth")
-    js = skeleton.jset(n_s)
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
-    m_window = {m for m in m_zero_steps if n_j <= m < n_s}
-
-    idx, pick = _chain_atoms(skeleton, n_s)
-    atoms = T.domain_arr(n_s)[idx], np.concatenate(
-        ([-1], T.index_of_arr(js, n_s)))[pick]
-    w, tag = atoms
-    branch = np.full(len(pick), -1, dtype=np.int8)  # CHAIN_BRANCHES index, -1 if none
-    for r in range(n_s, n_j, -1):
-        w, parent, w_exit, zero_col = _chain_level(skeleton, r, w, tag)
+    atoms = _chain_atoms(skeleton, n_s)
+    w, one, u = atoms
+    zero_atom = ~one
+    branch = np.full(len(one), -1, dtype=np.int8)  # CHAIN_BRANCHES index, -1 if none
+    out = {}
+    for r in range(n_s, min(n_js), -1):
+        w, parent_one, u, w_exit, is0 = parent_cells(skeleton, r, w, one, u)
         # walking down, the last exit written is the first in ascending r
         branch[w_exit] = 1                               # w_exit: rule (3)
-        if skeleton.steps[r - 1][0] == "zero" and r - 1 in m_window:
-            branch[zero_col] = 2                         # one_column: rule (4)
-        tag = parent
+        if skeleton.steps[r - 1][0] == "zero" and r - 1 in m_zero_steps:
+            branch[one & is0] = 2                        # one_column: rule (4)
+        one = parent_one
+        if r - 1 in n_js:
+            out[r - 1] = _chain_result(skeleton, branch, zero_atom, one,
+                                       atoms, r - 1, n_s)
+    return out
 
-    branch[pick == 0] = 0                                # already_zero
-    branch[tag >= 0] = 3                                 # not_zero_ancestor
+
+def _chain_result(skeleton, branch, zero_atom, one, atoms, n_j, n_s):
+    """The chain (n_j, n_s) once the walk reached n_j, the atoms' parents
+    there being One where `one` holds."""
+    branch = branch.copy()
+    branch[zero_atom] = 0                                # already_zero
+    branch[one] = 3                                      # not_zero_ancestor
     missing = np.flatnonzero(branch < 0)
     first = int(missing[0]) if len(missing) else len(branch)
     counts = np.bincount(branch[:first], minlength=len(CHAIN_BRANCHES))
     branches = {name: int(c) for name, c in zip(CHAIN_BRANCHES, counts)}
     if first == len(branch):
         return None, branches, first
-    w, tag = (a[first:first + 1] for a in atoms)
-    chain = []
-    for r in range(n_s, n_j - 1, -1):
-        one = T.domain_arr(r)[tag[0]] if tag[0] >= 0 else None
-        chain.append((r, (T.element(w[0]),
-                          TAG_ZERO if one is None else tag_one(T.element(one)))))
-        if r > n_j:
-            w, tag, _, _ = _chain_level(skeleton, r, w, tag)
+    T = skeleton.tower
+    w, one, u = (a[first:first + 1] for a in atoms)
+    chain = [_chain_cell(T, n_s, w, one, u)]
+    for r in range(n_s, n_j, -1):
+        w, one, u, _, _ = parent_cells(skeleton, r, w, one, u)
+        chain.append(_chain_cell(T, r - 1, w, one, u))
     return {"atom": chain[0][1], "chain": chain[::-1]}, branches, first + 1
 
 

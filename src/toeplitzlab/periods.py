@@ -98,7 +98,7 @@ def per_eq_check(skeleton, n):
     skeleton.budget.check_enum(T.size(n), f"Per({n},.)")
     shifts = len(_shift_candidates(T, n)[0])
     skeleton.budget.check_enum(shifts * T.size(n), f"essential level {n}")
-    wlevel = min(n + 1, T.depth)
+    wlevel = n + 1
     vals = window_values(skeleton, wlevel)
     dom = T.domain_arr(n)
     per = per_masks(skeleton, n)

@@ -54,12 +54,14 @@ def j_size(tower, n):
     return out
 
 
-def _j_mask(tower, g, n):
-    """Which elements of the array g, all in D_n, lie in J(n): those that no
-    lower level saturates."""
+def j_mask(tower, g, n, lo=0):
+    """Which elements of the array g lie in no D_l Gamma_{l+1}, lo <= l < n,
+    i.e. have reduce(g, l+1) outside D_l.  For g in D_n and lo = 0 these are
+    the elements of J(n).  The one saturation test: J-sets, good sets,
+    good-relation and each plant step read it."""
     keep = np.ones(len(g), dtype=bool)
-    for i in range(n):
-        keep &= ~tower.in_domain_arr(tower.reduce_arr(g, i + 1), i)
+    for l in range(lo, n):
+        keep &= ~tower.in_domain_arr(tower.reduce_arr(g, l + 1), l)
     return keep
 
 
@@ -70,7 +72,7 @@ def j_set(tower, n, budget=Budget()):
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     budget.check_enum(tower.size(n), f"J({n})")
     g = tower.domain_arr(n)
-    return g[_j_mask(tower, g, n)]
+    return g[j_mask(tower, g, n)]
 
 
 def j_set_recursive(tower, n, budget=Budget()):
@@ -109,6 +111,9 @@ class HRecord:
     def to_json(self, fmt):
         return {"step": self.step, "block": self.block, "slot": self.slot,
                 "g_slot": fmt(self.g_slot), "h": fmt(self.h)}
+
+
+_FIRST_PREFIX = 1 << 16  # D_n indices _first_over tests first
 
 
 class ToeplitzSkeleton:
@@ -165,18 +170,29 @@ class ToeplitzSkeleton:
         return self._jcache[n]
 
     def _first_over(self, g_slot, k, n):
-        """First element of J(n) cap g_slot Gamma_k in enumeration order."""
+        """First element of J(n) cap g_slot Gamma_k in enumeration order.
+
+        The section Gamma_k cap D_n holds one element of each coset of
+        Gamma_n in Gamma_k, so its translates by the slot, reduced into D_n,
+        are the elements of D_n over the slot.  They are tested in prefixes
+        of D_n growing fourfold, since the first hit mostly lies early.  The
+        section has at most |D_n| elements, which the build has always read,
+        so it charges nothing to the skeleton's budget."""
         T = self.tower
-        slot = T.reduce(g_slot, k)
-        dom = T.domain_arr(n)
-        chunk = 1 << 16
-        for start in range(0, len(dom), chunk):
-            c = dom[start:start + chunk]
-            hit = T.eq_arr(T.reduce_arr(c, k), slot)
-            hit[hit] = _j_mask(T, c[hit], n)
+        sec = T.section_arr(k, n, Budget(enum=T.size(n)))
+        cand = T.add_arr(sec, T.reduce(g_slot, k))
+        idx = T.coset_index_arr(cand, n)
+        top = _FIRST_PREFIX
+        while True:
+            near = np.flatnonzero(idx < top)
+            c = T.reduce_arr(cand[near], n)
+            # the slot, in J(k), already settles the levels below k
+            hit = j_mask(T, c, n, k)
             if hit.any():
-                return T.element(c[hit.argmax()])
-        raise EmptySlot(f"no position over slot {g_slot} at level {n}")
+                return T.element(c[hit][idx[near][hit].argmin()])
+            if top >= T.size(n):
+                raise EmptySlot(f"no position over slot {g_slot} at level {n}")
+            top *= 4
 
     # -- construction bookkeeping ---------------------------------------
 

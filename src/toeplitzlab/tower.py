@@ -660,9 +660,10 @@ def _first_repeat(keys):
     return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
-def validate_tower(tower, budget=Budget()):
-    """Check the nesting/tiling axioms on every level, by enumeration where
-    the level fits the enumeration budget.
+def validate_tower(tower, budget=Budget(), depth=None):
+    """Check the nesting/tiling axioms on every level up to depth (default:
+    the tower's), by enumeration where the level fits the enumeration
+    budget.
 
     Each level is checked in the order: no repeats, size, identity, reduce
     fixes D_n, D_{n-1} <= D_n; each pair i < j: section size, then that the
@@ -670,7 +671,7 @@ def validate_tower(tower, budget=Budget()):
     """
     from .result import failed, passed  # local import to avoid a cycle
 
-    top = tower.depth
+    top = tower.depth if depth is None else depth
     checked_pairs = []
     name = "decom"
 

@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import (chain_mode, class_rows, corollary_chain, mu_zero_set,
-                    verify_refinement, zero_set_identity)
+from .cells import (chain_mode, corollary_chain, mu_zero_set,
+                    verify_refinement)
 from .density import ratio_term
 from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
                      NotInDomain, UnknownCheck)
@@ -40,7 +40,7 @@ from .measures import PeriodicMeasure, an_det_check
 from .periods import partitions_c_check, per_eq_check
 from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
                      vacated)
-from .skeleton import j_set, j_set_recursive, j_size
+from .skeleton import j_mask, j_set, j_set_recursive, j_size
 from .tower import TAIL_GEOMETRIC, validate_tower
 from .window import level_scan, per_masks, window_levels, window_values
 
@@ -71,10 +71,7 @@ def good_set(skeleton, n, m):
     T = skeleton.tower
     skeleton.budget.check_window(T.size(m), f"good set ({n},{m})")
     g = T.domain_arr(m)
-    mask = T.eq_arr(T.reduce_arr(g, n + 1), T.zero)
-    for l in range(n + 1, m):
-        mask &= ~T.in_domain_arr(T.reduce_arr(g, l + 1), l)
-    return g[mask]
+    return g[T.eq_arr(T.reduce_arr(g, n + 1), T.zero) & j_mask(T, g, m, n + 1)]
 
 
 def good_bound(tower, n, m):
@@ -132,7 +129,7 @@ def _y_mask(skeleton, base, n):
 
 
 def check_decom(skeleton):
-    return validate_tower(skeleton.tower, skeleton.budget)
+    return validate_tower(skeleton.tower, skeleton.budget, skeleton.depth)
 
 
 def _level_range(done, text):
@@ -179,7 +176,7 @@ def check_j_recursion(skeleton):
                            "recursive_only": only_b})
         return {"n": n, "size": j_size(T, n)}
 
-    return _per_unit("j-recursion", range(1, T.depth + 1), unit,
+    return _per_unit("j-recursion", range(1, skeleton.depth + 1), unit,
                      lambda done: f"n in {done}")
 
 
@@ -206,7 +203,7 @@ def check_per_eq(skeleton):
 
 def check_good_relation(skeleton):
     T = skeleton.tower
-    dep = T.depth
+    dep = skeleton.depth
 
     def unit(pair):
         n, m = pair
@@ -220,11 +217,10 @@ def check_good_relation(skeleton):
                           {"n": n, "m": m, "count": count, "bound": bound})
         v = T.domain_arr(n + 1)
         w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
-        bad = ~T.in_domain_arr(w, m)
-        for l in range(n + 1, m):
-            bad |= T.in_domain_arr(T.reduce_arr(w, l + 1), l)
+        w = w.reshape(-1, *w.shape[2:])
+        bad = ~(T.in_domain_arr(w, m) & j_mask(T, w, m, n + 1))
         if bad.any():
-            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            i, j = divmod(int(bad.argmax()), len(v))
             return failed(
                 "good-relation", f"(n,m)=({n},{m}) translate containment",
                 {"gamma": T.element(S[i]), "v": T.element(v[j])})
@@ -433,36 +429,34 @@ def check_z_identity(skeleton):
     ms = _m_levels(skeleton)
     chains = [(nj, ns) for i, nj in enumerate(ms) for ns in ms[i + 1:]
               if ns <= skeleton.depth]
+    walks = {}  # n_s -> the chains ending there, from one walk
 
     def unit(u):
         if isinstance(u, tuple):
             nj, ns = u
-            cx, branches, checked = corollary_chain(skeleton, nj, ns)
+            if ns not in walks:
+                walks[ns] = corollary_chain(
+                    skeleton, [a for a, b in chains if b == ns], ns)
+            cx, branches, checked = walks[ns][nj]
             if cx is not None:
                 return failed("z-identity", f"chain ({nj},{ns})", cx)
             mode, total = chain_mode(skeleton, ns)
             return {"span": u, "atoms": checked, "branches": branches,
                     "mode": mode, "of": total}
-        eq, cont, table = zero_set_identity(skeleton, u)
-        if u in ms and not eq:
-            bad = class_rows(skeleton.tower, table,
-                             table["parent_zero"] != table["rhs"])
-            return failed("z-identity", f"n={u} boundary equality",
-                          {"n": u, "classes": bad})
-        if not cont:
-            bad = class_rows(skeleton.tower, table,
-                             table["parent_zero"] & ~table["rhs"])
-            return failed("z-identity", f"n={u} containment",
-                          {"n": u, "classes": bad})
-        return {"n": u, "boundary": u in ms, "equality": eq,
-                "containment": cont}
+        # the chains' one-column exits are the closing steps m_k
+        m = skeleton.m_k[u]
+        step = skeleton.steps[m - 1]
+        if step[0] != "zero":
+            return failed("z-identity", f"block {u} closing step",
+                          {"block": u, "m_k": m, "step": step})
+        return {"block": u, "m_k": m}
 
     def scope(done):
-        classes = [u for u in done if not isinstance(u, tuple)]
-        return (f"class algebra {_level_range(classes, 'n=1..{}')}; chains "
+        return (f"zero steps m_k of blocks "
+                f"{[u for u in done if not isinstance(u, tuple)]}; chains "
                 f"{[u for u in done if isinstance(u, tuple)]}")
 
-    return _per_unit("z-identity", [*range(1, skeleton.depth), *chains],
+    return _per_unit("z-identity", [*skeleton.completed_blocks(), *chains],
                      unit, scope)
 
 

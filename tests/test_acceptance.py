@@ -5,6 +5,7 @@ one verdict line, bypassing capture, so a plain pytest run shows the roll
 call; a failure prints its FAIL line before the traceback.
 """
 
+import copy
 import random
 import time
 import tracemalloc
@@ -28,7 +29,7 @@ from toeplitzlab import (
     preset_config,
     run_check,
 )
-from toeplitzlab.cells import verify_refinement, zero_set_identity
+from toeplitzlab.cells import verify_refinement
 from toeplitzlab.density import density_methods, regularity_verdict
 from toeplitzlab.verify import good_bound, good_set
 from toeplitzlab.window import window_values
@@ -166,20 +167,23 @@ def test_criterion_09_patches(criterion, threeadic5):
 
 
 def test_criterion_10_zero_set_identity(criterion, threeadic):
-    with criterion(10, "zero-set identity: equality on M, containment off it") as rec:
-        for n in range(1, 9):
-            eq, cont, _ = zero_set_identity(threeadic, n)
-            assert cont, n
-            assert eq == (n in (1, 4)), n
+    with criterion(10, "zero-set identity: zero steps close the blocks, chains exit") as rec:
+        z_id = run_check(threeadic, "z-identity")
+        assert [w["m_k"] for w in z_id.witnesses if "block" in w] == [2, 5, 10]
+        for block, m in enumerate(threeadic.m_k):
+            # a plant at a block's closing step breaks the Z_n recursion
+            mutant = copy.copy(threeadic)
+            mutant.steps = list(threeadic.steps)
+            mutant.steps[m - 1] = ("plant", 0)
+            assert run_check(mutant, "z-identity").status == "Fail", block
         for n in (1, 2, 3):
             cex, _, npts = verify_refinement(threeadic, n, n + 2)
             assert cex is None and npts == 3 ** (n + 2)
-        z_id = run_check(threeadic, "z-identity")
         assert z_id.status == "Pass"
         # |D_9| * (1 + |J(9)|) atoms are past the cap, so the chain is sampled
         assert "(1, 9) sampled: 200000 of 10097379 atoms" in z_id.render()
         assert run_check(threeadic, "containings").status == "Pass"
-        rec["detail"] = "levels 1..8 + pointwise refinement"
+        rec["detail"] = "blocks 0..2, their mutants + pointwise refinement"
 
 
 def test_criterion_11_uns_bound_and_trend(criterion, threeadic, irregular):

@@ -1,4 +1,4 @@
-"""Cell refinement, the zero-set class algebra, and orbit membership."""
+"""Cell refinement, the corollary chains, and orbit membership."""
 
 import copy
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toeplitzlab import DepthExceeded, NotInDomain
-from toeplitzlab import cells
+from toeplitzlab import cells, verify
 from toeplitzlab.cells import (
     TAG_ZERO,
     _randrange_pairs,
@@ -16,9 +16,8 @@ from toeplitzlab.cells import (
     mu_zero_set,
     tag_one,
     verify_refinement,
-    zero_set_identity,
 )
-from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask
+from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask, run_check
 
 
 # -- the refinement rules one cell at a time: the oracle for the array walks
@@ -96,6 +95,22 @@ def test_refinement_rules_hold(threeadic, centered6, oracle3):
     assert cexc is None
 
 
+# containings' case counts on irregular-demo, pinned before the rules moved
+# into one function
+_IRREGULAR_CASES = [
+    (1, 3, {"c1": 27450, "c2": 30, "c3": 870, "c4": 945, "c5": 0}),
+    (2, 4, {"c1": 3603750, "c2": 930, "c3": 56730, "c4": 0, "c5": 59055}),
+    (3, 4, {"c1": 0, "c2": 29295, "c3": 3661875, "c4": 0, "c5": 29295}),
+]
+
+
+def test_containings_case_counts_are_pinned(irregular):
+    res = run_check(irregular, "containings")
+    assert res.status == "Pass"
+    assert [(w["n"], w["m"], w["cases"]) for w in res.witnesses] \
+        == _IRREGULAR_CASES
+
+
 def test_parent_cell_cases(threeadic):
     # gamma = 9, child tag One(13): 13 = 9 + 4, so the parent keeps One(4)
     assert parent_cell(threeadic, (9 + 4, tag_one(13)), 3) == (4, tag_one(4))
@@ -105,15 +120,35 @@ def test_parent_cell_cases(threeadic):
     assert parent_cell(threeadic, (4, tag_one(13)), 3) == (4, tag_one(4))
 
 
+def _closing_step_planted(skeleton, block):
+    """A copy of skeleton whose block's closing zero step m_k plants the
+    identity instead."""
+    sk = copy.copy(skeleton)
+    sk.steps = list(skeleton.steps)
+    sk.steps[skeleton.m_k[block] - 1] = ("plant", skeleton.tower.zero)
+    return sk
+
+
 def test_zero_set_identity_at_block_ends(threeadic):
-    for n in range(1, 9):
-        eq, cont, _ = zero_set_identity(threeadic, n)
-        assert cont
-        assert eq == (n in (1, 4))  # steps 2 and 5 are the zero steps
+    # steps 2, 5 and 10 close blocks 0, 1 and 2; the chains' one-column
+    # exits sit there, so z-identity asserts each is a zero step
+    res = run_check(threeadic, "z-identity")
+    assert res.status == "Pass"
+    assert [w for w in res.witnesses if "block" in w] == [
+        {"block": 0, "m_k": 2}, {"block": 1, "m_k": 5},
+        {"block": 2, "m_k": 10}]
+    for block in (0, 1, 2):
+        mutant = run_check(_closing_step_planted(threeadic, block),
+                           "z-identity")
+        assert mutant.status == "Fail"
+        assert mutant.scope == f"block {block} closing step"
+        assert mutant.counterexample == {
+            "block": block, "m_k": threeadic.m_k[block],
+            "step": ("plant", 0)}
 
 
 def test_corollary_chain_frozen_counts(threeadic):
-    cex, branches, checked = corollary_chain(threeadic, 1, 4)
+    cex, branches, checked = corollary_chain(threeadic, [1], 4)[1]
     assert cex is None
     assert checked == 1377
     assert branches == {"already_zero": 69, "w_exit": 816, "one_column": 240,
@@ -179,7 +214,7 @@ def test_corollary_chain_matches_reference_walk(request, monkeypatch, name,
     monkeypatch.setattr(cells, "_CHAIN_SEED", 5)
     if cap is not None:  # None: the default
         monkeypatch.setattr(cells, "_CHAIN_ATOMS", cap)
-    got = corollary_chain(sk, n_j, n_s)
+    got = corollary_chain(sk, [n_j], n_s)[n_j]
     assert got == _reference_chain(sk, n_j, n_s, seed=5,
                                    exhaustive_cap=cells._CHAIN_ATOMS)
     assert got[0] is None
@@ -191,7 +226,7 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
     sk = copy.copy(threeadic)
     sk.m_k = [m + threeadic.depth for m in threeadic.m_k]
     assert sk.completed_blocks() == []
-    got = corollary_chain(sk, 1, 4)
+    got = corollary_chain(sk, [1], 4)[1]
     assert got == _reference_chain(sk, 1, 4)
     cex, branches, checked = got
     assert cex["atom"] == (0, tag_one(40))
@@ -200,19 +235,42 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
     assert cex["chain"][0][1][1] == TAG_ZERO
 
 
-@pytest.mark.parametrize("span, branches", [
-    ((1, 9), {"already_zero": 309, "w_exit": 123081, "one_column": 45852,
-              "not_zero_ancestor": 30758}),
-    ((4, 9), {"already_zero": 300, "w_exit": 132532, "one_column": 33628,
-              "not_zero_ancestor": 33540}),
-])
+_SAMPLED_BRANCHES = {
+    (1, 9): {"already_zero": 309, "w_exit": 123081, "one_column": 45852,
+             "not_zero_ancestor": 30758},
+    (4, 9): {"already_zero": 300, "w_exit": 132532, "one_column": 33628,
+             "not_zero_ancestor": 33540},
+}
+
+
+@pytest.mark.parametrize("span, branches", sorted(_SAMPLED_BRANCHES.items()))
 def test_sampled_chain_branch_counts_are_pinned(threeadic, span, branches):
     # seed 0 and the default cap, as z-identity runs them: the pinned counts
     # hold the randrange stream's 200,000 atoms of each chain fixed
-    cex, got, checked = corollary_chain(threeadic, *span)
+    cex, got, checked = corollary_chain(threeadic, [span[0]], span[1])[span[0]]
     assert cex is None
     assert checked == 200000
     assert got == branches
+
+
+def test_chains_that_share_n_s_draw_and_walk_once(threeadic, monkeypatch):
+    draws, walks = [], []
+    monkeypatch.setattr(cells, "_randrange_pairs",
+                        lambda *a: draws.append(a) or _randrange_pairs(*a))
+    monkeypatch.setattr(cells, "corollary_chain",
+                        lambda *a: walks.append(a[1:]) or corollary_chain(*a))
+    monkeypatch.setattr(verify, "corollary_chain", cells.corollary_chain)
+    res = run_check(threeadic, "z-identity")
+    assert res.status == "Pass"
+    assert walks == [([1], 4), ([1, 4], 9)]
+    assert draws == [(0, 19683, 513, 200000)]
+    got = {w["span"]: w["branches"] for w in res.witnesses if "span" in w}
+    assert got == {(1, 4): {"already_zero": 69, "w_exit": 816,
+                            "one_column": 240, "not_zero_ancestor": 252},
+                   **_SAMPLED_BRANCHES}
+    # one walk to n_j = 1 reads (4, 9) off on its way down
+    assert corollary_chain(threeadic, [1, 4], 9) == {
+        nj: (None, b, 200000) for (nj, _), b in _SAMPLED_BRANCHES.items()}
 
 
 @pytest.mark.parametrize("seed, size, picks, count", [
@@ -242,7 +300,7 @@ def test_bulk_draw_refuses_multi_word_values(monkeypatch, size, picks):
 def test_corollary_chain_irregular(irregular, monkeypatch):
     monkeypatch.setattr(cells, "_CHAIN_SEED", 3)
     monkeypatch.setattr(cells, "_CHAIN_ATOMS", 400)
-    cex, branches, checked = corollary_chain(irregular, 1, 3)
+    cex, branches, checked = corollary_chain(irregular, [1], 3)[1]
     assert cex is None
     assert checked == 400
 

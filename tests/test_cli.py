@@ -213,8 +213,9 @@ _CAPPED = {
                                      "budget: [8]"),
             "containings": ("Pass", "pointwise parent rule, n up to 6; over "
                                     "budget: [7, 8]"),
-            "z-identity": ("Pass", "class algebra n=1..9; chains [(1, 4)]; "
-                                   "over budget: [(1, 9), (4, 9)]"),
+            "z-identity": ("Pass", "zero steps m_k of blocks [0, 1, 2]; "
+                                   "chains [(1, 4)]; over budget: "
+                                   "[(1, 9), (4, 9)]"),
         }),
     "irregular-window": (
         ["--preset", "irregular-demo", "--window-budget", "1000000"], {
@@ -244,6 +245,8 @@ def test_verify_all_under_a_user_cap_prints_every_row(capsys, case):
                    for r in results.values())
 
 
+# z-identity has no case here: its closing-step units enumerate nothing,
+# so no cap refuses all of its units
 @pytest.mark.parametrize("argv, line", [
     (["containings", "--preset", "threeadic", "--window-budget", "20"],
      "[Inconclusive] containings: pointwise parent rule, no unit ran; "
@@ -251,9 +254,6 @@ def test_verify_all_under_a_user_cap_prints_every_row(capsys, case):
     (["an-det", "--preset", "threeadic", "--window-budget", "2"],
      "[Inconclusive] an-det: no unit ran, det equals |D_n|; over budget: "
      "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
-    (["z-identity", "--preset", "irregular-demo", "--enum-budget", "20"],
-     "[Inconclusive] z-identity: class algebra no unit ran; chains []; "
-     "over budget: [1, 2, 3, 4]"),
 ])
 def test_a_cap_that_refuses_every_unit_says_no_unit_ran(capsys, argv, line):
     assert main(["verify", *argv]) == 0

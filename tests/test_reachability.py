@@ -23,6 +23,10 @@ CAP_SITES.  Only the functions named in CATCH_SITES catch BudgetExceeded, so
 what a check skipped has one home and no computation retreats to a smaller
 one when a cap refuses it.
 
+One saturation test: whether reduce(g, l+1) lies in D_l is asked, as an
+`in_domain_arr` call on a `reduce_arr` result, only at the sites named in
+SATURATION_SITES.
+
 No scalar loops where arrays do: no module calls `randrange` (a sampled
 draw reads the stream's words in bulk), and no loop iterates over a
 `domain_arr(...)`, directly or through a name bound to one, outside the
@@ -43,6 +47,8 @@ ALLOWED = {
                  "benchmark round-trips windows through it",
     "from_csv": "the reader for `eta window --format csv` output; the "
                 "benchmark round-trips windows through it",
+    "index_of": "the benchmark's eval reads a window at an element's D_n "
+                "index through it",
 }
 
 KIND_SITES = {
@@ -52,6 +58,13 @@ KIND_SITES = {
 }
 
 TOWER_KINDS = {"IntegerLine", "IntegerLattice", "Generic"}
+
+SATURATION_SITES = {
+    ("skeleton", "j_mask"): "the saturation test that J-sets, good sets, "
+                            "good-relation and each plant step read",
+    ("window", "level_scan"): "eval over an array: level l settles the "
+                              "undecided elements it saturates",
+}
 
 CAP_SITES = {
     ("tower", "validate_tower"): "decom's level selection: it checks the "
@@ -187,6 +200,50 @@ def kind_sites(src):
 
 def test_kind_branches_only_at_the_named_sites():
     assert kind_sites(SRC) == sorted(KIND_SITES)
+
+
+def _calls(node, attr):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr)
+
+
+def saturation_sites(src):
+    """(module, top-level definition) of every `in_domain_arr` call on a
+    `reduce_arr` result, passed directly or through a name that a
+    `reduce_arr` call binds or fills (`out=`), once per call."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            reduced = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign) and _calls(node.value,
+                                                           "reduce_arr"):
+                    reduced |= {t.id for t in node.targets
+                                if isinstance(t, ast.Name)}
+                if _calls(node, "reduce_arr"):
+                    reduced |= {k.value.id for k in node.keywords
+                                if k.arg == "out"
+                                and isinstance(k.value, ast.Name)}
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if _calls(node, "in_domain_arr") and node.args
+                    and (_calls(node.args[0], "reduce_arr")
+                         or getattr(node.args[0], "id", None) in reduced)]
+    return sorted(out)
+
+
+def test_the_saturation_test_is_spelled_only_at_the_named_sites(tmp_path):
+    assert saturation_sites(SRC) == sorted(SATURATION_SITES)
+    # good_set's own loop, and a reduction bound to a name first
+    (tmp_path / "verify.py").write_text(
+        "def good_set(skeleton, n, m):\n"
+        "    for l in range(n + 1, m):\n"
+        "        mask &= ~T.in_domain_arr(T.reduce_arr(g, l + 1), l)\n"
+        "def check_good_relation(skeleton):\n"
+        "    r = T.reduce_arr(w, l + 1)\n"
+        "    bad |= T.in_domain_arr(r, l)\n")
+    assert saturation_sites(tmp_path) == [("verify", "check_good_relation"),
+                                          ("verify", "good_set")]
 
 
 def test_no_module_reads_the_environment():

@@ -5,6 +5,7 @@ import pytest
 
 import bruteforce as bf
 from conftest import cyclic_generic
+from toeplitzlab import skeleton
 from toeplitzlab import (
     IntegerLineTower,
     Undefined,
@@ -50,6 +51,25 @@ def test_h_records_irregular(irregular):
 def test_h_records_lattice(lattice):
     got = [(r.step, r.block, r.slot, r.g_slot, r.h) for r in lattice.h_records]
     assert got == [(3, 1, 1, (0, 1), (0, 4))]
+
+
+@pytest.mark.parametrize("name", ["threeadic", "centered6", "lattice",
+                                  "s3_by_z5"])
+def test_plants_do_not_depend_on_the_first_prefix(request, monkeypatch, name):
+    # a first prefix of one D_n index makes _first_over grow it through
+    # every size before it reaches each plant
+    sk = request.getfixturevalue(name)
+    monkeypatch.setattr(skeleton, "_FIRST_PREFIX", 1)
+    assert build_skeleton(sk.tower, sk.depth).steps == sk.steps
+
+
+def test_a_plant_over_a_broken_tiling_is_the_one_in_d_n():
+    # D_2 = {0, 1, 2, 7} is not {0, 2} + D_1: the slot 1 plus the section
+    # element 2 is 3, outside D_2, and reduced into D_2 it is 7
+    bad = cyclic_generic([2, 2, 2],
+                         domains=[[0], [0, 1], [0, 1, 2, 7], list(range(8))])
+    assert build_skeleton(bad, 3).steps == [("plant", 0), ("zero",),
+                                            ("plant", 7)]
 
 
 def test_j_sets_match_reference(threeadic, oracle3, centered6, oracle3c,

@@ -268,7 +268,7 @@ def test_z_identity_says_when_a_chain_is_exhaustive(threeadic5):
     # (1,4) has |D_4| * (1 + |J(4)|) = 81 * 17 = 1377 atoms; the sampled
     # form is pinned on threeadic depth 10 in test_acceptance.py
     full = run_check(threeadic5, "z-identity")
-    assert full.scope == "class algebra n=1..4; chains [(1, 4)]"
+    assert full.scope == "zero steps m_k of blocks [0, 1]; chains [(1, 4)]"
     (wf,) = [w for w in full.witnesses if "span" in w]
     assert (wf["mode"], wf["atoms"], wf["of"]) == ("exhaustive", 1377, 1377)
     assert "(1, 4) exhaustive: 1377 of 1377 atoms" in full.render()
