@@ -100,7 +100,7 @@ def _cmd_eta_build(args):
         print(json.dumps(sk.to_json()))
         return 0
     T = sk.tower
-    print(f"tower: {T.kind}/{T.style}, depth {sk.depth}, "
+    print(f"tower: {T.kind}/{T.config().style}, depth {sk.depth}, "
           f"|D_depth| = {T.size(sk.depth)}")
     print(f"block boundaries m_k: {sk.m_k}")
     for rec in sk.h_records:

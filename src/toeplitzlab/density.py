@@ -76,18 +76,41 @@ class LSeries:
     declared: str = None
 
 
+def future_factor_bound(tower, at):
+    """Certified upper bound on every t_j for j >= at.
+
+    Indices are at least 2, so 1/2 always works; past the built depth a
+    declared geometric tail sharpens it to t_{depth-1} r^(j-depth+1) at
+    j = at, which is below 1/2 and falls by r with each later j."""
+    tail = tower.tail
+    if tail is not None and tail.kind == TAIL_GEOMETRIC and at >= tower.depth:
+        last = ratio_term(tower, tower.depth - 1)
+        return last * tail.ratio ** (at - tower.depth + 1)
+    return Fraction(1, 2)
+
+
+def _past_depth_sum(tower):
+    """Certified bound on the sum of t_j over j >= depth, or None when no
+    geometric tail is declared."""
+    tail = tower.tail
+    if tail is None or tail.kind != TAIL_GEOMETRIC:
+        return None
+    return future_factor_bound(tower, tower.depth) / (1 - tail.ratio)
+
+
 def L_series(tower, terms):
     """Partial sum of t_j for j < terms, plus a certified tail bound when the
-    tower declares a geometric tail (the bound covers every j >= terms)."""
+    tower declares a geometric tail (the bound covers every j >= terms: the
+    built terms exactly, the rest by future_factor_bound)."""
     if terms < 0 or terms > tower.depth - 1:
         raise DepthExceeded(f"terms must lie in 0..{tower.depth - 1}")
     partial = sum((ratio_term(tower, j) for j in range(terms)), Fraction(0))
-    tail = tower.tail
-    if tail is not None and tail.kind == TAIL_GEOMETRIC:
-        bound = ratio_term(tower, terms) / (1 - tail.ratio)
-        return LSeries(terms, partial, bound, TAIL_GEOMETRIC)
-    declared = tail.kind if tail is not None else None
-    return LSeries(terms, partial, None, declared)
+    declared = tower.tail.kind if tower.tail is not None else None
+    past = _past_depth_sum(tower)
+    if past is None:
+        return LSeries(terms, partial, None, declared)
+    built = sum(ratio_term(tower, j) for j in range(terms, tower.depth))
+    return LSeries(terms, partial, built + past, declared)
 
 
 def exp_enclosure(x, width=_EXP_WIDTH):
@@ -179,6 +202,8 @@ class DensityReport:
 
 def regularity_verdict(tower, levels=None):
     """Certified judgment of whether the decided density tends to 1."""
+    if levels is not None and levels < 0:
+        raise DepthExceeded(f"levels must be nonnegative, got {levels}")
     t0 = time.perf_counter()
     depth = tower.depth
     top = min(depth, levels if levels is not None else 6)
@@ -206,7 +231,7 @@ def regularity_verdict(tower, levels=None):
             ["declared divergent ratio sum: the telescoping product tends to 0, "
              "so d_n tends to 1"])
     else:
-        future = last * tail.ratio / (1 - tail.ratio)
+        future = _past_depth_sum(tower)
         d_hi = d_depth + (1 - d_depth) * future
         if d_hi > 1:
             d_hi = Fraction(1)

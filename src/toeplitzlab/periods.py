@@ -16,7 +16,6 @@ import numpy as np
 from .cells import translate_ones
 from .errors import DoubledOne, NonAbelianUnsupported, NotInDomain
 from .result import failed
-from .tower import KIND_LINE
 from .window import per_masks, window_values
 
 
@@ -55,31 +54,15 @@ def _step_log_masks(skeleton, n):
     return masks, outside
 
 
-def _shift_candidates(tower, n):
-    """The nonzero translates of D_n the essential facet tries, and a label.
-
-    Any subgroup strictly between Gamma_n and G contains a nonidentity coset
-    of D_n, so single translates decide it.  On the line, shifts by the
-    divisors of |D_n| suffice: they generate every subgroup of Z/|D_n|.
-    """
-    T = tower
-    size = T.size(n)
-    if T.kind == KIND_LINE:
-        cands = [d for d in range(1, size) if size % d == 0]
-        return cands, f"{len(cands)} divisor shifts of {size}"
-    cands = T.domain_arr(n)
-    cands = cands[~T.eq_arr(cands, T.zero)]
-    return cands, f"{len(cands)} nonzero translates"
-
-
 def invariant_shift(tower, n, mask0, mask1):
     """(v, label): a nonzero v in D_n whose translation fixes both masks over
-    D_n, or None, and what was tried.  Each candidate compares |D_n| cells;
-    the caller charges that work to its budget."""
+    D_n, or None, and what was tried.  The tower names the candidates (see
+    shift_candidates); each compares |D_n| cells, and the caller charges
+    that work to its budget."""
     T = tower
     if not T.abelian:
         raise NonAbelianUnsupported("the essential facet needs an abelian tower")
-    cands, label = _shift_candidates(T, n)
+    cands, label = T.shift_candidates(n)
     for v in cands:
         if (np.array_equal(T.shift_arr(mask0, v, n), mask0)
                 and np.array_equal(T.shift_arr(mask1, v, n), mask1)):
@@ -96,7 +79,7 @@ def per_eq_check(skeleton, n):
     T = skeleton.tower
     name = "per-eq"
     skeleton.budget.check_enum(T.size(n), f"Per({n},.)")
-    shifts = len(_shift_candidates(T, n)[0])
+    shifts = len(T.shift_candidates(n)[0])
     skeleton.budget.check_enum(shifts * T.size(n), f"essential level {n}")
     wlevel = n + 1
     vals = window_values(skeleton, wlevel)

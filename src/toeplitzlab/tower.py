@@ -13,6 +13,8 @@ Domain styles for the integer kinds:
   NonNegative  D_n = {0, ..., N_n - 1}
   Centered     D_n = {-(N_n-1)/2, ..., (N_n-1)/2}; every N_n must be odd
 
+Generic domains are explicit, so a Generic tower takes no style.
+
 Elements are plain ints (line), tuples of ints (lattice), or table indices
 (generic).  All towers are abelian except possibly Generic.
 
@@ -26,12 +28,15 @@ use only these, so one implementation serves every kind.  The scalar ops
 left are size, reduce, in_domain and index_of (plus lo on the line), which
 evaluating or locating one element needs; the reference the ops are
 compared against is the independent naive model in tests/bruteforce.py.
+What depends on the kind beyond that is asked of the tower too: shape(n),
+the axis sizes of D_n, and shift_candidates(n), the translates per-eq's
+essential facet tries.  No module outside this one branches on the kind.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -105,12 +110,37 @@ def _indices_below(values, size):
     return all(isinstance(x, int) and 0 <= x < size for x in values)
 
 
+def _last_of(keys, values, size):
+    """Table over 0..size-1 giving, for each key, the value at its last
+    occurrence in keys, and -1 for a key that does not occur."""
+    out = np.full(size, -1, dtype=np.int64)
+    uniq, first = np.unique(keys[::-1], return_index=True)
+    out[uniq] = values[::-1][first]
+    return out
+
+
 class _ArrayForms:
     """Array-form defaults for single-int elements; the lattice overrides
     the ones that see an element's shape.
 
     Sums and differences come out int64, so translates never wrap.
     """
+
+    def _chk(self, n):
+        if not 0 <= n <= self.depth:
+            raise DepthExceeded(f"level {n} outside 0..{self.depth}")
+
+    def shape(self, n):
+        """The axis sizes of D_n, in enumeration order."""
+        return (self.size(n),)
+
+    def shift_candidates(self, n):
+        """The nonzero translates of D_n the essential facet tries, and a
+        label.  Any subgroup strictly between Gamma_n and G contains a
+        nonidentity coset of D_n, so single translates decide it."""
+        cands = self.domain_arr(n)
+        cands = cands[~self.eq_arr(cands, self.zero)]
+        return cands, f"{len(cands)} nonzero translates"
 
     def add_arr(self, a, b):
         return np.add(a, b, dtype=np.int64)
@@ -171,10 +201,6 @@ class IntegerLineTower(_ArrayForms):
         self.half = [(m - 1) // 2 for m in self.N]
         self.zero = 0
         self.abelian = True
-
-    def _chk(self, n):
-        if not 0 <= n <= self.depth:
-            raise DepthExceeded(f"level {n} outside 0..{self.depth}")
 
     def size(self, n):
         self._chk(n)
@@ -243,6 +269,15 @@ class IntegerLineTower(_ArrayForms):
     def shift_arr(self, vals, s, n):
         return np.roll(vals, -int(s))
 
+    def shift_candidates(self, n):
+        """The divisors of |D_n| below it, ascending: shifts by them
+        generate every subgroup of Z/|D_n|, so they suffice."""
+        size = self.size(n)
+        low = [d for d in range(1, math.isqrt(size) + 1) if size % d == 0]
+        high = [size // d for d in reversed(low) if d * d != size]
+        cands = (low + high)[:-1]
+        return cands, f"{len(cands)} divisor shifts of {size}"
+
     def config(self):
         return TowerConfig(KIND_LINE, indices=list(self.indices), style=self.style,
                            tail=self.tail)
@@ -266,10 +301,6 @@ class IntegerLatticeTower(_ArrayForms):
         self.depth = depth
         self.zero = (0,) * self.dim
         self.abelian = True
-
-    def _chk(self, n):
-        if not 0 <= n <= self.depth:
-            raise DepthExceeded(f"level {n} outside 0..{self.depth}")
 
     def size(self, n):
         self._chk(n)
@@ -326,8 +357,11 @@ class IntegerLatticeTower(_ArrayForms):
             idx = idx * ax.size(n) + ax.coset_index_arr(g[..., k], n)
         return idx
 
+    def shape(self, n):
+        return tuple(ax.size(n) for ax in self.axes)
+
     def shift_arr(self, vals, s, n):
-        grid = vals.reshape([ax.size(n) for ax in self.axes])
+        grid = vals.reshape(self.shape(n))
         shifts = tuple(-int(c) for c in s)
         return np.roll(grid, shifts, axis=tuple(range(self.dim))).reshape(-1)
 
@@ -374,12 +408,13 @@ class GenericTower(_ArrayForms):
     levels[n-1] describes G/Gamma_n for n = 1..depth: its size, its addition
     table (or `op` table when non-abelian), and for n >= 2 a projection onto
     the previous level.  Group elements are indices into the deepest level;
-    D_n is a supplied list of such indices, one per Gamma_n-coset.
+    D_n is a supplied list of such indices, one per Gamma_n-coset, so the
+    tower has no style; config() records the default one.
     """
 
     kind = KIND_GENERIC
 
-    def __init__(self, levels, domains, style=STYLE_NONNEG, tail=None):
+    def __init__(self, levels, domains, tail=None):
         if not isinstance(levels, list) or not levels:
             raise InvalidIndex("generic tower needs a nonempty list of levels")
         self.depth = len(levels)
@@ -413,11 +448,10 @@ class GenericTower(_ArrayForms):
             raise InvalidIndex("domains must list D_0..D_depth as table "
                                "indices, with D_0 = [0]")
         self.domains = [list(d) for d in domains]
-        self.style = style
         self.tail = _coerce_tail(tail)
         self.zero = 0
         try:
-            op = self._op_arr
+            op = self._op_arr = np.array(self.ops[self.depth], dtype=np.int64)
         except (TypeError, ValueError) as exc:
             raise InvalidIndex(f"op table is malformed: {exc!r}") from None
         if op.min() < 0 or op.max() >= prev:
@@ -449,23 +483,24 @@ class GenericTower(_ArrayForms):
             a = int(np.argmin(has_inv))
             raise InvalidIndex(f"element {a} has no inverse; op table is not a group")
         self._inv_arr = np.argmax(is_id, axis=1)
-        # coset key of g at level n: project the deepest index down
-        self._down = []
-        for g in range(self.sizes[self.depth]):
-            keys = [0] * (self.depth + 1)
-            keys[self.depth] = g
-            for n in range(self.depth, 1, -1):
-                keys[n - 1] = self.projs[n][keys[n]]
-            keys[0] = 0
-            self._down.append(keys)
-        self._rep = [dict() for _ in range(self.depth + 1)]
-        for n in range(self.depth + 1):
-            for d in self.domains[n]:
-                self._rep[n][self._down[d][n]] = d
-
-    def _chk(self, n):
-        if not 0 <= n <= self.depth:
-            raise DepthExceeded(f"level {n} outside 0..{self.depth}")
+        # the coset tables, each once: _down_arr[n][g] is the level-n coset
+        # key of g, _rep_arr[n][key] the D_n representative of a key (the
+        # last element of D_n in that coset, -1 if none) and _pos_arr[n][g]
+        # the index of g in D_n (-1 outside).  The scalar ops read list
+        # views of the same tables, which index faster one element at a time
+        top = self.sizes[self.depth]
+        down = np.zeros((self.depth + 1, top), dtype=np.int64)
+        down[self.depth] = np.arange(top)
+        for n in range(self.depth, 1, -1):
+            down[n - 1] = np.array(self.projs[n], dtype=np.int64)[down[n]]
+        doms = [np.array(d, dtype=np.int64) for d in self.domains]
+        self._down_arr = down
+        self._rep_arr = [_last_of(down[n][d], d, self.sizes[n])
+                         for n, d in enumerate(doms)]
+        self._pos_arr = [_last_of(d, np.arange(len(d)), top) for d in doms]
+        self._down = down.tolist()
+        self._rep = [r.tolist() for r in self._rep_arr]
+        self._pos = [p.tolist() for p in self._pos_arr]
 
     def size(self, n):
         self._chk(n)
@@ -473,51 +508,14 @@ class GenericTower(_ArrayForms):
 
     def reduce(self, g, n):
         self._chk(n)
-        try:
-            return self._rep[n][self._down[g][n]]
-        except KeyError:
+        rep = self._rep[n][self._down[n][g]]
+        if rep < 0:
             raise NotInDomain(f"D_{n} has no representative for the coset of {g}")
+        return rep
 
     def in_domain(self, g, n):
         self._chk(n)
-        return g in self._domain_sets(n)
-
-    def _domain_sets(self, n):
-        if not hasattr(self, "_dsets"):
-            self._dsets = [frozenset(d) for d in self.domains]
-        return self._dsets[n]
-
-    # array forms: lookups in tables built on first use (the op table and
-    # the inverses are built with the tower, which checks them)
-
-    @cached_property
-    def _down_arr(self):
-        """_down_arr[n][g]: the level-n coset key of g."""
-        return np.array(self._down, dtype=np.int64).T.copy()
-
-    @cached_property
-    def _rep_arr(self):
-        """_rep_arr[n][key]: the D_n representative of a coset key, or -1."""
-        out = []
-        for n, reps in enumerate(self._rep):
-            arr = np.full(self.sizes[n], -1, dtype=np.int64)
-            arr[list(reps)] = list(reps.values())
-            out.append(arr)
-        return out
-
-    @cached_property
-    def _pos_arr(self):
-        """_pos_arr[n][g]: the index of g in D_n, or -1 outside D_n."""
-        out = []
-        for dom in self.domains:
-            arr = np.full(self.sizes[self.depth], -1, dtype=np.int64)
-            arr[dom] = np.arange(len(dom))
-            out.append(arr)
-        return out
-
-    @cached_property
-    def _op_arr(self):
-        return np.array(self.ops[self.depth], dtype=np.int64)
+        return self._pos[n][g] >= 0
 
     def domain_arr(self, n):
         self._chk(n)
@@ -576,8 +574,8 @@ class GenericTower(_ArrayForms):
             if n > 1:
                 lvl["proj"] = self.projs[n]
             levels.append(lvl)
-        return TowerConfig(KIND_GENERIC, style=self.style, tail=self.tail,
-                           levels=levels, domains=[list(d) for d in self.domains])
+        return TowerConfig(KIND_GENERIC, tail=self.tail, levels=levels,
+                           domains=[list(d) for d in self.domains])
 
 
 @dataclass
@@ -635,7 +633,10 @@ def build_tower(config):
     if config.kind == KIND_LATTICE:
         return IntegerLatticeTower(config.indices, config.style, config.tail)
     if config.kind == KIND_GENERIC:
-        return GenericTower(config.levels, config.domains, config.style, config.tail)
+        if config.style != STYLE_NONNEG:
+            raise InvalidIndex("a Generic tower's domains are explicit; "
+                               f"style {config.style!r} does not apply")
+        return GenericTower(config.levels, config.domains, config.tail)
     raise InvalidIndex(f"unknown tower kind {config.kind!r}")
 
 

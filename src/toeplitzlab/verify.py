@@ -33,7 +33,7 @@ import numpy as np
 
 from .cells import (chain_mode, corollary_chain, mu_zero_set,
                     verify_refinement)
-from .density import ratio_term
+from .density import future_factor_bound
 from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
                      NotInDomain, UnknownCheck)
 from .measures import PeriodicMeasure, an_det_check
@@ -41,7 +41,7 @@ from .periods import partitions_c_check, per_eq_check
 from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
                      vacated)
 from .skeleton import j_mask, j_set, j_set_recursive, j_size
-from .tower import TAIL_GEOMETRIC, validate_tower
+from .tower import validate_tower
 from .window import level_scan, per_masks, window_levels, window_values
 
 
@@ -493,20 +493,6 @@ def _plant_tail_sum(skeleton, n, top):
                 if skeleton.steps[t - 1][0] == "plant"), Fraction(0))
 
 
-def _future_factor_bound(tower, at):
-    """Certified upper bound on every ratio |D_j|/|D_{j+1}| for j >= at.
-
-    Indices are at least 2, so 1/2 always works; a declared geometric tail
-    sharpens it past the built depth."""
-    b = Fraction(1, 2)
-    tail = tower.tail
-    if tail is not None and tail.kind == TAIL_GEOMETRIC and at >= tower.depth:
-        decl = ratio_term(tower, tower.depth - 1)
-        decl = decl * tail.ratio ** (at - tower.depth + 1)
-        b = min(b, decl)
-    return b
-
-
 def zero_mass_closed_form(skeleton, n, m):
     """mu_m(Z_n) from the step log alone.
 
@@ -527,14 +513,10 @@ def zero_mass_lower_bound(skeleton, n):
     T = skeleton.tower
     dep = skeleton.depth
     if n <= dep:
-        b = _future_factor_bound(T, dep)
-        tail = Fraction(1, T.size(dep)) * b / (1 - b) if b < 1 else None
-        if tail is None:
-            return None
+        b = future_factor_bound(T, dep)
+        tail = Fraction(1, T.size(dep)) * b / (1 - b)
         return 1 - T.size(n) * (_plant_tail_sum(skeleton, n, dep) + tail)
-    b = _future_factor_bound(T, n)
-    if b >= 1:
-        return None
+    b = future_factor_bound(T, n)
     return 1 - b / (1 - b)
 
 
@@ -558,11 +540,8 @@ def check_measure_one_trend(skeleton):
     exact = [{"n": n, "m": dep - 1,
               "mu": zero_mass_closed_form(skeleton, n, dep - 1)}
              for n in levels if n <= dep - 2]
-    bounds = []
-    for n in levels:
-        lb = zero_mass_lower_bound(skeleton, n)
-        if lb is not None:
-            bounds.append({"n": n, "lower_bound": lb})
+    bounds = [{"n": n, "lower_bound": zero_mass_lower_bound(skeleton, n)}
+              for n in levels]
     wits = ([cross] if cross else []) + exact + bounds
     if len(bounds) < 2:
         return inconclusive(

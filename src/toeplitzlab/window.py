@@ -16,7 +16,6 @@ File formats:
 import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
-from .tower import KIND_LATTICE
 
 MAGIC = b"TPW1"
 
@@ -183,12 +182,13 @@ class SymbolWindow:
         if rows:
             elements, symbols = zip(*rows)
             vals[tower.index_of_arr(tower.array(elements), level)] = symbols
-        return SymbolWindow(level, vals, dims=_dims_for(tower, level))
+        return SymbolWindow(level, vals, dims=tower.shape(level))
 
     def to_pgm(self, path):
         vals = self.values_array()
         pixels = np.where(vals == 255, np.uint8(128),
                           np.where(vals == 1, np.uint8(255), np.uint8(0)))
+        # dims is the tower's shape of D_level: a 2-D one draws as its grid
         if self.dims and len(self.dims) == 2:
             height, width = self.dims
         else:
@@ -198,12 +198,6 @@ class SymbolWindow:
             fh.write(pixels.astype(np.uint8).tobytes())
 
 
-def _dims_for(tower, n):
-    if tower.kind == KIND_LATTICE and tower.dim == 2:
-        return tuple(ax.size(n) for ax in tower.axes)
-    return None
-
-
 def materialize_window(skeleton, n):
     """Build the D_n window; raises BudgetExceeded past the window cap."""
     if n < 0:
@@ -211,5 +205,5 @@ def materialize_window(skeleton, n):
     if n > skeleton.tower.depth:
         raise DepthExceeded(f"window level {n} exceeds tower depth")
     vals = window_values(skeleton, n)
-    return SymbolWindow(n, vals, dims=_dims_for(skeleton.tower, n))
+    return SymbolWindow(n, vals, dims=skeleton.tower.shape(n))
 

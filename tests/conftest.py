@@ -15,7 +15,6 @@ from toeplitzlab import (
     IntegerLatticeTower,
     IntegerLineTower,
     STYLE_CENTERED,
-    STYLE_NONNEG,
     build_skeleton,
     build_tower,
     preset_config,
@@ -24,7 +23,7 @@ from toeplitzlab import (
 IRREGULAR_INDICES = [15, 31, 63, 127, 255]
 
 
-def cyclic_generic(moduli, domains=None, style=STYLE_NONNEG):
+def cyclic_generic(moduli, domains=None):
     """Explicit-table model of the nonneg integer line on the given moduli.
 
     Lets tests exercise the generic code paths against line answers, and
@@ -42,7 +41,7 @@ def cyclic_generic(moduli, domains=None, style=STYLE_NONNEG):
         levels.append(lvl)
     if domains is None:
         domains = [list(range(s)) for s in sizes]
-    return GenericTower(levels, domains, style=style)
+    return GenericTower(levels, domains)
 
 
 def relabelled_cyclic(moduli, seed):

@@ -113,6 +113,14 @@ def test_analyze_density_json(capsys):
     assert obj["methods"]
 
 
+def test_analyze_density_rejects_a_negative_levels(capsys):
+    assert main(["analyze", "density", "--preset", "threeadic", "--depth",
+                 "4", "--levels", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: levels must be nonnegative, got -1\n"
+
+
 def test_analyze_density_json_honours_the_enum_budget(capsys):
     # |D_3| = 29295 is over a cap of 1000, so the routes stop at n = 2
     assert main(["analyze", "density", "--preset", "irregular-demo",
@@ -403,6 +411,20 @@ def test_broken_generic_tower_fails_without_traceback(tmp_path, capsys):
     assert results["decom"]["status"] == "Fail"
     assert results["j-recursion"]["status"] == "Fail"
     assert results["j-recursion"]["counterexample"]["recursive_only"] == [5]
+
+
+def test_a_generic_config_takes_no_style(tmp_path, capsys):
+    # its domains are explicit, so a style other than the default is refused
+    cfg = cyclic_generic([2, 2]).config().to_json()
+    assert cfg["style"] == "NonNegative"
+    cfg["style"] = "Centered"
+    path = tmp_path / "centered.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["tower", "validate", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a Generic tower's domains are explicit; style "
+                   "'Centered' does not apply\n")
 
 
 def _broken_tiling_config(tmp_path):

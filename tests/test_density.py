@@ -62,6 +62,13 @@ def test_l_series_tail_bound(irregular):
     assert s.tail_bound == Fraction(2, 255)
     with pytest.raises(Exception):
         L_series(irregular.tower, 5)
+    # the built terms past `terms` count exactly, even when they do not
+    # fall geometrically: t_1 = t_2 = 1/2 here, and the declared tail only
+    # bounds t_3, t_4, ... by 1/4, 1/8, ...
+    T = IntegerLineTower([15, 2, 2], tail={"kind": "geometric",
+                                           "ratio": [1, 2]})
+    assert L_series(T, 0).tail_bound == Fraction(1, 15) + Fraction(3, 2)
+    assert L_series(T, 2).tail_bound == Fraction(1)
 
 
 def test_exp_enclosure_brackets_exp():

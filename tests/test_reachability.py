@@ -11,8 +11,9 @@ count as reached with it; any other method is reached only when a reached
 body names it.  Imports do not count, so an export from `__init__` alone
 does not keep a definition alive.
 
-One array interface: a comparison of a tower's `kind` outside tower.py is
-allowed only at the sites named in KIND_SITES.
+One array interface: no comparison of a tower's `kind` appears outside
+tower.py; what depends on the kind (the shape of D_n, the essential facet's
+candidate shifts) is a tower method.
 
 One budget: no module reads the process environment, and only the functions
 named in BUDGET_PARAMS take a `budget`; everything else that needs the caps
@@ -29,8 +30,9 @@ SATURATION_SITES.
 
 No scalar loops where arrays do: no module calls `randrange` (a sampled
 draw reads the stream's words in bulk), and no loop iterates over a
-`domain_arr(...)`, directly or through a name bound to one, outside the
-sites named in SCALAR_LOOP_SITES.
+`domain_arr(...)`, directly or through a name bound to one or a function
+that returns one, or over a `range(...)` bounded by a level size, outside
+the sites named in SCALAR_LOOP_SITES.
 """
 
 import ast
@@ -49,12 +51,6 @@ ALLOWED = {
                 "benchmark round-trips windows through it",
     "index_of": "the benchmark's eval reads a window at an element's D_n "
                 "index through it",
-}
-
-KIND_SITES = {
-    ("periods", "_shift_candidates"): "essential's divisor shifts: on the "
-                                      "line, the divisors of |D_n| suffice",
-    ("window", "_dims_for"): "a 2-D lattice window has a picture shape",
 }
 
 TOWER_KINDS = {"IntegerLine", "IntegerLattice", "Generic"}
@@ -92,10 +88,10 @@ CATCH_SITES = {
 SCALAR_LOOP_SITES = {
     ("factor", "fiber_profile"): "names each coset in the profile it "
                                  "returns",
-    ("periods", "invariant_shift"): "essential's translates off the line: "
-                                    "each is one whole-mask comparison, and "
-                                    "the first that fixes both masks ends "
-                                    "the scan",
+    ("periods", "invariant_shift"): "essential's candidate shifts: each is "
+                                    "one whole-mask comparison, and the "
+                                    "first that fixes both masks ends the "
+                                    "scan",
     ("window", "SymbolWindow"): "to_csv writes one text row per cell",
 }
 
@@ -198,8 +194,8 @@ def kind_sites(src):
     return sorted(out)
 
 
-def test_kind_branches_only_at_the_named_sites():
-    assert kind_sites(SRC) == sorted(KIND_SITES)
+def test_no_kind_branches_outside_the_tower():
+    assert kind_sites(SRC) == []
 
 
 def _calls(node, attr):
@@ -338,73 +334,96 @@ def _is_domain_call(node):
             and node.func.attr == "domain_arr")
 
 
-def _iterates_domain(node, aliases):
+def _called(node):
+    """The name a call's function goes by, bare or as an attribute."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _is_size(node, sizes):
+    """node is a level size: a `size(...)` call, a name in `sizes` (bound
+    to one), or arithmetic on one."""
+    if isinstance(node, ast.BinOp):
+        return _is_size(node.left, sizes) or _is_size(node.right, sizes)
+    if isinstance(node, ast.Name):
+        return node.id in sizes
+    return isinstance(node, ast.Call) and _called(node) == "size"
+
+
+def _iterates_domain(node, aliases, sizes=frozenset()):
     """node, once unwrapped from zip/enumerate, `.elements(...)`,
-    `.tolist()` and subscripts, is a domain_arr call or a name bound to
-    one."""
+    `.tolist()` and subscripts, is a domain_arr call, a name bound to one,
+    or a `range(...)` bounded by a level size."""
     if isinstance(node, ast.Subscript):
-        return _iterates_domain(node.value, aliases)
+        return _iterates_domain(node.value, aliases, sizes)
     if isinstance(node, ast.Name):
         return node.id in aliases
     if not isinstance(node, ast.Call):
         return False
     if _is_domain_call(node):
         return True
-    func = node.func
-    if getattr(func, "id", getattr(func, "attr", None)) in (
-            "zip", "enumerate", "elements"):
-        return any(_iterates_domain(a, aliases) for a in node.args)
-    return (isinstance(func, ast.Attribute) and func.attr == "tolist"
-            and _iterates_domain(func.value, aliases))
+    if _called(node) == "range":
+        return any(_is_size(a, sizes) for a in node.args)
+    if _called(node) in ("zip", "enumerate", "elements"):
+        return any(_iterates_domain(a, aliases, sizes) for a in node.args)
+    return (isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"
+            and _iterates_domain(node.func.value, aliases, sizes))
 
 
-def _domain_aliases(top, returners):
-    """Names top binds to a domain_arr call, or to the domain (alone or
-    first of a tuple) that a module function in `returners` returns."""
-    out = set()
+def _bound_names(top, returners):
+    """(domains, sizes): the names top binds to a domain_arr call or to the
+    domain (alone or first of a tuple) that a function or method in
+    `returners` returns, and the names it binds to a level size."""
+    domains, sizes = set(), set()
     for node in ast.walk(top):
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
         for t in node.targets:
             if isinstance(t, ast.Name) and _is_domain_call(value):
-                out.add(t.id)
-            elif (isinstance(value, ast.Call)
-                  and getattr(value.func, "id", None) in returners):
+                domains.add(t.id)
+            elif isinstance(t, ast.Name) and _is_size(value, set()):
+                sizes.add(t.id)
+            elif isinstance(value, ast.Call) and _called(value) in returners:
                 first = t.elts[0] if isinstance(t, ast.Tuple) else t
                 if isinstance(first, ast.Name):
-                    out.add(first.id)
-    return out
+                    domains.add(first.id)
+    return domains, sizes
 
 
-def _domain_returners(body):
-    """Module functions that return a domain (as _iterates_domain reads
-    one), alone or first of a tuple."""
+def _domain_returners(bodies):
+    """Names of the functions and methods, in any of the modules, that
+    return a domain (as _iterates_domain reads one), alone or first of a
+    tuple."""
     out = set()
-    for top in body:
-        aliases = _domain_aliases(top, set())
-        for node in ast.walk(top):
-            if isinstance(node, ast.Return) and node.value is not None:
-                value = node.value
-                first = value.elts[0] if isinstance(value, ast.Tuple) else value
-                if _iterates_domain(first, aliases):
-                    out.add(top.name)
+    for body in bodies:
+        for fn in (node for top in body for node in ast.walk(top)
+                   if isinstance(node, ast.FunctionDef)):
+            aliases = _bound_names(fn, set())[0]
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Return) and node.value is not None:
+                    value = node.value
+                    first = (value.elts[0] if isinstance(value, ast.Tuple)
+                             else value)
+                    if _iterates_domain(first, aliases):
+                        out.add(fn.name)
     return out
 
 
 def scalar_loop_sites(src):
     """(module, top-level definition) of every loop or comprehension over a
-    domain, once per loop."""
+    domain or a level-size range, once per loop."""
     out = []
-    for path in sorted(src.glob("*.py")):
-        body = ast.parse(path.read_text(encoding="utf-8")).body
-        returners = _domain_returners(body)
+    paths = sorted(src.glob("*.py"))
+    bodies = [ast.parse(path.read_text(encoding="utf-8")).body
+              for path in paths]
+    returners = _domain_returners(bodies)
+    for path, body in zip(paths, bodies):
         for top in body:
-            aliases = _domain_aliases(top, returners)
+            aliases, sizes = _bound_names(top, returners)
             out += [(path.stem, getattr(top, "name", None))
                     for node in ast.walk(top)
                     if isinstance(node, (ast.For, ast.comprehension))
-                    and _iterates_domain(node.iter, aliases)]
+                    and _iterates_domain(node.iter, aliases, sizes)]
     return sorted(out)
 
 
@@ -432,15 +451,44 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
     (tmp_path / "cells.py").write_text(
         "def _chain_atoms(rng, size):\n"
         "    return rng.randrange(size)\n")
-    # a domain that a module helper returns is still a domain
+    # a domain that a tower method returns is still a domain
+    (tmp_path / "tower.py").write_text(
+        "class _ArrayForms:\n"
+        "    def shift_candidates(self, n):\n"
+        "        cands = self.domain_arr(n)\n"
+        "        return cands[1:], 'label'\n")
     (tmp_path / "periods.py").write_text(
-        "def _shift_candidates(T, n):\n"
-        "    cands = T.domain_arr(n)\n"
-        "    return cands[1:], 'label'\n"
         "def invariant_shift(T, n):\n"
-        "    cands, label = _shift_candidates(T, n)\n"
+        "    cands, label = T.shift_candidates(n)\n"
         "    for v in cands:\n"
         "        pass\n")
     assert scalar_loop_sites(tmp_path) == [
         ("periods", "invariant_shift"), *[("verify", "check_good_ds")] * 2]
     assert randrange_calls(tmp_path) == ["cells"]
+
+
+def test_the_guards_flag_the_old_line_branch_of_the_candidate_shifts(
+        tmp_path):
+    # per-eq's divisor shifts as a kind branch outside the tower, with a
+    # loop over every integer below |D_n|, and its caller's loop through
+    # the module helper
+    (tmp_path / "periods.py").write_text(
+        "def _shift_candidates(tower, n):\n"
+        "    T = tower\n"
+        "    size = T.size(n)\n"
+        "    if T.kind == KIND_LINE:\n"
+        "        cands = [d for d in range(1, size) if size % d == 0]\n"
+        "        return cands, f'{len(cands)} divisor shifts of {size}'\n"
+        "    cands = T.domain_arr(n)\n"
+        "    cands = cands[~T.eq_arr(cands, T.zero)]\n"
+        "    return cands, f'{len(cands)} nonzero translates'\n"
+        "def invariant_shift(tower, n, mask0, mask1):\n"
+        "    cands, label = _shift_candidates(tower, n)\n"
+        "    for v in cands:\n"
+        "        pass\n"
+        "def count(T, n):\n"
+        "    return sum(1 for g in range(T.size(n) - 1))\n")
+    assert kind_sites(tmp_path) == [("periods", "_shift_candidates")]
+    assert scalar_loop_sites(tmp_path) == [("periods", "_shift_candidates"),
+                                           ("periods", "count"),
+                                           ("periods", "invariant_shift")]

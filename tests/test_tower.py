@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import cyclic_generic
+from conftest import cyclic_generic, relabelled_cyclic, s3_by_z
 from toeplitzlab import (
     Budget,
     GenericTower,
@@ -22,6 +23,7 @@ from toeplitzlab import (
     STYLE_CENTERED,
     TowerConfig,
     build_tower,
+    preset_config,
     validate_tower,
 )
 
@@ -142,6 +144,58 @@ def test_generic_tower_nonstandard_reps():
     assert validate_tower(G).status == "Pass"
     with pytest.raises(NotInDomain):
         G.index_of(2, 1)
+
+
+def test_generic_reduce_takes_the_last_domain_element_of_a_coset():
+    # a broken D_1 holds both elements 0 and 2 of one mod-2 coset and no
+    # element of the other; the later of the two represents the coset
+    for d1, rep in (([0, 2], 2), ([2, 0], 0)):
+        G = cyclic_generic([2, 4], domains=[[0], d1, list(range(8))])
+        assert [G.reduce(g, 1) for g in (0, 2, 4, 6)] == [rep] * 4
+        assert G.reduce_arr(np.array([0, 2, 4, 6]), 1).tolist() == [rep] * 4
+        with pytest.raises(NotInDomain):
+            G.reduce(1, 1)
+        with pytest.raises(NotInDomain):
+            G.reduce_arr(np.array([4, 1]), 1)
+        res = validate_tower(G)
+        assert res.counterexample == {"level": 1, "element": d1[0],
+                                      "reason": "reduce does not fix D_n"}
+
+
+@pytest.mark.parametrize("build", [lambda: s3_by_z(5),
+                                   lambda: relabelled_cyclic([3] * 6, 1)[0]],
+                         ids=["s3_by_z5", "relabelled-3x6"])
+def test_generic_scalar_ops_read_the_array_tables(build):
+    G = build()
+    g = np.arange(G.size(G.depth))
+    for n in range(G.depth + 1):
+        assert [G.reduce(x, n) for x in g.tolist()] == \
+            G.reduce_arr(g, n).tolist()
+        assert [G.in_domain(x, n) for x in g.tolist()] == \
+            G.in_domain_arr(g, n).tolist()
+
+
+def test_line_shift_candidates_are_the_divisors_below_the_size():
+    # every divisor list up to 5000 at once, by a sieve
+    divisors = [[] for _ in range(5001)]
+    for d in range(1, 5001):
+        for m in range(d, 5001, d):
+            divisors[m].append(d)
+    assert IntegerLineTower([2]).shift_candidates(0) == (
+        [], "0 divisor shifts of 1")
+    for size in range(2, 5001):
+        want = divisors[size][:-1]
+        assert IntegerLineTower([size]).shift_candidates(1) == (
+            want, f"{len(want)} divisor shifts of {size}")
+    # irregular-demo's levels: a divisor of a product is a product of
+    # divisors of its factors
+    T = build_tower(preset_config("irregular-demo"))
+    for n in range(1, T.depth + 1):
+        parts = [[d for d in range(1, q + 1) if q % d == 0]
+                 for q in T.indices[:n]]
+        want = sorted({math.prod(c) for c in itertools.product(*parts)})[:-1]
+        assert T.shift_candidates(n) == (
+            want, f"{len(want)} divisor shifts of {T.size(n)}")
 
 
 def _one_level(op):
