@@ -23,7 +23,7 @@ parent_cell and containment_case, lives in tests/test_cells.py as the oracle
 both are compared against.
 
 Each Gamma_l-translate of J(l) carries at most one planted 1: translate_ones
-reads it off a window's 1-cells in one pass, and every level-l tag here, as
+reads it off a window's 1-cells chunk by chunk, and every level-l tag here, as
 well as the partitions check, is a lookup in that table.
 """
 
@@ -33,6 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthExceeded, DoubledOne
+from .skeleton import j_mask, j_set
+from .tower import domain_chunks
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -44,12 +46,9 @@ def tag_one(g):
 
 # -- classification of periodized points ---------------------------------
 
-_POINT_CHUNK = 1 << 18  # points of D_m per array pass of verify_refinement
-
-
 def translate_ones(skeleton, m, l):
     """The planted 1 of every translate gamma + J(l), gamma in Gamma_l cap
-    D_m, read from the 1-cells of the D_m window in one pass.
+    D_m, read from the 1-cells of the D_m window chunk by chunk.
 
     Each 1-cell x of D_m lies in the translate gamma + D_l with gamma =
     x - reduce(x, l) (the tiling axiom), and in gamma + J(l) when reduce(x, l)
@@ -62,15 +61,24 @@ def translate_ones(skeleton, m, l):
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
-    jl = skeleton.jset(l)
+    skeleton.budget.check_enum(T.size(l), f"J({l})")
     dtype = np.min_scalar_type(-T.size(l))
+    # the J(l) index of each element of D_l, -1 off J(l)
     jpos = np.full(T.size(l), -1, dtype=dtype)
-    jpos[T.index_of_arr(jl, l)] = np.arange(len(jl))
-    x = T.domain_arr(m)[vals == 1]
-    r = T.reduce_arr(x, l)
-    pick = jpos[T.index_of_arr(r, l)]
-    gamma = T.sub_arr(x, r)[pick >= 0]
-    pick = pick[pick >= 0]
+    count = 0
+    for start, g in domain_chunks(T, l):
+        inj = j_mask(T, g, l)
+        jpos[start:start + len(g)][inj] = count + np.arange(inj.sum())
+        count += inj.sum()
+    gammas, picks = [], []
+    for start, g in domain_chunks(T, m):
+        x = g[vals[start:start + len(g)] == 1]
+        r = T.reduce_arr(x, l)
+        pick = jpos[T.index_of_arr(r, l)]
+        gammas.append(T.sub_arr(x, r)[pick >= 0])
+        picks.append(pick[pick >= 0])
+    del jpos
+    gamma, pick = np.concatenate(gammas), np.concatenate(picks)
     key = T.index_of_arr(gamma, m)
     table = np.full(T.size(m), -1, dtype=dtype)
     table[key] = pick
@@ -119,7 +127,7 @@ def verify_refinement(skeleton, n, m):
 
     Classifies sigma^{-d} eta_m at levels n and n+1 for every d in D_m and
     checks that parent_cells maps the child cell to the parent it sees,
-    _POINT_CHUNK points at a time.  Returns (counterexample_or_None,
+    one chunk of D_m at a time.  Returns (counterexample_or_None,
     case_counts, points).
     """
     T = skeleton.tower
@@ -130,12 +138,10 @@ def verify_refinement(skeleton, n, m):
     ones_c = translate_ones(skeleton, m, n + 1)
     ones_p = translate_ones(skeleton, m, n)
     jn = skeleton.jset(n)
-    jn1 = skeleton.jset(n + 1)
+    jn1 = j_set(T, n + 1, skeleton.budget)  # read here alone: not cached
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
-    dom = T.domain_arr(m)
-    for start in range(0, len(dom), _POINT_CHUNK):
-        d_arr = dom[start:start + _POINT_CHUNK]
+    for start, d_arr in domain_chunks(T, m):
         w = T.reduce_arr(d_arr, n + 1)
         cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, w), m)]
         has_c = cidx >= 0
@@ -160,7 +166,7 @@ def verify_refinement(skeleton, n, m):
         counts["c2"] += int((~is0 & has_c).sum()) - exits
         counts["c3"] += exits
         counts[zero_col] += int(is0.sum())
-    return None, counts, len(dom)
+    return None, counts, T.size(m)
 
 
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")

@@ -21,7 +21,8 @@ import numpy as np
 
 from .budgets import Budget
 from .errors import DepthExceeded, EmptySlot, NotInDomain
-from .tower import TowerConfig, build_tower, element_keys
+from .tower import (TowerConfig, build_tower, domain_where, mark_repeats,
+                    sum_chunks)
 
 
 class _UndefinedType:
@@ -71,8 +72,7 @@ def j_set(tower, n, budget=Budget()):
     if n > tower.depth:
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     budget.check_enum(tower.size(n), f"J({n})")
-    g = tower.domain_arr(n)
-    return g[j_mask(tower, g, n)]
+    return domain_where(tower, n, lambda _, g: j_mask(tower, g, n))
 
 
 def j_set_recursive(tower, n, budget=Budget()):
@@ -80,8 +80,8 @@ def j_set_recursive(tower, n, budget=Budget()):
 
     Level 1 is the definitional base.  For n >= 2, J(n) is the union of
     gamma J(n-1) over nonidentity gamma in Gamma_{n-1} cap D_n, in the
-    enumeration order of D_n; on a broken tower the translates that leave
-    D_n come last.
+    enumeration order of D_n, an element once per translate reaching it; on
+    a broken tower the translates that leave D_n come last, sorted.
     """
     if n > tower.depth:
         raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
@@ -93,11 +93,21 @@ def j_set_recursive(tower, n, budget=Budget()):
     below = j_set_recursive(tower, n - 1, budget)
     sec = tower.section_arr(n - 1, n, budget)
     sec = sec[~tower.eq_arr(sec, tower.zero)]
-    out = tower.add_arr(np.expand_dims(sec, 1), np.expand_dims(below, 0))
-    out = out.reshape(-1, *out.shape[2:])
     budget.check_enum(tower.size(n), f"D_{n}")
-    keys, _ = element_keys(tower, out, n)
-    return out[np.argsort(keys, kind="stable")]
+    # D_n elements reached, D_n indices reached again, translates outside D_n
+    hit = np.zeros(tower.size(n), dtype=bool)
+    again, outside = [], []
+    for _, w in sum_chunks(tower, sec, below):
+        inside = tower.in_domain_arr(w, n)
+        keys = tower.index_of_arr(w[inside], n)
+        again += keys[mark_repeats(hit, keys)].tolist()
+        outside += tower.elements(w[~inside])
+    out = domain_where(tower, n, lambda start, g: hit[start:start + len(g)])
+    if again:
+        rank = np.searchsorted(np.flatnonzero(hit), again)
+        out = np.repeat(out, 1 + np.bincount(rank, minlength=len(out)), axis=0)
+    return (np.concatenate((out, tower.array(sorted(outside)))) if outside
+            else out)
 
 
 @dataclass(frozen=True)

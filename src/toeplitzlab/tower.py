@@ -21,10 +21,12 @@ Elements are plain ints (line), tuples of ints (lattice), or table indices
 A tower's interface is its array ops (domain_arr, section_arr, reduce_arr,
 in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
 elements: 1-D ints for the line and for Generic, (..., d) ints for the
-lattice.  Two more serve Gamma_n-periodic arrays: coset_index_arr is the D_n
-index of each element's coset representative, and shift_arr(vals, s, n)
-reads values over D_n at d + s for every d in D_n.  The kernels and checks
-use only these, so one implementation serves every kind.  The scalar ops
+lattice.  domain_arr(n, start, stop) is a slice of D_n, and whole-domain
+passes read D_n CHUNK elements at a time from domain_chunks.  Two more ops
+serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of each
+element's coset representative, and shift_arr(vals, s, n) reads values over
+D_n at d + s for every d in D_n.  The kernels and checks use only these, so
+one implementation serves every kind.  The scalar ops
 left are size, reduce, in_domain and index_of (plus lo on the line), which
 evaluating or locating one element needs; the reference the ops are
 compared against is the independent naive model in tests/bruteforce.py.
@@ -227,9 +229,11 @@ class IntegerLineTower(_ArrayForms):
         # int32 while reducing D_n one level up stays in range
         return np.int32 if self.N[min(n + 1, self.depth)] < 1 << 31 else np.int64
 
-    def domain_arr(self, n):
+    def domain_arr(self, n, start=0, stop=None):
+        """D_n in enumeration order, or its elements start..stop-1."""
         lo = self.lo(n)
-        return np.arange(lo, lo + self.N[n], dtype=self._arr_dtype(n))
+        stop = self.N[n] if stop is None else min(stop, self.N[n])
+        return np.arange(lo + start, lo + stop, dtype=self._arr_dtype(n))
 
     def section_arr(self, i, j, budget=Budget()):
         """Gamma_i intersected with D_j, in enumeration order."""
@@ -322,8 +326,12 @@ class IntegerLatticeTower(_ArrayForms):
         grids = np.meshgrid(*per_axis, indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.dim).astype(np.int64)
 
-    def domain_arr(self, n):
-        return self._grid([ax.domain_arr(n) for ax in self.axes])
+    def domain_arr(self, n, start=0, stop=None):
+        # the indices unravel in C order, as _grid's ij order
+        stop = self.size(n) if stop is None else min(stop, self.size(n))
+        idx = np.unravel_index(np.arange(start, stop), self.shape(n))
+        return np.stack([ax.lo(n) + i for ax, i in zip(self.axes, idx)],
+                        axis=-1)
 
     def section_arr(self, i, j, budget=Budget()):
         # the axes check the levels and the order of i and j
@@ -443,10 +451,12 @@ class GenericTower(_ArrayForms):
         # domains[0] is D_0 = {identity}; identity is table index 0 at depth
         if (not isinstance(domains, list) or len(domains) != self.depth + 1
                 or not all(isinstance(d, list) and _indices_below(d, prev)
-                           for d in domains)
+                           and len(d) <= size
+                           for d, size in zip(domains, self.sizes))
                 or domains[0] != [0]):
             raise InvalidIndex("domains must list D_0..D_depth as table "
-                               "indices, with D_0 = [0]")
+                               "indices, D_n at most [G : Gamma_n] of them, "
+                               "with D_0 = [0]")
         self.domains = [list(d) for d in domains]
         self.tail = _coerce_tail(tail)
         self.zero = 0
@@ -517,9 +527,9 @@ class GenericTower(_ArrayForms):
         self._chk(n)
         return self._pos[n][g] >= 0
 
-    def domain_arr(self, n):
+    def domain_arr(self, n, start=0, stop=None):
         self._chk(n)
-        return np.array(self.domains[n], dtype=np.int64)
+        return np.array(self.domains[n][start:stop], dtype=np.int64)
 
     def section_arr(self, i, j, budget=Budget()):
         self._chk(i)
@@ -640,31 +650,87 @@ def build_tower(config):
     raise InvalidIndex(f"unknown tower kind {config.kind!r}")
 
 
-def element_keys(tower, w, n):
-    """One int per element of w, equal exactly where the elements are: the
-    D_n index inside D_n, and |D_n| plus a rank among the distinct elements
-    outside it.  Also returns the inside mask."""
-    inside = tower.in_domain_arr(w, n)
-    if inside.all():
-        return tower.index_of_arr(w, n), inside
-    keys = np.empty(len(w), dtype=np.int64)
-    keys[inside] = tower.index_of_arr(w[inside], n)
-    _, rank = np.unique(w[~inside], axis=0, return_inverse=True)
-    keys[~inside] = tower.size(n) + rank.reshape(-1)
-    return keys, inside
+CHUNK = 1 << 16  # elements per array pass of a whole-domain sweep
 
 
-def _first_repeat(keys):
-    """Position of the first key equal to an earlier one."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    return int(order[1:][ordered[1:] == ordered[:-1]].min())
+def domain_chunks(tower, n):
+    """D_n in enumeration order as (start, elements) pieces: the elements
+    start..start+CHUNK-1, the last piece running to the end of D_n."""
+    size = tower.size(n)
+    for start in range(0, size, CHUNK):
+        stop = start + CHUNK
+        yield start, tower.domain_arr(n, start, stop if stop < size else None)
+
+
+def domain_where(tower, n, keep):
+    """The elements of D_n, in enumeration order, where the mask
+    keep(start, elements) holds on each piece of domain_chunks, copied into
+    one output."""
+    masks = [keep(start, g) for start, g in domain_chunks(tower, n)]
+    empty = tower.domain_arr(n, 0, 0)
+    out = np.empty_like(empty, shape=(sum(map(np.count_nonzero, masks)),
+                                      *empty.shape[1:]))
+    pos = 0
+    for (_, g), mask in zip(domain_chunks(tower, n), masks):
+        g = g[mask]
+        out[pos:pos + len(g)] = g
+        pos += len(g)
+    return out
+
+
+def sum_chunks(tower, a, b):
+    """The sums a[i] + b[k], i slowest, as (i0, sums) pieces of the whole
+    rows from i0 on, about CHUNK sums each."""
+    rows = max(1, CHUNK // max(1, len(b)))
+    for i in range(0, len(a), rows):
+        out = tower.add_arr(a[i:i + rows, None], b[None])
+        yield i, out.reshape(-1, *out.shape[2:])
+
+
+def mark_repeats(seen, keys):
+    """Which keys equal one that the mask `seen` holds or an earlier one in
+    keys; then marks them all seen."""
+    again = seen[keys]
+    if not (keys[1:] > keys[:-1]).all():  # else none repeats an earlier one
+        order = np.argsort(keys, kind="stable")
+        again[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+    seen[keys] = True
+    return again
+
+
+def _tiling_fault(tower, sec, dom_i, j):
+    """None when the |D_j| tiles sec + D_i cover D_j (none repeats or leaves
+    it), else (reason, element): the first tile, section-major, equal to an
+    earlier one, else the least by repr of the D_j elements no tile reaches
+    and the tiles outside D_j."""
+    seen = np.zeros(tower.size(j), dtype=bool)
+    outside = set()
+    for _, tiles in sum_chunks(tower, sec, dom_i):
+        inside = tower.in_domain_arr(tiles, j)
+        if inside.all():
+            again = mark_repeats(seen, tower.index_of_arr(tiles, j))
+        else:
+            again = np.zeros(len(tiles), dtype=bool)
+            again[inside] = mark_repeats(seen,
+                                         tower.index_of_arr(tiles[inside], j))
+            for p, g in zip(np.flatnonzero(~inside).tolist(),
+                            tower.elements(tiles[~inside])):
+                again[p] = g in outside
+                outside.add(g)
+        if again.any():
+            return "tiling overlaps", tower.element(tiles[again.argmax()])
+    if outside:
+        missed = [g[~seen[start:start + len(g)]]
+                  for start, g in domain_chunks(tower, j)]
+        return "tiling misses D_j", min(
+            tower.elements(np.concatenate(missed)) + list(outside), key=repr)
+    return None
 
 
 def validate_tower(tower, budget=Budget(), depth=None):
     """Check the nesting/tiling axioms on every level up to depth (default:
     the tower's), by enumeration where the level fits the enumeration
-    budget.
+    budget, CHUNK elements at a time.
 
     Each level is checked in the order: no repeats, size, identity, reduce
     fixes D_n, D_{n-1} <= D_n; each pair i < j: section size, then that the
@@ -686,31 +752,36 @@ def validate_tower(tower, budget=Budget(), depth=None):
     levels_in_budget = [n for n in range(top + 1) if sizes[n] <= budget.enum]
     scope = f"levels {levels_in_budget}"
     for n in levels_in_budget:
-        dom = tower.domain_arr(n)
-        keys, _ = element_keys(tower, dom, n)
-        if (np.bincount(keys) > 1).any():
-            return failed(name, scope,
-                          {"level": n, "reason": "repeated element in D_n"})
-        if len(dom) != sizes[n]:
+        count, has_zero, moved = 0, False, []
+        for start, g in domain_chunks(tower, n):
+            # the k-th element of D_n has D_n index k unless one repeats
+            if (tower.index_of_arr(g, n)
+                    != np.arange(start, start + len(g))).any():
+                return failed(name, scope,
+                              {"level": n, "reason": "repeated element in D_n"})
+            count += len(g)
+            has_zero = has_zero or tower.eq_arr(g, tower.zero).any()
+            # one representative per coset: reduce must fix the domain
+            moved += tower.elements(g[~tower.eq_arr(tower.reduce_arr(g, n), g)])
+        if count != sizes[n]:
             return failed(name, scope,
                           {"level": n, "reason": "domain size mismatch",
-                           "expected": sizes[n], "got": len(dom)})
-        if not tower.eq_arr(dom, tower.zero).any():
+                           "expected": sizes[n], "got": count})
+        if not has_zero:
             return failed(name, scope,
                           {"level": n, "reason": "identity missing from D_n"})
-        # one representative per coset: reduce must fix the domain pointwise
-        moved = ~tower.eq_arr(tower.reduce_arr(dom, n), dom)
-        if moved.any():
+        if moved:
             return failed(name, scope,
-                          {"level": n, "element": tower.element(dom[moved.argmax()]),
+                          {"level": n, "element": moved[0],
                            "reason": "reduce does not fix D_n"})
         if n > 0:
-            prev = tower.domain_arr(n - 1)
-            out = ~tower.in_domain_arr(prev, n)
-            if out.any():
+            out = tower.elements(np.concatenate(
+                [g[~tower.in_domain_arr(g, n)]
+                 for _, g in domain_chunks(tower, n - 1)]))
+            if out:
                 return failed(name, scope,
                               {"level": n, "reason": "domains not nested",
-                               "element": min(tower.elements(prev[out]), key=repr)})
+                               "element": min(out, key=repr)})
 
     scope = f"tilings up to level {top}"
     # sizes increase, so the levels in budget are 0..L and every pair in
@@ -723,21 +794,10 @@ def validate_tower(tower, budget=Budget(), depth=None):
                 return failed(name, scope,
                               {"pair": (i, j), "reason": "section size mismatch",
                                "expected": sizes[j] // sizes[i], "got": len(sec)})
-            # every v + u, v in the section, u in D_i, in section-major order
-            tiles = tower.add_arr(sec[:, None], dom_i[None])
-            tiles = tiles.reshape(-1, *tiles.shape[2:])
-            keys, inside = element_keys(tower, tiles, j)
-            counts = np.bincount(keys, minlength=sizes[j])
-            if (counts > 1).any():
-                return failed(name, scope,
-                              {"pair": (i, j), "reason": "tiling overlaps",
-                               "element": tower.element(tiles[_first_repeat(keys)])})
-            if not inside.all():
-                missed = tower.domain_arr(j)[counts[:sizes[j]] == 0]
-                diff = tower.elements(missed) + tower.elements(tiles[~inside])
-                return failed(name, scope,
-                              {"pair": (i, j), "reason": "tiling misses D_j",
-                               "element": min(diff, key=repr)})
+            fault = _tiling_fault(tower, sec, dom_i, j)
+            if fault is not None:
+                return failed(name, scope, {"pair": (i, j), "reason": fault[0],
+                                            "element": fault[1]})
             checked_pairs.append((i, j))
 
     return passed(name, f"levels 0..{top}, tilings {len(checked_pairs)} pairs, "

@@ -41,7 +41,8 @@ from .periods import partitions_c_check, per_eq_check
 from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
                      vacated)
 from .skeleton import j_mask, j_set, j_set_recursive, j_size
-from .tower import validate_tower
+from . import tower as _tower
+from .tower import domain_where, sum_chunks, validate_tower
 from .window import level_scan, per_masks, window_levels, window_values
 
 
@@ -70,8 +71,8 @@ def good_set(skeleton, n, m):
     as an element array."""
     T = skeleton.tower
     skeleton.budget.check_window(T.size(m), f"good set ({n},{m})")
-    g = T.domain_arr(m)
-    return g[T.eq_arr(T.reduce_arr(g, n + 1), T.zero) & j_mask(T, g, m, n + 1)]
+    return domain_where(T, m, lambda _, g: j_mask(T, g, m, n + 1)
+                        & T.eq_arr(T.reduce_arr(g, n + 1), T.zero))
 
 
 def good_bound(tower, n, m):
@@ -216,14 +217,13 @@ def check_good_relation(skeleton):
             return failed("good-relation", f"(n,m)=({n},{m})",
                           {"n": n, "m": m, "count": count, "bound": bound})
         v = T.domain_arr(n + 1)
-        w = T.add_arr(np.expand_dims(S, 1), np.expand_dims(v, 0))
-        w = w.reshape(-1, *w.shape[2:])
-        bad = ~(T.in_domain_arr(w, m) & j_mask(T, w, m, n + 1))
-        if bad.any():
-            i, j = divmod(int(bad.argmax()), len(v))
-            return failed(
-                "good-relation", f"(n,m)=({n},{m}) translate containment",
-                {"gamma": T.element(S[i]), "v": T.element(v[j])})
+        for i0, w in sum_chunks(T, S, v):
+            bad = ~(T.in_domain_arr(w, m) & j_mask(T, w, m, n + 1))
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), len(v))
+                return failed(
+                    "good-relation", f"(n,m)=({n},{m}) translate containment",
+                    {"gamma": T.element(S[i0 + i]), "v": T.element(v[j])})
         return {"n": n, "m": m, "count": count, "bound": bound}
 
     pairs = [(n, m) for n in range(1, dep - 1) for m in range(n + 2, dep + 1)]
@@ -316,8 +316,7 @@ def check_linking(skeleton):
         "linking-dependent statements are not testable here", wits)
 
 
-_GOOD_DS_FIRST = 16       # prefix of D_{n_k+1} good-ds scans first
-_GOOD_DS_CELLS = 1 << 16  # (w, e) pairs per good-ds broadcast
+_GOOD_DS_FIRST = 16  # prefix of D_{n_k+1} good-ds scans first
 
 
 def good_ds_witnesses(skeleton, nk):
@@ -339,7 +338,7 @@ def good_ds_witnesses(skeleton, nk):
     while lo < len(e_all):
         hi = min(hi, len(e_all))
         todo = np.flatnonzero(first < 0)
-        rows = max(1, _GOOD_DS_CELLS // (hi - lo))
+        rows = max(1, _tower.CHUNK // (hi - lo))  # (w, e) pairs per pass
         for s in range(0, len(todo), rows):
             r = todo[s:s + rows]
             g = T.sub_arr(np.expand_dims(e_all[lo:hi], 0),

@@ -2,7 +2,7 @@
 
 A window holds the array restricted to D_n as bit-packed values plus a
 defined-mask (cells past the constructed depth exist once n reaches the
-skeleton depth).  Windows are built by one level scan over the array of D_n,
+skeleton depth).  Windows are built by a level scan over each chunk of D_n,
 not cell-by-cell evaluation: one vectorized pass per level settles every cell
 that level decides, for every tower kind.
 
@@ -16,13 +16,15 @@ File formats:
 import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
+from .tower import domain_chunks
 
 MAGIC = b"TPW1"
 
 
-def level_scan(skeleton, g, values):
+def level_scan(skeleton, g, values, out=None):
     """Per element of the array g: its value (uint8, 255 undefined) when
-    `values` is true, else its level (int16, -1 past the built depth).
+    `values` is true, else its level (int16, -1 past the built depth),
+    written into `out` when given.
 
     This is eval and level_of over a whole array: level l settles every
     undecided element whose reduction mod Gamma_{l+1} lies in D_l.  The
@@ -31,10 +33,9 @@ def level_scan(skeleton, g, values):
     """
     T = skeleton.tower
     count = len(g)
-    if values:
-        out = np.full(count, 255, dtype=np.uint8)
-    else:
-        out = np.full(count, -1, dtype=np.int16)
+    if out is None:
+        out = np.empty(count, dtype=np.uint8 if values else np.int16)
+    out.fill(255 if values else -1)
     undec = np.ones(count, dtype=bool)
     r = np.empty_like(g)
     for l in range(skeleton.depth):
@@ -71,7 +72,11 @@ def _window(skeleton, n, values):
     key = ("vals" if values else "lvls", n)
     cache = skeleton._wincache
     if key not in cache:
-        cache[key] = level_scan(skeleton, T.domain_arr(n), values)
+        out = np.empty(T.size(n), dtype=np.uint8 if values else np.int16)
+        for start, g in domain_chunks(T, n):
+            level_scan(skeleton, g, values, out[start:start + len(g)])
+        # a broken Generic tower may list fewer elements than |D_n|
+        cache[key] = out[:start + len(g)]
     return cache[key]
 
 

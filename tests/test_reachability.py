@@ -30,9 +30,9 @@ SATURATION_SITES.
 
 No scalar loops where arrays do: no module calls `randrange` (a sampled
 draw reads the stream's words in bulk), and no loop iterates over a
-`domain_arr(...)`, directly or through a name bound to one or a function
-that returns one, or over a `range(...)` bounded by a level size, outside
-the sites named in SCALAR_LOOP_SITES.
+`domain_arr(...)`, directly or through a name bound to one, to a piece that
+`domain_chunks` yields or to what a function returns, or over a `range(...)`
+bounded by a level size, outside the sites named in SCALAR_LOOP_SITES.
 """
 
 import ast
@@ -92,6 +92,7 @@ SCALAR_LOOP_SITES = {
                                     "one whole-mask comparison, and the "
                                     "first that fixes both masks ends the "
                                     "scan",
+    ("tower", "domain_chunks"): "each chunk is one array pass",
     ("window", "SymbolWindow"): "to_csv writes one text row per cell",
 }
 
@@ -370,11 +371,19 @@ def _iterates_domain(node, aliases, sizes=frozenset()):
 
 
 def _bound_names(top, returners):
-    """(domains, sizes): the names top binds to a domain_arr call or to the
+    """(domains, sizes): the names top binds to a domain_arr call, to the
     domain (alone or first of a tuple) that a function or method in
-    `returners` returns, and the names it binds to a level size."""
+    `returners` returns, or to the elements of a piece of D_n in a loop
+    `for start, g in domain_chunks(...)`, and the names it binds to a level
+    size."""
     domains, sizes = set(), set()
     for node in ast.walk(top):
+        if (isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and _called(node.iter) == "domain_chunks"
+                and isinstance(node.target, ast.Tuple)
+                and isinstance(node.target.elts[-1], ast.Name)):
+            domains.add(node.target.elts[-1].id)
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
@@ -465,6 +474,21 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
     assert scalar_loop_sites(tmp_path) == [
         ("periods", "invariant_shift"), *[("verify", "check_good_ds")] * 2]
     assert randrange_calls(tmp_path) == ["cells"]
+
+
+def test_the_scalar_guard_sees_a_loop_over_a_chunk(tmp_path):
+    # the chunk loop itself is one array pass per piece; a loop over the
+    # elements of a piece is a scalar loop over the domain
+    (tmp_path / "window.py").write_text(
+        "def _window(skeleton, n, values):\n"
+        "    for start, g in domain_chunks(T, n):\n"
+        "        out[start:start + len(g)] = level_scan(skeleton, g, values)\n"
+        "def slow_window(skeleton, n):\n"
+        "    for _, g in domain_chunks(T, n):\n"
+        "        for x in g:\n"
+        "            skeleton.eval(x)\n"
+        "    return [v for _, h in domain_chunks(T, n) for v in h.tolist()]\n")
+    assert scalar_loop_sites(tmp_path) == [("window", "slow_window")] * 2
 
 
 def test_the_guards_flag_the_old_line_branch_of_the_candidate_shifts(

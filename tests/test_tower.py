@@ -240,6 +240,9 @@ def test_generic_tower_rejects_malformed_tables():
     with pytest.raises(InvalidIndex, match="^level 2 op table is not"):
         GenericTower(deep.levels, deep.domains)
     broken("domains must list", lambda lv, dm: dm.pop())
+    # D_1 names three of level 2's elements, more than its two cosets; the
+    # chunked passes size their outputs by [G : Gamma_n]
+    broken("at most", lambda lv, dm: dm.__setitem__(1, [0, 1, 2]))
     with pytest.raises(InvalidIndex):
         GenericTower(None, domains)
 
