@@ -33,8 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthExceeded, DoubledOne
-from .skeleton import j_mask, j_set
-from .tower import domain_chunks
+from .tower import CHUNK, domain_chunks
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -46,7 +45,7 @@ def tag_one(g):
 
 # -- classification of periodized points ---------------------------------
 
-def translate_ones(skeleton, m, l):
+def translate_ones(skeleton, m, l, jset=None):
     """The planted 1 of every translate gamma + J(l), gamma in Gamma_l cap
     D_m, read from the 1-cells of the D_m window chunk by chunk.
 
@@ -54,22 +53,23 @@ def translate_ones(skeleton, m, l):
     x - reduce(x, l) (the tiling axiom), and in gamma + J(l) when reduce(x, l)
     is in J(l).  Returns an array over D_m holding, at the D_m index of each
     such gamma, the J(l) index of its translate's 1, and -1 everywhere else.
-    Raises DepthExceeded on undecided cells, and DoubledOne when a translate
-    carries two 1s.
+    jset is J(l) as an element array, by default the skeleton's, which keeps
+    it unless l = m.  Raises DepthExceeded on undecided cells, and DoubledOne
+    when a translate carries two 1s.
     """
     T = skeleton.tower
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
     skeleton.budget.check_enum(T.size(l), f"J({l})")
+    if jset is None:
+        jset = skeleton.jset(l, keep=l < m)
     dtype = np.min_scalar_type(-T.size(l))
     # the J(l) index of each element of D_l, -1 off J(l)
     jpos = np.full(T.size(l), -1, dtype=dtype)
-    count = 0
-    for start, g in domain_chunks(T, l):
-        inj = j_mask(T, g, l)
-        jpos[start:start + len(g)][inj] = count + np.arange(inj.sum())
-        count += inj.sum()
+    for s in range(0, len(jset), CHUNK):
+        j = jset[s:s + CHUNK]
+        jpos[T.index_of_arr(j, l)] = np.arange(s, s + len(j))
     gammas, picks = [], []
     for start, g in domain_chunks(T, m):
         x = g[vals[start:start + len(g)] == 1]
@@ -122,23 +122,32 @@ def parent_cells(skeleton, r, w, one, u):
     return v, parent_one, g, one & ~is0 & ~match, is0
 
 
-def verify_refinement(skeleton, n, m):
+def verify_refinement(skeleton, n, m, tables=None):
     """Compare the symbolic parent rule against pointwise classification.
 
     Classifies sigma^{-d} eta_m at levels n and n+1 for every d in D_m and
     checks that parent_cells maps the child cell to the parent it sees,
-    one chunk of D_m at a time.  Returns (counterexample_or_None,
-    case_counts, points).
+    one chunk of D_m at a time.  Calls that pass one dict `tables` share
+    their translate_ones tables, keyed (m, l): each is built once, and a
+    call drops those it does not read, so at most two stay live.  Returns
+    (counterexample_or_None, case_counts, points).
     """
     T = skeleton.tower
     if skeleton.depth < m + 1:
         raise DepthExceeded(f"mu_{m} needs depth >= {m + 1}")
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
-    ones_c = translate_ones(skeleton, m, n + 1)
-    ones_p = translate_ones(skeleton, m, n)
+    tables = {} if tables is None else tables
+    for key in set(tables) - {(m, n + 1), (m, n)}:
+        del tables[key]
+    window_values(skeleton, m)  # its cap refuses the call before any J-set
+    # J(m) is as large as a table over D_m, so the skeleton does not keep it
+    jn1 = skeleton.jset(n + 1, keep=n + 1 < m)
     jn = skeleton.jset(n)
-    jn1 = j_set(T, n + 1, skeleton.budget)  # read here alone: not cached
+    for l, jset in ((n + 1, jn1), (n, jn)):
+        if (m, l) not in tables:
+            tables[m, l] = translate_ones(skeleton, m, l, jset)
+    ones_c, ones_p = tables[m, n + 1], tables[m, n]
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
     for start, d_arr in domain_chunks(T, m):

@@ -247,13 +247,18 @@ class IntegerLineTower(_ArrayForms):
         return np.arange(first, first + q, dtype=np.int64) * self.N[i]
 
     def reduce_arr(self, g, n, out=None):
-        self._chk(n)
-        m = self.N[n]
-        if self.style == STYLE_NONNEG:
-            return np.mod(g, m, out=out)
-        out = np.add(g, self.half[n], out=out)
-        np.mod(out, m, out=out)
-        return np.subtract(out, self.half[n], out=out)
+        # r = g - m * q with q = floor((g - lo) / m): numpy divides by the
+        # scalar m with a precomputed reciprocal, several times faster than
+        # np.mod.  q is formed in out, in out's dtype, unless out shares
+        # g's memory.  m * q lies in (g - lo - m, g - lo], as g - lo itself
+        # does, so a chunk of D_k stays exact in int32 while N[k+1] < 2**31
+        # (_arr_dtype)
+        lo, m = self.lo(n), self.N[n]
+        q = (np.empty_like(g) if out is None or np.may_share_memory(g, out)
+             else out)
+        np.floor_divide(np.subtract(g, lo, out=q, dtype=q.dtype), m, out=q)
+        np.multiply(q, m, out=q)
+        return np.subtract(g, q, out=q if out is None else out)
 
     def in_domain_arr(self, g, n):
         lo = self.lo(n)
@@ -267,8 +272,8 @@ class IntegerLineTower(_ArrayForms):
         return idx
 
     def coset_index_arr(self, g, n):
-        idx = np.subtract(g, self.lo(n), dtype=np.int64)
-        return np.mod(idx, self.N[n], out=idx)
+        idx = self.reduce_arr(g, n, out=np.empty(np.shape(g), dtype=np.int64))
+        return np.subtract(idx, self.lo(n), out=idx)
 
     def shift_arr(self, vals, s, n):
         return np.roll(vals, -int(s))

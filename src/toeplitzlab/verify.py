@@ -410,10 +410,11 @@ def check_u_in_y(skeleton):
 
 def check_containings(skeleton):
     dep = skeleton.depth
+    tables = {}  # the translate_ones tables consecutive units share
 
     def unit(n):
         m = min(n + 2, dep - 1)
-        cx, counts, pts = verify_refinement(skeleton, n, m)
+        cx, counts, pts = verify_refinement(skeleton, n, m, tables)
         if cx is not None:
             return failed("containings", f"n={n} m={m}", cx)
         return {"n": n, "m": m, "points": pts, "cases": counts,

@@ -100,3 +100,19 @@ def test_whole_domain_passes_peak_within_their_gates():
     sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
     peak = _peak_mib(lambda: materialize_window(sk, 4))
     assert peak < 16, f"the D_4 window peaked at {peak:.1f} MiB"
+
+
+def test_reduce_into_out_allocates_no_chunk():
+    # the quotient is formed in out: a CHUNK-element int32 temporary would
+    # be 256 KiB, and the D_10 window peaked at 0.733 MiB when np.mod made
+    # one per reduction
+    T = build_tower(preset_config("irregular-demo"))
+    g = T.domain_arr(4, 0, tower.CHUNK)
+    r = np.empty_like(g)
+    assert g.dtype == np.int32
+    for n in range(T.depth + 1):
+        peak = _peak_mib(lambda: T.reduce_arr(g, n, out=r))
+        assert peak * 1024 < 16, f"reduce to {n} peaked at {peak:.3f} MiB"
+    sk = build_skeleton(build_tower(preset_config("threeadic")), 10)
+    peak = _peak_mib(lambda: materialize_window(sk, 10))
+    assert peak < 0.75, f"the D_10 window peaked at {peak:.3f} MiB"

@@ -28,6 +28,10 @@ One saturation test: whether reduce(g, l+1) lies in D_l is asked, as an
 `in_domain_arr` call on a `reduce_arr` result, only at the sites named in
 SATURATION_SITES.
 
+One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
+`remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
+floor-quotient kernel in `IntegerLineTower.reduce_arr`.
+
 No scalar loops where arrays do: no module calls `randrange` (a sampled
 draw reads the stream's words in bulk), and no loop iterates over a
 `domain_arr(...)`, directly or through a name bound to one, to a piece that
@@ -516,3 +520,34 @@ def test_the_guards_flag_the_old_line_branch_of_the_candidate_shifts(
     assert scalar_loop_sites(tmp_path) == [("periods", "_shift_candidates"),
                                            ("periods", "count"),
                                            ("periods", "invariant_shift")]
+
+
+REMAINDERS = {"mod", "remainder", "fmod", "divmod"}
+
+
+def remainder_calls(src):
+    """(module, top-level definition) of every call of a numpy remainder
+    ufunc, `np.mod(...)` and the like, once per call."""
+    return sorted((path.stem, getattr(top, "name", None))
+                  for path in sorted(src.glob("*.py"))
+                  for top in ast.parse(path.read_text(encoding="utf-8")).body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in REMAINDERS
+                  and getattr(node.func.value, "id", None) in ("np", "numpy"))
+
+
+def test_no_remainder_path_beside_the_quotient_kernel(tmp_path):
+    assert remainder_calls(SRC) == []
+    # the line's reduce_arr before the floor-quotient kernel
+    (tmp_path / "tower.py").write_text(
+        "class IntegerLineTower:\n"
+        "    def reduce_arr(self, g, n, out=None):\n"
+        "        m = self.N[n]\n"
+        "        if self.style == STYLE_NONNEG:\n"
+        "            return np.mod(g, m, out=out)\n"
+        "        out = np.add(g, self.half[n], out=out)\n"
+        "        np.mod(out, m, out=out)\n"
+        "        return np.subtract(out, self.half[n], out=out)\n")
+    assert remainder_calls(tmp_path) == [("tower", "IntegerLineTower")] * 2

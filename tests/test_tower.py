@@ -71,6 +71,49 @@ def test_line_reduce_is_coset_retraction(g, n):
         assert (g - r) % T.size(n) == 0
         assert T.in_domain(r, n)
         assert T.reduce(r, n) == r
+        arr = np.array([g], dtype=np.int64)
+        assert T.reduce_arr(arr, n).tolist() == [r]
+        assert T.coset_index_arr(arr, n).tolist() == [(g - T.lo(n)) % T.size(n)]
+
+
+def _three_ways(op, g):
+    """op(g, out) with no out, a separate out and out aliasing g; an op
+    given an out returns it."""
+    out, alias = np.empty_like(g), g.copy()
+    got = [op(g.copy(), None), op(g, out), op(alias, alias)]
+    assert got[1] is out and got[2] is alias
+    return got
+
+
+@pytest.mark.parametrize("style", ["NonNegative", STYLE_CENTERED])
+def test_quotient_kernel_is_exact_at_the_int32_edge(style):
+    # N_2 = 2,147,395,599 < 2**31, so D_0..D_2 are int32; reducing the ends
+    # of D_2 to level 1 comes within 65k of 2**31
+    T = IntegerLineTower([46341, 46339], style=style)
+    for k in range(3):
+        size = T.size(k)
+        g = np.unique(np.concatenate((T.domain_arr(k, 0, 70000),
+                                      T.domain_arr(k, max(0, size - 70000)))))
+        assert g.dtype == np.int32
+        for n in range(3):
+            lo, m = T.lo(n), T.size(n)
+            want = [T.reduce(x, n) for x in g.tolist()]
+            for got in _three_ways(lambda a, out: T.reduce_arr(a, n, out=out),
+                                   g):
+                assert got.dtype == np.int32 and got.tolist() == want
+            idx = [(x - lo) % m for x in g.tolist()]
+            assert T.coset_index_arr(g, n).tolist() == idx
+
+
+def test_lattice_quotient_kernel_reads_strided_axis_views():
+    T = IntegerLatticeTower([[3, 5, 7], [5, 3, 9]], style=STYLE_CENTERED)
+    g = np.random.default_rng(0).integers(-10**12, 10**12, size=(2000, 2))
+    for n in range(4):
+        want = [T.reduce(x, n) for x in T.elements(g)]
+        for got in _three_ways(lambda a, out: T.reduce_arr(a, n, out=out), g):
+            assert T.elements(got) == want
+        idx = [T.index_of(x, n) for x in want]
+        assert T.coset_index_arr(g, n).tolist() == idx
 
 
 def test_sections_tile_the_domain():
