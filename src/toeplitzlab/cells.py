@@ -20,11 +20,17 @@ at once, on the cells' elements alone.  verify_refinement checks it against
 the classification of periodized points over whole domains, and the
 corollary-chain walk applies it once per level.  Its one-cell form,
 parent_cell and containment_case, lives in tests/test_cells.py as the oracle
-both are compared against.
+both are compared against, beside verify_refinement's pointwise form.
+
+The tilings split each d in D_m as gc + gp + v, with gc in Gamma_{n+1} cap
+D_m, gp in Gamma_n cap D_{n+1} and v in D_n.  sigma^{-d} eta_m shows the
+level-(n+1) cell (gp + v, the tag of the translate gc) and the level-n tag
+of the translate gc + gp, and the rule's verdict reads gamma = gp, never v:
+so one pair (gc, gp) decides all |D_n| of its points at once.
 
 Each Gamma_l-translate of J(l) carries at most one planted 1: translate_ones
-reads it off a window's 1-cells chunk by chunk, and every level-l tag here, as
-well as the partitions check, is a lookup in that table.
+reads them off a window's 1-cells into a table sorted by translate, and every
+level-l tag here, as well as the partitions check, is a lookup in it.
 """
 
 import random
@@ -33,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthExceeded, DoubledOne
-from .tower import CHUNK, domain_chunks
+from .tower import CHUNK, domain_chunks, sum_chunks
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -51,11 +57,11 @@ def translate_ones(skeleton, m, l, jset=None):
 
     Each 1-cell x of D_m lies in the translate gamma + D_l with gamma =
     x - reduce(x, l) (the tiling axiom), and in gamma + J(l) when reduce(x, l)
-    is in J(l).  Returns an array over D_m holding, at the D_m index of each
-    such gamma, the J(l) index of its translate's 1, and -1 everywhere else.
-    jset is J(l) as an element array, by default the skeleton's, which keeps
-    it unless l = m.  Raises DepthExceeded on undecided cells, and DoubledOne
-    when a translate carries two 1s.
+    is in J(l).  Returns the table (keys, picks): the sorted D_m indices of
+    the gammas whose translate carries a 1, and each one's J(l) index.  jset
+    is J(l) as an element array, by default the skeleton's, which keeps it
+    unless l = m.  Raises DepthExceeded on undecided cells, and DoubledOne
+    naming the least translate that carries two 1s.
     """
     T = skeleton.tower
     vals = window_values(skeleton, m)
@@ -80,13 +86,22 @@ def translate_ones(skeleton, m, l, jset=None):
     del jpos
     gamma, pick = np.concatenate(gammas), np.concatenate(picks)
     key = T.index_of_arr(gamma, m)
-    table = np.full(T.size(m), -1, dtype=dtype)
-    table[key] = pick
-    if (table >= 0).sum() < len(key):
-        keys, counts = np.unique(key, return_counts=True)
-        i = int((counts > 1).argmax())
-        raise DoubledOne(T.element(gamma[key == keys[i]][0]), int(counts[i]))
-    return table
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    again = np.flatnonzero(key[1:] == key[:-1])
+    if len(again):
+        i = int(again[0])  # the least repeated key, first in read order
+        raise DoubledOne(T.element(gamma[order[i]]),
+                         int(np.count_nonzero(key == key[i])))
+    return key, pick[order]
+
+
+def translate_picks(keys, picks, idx):
+    """The J(l) index of the 1 on each translate whose D_m index is in idx,
+    -1 where it carries none, from translate_ones' table (keys, picks)."""
+    pos = np.searchsorted(keys, idx)
+    hit = np.append(keys, -1)[pos] == idx  # -1 is no D_m index
+    return np.where(hit, np.append(picks, -1)[pos], -1)
 
 
 def classify_points(skeleton, m, l, d_arr):
@@ -96,7 +111,8 @@ def classify_points(skeleton, m, l, d_arr):
     T = skeleton.tower
     d_arr = T.array(d_arr)
     gamma = T.sub_arr(d_arr, T.reduce_arr(d_arr, l))
-    return translate_ones(skeleton, m, l)[T.coset_index_arr(gamma, m)]
+    return translate_picks(*translate_ones(skeleton, m, l),
+                           T.coset_index_arr(gamma, m))
 
 
 def parent_cells(skeleton, r, w, one, u):
@@ -123,14 +139,13 @@ def parent_cells(skeleton, r, w, one, u):
 
 
 def verify_refinement(skeleton, n, m, tables=None):
-    """Compare the symbolic parent rule against pointwise classification.
-
-    Classifies sigma^{-d} eta_m at levels n and n+1 for every d in D_m and
-    checks that parent_cells maps the child cell to the parent it sees,
-    one chunk of D_m at a time.  Calls that pass one dict `tables` share
-    their translate_ones tables, keyed (m, l): each is built once, and a
-    call drops those it does not read, so at most two stay live.  Returns
-    (counterexample_or_None, case_counts, points).
+    """Compare the symbolic parent rule against pointwise classification:
+    parent_cells must map the level-(n+1) cell sigma^{-d} eta_m shows to the
+    level-n cell it shows, for every d in D_m, one pair (gc, gp) at a time
+    (module docstring).  Calls that pass one dict `tables` share their
+    translate_ones tables, keyed (m, l).  Returns (counterexample_or_None,
+    case_counts, points): points is |D_m|, or on a Fail one more than the
+    D_m index of the first failing d, and the case counts are None.
     """
     T = skeleton.tower
     if skeleton.depth < m + 1:
@@ -138,44 +153,54 @@ def verify_refinement(skeleton, n, m, tables=None):
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
     tables = {} if tables is None else tables
-    for key in set(tables) - {(m, n + 1), (m, n)}:
-        del tables[key]
     window_values(skeleton, m)  # its cap refuses the call before any J-set
-    # J(m) is as large as a table over D_m, so the skeleton does not keep it
+    # J(m) is nearly as large as D_m, so the skeleton does not keep it
     jn1 = skeleton.jset(n + 1, keep=n + 1 < m)
     jn = skeleton.jset(n)
     for l, jset in ((n + 1, jn1), (n, jn)):
         if (m, l) not in tables:
             tables[m, l] = translate_ones(skeleton, m, l, jset)
-    ones_c, ones_p = tables[m, n + 1], tables[m, n]
+    gcs = T.section_arr(n + 1, m, skeleton.budget)
+    gps = T.section_arr(n, n + 1, skeleton.budget)
+    cidx_gc = translate_picks(*tables[m, n + 1], T.index_of_arr(gcs, m))
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
-    for start, d_arr in domain_chunks(T, m):
-        w = T.reduce_arr(d_arr, n + 1)
-        cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, w), m)]
+    fails = []
+    for i0, pair in sum_chunks(T, gcs, gps):
+        rows = len(pair) // len(gps)
+        cidx = np.repeat(cidx_gc[i0:i0 + rows], len(gps))
         has_c = cidx >= 0
         u = jn1[np.where(has_c, cidx, 0)]
-        v, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, w,
+        gp = gps[np.tile(np.arange(len(gps)), rows)]
+        _, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, gp,
                                                       has_c, u)
-        pidx = ones_p[T.coset_index_arr(T.sub_arr(d_arr, v), m)]
+        pidx = translate_picks(*tables[m, n], T.coset_index_arr(pair, m))
         act_one = pidx >= 0
         act_g = jn[np.where(act_one, pidx, 0)]
         bad = (exp_one != act_one) | (exp_one & act_one
                                       & ~T.eq_arr(exp_g, act_g))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            child = TAG_ZERO if cidx[i] < 0 else tag_one(T.element(u[i]))
-            return ({"d": T.element(d_arr[i]),
-                     "child": (T.element(w[i]), child),
-                     "expected_parent_one": bool(exp_one[i]),
-                     "actual_parent_one": bool(act_one[i])},
-                    counts, start + i + 1)
+        fails.append([a[bad] for a in (pair, has_c, u, exp_one, act_one)])
         exits = int(w_exit.sum())
         counts["c1"] += int((~is0 & ~has_c).sum())
         counts["c2"] += int((~is0 & has_c).sum()) - exits
         counts["c3"] += exits
         counts[zero_col] += int(is0.sum())
-    return None, counts, T.size(m)
+    pair, has_c, u, exp_one, act_one = map(np.concatenate, zip(*fails))
+    if not len(pair):
+        return None, {k: c * T.size(n) for k, c in counts.items()}, T.size(m)
+    # the first failing d: the least D_m index of pair + v, v in D_n
+    first, p = T.size(m), 0
+    for _, v in domain_chunks(T, n):
+        for i0, d in sum_chunks(T, pair, v):
+            idx = T.coset_index_arr(d, m)
+            if idx.min() < first:
+                first, p = int(idx.min()), i0 + int(idx.argmin()) // len(v)
+    d = T.domain_arr(m, first, first + 1)
+    child = tag_one(T.element(u[p])) if has_c[p] else TAG_ZERO
+    return ({"d": T.element(d[0]),
+             "child": (T.element(T.reduce_arr(d, n + 1)[0]), child),
+             "expected_parent_one": bool(exp_one[p]),
+             "actual_parent_one": bool(act_one[p])}, None, first + 1)
 
 
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")

@@ -133,7 +133,7 @@ def partitions_c_check(skeleton, k):
     T = skeleton.tower
     top = skeleton.depth - 1
     try:
-        ones = int((translate_ones(skeleton, top, k) >= 0).sum())
+        ones = len(translate_ones(skeleton, top, k)[0])
     except DoubledOne as exc:
         return failed("partitions-c", f"k={k}",
                       {"k": k, "gamma": exc.gamma, "ones": exc.ones})

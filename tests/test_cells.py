@@ -4,16 +4,20 @@ import copy
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from toeplitzlab import DepthExceeded, NotInDomain
-from toeplitzlab import cells, verify
+from conftest import relabelled_cyclic
+from toeplitzlab import (DepthExceeded, NotInDomain, build_skeleton,
+                         build_tower, preset_config)
+from toeplitzlab import cells, tower, verify
 from toeplitzlab.cells import (
     TAG_ZERO,
     _randrange_pairs,
     classify_points,
     corollary_chain,
     mu_zero_set,
+    parent_cells,
     tag_one,
     verify_refinement,
 )
@@ -93,6 +97,108 @@ def test_refinement_rules_hold(threeadic, centered6, oracle3):
     assert sum(counts2.values()) == 81
     cexc, _, _ = verify_refinement(centered6, 1, 3)
     assert cexc is None
+
+
+def pointwise_refinement(skeleton, n, m):
+    """verify_refinement one point d of D_m at a time, a chunk of D_m per
+    pass: each d's child cell and parent are read off its own reductions.
+    On a Fail the counts are those of the points before the failing chunk.
+    """
+    T = skeleton.tower
+    jn1, jn = skeleton.jset(n + 1, keep=n + 1 < m), skeleton.jset(n)
+    ones_c, ones_p = (np.full(T.size(m), -1) for _ in range(2))
+    for table, l in ((ones_c, n + 1), (ones_p, n)):
+        keys, picks = cells.translate_ones(skeleton, m, l)
+        table[keys] = picks
+    zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
+    counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
+    for start, d_arr in tower.domain_chunks(T, m):
+        w = T.reduce_arr(d_arr, n + 1)
+        cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, w), m)]
+        has_c = cidx >= 0
+        u = jn1[np.where(has_c, cidx, 0)]
+        v, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, w,
+                                                      has_c, u)
+        pidx = ones_p[T.coset_index_arr(T.sub_arr(d_arr, v), m)]
+        act_one = pidx >= 0
+        act_g = jn[np.where(act_one, pidx, 0)]
+        bad = (exp_one != act_one) | (exp_one & act_one
+                                      & ~T.eq_arr(exp_g, act_g))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            child = TAG_ZERO if cidx[i] < 0 else tag_one(T.element(u[i]))
+            return ({"d": T.element(d_arr[i]),
+                     "child": (T.element(w[i]), child),
+                     "expected_parent_one": bool(exp_one[i]),
+                     "actual_parent_one": bool(act_one[i])},
+                    counts, start + i + 1)
+        exits = int(w_exit.sum())
+        counts["c1"] += int((~is0 & ~has_c).sum())
+        counts["c2"] += int((~is0 & has_c).sum()) - exits
+        counts["c3"] += exits
+        counts[zero_col] += int(is0.sum())
+    return None, counts, T.size(m)
+
+
+_REFINED = {
+    "threeadic6": lambda request: build_skeleton(
+        build_tower(preset_config("threeadic")), 6),
+    "centered6": lambda request: request.getfixturevalue("centered6"),
+    "lattice": lambda request: request.getfixturevalue("lattice"),
+    "generic": lambda request: build_skeleton(
+        relabelled_cyclic([3] * 6, 1)[0], 6),
+    "s3_by_z5": lambda request: request.getfixturevalue("s3_by_z5"),
+}
+
+
+def _containings_units(skeleton):
+    """The (n, m) that containings checks."""
+    dep = skeleton.depth
+    return [(n, min(n + 2, dep - 1)) for n in range(1, dep - 1)]
+
+
+@pytest.mark.parametrize("name", sorted(_REFINED))
+def test_refinement_matches_the_pointwise_oracle(request, name):
+    sk = _REFINED[name](request)
+    units = _containings_units(sk)
+    assert units
+    for n, m in units:
+        got = verify_refinement(sk, n, m)
+        assert got == pointwise_refinement(sk, n, m), (n, m)
+        assert got[0] is None
+
+
+def _dropping_ones(l_drop):
+    """translate_ones with its level-l_drop tables emptied, as if no
+    translate carried a 1."""
+    honest = cells.translate_ones
+
+    def tampered(skeleton, m, l, jset=None):
+        keys, picks = honest(skeleton, m, l, jset)
+        return (keys[:0], picks[:0]) if l == l_drop else (keys, picks)
+    return tampered
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("side", ["parent", "child"])
+@pytest.mark.parametrize("name", ["threeadic6", "lattice", "generic",
+                                  "s3_by_z5"])
+def test_refinement_fail_names_the_oracles_first_point(request, monkeypatch,
+                                                       name, side, chunk):
+    sk = _REFINED[name](request)
+    n, m = _containings_units(sk)[0]
+    if chunk is not None:  # None: the default
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    monkeypatch.setattr(cells, "translate_ones",
+                        _dropping_ones(n if side == "parent" else n + 1))
+    cex, counts, points = verify_refinement(sk, n, m)
+    want = pointwise_refinement(sk, n, m)
+    assert cex is not None and counts is None
+    assert (cex, points) == (want[0], want[2])
+    res = run_check(sk, "containings")
+    assert res.status == "Fail"
+    assert res.scope == f"n={n} m={m}"
+    assert res.counterexample == cex
 
 
 # containings' case counts on irregular-demo, pinned before the rules moved

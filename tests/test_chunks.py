@@ -102,6 +102,16 @@ def test_whole_domain_passes_peak_within_their_gates():
     assert peak < 16, f"the D_4 window peaked at {peak:.1f} MiB"
 
 
+def test_translate_tables_peak_within_their_gates():
+    # in registry order, so containings finds the D_4 window partitions-c
+    # built; with dense |D_4|-entry translate tables and a pass over every
+    # point of D_m they peaked at 14.6 and 37.8 MiB
+    sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
+    for name, gate in (("partitions-c", 10), ("containings", 32)):
+        peak = _peak_mib(lambda: run_check(sk, name))
+        assert peak < gate, f"{name} peaked at {peak:.1f} MiB"
+
+
 def test_reduce_into_out_allocates_no_chunk():
     # the quotient is formed in out: a CHUNK-element int32 temporary would
     # be 256 KiB, and the D_10 window peaked at 0.733 MiB when np.mod made

@@ -5,13 +5,15 @@ import pytest
 
 from toeplitzlab import (
     CheckResult,
+    DoubledOne,
     invariant_shift,
     partitions_c_check,
     per_eq_check,
     per_masks,
     per_set,
 )
-from toeplitzlab.cells import classify_points
+from toeplitzlab.cells import classify_points, translate_ones
+from toeplitzlab.verify import run_check
 from toeplitzlab.window import window_values
 
 
@@ -131,6 +133,26 @@ def test_a_doubled_one_fails_partitions_c(threeadic, monkeypatch):
     assert res.counterexample == {"k": k, "gamma": gamma, "ones": 2}
     with pytest.raises(ArithmeticError):
         classify_points(sk, 9, k, [gamma])
+
+
+def test_doubled_one_names_the_least_doubled_translate(threeadic,
+                                                      monkeypatch):
+    # second 1s at 5, 7, 32 and 88 of the cached D_9 window double the
+    # J(1)-translates 3 and 30, and put three 1s in the J(2)-translate 0
+    # and two in 81; the pinned (gamma, ones) are those the dense-table
+    # code raised: the least doubled translate and its count
+    vals = window_values(threeadic, 9).copy()
+    assert vals[[4, 5, 7, 8, 31, 32, 85, 88]].tolist() == [1, 0, 0, 0,
+                                                           1, 0, 1, 0]
+    vals[[5, 7, 32, 88]] = 1
+    monkeypatch.setitem(threeadic._wincache, ("vals", 9), vals)
+    for k, gamma, ones in ((1, 3, 2), (2, 0, 3)):
+        with pytest.raises(DoubledOne) as exc:
+            translate_ones(threeadic, 9, k)
+        assert (exc.value.gamma, exc.value.ones) == (gamma, ones)
+    res = run_check(threeadic, "partitions-c")
+    assert (res.status, res.scope) == ("Fail", "k=1")
+    assert res.counterexample == {"k": 1, "gamma": 3, "ones": 2}
 
 
 def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):
