@@ -8,13 +8,14 @@ rational arithmetic.
 """
 
 from .budgets import Budget
-from .cells import (classify_points, corollary_chain, mu_zero_set,
-                    parent_cells, verify_refinement)
+from .cells import (corollary_chain, mu_zero_set, parent_cells,
+                    verify_refinement)
 from .density import (d_enumeration, d_product, d_recursion, density_methods,
                       exp_enclosure, L_series, regularity_verdict)
-from .errors import (BudgetExceeded, DepthExceeded, DoubledOne, EmptySlot,
-                     InconclusiveTail, InvalidIndex, NonAbelianUnsupported,
-                     NotInDomain, ParityError, UnknownCheck)
+from .errors import (BudgetExceeded, CountMismatch, DepthExceeded,
+                     DoubledOne, EmptySlot, InconclusiveTail, InvalidIndex,
+                     NonAbelianUnsupported, NotInDomain, ParityError,
+                     UnknownCheck)
 from .factor import FiberProfile, OdometerPoint, fiber_profile, pi_of_orbit
 from .measures import (PeriodicMeasure, a_counts, an_det_check, limit_01,
                        mu_cylinder, parse_pattern)

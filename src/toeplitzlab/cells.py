@@ -29,8 +29,9 @@ of the translate gc + gp, and the rule's verdict reads gamma = gp, never v:
 so one pair (gc, gp) decides all |D_n| of its points at once.
 
 Each Gamma_l-translate of J(l) carries at most one planted 1: translate_ones
-reads them off a window's 1-cells into a table sorted by translate, and every
-level-l tag here, as well as the partitions check, is a lookup in it.
+reads them off a window's 1-cells into a table sorted by translate that holds
+each 1's position in J(l) itself, and every level-l tag here, as well as the
+partitions check and mu_m(Z_n), is a lookup in it or its length.
 """
 
 import random
@@ -39,7 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthExceeded, DoubledOne
-from .tower import CHUNK, domain_chunks, sum_chunks
+from .skeleton import j_mask
+from .tower import domain_chunks, sum_chunks
 from .window import window_values
 
 TAG_ZERO = ("Zero",)
@@ -51,40 +53,30 @@ def tag_one(g):
 
 # -- classification of periodized points ---------------------------------
 
-def translate_ones(skeleton, m, l, jset=None):
+def translate_ones(skeleton, m, l):
     """The planted 1 of every translate gamma + J(l), gamma in Gamma_l cap
     D_m, read from the 1-cells of the D_m window chunk by chunk.
 
     Each 1-cell x of D_m lies in the translate gamma + D_l with gamma =
     x - reduce(x, l) (the tiling axiom), and in gamma + J(l) when reduce(x, l)
-    is in J(l).  Returns the table (keys, picks): the sorted D_m indices of
-    the gammas whose translate carries a 1, and each one's J(l) index.  jset
-    is J(l) as an element array, by default the skeleton's, which keeps it
-    unless l = m.  Raises DepthExceeded on undecided cells, and DoubledOne
-    naming the least translate that carries two 1s.
+    is in J(l).  Returns the table (keys, ones): the sorted D_m indices of
+    the gammas whose translate carries a 1, and each one's planted position
+    reduce(x, l), an element of J(l).  Raises DepthExceeded on undecided
+    cells, and DoubledOne naming the least translate that carries two 1s.
     """
     T = skeleton.tower
     vals = window_values(skeleton, m)
     if (vals == 255).any():
         raise DepthExceeded(f"mu_{m} region has undecided cells")
     skeleton.budget.check_enum(T.size(l), f"J({l})")
-    if jset is None:
-        jset = skeleton.jset(l, keep=l < m)
-    dtype = np.min_scalar_type(-T.size(l))
-    # the J(l) index of each element of D_l, -1 off J(l)
-    jpos = np.full(T.size(l), -1, dtype=dtype)
-    for s in range(0, len(jset), CHUNK):
-        j = jset[s:s + CHUNK]
-        jpos[T.index_of_arr(j, l)] = np.arange(s, s + len(j))
-    gammas, picks = [], []
+    gammas, ones = [], []
     for start, g in domain_chunks(T, m):
         x = g[vals[start:start + len(g)] == 1]
         r = T.reduce_arr(x, l)
-        pick = jpos[T.index_of_arr(r, l)]
-        gammas.append(T.sub_arr(x, r)[pick >= 0])
-        picks.append(pick[pick >= 0])
-    del jpos
-    gamma, pick = np.concatenate(gammas), np.concatenate(picks)
+        in_j = j_mask(T, r, l)
+        gammas.append(T.sub_arr(x[in_j], r[in_j]))
+        ones.append(r[in_j])
+    gamma, one = np.concatenate(gammas), np.concatenate(ones)
     key = T.index_of_arr(gamma, m)
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -93,26 +85,20 @@ def translate_ones(skeleton, m, l, jset=None):
         i = int(again[0])  # the least repeated key, first in read order
         raise DoubledOne(T.element(gamma[order[i]]),
                          int(np.count_nonzero(key == key[i])))
-    return key, pick[order]
+    return key, one[order]
 
 
-def translate_picks(keys, picks, idx):
-    """The J(l) index of the 1 on each translate whose D_m index is in idx,
-    -1 where it carries none, from translate_ones' table (keys, picks)."""
+def translate_picks(tower, keys, ones, idx):
+    """Which translates whose D_m index is in idx carry a 1, and the
+    position of that 1 (the identity where there is none), from
+    translate_ones' table (keys, ones)."""
     pos = np.searchsorted(keys, idx)
-    hit = np.append(keys, -1)[pos] == idx  # -1 is no D_m index
-    return np.where(hit, np.append(picks, -1)[pos], -1)
-
-
-def classify_points(skeleton, m, l, d_arr):
-    """Level-l tags of sigma^{-d} eta_m for each d in the element array d_arr:
-    -1 for Zero, else the index of the planted position in the ordered J(l).
-    A point's translate gamma is taken mod Gamma_m into D_m."""
-    T = skeleton.tower
-    d_arr = T.array(d_arr)
-    gamma = T.sub_arr(d_arr, T.reduce_arr(d_arr, l))
-    return translate_picks(*translate_ones(skeleton, m, l),
-                           T.coset_index_arr(gamma, m))
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == idx[hit]
+    position = np.full((len(idx),) + ones.shape[1:], tower.zero,
+                       dtype=ones.dtype)
+    position[hit] = ones[pos[hit]]
+    return hit, position
 
 
 def parent_cells(skeleton, r, w, one, u):
@@ -153,30 +139,25 @@ def verify_refinement(skeleton, n, m, tables=None):
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
     tables = {} if tables is None else tables
-    window_values(skeleton, m)  # its cap refuses the call before any J-set
-    # J(m) is nearly as large as D_m, so the skeleton does not keep it
-    jn1 = skeleton.jset(n + 1, keep=n + 1 < m)
-    jn = skeleton.jset(n)
-    for l, jset in ((n + 1, jn1), (n, jn)):
+    for l in (n + 1, n):
         if (m, l) not in tables:
-            tables[m, l] = translate_ones(skeleton, m, l, jset)
+            tables[m, l] = translate_ones(skeleton, m, l)
     gcs = T.section_arr(n + 1, m, skeleton.budget)
     gps = T.section_arr(n, n + 1, skeleton.budget)
-    cidx_gc = translate_picks(*tables[m, n + 1], T.index_of_arr(gcs, m))
+    has_gc, u_gc = translate_picks(T, *tables[m, n + 1],
+                                   T.index_of_arr(gcs, m))
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
     fails = []
     for i0, pair in sum_chunks(T, gcs, gps):
         rows = len(pair) // len(gps)
-        cidx = np.repeat(cidx_gc[i0:i0 + rows], len(gps))
-        has_c = cidx >= 0
-        u = jn1[np.where(has_c, cidx, 0)]
+        has_c = np.repeat(has_gc[i0:i0 + rows], len(gps))
+        u = np.repeat(u_gc[i0:i0 + rows], len(gps), axis=0)
         gp = gps[np.tile(np.arange(len(gps)), rows)]
         _, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, gp,
                                                       has_c, u)
-        pidx = translate_picks(*tables[m, n], T.coset_index_arr(pair, m))
-        act_one = pidx >= 0
-        act_g = jn[np.where(act_one, pidx, 0)]
+        act_one, act_g = translate_picks(T, *tables[m, n],
+                                         T.coset_index_arr(pair, m))
         bad = (exp_one != act_one) | (exp_one & act_one
                                       & ~T.eq_arr(exp_g, act_g))
         fails.append([a[bad] for a in (pair, has_c, u, exp_one, act_one)])
@@ -348,9 +329,9 @@ def _chain_result(skeleton, branch, zero_atom, one, atoms, n_j, n_s):
 
 def mu_zero_set(skeleton, n, m):
     """mu_m(Z_n): the share of D_m whose level-n tag is Zero.  The |D_n|
-    points of a translate gamma + D_n share gamma's tag, so the section
-    Gamma_n cap D_m stands for all of D_m."""
-    tags = classify_points(skeleton, m, n,
-                           skeleton.tower.section_arr(n, m, skeleton.budget))
-    return Fraction(int((tags < 0).sum()), len(tags))
-
+    points of a translate gamma + D_n share gamma's tag, so this is the
+    share of the section Gamma_n cap D_m whose translate carries no 1."""
+    T = skeleton.tower
+    translates = T.size(m) // T.size(n)
+    skeleton.budget.check_enum(translates, f"Gamma_{n} cap D_{m}")
+    return 1 - Fraction(len(translate_ones(skeleton, m, n)[0]), translates)

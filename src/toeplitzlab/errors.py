@@ -29,6 +29,15 @@ class DoubledOne(ArithmeticError):
         self.gamma, self.ones = gamma, ones
 
 
+class CountMismatch(ArithmeticError):
+    """A window count of (a_{n,0}, a_{n,1}) disagrees with the step log's."""
+
+    def __init__(self, level, log, count):
+        super().__init__(
+            f"a_counts mismatch at level {level}: log {log} vs count {count}")
+        self.level, self.log, self.count = level, log, count
+
+
 class BudgetExceeded(RuntimeError):
     """An enumeration or window materialization would exceed its cap."""
 

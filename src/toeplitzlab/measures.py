@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthExceeded, InconclusiveTail, NotInDomain
+from .errors import (CountMismatch, DepthExceeded, InconclusiveTail,
+                     NotInDomain)
 from .density import regularity_verdict, VERDICT_INCONCLUSIVE
 from .result import failed
 from .skeleton import j_size
@@ -21,7 +22,7 @@ def a_counts(skeleton, n):
     """(a_{n,0}, a_{n,1}): decided cosets of each symbol inside D_n.
 
     Computed from the step log; when |D_n| <= 2**16 an enumeration must
-    reproduce the same pair.
+    reproduce the same pair, else CountMismatch.
     """
     T = skeleton.tower
     if n > skeleton.depth:
@@ -39,8 +40,7 @@ def a_counts(skeleton, n):
     if T.size(n) <= 1 << 16:
         e0, e1 = (int(m.sum()) for m in per_masks(skeleton, n))
         if (e0, e1) != (a0, a1):
-            raise ArithmeticError(
-                f"a_counts mismatch at level {n}: log {(a0, a1)} vs count {(e0, e1)}")
+            raise CountMismatch(n, (a0, a1), (e0, e1))
     return a0, a1
 
 
@@ -158,8 +158,13 @@ def limit_01(skeleton, level=None):
 
 def an_det_check(skeleton, n):
     """det [[a0+j, a0+j-1], [a1, a1+1]] must equal |D_n| exactly.  A unit
-    body of verify's an-det: returns the level's witness, or a Fail."""
-    a0, a1 = a_counts(skeleton, n)
+    body of verify's an-det: returns the level's witness, or a Fail, also
+    where a window count of (a0, a1) disagrees with the step log's."""
+    try:
+        a0, a1 = a_counts(skeleton, n)
+    except CountMismatch as exc:
+        return failed("an-det", f"level {n}", {"level": n, "log": exc.log,
+                                               "count": exc.count})
     j = j_size(skeleton.tower, n)
     size = skeleton.tower.size(n)
     mat = ((a0 + j, a0 + j - 1), (a1, a1 + 1))

@@ -174,14 +174,11 @@ class ToeplitzSkeleton:
 
     # -- J-sets ---------------------------------------------------------
 
-    def jset(self, n, keep=True):
-        """J(n), cached; keep=False leaves a J(n) it computes uncached."""
-        if n in self._jcache:
-            return self._jcache[n]
-        out = j_set(self.tower, n, self.budget)
-        if keep:
-            self._jcache[n] = out
-        return out
+    def jset(self, n):
+        """J(n), cached."""
+        if n not in self._jcache:
+            self._jcache[n] = j_set(self.tower, n, self.budget)
+        return self._jcache[n]
 
     def _first_over(self, g_slot, k, n):
         """First element of J(n) cap g_slot Gamma_k in enumeration order.

@@ -244,7 +244,9 @@ class IntegerLineTower(_ArrayForms):
         q = self.N[j] // self.N[i]
         budget.check_enum(q, f"Gamma_{i} cap D_{j}")
         first = 0 if self.style == STYLE_NONNEG else -((q - 1) // 2)
-        return np.arange(first, first + q, dtype=np.int64) * self.N[i]
+        # elements of D_j, so in domain_arr(j)'s dtype
+        return np.arange(first * self.N[i], (first + q) * self.N[i],
+                         self.N[i], dtype=self._arr_dtype(j))
 
     def reduce_arr(self, g, n, out=None):
         # r = g - m * q with q = floor((g - lo) / m): numpy divides by the

@@ -14,11 +14,11 @@ from toeplitzlab import cells, tower, verify
 from toeplitzlab.cells import (
     TAG_ZERO,
     _randrange_pairs,
-    classify_points,
     corollary_chain,
     mu_zero_set,
     parent_cells,
     tag_one,
+    translate_ones,
     verify_refinement,
 )
 from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask, run_check
@@ -73,14 +73,14 @@ def containment_case(skeleton, cell, child_level):
     return "c2" if gamma_t == gamma else "c3"
 
 
-def test_classify_matches_reference(threeadic, oracle3):
+def test_translate_tables_match_reference(threeadic, oracle3):
+    # each point d of D_m reads the 1 of its translate d - reduce(d, l)
+    T = threeadic.tower
     for l, m in ((1, 3), (2, 4)):
-        T = threeadic.tower
-        dom = T.elements(T.domain_arr(m))
-        tags = classify_points(threeadic, m, l, dom)
-        jl = T.elements(threeadic.jset(l))
-        for d, idx in zip(dom, tags):
-            got = None if idx < 0 else jl[idx]
+        keys, ones = translate_ones(threeadic, m, l)
+        table = dict(zip(keys.tolist(), T.elements(ones)))
+        for d in T.elements(T.domain_arr(m)):
+            got = table.get(T.index_of(_sub(T, d, T.reduce(d, l)), m))
             _, want = oracle3.atom_tag(d, l, m)
             assert got == want, (d, l, m)
 
@@ -99,34 +99,41 @@ def test_refinement_rules_hold(threeadic, centered6, oracle3):
     assert cexc is None
 
 
+def _dense_lookup(skeleton, m, l):
+    """translate_ones' table spread over D_m: which translates carry a 1,
+    and its position, the identity where none does."""
+    T = skeleton.tower
+    keys, ones = cells.translate_ones(skeleton, m, l)
+    has = np.zeros(T.size(m), dtype=bool)
+    has[keys] = True
+    pos = np.repeat(T.array([T.zero]), T.size(m), axis=0)
+    pos[keys] = ones
+    return has, pos
+
+
 def pointwise_refinement(skeleton, n, m):
     """verify_refinement one point d of D_m at a time, a chunk of D_m per
     pass: each d's child cell and parent are read off its own reductions.
     On a Fail the counts are those of the points before the failing chunk.
     """
     T = skeleton.tower
-    jn1, jn = skeleton.jset(n + 1, keep=n + 1 < m), skeleton.jset(n)
-    ones_c, ones_p = (np.full(T.size(m), -1) for _ in range(2))
-    for table, l in ((ones_c, n + 1), (ones_p, n)):
-        keys, picks = cells.translate_ones(skeleton, m, l)
-        table[keys] = picks
+    has_c_at, u_at = _dense_lookup(skeleton, m, n + 1)
+    act_one_at, act_g_at = _dense_lookup(skeleton, m, n)
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
     for start, d_arr in tower.domain_chunks(T, m):
         w = T.reduce_arr(d_arr, n + 1)
-        cidx = ones_c[T.coset_index_arr(T.sub_arr(d_arr, w), m)]
-        has_c = cidx >= 0
-        u = jn1[np.where(has_c, cidx, 0)]
+        child_at = T.coset_index_arr(T.sub_arr(d_arr, w), m)
+        has_c, u = has_c_at[child_at], u_at[child_at]
         v, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, w,
                                                       has_c, u)
-        pidx = ones_p[T.coset_index_arr(T.sub_arr(d_arr, v), m)]
-        act_one = pidx >= 0
-        act_g = jn[np.where(act_one, pidx, 0)]
+        parent_at = T.coset_index_arr(T.sub_arr(d_arr, v), m)
+        act_one, act_g = act_one_at[parent_at], act_g_at[parent_at]
         bad = (exp_one != act_one) | (exp_one & act_one
                                       & ~T.eq_arr(exp_g, act_g))
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            child = TAG_ZERO if cidx[i] < 0 else tag_one(T.element(u[i]))
+            child = tag_one(T.element(u[i])) if has_c[i] else TAG_ZERO
             return ({"d": T.element(d_arr[i]),
                      "child": (T.element(w[i]), child),
                      "expected_parent_one": bool(exp_one[i]),
@@ -173,9 +180,9 @@ def _dropping_ones(l_drop):
     translate carried a 1."""
     honest = cells.translate_ones
 
-    def tampered(skeleton, m, l, jset=None):
-        keys, picks = honest(skeleton, m, l, jset)
-        return (keys[:0], picks[:0]) if l == l_drop else (keys, picks)
+    def tampered(skeleton, m, l):
+        keys, ones = honest(skeleton, m, l)
+        return (keys[:0], ones[:0]) if l == l_drop else (keys, ones)
     return tampered
 
 

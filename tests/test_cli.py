@@ -7,8 +7,8 @@ import pytest
 
 from conftest import cyclic_generic
 from toeplitzlab import (REGISTRY_NAMES, SymbolWindow, build_skeleton,
-                         density, materialize_window, measures, preset_config,
-                         run_check)
+                         cli, density, materialize_window, measures,
+                         preset_config, run_check, window_values)
 from toeplitzlab.cli import main
 
 
@@ -276,6 +276,57 @@ def test_a_scope_names_the_levels_that_ran_past_a_refused_one(capsys):
     assert capsys.readouterr().out == (
         "[        Pass] an-det: n in [4, 5], det equals |D_n|; "
         "over budget: [1, 2, 3]\n")
+
+
+# every row of threeadic depth 6 once the first 1 of its D_3 window reads 0
+_MISCOUNTED_ROWS = {
+    "registry": ("Pass", "15 checks + aliases ['j-sub']"),
+    "decom": ("Pass", "levels 0..6, tilings 21 pairs, enumerated where "
+                      "|D_j| <= 4194304"),
+    "j-recursion": ("Pass", "n in [1, 2, 3, 4, 5, 6]"),
+    "per-eq": ("Fail", "level 2, window level 3"),
+    "good-relation": ("Pass", "10 pairs, n+2 <= m <= 6"),
+    "good-patches": ("Pass", "boundary pairs [(1, 4)]"),
+    "t1t2": ("Pass", "boundary pairs [(1, 4)]"),
+    "partitions-c": ("Pass", "k in [1, 2, 3, 4]"),
+    "linking": ("Inconclusive", "completed blocks [0, 1]; condition fails on "
+                                "some blocks, so linking-dependent statements "
+                                "are not testable here"),
+    "good-ds": ("Pass", "n_k in [4], every w in D_{n_k-1} minus identity"),
+    "u-in-y": ("Vacated", "n_k in [1], reps over D_(n_k+2); linking fails on "
+                          "some blocks (observed outcomes in witnesses)"),
+    "containings": ("Pass", "pointwise parent rule, n up to 4"),
+    "z-identity": ("Pass", "zero steps m_k of blocks [0, 1]; chains [(1, 4)]"),
+    "an-det": ("Fail", "level 3"),
+    "uns-bound": ("Pass", "3 pairs, n in boundary levels, n+2 <= m <= 5"),
+    "measure-1-trend": ("Inconclusive", "certified bounds are not monotone "
+                                        "at this depth; the statement needs "
+                                        "deeper construction to witness"),
+}
+
+
+def test_a_miscounted_window_fails_an_det_and_prints_every_row(capsys,
+                                                               monkeypatch):
+    # the step log says a_3 = (9, 10), the flipped window counts (10, 9);
+    # an-det reports that as its Fail instead of ending the suite
+    sk = build_skeleton(preset_config("threeadic"), 6)
+    vals = window_values(sk, 3).copy()
+    vals[int((vals == 1).argmax())] = 0
+    monkeypatch.setitem(sk._wincache, ("vals", 3), vals)
+    monkeypatch.setattr(cli, "_skeleton", lambda args: sk)
+    argv = ["--preset", "threeadic", "--depth", "6"]
+    assert main(["verify", "all", *argv, "--json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert {r["name"]: (r["status"], r["scope"]) for r in rows} \
+        == _MISCOUNTED_ROWS
+    assert len(rows) == 16
+    assert rows[REGISTRY_NAMES.index("an-det") + 1]["counterexample"] == {
+        "level": 3, "log": [9, 10], "count": [10, 9]}
+    # the measures enclosure still has no verdict to give on it
+    assert main(["analyze", "measures", *argv, "--level", "3"]) == 1
+    assert capsys.readouterr().err == ("inconsistent: a_counts mismatch at "
+                                       "level 3: log (9, 10) vs count "
+                                       "(10, 9)\n")
 
 
 def test_single_check_under_a_user_cap_exits_0(capsys):

@@ -105,6 +105,27 @@ def test_quotient_kernel_is_exact_at_the_int32_edge(style):
             assert T.coset_index_arr(g, n).tolist() == idx
 
 
+@pytest.mark.parametrize("indices", [[46341, 46339], [46341, 46341]])
+@pytest.mark.parametrize("style", ["NonNegative", STYLE_CENTERED])
+def test_sections_are_exact_at_the_int32_edge(style, indices):
+    # a section comes in its D_j's dtype: int32 while N_2 = 2,147,395,599,
+    # int64 for j >= 1 once N_2 = 2,147,488,281 passes 2**31; its sums with
+    # D_i come out int64 and reach both ends of D_j
+    T = IntegerLineTower(indices, style=style)
+    for i, j in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2)):
+        sec = T.section_arr(i, j)
+        assert sec.dtype == T.domain_arr(j, 0, 1).dtype
+        q, step = T.size(j) // T.size(i), T.size(i)
+        first = 0 if style == "NonNegative" else -((q - 1) // 2)
+        assert sec.tolist() == [(first + k) * step for k in range(q)]
+        ends = T.add_arr(sec[[0, -1], None], np.concatenate(
+            (T.domain_arr(i, 0, 1), T.domain_arr(i, step - 1)))[None])
+        assert ends.dtype == np.int64
+        assert (ends.min(), ends.max()) == (T.lo(j), T.lo(j) + T.size(j) - 1)
+    assert T.section_arr(1, 2).dtype == (np.int32 if indices[1] == 46339
+                                         else np.int64)
+
+
 def test_lattice_quotient_kernel_reads_strided_axis_views():
     T = IntegerLatticeTower([[3, 5, 7], [5, 3, 9]], style=STYLE_CENTERED)
     g = np.random.default_rng(0).integers(-10**12, 10**12, size=(2000, 2))

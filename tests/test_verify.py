@@ -168,6 +168,23 @@ def test_containings_degrades_honestly(threeadic):
     assert [(w["m"], w["points"]) for w in res.witnesses] == [(3, 27), (4, 81)]
 
 
+def test_containings_builds_no_j_set(monkeypatch):
+    # its translate tables hold each 1's position, so no unit asks for a
+    # J-set, though the construction cached only J(0) and J(1); in a suite
+    # it runs after J(1..3) are cached, and J(4) never is
+    from toeplitzlab import skeleton
+    irr = build_skeleton(preset_config("irregular-demo"), 5)
+    built, honest = [], skeleton.j_set
+
+    def recording(tower, n, budget=Budget()):
+        built.append(n)
+        return honest(tower, n, budget)
+
+    monkeypatch.setattr(skeleton, "j_set", recording)
+    assert run_check(irr, "containings").status == "Pass"
+    assert built == [] and sorted(irr._jcache) == [0, 1]
+
+
 def test_uns_bound_witnesses_strict(threeadic):
     res = run_check(threeadic, "uns-bound")
     assert res.status == "Pass"
