@@ -106,7 +106,7 @@ def fiber_profile(skeleton, n):
     for start in range(0, len(lifts), rows):
         g = T.add_arr(np.expand_dims(lifts[start:start + rows], 1),
                       np.expand_dims(dom_n, 0))
-        vals = level_scan(skeleton, g.reshape(-1, *g.shape[2:]), values=True)
+        vals = level_scan(skeleton, g.reshape(-1, *g.shape[2:]))
         windows.append(vals.reshape(-1, len(dom_n)))
     windows = np.concatenate(windows)
     coset = T.coset_index_arr(lifts, n)

@@ -71,7 +71,7 @@ def invariant_shift(tower, n, mask0, mask1):
 
 
 def per_eq_check(skeleton, n):
-    """Per(n, .) from the level scan and from the step log must coincide, the
+    """Per(n, .) from the windows and from the step log must coincide, the
     D_{n+1} window must show the right symbol on every translate of every
     per-cell, and no subgroup strictly between Gamma_n and G may fix the
     per-sets.  |D_n|, the essential facet's |D_n| cells per candidate shift

@@ -141,7 +141,7 @@ class ToeplitzSkeleton:
         self.depth = depth
         self.budget = budget
         self._jcache = {}
-        self._wincache = {}  # window.py's level scans over D_n
+        self._wincache = {}  # window.py's windows over D_n
 
         # block boundaries: m_k = 1 + k + sum of |J(i)| for i <= k
         self.m_of = [1]

@@ -22,14 +22,16 @@ A tower's interface is its array ops (domain_arr, section_arr, reduce_arr,
 in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
 elements: 1-D ints for the line and for Generic, (..., d) ints for the
 lattice.  domain_arr(n, start, stop) is a slice of D_n, and whole-domain
-passes read D_n CHUNK elements at a time from domain_chunks.  Two more ops
-serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of each
-element's coset representative, and shift_arr(vals, s, n) reads values over
-D_n at d + s for every d in D_n.  The kernels and checks use only these, so
-one implementation serves every kind.  The scalar ops
-left are size, reduce, in_domain and index_of (plus lo on the line), which
-evaluating or locating one element needs; the reference the ops are
-compared against is the independent naive model in tests/bruteforce.py.
+passes read D_n CHUNK elements at a time from domain_chunks.  Three more
+ops serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of each
+element's coset representative, shift_arr(vals, s, n) reads values over
+D_n at d + s for every d in D_n, and extend_arr(vals, l) reads values over
+D_l as a function of the Gamma_l-coset over all of D_{l+1}.  The kernels
+and checks use only these, so one implementation serves every kind.  The
+scalar ops left are size, reduce, in_domain and index_of (plus lo on the
+line), which evaluating or locating one element needs; the reference the
+ops are compared against is the independent naive model in
+tests/bruteforce.py.
 What depends on the kind beyond that is asked of the tower too: shape(n),
 the axis sizes of D_n, and shift_candidates(n), the translates per-eq's
 essential facet tries.  No module outside this one branches on the kind.
@@ -143,6 +145,17 @@ class _ArrayForms:
         cands = self.domain_arr(n)
         cands = cands[~self.eq_arr(cands, self.zero)]
         return cands, f"{len(cands)} nonzero translates"
+
+    def extend_arr(self, vals, l):
+        """vals over D_l, read as a function of the Gamma_l-coset, over
+        D_{l+1}: a gather at each coset index."""
+        out = np.empty(self.size(l + 1), dtype=vals.dtype)
+        stop = 0
+        for start, g in domain_chunks(self, l + 1):
+            stop = start + len(g)
+            out[start:stop] = vals[self.coset_index_arr(g, l)]
+        # a broken Generic tower may list fewer elements than |D_{l+1}|
+        return out[:stop]
 
     def add_arr(self, a, b):
         return np.add(a, b, dtype=np.int64)
@@ -280,6 +293,12 @@ class IntegerLineTower(_ArrayForms):
     def shift_arr(self, vals, s, n):
         return np.roll(vals, -int(s))
 
+    def extend_arr(self, vals, l):
+        # D_{l+1}'s k-th element lo(l+1) + k lies in the coset of D_l's
+        # k mod N_l-th, as lo(l+1) = lo(l) mod N_l: both are 0, or, with
+        # every N odd, lo(l) - lo(l+1) = N_l (N_{l+1} / N_l - 1) / 2
+        return np.tile(vals, self.size(l + 1) // self.size(l))
+
     def shift_candidates(self, n):
         """The divisors of |D_n| below it, ascending: shifts by them
         generate every subgroup of Z/|D_n|, so they suffice."""
@@ -379,6 +398,11 @@ class IntegerLatticeTower(_ArrayForms):
         grid = vals.reshape(self.shape(n))
         shifts = tuple(-int(c) for c in s)
         return np.roll(grid, shifts, axis=tuple(range(self.dim))).reshape(-1)
+
+    def extend_arr(self, vals, l):
+        # the line's tiling, per axis of the D_l grid
+        reps = tuple(ax.size(l + 1) // ax.size(l) for ax in self.axes)
+        return np.tile(vals.reshape(self.shape(l)), reps).reshape(-1)
 
     def eq_arr(self, a, b):
         return np.equal(a, b).all(axis=-1)

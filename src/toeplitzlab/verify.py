@@ -16,8 +16,9 @@ check into its status (any other error propagates):
 
   NonAbelianUnsupported   Inconclusive, "unsupported on this tower: ..."
   BudgetExceeded          Inconclusive, "over budget: ..."
-  NotInDomain or          Vacated, "tower axioms fail (decom): ...", with
-  ArithmeticError         decom's counterexample, when decom refutes the tower
+  NotInDomain,            Vacated, "tower axioms fail (decom): ...", with
+  DepthExceeded or        decom's counterexample, when decom refutes the
+  ArithmeticError         tower
 
 Every check reports its exhaustive range in `scope`; a quantifier over all n
 always becomes "all n in the computed range" and is never extrapolated.  A
@@ -84,7 +85,7 @@ def good_bound(tower, n, m):
 
 def _eval_arr(skeleton, g):
     """eval over the element array g; every probe must be defined."""
-    vals = level_scan(skeleton, g, values=True)
+    vals = level_scan(skeleton, g)
     if (vals == 255).any():
         raise DepthExceeded("a probe is undefined; increase depth")
     return vals
@@ -614,7 +615,7 @@ def run_check(skeleton, name):
         res = inconclusive(name, f"unsupported on this tower: {exc}")
     except BudgetExceeded as exc:
         res = inconclusive(name, f"over budget: {exc}")
-    except (NotInDomain, ArithmeticError) as exc:
+    except (NotInDomain, DepthExceeded, ArithmeticError) as exc:
         # a check may lean on the tower axioms; once decom refutes them,
         # its breaking on them is not a finding of its own
         decom = None if canonical == "decom" else check_decom(skeleton)

@@ -2,9 +2,11 @@
 
 A window holds the array restricted to D_n as bit-packed values plus a
 defined-mask (cells past the constructed depth exist once n reaches the
-skeleton depth).  Windows are built by a level scan over each chunk of D_n,
-not cell-by-cell evaluation: one vectorized pass per level settles every cell
-that level decides, for every tower kind.
+skeleton depth).  Windows are built the way the construction defines the
+array, not cell by cell: the array over D_l extends to D_{l+1} as a function
+of the Gamma_l-coset, then level l settles the blank cells of D_l, so each
+cell is written about once and the line does no division.  level_scan is
+eval over an array that is not a domain.
 
 File formats:
   csv   one row per cell: coordinates, then 0/1 or ? for undefined
@@ -16,39 +18,31 @@ File formats:
 import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
+from . import tower as _tower
 from .tower import domain_chunks
 
 MAGIC = b"TPW1"
 
 
-def level_scan(skeleton, g, values, out=None):
-    """Per element of the array g: its value (uint8, 255 undefined) when
-    `values` is true, else its level (int16, -1 past the built depth),
-    written into `out` when given.
+def level_scan(skeleton, g):
+    """eval over the element array g: per element its value, uint8 with
+    255 past the built depth.
 
-    This is eval and level_of over a whole array: level l settles every
-    undecided element whose reduction mod Gamma_{l+1} lies in D_l.  The
-    reductions reuse one buffer, so no per-cell temporary grows with the
-    number of levels.
+    Level l settles every undecided element whose reduction mod
+    Gamma_{l+1} lies in D_l.  The reductions reuse one buffer, so no
+    per-cell temporary grows with the number of levels.  It serves arrays
+    that are not a domain; a window over D_n is built by _build.
     """
     T = skeleton.tower
-    count = len(g)
-    if out is None:
-        out = np.empty(count, dtype=np.uint8 if values else np.int16)
-    out.fill(255 if values else -1)
-    undec = np.ones(count, dtype=bool)
+    out = np.full(len(g), 255, dtype=np.uint8)
+    undec = np.ones(len(g), dtype=bool)
     r = np.empty_like(g)
     for l in range(skeleton.depth):
         T.reduce_arr(g, l + 1, out=r)
         cells = T.in_domain_arr(r, l)
         np.logical_and(cells, undec, out=cells)
         kind = skeleton.steps[l]
-        if not values:
-            out[cells] = l
-        elif kind[0] == "zero":
-            out[cells] = 0
-        else:
-            out[cells] = T.eq_arr(r[cells], kind[1])
+        out[cells] = 0 if kind[0] == "zero" else T.eq_arr(r[cells], kind[1])
         np.logical_not(cells, out=cells)
         undec &= cells
         if not undec.any():
@@ -72,12 +66,57 @@ def _window(skeleton, n, values):
     key = ("vals" if values else "lvls", n)
     cache = skeleton._wincache
     if key not in cache:
-        out = np.empty(T.size(n), dtype=np.uint8 if values else np.int16)
-        for start, g in domain_chunks(T, n):
-            level_scan(skeleton, g, values, out[start:start + len(g)])
-        # a broken Generic tower may list fewer elements than |D_n|
-        cache[key] = out[:start + len(g)]
+        cache[key] = _build(skeleton, n, values)
     return cache[key]
+
+
+def _build(skeleton, n, values):
+    """The values (or levels) over D_n, level by level from D_0.
+
+    Levels below l decide a Gamma_l-periodic pattern, so the array over D_l
+    extends to D_{l+1} as a function of the Gamma_l-coset.  On D_{l+1}
+    every g is its own reduction mod Gamma_{l+1}, so level l then settles
+    the blank cells of D_l and no other; level n settles the rest of D_n
+    last.  Each cell is written about once, and levels at or past the
+    skeleton's depth only extend.
+    """
+    T = skeleton.tower
+    settles_n = n < skeleton.depth
+    if values:
+        blank = 255
+    else:
+        # a blank cell carries the level that settles it last, so the map
+        # needs no pass at level n
+        blank = n if settles_n else -1
+    out = np.full(1, blank, dtype=np.uint8 if values else np.int16)
+    for l in range(n):
+        out = T.extend_arr(out, l)
+        if l >= skeleton.depth:
+            continue
+        one = _blank_plant(skeleton, out, l, l + 1, blank) if values else None
+        for _, g in domain_chunks(T, l):
+            p = T.index_of_arr(g, l + 1)
+            out[p[out[p] == blank]] = 0 if values else l
+        if one is not None:
+            out[one] = 1
+    if values and settles_n:
+        one = _blank_plant(skeleton, out, n, n, blank)
+        # a settled cell holds 0 or 1, so this turns each blank to 0 and
+        # keeps the rest, in place
+        np.equal(out, 1, out=out.view(np.bool_))
+        if one is not None:
+            out[one] = 1
+    return out
+
+
+def _blank_plant(skeleton, out, l, m, blank):
+    """The position in out, an array over D_m, of the cell h that step l
+    plants, while that cell is blank; else None."""
+    kind = skeleton.steps[l]
+    if kind[0] != "plant":
+        return None
+    i = skeleton.tower.index_of(kind[1], m)
+    return i if out[i] == blank else None
 
 
 def window_values(skeleton, n):
@@ -96,9 +135,16 @@ class SymbolWindow:
     def __init__(self, level, values_u8, dims=None):
         self.level = level
         self.n_cells = int(values_u8.shape[0])
-        defined = values_u8 != 255
-        self.bits = np.packbits(values_u8 == 1, bitorder="little")
-        self.mask = np.packbits(defined, bitorder="little")
+        nbytes = (self.n_cells + 7) // 8
+        self.bits = np.empty(nbytes, dtype=np.uint8)
+        self.mask = np.empty(nbytes, dtype=np.uint8)
+        # in pieces of CHUNK cells rounded up to whole bytes
+        step = -(-_tower.CHUNK // 8) * 8
+        for start in range(0, self.n_cells, step):
+            vals = values_u8[start:start + step]
+            out = slice(start // 8, (start + len(vals) + 7) // 8)
+            self.bits[out] = np.packbits(vals == 1, bitorder="little")
+            self.mask[out] = np.packbits(vals != 255, bitorder="little")
         self.dims = dims
 
     def values_array(self):

@@ -19,6 +19,7 @@ from toeplitzlab import (IntegerLatticeTower, build_skeleton, build_tower,
                          j_set, j_set_recursive, materialize_window,
                          preset_config, tower)
 from toeplitzlab.verify import run_all, run_check
+from toeplitzlab.window import window_levels
 
 INSTANCES = {
     # |D_3| = 29,295: 30 chunks of 1000
@@ -92,14 +93,18 @@ def _peak_mib(fn):
 
 def test_whole_domain_passes_peak_within_their_gates():
     # before the passes streamed, decom peaked at 142 MiB, j-recursion at
-    # 116, containings at 77 and the D_4 window at 54.7
+    # 116, containings at 77 and the D_4 window at 54.7; the window then
+    # peaked at 11.1 while a level scan built it and it packed whole
     sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
     for name in ("decom", "j-recursion", "containings"):
         peak = _peak_mib(lambda: run_check(sk, name))
         assert peak < 64, f"{name} peaked at {peak:.1f} MiB"
     sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
     peak = _peak_mib(lambda: materialize_window(sk, 4))
-    assert peak < 16, f"the D_4 window peaked at {peak:.1f} MiB"
+    assert peak < 8, f"the D_4 window peaked at {peak:.1f} MiB"
+    # the int16 level map of D_4 alone is 7.1 MiB
+    peak = _peak_mib(lambda: window_levels(sk, 4))
+    assert peak < 9, f"the D_4 level map peaked at {peak:.1f} MiB"
 
 
 def test_translate_tables_peak_within_their_gates():
@@ -126,4 +131,4 @@ def test_reduce_into_out_allocates_no_chunk():
         assert peak * 1024 < 16, f"reduce to {n} peaked at {peak:.3f} MiB"
     sk = build_skeleton(build_tower(preset_config("threeadic")), 10)
     peak = _peak_mib(lambda: materialize_window(sk, 10))
-    assert peak < 0.75, f"the D_10 window peaked at {peak:.3f} MiB"
+    assert peak < 0.5, f"the D_10 window peaked at {peak:.3f} MiB"

@@ -6,9 +6,10 @@ import os
 import pytest
 
 from conftest import cyclic_generic
-from toeplitzlab import (REGISTRY_NAMES, SymbolWindow, build_skeleton,
-                         cli, density, materialize_window, measures,
-                         preset_config, run_check, window_values)
+from toeplitzlab import (REGISTRY_NAMES, DepthExceeded, SymbolWindow,
+                         build_skeleton, cli, density, materialize_window,
+                         measures, preset_config, run_check, verify,
+                         window_values)
 from toeplitzlab.cli import main
 
 
@@ -462,6 +463,47 @@ def test_broken_generic_tower_fails_without_traceback(tmp_path, capsys):
     assert results["decom"]["status"] == "Fail"
     assert results["j-recursion"]["status"] == "Fail"
     assert results["j-recursion"]["counterexample"]["recursive_only"] == [5]
+
+
+def _raise_depth_exceeded(skeleton):
+    raise DepthExceeded("mu_1 region has undecided cells")
+
+
+def test_a_depth_error_on_a_tower_decom_rejects_is_a_vacated_row(
+        tmp_path, capsys, monkeypatch):
+    # partitions-c once raised this on the unnested tower at depth 2, while
+    # the level scan left D_1's cell 3 undecided, and the suite printed no
+    # row; now any check that raises it there is Vacated under decom's Fail
+    bad = cyclic_generic([2, 2, 2],
+                         domains=[[0], [0, 3], [0, 1, 2, 7], list(range(8))])
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad.config().to_json()))
+    monkeypatch.setitem(verify._REGISTRY, "partitions-c",
+                        _raise_depth_exceeded)
+    assert main(["verify", "all", "--config", str(cfg), "--depth", "2",
+                 "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = {r["name"]: r for r in json.loads(out)["results"]}
+    assert list(rows) == ["registry", *REGISTRY_NAMES]
+    decom = rows["decom"]
+    assert (decom["status"], decom["counterexample"]) == (
+        "Fail", {"level": 2, "reason": "domains not nested", "element": 3})
+    row = rows["partitions-c"]
+    assert (row["status"], row["scope"], row["witnesses"]) == (
+        "Vacated", "tower axioms fail (decom): mu_1 region has undecided "
+        "cells", [decom["counterexample"]])
+
+
+def test_a_depth_error_on_a_tower_decom_accepts_exits_2(capsys,
+                                                        monkeypatch):
+    # there it is no finding about the tower: the run stops with its message
+    monkeypatch.setitem(verify._REGISTRY, "partitions-c",
+                        _raise_depth_exceeded)
+    assert main(["verify", "all", "--preset", "threeadic", "--depth",
+                 "4"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: mu_1 region has undecided cells\n")
 
 
 def test_a_generic_config_takes_no_style(tmp_path, capsys):

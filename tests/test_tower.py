@@ -137,6 +137,27 @@ def test_lattice_quotient_kernel_reads_strided_axis_views():
         assert T.coset_index_arr(g, n).tolist() == idx
 
 
+@pytest.mark.parametrize("build", [
+    lambda: IntegerLineTower([3, 5, 2, 4]),
+    lambda: IntegerLineTower([3, 5, 3, 7], style=STYLE_CENTERED),
+    lambda: IntegerLatticeTower([[2, 3, 4], [3, 2, 2]]),
+    lambda: IntegerLatticeTower([[3, 5, 3], [5, 3, 3]], style=STYLE_CENTERED),
+    lambda: relabelled_cyclic([3, 2, 3], 1)[0],
+    lambda: s3_by_z(4),
+])
+def test_extend_reads_each_coset_at_its_representative(build):
+    # over D_{l+1}, the value at g is the D_l value of g's Gamma_l-coset,
+    # cell by cell through the scalar ops
+    T = build()
+    for l in range(T.depth):
+        vals = np.arange(T.size(l)) * 7 % 11
+        got = T.extend_arr(vals, l)
+        dom = T.elements(T.domain_arr(l + 1))
+        assert got.dtype == vals.dtype and len(got) == len(dom)
+        assert got.tolist() == [vals[T.index_of(T.reduce(g, l), l)]
+                                for g in dom]
+
+
 def test_sections_tile_the_domain():
     T = IntegerLineTower([3, 5, 3], style=STYLE_CENTERED)
     for i in range(3):

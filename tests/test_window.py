@@ -1,20 +1,29 @@
 """Window materialization, file formats, and the undecided mask."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import bruteforce as bf
+from conftest import relabelled_cyclic, s3_by_z
 from toeplitzlab import (
     Budget,
     BudgetExceeded,
+    IntegerLatticeTower,
     IntegerLineTower,
     NotInDomain,
+    STYLE_CENTERED,
     SymbolWindow,
+    Undefined,
     build_skeleton,
+    build_tower,
     materialize_window,
+    preset_config,
+    tower,
     window_values,
 )
-from toeplitzlab.window import window_levels
+from toeplitzlab.window import level_scan, window_levels
 
 
 def _ref_window(orc, n):
@@ -134,3 +143,63 @@ def test_window_budget_is_checked_on_cache_hits():
         window_values(sk, 9)
     with pytest.raises(BudgetExceeded):
         window_levels(sk, 9)
+
+
+# (tower, skeleton depth); a tower deeper than the skeleton also has its
+# window one level past the depth, where cells go undefined
+ORACLE_INSTANCES = {
+    "threeadic": lambda: (build_tower(preset_config("threeadic")), 6),
+    "centered6": lambda: (IntegerLineTower([3] * 6, style=STYLE_CENTERED), 6),
+    "centered6-d5": lambda: (IntegerLineTower([3] * 6, style=STYLE_CENTERED),
+                             5),
+    "lattice": lambda: (IntegerLatticeTower([[3, 3, 3], [3, 3, 3]]), 3),
+    "lattice-d2": lambda: (IntegerLatticeTower([[3, 3, 3], [3, 3, 3]]), 2),
+    "generic": lambda: (relabelled_cyclic([3] * 6, 1)[0], 6),
+    "s3_by_z": lambda: (s3_by_z(5), 5),
+    "s3_by_z-d4": lambda: (s3_by_z(5), 4),
+}
+
+
+def _assert_eval_oracle(sk, n):
+    """The D_n windows against scalar eval and level_of, cell by cell."""
+    T = sk.tower
+    dom = T.elements(T.domain_arr(n))
+    vals, lvls = window_values(sk, n), window_levels(sk, n)
+    assert vals.dtype == np.uint8 and lvls.dtype == np.int16
+    want = [sk.eval(g) for g in dom]
+    assert vals.tolist() == [255 if v is Undefined else v for v in want], n
+    want = [sk.level_of(g) for g in dom]
+    assert lvls.tolist() == [-1 if v is None else v for v in want], n
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_windows_agree_with_scalar_eval(monkeypatch, name, chunk):
+    T, depth = ORACLE_INSTANCES[name]()
+    sk = build_skeleton(T, depth)
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    for n in range(min(depth + 1, T.depth) + 1):
+        _assert_eval_oracle(sk, n)
+
+
+@functools.cache
+def _irregular_d4_scan():
+    # level_scan over D_4 at the default chunk size, read before any test
+    # changes it
+    sk = build_skeleton(build_tower(preset_config("irregular-demo")), 4)
+    return np.concatenate([level_scan(sk, g)
+                           for _, g in tower.domain_chunks(sk.tower, 4)])
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_irregular_windows_agree_with_eval_and_the_level_scan(monkeypatch,
+                                                              chunk):
+    scan = _irregular_d4_scan()
+    sk = build_skeleton(build_tower(preset_config("irregular-demo")), 4)
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    for n in range(4):
+        _assert_eval_oracle(sk, n)
+    vals = window_values(sk, 4)
+    assert vals.dtype == scan.dtype and np.array_equal(vals, scan)
