@@ -583,7 +583,12 @@ class GenericTower(_ArrayForms):
 
     def index_of_arr(self, g, n):
         self._chk(n)
-        idx = self._pos_arr[n][g]
+        pos = self._pos_arr[n]
+        # a label outside 0..|G|-1 would index pos out of range, or from
+        # its end
+        if g.size and (g.min() < 0 or g.max() >= len(pos)):
+            raise NotInDomain(f"element outside D_{n}")
+        idx = pos[g]
         if (idx < 0).any():
             raise NotInDomain(f"element outside D_{n}")
         return idx

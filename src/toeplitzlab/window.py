@@ -9,11 +9,19 @@ cell is written about once and the line does no division.  level_scan is
 eval over an array that is not a domain.
 
 File formats:
-  csv   one row per cell: coordinates, then 0/1 or ? for undefined
+  csv   `# level=n` and `# cells=|D_n|` lines, then one row per cell: the
+        element's integer coordinates, then 0/1 or ? for undefined, joined
+        by commas.  Rows may come in any order, but each cell of D_n must
+        appear exactly once.  Both directions pass over CHUNK rows at a
+        time, so memory follows the chunk and the window, not the file.
   bits  16-byte header (magic TPW1, level u32 LE, cells u64 LE), then the
-        value bits LSB-first, then the defined-mask bits
+        value bits LSB-first, then the defined-mask bits, and nothing more
   pgm   binary P5; 0 -> black, 1 -> white, undefined -> mid gray
 """
+
+import itertools
+import os
+import re
 
 import numpy as np
 
@@ -22,6 +30,13 @@ from . import tower as _tower
 from .tower import domain_chunks
 
 MAGIC = b"TPW1"
+
+# a csv row's symbol by cell value 0, 1, 255 (undefined) clipped to 2
+_SYMBOLS = np.array(["0", "1", "?"], dtype=object)
+# a cell value by the symbol byte of a csv row; _NO_SYMBOL for any other byte
+_NO_SYMBOL = 254
+_VALUE_OF = np.full(256, _NO_SYMBOL, dtype=np.uint8)
+_VALUE_OF[[ord("0"), ord("1"), ord("?")]] = 0, 1, 255
 
 
 def level_scan(skeleton, g):
@@ -147,16 +162,16 @@ class SymbolWindow:
             self.mask[out] = np.packbits(vals != 255, bitorder="little")
         self.dims = dims
 
-    def values_array(self):
-        """uint8 with 0/1 where defined and 255 elsewhere."""
-        vals = np.unpackbits(self.bits, count=self.n_cells, bitorder="little")
-        defined = self.defined_array()
-        out = np.where(defined, vals, np.uint8(255)).astype(np.uint8)
-        return out
-
-    def defined_array(self):
-        return np.unpackbits(self.mask, count=self.n_cells,
-                             bitorder="little").astype(bool)
+    def values_array(self, start=0, stop=None):
+        """uint8 with 0/1 where defined and 255 elsewhere, over the cells
+        start..stop-1 (all by default); unpacks only the bytes they span."""
+        stop = self.n_cells if stop is None else stop
+        lo, hi = start // 8, -(-stop // 8)
+        cut = slice(start - 8 * lo, stop - 8 * lo)
+        vals = np.unpackbits(self.bits[lo:hi], bitorder="little")[cut]
+        defined = np.unpackbits(self.mask[lo:hi], bitorder="little")[cut]
+        vals[defined == 0] = 255
+        return vals
 
     def counts(self):
         vals = self.values_array()
@@ -184,11 +199,14 @@ class SymbolWindow:
     def from_bits(path):
         with open(path, "rb") as fh:
             header = fh.read(16)
-            if header[:4] != MAGIC:
+            if len(header) < 16 or header[:4] != MAGIC:
                 raise NotInDomain(f"{path} is not a window file")
             level = int(np.frombuffer(header[4:8], dtype=np.uint32)[0])
             n_cells = int(np.frombuffer(header[8:16], dtype=np.uint64)[0])
             nbytes = (n_cells + 7) // 8
+            if os.fstat(fh.fileno()).st_size != 16 + 2 * nbytes:
+                raise NotInDomain(f"{path} does not hold the values and "
+                                  f"mask of {n_cells} cells")
             bits = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
             mask = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
         out = SymbolWindow.__new__(SymbolWindow)
@@ -200,39 +218,80 @@ class SymbolWindow:
         return out
 
     def to_csv(self, tower, path):
-        vals = self.values_array()
+        k = int(np.prod(tower.domain_arr(self.level, 0, 0).shape[1:]))
+        row = "%d," * k + "%s\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# level={self.level}\n# cells={self.n_cells}\n")
-            for g, v in zip(tower.elements(tower.domain_arr(self.level)),
-                            vals.tolist()):
-                fh.write(f"{tower.format_element(g)},{'?' if v == 255 else v}\n")
+            for start, g in domain_chunks(tower, self.level):
+                # k coordinates, then the symbol, per row
+                flat = [None] * (len(g) * (k + 1))
+                cols = g.reshape(len(g), k).T
+                for c in range(k):
+                    flat[c::k + 1] = cols[c].tolist()
+                vals = self.values_array(start, start + len(g))
+                flat[k::k + 1] = _SYMBOLS[np.minimum(vals, 2)].tolist()
+                fh.write(row * len(g) % tuple(flat))
 
     @staticmethod
     def from_csv(tower, path):
-        level = None
-        cells = None
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            meta, first = {}, b""
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    if key == "level":
-                        level = int(val)
-                    elif key == "cells":
-                        cells = int(val)
-                    continue
-                coord, _, sym = line.rpartition(",")
-                rows.append((tower.parse_element(coord),
-                             255 if sym == "?" else int(sym)))
-        if level is None or cells != len(rows):
+                if not line.startswith(b"#"):
+                    first = line
+                    break
+                key, _, val = line[1:].strip().partition(b"=")
+                meta[key] = val
+            try:
+                level, cells = int(meta[b"level"]), int(meta[b"cells"])
+                if cells != tower.size(level):
+                    raise ValueError
+            except (KeyError, ValueError, DepthExceeded):
+                raise NotInDomain(f"{path} has a malformed window header") from None
+            shape = tower.domain_arr(level, 0, 0).shape[1:]
+            k = int(np.prod(shape))
+            bad_row = (f"{path} has a row that is not an element ({k} "
+                       "integers) and a symbol 0, 1 or ?")
+            vals = np.full(cells, 255, dtype=np.uint8)
+            seen = np.zeros(cells, dtype=bool)
+            lines = itertools.chain([first] if first else [], fh)
+            while piece := list(itertools.islice(lines, _tower.CHUNK)):
+                text = b"".join(piece).replace(b"\r\n", b"\n")
+                if not text.endswith(b"\n"):
+                    text += b"\n"
+                raw = np.frombuffer(text, dtype=np.uint8)
+                ends = np.flatnonzero(raw == ord("\n"))
+                commas = np.add.reduceat(raw == ord(","), np.concatenate(
+                    ([0], ends[:-1] + 1)), dtype=np.intp)
+                sym = _VALUE_OF[raw[ends - 1]]
+                # k commas per row, the last right before a one-byte symbol
+                if ((commas != k).any() or (raw[ends - 2] != ord(",")).any()
+                        or (sym == _NO_SYMBOL).any()):
+                    raise NotInDomain(bad_row)
+                # blank out each ",symbol" and join the rows by the comma
+                # that np.fromstring reads between integers
+                raw = raw.copy()
+                raw[ends - 2] = raw[ends - 1] = ord(" ")
+                raw[ends[:-1]] = ord(",")
+                coords = raw.tobytes()
+                try:
+                    # numpy < 2.3 warns at a field that is no integer, and
+                    # stops there
+                    g = np.fromstring(coords, dtype=np.int64, sep=",")
+                    if len(g) != len(ends) * k:
+                        raise ValueError
+                except (ValueError, DeprecationWarning):
+                    bad = re.search(rb"[^,]*[^\d\s,+-][^,]*", coords)
+                    raise NotInDomain(
+                        f"{bad[0].strip().decode(errors='replace')!r} is not "
+                        "a group element" if bad else bad_row) from None
+                # a coordinate past int64 reads as its bound, outside D_n
+                idx = tower.index_of_arr(g.reshape(-1, *shape), level)
+                if _tower.mark_repeats(seen, idx).any():
+                    raise NotInDomain(f"{path} lists a cell of D_{level} twice")
+                vals[idx] = sym
+        if not seen.all():
             raise NotInDomain(f"{path} has a malformed window header")
-        vals = np.full(cells, 255, dtype=np.uint8)
-        if rows:
-            elements, symbols = zip(*rows)
-            vals[tower.index_of_arr(tower.array(elements), level)] = symbols
         return SymbolWindow(level, vals, dims=tower.shape(level))
 
     def to_pgm(self, path):

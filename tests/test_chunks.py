@@ -15,9 +15,9 @@ import pytest
 
 from conftest import cyclic_generic, relabelled_cyclic
 from test_tower import _BadSectionTower
-from toeplitzlab import (IntegerLatticeTower, build_skeleton, build_tower,
-                         j_set, j_set_recursive, materialize_window,
-                         preset_config, tower)
+from toeplitzlab import (IntegerLatticeTower, SymbolWindow, build_skeleton,
+                         build_tower, j_set, j_set_recursive,
+                         materialize_window, preset_config, tower)
 from toeplitzlab.verify import run_all, run_check
 from toeplitzlab.window import window_levels
 
@@ -132,3 +132,16 @@ def test_reduce_into_out_allocates_no_chunk():
     sk = build_skeleton(build_tower(preset_config("threeadic")), 10)
     peak = _peak_mib(lambda: materialize_window(sk, 10))
     assert peak < 0.5, f"the D_10 window peaked at {peak:.3f} MiB"
+
+
+def test_csv_round_trip_peaks_within_the_chunk(monkeypatch, tmp_path):
+    # 59,049 rows of threeadic's D_10; formatting and parsing the whole file
+    # at once peaked at 2.85 MiB to write and 9.66 MiB to read
+    sk = build_skeleton(build_tower(preset_config("threeadic")), 10)
+    win = materialize_window(sk, 10)
+    monkeypatch.setattr(tower, "CHUNK", 4096)
+    p = tmp_path / "w.csv"
+    peak = _peak_mib(lambda: win.to_csv(sk.tower, p))
+    assert peak < 1, f"the D_10 csv write peaked at {peak:.2f} MiB"
+    peak = _peak_mib(lambda: SymbolWindow.from_csv(sk.tower, p))
+    assert peak < 2, f"the D_10 csv read peaked at {peak:.2f} MiB"

@@ -97,7 +97,6 @@ SCALAR_LOOP_SITES = {
                                     "first that fixes both masks ends the "
                                     "scan",
     ("tower", "domain_chunks"): "each chunk is one array pass",
-    ("window", "SymbolWindow"): "to_csv writes one text row per cell",
 }
 
 # (owner, function): the skeleton's builders, which store the budget, and

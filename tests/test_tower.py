@@ -231,6 +231,18 @@ def test_generic_tower_nonstandard_reps():
         G.index_of(2, 1)
 
 
+def test_generic_index_of_refuses_labels_outside_the_group():
+    # the position tables have one entry per label 0..|G|-1: label 734
+    # indexed past them, and -1 read them from the end, so at the top
+    # level, where D_6 is all of G, it passed as label 728
+    G = relabelled_cyclic([3] * 6, 1)[0]
+    for n in (0, 3, 6):
+        for bad in (-1, 729, 734):
+            with pytest.raises(NotInDomain, match=f"element outside D_{n}"):
+                G.index_of_arr(np.array([0, bad]), n)
+    assert G.index_of(728, 6) == G.domains[6].index(728)
+
+
 def test_generic_reduce_takes_the_last_domain_element_of_a_coset():
     # a broken D_1 holds both elements 0 and 2 of one mod-2 coset and no
     # element of the other; the later of the two represents the coset

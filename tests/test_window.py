@@ -63,12 +63,12 @@ def test_lattice_window_matches_reference(lattice, oracle_lat):
 def test_undecided_cells_at_top_level():
     sk = build_skeleton(IntegerLineTower([3] * 10), 3)
     win = materialize_window(sk, 3)
-    assert not win.defined_array().all()
+    assert (win.values_array() == 255).any()
     c = win.counts()
     assert c["undefined"] > 0
     assert c["zeros"] + c["ones"] + c["undefined"] == 27
     # one level down everything is decided
-    assert materialize_window(sk, 2).defined_array().all()
+    assert materialize_window(sk, 2).counts()["undefined"] == 0
 
 
 def test_value_at_agrees_with_eval(threeadic):
@@ -92,19 +92,17 @@ def test_bits_rejects_foreign_file(tmp_path):
         SymbolWindow.from_bits(p)
 
 
-def test_csv_round_trip(tmp_path, centered6):
-    win = materialize_window(centered6, 4)
-    p = tmp_path / "w.csv"
-    win.to_csv(centered6.tower, p)
-    assert SymbolWindow.from_csv(centered6.tower, p) == win
-
-
-def test_csv_round_trip_lattice(tmp_path, lattice):
-    # lattice coordinates themselves contain commas
-    win = materialize_window(lattice, 2)
-    p = tmp_path / "w.csv"
-    win.to_csv(lattice.tower, p)
-    assert SymbolWindow.from_csv(lattice.tower, p) == win
+def test_bits_rejects_a_payload_of_the_wrong_size(tmp_path, threeadic):
+    # the D_5 file is 16 + 2 * 31 = 78 bytes; cut by 20 it read back as 243
+    # cells, 155 of them undefined
+    p = tmp_path / "w.bits"
+    materialize_window(threeadic, 5).to_bits(p)
+    raw = p.read_bytes()
+    assert len(raw) == 78
+    for bad in (raw[:-20], raw[:-1], raw + b"\0", raw[:10]):
+        p.write_bytes(bad)
+        with pytest.raises(NotInDomain):
+            SymbolWindow.from_bits(p)
 
 
 def test_pgm_output(tmp_path, lattice, threeadic):
@@ -203,3 +201,95 @@ def test_irregular_windows_agree_with_eval_and_the_level_scan(monkeypatch,
         _assert_eval_oracle(sk, n)
     vals = window_values(sk, 4)
     assert vals.dtype == scan.dtype and np.array_equal(vals, scan)
+
+
+def _csv_one_row_per_cell(win, T):
+    """The csv that to_csv writes, one formatted row per cell."""
+    rows = [f"# level={win.level}\n# cells={win.n_cells}\n"]
+    for g, v in zip(T.elements(T.domain_arr(win.level)),
+                    win.values_array().tolist()):
+        rows.append(f"{T.format_element(g)},{'?' if v == 255 else v}\n")
+    return "".join(rows).encode()
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_csv_files_are_one_row_per_cell_and_read_back(tmp_path, monkeypatch,
+                                                      name, chunk):
+    T, depth = ORACLE_INSTANCES[name]()
+    sk = build_skeleton(T, depth)
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    p = tmp_path / "w.csv"
+    for n in range(min(depth + 1, T.depth) + 1):
+        win = materialize_window(sk, n)
+        win.to_csv(T, p)
+        assert p.read_bytes() == _csv_one_row_per_cell(win, T), n
+        assert SymbolWindow.from_csv(T, p) == win, n
+        # rows may come in any order, with CRLF line ends (text mode writes
+        # them on Windows) and without a final one
+        lines = p.read_text().splitlines()
+        p.write_bytes("\r\n".join(lines[:2] + lines[:1:-1]).encode())
+        assert SymbolWindow.from_csv(T, p) == win, n
+
+
+def _edit_rows(edit):
+    """A change to the rows (lines past the header) of a csv file."""
+    def apply(lines):
+        rows = lines[2:]
+        edit(rows)
+        return lines[:2] + rows
+    return apply
+
+
+MALFORMED_CSV = {
+    # each of these read silently, or raised something else, before
+    "repeated row": (_edit_rows(lambda r: r.__setitem__(3, r[2])), "twice"),
+    "symbol 2": (_edit_rows(lambda r: r.__setitem__(2, "2,2")),
+                 "symbol 0, 1 or"),
+    "symbol -1": (_edit_rows(lambda r: r.__setitem__(2, "2,-1")),
+                  "symbol 0, 1 or"),
+    "coordinate past int64": (
+        _edit_rows(lambda r: r.__setitem__(2, "99999999999999999999,0")),
+        "element outside D_2"),
+    "level not an integer": (lambda l: ["# level=two"] + l[1:],
+                             "malformed window header"),
+    "cells not |D_n|": (lambda l: [l[0], "# cells=8"] + l[2:10],
+                        "malformed window header"),
+    "level past the tower": (lambda l: ["# level=9"] + l[1:],
+                             "malformed window header"),
+    "comment after a row": (_edit_rows(lambda r: r.insert(4, "# note")),
+                            "symbol 0, 1 or"),
+    "blank line": (_edit_rows(lambda r: r.insert(4, "")), "symbol 0, 1 or"),
+    "two coordinates": (_edit_rows(lambda r: r.__setitem__(2, "2,0,1")),
+                        "symbol 0, 1 or"),
+    # these raised NotInDomain before, with the same message
+    "missing row": (_edit_rows(lambda r: r.pop()), "malformed window header"),
+    "no level": (lambda l: l[1:], "malformed window header"),
+    "element outside D_n": (_edit_rows(lambda r: r.__setitem__(2, "9,0")),
+                            "element outside D_2"),
+    "not an element": (_edit_rows(lambda r: r.__setitem__(2, "x,0")),
+                       "'x' is not a group element"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_csv_reader_refuses_malformed_files(tmp_path, threeadic5, case):
+    edit, message = MALFORMED_CSV[case]
+    p = tmp_path / "w.csv"
+    materialize_window(threeadic5, 2).to_csv(threeadic5.tower, p)
+    p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+    with pytest.raises(NotInDomain, match=message):
+        SymbolWindow.from_csv(threeadic5.tower, p)
+
+
+def test_csv_reader_refuses_labels_outside_the_group(tmp_path):
+    T = relabelled_cyclic([3] * 6, 1)[0]
+    sk = build_skeleton(T, 6)
+    p = tmp_path / "w.csv"
+    materialize_window(sk, 6).to_csv(T, p)
+    text = p.read_text()
+    for label in (-1, 734):
+        p.write_text(text.replace("\n728,", f"\n{label},"))
+        with pytest.raises(NotInDomain, match="element outside D_6"):
+            SymbolWindow.from_csv(T, p)
