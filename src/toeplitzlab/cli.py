@@ -132,7 +132,7 @@ def _cmd_eta_window(args):
         if args.format == "csv":
             w.to_csv(sk.tower, args.out)
         elif args.format == "pgm":
-            w.to_pgm(args.out)
+            w.to_pgm(sk.tower, args.out)
         else:
             w.to_bits(args.out)
     counts = w.counts()

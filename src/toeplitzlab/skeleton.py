@@ -128,8 +128,8 @@ _FIRST_PREFIX = 1 << 16  # D_n indices _first_over tests first
 
 class ToeplitzSkeleton:
     """Everything the lazy evaluator needs: step kinds and planted positions,
-    the caps everything computed from it obeys, and the J-set and window
-    caches."""
+    the caps everything computed from it obeys, and the J-set, window and
+    decom caches."""
 
     def __init__(self, tower, depth, budget=Budget()):
         if depth < 1:
@@ -142,6 +142,7 @@ class ToeplitzSkeleton:
         self.budget = budget
         self._jcache = {}
         self._wincache = {}  # window.py's windows over D_n
+        self._decom = None   # verify.check_decom's result, once it ran
 
         # block boundaries: m_k = 1 + k + sum of |J(i)| for i <= k
         self.m_of = [1]

@@ -726,8 +726,11 @@ def sum_chunks(tower, a, b):
 def mark_repeats(seen, keys):
     """Which keys equal one that the mask `seen` holds or an earlier one in
     keys; then marks them all seen."""
-    again = seen[keys]
-    if not (keys[1:] > keys[:-1]).all():  # else none repeats an earlier one
+    rising = (keys[1:] > keys[:-1]).all()  # then none repeats an earlier one
+    if rising and len(keys) and keys[-1] - keys[0] == len(keys) - 1:
+        keys = slice(keys[0], keys[-1] + 1)  # a run: a slice, no gather
+    again = np.array(seen[keys])
+    if not rising:
         order = np.argsort(keys, kind="stable")
         again[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
     seen[keys] = True
@@ -756,10 +759,25 @@ def _tiling_fault(tower, sec, dom_i, j):
         if again.any():
             return "tiling overlaps", tower.element(tiles[again.argmax()])
     if outside:
-        missed = [g[~seen[start:start + len(g)]]
-                  for start, g in domain_chunks(tower, j)]
+        missed = domain_where(tower, j, lambda start, g: ~seen[start:start + len(g)])
         return "tiling misses D_j", min(
-            tower.elements(np.concatenate(missed)) + list(outside), key=repr)
+            tower.elements(missed) + list(outside), key=repr)
+    return None
+
+
+def _section_fault(tower, sec, i, j):
+    """None when sec lies in D_j and Gamma_i without repeats, else (reason,
+    element) for the first, CHUNK at a time, that does not, in that order."""
+    seen = np.zeros(tower.size(j), dtype=bool)
+    for g in (sec[k:k + CHUNK] for k in range(0, len(sec), CHUNK)):
+        in_gamma = tower.eq_arr(tower.reduce_arr(g, i), tower.zero)
+        for reason, ok in (("tiling misses D_j", tower.in_domain_arr(g, j)),
+                           ("section leaves Gamma_i", in_gamma)):
+            if not ok.all():
+                return reason, tower.element(g[ok.argmin()])
+        again = mark_repeats(seen, tower.index_of_arr(g, j))
+        if again.any():
+            return "tiling overlaps", tower.element(g[again.argmax()])
     return None
 
 
@@ -769,13 +787,17 @@ def validate_tower(tower, budget=Budget(), depth=None):
     budget, CHUNK elements at a time.
 
     Each level is checked in the order: no repeats, size, identity, reduce
-    fixes D_n, D_{n-1} <= D_n; each pair i < j: section size, then that the
-    translates section + D_i cover D_j without overlap.
+    fixes D_n, D_{n-1} <= D_n.  Then j by j each section Gamma_i cap D_j,
+    i = j-1 first: its size, for i = j-1 that section + D_i tiles D_j, then
+    that it lies in D_j and Gamma_i without repeats.  That suffices: with
+    S_k = Gamma_k cap D_{k+1} <= Gamma_i, the tilings give D_j = S_{j-1} +
+    ... + S_i + D_i with unique sums (composed on the left, as section +
+    D_i), |D_j|/|D_i| elements of Gamma_i cap D_j; as Gamma_i cap D_i = {0}
+    (reduce fixes D_i, which holds 0 once) they are all of it.
     """
     from .result import failed, passed  # local import to avoid a cycle
 
     top = tower.depth if depth is None else depth
-    checked_pairs = []
     name = "decom"
 
     sizes = [tower.size(n) for n in range(top + 1)]
@@ -811,9 +833,8 @@ def validate_tower(tower, budget=Budget(), depth=None):
                           {"level": n, "element": moved[0],
                            "reason": "reduce does not fix D_n"})
         if n > 0:
-            out = tower.elements(np.concatenate(
-                [g[~tower.in_domain_arr(g, n)]
-                 for _, g in domain_chunks(tower, n - 1)]))
+            out = tower.elements(domain_where(
+                tower, n - 1, lambda _, g: ~tower.in_domain_arr(g, n)))
             if out:
                 return failed(name, scope,
                               {"level": n, "reason": "domains not nested",
@@ -822,20 +843,21 @@ def validate_tower(tower, budget=Budget(), depth=None):
     scope = f"tilings up to level {top}"
     # sizes increase, so the levels in budget are 0..L and every pair in
     # budget lies among them
-    for i in levels_in_budget:
-        dom_i = tower.domain_arr(i)
-        for j in levels_in_budget[i + 1:]:
+    for j in levels_in_budget[1:]:
+        for i in [j - 1, *range(j - 1)]:
             sec = tower.section_arr(i, j, budget)
             if len(sec) * sizes[i] != sizes[j]:
                 return failed(name, scope,
                               {"pair": (i, j), "reason": "section size mismatch",
                                "expected": sizes[j] // sizes[i], "got": len(sec)})
-            fault = _tiling_fault(tower, sec, dom_i, j)
+            fault = (_tiling_fault(tower, sec, tower.domain_arr(i), j)
+                     if i == j - 1 else None) or _section_fault(tower, sec, i, j)
             if fault is not None:
                 return failed(name, scope, {"pair": (i, j), "reason": fault[0],
                                             "element": fault[1]})
-            checked_pairs.append((i, j))
+    pairs = [(i, j) for i in levels_in_budget
+             for j in levels_in_budget[i + 1:]]
 
-    return passed(name, f"levels 0..{top}, tilings {len(checked_pairs)} pairs, "
+    return passed(name, f"levels 0..{top}, tilings {len(pairs)} pairs, "
                         f"enumerated where |D_j| <= {budget.enum}",
-                  [{"pairs": checked_pairs}])
+                  [{"pairs": pairs}])

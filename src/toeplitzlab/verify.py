@@ -28,6 +28,7 @@ by the constructed tower report Vacated (prerequisite failed) or Inconclusive
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +132,10 @@ def _y_mask(skeleton, base, n):
 
 
 def check_decom(skeleton):
-    return validate_tower(skeleton.tower, skeleton.budget, skeleton.depth)
+    if skeleton._decom is None:  # once per skeleton, so run_check copies it
+        skeleton._decom = validate_tower(skeleton.tower, skeleton.budget,
+                                         skeleton.depth)
+    return skeleton._decom
 
 
 def _level_range(done, text):
@@ -616,15 +620,13 @@ def run_check(skeleton, name):
     except BudgetExceeded as exc:
         res = inconclusive(name, f"over budget: {exc}")
     except (NotInDomain, DepthExceeded, ArithmeticError) as exc:
-        # a check may lean on the tower axioms; once decom refutes them,
-        # its breaking on them is not a finding of its own
+        # a check may lean on the tower axioms; once decom (cached on the
+        # skeleton) refutes them, its breaking on them is no finding of its own
         decom = None if canonical == "decom" else check_decom(skeleton)
         if decom is None or decom.ok:
             raise
         res = vacated(name, f"{AXIOMS_FAIL}: {exc}", [decom.counterexample])
-    res.name = name
-    res.millis = (time.perf_counter() - t0) * 1e3
-    return res
+    return replace(res, name=name, millis=(time.perf_counter() - t0) * 1e3)
 
 
 def run_all(skeleton):

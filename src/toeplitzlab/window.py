@@ -147,7 +147,7 @@ def window_levels(skeleton, n):
 class SymbolWindow:
     """Bit-packed values + defined-mask over D_level."""
 
-    def __init__(self, level, values_u8, dims=None):
+    def __init__(self, level, values_u8):
         self.level = level
         self.n_cells = int(values_u8.shape[0])
         nbytes = (self.n_cells + 7) // 8
@@ -160,7 +160,6 @@ class SymbolWindow:
             out = slice(start // 8, (start + len(vals) + 7) // 8)
             self.bits[out] = np.packbits(vals == 1, bitorder="little")
             self.mask[out] = np.packbits(vals != 255, bitorder="little")
-        self.dims = dims
 
     def values_array(self, start=0, stop=None):
         """uint8 with 0/1 where defined and 255 elsewhere, over the cells
@@ -214,7 +213,6 @@ class SymbolWindow:
         out.n_cells = n_cells
         out.bits = bits.copy()
         out.mask = mask.copy()
-        out.dims = None
         return out
 
     def to_csv(self, tower, path):
@@ -292,17 +290,14 @@ class SymbolWindow:
                 vals[idx] = sym
         if not seen.all():
             raise NotInDomain(f"{path} has a malformed window header")
-        return SymbolWindow(level, vals, dims=tower.shape(level))
+        return SymbolWindow(level, vals)
 
-    def to_pgm(self, path):
+    def to_pgm(self, tower, path):
         vals = self.values_array()
         pixels = np.where(vals == 255, np.uint8(128),
                           np.where(vals == 1, np.uint8(255), np.uint8(0)))
-        # dims is the tower's shape of D_level: a 2-D one draws as its grid
-        if self.dims and len(self.dims) == 2:
-            height, width = self.dims
-        else:
-            height, width = 1, self.n_cells
+        shape = tower.shape(self.level)
+        height, width = shape if len(shape) == 2 else (1, self.n_cells)
         with open(path, "wb") as fh:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             fh.write(pixels.astype(np.uint8).tobytes())
@@ -315,5 +310,5 @@ def materialize_window(skeleton, n):
     if n > skeleton.tower.depth:
         raise DepthExceeded(f"window level {n} exceeds tower depth")
     vals = window_values(skeleton, n)
-    return SymbolWindow(n, vals, dims=skeleton.tower.shape(n))
+    return SymbolWindow(n, vals)
 

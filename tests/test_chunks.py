@@ -7,6 +7,7 @@ on irregular-demo, where |D_4| = 3,720,465, the largest checks and the D_4
 window stay far below the sizes their whole-domain temporaries had.
 """
 
+import ast
 import functools
 import tracemalloc
 
@@ -29,6 +30,16 @@ INSTANCES = {
     "generic": lambda: (relabelled_cyclic([3] * 6, 1)[0], 6),
 }
 
+
+def _bad_at(pair, corrupt):
+    """[3, 3, 3] with only the section of pair passed through corrupt: the
+    consecutive tilings hold, so decom sees the fault in the section."""
+    return lambda: _BadSectionTower(
+        [3, 3, 3], lambda sec, i, j: corrupt(sec) if (i, j) == pair else sec)
+
+
+# "<reason>" or "<reason> at <pair>": the reason decom reports, and the
+# pair when a section alone is corrupted
 BROKEN = {
     "tiling overlaps": lambda: _BadSectionTower(
         [3, 3], lambda sec, i, j: sec[:-1] + sec[:1]),
@@ -38,6 +49,13 @@ BROKEN = {
         [2, 4], domains=[[0], [0, 1], [0, 1, 2, 3, 4, 5, 6, 6]]),
     "domains not nested": lambda: cyclic_generic(
         [2, 2, 2], domains=[[0], [0, 3], [0, 1, 2, 7], list(range(8))]),
+    # the repeat sits 26 elements after the first 0, chunks apart at 7
+    "tiling overlaps at (0, 3)": _bad_at((0, 3), lambda s: s[:-1] + s[:1]),
+    "tiling misses D_j at (0, 3)": _bad_at(
+        (0, 3), lambda s: s[:-1] + [s[-1] + 27]),
+    # 25 lies in D_3 but not in 3Z
+    "section leaves Gamma_i at (1, 3)": _bad_at(
+        (1, 3), lambda s: s[:-1] + [s[-1] + 1]),
 }
 
 
@@ -73,13 +91,32 @@ def test_chunk_size_changes_no_result(monkeypatch, name, chunk):
 
 
 @pytest.mark.parametrize("chunk", [7, 1000])
-@pytest.mark.parametrize("reason", sorted(BROKEN))
-def test_chunk_size_keeps_every_broken_tower_witness(monkeypatch, reason,
+@pytest.mark.parametrize("label", sorted(BROKEN))
+def test_chunk_size_keeps_every_broken_tower_witness(monkeypatch, label,
                                                      chunk):
-    want = tower.validate_tower(BROKEN[reason]()).counterexample
+    want = tower.validate_tower(BROKEN[label]()).counterexample
+    reason, _, pair = label.partition(" at ")
     assert want["reason"] == reason
+    if pair:
+        assert want["pair"] == ast.literal_eval(pair)
     monkeypatch.setattr(tower, "CHUNK", chunk)
-    assert tower.validate_tower(BROKEN[reason]()).counterexample == want
+    assert tower.validate_tower(BROKEN[label]()).counterexample == want
+
+
+def test_a_corrupted_section_names_a_real_counterexample():
+    # the element a section fault names breaks the axiom its reason states
+    def fault(label):
+        T = BROKEN[label]()
+        i, j = ast.literal_eval(label.partition(" at ")[2])
+        g = tower.validate_tower(T).counterexample["element"]
+        return T, T.section_arr(i, j).tolist(), g
+
+    _, sec, g = fault("tiling overlaps at (0, 3)")
+    assert sec.count(g) == 2
+    T, sec, g = fault("tiling misses D_j at (0, 3)")
+    assert g in sec and not T.in_domain(g, 3)
+    T, sec, g = fault("section leaves Gamma_i at (1, 3)")
+    assert g in sec and T.in_domain(g, 3) and T.reduce(g, 1) != 0
 
 
 def _peak_mib(fn):

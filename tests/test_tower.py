@@ -26,6 +26,7 @@ from toeplitzlab import (
     preset_config,
     validate_tower,
 )
+from toeplitzlab import tower as tower_module
 
 
 def test_line_nonneg_matches_reference():
@@ -472,3 +473,37 @@ def test_validate_tower_flags_tiling_miss():
     tiles = _tiles(bad, cx["pair"])
     assert len(set(tiles)) == len(tiles)
     assert cx["element"] in set(bad.domain_arr(cx["pair"][1]).tolist()) ^ set(tiles)
+
+
+def test_validate_tower_tiles_only_consecutive_pairs(monkeypatch, threeadic):
+    # the tilings of (j-1, j) imply the other 45 pairs of D_0..D_10, which
+    # decom checks by their sections alone
+    tiled = []
+    real = tower_module._tiling_fault
+
+    def counted(T, sec, dom_i, j):
+        tiled.append((len(dom_i), j))
+        return real(T, sec, dom_i, j)
+
+    monkeypatch.setattr(tower_module, "_tiling_fault", counted)
+    res = validate_tower(threeadic.tower, depth=10)
+    assert res.status == "Pass" and len(res.witnesses[0]["pairs"]) == 55
+    assert tiled == [(3 ** (j - 1), j) for j in range(1, 11)]
+
+
+@pytest.mark.parametrize("pieces", [
+    [[3, 4, 5], [6, 7], [5, 6, 7, 8]],  # runs, the last over marked keys
+    [[0, 2, 4], [1, 3], [4, 5]],        # rising, but no runs
+    [[2, 1, 2], [], [0, 1]],            # unsorted with a repeat, and empty
+])
+def test_mark_repeats_matches_a_set(pieces):
+    # a run of consecutive keys is read and marked as one slice
+    seen, marked = np.zeros(10, dtype=bool), set()
+    for keys in pieces:
+        want = []
+        for k in keys:
+            want.append(k in marked)
+            marked.add(k)
+        got = tower_module.mark_repeats(seen, np.array(keys, dtype=np.int64))
+        assert got.tolist() == want
+    assert np.flatnonzero(seen).tolist() == sorted(marked)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_chunks import BROKEN
 from toeplitzlab import (
     REGISTRY_NAMES,
     Budget,
@@ -20,7 +21,7 @@ from toeplitzlab import (
     preset_config,
     zero_mass_lower_bound,
 )
-from toeplitzlab import periods
+from toeplitzlab import periods, verify
 from toeplitzlab.cells import mu_zero_set, verify_refinement
 from toeplitzlab.result import failed
 from toeplitzlab.verify import (_REGISTRY, _per_unit, good_bound,
@@ -275,6 +276,22 @@ def test_result_json_shapes(threeadic5):
     assert set(REGISTRY_NAMES) <= set(names)
     text = report.render()
     assert "linking" in text and "Inconclusive" in text
+
+
+def test_decom_runs_once_per_skeleton(monkeypatch):
+    # five checks break on this tower's axioms; each used to ask a fresh
+    # validate_tower whether decom refutes them
+    calls = []
+    real = verify.validate_tower
+    monkeypatch.setattr(verify, "validate_tower",
+                        lambda *a: calls.append(a) or real(*a))
+    sk = build_skeleton(BROKEN["domains not nested"](), 3)
+    rows = {r.name: r for r in run_all(sk).results}
+    assert len(calls) == 1
+    assert rows["decom"].counterexample["reason"] == "domains not nested"
+    vacated = [r for r in rows.values() if r.status == "Vacated"]
+    assert len(vacated) == 5
+    assert all(r.witnesses == [rows["decom"].counterexample] for r in vacated)
 
 
 def test_decom_reports_its_time(threeadic5):

@@ -108,14 +108,29 @@ def test_bits_rejects_a_payload_of_the_wrong_size(tmp_path, threeadic):
 def test_pgm_output(tmp_path, lattice, threeadic):
     win = materialize_window(lattice, 2)
     p = tmp_path / "w.pgm"
-    win.to_pgm(p)
+    win.to_pgm(lattice.tower, p)
     raw = p.read_bytes()
     assert raw.startswith(b"P5\n9 9\n255\n")
     assert len(raw) == len(b"P5\n9 9\n255\n") + 81
     line = materialize_window(threeadic, 2)
     q = tmp_path / "l.pgm"
-    line.to_pgm(q)
+    line.to_pgm(threeadic.tower, q)
     assert q.read_bytes().startswith(b"P5\n9 1\n255\n")
+
+
+def test_pgm_of_a_window_read_back_from_bits_keeps_its_grid(tmp_path,
+                                                            lattice):
+    # the bits file holds no shape; the window drew as an 81 x 1 strip once
+    # read back, while the tower gives D_2's 9 x 9 grid
+    win = materialize_window(lattice, 2)
+    win.to_bits(tmp_path / "w.bits")
+    back = SymbolWindow.from_bits(tmp_path / "w.bits")
+    assert back == win
+    for w, name in ((win, "a.pgm"), (back, "b.pgm")):
+        w.to_pgm(lattice.tower, tmp_path / name)
+    raw = (tmp_path / "b.pgm").read_bytes()
+    assert raw.startswith(b"P5\n9 9\n255\n")
+    assert raw == (tmp_path / "a.pgm").read_bytes()
 
 
 def test_restrict_window(threeadic):
