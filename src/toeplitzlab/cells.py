@@ -30,8 +30,9 @@ so one pair (gc, gp) decides all |D_n| of its points at once.
 
 Each Gamma_l-translate of J(l) carries at most one planted 1: translate_ones
 reads them off a window's 1-cells into a table sorted by translate that holds
-each 1's position in J(l) itself, and every level-l tag here, as well as the
-partitions check and mu_m(Z_n), is a lookup in it or its length.
+each 1's position in J(l) itself, once per skeleton, and every level-l tag
+here, as well as the partitions check and mu_m(Z_n), is a lookup in it or
+its length.
 """
 
 import random
@@ -63,29 +64,33 @@ def translate_ones(skeleton, m, l):
     the gammas whose translate carries a 1, and each one's planted position
     reduce(x, l), an element of J(l).  Raises DepthExceeded on undecided
     cells, and DoubledOne naming the least translate that carries two 1s.
+    The skeleton keeps each table it built, and none it refused.
     """
-    T = skeleton.tower
-    vals = window_values(skeleton, m)
-    if (vals == 255).any():
-        raise DepthExceeded(f"mu_{m} region has undecided cells")
-    skeleton.budget.check_enum(T.size(l), f"J({l})")
-    gammas, ones = [], []
-    for start, g in domain_chunks(T, m):
-        x = g[vals[start:start + len(g)] == 1]
-        r = T.reduce_arr(x, l)
-        in_j = j_mask(T, r, l)
-        gammas.append(T.sub_arr(x[in_j], r[in_j]))
-        ones.append(r[in_j])
-    gamma, one = np.concatenate(gammas), np.concatenate(ones)
-    key = T.index_of_arr(gamma, m)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    again = np.flatnonzero(key[1:] == key[:-1])
-    if len(again):
-        i = int(again[0])  # the least repeated key, first in read order
-        raise DoubledOne(T.element(gamma[order[i]]),
-                         int(np.count_nonzero(key == key[i])))
-    return key, one[order]
+    def build():
+        T = skeleton.tower
+        vals = window_values(skeleton, m)
+        if (vals == 255).any():
+            raise DepthExceeded(f"mu_{m} region has undecided cells")
+        skeleton.budget.check_enum(T.size(l), f"J({l})")
+        gammas, ones = [], []
+        for start, g in domain_chunks(T, m):
+            x = g[vals[start:start + len(g)] == 1]
+            r = T.reduce_arr(x, l)
+            in_j = j_mask(T, r, l)
+            gammas.append(T.sub_arr(x[in_j], r[in_j]))
+            ones.append(r[in_j])
+        gamma, one = np.concatenate(gammas), np.concatenate(ones)
+        key = T.index_of_arr(gamma, m)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        again = np.flatnonzero(key[1:] == key[:-1])
+        if len(again):
+            i = int(again[0])  # the least repeated key, first in read order
+            raise DoubledOne(T.element(gamma[order[i]]),
+                             int(np.count_nonzero(key == key[i])))
+        return key, one[order]
+
+    return skeleton.cached(("ones", m, l), build)
 
 
 def translate_picks(tower, keys, ones, idx):
@@ -124,28 +129,23 @@ def parent_cells(skeleton, r, w, one, u):
     return v, parent_one, g, one & ~is0 & ~match, is0
 
 
-def verify_refinement(skeleton, n, m, tables=None):
+def verify_refinement(skeleton, n, m):
     """Compare the symbolic parent rule against pointwise classification:
     parent_cells must map the level-(n+1) cell sigma^{-d} eta_m shows to the
     level-n cell it shows, for every d in D_m, one pair (gc, gp) at a time
-    (module docstring).  Calls that pass one dict `tables` share their
-    translate_ones tables, keyed (m, l).  Returns (counterexample_or_None,
-    case_counts, points): points is |D_m|, or on a Fail one more than the
-    D_m index of the first failing d, and the case counts are None.
+    (module docstring).  Returns (counterexample_or_None, case_counts,
+    points): points is |D_m|, or on a Fail one more than the D_m index of
+    the first failing d, and the case counts are None.
     """
     T = skeleton.tower
     if skeleton.depth < m + 1:
         raise DepthExceeded(f"mu_{m} needs depth >= {m + 1}")
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
-    tables = {} if tables is None else tables
-    for l in (n + 1, n):
-        if (m, l) not in tables:
-            tables[m, l] = translate_ones(skeleton, m, l)
+    child, parent = (translate_ones(skeleton, m, l) for l in (n + 1, n))
     gcs = T.section_arr(n + 1, m, skeleton.budget)
     gps = T.section_arr(n, n + 1, skeleton.budget)
-    has_gc, u_gc = translate_picks(T, *tables[m, n + 1],
-                                   T.index_of_arr(gcs, m))
+    has_gc, u_gc = translate_picks(T, *child, T.index_of_arr(gcs, m))
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
     fails = []
@@ -156,7 +156,7 @@ def verify_refinement(skeleton, n, m, tables=None):
         gp = gps[np.tile(np.arange(len(gps)), rows)]
         _, exp_one, exp_g, w_exit, is0 = parent_cells(skeleton, n + 1, gp,
                                                       has_c, u)
-        act_one, act_g = translate_picks(T, *tables[m, n],
+        act_one, act_g = translate_picks(T, *parent,
                                          T.coset_index_arr(pair, m))
         bad = (exp_one != act_one) | (exp_one & act_one
                                       & ~T.eq_arr(exp_g, act_g))

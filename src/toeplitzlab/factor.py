@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
+from .tower import sum_chunks
 from .window import level_scan
 
 
@@ -101,14 +102,8 @@ def fiber_profile(skeleton, n):
                                f"fiber profile at {n}")
     dom_n = T.domain_arr(n)
     lifts = T.domain_arr(n + 1)
-    rows = max(1, (1 << 20) // len(dom_n))  # lifts per scan of ~1M cells
-    windows = []
-    for start in range(0, len(lifts), rows):
-        g = T.add_arr(np.expand_dims(lifts[start:start + rows], 1),
-                      np.expand_dims(dom_n, 0))
-        vals = level_scan(skeleton, g.reshape(-1, *g.shape[2:]))
-        windows.append(vals.reshape(-1, len(dom_n)))
-    windows = np.concatenate(windows)
+    windows = np.concatenate([level_scan(skeleton, g).reshape(-1, len(dom_n))
+                              for _, g in sum_chunks(T, lifts, dom_n)])
     coset = T.coset_index_arr(lifts, n)
     full = ~(windows == 255).any(axis=1)
     # one row per distinct (coset, window) pair among the fully defined lifts

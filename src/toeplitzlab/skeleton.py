@@ -128,8 +128,9 @@ _FIRST_PREFIX = 1 << 16  # D_n indices _first_over tests first
 
 class ToeplitzSkeleton:
     """Everything the lazy evaluator needs: step kinds and planted positions,
-    the caps everything computed from it obeys, and the J-set, window and
-    decom caches."""
+    the caps everything computed from it obeys, and the one memo, `cached`,
+    of what is derived from it: J-sets, windows, translate tables and
+    decom's result."""
 
     def __init__(self, tower, depth, budget=Budget()):
         if depth < 1:
@@ -140,9 +141,7 @@ class ToeplitzSkeleton:
         self.tower = tower
         self.depth = depth
         self.budget = budget
-        self._jcache = {}
-        self._wincache = {}  # window.py's windows over D_n
-        self._decom = None   # verify.check_decom's result, once it ran
+        self._cache = {}
 
         # block boundaries: m_k = 1 + k + sum of |J(i)| for i <= k
         self.m_of = [1]
@@ -173,13 +172,19 @@ class ToeplitzSkeleton:
         self.linking_ok = {}
         self._record_linking()
 
-    # -- J-sets ---------------------------------------------------------
+    # -- the memo and the J-sets -----------------------------------------
+
+    def cached(self, key, build):
+        """The value stored under key, else build()'s, stored first; a build
+        that raises stores nothing, so a refusal is raised on every call."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def jset(self, n):
         """J(n), cached."""
-        if n not in self._jcache:
-            self._jcache[n] = j_set(self.tower, n, self.budget)
-        return self._jcache[n]
+        return self.cached(("jset", n),
+                           lambda: j_set(self.tower, n, self.budget))
 
     def _first_over(self, g_slot, k, n):
         """First element of J(n) cap g_slot Gamma_k in enumeration order.

@@ -46,6 +46,7 @@ import numpy as np
 
 from .budgets import Budget
 from .errors import DepthExceeded, InvalidIndex, NotInDomain, ParityError
+from .result import failed, passed
 
 KIND_LINE = "IntegerLine"
 KIND_LATTICE = "IntegerLattice"
@@ -795,8 +796,6 @@ def validate_tower(tower, budget=Budget(), depth=None):
     D_i), |D_j|/|D_i| elements of Gamma_i cap D_j; as Gamma_i cap D_i = {0}
     (reduce fixes D_i, which holds 0 once) they are all of it.
     """
-    from .result import failed, passed  # local import to avoid a cycle
-
     top = tower.depth if depth is None else depth
     name = "decom"
 

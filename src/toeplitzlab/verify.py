@@ -132,10 +132,9 @@ def _y_mask(skeleton, base, n):
 
 
 def check_decom(skeleton):
-    if skeleton._decom is None:  # once per skeleton, so run_check copies it
-        skeleton._decom = validate_tower(skeleton.tower, skeleton.budget,
-                                         skeleton.depth)
-    return skeleton._decom
+    # once per skeleton, so run_check's fallback reads it
+    return skeleton.cached("decom", lambda: validate_tower(
+        skeleton.tower, skeleton.budget, skeleton.depth))
 
 
 def _level_range(done, text):
@@ -415,11 +414,10 @@ def check_u_in_y(skeleton):
 
 def check_containings(skeleton):
     dep = skeleton.depth
-    tables = {}  # the translate_ones tables consecutive units share
 
     def unit(n):
         m = min(n + 2, dep - 1)
-        cx, counts, pts = verify_refinement(skeleton, n, m, tables)
+        cx, counts, pts = verify_refinement(skeleton, n, m)
         if cx is not None:
             return failed("containings", f"n={n} m={m}", cx)
         return {"n": n, "m": m, "points": pts, "cases": counts,

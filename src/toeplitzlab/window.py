@@ -67,7 +67,11 @@ def level_scan(skeleton, g):
 
 def per_masks(skeleton, n):
     """Boolean masks over D_n of Per(n, 0) and Per(n, 1): the cells that a
-    level below n decides, split by the symbol it gives them."""
+    level below n decides, split by the symbol it gives them.  Raises
+    DepthExceeded past the built depth, where levels below n are missing."""
+    if n > skeleton.depth:
+        raise DepthExceeded(f"Per({n}, .) needs depth >= {n}, have "
+                            f"{skeleton.depth}")
     lvls = window_levels(skeleton, n)
     vals = window_values(skeleton, n)
     decided = (lvls >= 0) & (lvls < n)
@@ -75,14 +79,10 @@ def per_masks(skeleton, n):
 
 
 def _window(skeleton, n, values):
-    T = skeleton.tower
     what = "window" if values else "level map"
-    skeleton.budget.check_window(T.size(n), f"{what} D_{n}")
-    key = ("vals" if values else "lvls", n)
-    cache = skeleton._wincache
-    if key not in cache:
-        cache[key] = _build(skeleton, n, values)
-    return cache[key]
+    skeleton.budget.check_window(skeleton.tower.size(n), f"{what} D_{n}")
+    return skeleton.cached(("vals" if values else "lvls", n),
+                           lambda: _build(skeleton, n, values))
 
 
 def _build(skeleton, n, values):

@@ -21,7 +21,7 @@ from toeplitzlab.cells import (
     translate_ones,
     verify_refinement,
 )
-from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask, run_check
+from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask, run_all, run_check
 
 
 # -- the refinement rules one cell at a time: the oracle for the array walks
@@ -173,6 +173,27 @@ def test_refinement_matches_the_pointwise_oracle(request, name):
         got = verify_refinement(sk, n, m)
         assert got == pointwise_refinement(sk, n, m), (n, m)
         assert got[0] is None
+
+
+@pytest.mark.parametrize("name, depth, tables", [("irregular-demo", 5, 6),
+                                                 ("threeadic", 10, 21)])
+def test_a_suite_builds_each_translate_table_once(name, depth, tables):
+    # partitions-c, containings and measure-1-trend read the same (m, l)
+    # tables: while each check built its own, irregular-demo built 9 tables
+    # for these 6 and threeadic 24 for these 21
+    sk = build_skeleton(build_tower(preset_config(name)), depth)
+    built, honest = [], sk.cached
+
+    def recording(key, build):
+        def counted():
+            built.append(key)
+            return build()
+        return honest(key, counted)
+
+    sk.cached = recording
+    run_all(sk)
+    ones = [key for key in built if key[0] == "ones"]
+    assert len(ones) == len(set(ones)) == tables
 
 
 def _dropping_ones(l_drop):

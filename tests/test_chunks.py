@@ -145,10 +145,11 @@ def test_whole_domain_passes_peak_within_their_gates():
 
 
 def test_translate_tables_peak_within_their_gates():
-    # in registry order, so containings finds the D_4 window partitions-c
-    # built; with dense |D_4|-entry translate tables and a pass over every
-    # point of D_m they peaked at 14.6 and 37.8 MiB, and containings at 27.8
-    # while its tables held J(l) indices through a dense |D_l| table
+    # in registry order, so containings finds the D_4 window and the
+    # translate tables (4, 2) and (4, 3) that partitions-c built; with
+    # dense |D_4|-entry translate tables and a pass over every point of D_m
+    # they peaked at 14.6 and 37.8 MiB, and containings at 27.8 while its
+    # tables held J(l) indices through a dense |D_l| table
     sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
     for name, gate in (("partitions-c", 10), ("containings", 8)):
         peak = _peak_mib(lambda: run_check(sk, name))

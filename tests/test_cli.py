@@ -105,6 +105,21 @@ def test_periods_show_and_check(capsys):
     assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset, depth, level", [("threeadic", 4, 5),
+                                                  ("irregular-demo", 2, 3)])
+def test_periods_show_refuses_a_level_past_the_depth(capsys, preset, depth,
+                                                     level):
+    # Per(n, .) needs the levels below n: these printed 102 of the 118
+    # Per(,0) cells of threeadic's D_5 and 882 of irregular-demo's 1301 in
+    # D_3, with 1953 of its 1954 Per(,1) cells
+    assert main(["periods", "show", "--preset", preset, "--depth",
+                 str(depth), "--level", str(level)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: Per({level}, .) needs depth >= {level}, "
+                   f"have {depth}\n")
+
+
 def test_analyze_density_json(capsys):
     assert main(["analyze", "density", "--preset", "irregular-demo",
                  "--levels", "4", "--json"]) == 0
@@ -313,7 +328,7 @@ def test_a_miscounted_window_fails_an_det_and_prints_every_row(capsys,
     sk = build_skeleton(preset_config("threeadic"), 6)
     vals = window_values(sk, 3).copy()
     vals[int((vals == 1).argmax())] = 0
-    monkeypatch.setitem(sk._wincache, ("vals", 3), vals)
+    monkeypatch.setitem(sk._cache, ("vals", 3), vals)
     monkeypatch.setattr(cli, "_skeleton", lambda args: sk)
     argv = ["--preset", "threeadic", "--depth", "6"]
     assert main(["verify", "all", *argv, "--json"]) == 1

@@ -13,6 +13,7 @@ from toeplitzlab import (
     d_recursion,
     fiber_profile,
     pi_of_orbit,
+    tower,
 )
 
 
@@ -61,6 +62,21 @@ def test_fiber_profile_counts(threeadic):
     prof2 = fiber_profile(threeadic, 2)
     assert len(prof2) == 9
     assert all(c >= 1 for _, c in prof2.items())
+
+
+@pytest.mark.parametrize("name, n", [("threeadic5", 3), ("threeadic5", 4),
+                                     ("irregular", 1), ("lattice", 1)])
+def test_fiber_profile_keeps_no_chunk_size_of_its_own(request, monkeypatch,
+                                                      name, n):
+    # its level scans take the lifts tower.sum_chunks hands out
+    sk = request.getfixturevalue(name)
+    want = fiber_profile(sk, n)
+    if (name, n) == ("threeadic5", 4):
+        # some windows of lifts in threeadic's D_5 reach past the depth
+        assert any(want.partial.values())
+    monkeypatch.setattr(tower, "CHUNK", 7)
+    got = fiber_profile(sk, n)
+    assert (got.counts, got.partial) == (want.counts, want.partial)
 
 
 def test_fiber_profile_csv(threeadic):

@@ -5,7 +5,9 @@ import pytest
 
 from toeplitzlab import (
     CheckResult,
+    DepthExceeded,
     DoubledOne,
+    build_skeleton,
     invariant_shift,
     partitions_c_check,
     per_eq_check,
@@ -13,6 +15,7 @@ from toeplitzlab import (
     per_set,
 )
 from toeplitzlab.cells import mu_zero_set, translate_ones
+from toeplitzlab.density import d_enumeration
 from toeplitzlab.verify import run_check
 from toeplitzlab.window import window_values
 
@@ -27,6 +30,19 @@ def test_per_sets_match_reference(threeadic, oracle3, centered6, oracle3c):
 def test_frozen_per_sets(threeadic):
     assert set(per_set(threeadic, 2, 1)) == {0, 3, 6}
     assert set(per_set(threeadic, 2, 0)) == {1, 2}
+
+
+def test_per_sets_past_the_built_depth_are_refused(threeadic, threeadic5):
+    # Per(6, .) needs levels 0..5, and threeadic5 built steps 1..5 only;
+    # read anyway, it gave 354 of the 385 cells of Per(6, 0)
+    for n in (6, 7):
+        with pytest.raises(DepthExceeded, match=rf"Per\({n}, \.\) needs "
+                                                rf"depth >= {n}, have 5"):
+            per_set(threeadic5, n, 0)
+        with pytest.raises(DepthExceeded):
+            d_enumeration(threeadic5, n)
+    assert per_set(threeadic5, 5, 0) == per_set(threeadic, 5, 0)
+    assert d_enumeration(threeadic5, 5) == d_enumeration(threeadic, 5)
 
 
 def test_per_member_returns_forced_symbol(threeadic):
@@ -52,17 +68,25 @@ def test_per_eq_passes(threeadic, centered6, lattice):
     assert _passes(per_eq_check(lattice, 2))
 
 
-def _flip_window_at_4(sk, monkeypatch):
-    """Plant a D_4 window with the symbol at 4 flipped in the skeleton's
-    cache, where per_eq_check reads its level-4 window."""
+def _planted(sk, n, vals):
+    """A fresh build of sk's tower and depth whose D_n window is vals: a
+    shared skeleton keeps what it derived from its own window, such as the
+    translate tables, beside it."""
+    fresh = build_skeleton(sk.tower, sk.depth)
+    fresh.cached(("vals", n), lambda: vals)
+    return fresh
+
+
+def _flip_window_at_4(sk):
+    """sk with the symbol at 4 of its D_4 window, where per_eq_check reads
+    at level 3, flipped."""
     vals = window_values(sk, 4).copy()
     vals[sk.tower.index_of(4, 4)] ^= 1
-    monkeypatch.setitem(sk._wincache, ("vals", 4), vals)
+    return _planted(sk, 4, vals)
 
 
-def test_per_eq_catches_flipped_symbol(threeadic, monkeypatch):
-    _flip_window_at_4(threeadic, monkeypatch)
-    res = per_eq_check(threeadic, 3)
+def test_per_eq_catches_flipped_symbol(threeadic):
+    res = per_eq_check(_flip_window_at_4(threeadic), 3)
     assert res.status == "Fail"
     assert res.counterexample["coset"] == "4+Gamma_3"
 
@@ -117,17 +141,17 @@ def test_partitions_c_clean(threeadic, irregular):
     assert _passes(partitions_c_check(irregular, 1))
 
 
-def test_a_doubled_one_fails_partitions_c(threeadic, monkeypatch):
-    # plant a second 1 in the first J(2)-translate of the cached D_9 window
-    # that carries one, where partitions_c_check reads
-    sk, T, k = threeadic, threeadic.tower, 2
-    vals = window_values(sk, 9).copy()
+def test_a_doubled_one_fails_partitions_c(threeadic):
+    # plant a second 1 in the first J(2)-translate of the D_9 window that
+    # carries one, where partitions_c_check reads
+    T, k = threeadic.tower, 2
+    vals = window_values(threeadic, 9).copy()
     for gamma in T.section_arr(k, 9).tolist():
-        cells = T.index_of_arr(T.add_arr(gamma, sk.jset(k)), 9)
+        cells = T.index_of_arr(T.add_arr(gamma, threeadic.jset(k)), 9)
         if (vals[cells] == 1).sum() == 1:
             break
     vals[cells[vals[cells] == 0][0]] = 1
-    monkeypatch.setitem(sk._wincache, ("vals", 9), vals)
+    sk = _planted(threeadic, 9, vals)
     res = partitions_c_check(sk, k)
     assert res.status == "Fail"
     assert res.counterexample == {"k": k, "gamma": gamma, "ones": 2}
@@ -137,9 +161,8 @@ def test_a_doubled_one_fails_partitions_c(threeadic, monkeypatch):
     assert (exc.value.gamma, exc.value.ones) == (gamma, 2)
 
 
-def test_doubled_one_names_the_least_doubled_translate(threeadic,
-                                                      monkeypatch):
-    # second 1s at 5, 7, 32 and 88 of the cached D_9 window double the
+def test_doubled_one_names_the_least_doubled_translate(threeadic):
+    # second 1s at 5, 7, 32 and 88 of the D_9 window double the
     # J(1)-translates 3 and 30, and put three 1s in the J(2)-translate 0
     # and two in 81; the pinned (gamma, ones) are those the dense-table
     # code raised: the least doubled translate and its count
@@ -147,12 +170,13 @@ def test_doubled_one_names_the_least_doubled_translate(threeadic,
     assert vals[[4, 5, 7, 8, 31, 32, 85, 88]].tolist() == [1, 0, 0, 0,
                                                            1, 0, 1, 0]
     vals[[5, 7, 32, 88]] = 1
-    monkeypatch.setitem(threeadic._wincache, ("vals", 9), vals)
+    sk = _planted(threeadic, 9, vals)
     for k, gamma, ones in ((1, 3, 2), (2, 0, 3)):
         with pytest.raises(DoubledOne) as exc:
-            translate_ones(threeadic, 9, k)
+            translate_ones(sk, 9, k)
         assert (exc.value.gamma, exc.value.ones) == (gamma, ones)
-    res = run_check(threeadic, "partitions-c")
+    # a refused table is not kept, so the check meets the same refusal
+    res = run_check(sk, "partitions-c")
     assert (res.status, res.scope) == ("Fail", "k=1")
     assert res.counterexample == {"k": 1, "gamma": 3, "ones": 2}
 
@@ -166,6 +190,5 @@ def test_per_eq_reports_an_invariant_shift_last(threeadic, monkeypatch):
     assert res.scope == "level 3, essential (stub)"
     assert res.counterexample["invariant_shift"] == 9
     # a flipped window still fails first, on its probe
-    _flip_window_at_4(threeadic, monkeypatch)
-    res = per_eq_check(threeadic, 3)
+    res = per_eq_check(_flip_window_at_4(threeadic), 3)
     assert "coset" in res.counterexample

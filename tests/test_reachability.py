@@ -28,6 +28,11 @@ One saturation test: whether reduce(g, l+1) lies in D_l is asked, as an
 `in_domain_arr` call on a `reduce_arr` result, only at the sites named in
 SATURATION_SITES.
 
+One memo: what is derived from a skeleton is kept only through
+`ToeplitzSkeleton.cached`.  No module but skeleton.py names a private
+attribute with "cache" in it, and none stores a private attribute on an
+object other than `self`, so no second memo hangs off the skeleton.
+
 One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
@@ -550,3 +555,39 @@ def test_no_remainder_path_beside_the_quotient_kernel(tmp_path):
         "        np.mod(out, m, out=out)\n"
         "        return np.subtract(out, self.half[n], out=out)\n")
     assert remainder_calls(tmp_path) == [("tower", "IntegerLineTower")] * 2
+
+
+def memo_sites(src):
+    """(module, top-level definition) of every private "cache" attribute
+    named, and every private attribute stored on an object other than
+    `self`, outside skeleton.py."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "skeleton":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and ("cache" in node.attr
+                         or (isinstance(node.ctx, ast.Store)
+                             and getattr(node.value, "id", None) != "self"))]
+    return sorted(out)
+
+
+def test_only_the_skeleton_keeps_a_memo(tmp_path):
+    assert memo_sites(SRC) == []
+    # the window and decom memos before they moved into `cached`
+    (tmp_path / "window.py").write_text(
+        "def _window(skeleton, n, values):\n"
+        "    cache = skeleton._wincache\n"
+        "    if key not in cache:\n"
+        "        cache[key] = _build(skeleton, n, values)\n")
+    (tmp_path / "verify.py").write_text(
+        "def check_decom(skeleton):\n"
+        "    if skeleton._decom is None:\n"
+        "        skeleton._decom = validate_tower(skeleton.tower)\n"
+        "    return skeleton._decom\n")
+    assert memo_sites(tmp_path) == [("verify", "check_decom"),
+                                    ("window", "_window")]

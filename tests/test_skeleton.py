@@ -7,6 +7,7 @@ import bruteforce as bf
 from conftest import cyclic_generic
 from toeplitzlab import skeleton
 from toeplitzlab import (
+    DepthExceeded,
     IntegerLineTower,
     Undefined,
     build_skeleton,
@@ -160,6 +161,20 @@ def test_jset_equality_and_membership(threeadic):
     assert not np.array_equal(fresh, threeadic.jset(3))
     assert 13 in threeadic.jset(3)
     assert 12 not in threeadic.jset(3)
+
+
+def test_the_memo_builds_once_and_keeps_no_failed_build():
+    sk = build_skeleton(IntegerLineTower([3] * 3), 2)
+
+    def refused():
+        raise DepthExceeded("refused")
+
+    for _ in range(2):
+        with pytest.raises(DepthExceeded):
+            sk.cached("probe", refused)
+    assert sk.cached("probe", lambda: 1) == 1
+    assert sk.cached("probe", refused) == 1
+    assert sk.jset(2) is sk.jset(2)
 
 
 def test_save_load_round_trip(tmp_path, centered6):

@@ -183,7 +183,9 @@ def test_containings_builds_no_j_set(monkeypatch):
 
     monkeypatch.setattr(skeleton, "j_set", recording)
     assert run_check(irr, "containings").status == "Pass"
-    assert built == [] and sorted(irr._jcache) == [0, 1]
+    assert built == []
+    assert sorted(k for k in irr._cache if k[0] == "jset") == [
+        ("jset", 0), ("jset", 1)]
 
 
 def test_uns_bound_witnesses_strict(threeadic):
@@ -339,14 +341,14 @@ def test_the_window_is_refused_before_the_j_set_is_built(threeadic):
         verify_refinement(sk, 3, 5)
     with pytest.raises(BudgetExceeded, match="window D_6 needs 729 cells"):
         mu_zero_set(sk, 4, 6)
-    assert 4 not in sk._jcache
+    assert ("jset", 4) not in sk._cache
     # irregular-demo: J(4) has 3,281,040 elements, and a cap below |D_4|
     # refuses containings n = 3 without building it
     irr = build_skeleton(preset_config("irregular-demo"), 5,
                          Budget(window=1000000))
     with pytest.raises(BudgetExceeded):
         verify_refinement(irr, 3, 4)
-    assert 4 not in irr._jcache
+    assert ("jset", 4) not in irr._cache
 
 
 def test_per_eq_is_refused_before_any_mask_is_built(threeadic, monkeypatch):
