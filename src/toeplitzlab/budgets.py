@@ -22,7 +22,10 @@ class Budget:
             raise BudgetExceeded(
                 f"{what} needs {size} elements, budget is {self.enum}")
 
+    def allows_window(self, size):
+        return size <= self.window
+
     def check_window(self, size, what):
-        if size > self.window:
+        if not self.allows_window(size):
             raise BudgetExceeded(
                 f"{what} needs {size} cells, budget is {self.window}")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
-from .tower import sum_chunks
-from .window import level_scan
+from .window import eval_sums
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def fiber_profile(skeleton, n):
     """Window multiplicity over each level-n coset, from level-(n+1) lifts.
 
     For every v in D_{n+1} the D_n-window of sigma^{v^{-1}} eta is read off,
-    by one level scan over the products v s, s in D_n; windows group by
+    by eval_sums over the products v s, s in D_n; windows group by
     reduce(v, n).  Cosets whose whole neighborhood is periodically forced
     below level n always report exactly one window.
     """
@@ -102,8 +101,7 @@ def fiber_profile(skeleton, n):
                                f"fiber profile at {n}")
     dom_n = T.domain_arr(n)
     lifts = T.domain_arr(n + 1)
-    windows = np.concatenate([level_scan(skeleton, g).reshape(-1, len(dom_n))
-                              for _, g in sum_chunks(T, lifts, dom_n)])
+    windows = eval_sums(skeleton, lifts, dom_n)
     coset = T.coset_index_arr(lifts, n)
     full = ~(windows == 255).any(axis=1)
     # one row per distinct (coset, window) pair among the fully defined lifts

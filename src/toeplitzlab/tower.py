@@ -808,18 +808,20 @@ def validate_tower(tower, budget=Budget(), depth=None):
 
     levels_in_budget = [n for n in range(top + 1) if sizes[n] <= budget.enum]
     scope = f"levels {levels_in_budget}"
+    ramp = np.arange(CHUNK)
     for n in levels_in_budget:
         count, has_zero, moved = 0, False, []
         for start, g in domain_chunks(tower, n):
             # the k-th element of D_n has D_n index k unless one repeats
-            if (tower.index_of_arr(g, n)
-                    != np.arange(start, start + len(g))).any():
+            if (tower.index_of_arr(g, n) - start != ramp[:len(g)]).any():
                 return failed(name, scope,
                               {"level": n, "reason": "repeated element in D_n"})
             count += len(g)
             has_zero = has_zero or tower.eq_arr(g, tower.zero).any()
             # one representative per coset: reduce must fix the domain
-            moved += tower.elements(g[~tower.eq_arr(tower.reduce_arr(g, n), g)])
+            fixed = tower.eq_arr(tower.reduce_arr(g, n), g)
+            if not fixed.all():
+                moved += tower.elements(g[~fixed])
         if count != sizes[n]:
             return failed(name, scope,
                           {"level": n, "reason": "domain size mismatch",

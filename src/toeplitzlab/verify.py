@@ -45,7 +45,7 @@ from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
 from .skeleton import j_mask, j_set, j_set_recursive, j_size
 from . import tower as _tower
 from .tower import domain_where, sum_chunks, validate_tower
-from .window import level_scan, per_masks, window_levels, window_values
+from .window import eval_sums, per_masks, window_levels, window_values
 
 
 # -- small helpers ---------------------------------------------------------
@@ -84,9 +84,8 @@ def good_bound(tower, n, m):
     return b
 
 
-def _eval_arr(skeleton, g):
-    """eval over the element array g; every probe must be defined."""
-    vals = level_scan(skeleton, g)
+def _defined(vals):
+    """vals, once none of them is undefined (255)."""
     if (vals == 255).any():
         raise DepthExceeded("a probe is undefined; increase depth")
     return vals
@@ -94,18 +93,22 @@ def _eval_arr(skeleton, g):
 
 def _u_mask(skeleton, base, n, eta):
     """Which base points v have the sigma^{v^{-1}} eta window on D_{n+1}
-    equal to eta_n; eta(g) gives the array's values at the element array g.
-    Each probe only visits the points that matched every earlier probe, and
-    the probes for the rarer symbol 1 go first."""
+    equal to eta_n; eta(a, b) gives the array's values at every a[i] + b[k].
+    Probes go in batches of about CHUNK values, the rarer symbol 1's first,
+    each only at the points that matched every earlier batch; a point's
+    first mismatch must be defined."""
     T = skeleton.tower
     shifts = T.domain_arr(n + 1)
     target = window_values(skeleton, n)[T.coset_index_arr(shifts, n)]
+    todo = np.argsort(target == 0, kind="stable")
     alive = np.arange(len(base))
-    for i in np.argsort(target == 0, kind="stable"):
-        alive = alive[eta(T.add_arr(base[alive], shifts[i])) == target[i]]
-    ok = np.zeros(len(base), dtype=bool)
-    ok[alive] = True
-    return ok
+    while len(todo) and len(alive):
+        i, todo = np.split(todo, [max(1, _tower.CHUNK // len(alive))])
+        vals = eta(base[alive], shifts[i])
+        miss = vals != target[i]
+        _defined(vals[np.arange(len(alive)), miss.argmax(axis=1)])
+        alive = alive[~miss.any(axis=1)]
+    return np.isin(np.arange(len(base)), alive)
 
 
 def _patch_offsets(skeleton, n):
@@ -122,10 +125,8 @@ def _patch_offsets(skeleton, n):
 def _y_mask(skeleton, base, n):
     """Which base points pass the all-zero probe over section x J(n)."""
     T = skeleton.tower
-    ok = T.eq_arr(T.reduce_arr(base, n), T.zero)
-    for off in _patch_offsets(skeleton, n)[2]:
-        ok &= _eval_arr(skeleton, T.add_arr(base, off)) == 0
-    return ok
+    vals = _defined(eval_sums(skeleton, base, _patch_offsets(skeleton, n)[2]))
+    return T.eq_arr(T.reduce_arr(base, n), T.zero) & (vals == 0).all(axis=1)
 
 
 # -- the checks ------------------------------------------------------------
@@ -268,8 +269,8 @@ def check_good_patches(skeleton):
         got, want, _ = _patch_values(skeleton, n, m, S)
         qualifying = S[(got == want).all(axis=0)]
         vals = window_values(skeleton, m)
-        in_u = _u_mask(skeleton, qualifying, n,
-                       lambda g: vals[T.index_of_arr(g, m)])
+        in_u = _u_mask(skeleton, qualifying, n, lambda a, b: vals[
+            T.index_of_arr(T.add_arr(a[:, None], b[None]), m)])
         if not in_u.all():
             i = int(np.flatnonzero(~in_u)[0])
             return failed(
@@ -391,10 +392,9 @@ def check_u_in_y(skeleton):
         linking = bool(skeleton.linking_ok.get(ms.index(nk), False))
         skeleton.budget.check_window(T.size(nk + 2) * T.size(nk + 1),
                                      f"u-in-y at {nk}")
-        # the probes leave D_{n_k+2}, so they go through the level scan
         base = T.domain_arr(nk + 2)
         members = base[_u_mask(skeleton, base, nk,
-                               lambda g: _eval_arr(skeleton, g))]
+                               lambda a, b: eval_sums(skeleton, a, b))]
         in_y = _y_mask(skeleton, members, nk)
         holds = bool(in_y.all())
         if linking and not holds:

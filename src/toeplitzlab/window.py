@@ -5,8 +5,8 @@ defined-mask (cells past the constructed depth exist once n reaches the
 skeleton depth).  Windows are built the way the construction defines the
 array, not cell by cell: the array over D_l extends to D_{l+1} as a function
 of the Gamma_l-coset, then level l settles the blank cells of D_l, so each
-cell is written about once and the line does no division.  level_scan is
-eval over an array that is not a domain.
+cell is written about once and the line does no division.  eval_arr, eval
+over any array, reads such a window where one holds it, else scans levels.
 
 File formats:
   csv   `# level=n` and `# cells=|D_n|` lines, then one row per cell: the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
 from . import tower as _tower
-from .tower import domain_chunks
+from .tower import domain_chunks, sum_chunks
 
 MAGIC = b"TPW1"
 
@@ -39,16 +39,20 @@ _VALUE_OF = np.full(256, _NO_SYMBOL, dtype=np.uint8)
 _VALUE_OF[[ord("0"), ord("1"), ord("?")]] = 0, 1, 255
 
 
-def level_scan(skeleton, g):
-    """eval over the element array g: per element its value, uint8 with
-    255 past the built depth.
+def eval_arr(skeleton, g):
+    """eval over the element array g, uint8 with 255 past the built depth.
 
-    Level l settles every undecided element whose reduction mod
-    Gamma_{l+1} lies in D_l.  The reductions reuse one buffer, so no
-    per-cell temporary grows with the number of levels.  It serves arrays
-    that are not a domain; a window over D_n is built by _build.
-    """
+    g is read from the least window D_L, L <= depth, that holds all of it
+    and that the budget allows.  Only where none does, the residual scans
+    the levels: level l settles every undecided element whose reduction mod
+    Gamma_{l+1} lies in D_l, the reductions reusing one buffer.  Callers
+    pass about CHUNK elements at a time, as eval_sums does."""
     T = skeleton.tower
+    L = next((l for l in range(skeleton.depth + 1)
+              if skeleton.budget.allows_window(T.size(l))
+              and T.in_domain_arr(g, l).all()), None)
+    if L is not None:
+        return window_values(skeleton, L)[T.index_of_arr(g, L)]
     out = np.full(len(g), 255, dtype=np.uint8)
     undec = np.ones(len(g), dtype=bool)
     r = np.empty_like(g)
@@ -62,6 +66,14 @@ def level_scan(skeleton, g):
         undec &= cells
         if not undec.any():
             break
+    return out
+
+
+def eval_sums(skeleton, a, b):
+    """eval_arr at every a[i] + b[k], as a (len(a), len(b)) array."""
+    out = np.empty((len(a), len(b)), dtype=np.uint8)
+    for i0, g in sum_chunks(skeleton.tower, a, b):
+        out.reshape(-1)[i0 * len(b):][:len(g)] = eval_arr(skeleton, g)
     return out
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import relabelled_cyclic
-from toeplitzlab import (DepthExceeded, NotInDomain, build_skeleton,
-                         build_tower, preset_config)
+from toeplitzlab import (DepthExceeded, NotInDomain, Undefined,
+                         build_skeleton, build_tower, preset_config)
 from toeplitzlab import cells, tower, verify
 from toeplitzlab.cells import (
     TAG_ZERO,
@@ -21,7 +21,8 @@ from toeplitzlab.cells import (
     translate_ones,
     verify_refinement,
 )
-from toeplitzlab.verify import _eval_arr, _u_mask, _y_mask, run_all, run_check
+from toeplitzlab.verify import _u_mask, _y_mask, run_all, run_check
+from toeplitzlab.window import eval_sums, window_values
 
 
 # -- the refinement rules one cell at a time: the oracle for the array walks
@@ -442,11 +443,48 @@ def test_corollary_chain_irregular(irregular, monkeypatch):
 def test_orbit_membership_matches_reference(threeadic, oracle3):
     # U_1 and Y_1 membership as the u-in-y check computes it
     base = threeadic.tower.array(range(27))
-    in_u = _u_mask(threeadic, base, 1, lambda g: _eval_arr(threeadic, g))
+    in_u = _u_mask(threeadic, base, 1,
+                   lambda a, b: eval_sums(threeadic, a, b))
     in_y = _y_mask(threeadic, base, 1)
     assert in_u.tolist() == [oracle3.in_un(v, 1) for v in range(27)]
     assert in_y.tolist() == [oracle3.in_yn(v, 1) for v in range(27)]
     assert [v for v in range(27) if in_u[v]] == [15, 18, 21]
+
+
+def _u_first_mismatch(sk, v, n):
+    """U_n membership of v one probe at a time, in _u_mask's order: None for
+    a member, else the value at v's first mismatching probe."""
+    T = sk.tower
+    shifts = T.domain_arr(n + 1)
+    target = window_values(sk, n)[T.coset_index_arr(shifts, n)]
+    for i in np.argsort(target == 0, kind="stable"):
+        got = sk.eval(v + int(shifts[i]))
+        if got != target[i]:
+            return got
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_u_mask_needs_each_points_first_mismatch_defined(threeadic5,
+                                                         monkeypatch, chunk):
+    # at depth 5 some probes of D_5 + D_2 lie in J(5) and are undefined: a
+    # point whose first mismatch is one stops the check, a point that left
+    # U before meeting one does not, even in the same batch
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    T = threeadic5.tower
+    first = [_u_first_mismatch(threeadic5, v, 1) for v in range(T.size(5))]
+    late = [v for v, f in enumerate(first) if f is not Undefined]
+    stops = [v for v, f in enumerate(first) if f is Undefined]
+    assert len(late) == 183 and stops[:3] == [114, 117, 120]
+
+    def eta(a, b):
+        return eval_sums(threeadic5, a, b)
+
+    in_u = _u_mask(threeadic5, T.array(late), 1, eta)
+    assert in_u.tolist() == [first[v] is None for v in late]
+    with pytest.raises(DepthExceeded):
+        _u_mask(threeadic5, T.array(late + stops[:1]), 1, eta)
 
 
 def test_zero_set_masses(threeadic):

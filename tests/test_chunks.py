@@ -19,7 +19,7 @@ from test_tower import _BadSectionTower
 from toeplitzlab import (IntegerLatticeTower, SymbolWindow, build_skeleton,
                          build_tower, j_set, j_set_recursive,
                          materialize_window, preset_config, tower)
-from toeplitzlab.verify import run_all, run_check
+from toeplitzlab.verify import REGISTRY_NAMES, run_all, run_check
 from toeplitzlab.window import window_levels
 
 INSTANCES = {
@@ -154,6 +154,17 @@ def test_translate_tables_peak_within_their_gates():
     for name, gate in (("partitions-c", 10), ("containings", 8)):
         peak = _peak_mib(lambda: run_check(sk, name))
         assert peak < gate, f"{name} peaked at {peak:.1f} MiB"
+
+
+def test_u_in_y_peaks_within_its_gate():
+    # in registry order, so u-in-y reads the D_3 and D_4 windows the checks
+    # before it built; it peaked at 1.1 MiB with one level scan per probe,
+    # and at 13.5 MiB with its probes summed in one unchunked batch
+    sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
+    for name in REGISTRY_NAMES[:REGISTRY_NAMES.index("u-in-y")]:
+        run_check(sk, name)
+    peak = _peak_mib(lambda: run_check(sk, "u-in-y"))
+    assert peak < 4, f"u-in-y peaked at {peak:.1f} MiB"
 
 
 def test_reduce_into_out_allocates_no_chunk():

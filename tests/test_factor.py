@@ -1,18 +1,23 @@
 """Odometer coordinates, decided mass, and fiber multiplicity."""
 
 import csv
+import hashlib
 import io
 from fractions import Fraction
 
 import pytest
 
 from toeplitzlab import (
+    Budget,
     NotInDomain,
     OdometerPoint,
     a_counts,
+    build_skeleton,
+    build_tower,
     d_recursion,
     fiber_profile,
     pi_of_orbit,
+    preset_config,
     tower,
 )
 
@@ -68,7 +73,7 @@ def test_fiber_profile_counts(threeadic):
                                      ("irregular", 1), ("lattice", 1)])
 def test_fiber_profile_keeps_no_chunk_size_of_its_own(request, monkeypatch,
                                                       name, n):
-    # its level scans take the lifts tower.sum_chunks hands out
+    # its evals take the lifts tower.sum_chunks hands out
     sk = request.getfixturevalue(name)
     want = fiber_profile(sk, n)
     if (name, n) == ("threeadic5", 4):
@@ -77,6 +82,30 @@ def test_fiber_profile_keeps_no_chunk_size_of_its_own(request, monkeypatch,
     monkeypatch.setattr(tower, "CHUNK", 7)
     got = fiber_profile(sk, n)
     assert (got.counts, got.partial) == (want.counts, want.partial)
+
+
+# sha256 of each profile's csv as the level scan of every probe wrote it,
+# before the probes were read from windows; it is the same at any chunk size
+FIBER_CSV_SHA256 = {
+    ("threeadic", 10, 6):
+        "2d7cdb6b26d32be1bfe047c4320c3c1571955f71727ec4fbe5f77cd2a8b5da29",
+    ("irregular-demo", 5, 2):
+        "6df20741747ed2cf5d79a19b12810f89688056d445a2a40c698680d31770d5c0",
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("case", sorted(FIBER_CSV_SHA256))
+def test_fiber_profiles_keep_their_csv(monkeypatch, case, chunk):
+    preset, depth, n = case
+    # irregular-demo's level 2 reads |D_3| |D_2| = 13,622,175 probes, over
+    # the default enumeration cap
+    sk = build_skeleton(build_tower(preset_config(preset)), depth,
+                        Budget(enum=1 << 24))
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    text = fiber_profile(sk, n).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == FIBER_CSV_SHA256[case]
 
 
 def test_fiber_profile_csv(threeadic):

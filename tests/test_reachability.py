@@ -67,8 +67,9 @@ TOWER_KINDS = {"IntegerLine", "IntegerLattice", "Generic"}
 SATURATION_SITES = {
     ("skeleton", "j_mask"): "the saturation test that J-sets, good sets, "
                             "good-relation and each plant step read",
-    ("window", "level_scan"): "eval over an array: level l settles the "
-                              "undecided elements it saturates",
+    ("window", "eval_arr"): "eval over an array, in its residual scan for "
+                            "a piece no allowed window holds: level l "
+                            "settles the undecided elements it saturates",
 }
 
 CAP_SITES = {

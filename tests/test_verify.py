@@ -18,10 +18,12 @@ from toeplitzlab import (
     run_check,
     zero_mass_closed_form,
     build_skeleton,
+    build_tower,
     preset_config,
     zero_mass_lower_bound,
 )
-from toeplitzlab import periods, verify
+from toeplitzlab import periods, verify, window
+from toeplitzlab.cli import main
 from toeplitzlab.cells import mu_zero_set, verify_refinement
 from toeplitzlab.result import failed
 from toeplitzlab.verify import (_REGISTRY, _per_unit, good_bound,
@@ -394,3 +396,36 @@ def test_only_the_budget_limits_per_eq_and_good_relation(monkeypatch):
     with pytest.raises(BudgetExceeded,
                        match="essential level 6 needs 16773120 elements"):
         periods.per_eq_check(sk, 6)
+
+
+def test_u_in_y_reads_every_probe_from_a_window(monkeypatch, capsys):
+    # the probes of irregular-demo all lie in D_4; before u-in-y read them
+    # from its cached window it made 899 level scans, one per probe: 465
+    # for U and 434 for Y
+    reads, pieces = [], []
+    real_values, real_eval = window.window_values, window.eval_arr
+
+    def values(skeleton, n):
+        reads.append(n)
+        return real_values(skeleton, n)
+
+    def counted(skeleton, g):
+        before = len(reads)
+        out = real_eval(skeleton, g)
+        pieces.append(reads[before:])
+        return out
+
+    monkeypatch.setattr(window, "window_values", values)
+    monkeypatch.setattr(window, "eval_arr", counted)
+    sk = build_skeleton(build_tower(preset_config("irregular-demo")), 5)
+    assert run_check(sk, "u-in-y").status == "Pass"
+    # every piece reads one window (D_3 or D_4), so none is scanned, and
+    # each holds many probes
+    assert 0 < len(pieces) < 100
+    assert all(len(r) == 1 and r[0] in (3, 4) for r in pieces)
+    # a cap on the window skips the unit; the eval refuses nothing of its own
+    assert main(["verify", "u-in-y", "--preset", "irregular-demo",
+                 "--window-budget", "1000000"]) == 0
+    assert capsys.readouterr().out == (
+        "[Inconclusive] u-in-y: n_k in [], reps over D_(n_k+2); over "
+        "budget: [1]\n")

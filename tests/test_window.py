@@ -10,6 +10,7 @@ from conftest import relabelled_cyclic, s3_by_z
 from toeplitzlab import (
     Budget,
     BudgetExceeded,
+    DepthExceeded,
     IntegerLatticeTower,
     IntegerLineTower,
     NotInDomain,
@@ -23,7 +24,9 @@ from toeplitzlab import (
     tower,
     window_values,
 )
-from toeplitzlab.window import level_scan, window_levels
+from toeplitzlab import window
+from toeplitzlab.verify import _defined
+from toeplitzlab.window import eval_arr, eval_sums, window_levels
 
 
 def _ref_window(orc, n):
@@ -196,12 +199,18 @@ def test_windows_agree_with_scalar_eval(monkeypatch, name, chunk):
         _assert_eval_oracle(sk, n)
 
 
+def _scanning(T, depth):
+    """A skeleton whose eval_arr scans the levels: its budget refuses every
+    window but the one-cell D_0's."""
+    return build_skeleton(T, depth, Budget(window=1))
+
+
 @functools.cache
 def _irregular_d4_scan():
-    # level_scan over D_4 at the default chunk size, read before any test
-    # changes it
-    sk = build_skeleton(build_tower(preset_config("irregular-demo")), 4)
-    return np.concatenate([level_scan(sk, g)
+    # the level scan over D_4 at the default chunk size, read before any
+    # test changes it
+    sk = _scanning(build_tower(preset_config("irregular-demo")), 4)
+    return np.concatenate([eval_arr(sk, g)
                            for _, g in tower.domain_chunks(sk.tower, 4)])
 
 
@@ -216,6 +225,78 @@ def test_irregular_windows_agree_with_eval_and_the_level_scan(monkeypatch,
         _assert_eval_oracle(sk, n)
     vals = window_values(sk, 4)
     assert vals.dtype == scan.dtype and np.array_equal(vals, scan)
+
+
+# (tower, skeleton depth) on which eval_arr is checked
+EVAL_INSTANCES = {
+    "threeadic": lambda: (build_tower(preset_config("threeadic")), 10),
+    "centered6": lambda: (IntegerLineTower([3] * 6, style=STYLE_CENTERED), 6),
+    "irregular-demo": lambda: (build_tower(preset_config("irregular-demo")),
+                               5),
+    "lattice": lambda: (IntegerLatticeTower([[3, 3, 3], [3, 3, 3]]), 3),
+    "generic": lambda: (relabelled_cyclic([3] * 6, 1)[0], 6),
+    "s3_by_z": lambda: (s3_by_z(5), 5),
+}
+
+
+def _eval_probes(T, depth):
+    """Runs of 40 elements in D_{depth-1} and in D_depth: the last one and
+    three at seeded places.  Then the sums of the D_depth runs with
+    themselves reversed, which leave D_depth on the line and the lattice."""
+    rng = np.random.default_rng(0)
+    inner, top = [np.concatenate([T.domain_arr(n, s, s + 40) for s in (
+        *rng.integers(0, T.size(n) - 40, size=3), T.size(n) - 40)])
+                  for n in (depth - 1, depth)]
+    return inner, top, T.add_arr(top, top[::-1])
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", sorted(EVAL_INSTANCES))
+def test_eval_arr_agrees_with_the_level_scan(monkeypatch, name, chunk):
+    T, depth = EVAL_INSTANCES[name]()
+    parts = _eval_probes(T, depth)
+    sk = build_skeleton(T, depth)
+    wants = [np.array([255 if v is Undefined else v
+                       for v in map(sk.eval, T.elements(g))], dtype=np.uint8)
+             for g in parts]
+    # no level below depth settles J(depth), which the last run of D_depth
+    # meets; D_{depth-1} is settled
+    assert not (wants[0] == 255).any() and (wants[1] == 255).any()
+    with pytest.raises(DepthExceeded):
+        _defined(wants[1])
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    reads, pieces = [], {"window": 0, "scan": 0}
+    real_values, real_eval = window.window_values, window.eval_arr
+
+    def values(sk, n):
+        reads.append(n)
+        return real_values(sk, n)
+
+    def counted(sk, g):
+        before = len(reads)
+        out = real_eval(sk, g)
+        pieces["window" if len(reads) > before else "scan"] += 1
+        return out
+
+    monkeypatch.setattr(window, "window_values", values)
+    monkeypatch.setattr(window, "eval_arr", counted)
+    # the default budget, one that refuses D_depth's window, and the scan
+    counts = []
+    for budget in (Budget(), Budget(window=T.size(depth - 1)),
+                   Budget(window=1)):
+        sk = build_skeleton(T, depth, budget)
+        pieces.update(window=0, scan=0)
+        for g, want in [*zip(parts, wants),
+                        (np.concatenate(parts), np.concatenate(wants))]:
+            for got in (counted(sk, g),
+                        eval_sums(sk, g, T.array([T.zero]))[:, 0]):
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+        counts.append(dict(pieces))
+    # a piece inside a window the budget allows reads it, and one that
+    # leaves every such window is scanned, never refused
+    assert counts[0]["window"] and counts[1]["scan"]
+    assert counts[2]["window"] == 0
 
 
 def _csv_one_row_per_cell(win, T):
