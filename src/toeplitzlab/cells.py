@@ -35,7 +35,6 @@ here, as well as the partitions check and mu_m(Z_n), is a lookup in it or
 its length.
 """
 
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -188,7 +187,7 @@ CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
 
 
 # a corollary chain checks every atom when there are at most _CHAIN_ATOMS,
-# else that many drawn from random.Random(_CHAIN_SEED)
+# else that many drawn by _draw_atoms from seed _CHAIN_SEED
 _CHAIN_ATOMS = 200000
 _CHAIN_SEED = 0
 
@@ -200,48 +199,13 @@ def chain_mode(skeleton, n_s):
     return ("exhaustive" if total <= _CHAIN_ATOMS else "sampled"), total
 
 
-_WORD_PASS = 1 << 16  # MT19937 words _randrange_pairs reads per pass
-
-
-def _randrange_pairs(seed, size, picks, count):
-    """The first count pairs (randrange(size), randrange(picks)) that
-    random.Random(seed) draws in turn, as two int64 arrays, read from its
-    32-bit words _WORD_PASS at a time.
-
-    randrange(n) takes the top n.bit_length() bits of one word and draws
-    again while they are >= n.  Which draw a word serves is then a two-state
-    machine, state 0 awaiting a size and state 1 a pick: a word both draws
-    accept flips the state, one only the size draw (pick draw) accepts sets
-    it to 1 (0), and one neither accepts keeps it.  The state after a word
-    is that of the last setting word, flipped once per flip since, and a
-    word is used when it changes the state.
-    """
-    if max(size, picks).bit_length() > 32:
-        raise ValueError(f"sampled chain draws need size and picks below "
-                         f"2**32, got {size} and {picks}")
-    shift_size, shift_pick = 32 - size.bit_length(), 32 - picks.bit_length()
-    rng = random.Random(seed)
-    # a setting word's key: 2 + twice its position, plus its state with the
-    # flips up to it undone, so a running maximum picks the last one
-    key = np.arange(2, 2 * _WORD_PASS + 2, 2, dtype=np.int32)
-    before = np.empty(_WORD_PASS, dtype=bool)
-    state, got, out = 0, 0, []
-    while got < 2 * count:
-        words = np.frombuffer(rng.getrandbits(32 * _WORD_PASS).to_bytes(
-            4 * _WORD_PASS, "little"), dtype="<u4")
-        to_one = (words >> shift_size) < size
-        to_zero = (words >> shift_pick) < picks
-        flipped = np.bitwise_xor.accumulate(to_one & to_zero)
-        last = np.maximum.accumulate((key | (to_one ^ flipped))
-                                     * (to_one ^ to_zero))
-        after = (np.maximum(last, state) & 1).astype(bool) ^ flipped
-        before[0], before[1:] = state, after[:-1]
-        out.append(np.compress(before ^ after, words))
-        got += len(out[-1])
-        state = int(after[-1])
-    draws = np.concatenate(out)[:2 * count]
-    return ((draws[0::2] >> shift_size).astype(np.int64),
-            (draws[1::2] >> shift_pick).astype(np.int64))
+def _draw_atoms(seed, size, picks, count):
+    """count domain indices below size, then count tag picks below picks,
+    drawn from np.random.RandomState(seed).  The legacy RandomState stream
+    is frozen, and int64 draws keep it from the platform's C long."""
+    rng = np.random.RandomState(seed)
+    return (rng.randint(size, size=count, dtype=np.int64),
+            rng.randint(picks, size=count, dtype=np.int64))
 
 
 def _chain_atoms(skeleton, n_s):
@@ -249,7 +213,7 @@ def _chain_atoms(skeleton, n_s):
     the One atoms and their positions u in J(n_s) (the identity for Zero).
     Atom (i, p) is the i-th point of D_{n_s} with tag pick p: 0 is Zero, p
     is One(J(n_s)[p-1]).  Past _CHAIN_ATOMS atoms, that many (i, p) pairs
-    are drawn from random.Random(_CHAIN_SEED)."""
+    are drawn by _draw_atoms."""
     T = skeleton.tower
     size = T.size(n_s)
     mode, total = chain_mode(skeleton, n_s)
@@ -259,7 +223,7 @@ def _chain_atoms(skeleton, n_s):
         idx, pick = (np.repeat(np.arange(size), picks),
                      np.tile(np.arange(picks), size))
     else:
-        idx, pick = _randrange_pairs(_CHAIN_SEED, size, picks, _CHAIN_ATOMS)
+        idx, pick = _draw_atoms(_CHAIN_SEED, size, picks, _CHAIN_ATOMS)
     u = np.concatenate((T.array([T.zero]), skeleton.jset(n_s)))[pick]
     return T.domain_arr(n_s)[idx], pick > 0, u
 

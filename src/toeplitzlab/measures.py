@@ -5,7 +5,6 @@ eta_m.  Once the depth passes m every cell of D_m is decided, so all masses
 are exact rationals with denominator |D_m|.
 """
 
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -118,7 +117,6 @@ def limit_01(skeleton, level=None):
     complement; a second route through the density interval must intersect it.
     Raises InconclusiveTail when the tower declares no tail.
     """
-    t0 = time.perf_counter()
     T = skeleton.tower
     m = level if level is not None else skeleton.depth - 1
     if m < 1 or m + 1 > skeleton.depth:
@@ -152,7 +150,6 @@ def limit_01(skeleton, level=None):
         "zero_via_density": (via_lo, via_hi),
         "a_counts": (a0, a1),
         "verdict": report.verdict,
-        "millis": (time.perf_counter() - t0) * 1e3,
     }
 
 

@@ -4,11 +4,11 @@ Per(n, a) collects the D_n representatives whose whole Gamma_n-coset is
 already forced to the symbol a, i.e. the cells decided strictly below level
 n; window.per_masks gives both as masks over D_n.  per_eq_check rebuilds the
 same masks from the step log alone, reads the array on every Gamma_n-translate
-of every per-cell, and asks that no larger subgroup fix them (essential).
-partitions_c_check reads the planted 1 of every J(k)-translate of the
-D_{depth-1} window from cells.translate_ones.  per_eq_check and
-partitions_c_check are unit bodies of verify's checks: each returns its
-level's witness, or a Fail.
+of every per-cell, asks that no larger subgroup fix them (essential) and that
+they miss J(n) (J-membership).  partitions_c_check reads the planted 1 of
+every J(k)-translate of the D_{depth-1} window from cells.translate_ones.
+per_eq_check and partitions_c_check are unit bodies of verify's checks: each
+returns its level's witness, or a Fail.
 """
 
 import numpy as np
@@ -73,9 +73,10 @@ def invariant_shift(tower, n, mask0, mask1):
 def per_eq_check(skeleton, n):
     """Per(n, .) from the windows and from the step log must coincide, the
     D_{n+1} window must show the right symbol on every translate of every
-    per-cell, and no subgroup strictly between Gamma_n and G may fix the
-    per-sets.  |D_n|, the essential facet's |D_n| cells per candidate shift
-    and the window are charged before any mask is built."""
+    per-cell, no subgroup strictly between Gamma_n and G may fix the
+    per-sets, and no cell of J(n) may lie in them.  |D_n|, the essential
+    facet's |D_n| cells per candidate shift and the window are charged
+    before any mask is built."""
     T = skeleton.tower
     name = "per-eq"
     skeleton.budget.check_enum(T.size(n), f"Per({n},.)")
@@ -119,6 +120,15 @@ def per_eq_check(skeleton, n):
             name, f"level {n}, essential ({label})",
             {"level": n, "invariant_shift": shift,
              "reason": "a proper supergroup of Gamma_n fixes the per-sets"})
+
+    # J(n) gains the period only one level up, so no cell of J(n) is
+    # decided below level n
+    jn = skeleton.jset(n)
+    off = (per[0] | per[1])[T.index_of_arr(jn, n)]
+    if off.any():
+        return failed(
+            name, f"n={n} membership",
+            {"n": n, "g": T.format_element(T.element(jn[off.argmax()]))})
     return {"zeros": counts[0], "ones": counts[1], "probes": got.size,
             "essential": label}
 

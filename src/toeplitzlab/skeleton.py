@@ -222,11 +222,7 @@ class ToeplitzSkeleton:
         T = self.tower
         for k in self.completed_blocks():
             mk = self.m_k[k]
-            if mk > T.depth or self.mbar[k + 1] - 1 < 1:
-                continue
-            kind = self.steps[self.mbar[k + 1] - 2]  # last slot step of block k
-            if kind[0] != "plant":
-                continue
+            kind = self.steps[mk - 2]  # last slot step of block k, a plant
             sec = T.section_arr(mk - 2, mk - 1, self.budget)
             sec = sec[~T.eq_arr(sec, T.zero)]
             v_inv_h = T.add_arr(T.sub_arr(T.zero, sec), kind[1])

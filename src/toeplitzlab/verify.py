@@ -45,7 +45,7 @@ from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
 from .skeleton import j_mask, j_set, j_set_recursive, j_size
 from . import tower as _tower
 from .tower import domain_where, sum_chunks, validate_tower
-from .window import eval_sums, per_masks, window_levels, window_values
+from .window import eval_sums, per_masks, window_values
 
 
 # -- small helpers ---------------------------------------------------------
@@ -91,12 +91,12 @@ def _defined(vals):
     return vals
 
 
-def _u_mask(skeleton, base, n, eta):
+def _u_mask(skeleton, base, n):
     """Which base points v have the sigma^{v^{-1}} eta window on D_{n+1}
-    equal to eta_n; eta(a, b) gives the array's values at every a[i] + b[k].
-    Probes go in batches of about CHUNK values, the rarer symbol 1's first,
-    each only at the points that matched every earlier batch; a point's
-    first mismatch must be defined."""
+    equal to eta_n.  Probes go through eval_sums in batches of about CHUNK
+    values, the rarer symbol 1's first, each only at the points that
+    matched every earlier batch; a point's first mismatch must be
+    defined."""
     T = skeleton.tower
     shifts = T.domain_arr(n + 1)
     target = window_values(skeleton, n)[T.coset_index_arr(shifts, n)]
@@ -104,7 +104,7 @@ def _u_mask(skeleton, base, n, eta):
     alive = np.arange(len(base))
     while len(todo) and len(alive):
         i, todo = np.split(todo, [max(1, _tower.CHUNK // len(alive))])
-        vals = eta(base[alive], shifts[i])
+        vals = eval_sums(skeleton, base[alive], shifts[i])
         miss = vals != target[i]
         _defined(vals[np.arange(len(alive)), miss.argmax(axis=1)])
         alive = alive[~miss.any(axis=1)]
@@ -187,20 +187,10 @@ def check_j_recursion(skeleton):
 
 
 def check_per_eq(skeleton):
-    T = skeleton.tower
-
     def unit(n):
         sub = per_eq_check(skeleton, n)
         if isinstance(sub, CheckResult):
             return sub
-        # the membership facet: J(n) gains the period only one level up,
-        # so every cell of J(n) is decided exactly at level n
-        jn = skeleton.jset(n)
-        off = window_levels(skeleton, n)[T.index_of_arr(jn, n)] != n
-        if off.any():
-            return failed(
-                "per-eq", f"n={n} membership",
-                {"n": n, "g": T.format_element(T.element(jn[off.argmax()]))})
 
     return _per_unit("per-eq", range(1, skeleton.depth), unit,
                      lambda done: f"n in {done}, window saturation + "
@@ -268,9 +258,7 @@ def check_good_patches(skeleton):
         S = good_set(skeleton, n, m)
         got, want, _ = _patch_values(skeleton, n, m, S)
         qualifying = S[(got == want).all(axis=0)]
-        vals = window_values(skeleton, m)
-        in_u = _u_mask(skeleton, qualifying, n, lambda a, b: vals[
-            T.index_of_arr(T.add_arr(a[:, None], b[None]), m)])
+        in_u = _u_mask(skeleton, qualifying, n)
         if not in_u.all():
             i = int(np.flatnonzero(~in_u)[0])
             return failed(
@@ -390,11 +378,10 @@ def check_u_in_y(skeleton):
 
     def unit(nk):
         linking = bool(skeleton.linking_ok.get(ms.index(nk), False))
-        skeleton.budget.check_window(T.size(nk + 2) * T.size(nk + 1),
-                                     f"u-in-y at {nk}")
+        # the unit holds its base; eval_arr reads the probes by the cap
+        skeleton.budget.check_window(T.size(nk + 2), f"u-in-y at {nk}")
         base = T.domain_arr(nk + 2)
-        members = base[_u_mask(skeleton, base, nk,
-                               lambda a, b: eval_sums(skeleton, a, b))]
+        members = base[_u_mask(skeleton, base, nk)]
         in_y = _y_mask(skeleton, members, nk)
         holds = bool(in_y.all())
         if linking and not holds:

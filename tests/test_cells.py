@@ -1,7 +1,6 @@
 """Cell refinement, the corollary chains, and orbit membership."""
 
 import copy
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,7 @@ from toeplitzlab import (DepthExceeded, NotInDomain, Undefined,
 from toeplitzlab import cells, tower, verify
 from toeplitzlab.cells import (
     TAG_ZERO,
-    _randrange_pairs,
+    _draw_atoms,
     corollary_chain,
     mu_zero_set,
     parent_cells,
@@ -22,7 +21,7 @@ from toeplitzlab.cells import (
     verify_refinement,
 )
 from toeplitzlab.verify import _u_mask, _y_mask, run_all, run_check
-from toeplitzlab.window import eval_sums, window_values
+from toeplitzlab.window import window_values
 
 
 # -- the refinement rules one cell at a time: the oracle for the array walks
@@ -303,12 +302,13 @@ def _reference_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
         atoms = [(w, tag) for w in dom
                  for tag in [TAG_ZERO] + [tag_one(u) for u in js]]
     else:
-        rng = random.Random(seed)
-        atoms = []
-        for _ in range(exhaustive_cap):
-            w = dom[rng.randrange(size)]
-            pick = rng.randrange(len(js) + 1)
-            atoms.append((w, TAG_ZERO if pick == 0 else tag_one(js[pick - 1])))
+        # the same RandomState calls as _draw_atoms: every index, then
+        # every pick
+        rng = np.random.RandomState(seed)
+        idx = rng.randint(size, size=exhaustive_cap, dtype=np.int64)
+        picks = rng.randint(len(js) + 1, size=exhaustive_cap, dtype=np.int64)
+        atoms = [(dom[i], TAG_ZERO if p == 0 else tag_one(js[p - 1]))
+                 for i, p in zip(idx.tolist(), picks.tolist())]
     branches = {"already_zero": 0, "w_exit": 0, "one_column": 0, "not_zero_ancestor": 0}
     for checked, atom in enumerate(atoms, start=1):
         chain = {n_s: atom}
@@ -371,17 +371,17 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
 
 
 _SAMPLED_BRANCHES = {
-    (1, 9): {"already_zero": 309, "w_exit": 123081, "one_column": 45852,
-             "not_zero_ancestor": 30758},
-    (4, 9): {"already_zero": 300, "w_exit": 132532, "one_column": 33628,
-             "not_zero_ancestor": 33540},
+    (1, 9): {"already_zero": 340, "w_exit": 122792, "one_column": 45858,
+             "not_zero_ancestor": 31010},
+    (4, 9): {"already_zero": 334, "w_exit": 132339, "one_column": 33353,
+             "not_zero_ancestor": 33974},
 }
 
 
 @pytest.mark.parametrize("span, branches", sorted(_SAMPLED_BRANCHES.items()))
 def test_sampled_chain_branch_counts_are_pinned(threeadic, span, branches):
     # seed 0 and the default cap, as z-identity runs them: the pinned counts
-    # hold the randrange stream's 200,000 atoms of each chain fixed
+    # hold the RandomState stream's 200,000 atoms of each chain fixed
     cex, got, checked = corollary_chain(threeadic, [span[0]], span[1])[span[0]]
     assert cex is None
     assert checked == 200000
@@ -390,8 +390,8 @@ def test_sampled_chain_branch_counts_are_pinned(threeadic, span, branches):
 
 def test_chains_that_share_n_s_draw_and_walk_once(threeadic, monkeypatch):
     draws, walks = [], []
-    monkeypatch.setattr(cells, "_randrange_pairs",
-                        lambda *a: draws.append(a) or _randrange_pairs(*a))
+    monkeypatch.setattr(cells, "_draw_atoms",
+                        lambda *a: draws.append(a) or _draw_atoms(*a))
     monkeypatch.setattr(cells, "corollary_chain",
                         lambda *a: walks.append(a[1:]) or corollary_chain(*a))
     monkeypatch.setattr(verify, "corollary_chain", cells.corollary_chain)
@@ -408,28 +408,15 @@ def test_chains_that_share_n_s_draw_and_walk_once(threeadic, monkeypatch):
         nj: (None, b, 200000) for (nj, _), b in _SAMPLED_BRANCHES.items()}
 
 
-@pytest.mark.parametrize("seed, size, picks, count", [
-    (0, 1 << 14, 512, 3000),     # power-of-two sizes reject half the words
-    (1, 19683, 513, 3000),       # threeadic D_9 and 1 + |J(9)|
-    (2, 7, 1, 70000),            # a tiny size, picks 1; four word passes
-    (3, 512, 2, 3000),
-    (4, 2 ** 32 - 1, 3, 1000),   # the widest size one word holds
-])
-def test_bulk_draw_is_the_randrange_stream(seed, size, picks, count):
-    rng = random.Random(seed)
-    want = [(rng.randrange(size), rng.randrange(picks)) for _ in range(count)]
-    idx, pick = _randrange_pairs(seed, size, picks, count)
-    assert list(zip(idx.tolist(), pick.tolist())) == want
-
-
-@pytest.mark.parametrize("size, picks", [(2 ** 32, 2), (3, 2 ** 32 + 5)])
-def test_bulk_draw_refuses_multi_word_values(monkeypatch, size, picks):
-    def no_stream(seed):
-        raise AssertionError("drew from the stream")
-
-    monkeypatch.setattr(cells.random, "Random", no_stream)
-    with pytest.raises(ValueError, match="below 2\\*\\*32"):
-        _randrange_pairs(0, size, picks, 10 ** 12)
+def test_sampled_atoms_are_the_frozen_randomstate_stream():
+    # RandomState's stream is frozen: seed 0 draws these int64 indices into
+    # threeadic's D_9 and tag picks below 1 + |J(9)|, on any platform
+    idx, pick = _draw_atoms(0, 19683, 513, 200000)
+    assert idx.dtype == pick.dtype == np.int64
+    assert idx[:5].tolist() == [2732, 10799, 9845, 19648, 13123]
+    assert pick[:5].tolist() == [464, 244, 392, 174, 487]
+    assert idx[-2:].tolist() == [4836, 18638] and pick[-2:].tolist() == [74, 6]
+    assert (idx.min(), idx.max(), pick.min(), pick.max()) == (0, 19682, 0, 512)
 
 
 def test_corollary_chain_irregular(irregular, monkeypatch):
@@ -443,8 +430,7 @@ def test_corollary_chain_irregular(irregular, monkeypatch):
 def test_orbit_membership_matches_reference(threeadic, oracle3):
     # U_1 and Y_1 membership as the u-in-y check computes it
     base = threeadic.tower.array(range(27))
-    in_u = _u_mask(threeadic, base, 1,
-                   lambda a, b: eval_sums(threeadic, a, b))
+    in_u = _u_mask(threeadic, base, 1)
     in_y = _y_mask(threeadic, base, 1)
     assert in_u.tolist() == [oracle3.in_un(v, 1) for v in range(27)]
     assert in_y.tolist() == [oracle3.in_yn(v, 1) for v in range(27)]
@@ -478,13 +464,10 @@ def test_u_mask_needs_each_points_first_mismatch_defined(threeadic5,
     stops = [v for v, f in enumerate(first) if f is Undefined]
     assert len(late) == 183 and stops[:3] == [114, 117, 120]
 
-    def eta(a, b):
-        return eval_sums(threeadic5, a, b)
-
-    in_u = _u_mask(threeadic5, T.array(late), 1, eta)
+    in_u = _u_mask(threeadic5, T.array(late), 1)
     assert in_u.tolist() == [first[v] is None for v in late]
     with pytest.raises(DepthExceeded):
-        _u_mask(threeadic5, T.array(late + stops[:1]), 1, eta)
+        _u_mask(threeadic5, T.array(late + stops[:1]), 1)
 
 
 def test_zero_set_masses(threeadic):

@@ -217,9 +217,10 @@ _CAPPED = {
                                "J-membership + essential; over budget: [9]"),
             "good-ds": ("Pass", "n_k in [4], every w in D_{n_k-1} minus "
                                 "identity; over budget: [9]"),
-            "u-in-y": ("Vacated", "n_k in [1], reps over D_(n_k+2); over "
-                                  "budget: [4]; linking fails on some blocks "
-                                  "(observed outcomes in witnesses)"),
+            # a unit holds only its base D_(n_k+2): 729 cells at n_k = 4
+            "u-in-y": ("Vacated", "n_k in [1, 4], reps over D_(n_k+2); "
+                                  "linking fails on some blocks (observed "
+                                  "outcomes in witnesses)"),
             "containings": ("Pass", "pointwise parent rule, n up to 8"),
             "an-det": ("Pass", "n = 1..9, det equals |D_n|; over budget: "
                                "[10]"),
@@ -247,8 +248,8 @@ _CAPPED = {
             "per-eq": ("Pass", "n in [1, 2], window saturation + step-log "
                                "rebuild + J-membership + essential; over "
                                "budget: [3, 4]"),
-            "u-in-y": ("Inconclusive", "n_k in [], reps over D_(n_k+2); over "
-                                       "budget: [1]"),
+            # the probes no allowed window holds go through the level scan
+            "u-in-y": ("Pass", "n_k in [1], reps over D_(n_k+2)"),
             "containings": ("Pass", "pointwise parent rule, n up to 1; over "
                                     "budget: [2, 3]"),
         }),

@@ -91,6 +91,23 @@ def test_per_eq_catches_flipped_symbol(threeadic):
     assert res.counterexample["coset"] == "4+Gamma_3"
 
 
+def test_per_eq_fails_a_j_cell_in_the_per_sets(threeadic):
+    # J(3) given a cell that a level below 3 decides: the J-membership
+    # facet names it, as per-eq's row "n=3 membership"
+    T = threeadic.tower
+    per = per_masks(threeadic, 3)
+    cell = T.domain_arr(3)[per[0] | per[1]][:1]
+    fresh = build_skeleton(T, 5)
+    fresh._cache[("jset", 3)] = np.concatenate((threeadic.jset(3), cell))
+    want = {"n": 3, "g": T.format_element(T.element(cell[0]))}
+    res = per_eq_check(fresh, 3)
+    assert (res.status, res.scope, res.counterexample) == (
+        "Fail", "n=3 membership", want)
+    res = run_check(fresh, "per-eq")
+    assert (res.status, res.scope, res.counterexample) == (
+        "Fail", "n=3 membership", want)
+
+
 def test_essential_passes(threeadic, centered6, lattice):
     for sk, levels in ((threeadic, range(1, 5)), (centered6, [2]),
                        (lattice, [1, 2])):

@@ -37,8 +37,9 @@ One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
 
-No scalar loops where arrays do: no module calls `randrange` (a sampled
-draw reads the stream's words in bulk), and no loop iterates over a
+No scalar loops where arrays do: no module imports the stdlib `random` or
+calls `randrange` (a sampled draw comes whole from numpy's `RandomState`
+stream), and no loop iterates over a
 `domain_arr(...)`, directly or through a name bound to one, to a piece that
 `domain_chunks` yields or to what a function returns, or over a `range(...)`
 bounded by a level size, outside the sites named in SCALAR_LOOP_SITES.
@@ -453,7 +454,17 @@ def randrange_calls(src):
                       getattr(node.func, "attr", None)})
 
 
+def random_imports(src):
+    return sorted(path.stem for path in src.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                  if isinstance(node, ast.Import)
+                  and any(a.name.split(".")[0] == "random" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "random")
+
+
 def test_no_scalar_draws_or_domain_loops():
+    assert random_imports(SRC) == []
     assert randrange_calls(SRC) == []
     assert scalar_loop_sites(SRC) == sorted(SCALAR_LOOP_SITES)
 
@@ -467,8 +478,12 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
         "    dom = T.domain_arr(nk)\n"
         "    return [g for g, v in zip(T.elements(dom), vals)]\n")
     (tmp_path / "cells.py").write_text(
+        "import random\n"
         "def _chain_atoms(rng, size):\n"
         "    return rng.randrange(size)\n")
+    (tmp_path / "measures.py").write_text(
+        "from random import Random\n"
+        "from .window import window_values\n")
     # a domain that a tower method returns is still a domain
     (tmp_path / "tower.py").write_text(
         "class _ArrayForms:\n"
@@ -483,6 +498,7 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
     assert scalar_loop_sites(tmp_path) == [
         ("periods", "invariant_shift"), *[("verify", "check_good_ds")] * 2]
     assert randrange_calls(tmp_path) == ["cells"]
+    assert random_imports(tmp_path) == ["cells", "measures"]
 
 
 def test_the_scalar_guard_sees_a_loop_over_a_chunk(tmp_path):

@@ -423,9 +423,11 @@ def test_u_in_y_reads_every_probe_from_a_window(monkeypatch, capsys):
     # each holds many probes
     assert 0 < len(pieces) < 100
     assert all(len(r) == 1 and r[0] in (3, 4) for r in pieces)
-    # a cap on the window skips the unit; the eval refuses nothing of its own
+    # a cap that refuses D_4 leaves the unit its base D_3: the eval reads
+    # what the D_3 window holds and scans the levels for the rest
+    pieces.clear()
     assert main(["verify", "u-in-y", "--preset", "irregular-demo",
                  "--window-budget", "1000000"]) == 0
     assert capsys.readouterr().out == (
-        "[Inconclusive] u-in-y: n_k in [], reps over D_(n_k+2); over "
-        "budget: [1]\n")
+        "[        Pass] u-in-y: n_k in [1], reps over D_(n_k+2)\n")
+    assert [] in pieces and all(r in ([], [3]) for r in pieces)
