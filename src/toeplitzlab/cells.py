@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthExceeded, DoubledOne
+from .errors import BudgetExceeded, DepthExceeded, DoubledOne
 from .skeleton import j_mask
 from .tower import domain_chunks, sum_chunks
 from .window import window_values
@@ -186,48 +186,6 @@ def verify_refinement(skeleton, n, m):
 CHAIN_BRANCHES = ("already_zero", "w_exit", "one_column", "not_zero_ancestor")
 
 
-# a corollary chain checks every atom when there are at most _CHAIN_ATOMS,
-# else that many drawn by _draw_atoms from seed _CHAIN_SEED
-_CHAIN_ATOMS = 200000
-_CHAIN_SEED = 0
-
-
-def chain_mode(skeleton, n_s):
-    """How corollary_chain covers the level-n_s atoms: ("exhaustive" or
-    "sampled", the number of atoms |D_{n_s}| * (1 + |J(n_s)|))."""
-    total = skeleton.tower.size(n_s) * (1 + len(skeleton.jset(n_s)))
-    return ("exhaustive" if total <= _CHAIN_ATOMS else "sampled"), total
-
-
-def _draw_atoms(seed, size, picks, count):
-    """count domain indices below size, then count tag picks below picks,
-    drawn from np.random.RandomState(seed).  The legacy RandomState stream
-    is frozen, and int64 draws keep it from the platform's C long."""
-    rng = np.random.RandomState(seed)
-    return (rng.randint(size, size=count, dtype=np.int64),
-            rng.randint(picks, size=count, dtype=np.int64))
-
-
-def _chain_atoms(skeleton, n_s):
-    """The atoms to check, in order: their points w in D_{n_s}, a mask of
-    the One atoms and their positions u in J(n_s) (the identity for Zero).
-    Atom (i, p) is the i-th point of D_{n_s} with tag pick p: 0 is Zero, p
-    is One(J(n_s)[p-1]).  Past _CHAIN_ATOMS atoms, that many (i, p) pairs
-    are drawn by _draw_atoms."""
-    T = skeleton.tower
-    size = T.size(n_s)
-    mode, total = chain_mode(skeleton, n_s)
-    picks = total // size
-    if mode == "exhaustive":
-        skeleton.budget.check_enum(size, f"D_{n_s}")
-        idx, pick = (np.repeat(np.arange(size), picks),
-                     np.tile(np.arange(picks), size))
-    else:
-        idx, pick = _draw_atoms(_CHAIN_SEED, size, picks, _CHAIN_ATOMS)
-    u = np.concatenate((T.array([T.zero]), skeleton.jset(n_s)))[pick]
-    return T.domain_arr(n_s)[idx], pick > 0, u
-
-
 def _chain_cell(tower, r, w, one, u):
     return r, (tower.element(w[0]),
                tag_one(tower.element(u[0])) if one[0] else TAG_ZERO)
@@ -235,57 +193,89 @@ def _chain_cell(tower, r, w, one, u):
 
 def corollary_chain(skeleton, n_js, n_s):
     """Every finest Zero-ancestor atom passes through an allowed exit, for
-    the chains (n_j, n_s) of each n_j in n_js at once.
+    the chains (n_j, n_s) of each n_j in n_js at once, over every atom.
 
     For atoms (w, tag) at level n_s whose iterated parent at level n_j is a
     Zero cell, one of: the atom itself is a Zero cell, some intermediate cell
     lies in W_r, or the chain crosses a zero-step One column at some m in M.
-    The atoms are drawn once and walk down together, one level at a time,
-    by parent_cells; each chain's branches are read off when the walk
-    reaches its n_j.  Returns {n_j: (counterexample_or_None, branch_counts,
-    atoms_checked)}, a chain's count stopping at its first atom with no
-    exit, whose chain the same rule rebuilds.
+    At level r the rules read only the digit gamma of w in Gamma_{r-1} cap
+    D_r and the tag, and the tilings make the digits independent, so the
+    atoms sharing a state (one, u, branch, zero_atom) walk down as one state
+    with a count.  Each level expands the states by its digits, passed to
+    parent_cells as w, and merges equal parents; the D_{n_j} part of w no
+    rule of the chain (n_j, n_s) reads, so each state there stands for
+    |D_{n_j}| times its count.  Returns {n_j: (counterexample_or_None,
+    branch_counts, atoms)}: the counts are exact, of every atom with an exit,
+    and atoms is |D_{n_s}| * (1 + |J(n_s)|).  A counterexample names an atom
+    with no exit, a state's representative (its tag and the sum of the
+    digits it took), whose chain the same rule rebuilds.
     """
     if n_s > skeleton.depth:
         raise DepthExceeded("chain exceeds constructed depth")
+    T = skeleton.tower
     m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
-    atoms = _chain_atoms(skeleton, n_s)
-    w, one, u = atoms
+    tags = np.concatenate((T.array([T.zero]), skeleton.jset(n_s)))
+    atoms = T.size(n_s) * len(tags)
+    if atoms > np.iinfo(np.int64).max:  # no state's count can pass atoms
+        raise BudgetExceeded(f"the chains to level {n_s} have {atoms} "
+                             "atoms, past int64")
+    pick = np.arange(len(tags))       # 0 is Zero, p is One(tags[p])
+    one, u = pick > 0, tags
     zero_atom = ~one
     branch = np.full(len(one), -1, dtype=np.int8)  # CHAIN_BRANCHES index, -1 if none
+    count = np.ones(len(one), dtype=np.int64)
+    rep = np.repeat(T.array([T.zero]), len(one), axis=0)
     out = {}
     for r in range(n_s, min(n_js), -1):
-        w, parent_one, u, w_exit, is0 = parent_cells(skeleton, r, w, one, u)
+        digits = T.section_arr(r - 1, r, skeleton.budget)
+        skeleton.budget.check_enum(len(one) * len(digits),
+                                   f"chain states at level {r}")
+        s = np.repeat(np.arange(len(one)), len(digits))
+        gamma = digits[np.tile(np.arange(len(digits)), len(one))]
+        one, branch = one[s], branch[s]
+        _, parent_one, g, w_exit, is0 = parent_cells(skeleton, r, gamma, one,
+                                                     u[s])
         # walking down, the last exit written is the first in ascending r
         branch[w_exit] = 1                               # w_exit: rule (3)
         if skeleton.steps[r - 1][0] == "zero" and r - 1 in m_zero_steps:
             branch[one & is0] = 2                        # one_column: rule (4)
-        one = parent_one
+        g[~parent_one] = T.zero
+        key = (T.index_of_arr(g, r - 1) * 16 + parent_one * 8
+               + (branch + 1) * 2 + zero_atom[s])
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        merged = np.zeros(len(first), dtype=np.int64)
+        np.add.at(merged, inverse, count[s])
+        src = s[first]
+        one, u, branch = parent_one[first], g[first], branch[first]
+        zero_atom, pick, count = zero_atom[src], pick[src], merged
+        rep = T.add_arr(rep[src], gamma[first])
         if r - 1 in n_js:
-            out[r - 1] = _chain_result(skeleton, branch, zero_atom, one,
-                                       atoms, r - 1, n_s)
+            out[r - 1] = _chain_result(skeleton, branch, zero_atom, one, count,
+                                       (rep, pick > 0, tags[pick]), r - 1, n_s)
     return out
 
 
-def _chain_result(skeleton, branch, zero_atom, one, atoms, n_j, n_s):
-    """The chain (n_j, n_s) once the walk reached n_j, the atoms' parents
-    there being One where `one` holds."""
+def _chain_result(skeleton, branch, zero_atom, one, count, reps, n_j, n_s):
+    """The chain (n_j, n_s) once the walk reached n_j, with the states'
+    parents there One where `one` holds, their atom counts `count` and
+    their representative atoms reps = (w, one, u)."""
+    T = skeleton.tower
     branch = branch.copy()
     branch[zero_atom] = 0                                # already_zero
     branch[one] = 3                                      # not_zero_ancestor
+    branches = {name: int(count[branch == i].sum()) * T.size(n_j)
+                for i, name in enumerate(CHAIN_BRANCHES)}
+    atoms = int(count.sum()) * T.size(n_j)
     missing = np.flatnonzero(branch < 0)
-    first = int(missing[0]) if len(missing) else len(branch)
-    counts = np.bincount(branch[:first], minlength=len(CHAIN_BRANCHES))
-    branches = {name: int(c) for name, c in zip(CHAIN_BRANCHES, counts)}
-    if first == len(branch):
-        return None, branches, first
-    T = skeleton.tower
-    w, one, u = (a[first:first + 1] for a in atoms)
+    if not len(missing):
+        return None, branches, atoms
+    w, one, u = (a[missing[:1]] for a in reps)
     chain = [_chain_cell(T, n_s, w, one, u)]
     for r in range(n_s, n_j, -1):
         w, one, u, _, _ = parent_cells(skeleton, r, w, one, u)
         chain.append(_chain_cell(T, r - 1, w, one, u))
-    return {"atom": chain[0][1], "chain": chain[::-1]}, branches, first + 1
+    return {"atom": chain[0][1], "chain": chain[::-1]}, branches, atoms
 
 
 # -- measures of cell families --------------------------------------------

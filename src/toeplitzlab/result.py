@@ -77,8 +77,8 @@ class CheckResult:
 
     def render(self):
         head = f"[{self.status:>12}] {self.name}: {self.scope}"
-        # a witness with an "of" says whether it covered those cases
-        # exhaustively or checked a sample of "atoms" of them ("mode")
+        # a witness with an "of" says how many "atoms" of those cases it
+        # covered, and how ("mode"): a corollary chain counts every atom
         for w in self.witnesses:
             if isinstance(w, dict) and "of" in w:
                 head += (f"\n{'':15}{w.get('span', '')} {w['mode']}: "

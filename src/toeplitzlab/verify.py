@@ -33,8 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cells import (chain_mode, corollary_chain, mu_zero_set,
-                    verify_refinement)
+from .cells import corollary_chain, mu_zero_set, verify_refinement
 from .density import future_factor_bound
 from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
                      NotInDomain, UnknownCheck)
@@ -187,12 +186,8 @@ def check_j_recursion(skeleton):
 
 
 def check_per_eq(skeleton):
-    def unit(n):
-        sub = per_eq_check(skeleton, n)
-        if isinstance(sub, CheckResult):
-            return sub
-
-    return _per_unit("per-eq", range(1, skeleton.depth), unit,
+    return _per_unit("per-eq", range(1, skeleton.depth),
+                     lambda n: per_eq_check(skeleton, n),
                      lambda done: f"n in {done}, window saturation + "
                                   "step-log rebuild + J-membership + essential")
 
@@ -427,12 +422,11 @@ def check_z_identity(skeleton):
             if ns not in walks:
                 walks[ns] = corollary_chain(
                     skeleton, [a for a, b in chains if b == ns], ns)
-            cx, branches, checked = walks[ns][nj]
+            cx, branches, atoms = walks[ns][nj]
             if cx is not None:
                 return failed("z-identity", f"chain ({nj},{ns})", cx)
-            mode, total = chain_mode(skeleton, ns)
-            return {"span": u, "atoms": checked, "branches": branches,
-                    "mode": mode, "of": total}
+            return {"span": u, "atoms": atoms, "branches": branches,
+                    "mode": "exhaustive", "of": atoms}
         # the chains' one-column exits are the closing steps m_k
         m = skeleton.m_k[u]
         step = skeleton.steps[m - 1]

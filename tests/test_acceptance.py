@@ -180,8 +180,8 @@ def test_criterion_10_zero_set_identity(criterion, threeadic):
             cex, _, npts = verify_refinement(threeadic, n, n + 2)
             assert cex is None and npts == 3 ** (n + 2)
         assert z_id.status == "Pass"
-        # |D_9| * (1 + |J(9)|) atoms are past the cap, so the chain is sampled
-        assert "(1, 9) sampled: 200000 of 10097379 atoms" in z_id.render()
+        # every one of the |D_9| * (1 + |J(9)|) atoms is counted
+        assert "(1, 9) exhaustive: 10097379 of 10097379 atoms" in z_id.render()
         assert run_check(threeadic, "containings").status == "Pass"
         rec["detail"] = "blocks 0..2, their mutants + pointwise refinement"
 

@@ -1,18 +1,19 @@
 """Cell refinement, the corollary chains, and orbit membership."""
 
 import copy
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import relabelled_cyclic
-from toeplitzlab import (DepthExceeded, NotInDomain, Undefined,
-                         build_skeleton, build_tower, preset_config)
+from toeplitzlab import (BudgetExceeded, DepthExceeded, NotInDomain,
+                         Undefined, build_skeleton, build_tower, preset_config)
 from toeplitzlab import cells, tower, verify
 from toeplitzlab.cells import (
+    CHAIN_BRANCHES,
     TAG_ZERO,
-    _draw_atoms,
     corollary_chain,
     mu_zero_set,
     parent_cells,
@@ -31,11 +32,17 @@ def _sub(T, a, b):
     return T.element(T.sub_arr(T.array([a]), T.array([b]))[0])
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _split(T, w, n):
+    """w as gamma + v with v = reduce(w, n); the chain oracles split the
+    same few points and positions over and over."""
+    v = T.reduce(w, n)
+    return _sub(T, w, v), v
+
+
 def decompose_one_position(skeleton, u, n1):
     """u in J(n1) as gamma~ + g~ with g~ = reduce(u, n1 - 1)."""
-    T = skeleton.tower
-    g_t = T.reduce(u, n1 - 1)
-    return _sub(T, u, g_t), g_t
+    return _split(skeleton.tower, u, n1 - 1)
 
 
 def parent_cell(skeleton, cell, child_level):
@@ -47,8 +54,7 @@ def parent_cell(skeleton, cell, child_level):
     w, tag = cell
     if not T.in_domain(w, child_level):
         raise NotInDomain(f"cell rep {w} not in D_{child_level}")
-    v = T.reduce(w, n)
-    gamma = _sub(T, w, v)
+    gamma, v = _split(T, w, n)
     if gamma == T.zero:
         if child_level > skeleton.depth:
             raise DepthExceeded(f"step {child_level} not constructed")
@@ -64,7 +70,7 @@ def containment_case(skeleton, cell, child_level):
     """Which of the five refinement rules applies to this child cell."""
     T = skeleton.tower
     w, tag = cell
-    gamma = _sub(T, w, T.reduce(w, child_level - 1))
+    gamma, _ = _split(T, w, child_level - 1)
     if gamma == T.zero:
         return "c4" if skeleton.steps[child_level - 1][0] == "zero" else "c5"
     if tag == TAG_ZERO:
@@ -289,70 +295,63 @@ def test_corollary_chain_frozen_counts(threeadic):
                         "not_zero_ancestor": 252}
 
 
-def _reference_chain(skeleton, n_j, n_s, seed=0, exhaustive_cap=200000):
-    """corollary_chain one atom at a time, through parent_cell and
+def _reference_exit(skeleton, atom, n_j, n_s):
+    """The branch through which one atom leaves on its chain (n_j, n_s),
+    None if it has no exit, and the chain, through parent_cell and
     containment_case."""
-    T = skeleton.tower
-    js = T.elements(skeleton.jset(n_s))
-    dom = T.elements(T.domain_arr(n_s))
-    size = T.size(n_s)
-    m_zero_steps = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()}
-    m_window = {m for m in m_zero_steps if n_j <= m < n_s}
-    if size * (1 + len(js)) <= exhaustive_cap:
-        atoms = [(w, tag) for w in dom
-                 for tag in [TAG_ZERO] + [tag_one(u) for u in js]]
+    m_window = {skeleton.m_k[k] - 1 for k in skeleton.completed_blocks()
+                if n_j <= skeleton.m_k[k] - 1 < n_s}
+    chain = {n_s: atom}
+    for r in range(n_s, n_j, -1):
+        chain[r - 1] = parent_cell(skeleton, chain[r], r)
+    branch = None
+    if chain[n_j][1] != TAG_ZERO:
+        branch = "not_zero_ancestor"
+    elif atom[1] == TAG_ZERO:
+        branch = "already_zero"
     else:
-        # the same RandomState calls as _draw_atoms: every index, then
-        # every pick
-        rng = np.random.RandomState(seed)
-        idx = rng.randint(size, size=exhaustive_cap, dtype=np.int64)
-        picks = rng.randint(len(js) + 1, size=exhaustive_cap, dtype=np.int64)
-        atoms = [(dom[i], TAG_ZERO if p == 0 else tag_one(js[p - 1]))
-                 for i, p in zip(idx.tolist(), picks.tolist())]
-    branches = {"already_zero": 0, "w_exit": 0, "one_column": 0, "not_zero_ancestor": 0}
-    for checked, atom in enumerate(atoms, start=1):
-        chain = {n_s: atom}
-        for r in range(n_s, n_j, -1):
-            chain[r - 1] = parent_cell(skeleton, chain[r], r)
-        if chain[n_j][1] != TAG_ZERO:
-            branches["not_zero_ancestor"] += 1
-            continue
-        if atom[1] == TAG_ZERO:
-            branches["already_zero"] += 1
-            continue
         for r in range(n_j + 1, n_s + 1):
             case = containment_case(skeleton, chain[r], r)
             if case == "c3":
-                branches["w_exit"] += 1
+                branch = "w_exit"
                 break
             if r - 1 in m_window and case == "c4" and chain[r][1][0] == "One":
-                branches["one_column"] += 1
+                branch = "one_column"
                 break
+    return branch, sorted(chain.items())
+
+
+def _reference_chain(skeleton, n_j, n_s):
+    """corollary_chain one atom at a time: the atoms with no exit, the
+    branch counts of the others and the number of atoms."""
+    T = skeleton.tower
+    tags = [TAG_ZERO] + [tag_one(u) for u in T.elements(skeleton.jset(n_s))]
+    atoms = [(w, tag) for w in T.elements(T.domain_arr(n_s)) for tag in tags]
+    missing, branches = [], dict.fromkeys(CHAIN_BRANCHES, 0)
+    for atom in atoms:
+        branch, _ = _reference_exit(skeleton, atom, n_j, n_s)
+        if branch is None:
+            missing.append(atom)
         else:
-            return {"atom": atom, "chain": sorted(chain.items())}, branches, checked
-    return None, branches, len(atoms)
+            branches[branch] += 1
+    return missing, branches, len(atoms)
 
 
-@pytest.mark.parametrize("name, n_j, n_s, cap", [
-    ("threeadic", 1, 4, None),
-    ("threeadic", 1, 9, 3000),
-    ("centered6", 1, 4, None),
-    ("lattice", 1, 2, None),
-    ("lattice", 1, 3, 3000),
-    ("relabelled36", 1, 4, None),
+@pytest.mark.parametrize("name, n_j, n_s", [
+    ("threeadic", 1, 4),
+    ("centered6", 1, 4),
+    ("lattice", 1, 2),
+    ("lattice", 1, 3),
+    ("relabelled36", 1, 4),
+    ("s3_by_z5", 1, 5),
 ])
-def test_corollary_chain_matches_reference_walk(request, monkeypatch, name,
-                                                n_j, n_s, cap):
+def test_corollary_chain_matches_reference_walk(request, name, n_j, n_s):
     sk = request.getfixturevalue(name)
     if name == "relabelled36":
         sk = sk[0]
-    monkeypatch.setattr(cells, "_CHAIN_SEED", 5)
-    if cap is not None:  # None: the default
-        monkeypatch.setattr(cells, "_CHAIN_ATOMS", cap)
-    got = corollary_chain(sk, [n_j], n_s)[n_j]
-    assert got == _reference_chain(sk, n_j, n_s, seed=5,
-                                   exhaustive_cap=cells._CHAIN_ATOMS)
-    assert got[0] is None
+    missing, branches, atoms = _reference_chain(sk, n_j, n_s)
+    assert missing == []
+    assert corollary_chain(sk, [n_j], n_s)[n_j] == (None, branches, atoms)
 
 
 def test_corollary_chain_fails_without_the_m_window(threeadic):
@@ -361,70 +360,68 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
     sk = copy.copy(threeadic)
     sk.m_k = [m + threeadic.depth for m in threeadic.m_k]
     assert sk.completed_blocks() == []
-    got = corollary_chain(sk, [1], 4)[1]
-    assert got == _reference_chain(sk, 1, 4)
-    cex, branches, checked = got
-    assert cex["atom"] == (0, tag_one(40))
-    assert checked == 2
+    cex, branches, atoms = corollary_chain(sk, [1], 4)[1]
+    missing, want, want_atoms = _reference_chain(sk, 1, 4)
+    assert (branches, atoms) == (want, want_atoms) == (branches, 1377)
+    assert sum(branches.values()) == atoms - len(missing)
+    # the named atom has no exit, and its chain runs from n_s down to n_j
+    assert cex["atom"] in missing
+    assert _reference_exit(sk, cex["atom"], 1, 4) == (None, cex["chain"])
     assert [lvl for lvl, _ in cex["chain"]] == [1, 2, 3, 4]
     assert cex["chain"][0][1][1] == TAG_ZERO
 
 
-_SAMPLED_BRANCHES = {
-    (1, 9): {"already_zero": 340, "w_exit": 122792, "one_column": 45858,
-             "not_zero_ancestor": 31010},
-    (4, 9): {"already_zero": 334, "w_exit": 132339, "one_column": 33353,
-             "not_zero_ancestor": 33974},
+# threeadic's chains ending at n_s = 9, over all |D_9| * (1 + |J(9)|) =
+# 19683 * 513 atoms
+_EXACT_BRANCHES = {
+    (1, 9): {"already_zero": 16647, "w_exit": 6210048,
+             "one_column": 2311680, "not_zero_ancestor": 1559004},
+    (4, 9): {"already_zero": 16443, "w_exit": 6676992,
+             "one_column": 1700352, "not_zero_ancestor": 1703592},
 }
 
 
-@pytest.mark.parametrize("span, branches", sorted(_SAMPLED_BRANCHES.items()))
-def test_sampled_chain_branch_counts_are_pinned(threeadic, span, branches):
-    # seed 0 and the default cap, as z-identity runs them: the pinned counts
-    # hold the RandomState stream's 200,000 atoms of each chain fixed
-    cex, got, checked = corollary_chain(threeadic, [span[0]], span[1])[span[0]]
+@pytest.mark.parametrize("span, branches", sorted(_EXACT_BRANCHES.items()))
+def test_chain_branch_counts_are_pinned(threeadic, span, branches):
+    cex, got, atoms = corollary_chain(threeadic, [span[0]], span[1])[span[0]]
     assert cex is None
-    assert checked == 200000
+    assert atoms == 10097379 == sum(got.values())
     assert got == branches
 
 
 def test_chains_that_share_n_s_draw_and_walk_once(threeadic, monkeypatch):
-    draws, walks = [], []
-    monkeypatch.setattr(cells, "_draw_atoms",
-                        lambda *a: draws.append(a) or _draw_atoms(*a))
+    walks = []
     monkeypatch.setattr(cells, "corollary_chain",
                         lambda *a: walks.append(a[1:]) or corollary_chain(*a))
     monkeypatch.setattr(verify, "corollary_chain", cells.corollary_chain)
     res = run_check(threeadic, "z-identity")
     assert res.status == "Pass"
     assert walks == [([1], 4), ([1, 4], 9)]
-    assert draws == [(0, 19683, 513, 200000)]
     got = {w["span"]: w["branches"] for w in res.witnesses if "span" in w}
     assert got == {(1, 4): {"already_zero": 69, "w_exit": 816,
                             "one_column": 240, "not_zero_ancestor": 252},
-                   **_SAMPLED_BRANCHES}
+                   **_EXACT_BRANCHES}
     # one walk to n_j = 1 reads (4, 9) off on its way down
     assert corollary_chain(threeadic, [1, 4], 9) == {
-        nj: (None, b, 200000) for (nj, _), b in _SAMPLED_BRANCHES.items()}
+        nj: (None, b, 10097379) for (nj, _), b in _EXACT_BRANCHES.items()}
 
 
-def test_sampled_atoms_are_the_frozen_randomstate_stream():
-    # RandomState's stream is frozen: seed 0 draws these int64 indices into
-    # threeadic's D_9 and tag picks below 1 + |J(9)|, on any platform
-    idx, pick = _draw_atoms(0, 19683, 513, 200000)
-    assert idx.dtype == pick.dtype == np.int64
-    assert idx[:5].tolist() == [2732, 10799, 9845, 19648, 13123]
-    assert pick[:5].tolist() == [464, 244, 392, 174, 487]
-    assert idx[-2:].tolist() == [4836, 18638] and pick[-2:].tolist() == [74, 6]
-    assert (idx.min(), idx.max(), pick.min(), pick.max()) == (0, 19682, 0, 512)
+def test_corollary_chain_refuses_counts_past_int64(threeadic, monkeypatch):
+    threeadic.jset(4)
+    monkeypatch.setattr(threeadic.tower, "size", lambda n: 2 ** 59)
+    with pytest.raises(BudgetExceeded, match=r"level 4 have \d+ atoms, past"):
+        corollary_chain(threeadic, [1], 4)
 
 
-def test_corollary_chain_irregular(irregular, monkeypatch):
-    monkeypatch.setattr(cells, "_CHAIN_SEED", 3)
-    monkeypatch.setattr(cells, "_CHAIN_ATOMS", 400)
-    cex, branches, checked = corollary_chain(irregular, [1], 3)[1]
+def test_corollary_chain_irregular(irregular):
+    # |D_3| * (1 + |J(3)|) = 29295 * 26041 atoms, every one with an exit
+    cex, branches, atoms = corollary_chain(irregular, [1], 3)[1]
     assert cex is None
-    assert checked == 400
+    assert branches == {"already_zero": 29280, "w_exit": 761279400,
+                        "one_column": 781200, "not_zero_ancestor": 781215}
+    T = irregular.tower
+    assert atoms == sum(branches.values()) == T.size(3) * (
+        1 + len(irregular.jset(3))) == 762871095
 
 
 def test_orbit_membership_matches_reference(threeadic, oracle3):

@@ -37,9 +37,9 @@ One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
 
-No scalar loops where arrays do: no module imports the stdlib `random` or
-calls `randrange` (a sampled draw comes whole from numpy's `RandomState`
-stream), and no loop iterates over a
+No random numbers and no scalar loops where arrays do: no module imports
+the stdlib `random`, calls `randrange` or reaches `numpy.random` (every
+check covers its scope exhaustively), and no loop iterates over a
 `domain_arr(...)`, directly or through a name bound to one, to a piece that
 `domain_chunks` yields or to what a function returns, or over a `range(...)`
 bounded by a level size, outside the sites named in SCALAR_LOOP_SITES.
@@ -463,14 +463,25 @@ def random_imports(src):
                   and node.module.split(".")[0] == "random")
 
 
+def numpy_random_uses(src):
+    return sorted(path.stem for path in src.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                  if isinstance(node, ast.Attribute) and node.attr == "random"
+                  and getattr(node.value, "id", None) in ("np", "numpy")
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.startswith("numpy.random"))
+
+
 def test_no_scalar_draws_or_domain_loops():
     assert random_imports(SRC) == []
+    assert numpy_random_uses(SRC) == []
     assert randrange_calls(SRC) == []
     assert scalar_loop_sites(SRC) == sorted(SCALAR_LOOP_SITES)
 
 
 def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
-    # the per-w good-ds loop and the one-pair-at-a-time chain draw
+    # the per-w good-ds loop, the one-pair-at-a-time chain draw and the
+    # sampled chain atoms
     (tmp_path / "verify.py").write_text(
         "def check_good_ds(skeleton):\n"
         "    for w in T.domain_arr(nk - 1):\n"
@@ -480,7 +491,9 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
     (tmp_path / "cells.py").write_text(
         "import random\n"
         "def _chain_atoms(rng, size):\n"
-        "    return rng.randrange(size)\n")
+        "    return rng.randrange(size)\n"
+        "def _draw_atoms(seed, size, count):\n"
+        "    return np.random.RandomState(seed).randint(size, size=count)\n")
     (tmp_path / "measures.py").write_text(
         "from random import Random\n"
         "from .window import window_values\n")
@@ -499,6 +512,7 @@ def test_the_scalar_guards_catch_the_loops_they_name(tmp_path):
         ("periods", "invariant_shift"), *[("verify", "check_good_ds")] * 2]
     assert randrange_calls(tmp_path) == ["cells"]
     assert random_imports(tmp_path) == ["cells", "measures"]
+    assert numpy_random_uses(tmp_path) == ["cells"]
 
 
 def test_the_scalar_guard_sees_a_loop_over_a_chunk(tmp_path):

@@ -303,8 +303,8 @@ def test_decom_reports_its_time(threeadic5):
 
 
 def test_z_identity_says_when_a_chain_is_exhaustive(threeadic5):
-    # (1,4) has |D_4| * (1 + |J(4)|) = 81 * 17 = 1377 atoms; the sampled
-    # form is pinned on threeadic depth 10 in test_acceptance.py
+    # (1,4) has |D_4| * (1 + |J(4)|) = 81 * 17 = 1377 atoms; the chains of
+    # threeadic depth 10 are pinned in test_acceptance.py
     full = run_check(threeadic5, "z-identity")
     assert full.scope == "zero steps m_k of blocks [0, 1]; chains [(1, 4)]"
     (wf,) = [w for w in full.witnesses if "span" in w]
@@ -363,6 +363,16 @@ def test_per_eq_is_refused_before_any_mask_is_built(threeadic, monkeypatch):
     sk = build_skeleton(threeadic.tower, 10, Budget(window=20000))
     with pytest.raises(BudgetExceeded, match="window D_10 needs 59049 cells"):
         periods.per_eq_check(sk, 9)
+
+
+def test_per_eq_keeps_each_levels_witness(threeadic):
+    # the rows of `verify per-eq` carry per_eq_check's witness for every n
+    res = run_check(threeadic, "per-eq")
+    assert res.status == "Pass"
+    assert res.witnesses == [periods.per_eq_check(threeadic, n)
+                             for n in range(1, 10)]
+    assert all(set(w) == {"zeros", "ones", "probes", "essential"}
+               for w in res.witnesses)
 
 
 def test_only_the_budget_limits_per_eq_and_good_relation(monkeypatch):
