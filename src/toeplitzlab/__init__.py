@@ -11,7 +11,7 @@ from .budgets import Budget
 from .cells import (corollary_chain, mu_zero_set, parent_cells,
                     verify_refinement)
 from .density import (d_enumeration, d_product, d_recursion, density_methods,
-                      exp_enclosure, L_series, regularity_verdict)
+                      exp_enclosure, regularity_verdict)
 from .errors import (BudgetExceeded, CountMismatch, DepthExceeded,
                      DoubledOne, EmptySlot, InconclusiveTail, InvalidIndex,
                      NonAbelianUnsupported, NotInDomain, ParityError,

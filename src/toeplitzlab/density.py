@@ -68,14 +68,6 @@ def density_methods(skeleton, n):
     return out
 
 
-@dataclass
-class LSeries:
-    terms: int
-    partial: Fraction
-    tail_bound: Fraction = None  # None renders as Unbounded
-    declared: str = None
-
-
 def future_factor_bound(tower, at):
     """Certified upper bound on every t_j for j >= at.
 
@@ -96,21 +88,6 @@ def _past_depth_sum(tower):
     if tail is None or tail.kind != TAIL_GEOMETRIC:
         return None
     return future_factor_bound(tower, tower.depth) / (1 - tail.ratio)
-
-
-def L_series(tower, terms):
-    """Partial sum of t_j for j < terms, plus a certified tail bound when the
-    tower declares a geometric tail (the bound covers every j >= terms: the
-    built terms exactly, the rest by future_factor_bound)."""
-    if terms < 0 or terms > tower.depth - 1:
-        raise DepthExceeded(f"terms must lie in 0..{tower.depth - 1}")
-    partial = sum((ratio_term(tower, j) for j in range(terms)), Fraction(0))
-    declared = tower.tail.kind if tower.tail is not None else None
-    past = _past_depth_sum(tower)
-    if past is None:
-        return LSeries(terms, partial, None, declared)
-    built = sum(ratio_term(tower, j) for j in range(terms, tower.depth))
-    return LSeries(terms, partial, built + past, declared)
 
 
 def exp_enclosure(x, width=_EXP_WIDTH):
@@ -211,10 +188,7 @@ def regularity_verdict(tower, levels=None):
     d_depth = d_product(tower, depth)
     product_partial = 1 - d_depth
 
-    terms = depth - 1
-    series = L_series(tower, terms)
-    last = ratio_term(tower, depth - 1)
-    L_lo = series.partial + last  # every computable term
+    L_lo = sum((ratio_term(tower, j) for j in range(depth)), Fraction(0))
     notes = []
 
     tail = tower.tail

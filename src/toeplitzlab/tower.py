@@ -26,7 +26,16 @@ passes read D_n CHUNK elements at a time from domain_chunks.  Three more
 ops serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of each
 element's coset representative, shift_arr(vals, s, n) reads values over
 D_n at d + s for every d in D_n, and extend_arr(vals, l) reads values over
-D_l as a function of the Gamma_l-coset over all of D_{l+1}.  The kernels
+D_l as a function of the Gamma_l-coset over all of D_{l+1}.  A translate
+d + s is add_arr(d, s), s on the right, which only a non-abelian Generic
+tower tells apart.  _ArrayForms states these three and section_arr (the
+elements of D_j that reduce to the identity mod Gamma_i) once, from the
+ops above.  A kind overrides one only for a measured reason, each named in
+tests/test_reachability.py: the line's coset_index_arr (one kernel pass)
+and section_arr (|D_j|/|D_i| steps), the line's and the lattice's roll
+shift_arr and tile extend_arr (which keep the window build fast), and
+Generic's section_arr, read from its coset table so that the skeleton can
+read the sections of a broken tower before decom fails it.  The kernels
 and checks use only these, so one implementation serves every kind.  The
 scalar ops left are size, reduce, in_domain and index_of (plus lo on the
 line), which evaluating or locating one element needs; the reference the
@@ -90,7 +99,7 @@ class TailDecl:
             try:
                 ratio = (Fraction(*raw) if isinstance(raw, (list, tuple))
                          else Fraction(raw))
-            except (TypeError, ValueError, ZeroDivisionError):
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise InvalidIndex(f"tail ratio {raw!r} is not a fraction") from None
             if not 0 < ratio < 1:
                 raise InvalidIndex(f"geometric tail ratio must be in (0,1), got {ratio}")
@@ -110,9 +119,19 @@ def _check_indices(indices):
             raise InvalidIndex(f"indices must be integers >= 2, got {q!r}")
 
 
-def _indices_below(values, size):
-    """Whether every entry is an int in 0..size-1."""
-    return all(isinstance(x, int) and 0 <= x < size for x in values)
+def _int_table(obj, shape, bound, what):
+    """obj as an int64 array of exactly `shape` with entries in 0..bound-1;
+    ragged rows, floats, strings or numbers past int64 raise InvalidIndex."""
+    try:
+        arr = np.array(obj)
+    except ValueError:  # ragged rows
+        arr = None
+    if (arr is None or arr.shape != shape
+            or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                             or arr.max() >= bound)):
+        dims = "x".join(map(str, shape))
+        raise InvalidIndex(f"{what} must be {dims} integers in 0..{bound - 1}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _last_of(keys, values, size):
@@ -125,8 +144,8 @@ def _last_of(keys, values, size):
 
 
 class _ArrayForms:
-    """Array-form defaults for single-int elements; the lattice overrides
-    the ones that see an element's shape.
+    """The derived array ops, stated once for every kind, and defaults for
+    single-int elements, which the lattice overrides where shape shows.
 
     Sums and differences come out int64, so translates never wrap.
     """
@@ -146,6 +165,26 @@ class _ArrayForms:
         cands = self.domain_arr(n)
         cands = cands[~self.eq_arr(cands, self.zero)]
         return cands, f"{len(cands)} nonzero translates"
+
+    def coset_index_arr(self, g, n):
+        """The D_n index of each element's coset representative."""
+        return self.index_of_arr(self.reduce_arr(g, n), n)
+
+    def shift_arr(self, vals, s, n):
+        """vals over D_n, read as a function of the Gamma_n-coset, at
+        d + s for every d in D_n: s on the right of d."""
+        return vals[self.coset_index_arr(self.add_arr(self.domain_arr(n), s), n)]
+
+    def section_arr(self, i, j, budget=Budget()):
+        """Gamma_i intersected with D_j, in enumeration order: the elements
+        of D_j that reduce to the identity mod Gamma_i."""
+        self._chk(i)
+        self._chk(j)
+        if i > j:
+            raise DepthExceeded(f"section needs i <= j, got ({i},{j})")
+        budget.check_enum(self.size(j) // self.size(i), f"Gamma_{i} cap D_{j}")
+        return domain_where(self, j, lambda _, g: self.eq_arr(
+            self.reduce_arr(g, i), self.zero))
 
     def extend_arr(self, vals, l):
         """vals over D_l, read as a function of the Gamma_l-coset, over
@@ -249,8 +288,8 @@ class IntegerLineTower(_ArrayForms):
         stop = self.N[n] if stop is None else min(stop, self.N[n])
         return np.arange(lo + start, lo + stop, dtype=self._arr_dtype(n))
 
+    # |D_j|/|D_i| steps, where the shared form passes over all of D_j
     def section_arr(self, i, j, budget=Budget()):
-        """Gamma_i intersected with D_j, in enumeration order."""
         self._chk(i)
         self._chk(j)
         if i > j:
@@ -287,10 +326,12 @@ class IntegerLineTower(_ArrayForms):
             raise NotInDomain(f"element outside D_{n}")
         return idx
 
+    # one kernel pass: 135 us against the shared 487 us on a 64Ki int64 chunk
     def coset_index_arr(self, g, n):
         idx = self.reduce_arr(g, n, out=np.empty(np.shape(g), dtype=np.int64))
         return np.subtract(idx, self.lo(n), out=idx)
 
+    # a roll, and extend_arr a tile: neither reads a coset index
     def shift_arr(self, vals, s, n):
         return np.roll(vals, -int(s))
 
@@ -334,11 +375,7 @@ class IntegerLatticeTower(_ArrayForms):
         self.abelian = True
 
     def size(self, n):
-        self._chk(n)
-        out = 1
-        for ax in self.axes:
-            out *= ax.size(n)
-        return out
+        return math.prod(self.shape(n))
 
     def reduce(self, g, n):
         return tuple(ax.reduce(c, n) for ax, c in zip(self.axes, g))
@@ -348,25 +385,12 @@ class IntegerLatticeTower(_ArrayForms):
 
     # array forms: (..., d) ints, each axis through the line's formulas
 
-    def _grid(self, per_axis):
-        # ij order, first axis slowest: lexicographic, as tuples compare
-        grids = np.meshgrid(*per_axis, indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, self.dim).astype(np.int64)
-
     def domain_arr(self, n, start=0, stop=None):
-        # the indices unravel in C order, as _grid's ij order
+        # C order, first axis slowest: lexicographic, as tuples compare
         stop = self.size(n) if stop is None else min(stop, self.size(n))
         idx = np.unravel_index(np.arange(start, stop), self.shape(n))
         return np.stack([ax.lo(n) + i for ax, i in zip(self.axes, idx)],
                         axis=-1)
-
-    def section_arr(self, i, j, budget=Budget()):
-        # the axes check the levels and the order of i and j
-        size = 1
-        for ax in self.axes:
-            size *= ax.size(j) // ax.size(i)
-        budget.check_enum(size, f"Gamma_{i} cap D_{j}")
-        return self._grid([ax.section_arr(i, j, budget) for ax in self.axes])
 
     def reduce_arr(self, g, n, out=None):
         out = np.empty_like(g) if out is None else out
@@ -386,15 +410,10 @@ class IntegerLatticeTower(_ArrayForms):
             idx = idx * ax.size(n) + ax.index_of_arr(g[..., k], n)
         return idx
 
-    def coset_index_arr(self, g, n):
-        idx = 0
-        for k, ax in enumerate(self.axes):
-            idx = idx * ax.size(n) + ax.coset_index_arr(g[..., k], n)
-        return idx
-
     def shape(self, n):
         return tuple(ax.size(n) for ax in self.axes)
 
+    # with the tile, keeps the D_3 window at 0.33-0.36 ms, 0.56 ms shared
     def shift_arr(self, vals, s, n):
         grid = vals.reshape(self.shape(n))
         shifts = tuple(-int(c) for c in s)
@@ -458,65 +477,50 @@ class GenericTower(_ArrayForms):
         if not isinstance(levels, list) or not levels:
             raise InvalidIndex("generic tower needs a nonempty list of levels")
         self.depth = len(levels)
+        self.levels = levels
         self.sizes = [1]
-        self.ops = [None]
-        self.projs = [None]  # projs[n] maps level n -> level n-1
-        prev = 1
+        ops = [None]
+        projs = [None]  # projs[n] maps level n -> level n-1
         for n, lvl in enumerate(levels, start=1):
+            prev = self.sizes[-1]
             try:
-                size = int(lvl["size"])
-                op = [list(row) for row in lvl["op"]]
-                proj = [0] * size if n == 1 else list(lvl["proj"])
-            except (KeyError, TypeError, ValueError) as exc:
+                size, op = lvl["size"], lvl["op"]
+                proj = lvl["proj"] if n > 1 else None
+            except (KeyError, TypeError) as exc:
                 raise InvalidIndex(f"level {n} table is malformed: {exc!r}") from None
-            if size % prev != 0 or size // prev < 2:
-                raise InvalidIndex(f"level {n} size {size} not a multiple >=2 of {prev}")
-            if len(op) != size or any(len(row) != size for row in op):
-                raise InvalidIndex(f"level {n} op table must be {size}x{size}")
-            if len(proj) != size or not _indices_below(proj, prev):
-                raise InvalidIndex(
-                    f"level {n} proj must map {size} entries into 0..{prev - 1}")
+            if (isinstance(size, bool) or not isinstance(size, int)
+                    or size % prev != 0 or size // prev < 2):
+                raise InvalidIndex(f"level {n} size {size!r} is not an "
+                                   f"integer multiple >=2 of {prev}")
             self.sizes.append(size)
-            self.ops.append(op)
-            self.projs.append(proj)
-            prev = size
+            ops.append(_int_table(op, (size, size), size, f"level {n} op table"))
+            projs.append(None if n == 1 else
+                         _int_table(proj, (size,), prev, f"level {n} proj"))
         # domains[0] is D_0 = {identity}; identity is table index 0 at depth
         if (not isinstance(domains, list) or len(domains) != self.depth + 1
-                or not all(isinstance(d, list) and _indices_below(d, prev)
-                           and len(d) <= size
+                or not all(isinstance(d, list) and len(d) <= size
                            for d, size in zip(domains, self.sizes))
                 or domains[0] != [0]):
             raise InvalidIndex("domains must list D_0..D_depth as table "
                                "indices, D_n at most [G : Gamma_n] of them, "
                                "with D_0 = [0]")
-        self.domains = [list(d) for d in domains]
+        top = self.sizes[self.depth]
+        doms = [_int_table(d, (len(d),), top, f"domain D_{n}")
+                for n, d in enumerate(domains)]
+        self.domains = domains
         self.tail = _coerce_tail(tail)
         self.zero = 0
-        try:
-            op = self._op_arr = np.array(self.ops[self.depth], dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidIndex(f"op table is malformed: {exc!r}") from None
-        if op.min() < 0 or op.max() >= prev:
-            raise InvalidIndex(f"op table entries must lie in 0..{prev - 1}")
+        op = self._op_arr = ops[self.depth]
         # config() writes every level's table back out, so each must be the
         # image of the table below it under that level's proj; blocks of 64
         # rows keep the temporaries small
-        child = op
         for n in range(self.depth, 1, -1):
-            try:
-                parent = np.array(self.ops[n - 1], dtype=np.int64)
-            except (TypeError, ValueError) as exc:
-                raise InvalidIndex(
-                    f"level {n - 1} op table is malformed: {exc!r}") from None
-            proj = np.array(self.projs[n], dtype=np.int64)
-            ok = parent.min() >= 0 and parent.max() < self.sizes[n - 1]
-            for s in range(0, len(proj), 64):
-                ok = ok and (parent[proj[s:s + 64, None], proj]
-                             == proj[child[s:s + 64]]).all()
-            if not ok:
+            parent, proj, child = ops[n - 1], projs[n], ops[n]
+            if not all((parent[proj[s:s + 64, None], proj]
+                        == proj[child[s:s + 64]]).all()
+                       for s in range(0, len(proj), 64)):
                 raise InvalidIndex(f"level {n - 1} op table is not the image "
                                    f"of level {n}'s under its proj")
-            child = parent
         self.abelian = bool((op == op.T).all())
         # inverse lookup at the deepest level: the first b with a + b = 0
         is_id = op == 0
@@ -530,12 +534,10 @@ class GenericTower(_ArrayForms):
         # last element of D_n in that coset, -1 if none) and _pos_arr[n][g]
         # the index of g in D_n (-1 outside).  The scalar ops read list
         # views of the same tables, which index faster one element at a time
-        top = self.sizes[self.depth]
         down = np.zeros((self.depth + 1, top), dtype=np.int64)
         down[self.depth] = np.arange(top)
         for n in range(self.depth, 1, -1):
-            down[n - 1] = np.array(self.projs[n], dtype=np.int64)[down[n]]
-        doms = [np.array(d, dtype=np.int64) for d in self.domains]
+            down[n - 1] = projs[n][down[n]]
         self._down_arr = down
         self._rep_arr = [_last_of(down[n][d], d, self.sizes[n])
                          for n, d in enumerate(doms)]
@@ -563,6 +565,7 @@ class GenericTower(_ArrayForms):
         self._chk(n)
         return np.array(self.domains[n][start:stop], dtype=np.int64)
 
+    # the coset table: reduce_arr raises on a broken tower decom has not failed
     def section_arr(self, i, j, budget=Budget()):
         self._chk(i)
         dom = self.domain_arr(j)
@@ -594,12 +597,6 @@ class GenericTower(_ArrayForms):
             raise NotInDomain(f"element outside D_{n}")
         return idx
 
-    def coset_index_arr(self, g, n):
-        return self.index_of_arr(self.reduce_arr(g, n), n)
-
-    def shift_arr(self, vals, s, n):
-        return vals[self.coset_index_arr(self.add_arr(self.domain_arr(n), s), n)]
-
     def add_arr(self, a, b):
         return self._op_arr[a, b]
 
@@ -615,14 +612,13 @@ class GenericTower(_ArrayForms):
         return self.coerce(super().parse_element(text))
 
     def config(self):
+        # the tables as the config gave them, which the constructor checked
         levels = []
-        for n in range(1, self.depth + 1):
-            lvl = {"size": self.sizes[n], "op": self.ops[n]}
-            if n > 1:
-                lvl["proj"] = self.projs[n]
-            levels.append(lvl)
+        for n, lvl in enumerate(self.levels, start=1):
+            keys = ("size", "op", "proj") if n > 1 else ("size", "op")
+            levels.append({key: lvl[key] for key in keys})
         return TowerConfig(KIND_GENERIC, tail=self.tail, levels=levels,
-                           domains=[list(d) for d in self.domains])
+                           domains=self.domains)
 
 
 @dataclass

@@ -561,3 +561,28 @@ def test_single_check_on_a_broken_tower_names_the_check_and_decom(
     assert results["partitions-c"]["status"] == "Vacated"
     assert results["partitions-c"]["scope"] == \
         "tower axioms fail (decom): element outside D_2"
+
+
+# a config number that int() or a cast to int64 reads as another exits 2:
+# a size of 2.5 was read as 2, an identity entry 0.5 or "0" as 0, and an
+# infinite ratio or size exited 1 through an OverflowError
+@pytest.mark.parametrize("edit, raw, message", [
+    (lambda cfg: cfg.update(tail={"kind": "geometric", "ratio": "RAW"}),
+     "Infinity", "tail ratio inf is not a fraction"),
+    (lambda cfg: cfg["levels"][0].update(size="RAW"), "2.5",
+     "level 1 size 2.5 is not an integer multiple >=2 of 1"),
+    (lambda cfg: cfg["levels"][0].update(size="RAW"), "1e400",
+     "level 1 size inf is not an integer multiple >=2 of 1"),
+    (lambda cfg: cfg["levels"][1]["op"][0].__setitem__(0, "RAW"), "0.5",
+     "level 2 op table must be 4x4 integers in 0..3"),
+    (lambda cfg: cfg["levels"][1]["op"][0].__setitem__(0, "RAW"), '"0"',
+     "level 2 op table must be 4x4 integers in 0..3"),
+], ids=["ratio-infinity", "size-2.5", "size-1e400", "op-0.5", "op-string"])
+def test_a_number_read_as_another_exits_2(tmp_path, capsys, edit, raw,
+                                          message):
+    cfg = cyclic_generic([2, 2]).config().to_json()
+    edit(cfg)
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(cfg).replace('"RAW"', raw))
+    assert main(["eta", "build", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -5,11 +5,16 @@ relabelling) run the same array kernels as the line itself, so they must
 reproduce its J-sets, windows, fiber profiles and verdicts under the
 labelling.  The level scan must also agree with scalar eval and level_of
 cell by cell on every kind, section_arr with the section's definition
-element by element, and the scalar index_of with domain_arr index by index.
+element by element, shift_arr with the scalar ops translate by translate,
+and the scalar index_of with domain_arr index by index.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+
+from conftest import s3_by_z
 
 from toeplitzlab import (Budget, BudgetExceeded, Undefined, fiber_profile,
                          run_all, window_values)
@@ -70,14 +75,43 @@ def test_section_arr_matches_section(request, name):
     over = []
     for j in range(T.depth + 1):
         for i in range(j + 1):
-            # Gamma_i cap D_j: the elements of D_j that reduce to 0 mod Gamma_i
-            dom = T.domain_arr(j)
-            want = dom[T.eq_arr(T.reduce_arr(dom, i), T.zero)]
+            if name == "lattice":
+                # the lattice reads its sections through the definition
+                # below, so its oracle is the product of the axes' sections
+                # in lexicographic order
+                want = np.array(list(itertools.product(
+                    *(ax.section_arr(i, j).tolist() for ax in T.axes))))
+            else:
+                # Gamma_i cap D_j: the elements of D_j that reduce to 0 mod
+                # Gamma_i
+                dom = T.domain_arr(j)
+                want = dom[T.eq_arr(T.reduce_arr(dom, i), T.zero)]
             assert np.array_equal(T.section_arr(i, j), want), (i, j)
             raised = _raises_budget(lambda: T.section_arr(i, j, Budget(8)))
             assert raised == (len(want) > 8)
             over.append(raised)
     assert any(over) and not all(over)
+
+
+@pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",
+                                  "generic36", "relabelled36", "s3_by_z4"])
+def test_shift_arr_matches_the_scalar_ops(request, name):
+    # shift_arr(vals, s, n)[k] reads vals at the coset of d_k + s, s on the
+    # right: on the non-abelian s3_by_z(4), d_k + s and s + d_k lie in
+    # different cosets of Gamma_n for n >= 2
+    if name == "s3_by_z4":
+        T = s3_by_z(4)
+    else:
+        sk = request.getfixturevalue(name)
+        T = (sk[0] if name == "relabelled36" else sk).tower
+    for n in range(min(T.depth, 4) + 1):
+        vals = np.arange(T.size(n))
+        dom = T.domain_arr(n)
+        shifts = T.domain_arr(min(n + 1, T.depth))
+        for s in shifts[::max(1, len(shifts) // 16)]:
+            want = [T.index_of(T.reduce(T.element(g), n), n)
+                    for g in T.add_arr(dom, s)]
+            assert T.shift_arr(vals, s, n).tolist() == want, (n, s)
 
 
 @pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",

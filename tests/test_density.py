@@ -8,7 +8,6 @@ import pytest
 from toeplitzlab import IntegerLineTower
 from toeplitzlab.density import (
     DensityReport,
-    L_series,
     density_methods,
     exp_enclosure,
     ratio_term,
@@ -53,22 +52,6 @@ def test_d_exact_irregular(irregular, oracle_irr):
         assert _routes(irregular, n) == {want[n - 1]}
     for n in range(1, 4):
         assert _routes(irregular, n) == {oracle_irr.d_exact(n)}
-
-
-def test_l_series_tail_bound(irregular):
-    s = L_series(irregular.tower, 4)
-    assert s.partial == Fraction(1, 15) + Fraction(1, 31) + Fraction(1, 63) \
-        + Fraction(1, 127)
-    assert s.tail_bound == Fraction(2, 255)
-    with pytest.raises(Exception):
-        L_series(irregular.tower, 5)
-    # the built terms past `terms` count exactly, even when they do not
-    # fall geometrically: t_1 = t_2 = 1/2 here, and the declared tail only
-    # bounds t_3, t_4, ... by 1/4, 1/8, ...
-    T = IntegerLineTower([15, 2, 2], tail={"kind": "geometric",
-                                           "ratio": [1, 2]})
-    assert L_series(T, 0).tail_bound == Fraction(1, 15) + Fraction(3, 2)
-    assert L_series(T, 2).tail_bound == Fraction(1)
 
 
 def test_exp_enclosure_brackets_exp():

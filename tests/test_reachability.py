@@ -33,6 +33,10 @@ One memo: what is derived from a skeleton is kept only through
 attribute with "cache" in it, and none stores a private attribute on an
 object other than `self`, so no second memo hangs off the skeleton.
 
+One statement of each tower rule: a tower class overrides a definition of
+`_ArrayForms` (such as the shared coset_index_arr, shift_arr and
+section_arr) only where OVERRIDES names the override and its reason.
+
 One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
@@ -106,6 +110,41 @@ SCALAR_LOOP_SITES = {
     ("tower", "domain_chunks"): "each chunk is one array pass",
 }
 
+OVERRIDES = {
+    ("IntegerLineTower", "coset_index_arr"): "one kernel pass: 135 us "
+        "against the shared form's 487 us on a 65,536-element int64 chunk",
+    ("IntegerLineTower", "extend_arr"): "a tile: D_(l+1)'s k-th element "
+        "lies in the coset of D_l's (k mod N_l)-th",
+    ("IntegerLineTower", "section_arr"): "|D_j|/|D_i| steps of an arange, "
+        "not a pass over all of D_j",
+    ("IntegerLineTower", "shift_arr"): "a roll: D_n is an interval of "
+        "Z/N_n",
+    ("IntegerLineTower", "shift_candidates"): "the divisors of |D_n| "
+        "generate every subgroup of Z/|D_n|",
+    ("IntegerLatticeTower", "array"): "an element is a row of coordinates",
+    ("IntegerLatticeTower", "coerce"): "an element is a list of integers",
+    ("IntegerLatticeTower", "element"): "an element is a tuple",
+    ("IntegerLatticeTower", "elements"): "an element is a tuple",
+    ("IntegerLatticeTower", "eq_arr"): "rows are equal in every coordinate",
+    ("IntegerLatticeTower", "extend_arr"): "a tile per axis: the shared "
+        "gathers slowed the D_3 window of [[3]*3]*2 from 0.33-0.36 to "
+        "0.56 ms",
+    ("IntegerLatticeTower", "format_element"): "comma-separated "
+        "coordinates",
+    ("IntegerLatticeTower", "parse_element"): "comma-separated "
+        "coordinates",
+    ("IntegerLatticeTower", "shape"): "one size per axis",
+    ("IntegerLatticeTower", "shift_arr"): "a roll per axis, for the same "
+        "window as extend_arr",
+    ("GenericTower", "add_arr"): "the group law is the op table",
+    ("GenericTower", "sub_arr"): "the op table with the inverse column",
+    ("GenericTower", "coerce"): "a label lies in 0..|G|-1",
+    ("GenericTower", "parse_element"): "through coerce's range check",
+    ("GenericTower", "section_arr"): "read from the coset table: the "
+        "skeleton reads sections of a broken tower before decom fails it, "
+        "where reduce_arr raises NotInDomain",
+}
+
 # (owner, function): the skeleton's builders, which store the budget, and
 # the functions that see a tower and no skeleton
 BUDGET_PARAMS = [
@@ -115,8 +154,8 @@ BUDGET_PARAMS = [
     ("skeleton.ToeplitzSkeleton", "__init__"),
     ("tower", "validate_tower"),
     ("tower.GenericTower", "section_arr"),
-    ("tower.IntegerLatticeTower", "section_arr"),
     ("tower.IntegerLineTower", "section_arr"),
+    ("tower._ArrayForms", "section_arr"),
 ]
 
 
@@ -555,6 +594,34 @@ def test_the_guards_flag_the_old_line_branch_of_the_candidate_shifts(
     assert scalar_loop_sites(tmp_path) == [("periods", "_shift_candidates"),
                                            ("periods", "count"),
                                            ("periods", "invariant_shift")]
+
+
+def array_form_overrides(src):
+    """(class, method) of every method of a tower class in tower.py that
+    overrides a definition of `_ArrayForms`."""
+    tree = ast.parse((src / "tower.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    shared = {sub.name for cls in classes if cls.name == "_ArrayForms"
+              for sub in _methods(cls)}
+    return sorted((cls.name, sub.name) for cls in classes
+                  if "_ArrayForms" in _names(cls) for sub in _methods(cls)
+                  if sub.name in shared)
+
+
+def test_each_override_of_a_shared_form_is_named(tmp_path):
+    assert array_form_overrides(SRC) == sorted(OVERRIDES)
+    # Generic's copies of the shared forms before they moved up
+    (tmp_path / "tower.py").write_text(
+        "class _ArrayForms:\n"
+        "    def coset_index_arr(self, g, n):\n"
+        "        return self.index_of_arr(self.reduce_arr(g, n), n)\n"
+        "class GenericTower(_ArrayForms):\n"
+        "    def coset_index_arr(self, g, n):\n"
+        "        return self.index_of_arr(self.reduce_arr(g, n), n)\n"
+        "    def add_arr(self, a, b):\n"
+        "        return self._op_arr[a, b]\n")
+    assert array_form_overrides(tmp_path) == [("GenericTower",
+                                               "coset_index_arr")]
 
 
 REMAINDERS = {"mod", "remainder", "fmod", "divmod"}

@@ -323,16 +323,31 @@ def test_generic_tower_rejects_malformed_tables():
             GenericTower(lv, dm)
 
     broken("table is malformed", lambda lv, dm: lv[1].pop("proj"))
-    broken("table is malformed", lambda lv, dm: lv[0].update(size="two"))
-    broken("proj must map", lambda lv, dm: lv[1].update(proj=[0, 1, 2, 1]))
-    broken("op table entries", lambda lv, dm: lv[1]["op"].__setitem__(
-        1, [1, 2, 3, 4]))
+    # every size, op, proj and domain entry must be an in-range integer:
+    # int(), or a conversion to int64, read 2.5 and "0" as 2 and 0
+    for size in ("two", 2.5, True, float("inf")):
+        broken(f"^level 1 size {size!r} is not an integer multiple >=2 of 1$",
+               lambda lv, dm: lv[0].update(size=size))
+    broken("^level 2 size 3 is not an integer multiple >=2 of 2$",
+           lambda lv, dm: lv[1].update(size=3))
+    broken("^level 2 proj must be 4 integers in 0..1$",
+           lambda lv, dm: lv[1].update(proj=[0, 1, 2, 1]))
+    broken("^level 2 proj must be 4 integers in 0..1$",
+           lambda lv, dm: lv[1].update(proj=[0, 1, 0]))
+    for bad in (4, -1, 0.5, "0", 2**70, None):
+        broken("^level 2 op table must be 4x4 integers in 0..3$",
+               lambda lv, dm: lv[1]["op"][1].__setitem__(2, bad))
+    broken("^level 2 op table must be 4x4 integers in 0..3$",
+           lambda lv, dm: lv[1]["op"][1].pop())
     # an upper level's table must be the image of the one below it
     broken("^level 1 op table is not the image of level 2's under its proj$",
            lambda lv, dm: lv[0].update(op=[[0, 0], [0, 0]]))
-    broken("^level 1 op table is not the image",
+    broken("^level 1 op table must be 2x2 integers in 0..1$",
            lambda lv, dm: lv[0].update(op=[[0, 1], [1, -1]]))
-    broken("domains must list", lambda lv, dm: dm[2].__setitem__(0, -1))
+    broken("^domain D_2 must be 4 integers in 0..3$",
+           lambda lv, dm: dm[2].__setitem__(0, -1))
+    broken("^domain D_2 must be 4 integers in 0..3$",
+           lambda lv, dm: dm[2].__setitem__(0, 1.0))
     deep = cyclic_generic([2, 2, 2]).config()
     deep.levels[1]["op"] = [[1] * 4 for _ in range(4)]
     with pytest.raises(InvalidIndex, match="^level 2 op table is not"):
