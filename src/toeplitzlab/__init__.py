@@ -14,8 +14,7 @@ from .density import (d_enumeration, d_product, d_recursion, density_methods,
                       exp_enclosure, regularity_verdict)
 from .errors import (BudgetExceeded, CountMismatch, DepthExceeded,
                      DoubledOne, EmptySlot, InconclusiveTail, InvalidIndex,
-                     NonAbelianUnsupported, NotInDomain, ParityError,
-                     UnknownCheck)
+                     NotInDomain, ParityError, UnknownCheck)
 from .factor import FiberProfile, OdometerPoint, fiber_profile, pi_of_orbit
 from .measures import (PeriodicMeasure, a_counts, an_det_check, limit_01,
                        mu_cylinder, parse_pattern)

@@ -46,10 +46,6 @@ class EmptySlot(RuntimeError):
     """A construction step found no candidate symbol position (invalid tower)."""
 
 
-class NonAbelianUnsupported(TypeError):
-    """Operation defined here only for abelian towers."""
-
-
 class InconclusiveTail(RuntimeError):
     """The tower declares no tail behavior, so a limit cannot be certified."""
 

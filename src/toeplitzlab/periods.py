@@ -14,7 +14,7 @@ returns its level's witness, or a Fail.
 import numpy as np
 
 from .cells import translate_ones
-from .errors import DoubledOne, NonAbelianUnsupported, NotInDomain
+from .errors import DoubledOne, NotInDomain
 from .result import failed
 from .window import per_masks, window_values
 
@@ -55,13 +55,15 @@ def _step_log_masks(skeleton, n):
 
 
 def invariant_shift(tower, n, mask0, mask1):
-    """(v, label): a nonzero v in D_n whose translation fixes both masks over
-    D_n, or None, and what was tried.  The tower names the candidates (see
-    shift_candidates); each compares |D_n| cells, and the caller charges
-    that work to its budget."""
+    """(v, label): a nonzero v in D_n with v + P = P for both per-sets P
+    over D_n, or None, and what was tried.  The shift acts on the left and
+    shift_arr reads d + s, so the masks are read at the inverses of D_n:
+    v + P = P exactly when P^-1 + v = P^-1.  The tower names the
+    candidates (see shift_candidates); each compares |D_n| cells, and the
+    caller charges that work to its budget."""
     T = tower
-    if not T.abelian:
-        raise NonAbelianUnsupported("the essential facet needs an abelian tower")
+    inv = T.coset_index_arr(T.sub_arr(T.zero, T.domain_arr(n)), n)
+    mask0, mask1 = mask0[inv], mask1[inv]
     cands, label = T.shift_candidates(n)
     for v in cands:
         if (np.array_equal(T.shift_arr(mask0, v, n), mask0)

@@ -6,7 +6,7 @@ A CheckResult is the single currency every verifier returns.  Status values:
   Fail          a counterexample was found (always attached)
   Inconclusive  the scope was empty-by-budget or the input lacks the data
                 needed to decide (e.g. no tail declaration); also a check a
-                cap stopped, or one that does not support the tower
+                cap stopped
   Vacated       a prerequisite recorded on the skeleton is false, so the
                 statement's hypothesis never triggers; the scan still ran.
                 Also a check that broke on tower axioms that decom refutes

@@ -255,7 +255,6 @@ class IntegerLineTower(_ArrayForms):
                     raise ParityError(f"centered style needs odd moduli, got {m}")
         self.half = [(m - 1) // 2 for m in self.N]
         self.zero = 0
-        self.abelian = True
 
     def size(self, n):
         self._chk(n)
@@ -372,7 +371,6 @@ class IntegerLatticeTower(_ArrayForms):
         self.tail = _coerce_tail(tail)
         self.depth = depth
         self.zero = (0,) * self.dim
-        self.abelian = True
 
     def size(self, n):
         return math.prod(self.shape(n))
@@ -464,9 +462,9 @@ class IntegerLatticeTower(_ArrayForms):
 class GenericTower(_ArrayForms):
     """Finite model of a tower given by explicit quotient tables.
 
-    levels[n-1] describes G/Gamma_n for n = 1..depth: its size, its addition
-    table (or `op` table when non-abelian), and for n >= 2 a projection onto
-    the previous level.  Group elements are indices into the deepest level;
+    levels[n-1] describes G/Gamma_n for n = 1..depth: its size, its group
+    law as an `op` table, and for n >= 2 a projection onto the previous
+    level.  Group elements are indices into the deepest level;
     D_n is a supplied list of such indices, one per Gamma_n-coset, so the
     tower has no style; config() records the default one.
     """
@@ -507,7 +505,8 @@ class GenericTower(_ArrayForms):
         top = self.sizes[self.depth]
         doms = [_int_table(d, (len(d),), top, f"domain D_{n}")
                 for n, d in enumerate(domains)]
-        self.domains = domains
+        # config() writes the lists back out; domain_arr slices the arrays
+        self.domains, self._dom_arr = domains, doms
         self.tail = _coerce_tail(tail)
         self.zero = 0
         op = self._op_arr = ops[self.depth]
@@ -521,7 +520,6 @@ class GenericTower(_ArrayForms):
                        for s in range(0, len(proj), 64)):
                 raise InvalidIndex(f"level {n - 1} op table is not the image "
                                    f"of level {n}'s under its proj")
-        self.abelian = bool((op == op.T).all())
         # inverse lookup at the deepest level: the first b with a + b = 0
         is_id = op == 0
         has_inv = is_id.any(axis=1)
@@ -563,7 +561,7 @@ class GenericTower(_ArrayForms):
 
     def domain_arr(self, n, start=0, stop=None):
         self._chk(n)
-        return np.array(self.domains[n][start:stop], dtype=np.int64)
+        return self._dom_arr[n][start:stop].copy()
 
     # the coset table: reduce_arr raises on a broken tower decom has not failed
     def section_arr(self, i, j, budget=Budget()):

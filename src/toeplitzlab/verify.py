@@ -14,7 +14,6 @@ Pass once a unit ran, else Inconclusive.  run_check is the one dispatcher:
 it times the call, sets `millis`, and turns these errors raised inside a
 check into its status (any other error propagates):
 
-  NonAbelianUnsupported   Inconclusive, "unsupported on this tower: ..."
   BudgetExceeded          Inconclusive, "over budget: ..."
   NotInDomain,            Vacated, "tower axioms fail (decom): ...", with
   DepthExceeded or        decom's counterexample, when decom refutes the
@@ -35,8 +34,7 @@ import numpy as np
 
 from .cells import corollary_chain, mu_zero_set, verify_refinement
 from .density import future_factor_bound
-from .errors import (BudgetExceeded, DepthExceeded, NonAbelianUnsupported,
-                     NotInDomain, UnknownCheck)
+from .errors import BudgetExceeded, DepthExceeded, NotInDomain, UnknownCheck
 from .measures import PeriodicMeasure, an_det_check
 from .periods import partitions_c_check, per_eq_check
 from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
@@ -594,8 +592,6 @@ def run_check(skeleton, name):
     t0 = time.perf_counter()
     try:
         res = fn(skeleton)
-    except NonAbelianUnsupported as exc:
-        res = inconclusive(name, f"unsupported on this tower: {exc}")
     except BudgetExceeded as exc:
         res = inconclusive(name, f"over budget: {exc}")
     except (NotInDomain, DepthExceeded, ArithmeticError) as exc:

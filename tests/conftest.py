@@ -111,6 +111,11 @@ def s3_by_z(depth):
 
 
 @pytest.fixture(scope="session")
+def s3_by_z4():
+    return build_skeleton(s3_by_z(4), 4)
+
+
+@pytest.fixture(scope="session")
 def s3_by_z5():
     return build_skeleton(s3_by_z(5), 5)
 

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import cyclic_generic
 from toeplitzlab import (REGISTRY_NAMES, DepthExceeded, SymbolWindow,
-                         build_skeleton, cli, density, materialize_window,
-                         measures, preset_config, run_check, verify,
-                         window_values)
+                         build_skeleton, build_tower, cli, density,
+                         materialize_window, measures, preset_config,
+                         run_check, verify, window_values)
 from toeplitzlab.cli import main
 
 
@@ -178,6 +178,56 @@ def test_analyze_measures_with_cylinders(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["verdict"] == "Regular"
     assert obj["cylinders"][0]["mass"] == "31/81"
+
+
+# case -> argv ({tmp} is the test's tmp_path), then the JSON keys, or the
+# first line, that stdout starts with
+OUTPUT_PATHS = {
+    "window-json": (["eta", "window", "--preset", "threeadic", "--depth", "4",
+                     "--level", "2", "--json"],
+                    {"level", "cells", "counts", "out", "format"}),
+    "window-pgm": (["eta", "window", "--config", "{tmp}/lattice.json",
+                    "--depth", "2", "--level", "2", "--format", "pgm",
+                    "--out", "{tmp}/w.pgm"],
+                   "window D_2: 36 cells, 6 ones, 5 zeros, 25 undecided"),
+    "periods-json": (["periods", "show", "--preset", "threeadic", "--depth",
+                      "4", "--level", "2", "--json"],
+                     {"level", "per0", "per1", "jset"}),
+    "density-text": (["analyze", "density", "--preset", "threeadic",
+                      "--depth", "5"], "verdict: Regular"),
+    "cylinders-text": (["analyze", "measures", "--preset", "threeadic",
+                        "--depth", "5", "--level", "4", "--cylinders",
+                        "{tmp}/pattern.json"], "level 4 cylinder masses:"),
+    "pi-json": (["factor", "pi", "--preset", "threeadic", "--depth", "4",
+                 "-g", "14", "--level", "4", "--json"], {"depth", "cosets"}),
+    "fibers-json": (["factor", "fibers", "--preset", "threeadic", "--depth",
+                     "4", "--level", "1", "--json"],
+                    {"level", "counts", "partial"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_PATHS))
+def test_each_output_path_prints_its_shape(tmp_path, capsys, case):
+    argv, head = OUTPUT_PATHS[case]
+    lattice = {"kind": "IntegerLattice", "indices": [[3, 3], [2, 2]]}
+    (tmp_path / "lattice.json").write_text(json.dumps(lattice))
+    (tmp_path / "pattern.json").write_text(json.dumps(
+        [{"support": [0], "values": [1]}]))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    out = capsys.readouterr().out
+    if isinstance(head, set):
+        assert set(json.loads(out)) == head
+        return
+    assert out.splitlines()[0] == head
+    if "--cylinders" in argv:
+        assert "  cylinder 0: mu = 31/81 ~ 0.382716049" in out.splitlines()
+    if "pgm" in argv:
+        # D_2 of [[3, 3], [2, 2]] is a 9 x 4 grid: 9 rows of width 4
+        height, width = build_tower(lattice).shape(2)
+        header = f"P5\n{width} {height}\n255\n".encode()
+        assert header == b"P5\n4 9\n255\n"
+        data = (tmp_path / "w.pgm").read_bytes()
+        assert data.startswith(header) and len(data) == len(header) + 36
 
 
 def test_factor_pi(capsys):

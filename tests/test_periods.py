@@ -108,20 +108,28 @@ def test_per_eq_fails_a_j_cell_in_the_per_sets(threeadic):
         "Fail", "n=3 membership", want)
 
 
-def test_essential_passes(threeadic, centered6, lattice):
+def test_essential_passes(threeadic, centered6, lattice, s3_by_z4):
     for sk, levels in ((threeadic, range(1, 5)), (centered6, [2]),
-                       (lattice, [1, 2])):
+                       (lattice, [1, 2]), (s3_by_z4, [1, 2, 3])):
         for n in levels:
             assert invariant_shift(sk.tower, n, *per_masks(sk, n))[0] is None
             assert "essential" in per_eq_check(sk, n)
     assert per_eq_check(threeadic, 3)["essential"] == "3 divisor shifts of 27"
 
 
+def _left_translate(T, mask, v, n):
+    """The mask over D_n of v + P, P the cells of mask."""
+    cells = T.domain_arr(n)[mask]
+    out = np.zeros_like(mask)
+    out[T.coset_index_arr(T.add_arr(v, cells), n)] = True
+    return out
+
+
 @pytest.mark.parametrize("name", ["threeadic", "centered6", "lattice",
-                                  "relabelled36"])
+                                  "relabelled36", "s3_by_z4"])
 def test_essential_negative_control(request, name):
     # masks lifted from level n-1 are Gamma_{n-1}-periodic, so a shift in
-    # Gamma_{n-1} cap D_n must fix them
+    # Gamma_{n-1} cap D_n must fix them, from the left as the shift acts
     sk = request.getfixturevalue(name)
     sk = sk[0] if isinstance(sk, tuple) else sk
     T = sk.tower
@@ -132,7 +140,25 @@ def test_essential_negative_control(request, name):
     assert shift is not None and shift != T.zero
     assert T.reduce(shift, n - 1) == T.zero
     for m in masks:
-        assert np.array_equal(T.shift_arr(m, shift, n), m)
+        assert np.array_equal(_left_translate(T, m, shift, n), m)
+
+
+def test_essential_finds_the_left_stabilizer(s3_by_z4):
+    # over D_2 of S3 x Z, {8, 8 + 16} is fixed by 40 + P = P only, and by
+    # P + 16 = P only: the search must return the left one
+    T, n = s3_by_z4.tower, 2
+    dom = T.domain_arr(n)
+    mask = np.isin(dom, [8, T.add_arr(8, 16)])
+    assert dom[mask].tolist() == [8, 32]
+    none = np.zeros_like(mask)
+    assert invariant_shift(T, n, mask, none) == (40, "11 nonzero translates")
+    assert invariant_shift(T, n, none, mask)[0] == 40
+    fixes = [v for v in dom[1:].tolist()
+             if np.array_equal(_left_translate(T, mask, v, n), mask)]
+    assert fixes == [40]
+    fixes = [v for v in dom[1:].tolist()
+             if np.array_equal(T.shift_arr(mask, v, n), mask)]
+    assert fixes == [16]
 
 
 def test_per1_structure(threeadic, irregular):

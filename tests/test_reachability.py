@@ -41,6 +41,10 @@ One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
 
+No dead errors: every exception class errors.py defines is raised by some
+`raise` statement of the package; a class that is only caught or exported
+names an outcome that cannot happen.
+
 No random numbers and no scalar loops where arrays do: no module imports
 the stdlib `random`, calls `randrange` or reaches `numpy.random` (every
 check covers its scope exhaustively), and no loop iterates over a
@@ -689,3 +693,39 @@ def test_only_the_skeleton_keeps_a_memo(tmp_path):
         "    return skeleton._decom\n")
     assert memo_sites(tmp_path) == [("verify", "check_decom"),
                                     ("window", "_window")]
+
+
+def unraised_errors(src):
+    """The exception classes errors.py defines that no `raise` statement of
+    the package names, bare or called."""
+    tree = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                raised |= _names(exc.func if isinstance(exc, ast.Call)
+                                 else exc)
+    return sorted(defined - raised)
+
+
+def test_every_error_class_is_raised(tmp_path):
+    assert unraised_errors(SRC) == []
+    # an error class whose last raise went, caught but never raised
+    (tmp_path / "errors.py").write_text(
+        "class NotInDomain(ValueError):\n"
+        "    pass\n"
+        "class NonAbelianUnsupported(TypeError):\n"
+        "    pass\n")
+    (tmp_path / "periods.py").write_text(
+        "def per_set(skeleton, n, symbol):\n"
+        "    raise errors.NotInDomain(f'symbol {symbol!r}')\n")
+    (tmp_path / "verify.py").write_text(
+        "def run_check(skeleton, name):\n"
+        "    try:\n"
+        "        res = fn(skeleton)\n"
+        "    except NonAbelianUnsupported as exc:\n"
+        "        raise\n")
+    assert unraised_errors(tmp_path) == ["NonAbelianUnsupported"]

@@ -232,6 +232,22 @@ def test_generic_tower_nonstandard_reps():
         G.index_of(2, 1)
 
 
+def test_generic_domain_pieces_are_fresh_copies_of_the_list(monkeypatch):
+    G = relabelled_cyclic([3] * 6, 1)[0]
+    monkeypatch.setattr(tower_module, "CHUNK", 7)
+    for n in (0, 1, 6):
+        pieces = list(tower_module.domain_chunks(G, n))
+        assert [start for start, _ in pieces] == list(range(0, G.size(n), 7))
+        for start, g in pieces:
+            assert g.dtype == np.int64
+            assert g.tolist() == G.domains[n][start:start + 7]
+    # a caller may write into what it was given
+    G.domain_arr(6, 7, 14)[:] = -1
+    G.domain_arr(6)[:] = -1
+    assert G.domain_arr(6, 7, 14).tolist() == G.domains[6][7:14]
+    assert G.domain_arr(6).tolist() == G.domains[6]
+
+
 def test_generic_index_of_refuses_labels_outside_the_group():
     # the position tables have one entry per label 0..|G|-1: label 734
     # indexed past them, and -1 read them from the end, so at the top
@@ -373,15 +389,6 @@ def test_elements_from_json_values():
             L.coerce(bad)
     with pytest.raises(NotInDomain):
         IntegerLineTower([3]).coerce(1.5)
-
-
-def test_generic_tower_flags_a_non_abelian_table():
-    perms = list(itertools.permutations(range(3)))  # S_3, identity first
-    op = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
-          for p in perms]
-    G = _one_level(op)
-    assert not G.abelian
-    assert cyclic_generic([2, 4]).abelian
 
 
 def test_validate_tower_flags_broken_domain():

@@ -3,9 +3,11 @@
 import inspect
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from test_chunks import BROKEN
+from test_periods import _planted
 from toeplitzlab import (
     REGISTRY_NAMES,
     Budget,
@@ -312,19 +314,32 @@ def test_z_identity_says_when_a_chain_is_exhaustive(threeadic5):
     assert "(1, 4) exhaustive: 1377 of 1377 atoms" in full.render()
 
 
+# every row of verify all on S3 x Z at depth 5; uns-bound's Fail at
+# (n, m) = (1, 3) is the index-2 case of ROADMAP item 2: q_3 = 48/24 = 2
+S3_BY_Z5_ROWS = {
+    "registry": "Pass", "decom": "Pass", "j-recursion": "Pass",
+    "per-eq": "Pass", "good-relation": "Pass", "good-patches": "Pass",
+    "t1t2": "Pass", "partitions-c": "Pass", "linking": "Inconclusive",
+    "good-ds": "Pass", "u-in-y": "Vacated", "containings": "Pass",
+    "z-identity": "Pass", "an-det": "Pass", "uns-bound": "Fail",
+    "measure-1-trend": "Inconclusive",
+}
+
+
 def test_suite_runs_on_a_non_abelian_tower(s3_by_z5):
     T = s3_by_z5.tower
-    assert not T.abelian
+    # two transpositions of S3, at z = 0, do not commute
+    a, b = T.array([16]), T.array([32])
+    assert not T.eq_arr(T.add_arr(a, b), T.add_arr(b, a)).all()
     assert [T.size(n) for n in range(1, 6)] == [4, 12, 24, 48, 96]
-    # the essential facet of per-eq needs an abelian tower; the suite goes on
     report = run_all(s3_by_z5)
     by_name = {r.name: r for r in report.results}
+    assert {r.name: r.status for r in report.results} == S3_BY_Z5_ROWS
     assert list(by_name) == ["registry", *REGISTRY_NAMES]
-    assert by_name["decom"].status == "Pass"
-    per_eq = by_name["per-eq"]
-    assert per_eq.status == "Inconclusive"
-    assert per_eq.scope == ("unsupported on this tower: the essential facet "
-                            "needs an abelian tower")
+    assert by_name["per-eq"].scope == (
+        "n in [1, 2, 3, 4], window saturation + step-log rebuild + "
+        "J-membership + essential")
+    assert by_name["uns-bound"].scope == "(n,m)=(1,3)"
     assert all(r.millis > 0 for r in report.results[1:])
     assert by_name["measure-1-trend"].witnesses[0] == {
         "pair": (1, 3), "mu": Fraction(2, 3)}
@@ -441,3 +456,85 @@ def test_u_in_y_reads_every_probe_from_a_window(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "[        Pass] u-in-y: n_k in [1], reps over D_(n_k+2)\n")
     assert [] in pieces and all(r in ([], [3]) for r in pieces)
+
+
+# -- Fail rows reached by planted windows -----------------------------------
+
+
+def _flip_settled_at_2(sk, vals):
+    # a D_3 cell that level 2 settles is no translate of a Per(2, .) cell,
+    # so levels 1 and 2 pass and level 3's step-log rebuild differs first
+    vals[np.flatnonzero(window.window_levels(sk, 3) == 2)[0]] ^= 1
+
+
+def _flip_patch(sk, vals):
+    # the D_4 cell gamma0 + gamma + u of the first offset of the first good
+    # translate of (1, 4)
+    T = sk.tower
+    S = good_set(sk, 1, 4)
+    _, _, (gam, u) = verify._patch_values(sk, 1, 4, S)
+    vals[T.index_of_arr(T.add_arr(T.add_arr(gam[:1], u[:1]), S[:1]), 4)] ^= 1
+
+
+def _flip_eta_1_at_1(sk, vals):
+    # no good translate's window shows eta_1 any more
+    vals[1] ^= 1
+
+
+def _drop_the_plant_at_4(sk, vals):
+    # step 2's 1 at 4, removed from D_3: mu_3(Z_1) read from the window is
+    # 8/9, the step log's 7/9
+    vals[4] = 0
+
+
+def _copy_eta_1_to_1(sk, vals):
+    # D_4 shows eta_1's pattern on 1 + D_2, and 1 lies outside Gamma_1, so
+    # it joins U but not Y
+    T = sk.tower
+    d2 = T.domain_arr(2)
+    vals[T.index_of_arr(T.add_arr(1, d2), 4)] = (
+        window.window_values(sk, 1)[T.coset_index_arr(d2, 1)])
+
+
+# check -> (fixture, window level, edit, scope, counterexample keys)
+PLANTED_FAILS = {
+    "per-eq": ("threeadic", 3, _flip_settled_at_2, "level 3",
+               {"level", "element", "reason"}),
+    "t1t2": ("threeadic", 4, _flip_patch, "(n,m)=(1,4)",
+             {"gamma0", "gamma", "u"}),
+    "good-patches": ("threeadic", 1, _flip_eta_1_at_1, "(n,m)=(1,4)",
+                     {"gamma0", "reason"}),
+    "measure-1-trend": ("threeadic", 3, _drop_the_plant_at_4,
+                        "closed form at (1,3)", {"direct", "closed"}),
+    "u-in-y": ("centered6", 4, _copy_eta_1_to_1, "n_k=1, reps D_3",
+               {"n_k", "v"}),
+}
+
+
+def _planted_fail(sk, name):
+    """run_check of name on a fresh build of sk whose window is edited as
+    PLANTED_FAILS says."""
+    _, level, edit, _, _ = PLANTED_FAILS[name]
+    vals = window.window_values(sk, level).copy()
+    edit(sk, vals)
+    return run_check(_planted(sk, level, vals), name)
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_FAILS))
+def test_a_planted_window_reaches_the_fail_row(request, name):
+    fixture, _, _, scope, keys = PLANTED_FAILS[name]
+    sk = request.getfixturevalue(fixture)
+    assert run_check(sk, name).status != "Fail"
+    res = _planted_fail(sk, name)
+    assert (res.status, res.scope) == ("Fail", scope)
+    assert set(res.counterexample) == keys
+
+
+def test_a_fail_renders_its_counterexample(threeadic):
+    res = _planted_fail(threeadic, "per-eq")
+    assert res.counterexample == {
+        "level": 3, "element": 4,
+        "reason": "step-log union disagrees with level scan"}
+    assert res.render().splitlines() == [
+        "[        Fail] per-eq: level 3",
+        f"{'':15}counterexample: {res.counterexample}"]
