@@ -21,6 +21,7 @@ from .factor import fiber_profile, pi_of_orbit
 from .measures import limit_01, mu_cylinder, parse_pattern
 from .periods import per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
+from .result import exact_str
 from .skeleton import Undefined, build_skeleton
 from .tower import TowerConfig, build_tower
 from .verify import AXIOMS_FAIL, REGISTRY_NAMES, run_all, run_check
@@ -30,12 +31,6 @@ from .window import materialize_window
 # these; any other exception is a fault of the program and keeps its traceback
 _USAGE_ERRORS = (InvalidIndex, NotInDomain, ParityError, DepthExceeded,
                  UnknownCheck, EmptySlot, InconclusiveTail, OSError)
-
-
-def _fmt_q(x):
-    if isinstance(x, Fraction):
-        return f"{x} ~ {float(x):.9f}"
-    return str(x)
 
 
 def _emit_result(res, as_json):
@@ -169,9 +164,9 @@ def _cmd_periods_show(args):
         }, indent=1))
         return 0
     print(f"level {n}: |D_n| = {size}")
-    print(f"  Per(,0) cells: {len(p0)}  mass {_fmt_q(Fraction(len(p0), size))}")
-    print(f"  Per(,1) cells: {len(p1)}  mass {_fmt_q(Fraction(len(p1), size))}")
-    print(f"  J(n) cells:    {len(jn)}  mass {_fmt_q(Fraction(len(jn), size))}")
+    print(f"  Per(,0) cells: {len(p0)}  mass {exact_str(Fraction(len(p0), size))}")
+    print(f"  Per(,1) cells: {len(p1)}  mass {exact_str(Fraction(len(p1), size))}")
+    print(f"  J(n) cells:    {len(jn)}  mass {exact_str(Fraction(len(jn), size))}")
     return 0
 
 
@@ -179,19 +174,22 @@ def _cmd_analyze_density(args):
     sk = _skeleton(args)
     levels = args.levels if args.levels is not None else sk.depth - 1
     report = regularity_verdict(sk.tower, levels=levels)
+    # the levels whose d_n every route reaches, enumeration included
+    methods = []
+    for n in range(1, min(levels, sk.depth - 1) + 1):
+        routes = density_methods(sk, n)
+        if "enumeration" not in routes:
+            break
+        methods.append({"n": n, "agree": len(set(routes.values())) == 1})
     if args.as_json:
-        obj = report.to_json()
-        obj["methods"] = []
-        for n in range(1, min(levels, sk.depth - 1) + 1):
-            routes = density_methods(sk, n)
-            if "enumeration" not in routes:
-                break
-            obj["methods"].append(
-                {"n": n, "agree": len(set(routes.values())) == 1})
-        print(json.dumps(obj, indent=1))
-        return 0 if all(m["agree"] for m in obj["methods"]) else 1
-    print(report.render())
-    return 0
+        print(json.dumps({**report.to_json(), "methods": methods}, indent=1))
+    else:
+        print(report.render())
+        bad = [m["n"] for m in methods if not m["agree"]]
+        print(f"  routes to d_n agree at n in "
+              f"{[m['n'] for m in methods if m['agree']]}"
+              + (f"; disagree at n in {bad}" if bad else ""))
+    return 0 if all(m["agree"] for m in methods) else 1
 
 
 def _cmd_analyze_measures(args):
@@ -200,13 +198,11 @@ def _cmd_analyze_measures(args):
     enc = limit_01(sk, level=m)
     if not args.as_json:
         print(f"level {m} cylinder masses:")
-        lo, hi = enc["one"]
-        print(f"  mu[1] in [{_fmt_q(lo)}, {_fmt_q(hi)}]")
-        lo, hi = enc["zero"]
-        print(f"  mu[0] in [{_fmt_q(lo)}, {_fmt_q(hi)}]")
+        print(f"  mu[1] in {exact_str(list(enc['one']))}")
+        print(f"  mu[0] in {exact_str(list(enc['zero']))}")
         if m >= 2:
             try:
-                print(f"  mu_{m}(Z_1) = {_fmt_q(mu_zero_set(sk, 1, m))}")
+                print(f"  mu_{m}(Z_1) = {exact_str(mu_zero_set(sk, 1, m))}")
             except BudgetExceeded as exc:
                 print(f"  mu_{m}(Z_1): over budget ({exc})")
     payload = {"level": m,
@@ -227,7 +223,7 @@ def _cmd_analyze_measures(args):
             mass = mu_cylinder(sk, m, pattern)
             payload["cylinders"].append({"index": i, "mass": str(mass)})
             if not args.as_json:
-                print(f"  cylinder {i}: mu = {_fmt_q(mass)}")
+                print(f"  cylinder {i}: mu = {exact_str(mass)}")
     if args.as_json:
         print(json.dumps(payload, indent=1))
     return 0
@@ -255,12 +251,12 @@ def _cmd_factor_fibers(args):
     if args.as_json:
         print(json.dumps({
             "level": n,
-            "counts": {str(c): int(k) for c, k in prof.items()},
-            "partial": {str(c): int(k) for c, k in prof.partial.items()},
+            "counts": prof.counts,
+            "partial": prof.partial,
         }, indent=1))
         return 0
-    print(f"fibers over level-{n} cosets ({len(prof)} cosets):")
-    for c, k in prof.items():
+    print(f"fibers over level-{n} cosets ({len(prof.counts)} cosets):")
+    for c, k in prof.counts.items():
         print(f"  {c}: {k} distinct windows")
     if args.csv:
         print(f"wrote csv to {args.csv}")

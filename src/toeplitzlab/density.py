@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DepthExceeded
-from .result import jsonable
+from .result import exact_str, jsonable
 from .skeleton import j_size
 from .tower import TAIL_DIVERGENT, TAIL_GEOMETRIC
 from .window import per_masks
@@ -28,8 +28,6 @@ _EXP_WIDTH = Fraction(1, 10**7)  # width of each exp(-2L) enclosure
 
 def ratio_term(tower, j):
     """t_j = |D_j| / |D_{j+1}|."""
-    if j + 1 > tower.depth:
-        raise DepthExceeded(f"t_{j} needs tower level {j + 1}")
     return Fraction(tower.size(j), tower.size(j + 1))
 
 
@@ -146,28 +144,17 @@ class DensityReport:
     millis: float = 0.0
 
     def to_json(self):
-        return jsonable({
-            "verdict": self.verdict,
-            "depth": self.depth,
-            "d_seq": [{"n": n, "d": d} for n, d in self.d_seq],
-            "d_interval": self.d_interval,
-            "L_partial": self.L_partial,
-            "L_tail_bound": self.L_tail_bound,
-            "product_partial": self.product_partial,
-            "exp_interval": self.exp_interval,
-            "exp_width": self.exp_width,
-            "notes": self.notes,
-            "millis": round(self.millis, 3),
-        })
+        return jsonable({**vars(self),
+                         "d_seq": [{"n": n, "d": d} for n, d in self.d_seq],
+                         "millis": round(self.millis, 3)})
 
     def render(self):
         lines = [f"verdict: {self.verdict}"]
         for n, d in self.d_seq:
-            lines.append(f"  d_{n} = {d} ~ {float(d):.9f}")
-        lo, hi = self.d_interval
-        lines.append(f"  sup d in [{lo} ~ {float(lo):.9f}, {hi} ~ {float(hi):.9f}]")
-        lines.append(f"  L partial = {self.L_partial} ~ {float(self.L_partial):.9f}"
-                     + (f", tail <= {self.L_tail_bound} ~ {float(self.L_tail_bound):.9f}"
+            lines.append(f"  d_{n} = {exact_str(d)}")
+        lines.append(f"  sup d in {exact_str(list(self.d_interval))}")
+        lines.append(f"  L partial = {exact_str(self.L_partial)}"
+                     + (f", tail <= {exact_str(self.L_tail_bound)}"
                         if self.L_tail_bound is not None else ", tail Unbounded"))
         elo, ehi = self.exp_interval
         lines.append(f"  exp(-2L) in [{float(elo):.9f}, {float(ehi):.9f}] "
@@ -186,40 +173,32 @@ def regularity_verdict(tower, levels=None):
     top = min(depth, levels if levels is not None else 6)
     d_seq = [(n, d_product(tower, n)) for n in range(1, top + 1)]
     d_depth = d_product(tower, depth)
-    product_partial = 1 - d_depth
-
     L_lo = sum((ratio_term(tower, j) for j in range(depth)), Fraction(0))
-    notes = []
 
     tail = tower.tail
+    d_hi, future = Fraction(1), None
     if tail is None:
-        report = DensityReport(
-            VERDICT_INCONCLUSIVE, depth, d_seq, (d_depth, Fraction(1)),
-            L_lo, None, product_partial, (Fraction(0), Fraction(1)), Fraction(1),
-            ["no tail declaration: the limit of d_n cannot be certified"])
+        verdict = VERDICT_INCONCLUSIVE
+        exp_iv, exp_width = (Fraction(0), Fraction(1)), Fraction(1)
+        notes = ["no tail declaration: the limit of d_n cannot be certified"]
     elif tail.kind == TAIL_DIVERGENT:
-        lo, hi = exp_enclosure(-2 * L_lo)
-        report = DensityReport(
-            VERDICT_REGULAR, depth, d_seq, (d_depth, Fraction(1)),
-            L_lo, None, product_partial, (lo, hi), hi - lo,
-            ["declared divergent ratio sum: the telescoping product tends to 0, "
-             "so d_n tends to 1"])
+        verdict = VERDICT_REGULAR
+        exp_iv = exp_enclosure(-2 * L_lo)
+        exp_width = exp_iv[1] - exp_iv[0]
+        notes = ["declared divergent ratio sum: the telescoping product "
+                 "tends to 0, so d_n tends to 1"]
     else:
         future = _past_depth_sum(tower)
-        d_hi = d_depth + (1 - d_depth) * future
-        if d_hi > 1:
-            d_hi = Fraction(1)
-        L_hi = L_lo + future
+        d_hi = min(d_depth + (1 - d_depth) * future, d_hi)
         lo_hi, hi_hi = exp_enclosure(-2 * L_lo)  # largest exp(-2L)
-        lo_lo, hi_lo = exp_enclosure(-2 * L_hi)  # smallest
-        exp_iv = (lo_lo, hi_hi)
-        notes.append(f"remark bound: sup d_n <= 1 - exp(-2L) <= {float(1 - lo_lo):.9f}")
+        lo_lo, _ = exp_enclosure(-2 * (L_lo + future))  # smallest
+        exp_iv, exp_width = (lo_lo, hi_hi), hi_hi - lo_hi
+        notes = [f"remark bound: sup d_n <= 1 - exp(-2L) <= "
+                 f"{float(1 - lo_lo):.9f}"]
         verdict = VERDICT_IRREGULAR if d_hi < 1 else VERDICT_INCONCLUSIVE
         if verdict == VERDICT_IRREGULAR:
-            notes.append("declared geometric tail keeps the telescoping product "
-                         "positive, so sup d_n < 1")
-        report = DensityReport(
-            verdict, depth, d_seq, (d_depth, d_hi),
-            L_lo, future, product_partial, exp_iv, hi_hi - lo_hi, notes)
-    report.millis = (time.perf_counter() - t0) * 1e3
-    return report
+            notes.append("declared geometric tail keeps the telescoping "
+                         "product positive, so sup d_n < 1")
+    return DensityReport(verdict, depth, d_seq, (d_depth, d_hi), L_lo, future,
+                         1 - d_depth, exp_iv, exp_width, notes,
+                         (time.perf_counter() - t0) * 1e3)

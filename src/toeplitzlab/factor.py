@@ -67,15 +67,6 @@ class FiberProfile:
     counts: dict
     partial: dict
 
-    def __getitem__(self, c):
-        return self.counts[c]
-
-    def __len__(self):
-        return len(self.counts)
-
-    def items(self):
-        return self.counts.items()
-
     def to_csv(self):
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -94,8 +85,6 @@ def fiber_profile(skeleton, n):
     below level n always report exactly one window.
     """
     T = skeleton.tower
-    if n + 1 > T.depth:
-        raise DepthExceeded(f"fiber profile at {n} needs tower depth {n + 1}")
     skeleton.budget.check_enum(T.size(n), f"D_{n}")
     skeleton.budget.check_enum(T.size(n + 1) * T.size(n),
                                f"fiber profile at {n}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (CountMismatch, DepthExceeded, InconclusiveTail,
                      NotInDomain)
-from .density import regularity_verdict, VERDICT_INCONCLUSIVE
+from .density import d_recursion, regularity_verdict, VERDICT_INCONCLUSIVE
 from .result import failed
 from .skeleton import j_size
 from .window import per_masks, window_values
@@ -20,23 +20,16 @@ from .window import per_masks, window_values
 def a_counts(skeleton, n):
     """(a_{n,0}, a_{n,1}): decided cosets of each symbol inside D_n.
 
-    Computed from the step log; when |D_n| <= 2**16 an enumeration must
-    reproduce the same pair, else CountMismatch.
-    """
+    A planted step t <= n gives |D_n|/|D_t| ones; the steps up to n decide
+    d_n |D_n| cells.  When |D_n| <= 2**16 an enumeration must reproduce the
+    same pair, else CountMismatch."""
     T = skeleton.tower
     if n > skeleton.depth:
         raise DepthExceeded(f"a_counts needs n <= depth, got {n}")
-    a0 = 0
-    a1 = 0
-    for t in range(1, n + 1):
-        cosets = T.size(n) // T.size(t)
-        cells = j_size(T, t - 1)
-        if skeleton.steps[t - 1][0] == "plant":
-            a1 += cosets
-            a0 += (cells - 1) * cosets
-        else:
-            a0 += cells * cosets
-    if T.size(n) <= 1 << 16:
+    size = T.size(n)
+    a1 = int(size * skeleton.plant_tail_sum(0, n))
+    a0 = int(size * d_recursion(T, n)) - a1
+    if size <= 1 << 16:
         e0, e1 = (int(m.sum()) for m in per_masks(skeleton, n))
         if (e0, e1) != (a0, a1):
             raise CountMismatch(n, (a0, a1), (e0, e1))

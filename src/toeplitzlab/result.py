@@ -33,17 +33,35 @@ def jsonable(value):
                 "approx": float(value)}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        seq = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-        return [jsonable(v) for v in seq]
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (bool, float)) or value is None:
         return value
     if isinstance(value, int):
         # json keeps ints exact, but huge group orders read better as strings
         return value if abs(value) < 1 << 53 else str(value)
-    if isinstance(value, float):
-        return value
     return str(value)
+
+
+class _Shown(str):
+    """Text that a container's repr shows as it is."""
+    __repr__ = str.__str__
+
+
+def _show_fractions(value):
+    if isinstance(value, Fraction):
+        return _Shown(f"{value} ~ {float(value):.9f}")
+    if isinstance(value, dict):
+        return {k: _show_fractions(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_show_fractions, value))
+    return value
+
+
+def exact_str(value):
+    """str(value), with every Fraction in it, however nested, written
+    exactly and with a decimal approximation: `num/den ~ 0.123456789`."""
+    return str(_show_fractions(value))
 
 
 @dataclass
@@ -66,14 +84,7 @@ class CheckResult:
         return self.status != FAIL
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "scope": self.scope,
-            "witnesses": jsonable(self.witnesses),
-            "counterexample": jsonable(self.counterexample),
-            "millis": round(self.millis, 3),
-        }
+        return jsonable({**vars(self), "millis": round(self.millis, 3)})
 
     def render(self):
         head = f"[{self.status:>12}] {self.name}: {self.scope}"
@@ -84,7 +95,8 @@ class CheckResult:
                 head += (f"\n{'':15}{w.get('span', '')} {w['mode']}: "
                          f"{w['atoms']} of {w['of']} atoms")
         if self.counterexample is not None:
-            head += f"\n{'':15}counterexample: {self.counterexample}"
+            head += (f"\n{'':15}counterexample: "
+                     f"{exact_str(self.counterexample)}")
         return head
 
 

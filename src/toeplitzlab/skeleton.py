@@ -16,6 +16,7 @@ need no stored J-sets.
 import bisect
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,8 +70,6 @@ def j_mask(tower, g, n, lo=0):
 def j_set(tower, n, budget=Budget()):
     """J(n) as an element array in enumeration order: D_n minus everything
     lower levels saturate."""
-    if n > tower.depth:
-        raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     budget.check_enum(tower.size(n), f"J({n})")
     return domain_where(tower, n, lambda _, g: j_mask(tower, g, n))
 
@@ -83,8 +82,6 @@ def j_set_recursive(tower, n, budget=Budget()):
     enumeration order of D_n, an element once per translate reaching it; on
     a broken tower the translates that leave D_n come last, sorted.
     """
-    if n > tower.depth:
-        raise DepthExceeded(f"J({n}) needs tower level {n}, have {tower.depth}")
     if n == 0:
         return tower.array([tower.zero])
     if n == 1:
@@ -212,6 +209,12 @@ class ToeplitzSkeleton:
             top *= 4
 
     # -- construction bookkeeping ---------------------------------------
+
+    def plant_tail_sum(self, n, top):
+        """Exact sum of 1/|D_t| over planted steps t in (n, top]."""
+        return sum((Fraction(1, self.tower.size(t))
+                    for t in range(n + 1, top + 1)
+                    if self.steps[t - 1][0] == "plant"), Fraction(0))
 
     def completed_blocks(self):
         return [k for k in range(len(self.m_k)) if self.m_k[k] <= self.depth]

@@ -121,14 +121,17 @@ def _check_indices(indices):
 
 def _int_table(obj, shape, bound, what):
     """obj as an int64 array of exactly `shape` with entries in 0..bound-1;
-    ragged rows, floats, strings or numbers past int64 raise InvalidIndex."""
+    ragged rows, floats, strings, numbers past int64 or bools, which numpy
+    reads as 0 and 1 among ints, raise InvalidIndex."""
     try:
         arr = np.array(obj)
     except ValueError:  # ragged rows
         arr = None
+    rows = [obj] if len(shape) == 1 else obj
     if (arr is None or arr.shape != shape
             or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
-                             or arr.max() >= bound)):
+                             or arr.max() >= bound
+                             or any(bool in set(map(type, r)) for r in rows))):
         dims = "x".join(map(str, shape))
         raise InvalidIndex(f"{what} must be {dims} integers in 0..{bound - 1}")
     return arr.astype(np.int64, copy=False)

@@ -468,13 +468,6 @@ def check_uns_bound(skeleton):
                                   f"n+2 <= m <= {dep - 1}")
 
 
-def _plant_tail_sum(skeleton, n, top):
-    """Exact sum of 1/|D_t| over planted steps t in (n, top]."""
-    return sum((Fraction(1, skeleton.tower.size(t))
-                for t in range(n + 1, top + 1)
-                if skeleton.steps[t - 1][0] == "plant"), Fraction(0))
-
-
 def zero_mass_closed_form(skeleton, n, m):
     """mu_m(Z_n) from the step log alone.
 
@@ -483,7 +476,7 @@ def zero_mass_closed_form(skeleton, n, m):
     class: its representative sits in J(m), hence inside D_m.  Later steps
     plant outside D_m entirely.
     """
-    s = _plant_tail_sum(skeleton, n, m)
+    s = skeleton.plant_tail_sum(n, m)
     if m + 1 <= skeleton.depth and skeleton.steps[m][0] == "plant":
         s += Fraction(1, skeleton.tower.size(m))
     return 1 - skeleton.tower.size(n) * s
@@ -497,7 +490,7 @@ def zero_mass_lower_bound(skeleton, n):
     if n <= dep:
         b = future_factor_bound(T, dep)
         tail = Fraction(1, T.size(dep)) * b / (1 - b)
-        return 1 - T.size(n) * (_plant_tail_sum(skeleton, n, dep) + tail)
+        return 1 - T.size(n) * (skeleton.plant_tail_sum(n, dep) + tail)
     b = future_factor_bound(T, n)
     return 1 - b / (1 - b)
 

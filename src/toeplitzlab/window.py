@@ -317,10 +317,6 @@ class SymbolWindow:
 
 def materialize_window(skeleton, n):
     """Build the D_n window; raises BudgetExceeded past the window cap."""
-    if n < 0:
-        raise DepthExceeded(f"negative level {n}")
-    if n > skeleton.tower.depth:
-        raise DepthExceeded(f"window level {n} exceeds tower depth")
     vals = window_values(skeleton, n)
     return SymbolWindow(n, vals)
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import cyclic_generic
 from toeplitzlab import (REGISTRY_NAMES, DepthExceeded, SymbolWindow,
                          build_skeleton, build_tower, cli, density,
-                         materialize_window, measures, preset_config,
+                         materialize_window, preset_config,
                          run_check, verify, window_values)
 from toeplitzlab.cli import main
 
@@ -72,6 +72,21 @@ def test_build_json_is_the_skeleton_record(tmp_path, capsys, threeadic5):
     assert main(["eta", "build", "--config", str(cfg), "--depth", "5",
                  "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == want
+
+
+def test_a_lattice_build_record_round_trips(tmp_path, capsys):
+    cfg, out = tmp_path / "lattice.json", tmp_path / "sk.json"
+    lattice = {"kind": "IntegerLattice", "style": "NonNegative",
+               "indices": [[3, 3], [2, 2]], "tail": {"kind": "divergent"}}
+    cfg.write_text(json.dumps(lattice))
+    assert main(["eta", "build", "--config", str(cfg), "--json",
+                 "--out", str(out)]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert want["config"] == lattice
+    from toeplitzlab import load_skeleton
+    back = load_skeleton(out)
+    assert back.to_json() == want
+    assert back.tower.config().to_json() == lattice
 
 
 def test_window_text_and_bits(tmp_path, capsys, threeadic):
@@ -431,13 +446,41 @@ def test_usage_errors(capsys, tmp_path):
 
 
 def test_analyze_density_flags_disagreeing_routes(capsys, monkeypatch):
+    argv = ["analyze", "density", "--preset", "threeadic", "--depth", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  routes to d_n agree at n in [1, 2, 3, 4]")
     real = density.d_recursion
     monkeypatch.setattr(density, "d_recursion",
                         lambda tower, n: real(tower, n) + (n == 2))
-    assert main(["analyze", "density", "--preset", "threeadic", "--depth", "5",
-                 "--json"]) == 1
+    assert main([*argv, "--json"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert [m["agree"] for m in obj["methods"]] == [True, False, True, True]
+    # the text render compares the same routes
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  routes to d_n agree at n in [1, 3, 4]; disagree at n in [2]")
+
+
+def test_a_command_a_cap_stops_exits_2(capsys):
+    assert main(["eta", "window", "--preset", "threeadic", "--level", "9",
+                 "--window-budget", "100"]) == 2
+    assert capsys.readouterr().err == (
+        "budget: window D_9 needs 19683 cells, budget is 100\n")
+
+
+@pytest.mark.parametrize("level", ["99", "-1"])
+def test_a_window_level_outside_the_tower_exits_2(capsys, level):
+    assert main(["eta", "window", "--preset", "threeadic",
+                 "--level", level]) == 2
+    assert capsys.readouterr().err == f"error: level {level} outside 0..10\n"
+
+
+def test_linking_without_a_completed_block_is_inconclusive(capsys):
+    assert main(["verify", "linking", "--preset", "threeadic",
+                 "--depth", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "[Inconclusive] linking: no completed blocks\n")
 
 
 @pytest.mark.parametrize("flag", ["--enum-budget", "--window-budget"])
@@ -455,8 +498,8 @@ def test_nonpositive_budget_is_rejected(capsys, monkeypatch, flag, value):
 
 def test_disagreeing_routes_exit_1_without_traceback(capsys, monkeypatch):
     # a step log that miscounts J-cells disagrees with the window's count
-    real = measures.j_size
-    monkeypatch.setattr(measures, "j_size", lambda tower, n: real(tower, n) + 1)
+    real = density.j_size
+    monkeypatch.setattr(density, "j_size", lambda tower, n: real(tower, n) + 1)
     assert main(["analyze", "measures", "--preset", "threeadic", "--depth", "5",
                  "--level", "4"]) == 1
     err = capsys.readouterr().err
@@ -486,9 +529,18 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
     (["eta", "build", "--config"], '{"kind": "IntegerLattice", "indices": [3, 3]}',
      "indices must be a nonempty list"),
     (["eta", "build", "--config"], "not json", "is not JSON"),
+    # a JSON true among a Generic table's integers, which numpy reads as 1
+    (["tower", "validate", "--config"],
+     '{"kind": "Generic", "levels": [{"size": 2, "op": [[0, true], '
+     '[true, 0]]}], "domains": [[0], [0, 1]]}',
+     "level 1 op table must be 2x2 integers in 0..1"),
+    (["tower", "validate", "--config"],
+     '{"kind": "Generic", "levels": [{"size": 2, "op": [[0, 1], [1, 0]]}], '
+     '"domains": [[0], [0, true]]}', "domain D_1 must be 2 integers in 0..1"),
 ], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
         "ratio-1/0", "ratio-missing", "line-indices-int", "config-list",
-        "lattice-flat-indices", "config-not-json"])
+        "lattice-flat-indices", "config-not-json", "generic-bool-op",
+        "generic-bool-domain"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)

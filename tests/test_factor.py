@@ -62,11 +62,11 @@ def test_mass_estimate_equals_density(threeadic, irregular):
 def test_fiber_profile_counts(threeadic):
     prof = fiber_profile(threeadic, 1)
     assert prof.level == 1
-    assert dict(prof.items()) == {"0": 2, "1": 2, "2": 2}
+    assert prof.counts == {"0": 2, "1": 2, "2": 2}
     assert all(v == 0 for v in prof.partial.values())
     prof2 = fiber_profile(threeadic, 2)
-    assert len(prof2) == 9
-    assert all(c >= 1 for _, c in prof2.items())
+    assert len(prof2.counts) == 9
+    assert all(c >= 1 for c in prof2.counts.values())
 
 
 @pytest.mark.parametrize("name, n", [("threeadic5", 3), ("threeadic5", 4),

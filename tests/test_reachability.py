@@ -41,6 +41,9 @@ One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
 
+Exact numbers print one way: only result.py writes a number as
+`{x} ~ {float(x)...}`; every other module prints through its `exact_str`.
+
 No dead errors: every exception class errors.py defines is raised by some
 `raise` statement of the package; a class that is only caught or exported
 names an outcome that cannot happen.
@@ -729,3 +732,41 @@ def test_every_error_class_is_raised(tmp_path):
         "    except NonAbelianUnsupported as exc:\n"
         "        raise\n")
     assert unraised_errors(tmp_path) == ["NonAbelianUnsupported"]
+
+
+def exact_formats(src):
+    """(module, top-level definition) of every f-string that writes a
+    number as `{x} ~ {float(x)...}`, outside result.py."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "result":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.JoinedStr)
+                    for text, value in zip(node.values, node.values[1:])
+                    if isinstance(text, ast.Constant)
+                    and text.value.endswith(" ~ ")
+                    and isinstance(value, ast.FormattedValue)
+                    and isinstance(value.value, ast.Call)
+                    and getattr(value.value.func, "id", None) == "float"]
+    return sorted(out)
+
+
+def test_exact_numbers_are_formatted_only_in_result(tmp_path):
+    assert exact_formats(SRC) == []
+    # the CLI's own formatter and the density report's lines before they
+    # moved to result.exact_str; result.py itself may spell the form
+    (tmp_path / "cli.py").write_text(
+        "def _fmt_q(x):\n"
+        "    return f'{x} ~ {float(x):.9f}'\n")
+    (tmp_path / "density.py").write_text(
+        "class DensityReport:\n"
+        "    def render(self):\n"
+        "        lines.append(f'  d_{n} = {d} ~ {float(d):.9f}')\n")
+    (tmp_path / "result.py").write_text(
+        "def exact_str(value):\n"
+        "    return f'{value} ~ {float(value):.9f}'\n")
+    assert exact_formats(tmp_path) == [("cli", "_fmt_q"),
+                                       ("density", "DensityReport")]

@@ -5,6 +5,7 @@ import pytest
 
 import bruteforce as bf
 from conftest import cyclic_generic
+from test_tower import _BadSectionTower
 from toeplitzlab import skeleton
 from toeplitzlab import (
     DepthExceeded,
@@ -100,6 +101,14 @@ def test_j_recursion_agrees_with_direct(threeadic, centered6, lattice):
         T = sk.tower
         for n in range(top + 1):
             assert np.array_equal(j_set_recursive(T, n), j_set(T, n))
+
+
+def test_j_recursion_repeats_an_element_each_translate_reaches():
+    # Gamma_1 cap D_2 lists 3 twice, so 3 + J(1) reaches 4 and 5 twice
+    T = _BadSectionTower([3, 3], lambda sec, i, j:
+                         sec[:2] + sec[1:2] if (i, j) == (1, 2) else sec)
+    assert j_set(T, 2).tolist() == [4, 5, 7, 8]
+    assert j_set_recursive(T, 2).tolist() == [4, 4, 5, 5]
 
 
 def test_j_recursion_generic_mirror():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import s3_by_z
 from test_chunks import BROKEN
 from test_periods import _planted
 from toeplitzlab import (
@@ -537,4 +538,13 @@ def test_a_fail_renders_its_counterexample(threeadic):
         "reason": "step-log union disagrees with level scan"}
     assert res.render().splitlines() == [
         "[        Fail] per-eq: level 3",
-        f"{'':15}counterexample: {res.counterexample}"]
+        f"{'':15}counterexample: {{'level': 3, 'element': 4, 'reason': "
+        "'step-log union disagrees with level scan'}"]
+
+
+def test_a_counterexample_renders_its_fractions_exactly():
+    res = run_check(build_skeleton(s3_by_z(6), 6), "uns-bound")
+    assert res.render().splitlines() == [
+        "[        Fail] uns-bound: (n,m)=(1,3)",
+        f"{'':15}counterexample: {{'n': 1, 'm': 3, 'mu': 0 ~ 0.000000000, "
+        "'bound': 1/24 ~ 0.041666667}"]
