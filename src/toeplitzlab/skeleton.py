@@ -240,20 +240,17 @@ class ToeplitzSkeleton:
 
     def level_of(self, g):
         """Least i with reduce(g, i+1) in J(i); None past the built depth."""
-        T = self.tower
-        for i in range(self.depth):
-            if T.in_domain(T.reduce(g, i + 1), i):
-                return i
-        return None
+        hit = self.tower.level_of(g, self.depth)
+        return None if hit is None else hit[0]
 
     def eval(self, g):
-        lvl = self.level_of(g)
-        if lvl is None:
+        hit = self.tower.level_of(g, self.depth)
+        if hit is None:
             return Undefined
-        kind = self.steps[lvl]
+        kind = self.steps[hit[0]]
         if kind[0] == "zero":
             return 0
-        return 1 if self.tower.reduce(g, lvl + 1) == kind[1] else 0
+        return 1 if hit[1] == kind[1] else 0
 
     # -- serialization ----------------------------------------------------
 

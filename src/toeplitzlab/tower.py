@@ -37,10 +37,14 @@ shift_arr and tile extend_arr (which keep the window build fast), and
 Generic's section_arr, read from its coset table so that the skeleton can
 read the sections of a broken tower before decom fails it.  The kernels
 and checks use only these, so one implementation serves every kind.  The
-scalar ops left are size, reduce, in_domain and index_of (plus lo on the
-line), which evaluating or locating one element needs; the reference the
-ops are compared against is the independent naive model in
-tests/bruteforce.py.
+scalar ops left are size, reduce, in_domain, index_of (plus lo on the
+line) and level_of(g, n), the least level i < n whose D_i Gamma_{i+1}
+holds g together with reduce(g, i + 1), which evaluating or locating one
+element needs.  _ArrayForms states level_of as a loop over reduce and
+in_domain, and each kind overrides it with one loop over its own tables;
+tests/test_reachability.py gives each override's measured per-call cost.
+The reference the ops are compared against is the independent naive model
+in tests/bruteforce.py.
 What depends on the kind beyond that is asked of the tower too: shape(n),
 the axis sizes of D_n, and shift_candidates(n), the translates per-eq's
 essential facet tries.  No module outside this one branches on the kind.
@@ -96,9 +100,12 @@ class TailDecl:
             if "ratio" not in obj:
                 raise InvalidIndex("a geometric tail needs a ratio")
             raw = obj["ratio"]
+            parts = raw if isinstance(raw, (list, tuple)) else [raw]
             try:
-                ratio = (Fraction(*raw) if isinstance(raw, (list, tuple))
-                         else Fraction(raw))
+                # Fraction reads a JSON true/false as 1/0
+                if any(isinstance(p, bool) for p in parts):
+                    raise TypeError("a bool is not a number")
+                ratio = Fraction(*parts)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise InvalidIndex(f"tail ratio {raw!r} is not a fraction") from None
             if not 0 < ratio < 1:
@@ -212,6 +219,17 @@ class _ArrayForms:
     def array(self, elements):
         return np.asarray(elements, dtype=np.int64)
 
+    def level_of(self, g, n):
+        """The least level i < n whose D_i Gamma_{i+1} holds the element g,
+        with g reduced into D_{i+1}: (i, reduce(g, i + 1)), or None when no
+        level below n settles g."""
+        self._chk(n)
+        for i in range(n):
+            r = self.reduce(g, i + 1)
+            if self.in_domain(r, i):
+                return i, r
+        return None
+
     def index_of(self, g, n):
         """The D_n index of the element g; NotInDomain outside D_n."""
         return int(self.index_of_arr(self.array([g]), n)[0])
@@ -257,6 +275,8 @@ class IntegerLineTower(_ArrayForms):
                 if m % 2 == 0:
                     raise ParityError(f"centered style needs odd moduli, got {m}")
         self.half = [(m - 1) // 2 for m in self.N]
+        self._lo = ([0] * len(self.N) if style == STYLE_NONNEG
+                    else [-h for h in self.half])
         self.zero = 0
 
     def size(self, n):
@@ -265,7 +285,7 @@ class IntegerLineTower(_ArrayForms):
 
     def lo(self, n):
         self._chk(n)
-        return 0 if self.style == STYLE_NONNEG else -self.half[n]
+        return self._lo[n]
 
     def reduce(self, g, n):
         self._chk(n)
@@ -279,6 +299,23 @@ class IntegerLineTower(_ArrayForms):
         if self.style == STYLE_NONNEG:
             return 0 <= g < self.N[n]
         return abs(g) <= self.half[n]
+
+    # one local loop, no guarded call per level
+    def level_of(self, g, n):
+        self._chk(n)
+        N, half = self.N, self.half
+        if self.style == STYLE_NONNEG:
+            for i in range(n):
+                r = g % N[i + 1]
+                if r < N[i]:
+                    return i, r
+            return None
+        for i in range(n):
+            h = half[i + 1]
+            r = (g + h) % N[i + 1] - h
+            if abs(r) <= half[i]:
+                return i, r
+        return None
 
     def _arr_dtype(self, n):
         # int32 while reducing D_n one level up stays in range
@@ -369,6 +406,7 @@ class IntegerLatticeTower(_ArrayForms):
         if any(len(chain) != depth for chain in per_axis_indices):
             raise InvalidIndex("all axes need the same number of levels")
         self.axes = [IntegerLineTower(chain, style) for chain in per_axis_indices]
+        self._axis_tables = [(ax.N, ax._lo) for ax in self.axes]
         self.dim = len(self.axes)
         self.style = style
         self.tail = _coerce_tail(tail)
@@ -379,10 +417,24 @@ class IntegerLatticeTower(_ArrayForms):
         return math.prod(self.shape(n))
 
     def reduce(self, g, n):
-        return tuple(ax.reduce(c, n) for ax, c in zip(self.axes, g))
+        return tuple([ax.reduce(c, n) for ax, c in zip(self.axes, g)])
 
     def in_domain(self, g, n):
-        return all(ax.in_domain(c, n) for ax, c in zip(self.axes, g))
+        return all([ax.in_domain(c, n) for ax, c in zip(self.axes, g)])
+
+    # a per-axis test that stops at the first axis outside D_i
+    def level_of(self, g, n):
+        self._chk(n)
+        for i in range(n):
+            r = []
+            for (N, lo), c in zip(self._axis_tables, g):
+                x = (c - lo[i + 1]) % N[i + 1] + lo[i + 1]
+                if not lo[i] <= x < lo[i] + N[i]:
+                    break
+                r.append(x)
+            else:
+                return i, tuple(r)
+        return None
 
     # array forms: (..., d) ints, each axis through the line's formulas
 
@@ -561,6 +613,19 @@ class GenericTower(_ArrayForms):
     def in_domain(self, g, n):
         self._chk(n)
         return self._pos[n][g] >= 0
+
+    # the coset tables' lists, no guarded call per level
+    def level_of(self, g, n):
+        self._chk(n)
+        down, rep, pos = self._down, self._rep, self._pos
+        for i in range(n):
+            r = rep[i + 1][down[i + 1][g]]
+            if r < 0:
+                raise NotInDomain(f"D_{i + 1} has no representative for the "
+                                  f"coset of {g}")
+            if pos[i][r] >= 0:
+                return i, r
+        return None
 
     def domain_arr(self, n, start=0, stop=None):
         self._chk(n)

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .budgets import Budget
 from .cells import corollary_chain, mu_zero_set, verify_refinement
 from .density import future_factor_bound
 from .errors import BudgetExceeded, DepthExceeded, NotInDomain, UnknownCheck
@@ -41,7 +42,7 @@ from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
                      vacated)
 from .skeleton import j_mask, j_set, j_set_recursive, j_size
 from . import tower as _tower
-from .tower import domain_where, sum_chunks, validate_tower
+from .tower import sum_chunks, validate_tower
 from .window import eval_sums, per_masks, window_values
 
 
@@ -70,8 +71,10 @@ def good_set(skeleton, n, m):
     as an element array."""
     T = skeleton.tower
     skeleton.budget.check_window(T.size(m), f"good set ({n},{m})")
-    return domain_where(T, m, lambda _, g: j_mask(T, g, m, n + 1)
-                        & T.eq_arr(T.reduce_arr(g, n + 1), T.zero))
+    # read from the section Gamma_{n+1} cap D_m, at most the |D_m| elements
+    # charged above, so its own enumeration charge never refuses
+    sec = T.section_arr(n + 1, m, Budget(enum=T.size(m)))
+    return sec[j_mask(T, sec, m, n + 1)]
 
 
 def good_bound(tower, n, m):

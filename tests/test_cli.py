@@ -523,6 +523,16 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
     (["analyze", "density", "--config"],
      '{"kind": "IntegerLine", "indices": [3, 3, 3], '
      '"tail": {"kind": "geometric"}}', "a geometric tail needs a ratio"),
+    # a JSON true as a ratio's numerator or denominator, which Fraction
+    # reads as 1
+    (["analyze", "density", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3], '
+     '"tail": {"kind": "geometric", "ratio": [true, 2]}}',
+     "tail ratio [True, 2] is not a fraction"),
+    (["analyze", "density", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3], '
+     '"tail": {"kind": "geometric", "ratio": [1, true]}}',
+     "tail ratio [1, True] is not a fraction"),
     (["eta", "build", "--config"], '{"kind": "IntegerLine", "indices": 5}',
      "indices must be a nonempty list"),
     (["eta", "build", "--config"], "[1, 2]", "a tower config is a JSON object"),
@@ -538,7 +548,8 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
      '{"kind": "Generic", "levels": [{"size": 2, "op": [[0, 1], [1, 0]]}], '
      '"domains": [[0], [0, true]]}', "domain D_1 must be 2 integers in 0..1"),
 ], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
-        "ratio-1/0", "ratio-missing", "line-indices-int", "config-list",
+        "ratio-1/0", "ratio-missing", "ratio-bool-numerator",
+        "ratio-bool-denominator", "line-indices-int", "config-list",
         "lattice-flat-indices", "config-not-json", "generic-bool-op",
         "generic-bool-domain"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):

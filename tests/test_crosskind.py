@@ -6,18 +6,24 @@ reproduce its J-sets, windows, fiber profiles and verdicts under the
 labelling.  The level scan must also agree with scalar eval and level_of
 cell by cell on every kind, section_arr with the section's definition
 element by element, shift_arr with the scalar ops translate by translate,
-and the scalar index_of with domain_arr index by index.
+and the scalar index_of with domain_arr index by index.  Off D_depth, eval
+and level_of must read the D_depth window at the element's reduction, and
+each kind's level_of must agree with the shared form it overrides.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from conftest import s3_by_z
+from conftest import cyclic_generic, s3_by_z
 
-from toeplitzlab import (Budget, BudgetExceeded, Undefined, fiber_profile,
-                         run_all, window_values)
+from toeplitzlab import (STYLE_CENTERED, Budget, BudgetExceeded,
+                         IntegerLatticeTower, NotInDomain, Undefined,
+                         build_skeleton, fiber_profile, run_all,
+                         window_values)
+from toeplitzlab.tower import _ArrayForms
 from toeplitzlab.window import window_levels
 
 
@@ -58,6 +64,71 @@ def test_scan_matches_scalar_eval(request, name):
         lvls = [-1 if l is None else l for l in map(sk.level_of, dom)]
         assert window_values(sk, n).tolist() == vals, n
         assert window_levels(sk, n).tolist() == lvls, n
+
+
+@pytest.fixture(scope="module")
+def centered_lattice():
+    return build_skeleton(
+        IntegerLatticeTower([[3, 3, 3], [5, 3, 3]], style=STYLE_CENTERED), 3)
+
+
+def _draws(T, depth, count=600, seed=3):
+    """Elements drawn as the benchmark draws them: each integer coordinate
+    from three copies of D_depth, the one below it to the one above, so
+    most lie outside D_depth; every label of a Generic tower."""
+    if T.kind == "Generic":
+        return list(range(T.size(T.depth)))
+    rng = random.Random(seed)
+    axes = T.axes if T.kind == "IntegerLattice" else [T]
+    pts = [tuple(rng.randrange(ax.lo(depth) - ax.size(depth),
+                               ax.lo(depth) + 2 * ax.size(depth))
+                 for ax in axes) for _ in range(count)]
+    return pts if T.kind == "IntegerLattice" else [p[0] for p in pts]
+
+
+# a Generic tower's elements all lie in D_depth at its own depth, so its
+# skeletons are built lower
+OFF_DOMAIN = [("threeadic", 10), ("centered6", 6), ("lattice", 3),
+              ("centered_lattice", 3), ("generic36", 4), ("s3_by_z5", 3)]
+
+
+@pytest.mark.parametrize("name, depth", OFF_DOMAIN)
+def test_eval_off_the_domain_reads_the_window_at_its_reduction(
+        request, name, depth):
+    T = request.getfixturevalue(name).tower
+    sk = build_skeleton(T, depth)
+    vals, lvls = window_values(sk, depth), window_levels(sk, depth)
+    pts = _draws(T, depth)
+    outside = 0
+    for g in pts:
+        i = T.index_of(T.reduce(g, depth), depth)
+        v, lvl = sk.eval(g), sk.level_of(g)
+        assert (255 if v is Undefined else v) == vals[i], g
+        assert (-1 if lvl is None else lvl) == lvls[i], g
+        outside += not T.in_domain(g, depth)
+    assert outside > len(pts) / 2
+    # both symbols and undefined cells are reached off D_depth
+    assert {0, 1} <= {sk.eval(g) for g in pts}
+    assert Undefined in [sk.eval(g) for g in pts]
+
+
+@pytest.mark.parametrize("name, depth", OFF_DOMAIN)
+def test_level_of_matches_the_shared_form(request, name, depth):
+    T = request.getfixturevalue(name).tower
+    for g in _draws(T, depth, count=200):
+        for n in range(T.depth + 1):
+            assert T.level_of(g, n) == _ArrayForms.level_of(T, g, n), (g, n)
+
+
+def test_eval_on_a_coset_without_a_representative_raises():
+    # D_1 = [0, 2] holds no element of the odd coset mod 2
+    sk = build_skeleton(cyclic_generic([2, 4], domains=[[0], [0, 2],
+                                                        list(range(8))]), 2)
+    assert sk.eval(4) is Undefined
+    for fn in (sk.eval, sk.level_of,
+               lambda g: _ArrayForms.level_of(sk.tower, g, 2)):
+        with pytest.raises(NotInDomain, match="D_1 has no representative"):
+            fn(1)
 
 
 def _raises_budget(fn):

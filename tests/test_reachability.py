@@ -122,6 +122,9 @@ OVERRIDES = {
         "against the shared form's 487 us on a 65,536-element int64 chunk",
     ("IntegerLineTower", "extend_arr"): "a tile: D_(l+1)'s k-th element "
         "lies in the coset of D_l's (k mod N_l)-th",
+    ("IntegerLineTower", "level_of"): "one local loop over N (or half), no "
+        "guarded call per level: 2,410 -> 1,140 ns per call on threeadic "
+        "and 3,887 -> 1,922 ns on irregular-demo, against the shared form",
     ("IntegerLineTower", "section_arr"): "|D_j|/|D_i| steps of an arange, "
         "not a pass over all of D_j",
     ("IntegerLineTower", "shift_arr"): "a roll: D_n is an interval of "
@@ -138,6 +141,9 @@ OVERRIDES = {
         "0.56 ms",
     ("IntegerLatticeTower", "format_element"): "comma-separated "
         "coordinates",
+    ("IntegerLatticeTower", "level_of"): "a per-axis test that stops at the "
+        "first axis outside D_i: 8,255 -> 3,147 ns per call on [[3]*3]*2 "
+        "against the shared form",
     ("IntegerLatticeTower", "parse_element"): "comma-separated "
         "coordinates",
     ("IntegerLatticeTower", "shape"): "one size per axis",
@@ -146,6 +152,9 @@ OVERRIDES = {
     ("GenericTower", "add_arr"): "the group law is the op table",
     ("GenericTower", "sub_arr"): "the op table with the inverse column",
     ("GenericTower", "coerce"): "a label lies in 0..|G|-1",
+    ("GenericTower", "level_of"): "walks the coset tables' lists: 2,038 -> "
+        "1,139 ns per call on the Generic copy of [3]^6 against the shared "
+        "form",
     ("GenericTower", "parse_element"): "through coerce's range check",
     ("GenericTower", "section_arr"): "read from the coset table: the "
         "skeleton reads sections of a broken tower before decom fails it, "
