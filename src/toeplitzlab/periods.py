@@ -16,6 +16,7 @@ import numpy as np
 from .cells import translate_ones
 from .errors import DoubledOne, NotInDomain
 from .result import failed
+from .tower import sum_chunks
 from .window import per_masks, window_values
 
 
@@ -31,8 +32,8 @@ def per_set(skeleton, n, symbol):
 
 def _step_log_masks(skeleton, n):
     """Per(n, 0) and Per(n, 1) rebuilt from the step log alone: step t forces
-    J(t-1) + Gamma_t, to 1 on its planted position's translates and to 0 on
-    the rest.  Returns the two masks over D_n and, per symbol, the elements
+    the translates Gamma_t + J(t-1), to 1 on its planted position's and to 0
+    on the rest.  Returns the two masks over D_n and, per symbol, the elements
     it reached outside D_n (none unless the tower is corrupted)."""
     T = skeleton.tower
     masks = (np.zeros(T.size(n), dtype=bool), np.zeros(T.size(n), dtype=bool))
@@ -46,11 +47,10 @@ def _step_log_masks(skeleton, n):
             parts = [cells[~T.eq_arr(cells, kind[1])], T.array([kind[1]])]
         sec = T.section_arr(t, n, skeleton.budget)
         for symbol, part in enumerate(parts):
-            e = T.add_arr(np.expand_dims(part, 1), np.expand_dims(sec, 0))
-            e = e.reshape(-1, *e.shape[2:])
-            inside = T.in_domain_arr(e, n)
-            masks[symbol][T.index_of_arr(e[inside], n)] = True
-            outside[symbol].extend(T.elements(e[~inside]))
+            for _, e in sum_chunks(T, sec, part):
+                inside = T.in_domain_arr(e, n)
+                masks[symbol][T.index_of_arr(e[inside], n)] = True
+                outside[symbol].extend(T.elements(e[~inside]))
     return masks, outside
 
 
@@ -97,13 +97,12 @@ def per_eq_check(skeleton, n):
                 {"level": n, "element": sorted(diff, key=repr)[0],
                  "reason": "step-log union disagrees with level scan"})
 
-    # every Gamma_n-translate of a per-cell, zero-cells first, agrees with
-    # the window wherever it is defined
+    # every Gamma_n-translate of a per-cell, section-major and zero-cells
+    # first, agrees with the window wherever it is defined
     counts = [int(m.sum()) for m in per]
     cells = np.concatenate((dom[per[0]], dom[per[1]]))
-    want = np.repeat(np.uint8([0, 1]), counts)[:, None]
-    e = T.add_arr(np.expand_dims(cells, 1),
-                  np.expand_dims(T.section_arr(n, wlevel, skeleton.budget), 0))
+    want = np.repeat(np.uint8([0, 1]), counts)
+    e = T.translate_arr(T.section_arr(n, wlevel, skeleton.budget), cells)
     got = vals[T.index_of_arr(e, wlevel)]
     bad = (got != 255) & (got != want)
     if bad.any():
@@ -112,8 +111,8 @@ def per_eq_check(skeleton, n):
         return failed(
             name, f"level {n}, window level {wlevel}",
             {"level": n, "element": T.element(e[i, j]),
-             "expected": int(want[i, 0]), "got": int(got[i, j]),
-             "coset": f"{T.format_element(T.element(cells[i]))}+Gamma_{n}"},
+             "expected": int(want[j]), "got": int(got[i, j]),
+             "coset": f"{T.format_element(T.element(cells[j]))}+Gamma_{n}"},
             [{"probes": first + 1}])
 
     shift, label = invariant_shift(T, n, per[0], per[1])

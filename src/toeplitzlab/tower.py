@@ -22,27 +22,25 @@ A tower's interface is its array ops (domain_arr, section_arr, reduce_arr,
 in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
 elements: 1-D ints for the line and for Generic, (..., d) ints for the
 lattice.  domain_arr(n, start, stop) is a slice of D_n, and whole-domain
-passes read D_n CHUNK elements at a time from domain_chunks.  Three more
-ops serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of each
-element's coset representative, shift_arr(vals, s, n) reads values over
-D_n at d + s for every d in D_n, and extend_arr(vals, l) reads values over
-D_l as a function of the Gamma_l-coset over all of D_{l+1}.  A translate
-d + s is add_arr(d, s), s on the right, which only a non-abelian Generic
-tower tells apart.  _ArrayForms states these three and section_arr (the
-elements of D_j that reduce to the identity mod Gamma_i) once, from the
-ops above.  A kind overrides one only for a measured reason, each named in
-tests/test_reachability.py: the line's coset_index_arr (one kernel pass)
-and section_arr (|D_j|/|D_i| steps), the line's and the lattice's roll
-shift_arr and tile extend_arr (which keep the window build fast), and
-Generic's section_arr, read from its coset table so that the skeleton can
-read the sections of a broken tower before decom fails it.  The kernels
-and checks use only these, so one implementation serves every kind.  The
-scalar ops left are size, reduce, in_domain, index_of (plus lo on the
-line) and level_of(g, n), the least level i < n whose D_i Gamma_{i+1}
-holds g together with reduce(g, i + 1), which evaluating or locating one
-element needs.  _ArrayForms states level_of as a loop over reduce and
-in_domain, and each kind overrides it with one loop over its own tables;
-tests/test_reachability.py gives each override's measured per-call cost.
+passes read D_n CHUNK elements at a time from domain_chunks.  A coset's
+translates are translate_arr(sec, cells)'s, gamma + c with the section on
+the left, as in D_j = (Gamma_i cap D_j) + D_i; no kind overrides it.  Three
+more ops serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of
+each element's coset representative, shift_arr(vals, s, n) reads values
+over D_n at d + s for every d in D_n (a point read at an offset, which
+periods.invariant_shift handles), and extend_arr(vals, l) reads values over
+D_l as a function of the Gamma_l-coset over all of D_{l+1}.  _ArrayForms
+states these four and section_arr (the elements of D_j that reduce to the
+identity mod Gamma_i) once, from the ops above.  A kind overrides the
+others only for a measured reason, each named with its override in
+tests/test_reachability.py's OVERRIDES.  The kernels and checks use only
+these, so one implementation serves every kind.  The scalar ops left are
+size, reduce, in_domain, index_of (plus lo on the line) and level_of(g,
+n), the least level i < n whose D_i Gamma_{i+1} holds g together with
+reduce(g, i + 1), which evaluating or locating one element needs.
+_ArrayForms states level_of as a loop over reduce and in_domain, and each
+kind overrides it with one loop over its own tables, at the per-call cost
+OVERRIDES gives.
 The reference the ops are compared against is the independent naive model
 in tests/bruteforce.py.
 What depends on the kind beyond that is asked of the tower too: shape(n),
@@ -179,6 +177,10 @@ class _ArrayForms:
     def coset_index_arr(self, g, n):
         """The D_n index of each element's coset representative."""
         return self.index_of_arr(self.reduce_arr(g, n), n)
+
+    def translate_arr(self, sec, cells):
+        """gamma + c, section on the left, a (len(sec), len(cells)) array."""
+        return self.add_arr(np.expand_dims(sec, 1), np.expand_dims(cells, 0))
 
     def shift_arr(self, vals, s, n):
         """vals over D_n, read as a function of the Gamma_n-coset, at
@@ -603,20 +605,28 @@ class GenericTower(_ArrayForms):
         self._chk(n)
         return self.sizes[n]
 
+    def _label(self, g):
+        """g, once it is a label in 0..|G|-1; the list tables would read
+        a negative one from their end."""
+        if not 0 <= g < self.sizes[self.depth]:
+            raise NotInDomain(f"{g!r} is not a group element")
+        return g
+
     def reduce(self, g, n):
         self._chk(n)
-        rep = self._rep[n][self._down[n][g]]
+        rep = self._rep[n][self._down[n][self._label(g)]]
         if rep < 0:
             raise NotInDomain(f"D_{n} has no representative for the coset of {g}")
         return rep
 
     def in_domain(self, g, n):
         self._chk(n)
-        return self._pos[n][g] >= 0
+        return self._pos[n][self._label(g)] >= 0
 
     # the coset tables' lists, no guarded call per level
     def level_of(self, g, n):
         self._chk(n)
+        self._label(g)
         down, rep, pos = self._down, self._rep, self._pos
         for i in range(n):
             r = rep[i + 1][down[i + 1][g]]
@@ -670,9 +680,7 @@ class GenericTower(_ArrayForms):
         return self._op_arr[a, self._inv_arr[b]]
 
     def coerce(self, obj):
-        if not 0 <= super().coerce(obj) < self.sizes[self.depth]:
-            raise NotInDomain(f"{obj!r} is not a group element")
-        return obj
+        return self._label(super().coerce(obj))
 
     def parse_element(self, text):
         return self.coerce(super().parse_element(text))
@@ -782,7 +790,7 @@ def sum_chunks(tower, a, b):
     rows from i0 on, about CHUNK sums each."""
     rows = max(1, CHUNK // max(1, len(b)))
     for i in range(0, len(a), rows):
-        out = tower.add_arr(a[i:i + rows, None], b[None])
+        out = tower.translate_arr(a[i:i + rows], b)
         yield i, out.reshape(-1, *out.shape[2:])
 
 

@@ -115,11 +115,11 @@ def _patch_offsets(skeleton, n):
     """Arrays gamma, u and gamma + u over (Gamma_n cap D_{n+1}) x J(n),
     gamma-major."""
     T = skeleton.tower
-    gam = np.expand_dims(T.section_arr(n, n + 1, skeleton.budget), 1)
-    u = np.expand_dims(skeleton.jset(n), 0)
-    off = T.add_arr(gam, u)
+    gam = T.section_arr(n, n + 1, skeleton.budget)
+    u = skeleton.jset(n)
+    off = T.translate_arr(gam, u)
     return [np.broadcast_to(a, off.shape).reshape(-1, *off.shape[2:])
-            for a in (gam, u, off)]
+            for a in (np.expand_dims(gam, 1), np.expand_dims(u, 0), off)]
 
 
 def _y_mask(skeleton, base, n):
@@ -223,16 +223,15 @@ def check_good_relation(skeleton):
 
 
 def _patch_values(skeleton, n, m, S):
-    """The D_m window at every offset patch: values at (offset, gamma0 +
-    offset) for gamma0 in S, and at the bare offset u.  gamma0 + offset stays
-    inside D_m by the tiling axiom, so the window holds every probe."""
+    """The D_m window at every offset patch: values at gamma0 + offset, a
+    row per gamma0 in S and a column per offset, and at the bare offset u.
+    gamma0 + offset stays inside D_m by the tiling axiom, so the window
+    holds every probe."""
     T = skeleton.tower
     vals = window_values(skeleton, m)
     gam, u, off = _patch_offsets(skeleton, n)
-    got = vals[T.index_of_arr(
-        T.add_arr(np.expand_dims(off, 1), np.expand_dims(S, 0)), m)]
-    want = vals[T.index_of_arr(u, m)]
-    return got, np.expand_dims(want, 1), (gam, u)
+    got = vals[T.index_of_arr(T.translate_arr(S, off), m)]
+    return got, vals[T.index_of_arr(u, m)], (gam, u)
 
 
 def _boundary_pairs(name, skeleton, unit):
@@ -253,7 +252,7 @@ def check_good_patches(skeleton):
         n, m = pair
         S = good_set(skeleton, n, m)
         got, want, _ = _patch_values(skeleton, n, m, S)
-        qualifying = S[(got == want).all(axis=0)]
+        qualifying = S[(got == want).all(axis=1)]
         in_u = _u_mask(skeleton, qualifying, n)
         if not in_u.all():
             i = int(np.flatnonzero(~in_u)[0])
@@ -275,7 +274,7 @@ def check_t1t2(skeleton):
         got, want, (gam, u) = _patch_values(skeleton, n, m, S)
         bad = got != want
         if bad.any():
-            j, i = np.unravel_index(int(bad.argmax()), bad.shape)
+            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
             return failed("t1t2", f"(n,m)=({n},{m})",
                           {"gamma0": T.element(S[i]),
                            "gamma": T.element(gam[j]), "u": T.element(u[j])})

@@ -110,6 +110,47 @@ def s3_by_z(depth):
     return GenericTower(levels, domains)
 
 
+def h3_generic(depth, left=True):
+    """H3(Z), with (a,b,c)(x,y,z) = (a+x, b+y, c+z+a*y), modulo Gamma_n =
+    {a = 0 mod A_n, b = 0 mod B_n, c = 0 mod C_n}, where level k triples
+    the modulus of axis k mod 3: (A, B, C) runs (3,1,1), (3,3,1), (3,3,3),
+    (9,3,3), ...  C_n divides A_n and B_n, so each Gamma_n is normal.
+
+    Level n labels (a, b, c) as (a * B_n + b) * C_n + c.  D_n = S_{n-1} +
+    D_{n-1}, section on the left, with S_k = {0, u_k, -u_k} and u_k the
+    unit of axis k mod 3 times its level-k modulus; S_k's element is
+    slowest, so D_{n-1} is a prefix of D_n.  left=False composes D_{n-1} +
+    S_{n-1} instead, which does not tile.
+    """
+    mods = [(1, 1, 1)]
+    for k in range(depth):
+        mods.append(tuple(m * 3 if i == k % 3 else m
+                          for i, m in enumerate(mods[-1])))
+
+    def mul(g, h):
+        return g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1]
+
+    def label(g, n):
+        A, B, C = mods[n]
+        return (g[0] % A * B + g[1] % B) * C + g[2] % C
+
+    levels = []
+    for n in range(1, depth + 1):
+        elems = list(itertools.product(*map(range, mods[n])))
+        lvl = {"size": len(elems),
+               "op": [[label(mul(g, h), n) for h in elems] for g in elems]}
+        if n > 1:
+            lvl["proj"] = [label(g, n - 1) for g in elems]
+        levels.append(lvl)
+    doms = [[(0, 0, 0)]]
+    for k in range(depth):
+        u = tuple(mods[k][i] if i == k % 3 else 0 for i in range(3))
+        sec = [(0, 0, 0), u, tuple(-x for x in u)]
+        doms.append([mul(s, d) if left else mul(d, s)
+                     for s in sec for d in doms[-1]])
+    return GenericTower(levels, [[label(g, depth) for g in d] for d in doms])
+
+
 @pytest.fixture(scope="session")
 def s3_by_z4():
     return build_skeleton(s3_by_z(4), 4)
@@ -118,6 +159,11 @@ def s3_by_z4():
 @pytest.fixture(scope="session")
 def s3_by_z5():
     return build_skeleton(s3_by_z(5), 5)
+
+
+@pytest.fixture(scope="session")
+def h3_generic6():
+    return build_skeleton(h3_generic(6), 6)
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,11 @@ One statement of each tower rule: a tower class overrides a definition of
 `_ArrayForms` (such as the shared coset_index_arr, shift_arr and
 section_arr) only where OVERRIDES names the override and its reason.
 
+One translate form: outside tower.py no `add_arr` call takes an
+`np.expand_dims(...)` or a `None`-subscripted argument, directly or
+through a name bound to one; an outer sum of elements is
+`translate_arr`'s, section on the left.
+
 One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
@@ -638,6 +643,66 @@ def test_each_override_of_a_shared_form_is_named(tmp_path):
         "        return self._op_arr[a, b]\n")
     assert array_form_overrides(tmp_path) == [("GenericTower",
                                                "coset_index_arr")]
+
+
+def _broadcast_operand(node):
+    """An `expand_dims(...)` call, or a subscript with a `None` index."""
+    if _calls(node, "expand_dims"):
+        return True
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice
+    parts = index.elts if isinstance(index, ast.Tuple) else [index]
+    return any(isinstance(p, ast.Constant) and p.value is None for p in parts)
+
+
+def outer_sum_sites(src):
+    """(module, top-level definition) of every `add_arr` call outside
+    tower.py with a broadcast operand, passed directly or through a name
+    bound to one, once per call."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "tower":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = {t.id for node in ast.walk(top)
+                     if isinstance(node, ast.Assign)
+                     and _broadcast_operand(node.value)
+                     for t in node.targets if isinstance(t, ast.Name)}
+            out += [(path.stem, getattr(top, "name", None))
+                    for node in ast.walk(top)
+                    if _calls(node, "add_arr")
+                    and any(_broadcast_operand(arg)
+                            or getattr(arg, "id", None) in bound
+                            for arg in node.args)]
+    return sorted(out)
+
+
+def test_every_outer_sum_is_a_translate(tmp_path):
+    assert outer_sum_sites(SRC) == []
+    # _patch_offsets and _patch_values before they went through the
+    # shared form, a tiling spelled by hand, good-ds's difference (not a
+    # translate) and the shared form itself
+    (tmp_path / "verify.py").write_text(
+        "def _patch_offsets(skeleton, n):\n"
+        "    gam = np.expand_dims(T.section_arr(n, n + 1), 1)\n"
+        "    u = np.expand_dims(skeleton.jset(n), 0)\n"
+        "    off = T.add_arr(gam, u)\n"
+        "def _patch_values(skeleton, n, m, S):\n"
+        "    got = vals[T.index_of_arr(\n"
+        "        T.add_arr(np.expand_dims(off, 1), np.expand_dims(S, 0)), m)]\n"
+        "def _tiles(tower, sec, dom):\n"
+        "    return tower.add_arr(sec[:, None], dom[None]).ravel()\n"
+        "def good_ds_witnesses(T, e, ws):\n"
+        "    return T.sub_arr(np.expand_dims(e, 0), np.expand_dims(ws, 1))\n")
+    (tmp_path / "tower.py").write_text(
+        "class _ArrayForms:\n"
+        "    def translate_arr(self, sec, cells):\n"
+        "        return self.add_arr(np.expand_dims(sec, 1),\n"
+        "                            np.expand_dims(cells, 0))\n")
+    assert outer_sum_sites(tmp_path) == [("verify", "_patch_offsets"),
+                                         ("verify", "_patch_values"),
+                                         ("verify", "_tiles")]
 
 
 REMAINDERS = {"mod", "remainder", "fmod", "divmod"}

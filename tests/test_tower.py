@@ -22,6 +22,7 @@ from toeplitzlab import (
     ParityError,
     STYLE_CENTERED,
     TowerConfig,
+    build_skeleton,
     build_tower,
     preset_config,
     validate_tower,
@@ -165,7 +166,7 @@ def test_sections_tile_the_domain():
         for j in range(i, 4):
             sec = T.section_arr(i, j)
             assert len(sec) * T.size(i) == T.size(j)
-            tiles = T.add_arr(sec[:, None], T.domain_arr(i)[None])
+            tiles = T.translate_arr(sec, T.domain_arr(i))
             assert set(tiles.ravel().tolist()) == set(T.domain_arr(j).tolist())
 
 
@@ -258,6 +259,32 @@ def test_generic_index_of_refuses_labels_outside_the_group():
             with pytest.raises(NotInDomain, match=f"element outside D_{n}"):
                 G.index_of_arr(np.array([0, bad]), n)
     assert G.index_of(728, 6) == G.domains[6].index(728)
+
+
+def test_generic_scalar_ops_refuse_labels_outside_the_group():
+    # the list tables read -1 from their end (reduce gave 8, in_domain
+    # False, level_of None) and 27 past it (IndexError)
+    G = cyclic_generic([3] * 3)
+    sk = build_skeleton(G, 2)
+    for bad in (-1, 27):
+        for op, n in ((G.reduce, 2), (G.in_domain, 2), (G.level_of, 3)):
+            with pytest.raises(NotInDomain, match=f"{bad} is not a group"):
+                op(bad, n)
+        with pytest.raises(NotInDomain, match=f"{bad} is not a group"):
+            sk.eval(bad)
+    assert (G.reduce(26, 2), G.in_domain(26, 2)) == (8, False)
+    assert (G.level_of(26, 3), G.level_of(5, 3)) == (None, (2, 5))
+
+
+def test_translates_put_the_section_on_the_left():
+    G = s3_by_z(4)
+    sec, cells = G.section_arr(1, 3), G.domain_arr(2)
+    out = G.translate_arr(sec, cells)
+    assert out.shape == (len(sec), len(cells))
+    assert out.tolist() == [[int(G.add_arr(g, c)) for c in cells]
+                            for g in sec]
+    # the right form differs on this non-abelian tower
+    assert (out != G.add_arr(cells[None], sec[:, None])).any()
 
 
 def test_generic_reduce_takes_the_last_domain_element_of_a_coset():
@@ -464,8 +491,7 @@ class _BadSectionTower(IntegerLineTower):
 
 def _tiles(tower, pair):
     i, j = pair
-    tiles = tower.add_arr(tower.section_arr(i, j)[:, None],
-                          tower.domain_arr(i)[None])
+    tiles = tower.translate_arr(tower.section_arr(i, j), tower.domain_arr(i))
     return tiles.ravel().tolist()
 
 

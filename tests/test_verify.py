@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import s3_by_z
+from conftest import h3_generic, s3_by_z
 from test_chunks import BROKEN
 from test_periods import _planted
 from toeplitzlab import (
@@ -346,6 +346,44 @@ def test_suite_runs_on_a_non_abelian_tower(s3_by_z5):
         "pair": (1, 3), "mu": Fraction(2, 3)}
 
 
+H3_GENERIC6_SCOPES = {
+    "decom": "levels 0..6, tilings 21 pairs, enumerated where "
+             "|D_j| <= 4194304",
+    "per-eq": "n in [1, 2, 3, 4, 5], window saturation + step-log rebuild "
+              "+ J-membership + essential",
+    "good-relation": "10 pairs, n+2 <= m <= 6",
+    "good-patches": "boundary pairs [(1, 4)]",
+    "t1t2": "boundary pairs [(1, 4)]",
+    "partitions-c": "k in [1, 2, 3, 4]",
+    "linking": "completed blocks [0, 1]",
+    "good-ds": "n_k in [4], every w in D_{n_k-1} minus identity",
+    "u-in-y": "n_k in [1], reps over D_(n_k+2)",
+    "z-identity": "zero steps m_k of blocks [0, 1]; chains [(1, 4)]",
+    "uns-bound": "3 pairs, n in boundary levels, n+2 <= m <= 5",
+}
+
+
+def test_a_non_abelian_tower_keeps_its_table_at_depth_6(h3_generic6):
+    # per-eq, good-patches and t1t2 once read the section on the right,
+    # off the domain: NotInDomain ("element outside D_4") and no table
+    T = h3_generic6.tower
+    a, b = T.array([81]), T.array([9])  # (1, 0, 0) and (0, 1, 0)
+    assert not T.eq_arr(T.add_arr(a, b), T.add_arr(b, a)).all()
+    report = run_all(h3_generic6)
+    rows = {r.name: r.status for r in report.results}
+    assert rows == {**dict.fromkeys(rows, "Pass"),
+                    "measure-1-trend": "Inconclusive"}
+    assert list(rows) == ["registry", *REGISTRY_NAMES]
+    scopes = {r.name: r.scope for r in report.results}
+    assert {k: scopes[k] for k in H3_GENERIC6_SCOPES} == H3_GENERIC6_SCOPES
+
+
+def test_section_right_domains_do_not_tile():
+    res = run_check(build_skeleton(h3_generic(6, left=False), 6), "decom")
+    assert (res.status, res.counterexample) == ("Fail", {
+        "pair": (1, 2), "reason": "tiling misses D_j", "element": 153})
+
+
 def test_measure_one_trend_cross_checks_a_lattice(lattice):
     assert run_check(lattice, "measure-1-trend").witnesses[0] == {
         "pair": (1, 2), "mu": Fraction(8, 9)}
@@ -474,7 +512,7 @@ def _flip_patch(sk, vals):
     T = sk.tower
     S = good_set(sk, 1, 4)
     _, _, (gam, u) = verify._patch_values(sk, 1, 4, S)
-    vals[T.index_of_arr(T.add_arr(T.add_arr(gam[:1], u[:1]), S[:1]), 4)] ^= 1
+    vals[T.index_of_arr(T.add_arr(S[:1], T.add_arr(gam[:1], u[:1])), 4)] ^= 1
 
 
 def _flip_eta_1_at_1(sk, vals):
