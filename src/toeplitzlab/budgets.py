@@ -4,7 +4,8 @@ Every exhaustive walk over a fundamental domain goes through check_enum, and
 every materialized symbol window through check_window.  Exceeding a cap raises
 BudgetExceeded instead of silently degrading to floats or samples.  A skeleton
 holds one Budget for everything computed from it; a function that sees only
-a tower takes one, by default Budget().
+a tower takes one, by default Budget(), but a tower op takes none: a section
+is one index's worth of elements or lies in a domain its caller charged.
 """
 
 from dataclasses import dataclass

@@ -142,8 +142,8 @@ def verify_refinement(skeleton, n, m):
     if m < n + 1:
         raise DepthExceeded("refinement needs m >= n + 1")
     child, parent = (translate_ones(skeleton, m, l) for l in (n + 1, n))
-    gcs = T.section_arr(n + 1, m, skeleton.budget)
-    gps = T.section_arr(n, n + 1, skeleton.budget)
+    gcs = T.section_arr(n + 1, m)
+    gps = T.section_arr(n, n + 1)
     has_gc, u_gc = translate_picks(T, *child, T.index_of_arr(gcs, m))
     zero_col = "c5" if skeleton.steps[n][0] == "plant" else "c4"
     counts = {"c1": 0, "c2": 0, "c3": 0, "c4": 0, "c5": 0}
@@ -227,7 +227,7 @@ def corollary_chain(skeleton, n_js, n_s):
     rep = np.repeat(T.array([T.zero]), len(one), axis=0)
     out = {}
     for r in range(n_s, min(n_js), -1):
-        digits = T.section_arr(r - 1, r, skeleton.budget)
+        digits = T.section_arr(r - 1, r)
         skeleton.budget.check_enum(len(one) * len(digits),
                                    f"chain states at level {r}")
         s = np.repeat(np.arange(len(one)), len(digits))

@@ -85,7 +85,6 @@ def fiber_profile(skeleton, n):
     below level n always report exactly one window.
     """
     T = skeleton.tower
-    skeleton.budget.check_enum(T.size(n), f"D_{n}")
     skeleton.budget.check_enum(T.size(n + 1) * T.size(n),
                                f"fiber profile at {n}")
     dom_n = T.domain_arr(n)

@@ -49,7 +49,6 @@ class PeriodicMeasure:
         self.m = m
         self.tower = skeleton.tower
         self.size = self.tower.size(m)
-        skeleton.budget.check_window(self.size, f"mu_{m}")
         self._vals = window_values(skeleton, m)
         if (self._vals == 255).any():
             raise DepthExceeded(f"mu_{m} found undecided cells")
@@ -73,7 +72,7 @@ class PeriodicMeasure:
         budget.check_window(passes * self.size, f"mu_{self.m} of eta_{n}")
         acc = self._matches(zip(T.domain_arr(n), window_values(self.skeleton, n)))
         out = np.ones(self.size, dtype=bool)
-        for c in T.section_arr(n, n + 1, budget):
+        for c in T.section_arr(n, n + 1):
             out &= T.shift_arr(acc, c, self.m)
         return Fraction(int(out.sum()), self.size)
 

@@ -45,7 +45,7 @@ def _step_log_masks(skeleton, n):
         if kind[0] == "plant":
             # h lies in J(t-1) itself; other J(t-1) cells of this step get 0
             parts = [cells[~T.eq_arr(cells, kind[1])], T.array([kind[1]])]
-        sec = T.section_arr(t, n, skeleton.budget)
+        sec = T.section_arr(t, n)
         for symbol, part in enumerate(parts):
             for _, e in sum_chunks(T, sec, part):
                 inside = T.in_domain_arr(e, n)
@@ -102,7 +102,7 @@ def per_eq_check(skeleton, n):
     counts = [int(m.sum()) for m in per]
     cells = np.concatenate((dom[per[0]], dom[per[1]]))
     want = np.repeat(np.uint8([0, 1]), counts)
-    e = T.translate_arr(T.section_arr(n, wlevel, skeleton.budget), cells)
+    e = T.translate_arr(T.section_arr(n, wlevel), cells)
     got = vals[T.index_of_arr(e, wlevel)]
     bad = (got != 255) & (got != want)
     if bad.any():

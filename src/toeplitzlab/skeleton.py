@@ -86,11 +86,10 @@ def j_set_recursive(tower, n, budget=Budget()):
         return tower.array([tower.zero])
     if n == 1:
         return j_set(tower, 1, budget)
-    budget.check_enum(j_size(tower, n), f"J({n}) recursion")
-    below = j_set_recursive(tower, n - 1, budget)
-    sec = tower.section_arr(n - 1, n, budget)
-    sec = sec[~tower.eq_arr(sec, tower.zero)]
     budget.check_enum(tower.size(n), f"D_{n}")
+    below = j_set_recursive(tower, n - 1, budget)
+    sec = tower.section_arr(n - 1, n)
+    sec = sec[~tower.eq_arr(sec, tower.zero)]
     # D_n elements reached, D_n indices reached again, translates outside D_n
     hit = np.zeros(tower.size(n), dtype=bool)
     again, outside = [], []
@@ -189,11 +188,9 @@ class ToeplitzSkeleton:
         The section Gamma_k cap D_n holds one element of each coset of
         Gamma_n in Gamma_k, so its translates by the slot, reduced into D_n,
         are the elements of D_n over the slot.  They are tested in prefixes
-        of D_n growing fourfold, since the first hit mostly lies early.  The
-        section has at most |D_n| elements, which the build has always read,
-        so it charges nothing to the skeleton's budget."""
+        of D_n growing fourfold, since the first hit mostly lies early."""
         T = self.tower
-        sec = T.section_arr(k, n, Budget(enum=T.size(n)))
+        sec = T.section_arr(k, n)
         cand = T.add_arr(sec, T.reduce(g_slot, k))
         idx = T.coset_index_arr(cand, n)
         top = _FIRST_PREFIX
@@ -226,7 +223,7 @@ class ToeplitzSkeleton:
         for k in self.completed_blocks():
             mk = self.m_k[k]
             kind = self.steps[mk - 2]  # last slot step of block k, a plant
-            sec = T.section_arr(mk - 2, mk - 1, self.budget)
+            sec = T.section_arr(mk - 2, mk - 1)
             sec = sec[~T.eq_arr(sec, T.zero)]
             v_inv_h = T.add_arr(T.sub_arr(T.zero, sec), kind[1])
             out = ~T.in_domain_arr(v_inv_h, mk)

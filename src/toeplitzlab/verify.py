@@ -32,7 +32,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budgets import Budget
 from .cells import corollary_chain, mu_zero_set, verify_refinement
 from .density import future_factor_bound
 from .errors import BudgetExceeded, DepthExceeded, NotInDomain, UnknownCheck
@@ -71,9 +70,7 @@ def good_set(skeleton, n, m):
     as an element array."""
     T = skeleton.tower
     skeleton.budget.check_window(T.size(m), f"good set ({n},{m})")
-    # read from the section Gamma_{n+1} cap D_m, at most the |D_m| elements
-    # charged above, so its own enumeration charge never refuses
-    sec = T.section_arr(n + 1, m, Budget(enum=T.size(m)))
+    sec = T.section_arr(n + 1, m)
     return sec[j_mask(T, sec, m, n + 1)]
 
 
@@ -115,7 +112,7 @@ def _patch_offsets(skeleton, n):
     """Arrays gamma, u and gamma + u over (Gamma_n cap D_{n+1}) x J(n),
     gamma-major."""
     T = skeleton.tower
-    gam = T.section_arr(n, n + 1, skeleton.budget)
+    gam = T.section_arr(n, n + 1)
     u = skeleton.jset(n)
     off = T.translate_arr(gam, u)
     return [np.broadcast_to(a, off.shape).reshape(-1, *off.shape[2:])

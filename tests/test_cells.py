@@ -371,6 +371,19 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
     assert cex["chain"][0][1][1] == TAG_ZERO
 
 
+def test_z_identity_fails_on_a_chain_atom_with_no_exit():
+    # threeadic d5 with step 3's plant (h = 4) made a zero step that closes
+    # no block; a fresh skeleton, as a copy would share the fixture's memo
+    sk = build_skeleton(build_tower(preset_config("threeadic")), 5)
+    assert sk.steps[2] == ("plant", 4)
+    sk.steps[2] = ("zero",)
+    res = run_check(sk, "z-identity")
+    assert (res.status, res.scope) == ("Fail", "chain (1,4)")
+    cex = res.counterexample
+    assert cex["atom"] == (27, tag_one(40))
+    assert _reference_exit(sk, cex["atom"], 1, 4) == (None, cex["chain"])
+
+
 # threeadic's chains ending at n_s = 9, over all |D_9| * (1 + |J(9)|) =
 # 19683 * 513 atoms
 _EXACT_BRANCHES = {

@@ -547,11 +547,21 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
     (["tower", "validate", "--config"],
      '{"kind": "Generic", "levels": [{"size": 2, "op": [[0, 1], [1, 0]]}], '
      '"domains": [[0], [0, true]]}', "domain D_1 must be 2 integers in 0..1"),
+    # an order-5 loop with identity 0 and inverses: (1*1)*2 = 2, 1*(1*2) = 4
+    (["tower", "validate", "--config"],
+     '{"kind": "Generic", "levels": [{"size": 5, "op": [[0, 1, 2, 3, 4], '
+     '[1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}], '
+     '"domains": [[0], [0, 1, 2, 3, 4]]}',
+     "op table is not associative at element 1"),
+    # XNOR, a group whose identity is label 1
+    (["tower", "validate", "--config"],
+     '{"kind": "Generic", "levels": [{"size": 2, "op": [[1, 0], [0, 1]]}], '
+     '"domains": [[0], [0, 1]]}', "label 0 is not the identity"),
 ], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
         "ratio-1/0", "ratio-missing", "ratio-bool-numerator",
         "ratio-bool-denominator", "line-indices-int", "config-list",
         "lattice-flat-indices", "config-not-json", "generic-bool-op",
-        "generic-bool-domain"])
+        "generic-bool-domain", "generic-loop", "generic-xnor"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)

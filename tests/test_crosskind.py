@@ -5,10 +5,11 @@ relabelling) run the same array kernels as the line itself, so they must
 reproduce its J-sets, windows, fiber profiles and verdicts under the
 labelling.  The level scan must also agree with scalar eval and level_of
 cell by cell on every kind, section_arr with the section's definition
-element by element, shift_arr with the scalar ops translate by translate,
-and the scalar index_of with domain_arr index by index.  Off D_depth, eval
-and level_of must read the D_depth window at the element's reduction, and
-each kind's level_of must agree with the shared form it overrides.
+element by element (refusing levels out of order), shift_arr with the
+scalar ops translate by translate, and the scalar index_of with domain_arr
+index by index.  Off D_depth, eval and level_of must read the D_depth
+window at the element's reduction, and each kind's level_of must agree
+with the shared form it overrides.
 """
 
 import itertools
@@ -19,10 +20,9 @@ import pytest
 
 from conftest import cyclic_generic, s3_by_z
 
-from toeplitzlab import (STYLE_CENTERED, Budget, BudgetExceeded,
-                         IntegerLatticeTower, NotInDomain, Undefined,
-                         build_skeleton, fiber_profile, run_all,
-                         window_values)
+from toeplitzlab import (STYLE_CENTERED, DepthExceeded, IntegerLatticeTower,
+                         NotInDomain, Undefined, build_skeleton,
+                         fiber_profile, run_all, window_values)
 from toeplitzlab.tower import _ArrayForms
 from toeplitzlab.window import window_levels
 
@@ -131,19 +131,10 @@ def test_eval_on_a_coset_without_a_representative_raises():
             fn(1)
 
 
-def _raises_budget(fn):
-    try:
-        fn()
-    except BudgetExceeded:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",
                                   "generic36"])
 def test_section_arr_matches_section(request, name):
     T = request.getfixturevalue(name).tower
-    over = []
     for j in range(T.depth + 1):
         for i in range(j + 1):
             if name == "lattice":
@@ -158,10 +149,10 @@ def test_section_arr_matches_section(request, name):
                 dom = T.domain_arr(j)
                 want = dom[T.eq_arr(T.reduce_arr(dom, i), T.zero)]
             assert np.array_equal(T.section_arr(i, j), want), (i, j)
-            raised = _raises_budget(lambda: T.section_arr(i, j, Budget(8)))
-            assert raised == (len(want) > 8)
-            over.append(raised)
-    assert any(over) and not all(over)
+    # every kind refuses a pair out of order or past the depth
+    for i, j in ((T.depth, 1), (-1, 1), (1, T.depth + 1)):
+        with pytest.raises(DepthExceeded):
+            T.section_arr(i, j)
 
 
 @pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",

@@ -16,13 +16,14 @@ tower.py; what depends on the kind (the shape of D_n, the essential facet's
 candidate shifts) is a tower method.
 
 One budget: no module reads the process environment, and only the functions
-named in BUDGET_PARAMS take a `budget`; everything else that needs the caps
-reads the skeleton's.  A size is compared against a cap (a Budget's `enum`
-or `window`, or a module-level `_*_CAP` constant) only in budgets.py, by the
-Budget check the working function calls, apart from the sites named in
-CAP_SITES.  Only the functions named in CATCH_SITES catch BudgetExceeded, so
-what a check skipped has one home and no computation retreats to a smaller
-one when a cap refuses it.
+named in BUDGET_PARAMS take a `budget` (no tower op does); everything else
+that needs the caps reads the skeleton's, and no module but cli.py builds a
+`Budget` outside a parameter default.  A size is compared against a cap (a
+Budget's `enum` or `window`, or a module-level `_*_CAP` constant) only in
+budgets.py, by the Budget check the working function calls, apart from the
+sites named in CAP_SITES.  Only the functions named in CATCH_SITES catch
+BudgetExceeded, so what a check skipped has one home and no computation
+retreats to a smaller one when a cap refuses it.
 
 One saturation test: whether reduce(g, l+1) lies in D_l is asked, as an
 `in_domain_arr` call on a `reduce_arr` result, only at the sites named in
@@ -167,16 +168,14 @@ OVERRIDES = {
 }
 
 # (owner, function): the skeleton's builders, which store the budget, and
-# the functions that see a tower and no skeleton
+# the functions that see a tower and no skeleton and walk a whole domain;
+# no tower op takes one
 BUDGET_PARAMS = [
     ("skeleton", "build_skeleton"),
     ("skeleton", "j_set"),
     ("skeleton", "j_set_recursive"),
     ("skeleton.ToeplitzSkeleton", "__init__"),
     ("tower", "validate_tower"),
-    ("tower.GenericTower", "section_arr"),
-    ("tower.IntegerLineTower", "section_arr"),
-    ("tower._ArrayForms", "section_arr"),
 ]
 
 
@@ -331,6 +330,32 @@ def test_budget_is_a_parameter_only_where_named():
                     if isinstance(node, ast.FunctionDef)
                     and "budget" in [a.arg for a in node.args.args])
     assert takers == BUDGET_PARAMS
+
+
+def budget_builds(src):
+    """The modules other than cli.py that call Budget(...) outside a
+    parameter default."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defaults = {id(d) for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    for d in node.args.defaults}
+        if path.stem != "cli" and any(
+                isinstance(node, ast.Call) and "Budget" in _names(node.func)
+                and id(node) not in defaults for node in ast.walk(tree)):
+            out.append(path.stem)
+    return out
+
+
+def test_only_the_cli_builds_a_budget(tmp_path):
+    assert budget_builds(SRC) == []
+    (tmp_path / "verify.py").write_text(
+        "def good_set(skeleton, n, m, budget=Budget()):\n"
+        "    return T.section_arr(n + 1, m, Budget(enum=T.size(m)))\n")
+    (tmp_path / "skeleton.py").write_text(
+        "def j_set(tower, n, budget=Budget()):\n    pass\n")
+    assert budget_builds(tmp_path) == ["verify"]
 
 
 def _reads_cap(node, aliases):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import cyclic_generic, relabelled_cyclic, s3_by_z
 from toeplitzlab import (
-    Budget,
     GenericTower,
     IntegerLatticeTower,
     IntegerLineTower,
@@ -349,10 +348,17 @@ def test_generic_tower_rejects_a_non_group_table():
     with pytest.raises(InvalidIndex,
                        match=r"^element 1 has no inverse; op table is not a group$"):
         _one_level(op)
-    # with several identity entries in a row, the first one is the inverse
-    G = _one_level([[0, 1, 2], [1, 0, 0], [2, 0, 1]])
-    assert G.sub_arr(0, np.arange(3)).tolist() == [0, 1, 1]
-    assert G.sub_arr(np.array([1, 2]), np.array([1, 2])).tolist() == [0, 0]
+    # XNOR: a group, but its identity is label 1
+    with pytest.raises(InvalidIndex, match=r"^label 0 is not the identity"):
+        _one_level([[1, 0], [0, 1]])
+    # identity 0 and inverses, but not associative: an order-5 loop, with
+    # (1*1)*2 = 2 and 1*(1*2) = 4, and a table whose row 1 holds 0 twice
+    for op in ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+               [[0, 1, 2], [1, 0, 0], [2, 0, 1]]):
+        with pytest.raises(InvalidIndex, match=r"^op table is not associative "
+                                               r"at element 1; not a group$"):
+            _one_level(op)
 
 
 def test_generic_tower_rejects_malformed_tables():
@@ -484,8 +490,8 @@ class _BadSectionTower(IntegerLineTower):
         super().__init__(indices)
         self.corrupt = corrupt
 
-    def section_arr(self, i, j, budget=Budget()):
-        sec = super().section_arr(i, j, budget).tolist()
+    def section_arr(self, i, j):
+        sec = super().section_arr(i, j).tolist()
         return self.array(self.corrupt(sec, i, j))
 
 

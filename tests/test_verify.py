@@ -174,6 +174,15 @@ def test_containings_degrades_honestly(threeadic):
     assert [(w["m"], w["points"]) for w in res.witnesses] == [(3, 27), (4, 81)]
 
 
+def test_a_section_read_charges_no_cap_of_its_own(irregular):
+    # u-in-y at n_k = 1 reads Gamma_1 cap D_2, one index's 31 elements,
+    # past an enum cap of 20; the window cap alone governs its work
+    sk = build_skeleton(irregular.tower, irregular.depth, Budget(enum=20))
+    res = run_check(sk, "u-in-y")
+    assert (res.status, res.scope) == ("Pass",
+                                       "n_k in [1], reps over D_(n_k+2)")
+
+
 def test_containings_builds_no_j_set(monkeypatch):
     # its translate tables hold each 1's position, so no unit asks for a
     # J-set, though the construction cached only J(0) and J(1); in a suite
