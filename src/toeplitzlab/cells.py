@@ -286,6 +286,5 @@ def mu_zero_set(skeleton, n, m):
     points of a translate gamma + D_n share gamma's tag, so this is the
     share of the section Gamma_n cap D_m whose translate carries no 1."""
     T = skeleton.tower
-    translates = T.size(m) // T.size(n)
-    skeleton.budget.check_enum(translates, f"Gamma_{n} cap D_{m}")
-    return 1 - Fraction(len(translate_ones(skeleton, m, n)[0]), translates)
+    return 1 - Fraction(len(translate_ones(skeleton, m, n)[0]),
+                        T.size(m) // T.size(n))

@@ -21,7 +21,7 @@ from .factor import fiber_profile, pi_of_orbit
 from .measures import limit_01, mu_cylinder, parse_pattern
 from .periods import per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
-from .result import exact_str
+from .result import exact_str, jsonable
 from .skeleton import Undefined, build_skeleton
 from .tower import TowerConfig, build_tower
 from .verify import AXIOMS_FAIL, REGISTRY_NAMES, run_all, run_check
@@ -57,7 +57,8 @@ def _add_common(sp):
                     help="build depth (default: preset depth / full config)")
     sp.add_argument("--enum-budget", type=_positive_int, dest="enum_budget",
                     default=Budget().enum,
-                    help="cap on python-level enumeration sizes")
+                    help="cap on element arrays: J-sets, domains, sections "
+                         "and chain states")
     sp.add_argument("--window-budget", type=_positive_int, dest="window_budget",
                     default=Budget().window,
                     help="cap on materialized window sizes")
@@ -196,20 +197,13 @@ def _cmd_analyze_measures(args):
     sk = _skeleton(args)
     m = args.level if args.level is not None else sk.depth - 1
     enc = limit_01(sk, level=m)
-    if not args.as_json:
-        print(f"level {m} cylinder masses:")
-        print(f"  mu[1] in {exact_str(list(enc['one']))}")
-        print(f"  mu[0] in {exact_str(list(enc['zero']))}")
-        if m >= 2:
-            try:
-                print(f"  mu_{m}(Z_1) = {exact_str(mu_zero_set(sk, 1, m))}")
-            except BudgetExceeded as exc:
-                print(f"  mu_{m}(Z_1): over budget ({exc})")
-    payload = {"level": m,
-               "one": [str(x) for x in enc["one"]],
-               "zero": [str(x) for x in enc["zero"]],
-               "a_counts": list(enc["a_counts"]),
-               "verdict": enc["verdict"]}
+    payload = {"level": m, "one": list(enc["one"]), "zero": list(enc["zero"]),
+               "a_counts": list(enc["a_counts"]), "verdict": enc["verdict"]}
+    if m >= 2:
+        try:
+            payload["mu_z1"] = mu_zero_set(sk, 1, m)
+        except BudgetExceeded as exc:
+            payload["mu_z1"] = f"over budget ({exc})"
     if args.cylinders:
         with open(args.cylinders, "r", encoding="utf-8") as fh:
             try:
@@ -217,15 +211,22 @@ def _cmd_analyze_measures(args):
             except ValueError as exc:
                 raise NotInDomain(f"{args.cylinders} is not JSON: {exc}") from None
         pats = spec if isinstance(spec, list) else [spec]
-        payload["cylinders"] = []
-        for i, obj in enumerate(pats):
-            pattern = parse_pattern(sk.tower, obj)
-            mass = mu_cylinder(sk, m, pattern)
-            payload["cylinders"].append({"index": i, "mass": str(mass)})
-            if not args.as_json:
-                print(f"  cylinder {i}: mu = {exact_str(mass)}")
+        payload["cylinders"] = [
+            {"index": i,
+             "mass": mu_cylinder(sk, m, parse_pattern(sk.tower, obj))}
+            for i, obj in enumerate(pats)]
     if args.as_json:
-        print(json.dumps(payload, indent=1))
+        print(json.dumps(jsonable(payload), indent=1))
+        return 0
+    print(f"level {m} cylinder masses:")
+    print(f"  mu[1] in {exact_str(payload['one'])}")
+    print(f"  mu[0] in {exact_str(payload['zero'])}")
+    if "mu_z1" in payload:
+        z = payload["mu_z1"]
+        print(f"  mu_{m}(Z_1) = {exact_str(z)}" if isinstance(z, Fraction)
+              else f"  mu_{m}(Z_1): {z}")
+    for c in payload.get("cylinders", []):
+        print(f"  cylinder {c['index']}: mu = {exact_str(c['mass'])}")
     return 0
 
 

@@ -79,15 +79,6 @@ def future_factor_bound(tower, at):
     return Fraction(1, 2)
 
 
-def _past_depth_sum(tower):
-    """Certified bound on the sum of t_j over j >= depth, or None when no
-    geometric tail is declared."""
-    tail = tower.tail
-    if tail is None or tail.kind != TAIL_GEOMETRIC:
-        return None
-    return future_factor_bound(tower, tower.depth) / (1 - tail.ratio)
-
-
 def exp_enclosure(x, width=_EXP_WIDTH):
     """Certified rational interval around e^x, x <= 0, of at most `width`.
 
@@ -188,7 +179,8 @@ def regularity_verdict(tower, levels=None):
         notes = ["declared divergent ratio sum: the telescoping product "
                  "tends to 0, so d_n tends to 1"]
     else:
-        future = _past_depth_sum(tower)
+        # certified bound on the sum of t_j over j >= depth
+        future = future_factor_bound(tower, depth) / (1 - tail.ratio)
         d_hi = min(d_depth + (1 - d_depth) * future, d_hi)
         lo_hi, hi_hi = exp_enclosure(-2 * L_lo)  # largest exp(-2L)
         lo_lo, _ = exp_enclosure(-2 * (L_lo + future))  # smallest

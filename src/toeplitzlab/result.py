@@ -4,9 +4,8 @@ A CheckResult is the single currency every verifier returns.  Status values:
 
   Pass          the asserted relation held on the whole reported scope
   Fail          a counterexample was found (always attached)
-  Inconclusive  the scope was empty-by-budget or the input lacks the data
-                needed to decide (e.g. no tail declaration); also a check a
-                cap stopped
+  Inconclusive  every unit was over budget, or the input lacks the data
+                needed to decide (e.g. no tail declaration)
   Vacated       a prerequisite recorded on the skeleton is false, so the
                 statement's hypothesis never triggers; the scan still ran.
                 Also a check that broke on tower axioms that decom refutes

@@ -140,14 +140,11 @@ class ToeplitzSkeleton:
         self._cache = {}
 
         # block boundaries: m_k = 1 + k + sum of |J(i)| for i <= k
-        self.m_of = [1]
+        self.m_of = []
         self.mbar = [0]
-        k = 0
         while self.mbar[-1] < depth:
-            while len(self.m_of) <= k:
-                self.m_of.append(j_size(tower, len(self.m_of)))
-            self.mbar.append(1 + k + sum(self.m_of[:k + 1]))
-            k += 1
+            self.m_of.append(j_size(tower, len(self.m_of)))
+            self.mbar.append(len(self.m_of) + sum(self.m_of))
         self.m_k = list(self.mbar[1:])
 
         self.steps = []      # index t-1 -> ("zero",) or ("plant", h)
@@ -262,7 +259,7 @@ class ToeplitzSkeleton:
         return {
             "config": self.tower.config().to_json(),
             "depth": self.depth,
-            "m_of": self.m_of[:len(self.m_k)],
+            "m_of": self.m_of,
             "m_k": self.m_k,
             "steps": steps,
             "h_records": [r.to_json(fmt) for r in self.h_records],

@@ -13,7 +13,10 @@ Domain styles for the integer kinds:
   NonNegative  D_n = {0, ..., N_n - 1}
   Centered     D_n = {-(N_n-1)/2, ..., (N_n-1)/2}; every N_n must be odd
 
-Generic domains are explicit, so a Generic tower takes no style.
+A style is only the offset lo(n) of D_n = {lo(n), ..., lo(n) + N_n - 1},
+which every op reads; only the line's level_of branches on it, for the
+per-call cost OVERRIDES gives.  Generic domains are explicit, so a Generic
+tower takes no style.
 
 Elements are plain ints (line), tuples of ints (lattice), or table indices
 (generic).  All towers are abelian except possibly Generic.
@@ -292,19 +295,14 @@ class IntegerLineTower(_ArrayForms):
         return self._lo[n]
 
     def reduce(self, g, n):
-        self._chk(n)
-        m = self.N[n]
-        if self.style == STYLE_NONNEG:
-            return g % m
-        return (g + self.half[n]) % m - self.half[n]
+        lo = self.lo(n)
+        return (g - lo) % self.N[n] + lo
 
     def in_domain(self, g, n):
-        self._chk(n)
-        if self.style == STYLE_NONNEG:
-            return 0 <= g < self.N[n]
-        return abs(g) <= self.half[n]
+        lo = self.lo(n)
+        return lo <= g < lo + self.N[n]
 
-    # one local loop, no guarded call per level
+    # one local loop per style, no guarded call per level
     def level_of(self, g, n):
         self._chk(n)
         N, half = self.N, self.half
@@ -334,11 +332,11 @@ class IntegerLineTower(_ArrayForms):
     # |D_j|/|D_i| steps, where the shared form passes over all of D_j
     def section_arr(self, i, j):
         self._chk_section(i, j)
-        q = self.N[j] // self.N[i]
-        first = 0 if self.style == STYLE_NONNEG else -((q - 1) // 2)
+        # every N_i-th element of D_j, from the least multiple of N_i in it
+        first = -(-self._lo[j] // self.N[i]) * self.N[i]
         # elements of D_j, so in domain_arr(j)'s dtype
-        return np.arange(first * self.N[i], (first + q) * self.N[i],
-                         self.N[i], dtype=self._arr_dtype(j))
+        return np.arange(first, first + self.N[j], self.N[i],
+                         dtype=self._arr_dtype(j))
 
     def reduce_arr(self, g, n, out=None):
         # r = g - m * q with q = floor((g - lo) / m): numpy divides by the

@@ -10,11 +10,13 @@ levels n_k or chains (n_j, n_s)) runs them through _per_unit.  Its body
 returns a unit's witness (or None), or a Fail, which ends the check; a unit
 whose budgeted callee raises BudgetExceeded is skipped.  The scope names the
 units that ran, then "; over budget: [...]" the skipped ones.  The check is
-Pass once a unit ran, else Inconclusive.  run_check is the one dispatcher:
-it times the call, sets `millis`, and turns these errors raised inside a
-check into its status (any other error propagates):
+Pass once a unit ran, else Inconclusive.  A cap refusal is only ever such a
+skipped unit: every charge a check makes happens inside a unit, or inside
+measure-1-trend's cross-check probe, which names its skipped pairs alike.
+run_check is the one dispatcher: it times the call, sets `millis`, and
+turns these errors raised inside a check into its status (any other error
+propagates):
 
-  BudgetExceeded          Inconclusive, "over budget: ..."
   NotInDomain,            Vacated, "tower axioms fail (decom): ...", with
   DepthExceeded or        decom's counterexample, when decom refutes the
   ArithmeticError         tower
@@ -75,10 +77,8 @@ def good_set(skeleton, n, m):
 
 
 def good_bound(tower, n, m):
-    b = Fraction(tower.size(m), tower.size(n + 1))
-    for l in range(1, m - n):
-        b *= 1 - Fraction(tower.size(n + l), tower.size(n + l + 1))
-    return b
+    """|D_m|/|D_{n+1}| prod_{n<l<m} (1 - t_l), which is |J(m)|/|J(n+1)|."""
+    return Fraction(j_size(tower, m), j_size(tower, n + 1))
 
 
 def _defined(vals):
@@ -498,12 +498,13 @@ def check_measure_one_trend(skeleton):
     dep = skeleton.depth
     levels = _m_levels(skeleton)
     # closed form vs direct classification at the first affordable pair
-    cross = None
+    cross, skipped = None, []
     for n in [n for n in levels if n + 2 <= dep]:
         m = min(n + 2, dep - 1)
         try:
             direct = mu_zero_set(skeleton, n, m)
         except BudgetExceeded:
+            skipped.append((n, m))
             continue
         closed = zero_mass_closed_form(skeleton, n, m)
         if direct != closed:
@@ -517,21 +518,21 @@ def check_measure_one_trend(skeleton):
     bounds = [{"n": n, "lower_bound": zero_mass_lower_bound(skeleton, n)}
               for n in levels]
     wits = ([cross] if cross else []) + exact + bounds
-    if len(bounds) < 2:
-        return inconclusive(
-            "measure-1-trend",
-            f"fewer than two boundary levels with certified bounds "
-            f"(levels {levels})", wits)
     seq = [b["lower_bound"] for b in bounds]
-    if all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-        return passed(
-            "measure-1-trend",
+    if len(bounds) < 2:
+        status, scope = inconclusive, (
+            f"fewer than two boundary levels with certified bounds "
+            f"(levels {levels})")
+    elif all(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
+        status, scope = passed, (
             f"certified lower bounds at boundary levels "
-            f"{[b['n'] for b in bounds]} are nondecreasing", wits)
-    return inconclusive(
-        "measure-1-trend",
-        "certified bounds are not monotone at this depth; the statement "
-        "needs deeper construction to witness", wits)
+            f"{[b['n'] for b in bounds]} are nondecreasing")
+    else:
+        status, scope = inconclusive, (
+            "certified bounds are not monotone at this depth; the statement "
+            "needs deeper construction to witness")
+    return status("measure-1-trend", scope + (
+        f"; over budget: {skipped}" if skipped else ""), wits)
 
 
 # -- registry --------------------------------------------------------------
@@ -584,8 +585,6 @@ def run_check(skeleton, name):
     t0 = time.perf_counter()
     try:
         res = fn(skeleton)
-    except BudgetExceeded as exc:
-        res = inconclusive(name, f"over budget: {exc}")
     except (NotInDomain, DepthExceeded, ArithmeticError) as exc:
         # a check may lean on the tower axioms; once decom (cached on the
         # skeleton) refutes them, its breaking on them is no finding of its own

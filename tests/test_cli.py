@@ -10,7 +10,9 @@ from toeplitzlab import (REGISTRY_NAMES, DepthExceeded, SymbolWindow,
                          build_skeleton, build_tower, cli, density,
                          materialize_window, preset_config,
                          run_check, verify, window_values)
+from toeplitzlab.cells import mu_zero_set
 from toeplitzlab.cli import main
+from toeplitzlab.result import jsonable
 
 
 def test_eval_prints_symbol(capsys):
@@ -175,6 +177,19 @@ def test_analyze_measures_reports_a_refused_mu_z1(capsys):
             "budget is 1000000)") in out
 
 
+def test_analyze_measures_json_carries_mu_z1(capsys):
+    argv = ["analyze", "measures", *_THREEADIC, "--level", "4", "--json"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["mu_z1"] == jsonable(mu_zero_set(
+        build_skeleton(preset_config("threeadic"), 5), 1, 4))
+    assert obj["one"][0] == {"num": "31", "den": "81", "approx": 31 / 81}
+    assert main(["analyze", "measures", "--preset", "irregular-demo",
+                 "--window-budget", "1000000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu_z1"] == (
+        "over budget (window D_4 needs 3720465 cells, budget is 1000000)")
+
+
 def test_budget_flags_end_with_the_call(capsys):
     # the caps live on the skeleton main builds, so a skeleton built later
     # works under the defaults again
@@ -192,7 +207,8 @@ def test_analyze_measures_with_cylinders(tmp_path, capsys):
                  "--level", "4", "--cylinders", str(pat), "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["verdict"] == "Regular"
-    assert obj["cylinders"][0]["mass"] == "31/81"
+    assert obj["cylinders"][0]["mass"] == {"num": "31", "den": "81",
+                                           "approx": 31 / 81}
 
 
 # case -> argv ({tmp} is the test's tmp_path), then the JSON keys, or the
@@ -557,11 +573,35 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
     (["tower", "validate", "--config"],
      '{"kind": "Generic", "levels": [{"size": 2, "op": [[1, 0], [0, 1]]}], '
      '"domains": [[0], [0, 1]]}', "label 0 is not the identity"),
+    (["analyze", "density", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3], '
+     '"tail": {"kind": "geometric", "ratio": "3/2"}}',
+     "geometric tail ratio must be in (0,1)"),
+    (["analyze", "density", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3], '
+     '"tail": {"kind": "sideways"}}', "unknown tail"),
+    (["eta", "build", "--config"],
+     '{"kind": "IntegerLine", "style": "Sideways", "indices": [3, 3]}',
+     "unknown style"),
+    (["eta", "build", "--config"], '{"kind": "IntegerLattice", "indices": []}',
+     "need a nonempty list of axes"),
+    (["eta", "build", "--config"],
+     '{"kind": "IntegerLattice", "indices": [[3, 3], [3]]}',
+     "all axes need the same number of levels"),
+    (["eta", "eval", "-g", "1,x", "--config"],
+     '{"kind": "IntegerLattice", "indices": [[3, 3], [3, 3]]}',
+     "'1,x' is not a group element"),
+    (["eta", "eval", "-g", "1,2,3", "--config"],
+     '{"kind": "IntegerLattice", "indices": [[3, 3], [3, 3]]}',
+     "expected 2 coordinates, got 3"),
 ], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
         "ratio-1/0", "ratio-missing", "ratio-bool-numerator",
         "ratio-bool-denominator", "line-indices-int", "config-list",
         "lattice-flat-indices", "config-not-json", "generic-bool-op",
-        "generic-bool-domain", "generic-loop", "generic-xnor"])
+        "generic-bool-domain", "generic-loop", "generic-xnor", "ratio-3/2",
+        "tail-unknown", "style-unknown", "lattice-no-axes",
+        "lattice-ragged-axes", "lattice-element-text",
+        "lattice-element-length"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)

@@ -398,6 +398,62 @@ def test_measure_one_trend_cross_checks_a_lattice(lattice):
         "pair": (1, 2), "mu": Fraction(8, 9)}
 
 
+def test_measure_one_trend_names_a_refused_cross_check(irregular):
+    # the D_3 window of pair (1, 3) has 29,295 cells, past a cap of 1000
+    sk = build_skeleton(irregular.tower, irregular.depth, Budget(window=1000))
+    res = run_check(sk, "measure-1-trend")
+    assert (res.status, res.scope) == (
+        "Pass", "certified lower bounds at boundary levels [1, 16] are "
+                "nondecreasing; over budget: [(1, 3)]")
+    assert "pair" not in res.witnesses[0]
+
+
+def test_measure_one_trend_cross_check_reads_only_the_window_cap(irregular):
+    # mu_3(Z_1) counts the 1,953 translates of the D_3 window, which the
+    # window cap governs, so an enum cap of 1000 keeps the cross-check
+    sk = build_skeleton(irregular.tower, irregular.depth, Budget(enum=1000))
+    assert run_check(sk, "measure-1-trend").witnesses[0] == {
+        "pair": (1, 3), "mu": Fraction(1951, 1953)}
+
+
+_LADDER_TOWERS = {
+    "threeadic": (lambda: build_tower(preset_config("threeadic")), 6),
+    "irregular-demo": (lambda: build_tower(preset_config("irregular-demo")),
+                       4),
+    "lattice": (lambda: IntegerLatticeTower([[3, 3, 3], [3, 3, 3]]), 3),
+    "s3_by_z": (lambda: s3_by_z(5), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER_TOWERS))
+def test_no_check_raises_a_refusal_under_a_cap_ladder(monkeypatch, name):
+    # a check only ever skips a unit a cap refuses, so no registered check
+    # lets BudgetExceeded out, whatever the caps
+    raised = []
+
+    def guarded(check, fn):
+        def run(skeleton):
+            try:
+                return fn(skeleton)
+            except BudgetExceeded as exc:
+                raised.append((check, skeleton.budget, str(exc)))
+                return failed(check, "raised BudgetExceeded", str(exc))
+        return run
+
+    for check, fn in list(_REGISTRY.items()):
+        monkeypatch.setitem(_REGISTRY, check, guarded(check, fn))
+    make, depth = _LADDER_TOWERS[name]
+    tower = make()
+    for enum in (20, 1000, 1 << 22):
+        for cap in (100, 1 << 16, 1 << 28):
+            try:
+                sk = build_skeleton(tower, depth, Budget(enum, cap))
+            except BudgetExceeded:
+                continue
+            assert len(run_all(sk).results) == 16
+    assert raised == []
+
+
 def test_the_window_is_refused_before_the_j_set_is_built(threeadic):
     # J(4) is not cached by the construction, whose blocks reach J(2); a
     # classification is charged |D_m| against the window cap
