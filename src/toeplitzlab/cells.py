@@ -42,7 +42,7 @@ import numpy as np
 from .errors import BudgetExceeded, DepthExceeded, DoubledOne
 from .skeleton import j_mask
 from .tower import domain_chunks, sum_chunks
-from .window import window_values
+from .window import UNDEFINED, window_values
 
 TAG_ZERO = ("Zero",)
 
@@ -68,9 +68,8 @@ def translate_ones(skeleton, m, l):
     def build():
         T = skeleton.tower
         vals = window_values(skeleton, m)
-        if (vals == 255).any():
+        if (vals == UNDEFINED).any():
             raise DepthExceeded(f"mu_{m} region has undecided cells")
-        skeleton.budget.check_enum(T.size(l), f"J({l})")
         gammas, ones = [], []
         for start, g in domain_chunks(T, m):
             x = g[vals[start:start + len(g)] == 1]

@@ -25,7 +25,7 @@ from .result import exact_str, jsonable
 from .skeleton import Undefined, build_skeleton
 from .tower import TowerConfig, build_tower
 from .verify import AXIOMS_FAIL, REGISTRY_NAMES, run_all, run_check
-from .window import materialize_window
+from .window import SYMBOLS, materialize_window
 
 # every outside input is checked where it is parsed and fails with one of
 # these; any other exception is a fault of the program and keeps its traceback
@@ -141,8 +141,7 @@ def _cmd_eta_window(args):
           f"{counts['ones']} ones, {counts['zeros']} zeros, "
           f"{counts['undefined']} undecided")
     if w.n_cells <= 128:
-        vals = w.values_array()
-        print("".join("?" if v == 255 else str(int(v)) for v in vals))
+        print("".join(SYMBOLS[w.values_array().clip(max=2)]))
     if args.out:
         print(f"wrote {args.format} to {args.out}")
     return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
-from .window import eval_sums
+from .window import UNDEFINED, eval_sums
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def fiber_profile(skeleton, n):
     lifts = T.domain_arr(n + 1)
     windows = eval_sums(skeleton, lifts, dom_n)
     coset = T.coset_index_arr(lifts, n)
-    full = ~(windows == 255).any(axis=1)
+    full = ~(windows == UNDEFINED).any(axis=1)
     # one row per distinct (coset, window) pair among the fully defined lifts
     keys = np.column_stack((coset[full], np.packbits(windows[full], axis=1)))
     seen = np.unique(keys, axis=0)[:, 0]

@@ -14,7 +14,7 @@ from .errors import (CountMismatch, DepthExceeded, InconclusiveTail,
 from .density import d_recursion, regularity_verdict, VERDICT_INCONCLUSIVE
 from .result import failed
 from .skeleton import j_size
-from .window import per_masks, window_values
+from .window import UNDEFINED, per_masks, window_values
 
 
 def a_counts(skeleton, n):
@@ -50,7 +50,7 @@ class PeriodicMeasure:
         self.tower = skeleton.tower
         self.size = self.tower.size(m)
         self._vals = window_values(skeleton, m)
-        if (self._vals == 255).any():
+        if (self._vals == UNDEFINED).any():
             raise DepthExceeded(f"mu_{m} found undecided cells")
 
     def _matches(self, pattern):

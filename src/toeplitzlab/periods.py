@@ -17,7 +17,7 @@ from .cells import translate_ones
 from .errors import DoubledOne, NotInDomain
 from .result import failed
 from .tower import sum_chunks
-from .window import per_masks, window_values
+from .window import UNDEFINED, per_masks, window_values
 
 
 def per_set(skeleton, n, symbol):
@@ -104,7 +104,7 @@ def per_eq_check(skeleton, n):
     want = np.repeat(np.uint8([0, 1]), counts)
     e = T.translate_arr(T.section_arr(n, wlevel), cells)
     got = vals[T.index_of_arr(e, wlevel)]
-    bad = (got != 255) & (got != want)
+    bad = (got != UNDEFINED) & (got != want)
     if bad.any():
         first = int(bad.argmax())
         i, j = np.unravel_index(first, bad.shape)

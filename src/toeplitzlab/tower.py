@@ -820,46 +820,36 @@ def mark_repeats(seen, keys):
 
 
 def _tiling_fault(tower, sec, dom_i, j):
-    """None when the |D_j| tiles sec + D_i cover D_j (none repeats or leaves
-    it), else (reason, element): the first tile, section-major, equal to an
-    earlier one, else the least by repr of the D_j elements no tile reaches
-    and the tiles outside D_j."""
-    seen = np.zeros(tower.size(j), dtype=bool)
-    outside = set()
+    """None when every tile of sec + D_i lies in D_j, else ("tiling misses
+    D_j", the least by repr of the D_j elements no tile reaches and the
+    tiles outside D_j), once sec passed _section_fault (see validate_tower)."""
+    if all(tower.in_domain_arr(tiles, j).all()
+           for _, tiles in sum_chunks(tower, sec, dom_i)):
+        return None
+    seen, outside = np.zeros(tower.size(j), dtype=bool), []
     for _, tiles in sum_chunks(tower, sec, dom_i):
         inside = tower.in_domain_arr(tiles, j)
-        if inside.all():
-            again = mark_repeats(seen, tower.index_of_arr(tiles, j))
-        else:
-            again = np.zeros(len(tiles), dtype=bool)
-            again[inside] = mark_repeats(seen,
-                                         tower.index_of_arr(tiles[inside], j))
-            for p, g in zip(np.flatnonzero(~inside).tolist(),
-                            tower.elements(tiles[~inside])):
-                again[p] = g in outside
-                outside.add(g)
-        if again.any():
-            return "tiling overlaps", tower.element(tiles[again.argmax()])
-    if outside:
-        missed = domain_where(tower, j, lambda start, g: ~seen[start:start + len(g)])
-        return "tiling misses D_j", min(
-            tower.elements(missed) + list(outside), key=repr)
-    return None
+        seen[tower.index_of_arr(tiles[inside], j)] = True
+        outside += tower.elements(tiles[~inside])
+    missed = domain_where(tower, j, lambda start, g: ~seen[start:start + len(g)])
+    return "tiling misses D_j", min(tower.elements(missed) + outside, key=repr)
 
 
 def _section_fault(tower, sec, i, j):
     """None when sec lies in D_j and Gamma_i without repeats, else (reason,
-    element) for the first, CHUNK at a time, that does not, in that order."""
+    element): the first element of sec outside D_j, else the first outside
+    Gamma_i, else the first that repeats an earlier one."""
     seen = np.zeros(tower.size(j), dtype=bool)
-    for g in (sec[k:k + CHUNK] for k in range(0, len(sec), CHUNK)):
-        in_gamma = tower.eq_arr(tower.reduce_arr(g, i), tower.zero)
-        for reason, ok in (("tiling misses D_j", tower.in_domain_arr(g, j)),
-                           ("section leaves Gamma_i", in_gamma)):
-            if not ok.all():
-                return reason, tower.element(g[ok.argmin()])
-        again = mark_repeats(seen, tower.index_of_arr(g, j))
-        if again.any():
-            return "tiling overlaps", tower.element(g[again.argmax()])
+    for reason, bad in (
+            ("tiling misses D_j", lambda g: ~tower.in_domain_arr(g, j)),
+            ("section leaves Gamma_i", lambda g: ~tower.eq_arr(
+                tower.reduce_arr(g, i), tower.zero)),
+            ("tiling overlaps",
+             lambda g: mark_repeats(seen, tower.index_of_arr(g, j)))):
+        for g in (sec[k:k + CHUNK] for k in range(0, len(sec), CHUNK)):
+            b = bad(g)
+            if b.any():
+                return reason, tower.element(g[b.argmax()])
     return None
 
 
@@ -870,8 +860,11 @@ def validate_tower(tower, budget=Budget(), depth=None):
 
     Each level is checked in the order: no repeats, size, identity, reduce
     fixes D_n, D_{n-1} <= D_n.  Then j by j each section Gamma_i cap D_j,
-    i = j-1 first: its size, for i = j-1 that section + D_i tiles D_j, then
-    that it lies in D_j and Gamma_i without repeats.  That suffices: with
+    i = j-1 first: its size, that it lies in D_j and Gamma_i without
+    repeats, then for i = j-1 that section + D_i lies in D_j.  No two of
+    those tiles s + d are equal: D_i holds distinct Gamma_i-coset
+    representatives, so tiles with different d differ, and s + d = s' + d
+    cancels to s = s'; so the |D_j| tiles cover D_j.  That suffices: with
     S_k = Gamma_k cap D_{k+1} <= Gamma_i, the tilings give D_j = S_{j-1} +
     ... + S_i + D_i with unique sums (composed on the left, as section +
     D_i), |D_j|/|D_i| elements of Gamma_i cap D_j; as Gamma_i cap D_i = {0}
@@ -926,8 +919,9 @@ def validate_tower(tower, budget=Budget(), depth=None):
                 return failed(name, scope,
                               {"pair": (i, j), "reason": "section size mismatch",
                                "expected": sizes[j] // sizes[i], "got": len(sec)})
-            fault = (_tiling_fault(tower, sec, tower.domain_arr(i), j)
-                     if i == j - 1 else None) or _section_fault(tower, sec, i, j)
+            fault = _section_fault(tower, sec, i, j) or (
+                _tiling_fault(tower, sec, tower.domain_arr(i), j)
+                if i == j - 1 else None)
             if fault is not None:
                 return failed(name, scope, {"pair": (i, j), "reason": fault[0],
                                             "element": fault[1]})

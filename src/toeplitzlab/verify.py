@@ -44,7 +44,7 @@ from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
 from .skeleton import j_mask, j_set, j_set_recursive, j_size
 from . import tower as _tower
 from .tower import sum_chunks, validate_tower
-from .window import eval_sums, per_masks, window_values
+from .window import UNDEFINED, eval_sums, per_masks, window_values
 
 
 # -- small helpers ---------------------------------------------------------
@@ -82,8 +82,8 @@ def good_bound(tower, n, m):
 
 
 def _defined(vals):
-    """vals, once none of them is undefined (255)."""
-    if (vals == 255).any():
+    """vals, once none of them is UNDEFINED."""
+    if (vals == UNDEFINED).any():
         raise DepthExceeded("a probe is undefined; increase depth")
     return vals
 

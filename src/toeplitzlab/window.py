@@ -31,16 +31,17 @@ from .tower import domain_chunks, sum_chunks
 
 MAGIC = b"TPW1"
 
-# a csv row's symbol by cell value 0, 1, 255 (undefined) clipped to 2
-_SYMBOLS = np.array(["0", "1", "?"], dtype=object)
+UNDEFINED = 255  # the value of a cell past the built depth
+# a cell's symbol by its value 0, 1 or UNDEFINED, clipped to 2
+SYMBOLS = np.array(["0", "1", "?"], dtype=object)
 # a cell value by the symbol byte of a csv row; _NO_SYMBOL for any other byte
 _NO_SYMBOL = 254
 _VALUE_OF = np.full(256, _NO_SYMBOL, dtype=np.uint8)
-_VALUE_OF[[ord("0"), ord("1"), ord("?")]] = 0, 1, 255
+_VALUE_OF[[ord("0"), ord("1"), ord("?")]] = 0, 1, UNDEFINED
 
 
 def eval_arr(skeleton, g):
-    """eval over the element array g, uint8 with 255 past the built depth.
+    """eval over the element array g, uint8, UNDEFINED past the built depth.
 
     g is read from the least window D_L, L <= depth, that holds all of it
     and that the budget allows.  Only where none does, the residual scans
@@ -53,7 +54,7 @@ def eval_arr(skeleton, g):
               and T.in_domain_arr(g, l).all()), None)
     if L is not None:
         return window_values(skeleton, L)[T.index_of_arr(g, L)]
-    out = np.full(len(g), 255, dtype=np.uint8)
+    out = np.full(len(g), UNDEFINED, dtype=np.uint8)
     undec = np.ones(len(g), dtype=bool)
     r = np.empty_like(g)
     for l in range(skeleton.depth):
@@ -110,7 +111,7 @@ def _build(skeleton, n, values):
     T = skeleton.tower
     settles_n = n < skeleton.depth
     if values:
-        blank = 255
+        blank = UNDEFINED
     else:
         # a blank cell carries the level that settles it last, so the map
         # needs no pass at level n
@@ -147,7 +148,7 @@ def _blank_plant(skeleton, out, l, m, blank):
 
 
 def window_values(skeleton, n):
-    """uint8 array over D_n in enumeration order; 255 marks undefined."""
+    """uint8 array over D_n in enumeration order, UNDEFINED where undecided."""
     return _window(skeleton, n, values=True)
 
 
@@ -171,23 +172,23 @@ class SymbolWindow:
             vals = values_u8[start:start + step]
             out = slice(start // 8, (start + len(vals) + 7) // 8)
             self.bits[out] = np.packbits(vals == 1, bitorder="little")
-            self.mask[out] = np.packbits(vals != 255, bitorder="little")
+            self.mask[out] = np.packbits(vals != UNDEFINED, bitorder="little")
 
     def values_array(self, start=0, stop=None):
-        """uint8 with 0/1 where defined and 255 elsewhere, over the cells
+        """uint8 with 0/1 where defined and UNDEFINED elsewhere, over the cells
         start..stop-1 (all by default); unpacks only the bytes they span."""
         stop = self.n_cells if stop is None else stop
         lo, hi = start // 8, -(-stop // 8)
         cut = slice(start - 8 * lo, stop - 8 * lo)
         vals = np.unpackbits(self.bits[lo:hi], bitorder="little")[cut]
         defined = np.unpackbits(self.mask[lo:hi], bitorder="little")[cut]
-        vals[defined == 0] = 255
+        vals[defined == 0] = UNDEFINED
         return vals
 
     def counts(self):
         vals = self.values_array()
         return {"zeros": int((vals == 0).sum()), "ones": int((vals == 1).sum()),
-                "undefined": int((vals == 255).sum())}
+                "undefined": int((vals == UNDEFINED).sum())}
 
     def __eq__(self, other):
         if not isinstance(other, SymbolWindow):
@@ -239,7 +240,7 @@ class SymbolWindow:
                 for c in range(k):
                     flat[c::k + 1] = cols[c].tolist()
                 vals = self.values_array(start, start + len(g))
-                flat[k::k + 1] = _SYMBOLS[np.minimum(vals, 2)].tolist()
+                flat[k::k + 1] = SYMBOLS[np.minimum(vals, 2)].tolist()
                 fh.write(row * len(g) % tuple(flat))
 
     @staticmethod
@@ -262,7 +263,7 @@ class SymbolWindow:
             k = int(np.prod(shape))
             bad_row = (f"{path} has a row that is not an element ({k} "
                        "integers) and a symbol 0, 1 or ?")
-            vals = np.full(cells, 255, dtype=np.uint8)
+            vals = np.full(cells, UNDEFINED, dtype=np.uint8)
             seen = np.zeros(cells, dtype=bool)
             lines = itertools.chain([first] if first else [], fh)
             while piece := list(itertools.islice(lines, _tower.CHUNK)):
@@ -306,7 +307,7 @@ class SymbolWindow:
 
     def to_pgm(self, tower, path):
         vals = self.values_array()
-        pixels = np.where(vals == 255, np.uint8(128),
+        pixels = np.where(vals == UNDEFINED, np.uint8(128),
                           np.where(vals == 1, np.uint8(255), np.uint8(0)))
         shape = tower.shape(self.level)
         height, width = shape if len(shape) == 2 else (1, self.n_cells)

@@ -56,6 +56,10 @@ BROKEN = {
     # 25 lies in D_3 but not in 3Z
     "section leaves Gamma_i at (1, 3)": _bad_at(
         (1, 3), lambda s: s[:-1] + [s[-1] + 1]),
+    # 4 leaves 3Z in the first chunk of 7, 51 leaves D_3 in the second:
+    # leaving D_j is reported first over the whole section
+    "tiling misses D_j at (1, 3)": _bad_at(
+        (1, 3), lambda s: s[:1] + [s[1] + 1] + s[2:-1] + [s[-1] + 27]),
 }
 
 

@@ -49,6 +49,9 @@ One remainder kernel: no module calls numpy's remainder ufuncs (`mod`,
 `remainder`, `fmod`, `divmod`); the line's array forms reduce by the one
 floor-quotient kernel in `IntegerLineTower.reduce_arr`.
 
+One undecided-cell code: outside window.py no comparison has the constant
+255 as an operand; a cell past the built depth is `window.UNDEFINED`.
+
 Exact numbers print one way: only result.py writes a number as
 `{x} ~ {float(x)...}`; every other module prints through its `exact_str`.
 
@@ -779,6 +782,35 @@ def test_no_remainder_path_beside_the_quotient_kernel(tmp_path):
         "        np.mod(out, m, out=out)\n"
         "        return np.subtract(out, self.half[n], out=out)\n")
     assert remainder_calls(tmp_path) == [("tower", "IntegerLineTower")] * 2
+
+
+def undefined_literals(src):
+    """(module, top-level definition) of every comparison outside window.py
+    with the constant 255 as an operand, once per comparison."""
+    return sorted((path.stem, getattr(top, "name", None))
+                  for path in sorted(src.glob("*.py")) if path.stem != "window"
+                  for top in ast.parse(path.read_text(encoding="utf-8")).body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(side, ast.Constant) and side.value == 255
+                          for side in (node.left, *node.comparators)))
+
+
+def test_the_undecided_cell_code_is_named_once(tmp_path):
+    assert undefined_literals(SRC) == []
+    # the window command's row and translate_ones' test before they read
+    # window.UNDEFINED; the preset's index 255 is no comparison
+    (tmp_path / "cli.py").write_text(
+        "def _cmd_eta_window(args):\n"
+        "    print(''.join('?' if v == 255 else str(int(v)) for v in vals))\n")
+    (tmp_path / "cells.py").write_text(
+        "def translate_ones(skeleton, m, l):\n"
+        "    if (vals == 255).any():\n"
+        "        raise DepthExceeded('undecided')\n")
+    (tmp_path / "presets.py").write_text(
+        "INDICES = [15, 31, 63, 127, 255]\n")
+    assert undefined_literals(tmp_path) == [("cells", "translate_ones"),
+                                            ("cli", "_cmd_eta_window")]
 
 
 def memo_sites(src):

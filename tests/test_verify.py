@@ -25,7 +25,7 @@ from toeplitzlab import (
     preset_config,
     zero_mass_lower_bound,
 )
-from toeplitzlab import periods, verify, window
+from toeplitzlab import STYLE_CENTERED, periods, tower, verify, window
 from toeplitzlab.cli import main
 from toeplitzlab.cells import mu_zero_set, verify_refinement
 from toeplitzlab.result import failed
@@ -181,6 +181,17 @@ def test_a_section_read_charges_no_cap_of_its_own(irregular):
     res = run_check(sk, "u-in-y")
     assert (res.status, res.scope) == ("Pass",
                                        "n_k in [1], reps over D_(n_k+2)")
+
+
+def test_translate_tables_read_only_the_window_cap(irregular):
+    # a translate table reads the 1-cells of the D_m window, which the
+    # window cap charges; an enum cap below |D_l| once refused it for a
+    # J(l) table it no longer builds (k = 3 and n = 2, 3 read |D_3| = 29,295)
+    sk = build_skeleton(irregular.tower, irregular.depth, Budget(enum=20000))
+    rows = [run_check(sk, name) for name in ("partitions-c", "containings")]
+    assert [(r.status, r.scope) for r in rows] == [
+        ("Pass", "k in [1, 2, 3]"),
+        ("Pass", "pointwise parent rule, n up to 3")]
 
 
 def test_containings_builds_no_j_set(monkeypatch):
@@ -391,6 +402,34 @@ def test_section_right_domains_do_not_tile():
     res = run_check(build_skeleton(h3_generic(6, left=False), 6), "decom")
     assert (res.status, res.counterexample) == ("Fail", {
         "pair": (1, 2), "reason": "tiling misses D_j", "element": 153})
+
+
+def test_a_section_decom_accepts_tiles_without_repeats(
+        generic36, relabelled36, s3_by_z5, h3_generic6, line36, centered6,
+        lattice):
+    # decom looks for no repeated tile: once the levels pass and the section
+    # Gamma_{j-1} cap D_j lies in D_j and Gamma_{j-1} without repeats, the
+    # tiles section + D_{j-1} are distinct, whether or not they tile D_j
+    towers = [sk.tower for sk in (generic36, relabelled36[0], s3_by_z5,
+                                  h3_generic6, line36, centered6, lattice)]
+    towers += [h3_generic(6, left=False), IntegerLineTower([2, 3, 4, 5, 2, 3]),
+               IntegerLatticeTower([[3, 3, 3], [5, 3, 3]], STYLE_CENTERED),
+               *(make() for make in BROKEN.values())]
+    pairs = 0
+    for T in towers:
+        cx = tower.validate_tower(T).counterexample
+        if cx is not None and "pair" not in cx:
+            continue  # a level fails
+        for j in range(1, T.depth + 1):
+            sec = T.section_arr(j - 1, j)
+            if tower._section_fault(T, sec, j - 1, j) is None:
+                tiles = T.translate_arr(sec, T.domain_arr(j - 1))
+                tiles = tiles.reshape(-1, *tiles.shape[2:])
+                assert len(np.unique(tiles, axis=0)) == len(tiles), (T, j)
+                pairs += 1
+    # every consecutive pair but the four of the two broken [3, 3] towers,
+    # whose sections all fail
+    assert pairs == 65
 
 
 def test_measure_one_trend_cross_checks_a_lattice(lattice):
