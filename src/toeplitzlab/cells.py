@@ -136,10 +136,6 @@ def verify_refinement(skeleton, n, m):
     the first failing d, and the case counts are None.
     """
     T = skeleton.tower
-    if skeleton.depth < m + 1:
-        raise DepthExceeded(f"mu_{m} needs depth >= {m + 1}")
-    if m < n + 1:
-        raise DepthExceeded("refinement needs m >= n + 1")
     child, parent = (translate_ones(skeleton, m, l) for l in (n + 1, n))
     gcs = T.section_arr(n + 1, m)
     gps = T.section_arr(n, n + 1)

@@ -83,13 +83,7 @@ def _skeleton(args):
                           Budget(args.enum_budget, args.window_budget))
 
 
-def _cmd_tower_validate(args):
-    sk = _skeleton(args)
-    return _emit_result(run_check(sk, "decom"), args.as_json)
-
-
-def _cmd_eta_build(args):
-    sk = _skeleton(args)
+def _cmd_eta_build(sk, args):
     if args.out:
         sk.save(args.out)
     if args.as_json:
@@ -108,8 +102,7 @@ def _cmd_eta_build(args):
     return 0
 
 
-def _cmd_eta_eval(args):
-    sk = _skeleton(args)
+def _cmd_eta_eval(sk, args):
     g = sk.tower.parse_element(args.g)
     v = sk.eval(g)
     if args.as_json:
@@ -120,8 +113,7 @@ def _cmd_eta_eval(args):
     return 0
 
 
-def _cmd_eta_window(args):
-    sk = _skeleton(args)
+def _cmd_eta_window(sk, args):
     level = args.level if args.level is not None else sk.depth - 1
     w = materialize_window(sk, level)
     if args.out:
@@ -147,8 +139,7 @@ def _cmd_eta_window(args):
     return 0
 
 
-def _cmd_periods_show(args):
-    sk = _skeleton(args)
+def _cmd_periods_show(sk, args):
     n = args.level
     p0 = per_set(sk, n, 0)
     p1 = per_set(sk, n, 1)
@@ -170,8 +161,7 @@ def _cmd_periods_show(args):
     return 0
 
 
-def _cmd_analyze_density(args):
-    sk = _skeleton(args)
+def _cmd_analyze_density(sk, args):
     levels = args.levels if args.levels is not None else sk.depth - 1
     report = regularity_verdict(sk.tower, levels=levels)
     # the levels whose d_n every route reaches, enumeration included
@@ -192,8 +182,7 @@ def _cmd_analyze_density(args):
     return 0 if all(m["agree"] for m in methods) else 1
 
 
-def _cmd_analyze_measures(args):
-    sk = _skeleton(args)
+def _cmd_analyze_measures(sk, args):
     m = args.level if args.level is not None else sk.depth - 1
     enc = limit_01(sk, level=m)
     payload = {"level": m, "one": list(enc["one"]), "zero": list(enc["zero"]),
@@ -229,8 +218,7 @@ def _cmd_analyze_measures(args):
     return 0
 
 
-def _cmd_factor_pi(args):
-    sk = _skeleton(args)
+def _cmd_factor_pi(sk, args):
     v = sk.tower.parse_element(args.g)
     pt = pi_of_orbit(sk, v, depth=args.level)
     if args.as_json:
@@ -241,8 +229,7 @@ def _cmd_factor_pi(args):
     return 0
 
 
-def _cmd_factor_fibers(args):
-    sk = _skeleton(args)
+def _cmd_factor_fibers(sk, args):
     n = args.level if args.level is not None else 1
     prof = fiber_profile(sk, n)
     if args.csv:
@@ -263,8 +250,7 @@ def _cmd_factor_fibers(args):
     return 0
 
 
-def _cmd_verify(args):
-    sk = _skeleton(args)
+def _cmd_verify(sk, args):
     if args.check == "all":
         return _emit_result(run_all(sk), args.as_json)
     res = run_check(sk, args.check)
@@ -287,7 +273,7 @@ def _build_parser():
     tower = groups.add_parser("tower", help="tower construction checks")
     ts = tower.add_subparsers(dest="action", required=True)
     _add_common(ts.add_parser("validate", help="nesting, tiling, parity")) \
-        .set_defaults(fn=_cmd_tower_validate)
+        .set_defaults(fn=_cmd_verify, check="decom")
 
     eta = groups.add_parser("eta", help="array construction and evaluation")
     es = eta.add_subparsers(dest="action", required=True)
@@ -352,7 +338,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors and 0 on --help; keep both
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return args.fn(_skeleton(args), args)
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,6 @@ def d_recursion(tower, n):
 
 
 def d_enumeration(skeleton, n):
-    skeleton.budget.check_enum(skeleton.tower.size(n), f"density level {n}")
     decided = sum(int(m.sum()) for m in per_masks(skeleton, n))
     return Fraction(decided, skeleton.tower.size(n))
 

@@ -42,9 +42,6 @@ class PeriodicMeasure:
     def __init__(self, skeleton, m):
         if m < 1:
             raise DepthExceeded("measure level must be >= 1")
-        if skeleton.depth < m + 1:
-            raise DepthExceeded(
-                f"mu_{m} needs depth >= {m + 1} so every D_{m} cell is decided")
         self.skeleton = skeleton
         self.m = m
         self.tower = skeleton.tower

@@ -201,7 +201,7 @@ def check_good_relation(skeleton):
         S = good_set(skeleton, n, m)
         count = len(S)
         bound = good_bound(T, n, m)
-        if count < 1 or Fraction(count) < bound:
+        if Fraction(count) < bound:
             return failed("good-relation", f"(n,m)=({n},{m})",
                           {"n": n, "m": m, "count": count, "bound": bound})
         v = T.domain_arr(n + 1)

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from conftest import cyclic_generic
+from test_chunks import BROKEN
 from toeplitzlab import (REGISTRY_NAMES, DepthExceeded, SymbolWindow,
                          build_skeleton, build_tower, cli, density,
                          materialize_window, preset_config,
@@ -44,6 +46,32 @@ def test_tower_validate_reports_its_time(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["name"] == "decom" and obj["status"] == "Pass"
     assert obj["millis"] > 0
+
+
+def _decom_run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"millis": [0-9.e+-]+', "", out), err
+
+
+@pytest.mark.parametrize("config, code", [
+    (None, 0),
+    (BROKEN["domains not nested"]().config().to_json(), 1),
+    ({"kind": "IntegerLine", "indices": 5}, 2),
+], ids=["presets", "domains-not-nested", "malformed"])
+def test_tower_validate_is_verify_decom(config, code, tmp_path, capsys):
+    if config is None:
+        sources = [["--preset", "threeadic"], ["--preset", "irregular-demo"]]
+    else:
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(config))
+        sources = [["--config", str(path)]]
+    for source in sources:
+        for fmt in ([], ["--json"]):
+            got = _decom_run(["tower", "validate", *source, *fmt], capsys)
+            assert got == _decom_run(["verify", "decom", *source, *fmt],
+                                     capsys)
+            assert got[0] == code
 
 
 def test_build_and_reload(tmp_path, capsys):
@@ -154,12 +182,22 @@ def test_analyze_density_rejects_a_negative_levels(capsys):
     assert err == "error: levels must be nonnegative, got -1\n"
 
 
-def test_analyze_density_json_honours_the_enum_budget(capsys):
-    # |D_3| = 29295 is over a cap of 1000, so the routes stop at n = 2
+def test_analyze_density_json_honours_the_window_budget(capsys):
+    # the D_3 window, 29295 cells, is over a cap of 1000, so the routes
+    # stop at n = 2
+    assert main(["analyze", "density", "--preset", "irregular-demo",
+                 "--json", "--window-budget", "1000"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert [m["n"] for m in obj["methods"]] == [1, 2]
+
+
+def test_analyze_density_enumerates_under_an_enum_cap(capsys):
+    # the enumeration route reads the D_n window and level map alone, which
+    # the window cap charges
     assert main(["analyze", "density", "--preset", "irregular-demo",
                  "--json", "--enum-budget", "1000"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert [m["n"] for m in obj["methods"]] == [1, 2]
+    assert [m["n"] for m in obj["methods"]] == [1, 2, 3, 4]
 
 
 def test_analyze_measures_computes_mu_z1_at_the_default_level(capsys):

@@ -52,6 +52,9 @@ floor-quotient kernel in `IntegerLineTower.reduce_arr`.
 One undecided-cell code: outside window.py no comparison has the constant
 255 as an operand; a cell past the built depth is `window.UNDEFINED`.
 
+One door into the commands: only `cli.main` calls `_skeleton`, and every
+command handler `_cmd_*` takes the skeleton it built as (sk, args).
+
 Exact numbers print one way: only result.py writes a number as
 `{x} ~ {float(x)...}`; every other module prints through its `exact_str`.
 
@@ -921,3 +924,32 @@ def test_exact_numbers_are_formatted_only_in_result(tmp_path):
         "    return f'{value} ~ {float(value):.9f}'\n")
     assert exact_formats(tmp_path) == [("cli", "_fmt_q"),
                                        ("density", "DensityReport")]
+
+
+def skeleton_doors(src):
+    """The cli.py functions that call `_skeleton`, and the `_cmd_*`
+    handlers whose parameters are not (sk, args)."""
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    tops = [top for top in tree.body if isinstance(top, ast.FunctionDef)]
+    builders = sorted(top.name for top in tops
+                      if any(isinstance(node, ast.Call)
+                             and "_skeleton" in _names(node.func)
+                             for node in ast.walk(top)))
+    odd = sorted(top.name for top in tops if top.name.startswith("_cmd_")
+                 and [a.arg for a in top.args.args] != ["sk", "args"])
+    return builders, odd
+
+
+def test_main_builds_the_one_skeleton(tmp_path):
+    assert skeleton_doors(SRC) == (["main"], [])
+    # each handler built its own skeleton, and main passed it the args alone
+    (tmp_path / "cli.py").write_text(
+        "def _cmd_tower_validate(args):\n"
+        "    sk = _skeleton(args)\n"
+        "    return _emit_result(run_check(sk, 'decom'), args.as_json)\n"
+        "def _cmd_verify(sk, args):\n"
+        "    return _emit_result(run_all(sk), args.as_json)\n"
+        "def main(argv=None):\n"
+        "    return args.fn(args)\n")
+    assert skeleton_doors(tmp_path) == (["_cmd_tower_validate"],
+                                        ["_cmd_tower_validate"])

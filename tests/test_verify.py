@@ -9,6 +9,7 @@ import pytest
 from conftest import h3_generic, s3_by_z
 from test_chunks import BROKEN
 from test_periods import _planted
+from test_tower import _BadSectionTower
 from toeplitzlab import (
     REGISTRY_NAMES,
     Budget,
@@ -129,6 +130,26 @@ def test_suite_irregular_all_pass(irregular):
     assert "vacuous" in by_name["t1t2"].scope or by_name["t1t2"].witnesses == []
     assert by_name["linking"].status == "Pass"
     assert by_name["measure-1-trend"].status == "Pass"
+
+
+@pytest.mark.parametrize("corrupt, scope, cx, decom", [
+    # one element left: no gamma of Gamma_2 cap D_4 is good
+    (lambda s: s[:1], "(n,m)=(1,4)", {"n": 1, "m": 4, "count": 0, "bound": 4},
+     {"reason": "section size mismatch", "expected": 9, "got": 1}),
+    # 72 + 81 stays in Gamma_2 but leaves D_4
+    (lambda s: s[:-1] + [s[-1] + 81], "(n,m)=(1,4) translate containment",
+     {"gamma": 153, "v": 0}, {"reason": "tiling misses D_j", "element": 153}),
+], ids=["count", "containment"])
+def test_good_relation_fails_on_a_corrupted_section(corrupt, scope, cx,
+                                                    decom):
+    # [3]^6 with only the section (2, 4) corrupted, which good_set(1, 4)
+    # reads; decom refutes the tower at that pair
+    sk = build_skeleton(_BadSectionTower(
+        [3] * 6, lambda sec, i, j: corrupt(sec) if (i, j) == (2, 4) else sec),
+        6)
+    res = run_check(sk, "good-relation")
+    assert (res.status, res.scope, res.counterexample) == ("Fail", scope, cx)
+    assert run_check(sk, "decom").counterexample == {"pair": (2, 4), **decom}
 
 
 def test_good_set_matches_reference(threeadic, oracle3):
