@@ -133,7 +133,7 @@ def _cmd_eta_window(sk, args):
           f"{counts['ones']} ones, {counts['zeros']} zeros, "
           f"{counts['undefined']} undecided")
     if w.n_cells <= 128:
-        print("".join(SYMBOLS[w.values_array().clip(max=2)]))
+        print(SYMBOLS[w.values_array().clip(max=2)].tobytes().decode())
     if args.out:
         print(f"wrote {args.format} to {args.out}")
     return 0

@@ -156,7 +156,11 @@ class ToeplitzSkeleton:
                 self.steps.append(("zero",))
                 continue
             slot = t - self.mbar[k]
-            g_slot = tower.element(self.jset(k)[slot - 1])
+            jk = self.jset(k)
+            if len(jk) != self.m_of[k]:
+                raise EmptySlot(f"J({k}) has {len(jk)} elements, not the "
+                                f"{self.m_of[k]} of j_size (invalid tower)")
+            g_slot = tower.element(jk[slot - 1])
             h = self._first_over(g_slot, k, t - 1)
             self.steps.append(("plant", h))
             if k >= 1:

@@ -12,14 +12,15 @@ File formats:
   csv   `# level=n` and `# cells=|D_n|` lines, then one row per cell: the
         element's integer coordinates, then 0/1 or ? for undefined, joined
         by commas.  Rows may come in any order, but each cell of D_n must
-        appear exactly once.  Both directions pass over CHUNK rows at a
-        time, so memory follows the chunk and the window, not the file.
+        appear exactly once.  The writer formats CHUNK rows at a time in
+        one array (_csv_rows), and the reader parses blocks of whole rows
+        read 8 * CHUNK bytes at a time, so memory follows the chunk and the
+        window, not the file.
   bits  16-byte header (magic TPW1, level u32 LE, cells u64 LE), then the
         value bits LSB-first, then the defined-mask bits, and nothing more
   pgm   binary P5; 0 -> black, 1 -> white, undefined -> mid gray
 """
 
-import itertools
 import os
 import re
 
@@ -32,12 +33,12 @@ from .tower import domain_chunks, sum_chunks
 MAGIC = b"TPW1"
 
 UNDEFINED = 255  # the value of a cell past the built depth
-# a cell's symbol by its value 0, 1 or UNDEFINED, clipped to 2
-SYMBOLS = np.array(["0", "1", "?"], dtype=object)
+# a cell's symbol byte by its value 0, 1 or UNDEFINED, clipped to 2
+SYMBOLS = np.frombuffer(b"01?", dtype=np.uint8)
 # a cell value by the symbol byte of a csv row; _NO_SYMBOL for any other byte
 _NO_SYMBOL = 254
 _VALUE_OF = np.full(256, _NO_SYMBOL, dtype=np.uint8)
-_VALUE_OF[[ord("0"), ord("1"), ord("?")]] = 0, 1, UNDEFINED
+_VALUE_OF[SYMBOLS] = 0, 1, UNDEFINED
 
 
 def eval_arr(skeleton, g):
@@ -219,29 +220,22 @@ class SymbolWindow:
             if os.fstat(fh.fileno()).st_size != 16 + 2 * nbytes:
                 raise NotInDomain(f"{path} does not hold the values and "
                                   f"mask of {n_cells} cells")
-            bits = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-            mask = np.frombuffer(fh.read(nbytes), dtype=np.uint8)
-        out = SymbolWindow.__new__(SymbolWindow)
-        out.level = level
-        out.n_cells = n_cells
-        out.bits = bits.copy()
-        out.mask = mask.copy()
+            out = SymbolWindow.__new__(SymbolWindow)
+            out.level = level
+            out.n_cells = n_cells
+            out.bits = np.fromfile(fh, dtype=np.uint8, count=nbytes)
+            out.mask = np.fromfile(fh, dtype=np.uint8, count=nbytes)
         return out
 
     def to_csv(self, tower, path):
         k = int(np.prod(tower.domain_arr(self.level, 0, 0).shape[1:]))
-        row = "%d," * k + "%s\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# level={self.level}\n# cells={self.n_cells}\n")
+        with open(path, "wb") as fh:
+            fh.write(f"# level={self.level}\n# cells={self.n_cells}\n"
+                     .encode())
             for start, g in domain_chunks(tower, self.level):
-                # k coordinates, then the symbol, per row
-                flat = [None] * (len(g) * (k + 1))
-                cols = g.reshape(len(g), k).T
-                for c in range(k):
-                    flat[c::k + 1] = cols[c].tolist()
                 vals = self.values_array(start, start + len(g))
-                flat[k::k + 1] = SYMBOLS[np.minimum(vals, 2)].tolist()
-                fh.write(row * len(g) % tuple(flat))
+                fh.write(_csv_rows(g.reshape(len(g), k),
+                                   SYMBOLS[np.minimum(vals, 2)]))
 
     @staticmethod
     def from_csv(tower, path):
@@ -265,18 +259,36 @@ class SymbolWindow:
                        "integers) and a symbol 0, 1 or ?")
             vals = np.full(cells, UNDEFINED, dtype=np.uint8)
             seen = np.zeros(cells, dtype=bool)
-            lines = itertools.chain([first] if first else [], fh)
-            while piece := list(itertools.islice(lines, _tower.CHUNK)):
-                text = b"".join(piece).replace(b"\r\n", b"\n")
+
+            def blocks(rest):
+                # rest, then the rows after it, in blocks of whole rows read
+                # 8 * CHUNK bytes at a time: a row past a block's last \n is
+                # carried to the next, and the file's last row ends the last
+                while more := fh.read(8 * _tower.CHUNK):
+                    cut = more.rfind(b"\n") + 1
+                    if cut:
+                        yield rest + memoryview(more)[:cut]
+                        rest = more[cut:]
+                    else:
+                        rest += more
+                if rest:
+                    yield rest
+
+            for text in blocks(first):
+                # a search for \r costs a hundredth of the replace's
+                if b"\r" in text:
+                    text = text.replace(b"\r\n", b"\n")
                 if not text.endswith(b"\n"):
                     text += b"\n"
                 raw = np.frombuffer(text, dtype=np.uint8)
                 ends = np.flatnonzero(raw == ord("\n"))
-                commas = np.add.reduceat(raw == ord(","), np.concatenate(
-                    ([0], ends[:-1] + 1)), dtype=np.intp)
+                commas = np.flatnonzero(raw == ord(","))
                 sym = _VALUE_OF[raw[ends - 1]]
-                # k commas per row, the last right before a one-byte symbol
-                if ((commas != k).any() or (raw[ends - 2] != ord(",")).any()
+                # k commas per row, the last right before a one-byte symbol:
+                # with k per row in all, each row's k-th at its symbol leaves
+                # k commas in every row
+                if (len(commas) != k * len(ends)
+                        or (commas[k - 1::k] != ends - 2).any()
                         or (sym == _NO_SYMBOL).any()):
                     raise NotInDomain(bad_row)
                 # blank out each ",symbol" and join the rows by the comma
@@ -314,6 +326,39 @@ class SymbolWindow:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             fh.write(pixels.astype(np.uint8).tobytes())
+
+
+def _csv_rows(coords, symbols):
+    """The csv rows of the elements coords, shape (rows, k), and the symbol
+    bytes symbols, as one uint8 array.
+
+    Each coordinate gets a field of a sign, as many digits as the widest
+    one in the array, and a comma.  The digits are formed least significant
+    first, a - 10 * (a // 10), and one boolean gather drops the leading
+    zeros of each field, and its sign unless the coordinate is negative."""
+    rows, k = coords.shape
+    # |int min| wraps to itself, which the unsigned view reads right
+    a = np.abs(coords).view(f"u{coords.itemsize}")
+    width = len(str(a.max()))
+    field = width + 2
+    out = np.empty((rows, k * field + 2), dtype=np.uint8)
+    keep = np.ones(out.shape, dtype=bool)
+    digits = out[:, :-2].reshape(rows, k, field)
+    shown = keep[:, :-2].reshape(rows, k, field)
+    digits[:, :, 0] = ord("-")
+    shown[:, :, 0] = coords < 0
+    digits[:, :, -1] = ord(",")
+    q, t = np.empty_like(a), np.empty_like(a)
+    for j in range(1, width + 1):
+        if j > 1:  # a digit past the first shows while a > 0
+            np.not_equal(a, 0, out=shown[:, :, -1 - j])
+        np.floor_divide(a, 10, out=q)
+        np.subtract(a, np.multiply(q, 10, out=t), out=t)
+        np.add(t, ord("0"), out=digits[:, :, -1 - j], casting="unsafe")
+        a, q = q, a
+    out[:, -2] = symbols
+    out[:, -1] = ord("\n")
+    return out[keep]
 
 
 def materialize_window(skeleton, n):

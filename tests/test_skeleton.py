@@ -9,6 +9,7 @@ from test_tower import _BadSectionTower
 from toeplitzlab import skeleton
 from toeplitzlab import (
     DepthExceeded,
+    EmptySlot,
     IntegerLineTower,
     Undefined,
     build_skeleton,
@@ -72,6 +73,45 @@ def test_a_plant_over_a_broken_tiling_is_the_one_in_d_n():
                          domains=[[0], [0, 1], [0, 1, 2, 7], list(range(8))])
     assert build_skeleton(bad, 3).steps == [("plant", 0), ("zero",),
                                             ("plant", 7)]
+
+
+class _OffDomainReduceTower(IntegerLineTower):
+    """Line tower whose reduce_arr(g, n) moves a non-identity residue one
+    step on inside D_n when g lies outside D_{n+k}: right on the domain,
+    wrong off it."""
+
+    def __init__(self, indices, k):
+        super().__init__(indices)
+        self.k = k
+
+    def reduce_arr(self, g, n, out=None):
+        r = super().reduce_arr(g, n, out=out)
+        off = ~self.in_domain_arr(g, min(n + self.k, self.depth))
+        off &= r != self.zero
+        r[off] = self.lo(n) + (r[off] - self.lo(n) + 1) % self.N[n]
+        return r
+
+
+@pytest.mark.parametrize("indices, got", [([2, 3, 4, 5, 2, 3], 0),
+                                          ([3] * 6, 2)])
+def test_a_j_set_short_of_j_size_is_refused(indices, got):
+    # at k = 0, J(2) comes out short: on the first tower the step loop read
+    # past its end (a bare IndexError), on [3]^6 the skeleton built and
+    # containings raised DoubledOne
+    bad = _OffDomainReduceTower(indices, 0)
+    assert j_size(bad, 2) > got
+    with pytest.raises(EmptySlot, match=rf"J\(2\) has {got} elements, "
+                       rf"not the {j_size(bad, 2)} of j_size"):
+        build_skeleton(bad, 6)
+
+
+@pytest.mark.parametrize("indices", [[2, 3, 4, 5, 2, 3], [3] * 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_j_size_check_leaves_full_j_sets_to_decom(indices, k):
+    # wrong only past D_{n+1}, reduce still gives every J(k) the step loop
+    # reads its j_size, so the skeleton builds and decom has the last word
+    sk = build_skeleton(_OffDomainReduceTower(indices, k), 6)
+    assert [len(sk.jset(i)) for i in range(len(sk.m_of))] == sk.m_of
 
 
 def test_j_sets_match_reference(threeadic, oracle3, centered6, oracle3c,

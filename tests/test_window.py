@@ -329,6 +329,78 @@ def test_csv_files_are_one_row_per_cell_and_read_back(tmp_path, monkeypatch,
         assert SymbolWindow.from_csv(T, p) == win, n
 
 
+def _cut_kinds(data, chunk):
+    """Where the reader's block cuts fall in the csv bytes data: it reads
+    two header lines and the first row by line, then 8 * CHUNK bytes at a
+    time."""
+    start = 0
+    for _ in range(3):
+        start = data.index(b"\n", start) + 1
+    kinds = set()
+    for cut in range(start + 8 * chunk, len(data), 8 * chunk):
+        if data[cut - 1:cut] == b"\n":
+            kinds.add("after a row")
+        elif data[cut - 1:cut] == b"\r":
+            kinds.add("inside a CRLF")
+        elif cut > data.rindex(b"\n"):
+            kinds.add("inside the unended last row")
+        else:
+            kinds.add("inside a row")
+    return kinds
+
+
+def test_csv_reader_sees_every_block_cut(tmp_path, monkeypatch):
+    T = IntegerLineTower([3] * 4, style=STYLE_CENTERED)
+    win = materialize_window(build_skeleton(T, 4), 3)
+    p = tmp_path / "w.csv"
+    win.to_csv(T, p)
+    lines = p.read_text().splitlines()
+    data = "\r\n".join(lines[:2] + lines[:1:-1]).encode()
+    p.write_bytes(data)
+    kinds = set()
+    for chunk in range(1, 9):
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+        assert SymbolWindow.from_csv(T, p) == win, chunk
+        kinds |= _cut_kinds(data, chunk)
+    assert kinds == {"after a row", "inside a CRLF",
+                     "inside the unended last row", "inside a row"}
+
+
+def test_csv_reader_refuses_a_header_without_rows(tmp_path, threeadic5):
+    p = tmp_path / "w.csv"
+    for text in ("# level=2\n# cells=9\n", "# level=2\n# cells=9"):
+        p.write_text(text)
+        with pytest.raises(NotInDomain, match="malformed window header"):
+            SymbolWindow.from_csv(threeadic5.tower, p)
+
+
+EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 10**18, -10**18,
+               np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+
+
+def _row_bytes(coords, symbols):
+    return "".join(",".join(map(str, row)) + f",{chr(s)}\n"
+                   for row, s in zip(coords.tolist(), symbols.tolist())).encode()
+
+
+@pytest.mark.parametrize("coords", [
+    # every edge value in one chunk of one-coordinate rows
+    np.array(EDGE_VALUES, dtype=np.int64).reshape(-1, 1),
+    # mixed widths and signs across the coordinates of each row
+    np.array([EDGE_VALUES, EDGE_VALUES[::-1], EDGE_VALUES[3:] + EDGE_VALUES[:3]],
+             dtype=np.int64).T,
+    # a lattice row with mixed signs, and the int32 bounds
+    np.array([[-5, 17], [3, -120], [np.iinfo(np.int32).min,
+                                    np.iinfo(np.int32).max]], dtype=np.int32),
+    np.array([[7]], dtype=np.int32),
+])
+def test_csv_rows_print_each_coordinate_as_str_does(coords):
+    symbols = window.SYMBOLS[np.arange(len(coords)) % 3]
+    got = window._csv_rows(coords, symbols)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == _row_bytes(coords, symbols)
+
+
 def _edit_rows(edit):
     """A change to the rows (lines past the header) of a csv file."""
     def apply(lines):
@@ -377,6 +449,33 @@ def test_csv_reader_refuses_malformed_files(tmp_path, threeadic5, case):
     p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
     with pytest.raises(NotInDomain, match=message):
         SymbolWindow.from_csv(threeadic5.tower, p)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_csv_reader_refuses_malformed_files_across_block_cuts(
+        tmp_path, monkeypatch, threeadic5, case):
+    edit, message = MALFORMED_CSV[case]
+    p = tmp_path / "w.csv"
+    materialize_window(threeadic5, 2).to_csv(threeadic5.tower, p)
+    p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+        with pytest.raises(NotInDomain, match=message):
+            SymbolWindow.from_csv(threeadic5.tower, p)
+
+
+def test_csv_reader_counts_the_commas_of_each_row(tmp_path):
+    # the second row's first coordinate moved to the end of the first: the
+    # block still holds two commas a row and its integers, in their order
+    T = IntegerLatticeTower([[3, 3], [3, 3]])
+    p = tmp_path / "w.csv"
+    materialize_window(build_skeleton(T, 2), 1).to_csv(T, p)
+    lines = p.read_text().splitlines()
+    (x0, y0, s0), (x1, y1, s1) = (row.split(",") for row in lines[2:4])
+    lines[2:4] = [f"{x0},{y0},{x1},{s0}", f"{y1},{s1}"]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NotInDomain, match="symbol 0, 1 or"):
+        SymbolWindow.from_csv(T, p)
 
 
 def test_csv_reader_refuses_labels_outside_the_group(tmp_path):
