@@ -12,20 +12,13 @@ import sys
 from fractions import Fraction
 
 from .budgets import Budget
-from .cells import mu_zero_set
-from .density import density_methods, regularity_verdict
 from .errors import (BudgetExceeded, DepthExceeded, EmptySlot,
                      InconclusiveTail, InvalidIndex, NotInDomain, ParityError,
                      UnknownCheck)
-from .factor import fiber_profile, pi_of_orbit
-from .measures import limit_01, mu_cylinder, parse_pattern
-from .periods import per_set
 from .presets import PRESET_DEPTH, preset_config, preset_names
 from .result import exact_str, jsonable
 from .skeleton import Undefined, build_skeleton
 from .tower import TowerConfig, build_tower
-from .verify import AXIOMS_FAIL, REGISTRY_NAMES, run_all, run_check
-from .window import SYMBOLS, materialize_window
 
 # every outside input is checked where it is parsed and fails with one of
 # these; any other exception is a fault of the program and keeps its traceback
@@ -114,6 +107,7 @@ def _cmd_eta_eval(sk, args):
 
 
 def _cmd_eta_window(sk, args):
+    from .window import SYMBOLS, materialize_window
     level = args.level if args.level is not None else sk.depth - 1
     w = materialize_window(sk, level)
     if args.out:
@@ -140,6 +134,7 @@ def _cmd_eta_window(sk, args):
 
 
 def _cmd_periods_show(sk, args):
+    from .periods import per_set
     n = args.level
     p0 = per_set(sk, n, 0)
     p1 = per_set(sk, n, 1)
@@ -162,6 +157,7 @@ def _cmd_periods_show(sk, args):
 
 
 def _cmd_analyze_density(sk, args):
+    from .density import density_methods, regularity_verdict
     levels = args.levels if args.levels is not None else sk.depth - 1
     report = regularity_verdict(sk.tower, levels=levels)
     # the levels whose d_n every route reaches, enumeration included
@@ -183,6 +179,8 @@ def _cmd_analyze_density(sk, args):
 
 
 def _cmd_analyze_measures(sk, args):
+    from .cells import mu_zero_set
+    from .measures import limit_01, mu_cylinder, parse_pattern
     m = args.level if args.level is not None else sk.depth - 1
     enc = limit_01(sk, level=m)
     payload = {"level": m, "one": list(enc["one"]), "zero": list(enc["zero"]),
@@ -219,6 +217,7 @@ def _cmd_analyze_measures(sk, args):
 
 
 def _cmd_factor_pi(sk, args):
+    from .factor import pi_of_orbit
     v = sk.tower.parse_element(args.g)
     pt = pi_of_orbit(sk, v, depth=args.level)
     if args.as_json:
@@ -230,6 +229,7 @@ def _cmd_factor_pi(sk, args):
 
 
 def _cmd_factor_fibers(sk, args):
+    from .factor import fiber_profile
     n = args.level if args.level is not None else 1
     prof = fiber_profile(sk, n)
     if args.csv:
@@ -251,6 +251,7 @@ def _cmd_factor_fibers(sk, args):
 
 
 def _cmd_verify(sk, args):
+    from .verify import AXIOMS_FAIL, run_all, run_check
     if args.check == "all":
         return _emit_result(run_all(sk), args.as_json)
     res = run_check(sk, args.check)
@@ -261,6 +262,13 @@ def _cmd_verify(sk, args):
         raise NotInDomain(f"{res.name}: {res.scope}; decom: {cx['reason']} "
                           f"at {where}")
     return _emit_result(res, args.as_json)
+
+
+class _CheckHelp(str):
+    # argparse `%`-formats a help string only to print it: verify loads then
+    def __mod__(self, params):
+        from .verify import REGISTRY_NAMES
+        return f"'all' or one of: {', '.join(REGISTRY_NAMES)}"
 
 
 def _build_parser():
@@ -321,9 +329,7 @@ def _build_parser():
     ff.set_defaults(fn=_cmd_factor_fibers)
 
     ver = groups.add_parser("verify", help="named identity checks")
-    ver_names = ", ".join(REGISTRY_NAMES)
-    ver.add_argument("check", metavar="CHECK",
-                     help=f"'all' or one of: {ver_names}")
+    ver.add_argument("check", metavar="CHECK", help=_CheckHelp("a check"))
     _add_common(ver)
     ver.set_defaults(fn=_cmd_verify, action=None)
 

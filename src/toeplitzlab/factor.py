@@ -45,10 +45,9 @@ def pi_of_orbit(skeleton, v, depth=None):
     every n, so the algebraic reduction sequence is the image.
     """
     T = skeleton.tower
-    if depth is None:
-        depth = skeleton.depth
+    depth = skeleton.depth if depth is None else depth
     if depth < 1 or depth > skeleton.depth:
-        raise DepthExceeded(f"depth {depth} outside 1..{skeleton.depth}")
+        raise DepthExceeded(f"level {depth} outside 1..{skeleton.depth}")
     return OdometerPoint(depth,
                          tuple(T.reduce(v, n) for n in range(1, depth + 1))
                          ).verify(T)

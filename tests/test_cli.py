@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -631,6 +633,13 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
     (["eta", "eval", "-g", "1,2,3", "--config"],
      '{"kind": "IntegerLattice", "indices": [[3, 3], [3, 3]]}',
      "expected 2 coordinates, got 3"),
+    # the user passed a level, so the error names one
+    (["factor", "pi", "-g", "14", "--level", "-1", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3, 3]}',
+     "error: level -1 outside 1..4"),
+    (["factor", "pi", "-g", "14", "--level", "9", "--config"],
+     '{"kind": "IntegerLine", "indices": [3, 3, 3, 3]}',
+     "error: level 9 outside 1..4"),
 ], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
         "ratio-1/0", "ratio-missing", "ratio-bool-numerator",
         "ratio-bool-denominator", "line-indices-int", "config-list",
@@ -638,7 +647,8 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
         "generic-bool-domain", "generic-loop", "generic-xnor", "ratio-3/2",
         "tail-unknown", "style-unknown", "lattice-no-axes",
         "lattice-ragged-axes", "lattice-element-text",
-        "lattice-element-length"])
+        "lattice-element-length", "pi-level-negative",
+        "pi-level-past-depth"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -786,3 +796,89 @@ def test_a_number_read_as_another_exits_2(tmp_path, capsys, edit, raw,
     path.write_text(json.dumps(cfg).replace('"RAW"', raw))
     assert main(["eta", "build", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# the package's public names by the submodule that defines each
+_EXPORTS = {
+    "budgets": "Budget",
+    "cells": "corollary_chain mu_zero_set parent_cells verify_refinement",
+    "density": "d_enumeration d_product d_recursion density_methods "
+               "exp_enclosure regularity_verdict",
+    "errors": "BudgetExceeded CountMismatch DepthExceeded DoubledOne "
+              "EmptySlot InconclusiveTail InvalidIndex NotInDomain "
+              "ParityError UnknownCheck",
+    "factor": "FiberProfile OdometerPoint fiber_profile pi_of_orbit",
+    "measures": "PeriodicMeasure a_counts an_det_check limit_01 mu_cylinder "
+                "parse_pattern",
+    "periods": "invariant_shift partitions_c_check per_eq_check per_set",
+    "presets": "PRESET_DEPTH preset_config preset_names",
+    "result": "CheckResult SuiteReport",
+    "skeleton": "ToeplitzSkeleton Undefined build_skeleton j_set "
+                "j_set_recursive j_size load_skeleton",
+    "tower": "GenericTower IntegerLatticeTower IntegerLineTower KIND_GENERIC "
+             "KIND_LATTICE KIND_LINE STYLE_CENTERED STYLE_NONNEG "
+             "TAIL_DIVERGENT TAIL_GEOMETRIC TailDecl TowerConfig build_tower "
+             "validate_tower",
+    "verify": "ALIASES REGISTRY_NAMES good_bound good_set registry_self_test "
+              "run_all run_check zero_mass_closed_form zero_mass_lower_bound",
+    "window": "SymbolWindow materialize_window per_masks window_values",
+}
+
+_VERIFIER = ("cells", "density", "factor", "measures", "periods", "verify",
+             "window")
+
+# run in a fresh interpreter; prints one JSON object of what it saw
+_COLD_RUN = """
+import contextlib, importlib, io, json, sys, types
+import toeplitzlab
+from toeplitzlab.cli import main
+
+exports, verifier = json.loads(sys.argv[1])
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return [code, out.getvalue()]
+
+seen = {}
+args = ["--preset", "threeadic", "--depth", "3"]
+seen["build"] = run(["eta", "build", "--json", *args])[0]
+seen["eval"] = run(["eta", "eval", *args, "-g", "5"])
+seen["loaded"] = [m for m in verifier if "toeplitzlab." + m in sys.modules]
+seen["help"] = run(["--help"])[0]
+seen["verify_help"] = run(["verify", "--help"])
+seen["mismatched"] = [
+    name for mod, names in exports.items() for name in names.split()
+    if getattr(toeplitzlab, name)
+    is not getattr(importlib.import_module("toeplitzlab." + mod), name)]
+from toeplitzlab import density, window
+seen["modules"] = [isinstance(m, types.ModuleType) for m in (density, window)]
+try:
+    toeplitzlab.no_such_name
+except AttributeError:
+    seen["unknown"] = "AttributeError"
+print(json.dumps(seen))
+"""
+
+
+def test_a_cold_command_loads_only_the_modules_it_runs():
+    # `eta build` and `eta eval` never touch the verifier, so a fresh
+    # interpreter without bytecode files compiles none of its modules
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, json.dumps([_EXPORTS, _VERIFIER])],
+        env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["build"] == 0 and seen["eval"] == [0, "0\n"]
+    assert seen["loaded"] == []
+    # help reads the registry's names only as it prints them
+    assert seen["help"] == 0 and seen["verify_help"][0] == 0
+    # argparse may wrap a line inside a hyphenated name
+    help_text = "".join(seen["verify_help"][1].split())
+    assert "oneof:" + ",".join(REGISTRY_NAMES) in help_text
+    assert sum(len(names.split()) for names in _EXPORTS.values()) == 74
+    assert seen["mismatched"] == []
+    assert seen["modules"] == [True, True]
+    assert seen["unknown"] == "AttributeError"

@@ -62,6 +62,11 @@ No dead errors: every exception class errors.py defines is raised by some
 `raise` statement of the package; a class that is only caught or exported
 names an outcome that cannot happen.
 
+A command loads only the modules it runs: cli.py imports at module level
+only budgets, errors, presets, result, skeleton and tower (the modules every
+command's skeleton build needs), and `__init__` imports no submodule; its
+public names resolve on first use.
+
 No random numbers and no scalar loops where arrays do: no module imports
 the stdlib `random`, calls `randrange` or reaches `numpy.random` (every
 check covers its scope exhaustively), and no loop iterates over a
@@ -953,3 +958,40 @@ def test_main_builds_the_one_skeleton(tmp_path):
         "    return args.fn(args)\n")
     assert skeleton_doors(tmp_path) == (["_cmd_tower_validate"],
                                         ["_cmd_tower_validate"])
+
+
+CLI_EAGER = {"budgets", "errors", "presets", "result", "skeleton", "tower"}
+
+
+def eager_imports(src):
+    """(module, package module it imports at module level) of cli.py and
+    `__init__.py`; a relative `from . import x` names x."""
+    out = []
+    for stem in ("__init__", "cli"):
+        tree = ast.parse((src / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                out += ([(stem, node.module)] if node.module
+                        else [(stem, alias.name) for alias in node.names])
+    return sorted(out)
+
+
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
+    # the verifier's modules load in the handlers that run them, and the
+    # package resolves its public names on first use
+    eager = eager_imports(SRC)
+    assert {mod for stem, mod in eager if stem == "cli"} <= CLI_EAGER
+    assert [mod for stem, mod in eager if stem == "__init__"] == []
+    # the eager forms: the package re-exporting a submodule's names, and
+    # the CLI importing the verifier for its registry names
+    (tmp_path / "__init__.py").write_text(
+        "from .budgets import Budget\n"
+        "from . import window\n")
+    (tmp_path / "cli.py").write_text(
+        "from .tower import build_tower\n"
+        "from .verify import REGISTRY_NAMES, run_check\n"
+        "def _cmd_periods_show(sk, args):\n"
+        "    from .periods import per_set\n")
+    assert eager_imports(tmp_path) == [("__init__", "budgets"),
+                                       ("__init__", "window"),
+                                       ("cli", "tower"), ("cli", "verify")]

@@ -9,6 +9,7 @@ import pytest
 from conftest import h3_generic, s3_by_z
 from test_chunks import BROKEN
 from test_periods import _planted
+from test_skeleton import _OffDomainReduceTower
 from test_tower import _BadSectionTower
 from toeplitzlab import (
     REGISTRY_NAMES,
@@ -150,6 +151,18 @@ def test_good_relation_fails_on_a_corrupted_section(corrupt, scope, cx,
     res = run_check(sk, "good-relation")
     assert (res.status, res.scope, res.counterexample) == ("Fail", scope, cx)
     assert run_check(sk, "decom").counterexample == {"pair": (2, 4), **decom}
+
+
+@pytest.mark.parametrize("indices", [[3] * 6, [2, 3, 4, 5, 2, 3]])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_j_recursion_alone_catches_a_reduce_wrong_off_the_domain(indices, k):
+    # reduce(g, n) is wrong only for g outside D_{n+k}; decom tests reduce
+    # on domains and sections alone, so it passes the tower, and the
+    # J-recursion is its only guard: a faster J-set must keep this catch
+    sk = build_skeleton(_OffDomainReduceTower(indices, k), 6)
+    assert run_check(sk, "decom").status == "Pass"
+    res = run_check(sk, "j-recursion")
+    assert (res.status, res.scope) == ("Fail", f"n={k + 2}")
 
 
 def test_good_set_matches_reference(threeadic, oracle3):
