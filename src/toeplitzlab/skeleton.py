@@ -5,8 +5,8 @@ J(t-1)Gamma_t with 0, or picks a position h in J(t-1) lying over a designated
 slot of a lower J-set and marks hGamma_t with 1.  Steps are grouped in blocks;
 block k has one slot step per element of J(k), then one closing zero step.
 
-Nothing is ever materialized globally: evaluation finds the first level whose
-J-set covers the queried element, then looks up what that step planted.
+Nothing is ever materialized globally: eval reads one table over D_L, then
+finds the first level past L whose J-set covers the element and its plant.
 
 Key fact used throughout: for d in D_n, membership d in J(n) is equivalent to
 reduce(d, i+1) not in D_i for every i < n, so J-membership and level lookups
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import tower as _tower
 from .budgets import Budget
 from .errors import DepthExceeded, EmptySlot, NotInDomain
 from .tower import (TowerConfig, build_tower, domain_where, mark_repeats,
@@ -44,6 +45,7 @@ class _UndefinedType:
 
 
 Undefined = _UndefinedType()
+UNDEFINED = 255  # Undefined's code among uint8 cell values
 
 
 def j_size(tower, n):
@@ -65,6 +67,26 @@ def j_mask(tower, g, n, lo=0):
     for l in range(lo, n):
         keep &= ~tower.in_domain_arr(tower.reduce_arr(g, l + 1), l)
     return keep
+
+
+def level_scan(skeleton, g, top):
+    """What levels below top give the elements g, as uint8, UNDEFINED where
+    none does: level l settles the undecided ones it saturates."""
+    T = skeleton.tower
+    out = np.full(len(g), UNDEFINED, dtype=np.uint8)
+    undec = np.ones(len(g), dtype=bool)
+    r = np.empty_like(g)
+    for l in range(top):
+        T.reduce_arr(g, l + 1, out=r)
+        cells = T.in_domain_arr(r, l)
+        np.logical_and(cells, undec, out=cells)
+        kind = skeleton.steps[l]
+        out[cells] = 0 if kind[0] == "zero" else T.eq_arr(r[cells], kind[1])
+        np.logical_not(cells, out=cells)
+        undec &= cells
+        if not undec.any():
+            break
+    return out
 
 
 def j_set(tower, n, budget=Budget()):
@@ -242,13 +264,32 @@ class ToeplitzSkeleton:
         return None if hit is None else hit[0]
 
     def eval(self, g):
-        hit = self.tower.level_of(g, self.depth)
-        if hit is None:
+        """The eval table's value at g's coset, else the walk's past it."""
+        top, table = self.cached("eval table", self._eval_table)
+        v = table[self.tower.coset_index(g, top)]
+        if v != UNDEFINED:
+            return v
+        hit = top < self.depth and self.tower.level_of(g, self.depth, top)
+        if not hit:
             return Undefined
         kind = self.steps[hit[0]]
-        if kind[0] == "zero":
-            return 0
-        return 1 if hit[1] == kind[1] else 0
+        return 1 if kind[0] == "plant" and hit[1] == kind[1] else 0
+
+    def _eval_table(self):
+        """(L, bytes over D_L of the value a level below L gives each cell,
+        else UNDEFINED), L the deepest level <= depth within CHUNK cells and
+        the window cap whose D_1..D_L each hold one element of every coset:
+        there the walk below L reads g's Gamma_L-coset alone, and never
+        raises."""
+        T, top = self.tower, 0
+        for l in range(1, self.depth + 1):
+            d = T.domain_arr(l, 0, _tower.CHUNK + 1)
+            if not (len(d) == T.size(l) <= _tower.CHUNK
+                    and self.budget.allows_window(len(d))
+                    and (T.coset_index_arr(d, l) == np.arange(len(d))).all()):
+                break
+            top = l
+        return top, level_scan(self, T.domain_arr(top), top).tobytes()
 
     # -- serialization ----------------------------------------------------
 

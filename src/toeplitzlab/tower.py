@@ -38,11 +38,11 @@ identity mod Gamma_i) once, from the ops above.  A kind overrides the
 others only for a measured reason, each named with its override in
 tests/test_reachability.py's OVERRIDES.  The kernels and checks use only
 these, so one implementation serves every kind.  The scalar ops left are
-size, reduce, in_domain, index_of (plus lo on the line) and level_of(g,
-n), the least level i < n whose D_i Gamma_{i+1} holds g together with
-reduce(g, i + 1), which evaluating or locating one element needs.
-_ArrayForms states level_of as a loop over reduce and in_domain, and each
-kind overrides it with one loop over its own tables, at the per-call cost
+size, reduce, in_domain, index_of (plus lo on the line), coset_index and
+level_of(g, n, start), the least level i, start <= i < n, whose D_i
+Gamma_{i+1} holds g, with reduce(g, i + 1): evaluating or locating one
+element needs them.  _ArrayForms states the last two through reduce, and
+each kind overrides them over its own tables, at the per-call cost
 OVERRIDES gives.
 The reference the ops are compared against is the independent naive model
 in tests/bruteforce.py.
@@ -226,12 +226,12 @@ class _ArrayForms:
     def array(self, elements):
         return np.asarray(elements, dtype=np.int64)
 
-    def level_of(self, g, n):
-        """The least level i < n whose D_i Gamma_{i+1} holds the element g,
-        with g reduced into D_{i+1}: (i, reduce(g, i + 1)), or None when no
-        level below n settles g."""
+    def level_of(self, g, n, start=0):
+        """The least level i, start <= i < n, whose D_i Gamma_{i+1} holds
+        the element g, with g reduced into D_{i+1}: (i, reduce(g, i + 1)),
+        or None when no such level settles g."""
         self._chk(n)
-        for i in range(n):
+        for i in range(start, n):
             r = self.reduce(g, i + 1)
             if self.in_domain(r, i):
                 return i, r
@@ -240,6 +240,10 @@ class _ArrayForms:
     def index_of(self, g, n):
         """The D_n index of the element g; NotInDomain outside D_n."""
         return int(self.index_of_arr(self.array([g]), n)[0])
+
+    def coset_index(self, g, n):
+        """The D_n index of the element g's coset representative."""
+        return self.index_of(self.reduce(g, n), n)
 
     def element(self, x):
         return int(x)
@@ -303,21 +307,27 @@ class IntegerLineTower(_ArrayForms):
         return lo <= g < lo + self.N[n]
 
     # one local loop per style, no guarded call per level
-    def level_of(self, g, n):
+    def level_of(self, g, n, start=0):
         self._chk(n)
         N, half = self.N, self.half
         if self.style == STYLE_NONNEG:
-            for i in range(n):
+            for i in range(start, n):
                 r = g % N[i + 1]
                 if r < N[i]:
                     return i, r
             return None
-        for i in range(n):
+        for i in range(start, n):
             h = half[i + 1]
             r = (g + h) % N[i + 1] - h
             if abs(r) <= half[i]:
                 return i, r
         return None
+
+    # one remainder; _chk is called only to raise, as a call costs 80 ns
+    def coset_index(self, g, n):
+        if not 0 <= n <= self.depth:
+            self._chk(n)
+        return (g - self._lo[n]) % self.N[n]
 
     def _arr_dtype(self, n):
         # int32 while reducing D_n one level up stays in range
@@ -421,9 +431,9 @@ class IntegerLatticeTower(_ArrayForms):
         return all([ax.in_domain(c, n) for ax, c in zip(self.axes, g)])
 
     # a per-axis test that stops at the first axis outside D_i
-    def level_of(self, g, n):
+    def level_of(self, g, n, start=0):
         self._chk(n)
-        for i in range(n):
+        for i in range(start, n):
             r = []
             for (N, lo), c in zip(self._axis_tables, g):
                 x = (c - lo[i + 1]) % N[i + 1] + lo[i + 1]
@@ -433,6 +443,15 @@ class IntegerLatticeTower(_ArrayForms):
             else:
                 return i, tuple(r)
         return None
+
+    # the line's remainder per axis, in row-major order
+    def coset_index(self, g, n):
+        if not 0 <= n <= self.depth:
+            self._chk(n)
+        idx = 0
+        for (N, lo), c in zip(self._axis_tables, g):
+            idx = idx * N[n] + (c - lo[n]) % N[n]
+        return idx
 
     # array forms: (..., d) ints, each axis through the line's formulas
 
@@ -637,11 +656,11 @@ class GenericTower(_ArrayForms):
         return self._pos[n][self._label(g)] >= 0
 
     # the coset tables' lists, no guarded call per level
-    def level_of(self, g, n):
+    def level_of(self, g, n, start=0):
         self._chk(n)
         self._label(g)
         down, rep, pos = self._down, self._rep, self._pos
-        for i in range(n):
+        for i in range(start, n):
             r = rep[i + 1][down[i + 1][g]]
             if r < 0:
                 raise NotInDomain(f"D_{i + 1} has no representative for the "
@@ -649,6 +668,11 @@ class GenericTower(_ArrayForms):
             if pos[i][r] >= 0:
                 return i, r
         return None
+
+    # the coset tables' lists, through reduce's checks
+    def coset_index(self, g, n):
+        r = self.reduce(g, n)
+        return self._pos[n][r]
 
     def domain_arr(self, n, start=0, stop=None):
         self._chk(n)

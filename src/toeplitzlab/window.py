@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import DepthExceeded, NotInDomain
 from . import tower as _tower
+from .skeleton import UNDEFINED, level_scan
 from .tower import domain_chunks, sum_chunks
 
 MAGIC = b"TPW1"
 
-UNDEFINED = 255  # the value of a cell past the built depth
 # a cell's symbol byte by its value 0, 1 or UNDEFINED, clipped to 2
 SYMBOLS = np.frombuffer(b"01?", dtype=np.uint8)
 # a cell value by the symbol byte of a csv row; _NO_SYMBOL for any other byte
@@ -45,30 +45,15 @@ def eval_arr(skeleton, g):
     """eval over the element array g, uint8, UNDEFINED past the built depth.
 
     g is read from the least window D_L, L <= depth, that holds all of it
-    and that the budget allows.  Only where none does, the residual scans
-    the levels: level l settles every undecided element whose reduction mod
-    Gamma_{l+1} lies in D_l, the reductions reusing one buffer.  Callers
-    pass about CHUNK elements at a time, as eval_sums does."""
+    and that the budget allows, else by level_scan.  Callers pass about
+    CHUNK elements at a time, as eval_sums does."""
     T = skeleton.tower
     L = next((l for l in range(skeleton.depth + 1)
               if skeleton.budget.allows_window(T.size(l))
               and T.in_domain_arr(g, l).all()), None)
     if L is not None:
         return window_values(skeleton, L)[T.index_of_arr(g, L)]
-    out = np.full(len(g), UNDEFINED, dtype=np.uint8)
-    undec = np.ones(len(g), dtype=bool)
-    r = np.empty_like(g)
-    for l in range(skeleton.depth):
-        T.reduce_arr(g, l + 1, out=r)
-        cells = T.in_domain_arr(r, l)
-        np.logical_and(cells, undec, out=cells)
-        kind = skeleton.steps[l]
-        out[cells] = 0 if kind[0] == "zero" else T.eq_arr(r[cells], kind[1])
-        np.logical_not(cells, out=cells)
-        undec &= cells
-        if not undec.any():
-            break
-    return out
+    return level_scan(skeleton, g, skeleton.depth)
 
 
 def eval_sums(skeleton, a, b):

@@ -1,8 +1,8 @@
 """Whole-domain passes read D_n in pieces of tower.CHUNK elements.
 
 The chunk size must not change a result: the verify table, the J-sets by
-both routes, the windows and every broken tower's witness are the same at
-any chunk size.  And the passes must keep their memory within the chunk:
+both routes, the windows, scalar eval (whose table the chunk caps) and
+every broken tower's witness are the same at any chunk size.  And the passes must keep their memory within the chunk:
 on irregular-demo, where |D_4| = 3,720,465, the largest checks and the D_4
 window stay far below the sizes their whole-domain temporaries had.
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import cyclic_generic, relabelled_cyclic
+from test_crosskind import _draws
 from test_tower import _BadSectionTower
 from toeplitzlab import (IntegerLatticeTower, SymbolWindow, build_skeleton,
                          build_tower, j_set, j_set_recursive,
@@ -65,7 +66,8 @@ BROKEN = {
 
 def _results(name):
     """verify all's JSON without times, both J-set routes at every level,
-    and the window at every level, for a fresh build of the instance."""
+    the window at every level, and scalar eval at seeded points, for a
+    fresh build of the instance."""
     T, depth = INSTANCES[name]()
     sk = build_skeleton(T, depth)
     report = run_all(sk).to_json()
@@ -73,7 +75,8 @@ def _results(name):
         row.pop("millis")
     jsets = [(j_set(T, n), j_set_recursive(T, n)) for n in range(1, depth + 1)]
     windows = [materialize_window(sk, n) for n in range(depth + 1)]
-    return report, jsets, windows
+    evals = [sk.eval(g) for g in _draws(T, depth, 300)]
+    return report, jsets, windows, evals
 
 
 @functools.cache
@@ -86,12 +89,13 @@ def _default(name):
 def test_chunk_size_changes_no_result(monkeypatch, name, chunk):
     want = _default(name)
     monkeypatch.setattr(tower, "CHUNK", chunk)
-    report, jsets, windows = _results(name)
+    report, jsets, windows, evals = _results(name)
     assert report == want[0]
     for (a, b), (wa, wb) in zip(jsets, want[1], strict=True):
         for got, exp in ((a, wa), (b, wb)):
             assert got.dtype == exp.dtype and np.array_equal(got, exp)
     assert windows == want[2]
+    assert evals == want[3]
 
 
 @pytest.mark.parametrize("chunk", [7, 1000])

@@ -11,8 +11,8 @@ import pytest
 from conftest import cyclic_generic
 from test_chunks import BROKEN
 from toeplitzlab import (REGISTRY_NAMES, DepthExceeded, SymbolWindow,
-                         build_skeleton, build_tower, cli, density,
-                         materialize_window, preset_config,
+                         ToeplitzSkeleton, build_skeleton, build_tower, cli,
+                         density, materialize_window, preset_config,
                          run_check, verify, window_values)
 from toeplitzlab.cells import mu_zero_set
 from toeplitzlab.cli import main
@@ -36,6 +36,32 @@ def test_eval_undefined(capsys):
     assert main(["eta", "eval", "--preset", "threeadic", "--depth", "3",
                  "-g", "13"]) == 0
     assert capsys.readouterr().out.strip() == "undefined"
+
+
+def test_eval_under_a_one_cell_window_cap_gives_the_default_answer(capsys):
+    # the eval table obeys the window cap, which picks a route and changes
+    # no value
+    argv = ["eta", "eval", "--preset", "threeadic", "--depth", "4", "--json"]
+    values = set()
+    for g in range(-81, 162, 5):
+        outs = []
+        for cap in ([], ["--window-budget", "1"]):
+            assert main([*argv, *cap, "-g", str(g)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], g
+        values.add(json.loads(outs[0])["value"])
+    assert values == {0, 1, None}
+
+
+def test_build_and_verify_all_never_build_the_eval_table(monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(ToeplitzSkeleton, "_eval_table",
+                        lambda self: pytest.fail("built the eval table"))
+    for preset in ("threeadic", "irregular-demo"):
+        assert main(["eta", "build", "--preset", preset]) == 0
+        assert main(["verify", "all", "--preset", preset]) == 0
+    with pytest.raises(pytest.fail.Exception, match="built the eval table"):
+        main(["eta", "eval", "--preset", "threeadic", "-g", "14"])
 
 
 def test_tower_validate(capsys):
@@ -564,6 +590,12 @@ def test_disagreeing_routes_exit_1_without_traceback(capsys, monkeypatch):
 
 _THREEADIC = ["--preset", "threeadic", "--depth", "5"]
 _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
+# cyclic [2, 2, 2] with D_1 = {0, 2}, two representatives of one coset: the
+# skeleton build refuses J(1) before any command runs
+_ONE_COSET_TWICE = json.dumps(cyclic_generic(
+    [2, 2, 2], domains=[[0], [0, 2], [0, 1, 2, 3], list(range(8))]
+).config().to_json())
+_J1_REFUSED = "error: J(1) has 2 elements, not the 1 of j_size (invalid tower)"
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -640,6 +672,9 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
     (["factor", "pi", "-g", "14", "--level", "9", "--config"],
      '{"kind": "IntegerLine", "indices": [3, 3, 3, 3]}',
      "error: level 9 outside 1..4"),
+    (["tower", "validate", "--config"], _ONE_COSET_TWICE, _J1_REFUSED),
+    (["verify", "all", "--config"], _ONE_COSET_TWICE, _J1_REFUSED),
+    (["eta", "eval", "-g", "1", "--config"], _ONE_COSET_TWICE, _J1_REFUSED),
 ], ids=["cylinders-not-object", "cylinders-wrong-shape", "cylinders-not-json",
         "ratio-1/0", "ratio-missing", "ratio-bool-numerator",
         "ratio-bool-denominator", "line-indices-int", "config-list",
@@ -648,7 +683,8 @@ _MEASURES = ["analyze", "measures", *_THREEADIC, "--level", "3", "--cylinders"]
         "tail-unknown", "style-unknown", "lattice-no-axes",
         "lattice-ragged-axes", "lattice-element-text",
         "lattice-element-length", "pi-level-negative",
-        "pi-level-past-depth"])
+        "pi-level-past-depth", "one-coset-twice-validate",
+        "one-coset-twice-verify-all", "one-coset-twice-eval"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)

@@ -8,8 +8,11 @@ cell by cell on every kind, section_arr with the section's definition
 element by element (refusing levels out of order), shift_arr with the
 scalar ops translate by translate, and the scalar index_of with domain_arr
 index by index.  Off D_depth, eval and level_of must read the D_depth
-window at the element's reduction, and each kind's level_of must agree
-with the shared form it overrides.
+window at the element's reduction, and each kind's level_of (from any
+start) and coset_index must agree with the shared forms they override.
+Scalar eval, a table over D_L and a walk past L, must give the plain walk
+from level 0 at every table level the chunk size and the window cap
+allow, and on a broken Generic tower the walk's value or its error.
 """
 
 import itertools
@@ -20,9 +23,10 @@ import pytest
 
 from conftest import cyclic_generic, s3_by_z
 
-from toeplitzlab import (STYLE_CENTERED, DepthExceeded, IntegerLatticeTower,
-                         NotInDomain, Undefined, build_skeleton,
-                         fiber_profile, run_all, window_values)
+from toeplitzlab import (STYLE_CENTERED, Budget, DepthExceeded,
+                         IntegerLatticeTower, NotInDomain, Undefined,
+                         build_skeleton, fiber_profile, run_all, tower,
+                         window_values)
 from toeplitzlab.tower import _ArrayForms
 from toeplitzlab.window import window_levels
 
@@ -129,6 +133,101 @@ def test_eval_on_a_coset_without_a_representative_raises():
                lambda g: _ArrayForms.level_of(sk.tower, g, 2)):
         with pytest.raises(NotInDomain, match="D_1 has no representative"):
             fn(1)
+
+
+@pytest.mark.parametrize("name, depth", OFF_DOMAIN)
+def test_coset_index_and_a_late_start_match_the_shared_forms(
+        request, name, depth):
+    T = request.getfixturevalue(name).tower
+    for g in _draws(T, depth, count=100):
+        for n in range(T.depth + 1):
+            assert T.coset_index(g, n) == _ArrayForms.coset_index(T, g, n)
+            for start in range(n + 1):
+                assert (T.level_of(g, n, start)
+                        == _ArrayForms.level_of(T, g, n, start)), (g, n)
+    for n in (-1, T.depth + 1):
+        with pytest.raises(DepthExceeded):
+            T.coset_index(T.zero, n)
+
+
+def _walked(sk, g):
+    """eval by the plain walk from level 0: the step at sk.level_of(g), and
+    at a plant whether g reduces onto the planted position there."""
+    i = sk.level_of(g)
+    if i is None:
+        return Undefined
+    kind = sk.steps[i]
+    return int(kind[0] == "plant" and sk.tower.reduce(g, i + 1) == kind[1])
+
+
+def _table_level(sk):
+    """The level L of the table over D_L that sk's eval has read."""
+    return sk.cached("eval table", lambda: pytest.fail("no eval table"))[0]
+
+
+# the level of the eval table at each chunk size: L = 0, 0 < L < depth and
+# L = depth all occur
+TABLE_LEVELS = {
+    7: {"threeadic5": 1, "centered6": 1, "lattice": 0, "generic36": 1,
+        "h3_generic6": 1, "s3_by_z5": 1},
+    1000: {"threeadic5": 5, "centered6": 6, "lattice": 3, "generic36": 6,
+           "h3_generic6": 6, "s3_by_z5": 5},
+}
+
+
+@pytest.mark.parametrize("chunk", sorted(TABLE_LEVELS))
+@pytest.mark.parametrize("name", sorted(TABLE_LEVELS[7]))
+def test_eval_matches_the_walk_at_every_table_level(monkeypatch, request,
+                                                    name, chunk):
+    built = request.getfixturevalue(name)
+    monkeypatch.setattr(tower, "CHUNK", chunk)
+    sk = build_skeleton(built.tower, built.depth)
+    pts = _draws(sk.tower, sk.depth)
+    assert [sk.eval(g) for g in pts] == [_walked(sk, g) for g in pts]
+    assert _table_level(sk) == TABLE_LEVELS[chunk][name]
+    assert {0, 1, Undefined} <= {sk.eval(g) for g in pts}
+
+
+def test_the_eval_table_obeys_the_window_cap(threeadic5):
+    # |D_n| = 3^n: a cap of 9 cells stops the table at D_2
+    pts = _draws(threeadic5.tower, 5)
+    want = [_walked(threeadic5, g) for g in pts]
+    for window, level in ((1, 0), (9, 2), (242, 4), (243, 5)):
+        sk = build_skeleton(threeadic5.tower, 5, Budget(window=window))
+        assert [sk.eval(g) for g in pts] == want
+        assert _table_level(sk) == level
+
+
+def _outcome(fn, g):
+    """fn(g), or the message of the NotInDomain it raises."""
+    try:
+        return fn(g)
+    except NotInDomain as exc:
+        return f"NotInDomain: {exc}"
+
+
+# broken Generic towers and the level their eval table stops below
+BROKEN_DOMAINS = {
+    # D_2 has no element of the coset 2 + 4Z, which level 0 settles, and
+    # the walk never reads D_2 for it
+    "D_2 misses a coset level 0 settles": (
+        [2, 2, 2], [[0], [0, 1], [0, 1, 3], list(range(8))], 1),
+    # D_1 holds two elements of 2Z and none of 1 + 2Z, while D_2 holds one
+    # element of every coset: the walk raises on the odd elements
+    "D_1 repeats a coset under a whole D_2": (
+        [2, 4], [[0], [0, 2], list(range(8))], 0),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BROKEN_DOMAINS))
+def test_eval_on_a_broken_tower_gives_the_walks_value_or_error(label):
+    moduli, domains, level = BROKEN_DOMAINS[label]
+    sk = build_skeleton(cyclic_generic(moduli, domains=domains), 2)
+    labels = range(sk.tower.size(sk.tower.depth))
+    want = [_outcome(lambda g: _walked(sk, g), g) for g in labels]
+    assert [_outcome(sk.eval, g) for g in labels] == want
+    assert _table_level(sk) == level
+    assert 0 in want
 
 
 @pytest.mark.parametrize("name", ["threeadic5", "centered6", "lattice",
