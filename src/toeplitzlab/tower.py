@@ -14,9 +14,8 @@ Domain styles for the integer kinds:
   Centered     D_n = {-(N_n-1)/2, ..., (N_n-1)/2}; every N_n must be odd
 
 A style is only the offset lo(n) of D_n = {lo(n), ..., lo(n) + N_n - 1},
-which every op reads; only the line's level_of branches on it, for the
-per-call cost OVERRIDES gives.  Generic domains are explicit, so a Generic
-tower takes no style.
+which every op reads; no op branches on it.  Generic domains are explicit,
+so a Generic tower takes no style.
 
 Elements are plain ints (line), tuples of ints (lattice), or table indices
 (generic).  All towers are abelian except possibly Generic.
@@ -41,9 +40,12 @@ these, so one implementation serves every kind.  The scalar ops left are
 size, reduce, in_domain, index_of (plus lo on the line), coset_index and
 level_of(g, n, start), the least level i, start <= i < n, whose D_i
 Gamma_{i+1} holds g, with reduce(g, i + 1): evaluating or locating one
-element needs them.  _ArrayForms states the last two through reduce, and
-each kind overrides them over its own tables, at the per-call cost
-OVERRIDES gives.
+element needs them.  _ArrayForms states the last two through reduce.
+Every scalar eval reads coset_index, so each kind overrides it over its
+own tables.  eval walks level_of only at the levels past its table over
+D_L, and of the benchmarked towers only irregular-demo's line has such
+levels; so only the line overrides level_of, with one loop over lo and N,
+and the lattice and Generic walk with the shared form.
 The reference the ops are compared against is the independent naive model
 in tests/bruteforce.py.
 What depends on the kind beyond that is asked of the tower too: shape(n),
@@ -285,9 +287,8 @@ class IntegerLineTower(_ArrayForms):
             for m in self.N[1:]:
                 if m % 2 == 0:
                     raise ParityError(f"centered style needs odd moduli, got {m}")
-        self.half = [(m - 1) // 2 for m in self.N]
         self._lo = ([0] * len(self.N) if style == STYLE_NONNEG
-                    else [-h for h in self.half])
+                    else [(1 - m) // 2 for m in self.N])
         self.zero = 0
 
     def size(self, n):
@@ -306,20 +307,13 @@ class IntegerLineTower(_ArrayForms):
         lo = self.lo(n)
         return lo <= g < lo + self.N[n]
 
-    # one local loop per style, no guarded call per level
+    # one local loop over lo and N, no guarded call per level
     def level_of(self, g, n, start=0):
         self._chk(n)
-        N, half = self.N, self.half
-        if self.style == STYLE_NONNEG:
-            for i in range(start, n):
-                r = g % N[i + 1]
-                if r < N[i]:
-                    return i, r
-            return None
+        lo, N = self._lo, self.N
         for i in range(start, n):
-            h = half[i + 1]
-            r = (g + h) % N[i + 1] - h
-            if abs(r) <= half[i]:
+            r = (g - lo[i + 1]) % N[i + 1] + lo[i + 1]
+            if lo[i] <= r < lo[i] + N[i]:
                 return i, r
         return None
 
@@ -429,20 +423,6 @@ class IntegerLatticeTower(_ArrayForms):
 
     def in_domain(self, g, n):
         return all([ax.in_domain(c, n) for ax, c in zip(self.axes, g)])
-
-    # a per-axis test that stops at the first axis outside D_i
-    def level_of(self, g, n, start=0):
-        self._chk(n)
-        for i in range(start, n):
-            r = []
-            for (N, lo), c in zip(self._axis_tables, g):
-                x = (c - lo[i + 1]) % N[i + 1] + lo[i + 1]
-                if not lo[i] <= x < lo[i] + N[i]:
-                    break
-                r.append(x)
-            else:
-                return i, tuple(r)
-        return None
 
     # the line's remainder per axis, in row-major order
     def coset_index(self, g, n):
@@ -654,20 +634,6 @@ class GenericTower(_ArrayForms):
     def in_domain(self, g, n):
         self._chk(n)
         return self._pos[n][self._label(g)] >= 0
-
-    # the coset tables' lists, no guarded call per level
-    def level_of(self, g, n, start=0):
-        self._chk(n)
-        self._label(g)
-        down, rep, pos = self._down, self._rep, self._pos
-        for i in range(start, n):
-            r = rep[i + 1][down[i + 1][g]]
-            if r < 0:
-                raise NotInDomain(f"D_{i + 1} has no representative for the "
-                                  f"coset of {g}")
-            if pos[i][r] >= 0:
-                return i, r
-        return None
 
     # the coset tables' lists, through reduce's checks
     def coset_index(self, g, n):

@@ -151,6 +151,19 @@ def h3_generic(depth, left=True):
     return GenericTower(levels, [[label(g, depth) for g in d] for d in doms])
 
 
+def mutant(skeleton, steps=(), **attrs):
+    """skeleton rebuilt by build_skeleton, with the step at each index of
+    the mapping `steps` replaced and the attributes in attrs set.  The
+    rebuilt skeleton has its own memo: a copy would read the J-sets,
+    windows and eval table cached from the original."""
+    sk = build_skeleton(skeleton.tower, skeleton.depth, skeleton.budget)
+    for i, kind in dict(steps).items():
+        sk.steps[i] = kind
+    for name, value in attrs.items():
+        setattr(sk, name, value)
+    return sk
+
+
 @pytest.fixture(scope="session")
 def s3_by_z4():
     return build_skeleton(s3_by_z(4), 4)

@@ -5,7 +5,6 @@ one verdict line, bypassing capture, so a plain pytest run shows the roll
 call; a failure prints its FAIL line before the traceback.
 """
 
-import copy
 import random
 import time
 import tracemalloc
@@ -15,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import mutant
 from toeplitzlab import (
     CheckResult,
     IntegerLineTower,
@@ -172,10 +172,8 @@ def test_criterion_10_zero_set_identity(criterion, threeadic):
         assert [w["m_k"] for w in z_id.witnesses if "block" in w] == [2, 5, 10]
         for block, m in enumerate(threeadic.m_k):
             # a plant at a block's closing step breaks the Z_n recursion
-            mutant = copy.copy(threeadic)
-            mutant.steps = list(threeadic.steps)
-            mutant.steps[m - 1] = ("plant", 0)
-            assert run_check(mutant, "z-identity").status == "Fail", block
+            planted = mutant(threeadic, {m - 1: ("plant", 0)})
+            assert run_check(planted, "z-identity").status == "Fail", block
         for n in (1, 2, 3):
             cex, _, npts = verify_refinement(threeadic, n, n + 2)
             assert cex is None and npts == 3 ** (n + 2)

@@ -1,13 +1,12 @@
 """Cell refinement, the corollary chains, and orbit membership."""
 
-import copy
 import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import relabelled_cyclic
+from conftest import mutant, relabelled_cyclic
 from toeplitzlab import (BudgetExceeded, DepthExceeded, NotInDomain,
                          Undefined, build_skeleton, build_tower, preset_config)
 from toeplitzlab import cells, tower, verify
@@ -261,12 +260,10 @@ def test_parent_cell_cases(threeadic):
 
 
 def _closing_step_planted(skeleton, block):
-    """A copy of skeleton whose block's closing zero step m_k plants the
+    """skeleton rebuilt with its block's closing zero step m_k planting the
     identity instead."""
-    sk = copy.copy(skeleton)
-    sk.steps = list(skeleton.steps)
-    sk.steps[skeleton.m_k[block] - 1] = ("plant", skeleton.tower.zero)
-    return sk
+    return mutant(skeleton, {skeleton.m_k[block] - 1:
+                             ("plant", skeleton.tower.zero)})
 
 
 def test_zero_set_identity_at_block_ends(threeadic):
@@ -357,8 +354,7 @@ def test_corollary_chain_matches_reference_walk(request, name, n_j, n_s):
 def test_corollary_chain_fails_without_the_m_window(threeadic):
     # with every block boundary past the depth no zero-step One column counts
     # as an exit, so an atom that leaves only through one has none
-    sk = copy.copy(threeadic)
-    sk.m_k = [m + threeadic.depth for m in threeadic.m_k]
+    sk = mutant(threeadic, m_k=[m + threeadic.depth for m in threeadic.m_k])
     assert sk.completed_blocks() == []
     cex, branches, atoms = corollary_chain(sk, [1], 4)[1]
     missing, want, want_atoms = _reference_chain(sk, 1, 4)
@@ -371,12 +367,11 @@ def test_corollary_chain_fails_without_the_m_window(threeadic):
     assert cex["chain"][0][1][1] == TAG_ZERO
 
 
-def test_z_identity_fails_on_a_chain_atom_with_no_exit():
+def test_z_identity_fails_on_a_chain_atom_with_no_exit(threeadic5):
     # threeadic d5 with step 3's plant (h = 4) made a zero step that closes
-    # no block; a fresh skeleton, as a copy would share the fixture's memo
-    sk = build_skeleton(build_tower(preset_config("threeadic")), 5)
-    assert sk.steps[2] == ("plant", 4)
-    sk.steps[2] = ("zero",)
+    # no block
+    assert threeadic5.steps[2] == ("plant", 4)
+    sk = mutant(threeadic5, {2: ("zero",)})
     res = run_check(sk, "z-identity")
     assert (res.status, res.scope) == ("Fail", "chain (1,4)")
     cex = res.counterexample

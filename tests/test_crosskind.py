@@ -8,8 +8,11 @@ cell by cell on every kind, section_arr with the section's definition
 element by element (refusing levels out of order), shift_arr with the
 scalar ops translate by translate, and the scalar index_of with domain_arr
 index by index.  Off D_depth, eval and level_of must read the D_depth
-window at the element's reduction, and each kind's level_of (from any
-start) and coset_index must agree with the shared forms they override.
+window at the element's reduction, also past the eval table on a lattice
+of more than CHUNK cells, which walks with the shared level_of.  Each
+kind's coset_index, and the line's level_of from any start, must agree
+with the shared forms they override; the lattice and Generic walk with the
+shared level_of itself.
 Scalar eval, a table over D_L and a walk past L, must give the plain walk
 from level 0 at every table level the chunk size and the window cap
 allow, and on a broken Generic tower the walk's value or its error.
@@ -90,10 +93,21 @@ def _draws(T, depth, count=600, seed=3):
     return pts if T.kind == "IntegerLattice" else [p[0] for p in pts]
 
 
+@pytest.fixture(scope="module")
+def lattice_past_chunk():
+    # |D_5| = 3^10 <= CHUNK < |D_6| = 3^12: at depth 6 the eval table lies
+    # over D_5, and eval walks level 5 with the shared level_of
+    return build_skeleton(IntegerLatticeTower([[3] * 6] * 2), 6)
+
+
 # a Generic tower's elements all lie in D_depth at its own depth, so its
 # skeletons are built lower
 OFF_DOMAIN = [("threeadic", 10), ("centered6", 6), ("lattice", 3),
-              ("centered_lattice", 3), ("generic36", 4), ("s3_by_z5", 3)]
+              ("centered_lattice", 3), ("lattice_past_chunk", 6),
+              ("generic36", 4), ("s3_by_z5", 3)]
+
+# the towers whose kind overrides level_of: the line's
+LINE_WALKS = [("threeadic", 10), ("centered6", 6), ("irregular", 5)]
 
 
 @pytest.mark.parametrize("name, depth", OFF_DOMAIN)
@@ -111,12 +125,14 @@ def test_eval_off_the_domain_reads_the_window_at_its_reduction(
         assert (-1 if lvl is None else lvl) == lvls[i], g
         outside += not T.in_domain(g, depth)
     assert outside > len(pts) / 2
+    if name == "lattice_past_chunk":
+        assert _table_level(sk) == 5
     # both symbols and undefined cells are reached off D_depth
     assert {0, 1} <= {sk.eval(g) for g in pts}
     assert Undefined in [sk.eval(g) for g in pts]
 
 
-@pytest.mark.parametrize("name, depth", OFF_DOMAIN)
+@pytest.mark.parametrize("name, depth", LINE_WALKS)
 def test_level_of_matches_the_shared_form(request, name, depth):
     T = request.getfixturevalue(name).tower
     for g in _draws(T, depth, count=200):
@@ -139,10 +155,11 @@ def test_eval_on_a_coset_without_a_representative_raises():
 def test_coset_index_and_a_late_start_match_the_shared_forms(
         request, name, depth):
     T = request.getfixturevalue(name).tower
+    late_start = (name, depth) in LINE_WALKS
     for g in _draws(T, depth, count=100):
         for n in range(T.depth + 1):
             assert T.coset_index(g, n) == _ArrayForms.coset_index(T, g, n)
-            for start in range(n + 1):
+            for start in range(n + 1) if late_start else ():
                 assert (T.level_of(g, n, start)
                         == _ArrayForms.level_of(T, g, n, start)), (g, n)
     for n in (-1, T.depth + 1):

@@ -38,7 +38,7 @@ One statement of each tower rule: a tower class overrides a definition of
 `_ArrayForms` (such as the shared coset_index_arr, shift_arr and
 section_arr) only where OVERRIDES names the override and its reason.  A
 line's style is only its offset lo(n): no IntegerLineTower method but
-`__init__`, `config` and `level_of` reads it.
+`__init__` and `config` reads it.
 
 One translate form: outside tower.py no `add_arr` call takes an
 `np.expand_dims(...)` or a `None`-subscripted argument, directly or
@@ -144,11 +144,10 @@ OVERRIDES = {
         "against the shared form's 487 us on a 65,536-element int64 chunk",
     ("IntegerLineTower", "extend_arr"): "a tile: D_(l+1)'s k-th element "
         "lies in the coset of D_l's (k mod N_l)-th",
-    ("IntegerLineTower", "level_of"): "one local loop over N (or half), no "
-        "guarded call per level: 2,410 -> 1,140 ns per call on threeadic "
-        "and 3,887 -> 1,922 ns on irregular-demo, against the shared form; "
-        "one loop per style, as a single loop over lo(n) cost 855 against "
-        "559 ns per call on threeadic",
+    ("IntegerLineTower", "level_of"): "one local loop over lo and N, no "
+        "guarded call per level: 1,397 -> 886 ns per eval on irregular-demo, "
+        "whose eval walks past its table over D_3, and 1,400 -> 700 ns per "
+        "call from level 0 on threeadic, against the shared form",
     ("IntegerLineTower", "section_arr"): "|D_j|/|D_i| steps of an arange, "
         "not a pass over all of D_j",
     ("IntegerLineTower", "shift_arr"): "a roll: D_n is an interval of "
@@ -168,9 +167,6 @@ OVERRIDES = {
         "0.56 ms",
     ("IntegerLatticeTower", "format_element"): "comma-separated "
         "coordinates",
-    ("IntegerLatticeTower", "level_of"): "a per-axis test that stops at the "
-        "first axis outside D_i: 8,255 -> 3,147 ns per call on [[3]*3]*2 "
-        "against the shared form",
     ("IntegerLatticeTower", "parse_element"): "comma-separated "
         "coordinates",
     ("IntegerLatticeTower", "shape"): "one size per axis",
@@ -182,9 +178,6 @@ OVERRIDES = {
     ("GenericTower", "coset_index"): "reads the coset tables' lists "
         "through reduce: 5,586 -> 228 ns per call on the Generic copy of "
         "[3]^6 against the shared form",
-    ("GenericTower", "level_of"): "walks the coset tables' lists: 2,038 -> "
-        "1,139 ns per call on the Generic copy of [3]^6 against the shared "
-        "form",
     ("GenericTower", "parse_element"): "through coerce's range check",
     ("GenericTower", "section_arr"): "read from the coset table: the "
         "skeleton reads sections of a broken tower before decom fails it, "
@@ -707,9 +700,8 @@ def line_style_readers(src):
 
 
 def test_the_line_style_is_only_its_offset():
-    # every op reads lo(n); level_of keeps a loop per style, for the cost
-    # OVERRIDES gives
-    assert line_style_readers(SRC) == ["__init__", "config", "level_of"]
+    # every op reads lo(n), level_of too
+    assert line_style_readers(SRC) == ["__init__", "config"]
 
 
 def _broadcast_operand(node):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
-from conftest import cyclic_generic
+from conftest import cyclic_generic, mutant
 from test_tower import _BadSectionTower
 from toeplitzlab import skeleton
 from toeplitzlab import (
@@ -13,10 +13,13 @@ from toeplitzlab import (
     IntegerLineTower,
     Undefined,
     build_skeleton,
+    build_tower,
     j_set,
     j_set_recursive,
     j_size,
     load_skeleton,
+    preset_config,
+    window_values,
 )
 
 
@@ -224,6 +227,19 @@ def test_the_memo_builds_once_and_keeps_no_failed_build():
     assert sk.cached("probe", lambda: 1) == 1
     assert sk.cached("probe", refused) == 1
     assert sk.jset(2) is sk.jset(2)
+
+
+def test_a_mutant_reads_its_own_memo():
+    # threeadic d6 with step 3's plant (h = 4) made a zero step: level 2
+    # settles 4, so the mutant reads 0 where the original, whose D_3 window
+    # and eval table are cached first, reads 1
+    sk = build_skeleton(build_tower(preset_config("threeadic")), 6)
+    assert sk.steps[2] == ("plant", 4)
+    assert (window_values(sk, 3)[4], sk.eval(4)) == (1, 1)
+    zeroed = mutant(sk, {2: ("zero",)})
+    assert zeroed.steps[2] == ("zero",)
+    assert (window_values(zeroed, 3)[4], zeroed.eval(4)) == (0, 0)
+    assert (window_values(sk, 3)[4], sk.eval(4)) == (1, 1)
 
 
 def test_save_load_round_trip(tmp_path, centered6):
