@@ -109,10 +109,22 @@ def j_set_recursive(tower, n, budget=Budget()):
     if n == 1:
         return j_set(tower, 1, budget)
     budget.check_enum(tower.size(n), f"D_{n}")
-    below = j_set_recursive(tower, n - 1, budget)
+    hit, again, outside = j_translates(
+        tower, n, j_set_recursive(tower, n - 1, budget))
+    out = domain_where(tower, n, lambda start, g: hit[start:start + len(g)])
+    if again:
+        rank = np.searchsorted(np.flatnonzero(hit), again)
+        out = np.repeat(out, 1 + np.bincount(rank, minlength=len(out)), axis=0)
+    return (np.concatenate((out, tower.array(sorted(outside)))) if outside
+            else out)
+
+
+def j_translates(tower, n, below):
+    """gamma + J(n-1), J(n-1) = below, over nonidentity gamma in Gamma_{n-1}
+    cap D_n: a bool mask of the D_n elements reached, the D_n indices reached
+    again and, on a broken tower, the translates outside D_n."""
     sec = tower.section_arr(n - 1, n)
     sec = sec[~tower.eq_arr(sec, tower.zero)]
-    # D_n elements reached, D_n indices reached again, translates outside D_n
     hit = np.zeros(tower.size(n), dtype=bool)
     again, outside = [], []
     for _, w in sum_chunks(tower, sec, below):
@@ -120,12 +132,7 @@ def j_set_recursive(tower, n, budget=Budget()):
         keys = tower.index_of_arr(w[inside], n)
         again += keys[mark_repeats(hit, keys)].tolist()
         outside += tower.elements(w[~inside])
-    out = domain_where(tower, n, lambda start, g: hit[start:start + len(g)])
-    if again:
-        rank = np.searchsorted(np.flatnonzero(hit), again)
-        out = np.repeat(out, 1 + np.bincount(rank, minlength=len(out)), axis=0)
-    return (np.concatenate((out, tower.array(sorted(outside)))) if outside
-            else out)
+    return hit, again, outside
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,12 @@ Elements are plain ints (line), tuples of ints (lattice), or table indices
 A tower's interface is its array ops (domain_arr, section_arr, reduce_arr,
 in_domain_arr, add_arr, sub_arr, index_of_arr, eq_arr) over numpy arrays of
 elements: 1-D ints for the line and for Generic, (..., d) ints for the
-lattice.  domain_arr(n, start, stop) is a slice of D_n, and whole-domain
-passes read D_n CHUNK elements at a time from domain_chunks.  A coset's
-translates are translate_arr(sec, cells)'s, gamma + c with the section on
-the left, as in D_j = (Gamma_i cap D_j) + D_i; no kind overrides it.  Three
+lattice.  domain_arr(n, start, stop) is a slice of D_n and
+section_arr(i, j, start, stop) one of Gamma_i cap D_j; whole-domain passes
+read D_n CHUNK elements at a time from domain_chunks, and decom reads each
+section alike from section_chunks.  A coset's translates are
+translate_arr(sec, cells)'s, gamma + c with the section on the left, as in
+D_j = (Gamma_i cap D_j) + D_i; no kind overrides it.  Three
 more ops serve Gamma_n-periodic arrays: coset_index_arr is the D_n index of
 each element's coset representative, shift_arr(vals, s, n) reads values
 over D_n at d + s for every d in D_n (a point read at an offset, which
@@ -53,6 +55,7 @@ the axis sizes of D_n, and shift_candidates(n), the translates per-eq's
 essential facet tries.  No module outside this one branches on the kind.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -198,12 +201,13 @@ class _ArrayForms:
         if i > j:
             raise DepthExceeded(f"section needs i <= j, got ({i},{j})")
 
-    def section_arr(self, i, j):
-        """Gamma_i intersected with D_j, in enumeration order: the elements
-        of D_j that reduce to the identity mod Gamma_i."""
+    def section_arr(self, i, j, start=0, stop=None):
+        """Gamma_i intersected with D_j, in enumeration order, or its
+        elements start..stop-1: the elements of D_j that reduce to the
+        identity mod Gamma_i."""
         self._chk_section(i, j)
         return domain_where(self, j, lambda _, g: self.eq_arr(
-            self.reduce_arr(g, i), self.zero))
+            self.reduce_arr(g, i), self.zero))[start:stop]
 
     def extend_arr(self, vals, l):
         """vals over D_l, read as a function of the Gamma_l-coset, over
@@ -334,13 +338,13 @@ class IntegerLineTower(_ArrayForms):
         return np.arange(lo + start, lo + stop, dtype=self._arr_dtype(n))
 
     # |D_j|/|D_i| steps, where the shared form passes over all of D_j
-    def section_arr(self, i, j):
+    def section_arr(self, i, j, start=0, stop=None):
         self._chk_section(i, j)
         # every N_i-th element of D_j, from the least multiple of N_i in it
         first = -(-self._lo[j] // self.N[i]) * self.N[i]
+        r = range(first, first + self.N[j], self.N[i])[start:stop]
         # elements of D_j, so in domain_arr(j)'s dtype
-        return np.arange(first, first + self.N[j], self.N[i],
-                         dtype=self._arr_dtype(j))
+        return np.arange(r.start, r.stop, r.step, dtype=self._arr_dtype(j))
 
     def reduce_arr(self, g, n, out=None):
         # r = g - m * q with q = floor((g - lo) / m): numpy divides by the
@@ -645,11 +649,10 @@ class GenericTower(_ArrayForms):
         return self._dom_arr[n][start:stop].copy()
 
     # the coset table: reduce_arr raises on a broken tower decom has not failed
-    def section_arr(self, i, j):
+    def section_arr(self, i, j, start=0, stop=None):
         self._chk_section(i, j)
-        dom = self.domain_arr(j)
-        down = self._down_arr[i]
-        return dom[down[dom] == down[0]]
+        dom, down = self.domain_arr(j), self._down_arr[i]
+        return dom[down[dom] == down[0]][start:stop]
 
     def reduce_arr(self, g, n, out=None):
         self._chk(n)
@@ -770,6 +773,16 @@ def domain_chunks(tower, n):
         yield start, tower.domain_arr(n, start, stop if stop < size else None)
 
 
+def section_chunks(tower, i, j):
+    """Gamma_i cap D_j in enumeration order as pieces of CHUNK elements, up
+    to the first short piece: a section too long is read to its end."""
+    for start in itertools.count(0, CHUNK):
+        piece = tower.section_arr(i, j, start, start + CHUNK)
+        yield piece
+        if len(piece) < CHUNK:
+            return
+
+
 def domain_where(tower, n, keep):
     """The elements of D_n, in enumeration order, where the mask
     keep(start, elements) holds on each piece of domain_chunks, copied into
@@ -825,10 +838,10 @@ def _tiling_fault(tower, sec, dom_i, j):
     return "tiling misses D_j", min(tower.elements(missed) + outside, key=repr)
 
 
-def _section_fault(tower, sec, i, j):
-    """None when sec lies in D_j and Gamma_i without repeats, else (reason,
-    element): the first element of sec outside D_j, else the first outside
-    Gamma_i, else the first that repeats an earlier one."""
+def _section_fault(tower, i, j):
+    """None when the section Gamma_i cap D_j lies in D_j and Gamma_i without
+    repeats, else (reason, element): its first element outside D_j, else the
+    first outside Gamma_i, else the first that repeats an earlier one."""
     seen = np.zeros(tower.size(j), dtype=bool)
     for reason, bad in (
             ("tiling misses D_j", lambda g: ~tower.in_domain_arr(g, j)),
@@ -836,7 +849,7 @@ def _section_fault(tower, sec, i, j):
                 tower.reduce_arr(g, i), tower.zero)),
             ("tiling overlaps",
              lambda g: mark_repeats(seen, tower.index_of_arr(g, j)))):
-        for g in (sec[k:k + CHUNK] for k in range(0, len(sec), CHUNK)):
+        for g in section_chunks(tower, i, j):
             b = bad(g)
             if b.any():
                 return reason, tower.element(g[b.argmax()])
@@ -904,13 +917,14 @@ def validate_tower(tower, budget=Budget(), depth=None):
     # levels in budget are 0..L and every pair in budget lies among them
     for j in levels_in_budget[1:]:
         for i in [j - 1, *range(j - 1)]:
-            sec = tower.section_arr(i, j)
-            if len(sec) * sizes[i] != sizes[j]:
+            got = sum(map(len, section_chunks(tower, i, j)))
+            if got * sizes[i] != sizes[j]:
                 return failed(name, scope,
                               {"pair": (i, j), "reason": "section size mismatch",
-                               "expected": sizes[j] // sizes[i], "got": len(sec)})
-            fault = _section_fault(tower, sec, i, j) or (
-                _tiling_fault(tower, sec, tower.domain_arr(i), j)
+                               "expected": sizes[j] // sizes[i], "got": got})
+            fault = _section_fault(tower, i, j) or (
+                _tiling_fault(tower, tower.section_arr(i, j),
+                              tower.domain_arr(i), j)
                 if i == j - 1 else None)
             if fault is not None:
                 return failed(name, scope, {"pair": (i, j), "reason": fault[0],

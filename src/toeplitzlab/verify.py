@@ -41,9 +41,9 @@ from .measures import PeriodicMeasure, an_det_check
 from .periods import partitions_c_check, per_eq_check
 from .result import (CheckResult, SuiteReport, failed, inconclusive, passed,
                      vacated)
-from .skeleton import j_mask, j_set, j_set_recursive, j_size
+from .skeleton import j_mask, j_set, j_set_recursive, j_size, j_translates
 from . import tower as _tower
-from .tower import sum_chunks, validate_tower
+from .tower import domain_chunks, sum_chunks, validate_tower
 from .window import UNDEFINED, eval_sums, per_masks, window_values
 
 
@@ -168,15 +168,21 @@ def check_j_recursion(skeleton):
     T = skeleton.tower
 
     def unit(n):
-        a = j_set(T, n, skeleton.budget)
-        b = j_set_recursive(T, n, skeleton.budget)
-        if len(a) != len(b) or not T.eq_arr(a, b).all():
-            ea, eb = set(T.elements(a)), set(T.elements(b))
-            only_a = sorted(ea - eb)[:3]
-            only_b = sorted(eb - ea)[:3]
-            return failed("j-recursion", f"n={n}",
-                          {"n": n, "direct_only": only_a,
-                           "recursive_only": only_b})
+        B = skeleton.budget
+        B.check_enum(T.size(n), f"J({n})")
+        # units run in order, so both routes agree on J(n-1), and on J(n)
+        # when its translates reach J(n)'s mask over D_n once each, none
+        # outside; else their arrays decide and name the witnesses
+        hit, again, outside = j_translates(T, n, j_set(T, n - 1, B))
+        if again or outside or not all(
+                np.array_equal(j_mask(T, g, n), hit[s:s + len(g)])
+                for s, g in domain_chunks(T, n)):
+            a, b = j_set(T, n, B), j_set_recursive(T, n, B)
+            if len(a) != len(b) or not T.eq_arr(a, b).all():
+                ea, eb = set(T.elements(a)), set(T.elements(b))
+                return failed("j-recursion", f"n={n}",
+                              {"n": n, "direct_only": sorted(ea - eb)[:3],
+                               "recursive_only": sorted(eb - ea)[:3]})
         return {"n": n, "size": j_size(T, n)}
 
     return _per_unit("j-recursion", range(1, skeleton.depth + 1), unit,

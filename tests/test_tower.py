@@ -490,9 +490,9 @@ class _BadSectionTower(IntegerLineTower):
         super().__init__(indices)
         self.corrupt = corrupt
 
-    def section_arr(self, i, j):
+    def section_arr(self, i, j, start=0, stop=None):
         sec = super().section_arr(i, j).tolist()
-        return self.array(self.corrupt(sec, i, j))
+        return self.array(self.corrupt(sec, i, j)[start:stop])
 
 
 def _tiles(tower, pair):

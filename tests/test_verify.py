@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import h3_generic, s3_by_z
+from conftest import cyclic_generic, h3_generic, s3_by_z
 from test_chunks import BROKEN
 from test_periods import _planted
 from test_skeleton import _OffDomainReduceTower
@@ -153,6 +153,15 @@ def test_good_relation_fails_on_a_corrupted_section(corrupt, scope, cx,
     assert run_check(sk, "decom").counterexample == {"pair": (2, 4), **decom}
 
 
+# the first three elements only the recursive route reaches at n = k + 2;
+# the direct route reaches none that it misses
+_OFF_DOMAIN_RECURSIVE_ONLY = {
+    (3,) * 6: [[14, 17, 23], [41, 44, 50], [122, 125, 131], [365, 368, 374]],
+    (2, 3, 4, 5, 2, 3): [[9, 11, 15], [33, 35, 39], [153, 155, 159],
+                         [393, 395, 399]],
+}
+
+
 @pytest.mark.parametrize("indices", [[3] * 6, [2, 3, 4, 5, 2, 3]])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_j_recursion_alone_catches_a_reduce_wrong_off_the_domain(indices, k):
@@ -163,6 +172,35 @@ def test_j_recursion_alone_catches_a_reduce_wrong_off_the_domain(indices, k):
     assert run_check(sk, "decom").status == "Pass"
     res = run_check(sk, "j-recursion")
     assert (res.status, res.scope) == ("Fail", f"n={k + 2}")
+    assert res.counterexample == {
+        "n": k + 2, "direct_only": [],
+        "recursive_only": _OFF_DOMAIN_RECURSIVE_ONLY[tuple(indices)][k - 1]}
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("make, depth, cx", [
+    # Gamma_1 cap D_2 lists 3 twice: 4 and 5 are reached twice, 7 and 8 never
+    (lambda: _BadSectionTower([3, 3], lambda s, i, j:
+                              s[:2] + s[1:2] if (i, j) == (1, 2) else s), 2,
+     {"n": 2, "direct_only": [7, 8], "recursive_only": []}),
+    # D_2 drops 3 from D_1, so the translate 2 + J(1) = {5} leaves D_2
+    (lambda: cyclic_generic([2, 2, 2], domains=[[0], [0, 3], [0, 1, 2, 7],
+                                                list(range(8))]), 3,
+     {"n": 2, "direct_only": [1, 7], "recursive_only": [5]}),
+    # Gamma_1 cap D_2 lists 15 for 6: 15 + J(1) = {16, 17} leaves D_2
+    (lambda: _BadSectionTower([3, 3], lambda s, i, j:
+                              s[:2] + [15] if (i, j) == (1, 2) else s), 2,
+     {"n": 2, "direct_only": [7, 8], "recursive_only": [16, 17]}),
+], ids=["repeated-translate", "generic-unnested", "translates-leave-D_n"])
+def test_j_recursion_names_what_each_route_alone_reaches(monkeypatch, make,
+                                                         depth, cx, chunk):
+    # the routes compare as masks over D_n chunk by chunk; a Fail still
+    # names the first three elements each route alone gives, sorted
+    if chunk is not None:
+        monkeypatch.setattr(tower, "CHUNK", chunk)
+    res = run_check(build_skeleton(make(), depth), "j-recursion")
+    assert (res.status, res.scope, res.counterexample) == (
+        "Fail", f"n={cx['n']}", cx)
 
 
 def test_good_set_matches_reference(threeadic, oracle3):
@@ -456,7 +494,7 @@ def test_a_section_decom_accepts_tiles_without_repeats(
             continue  # a level fails
         for j in range(1, T.depth + 1):
             sec = T.section_arr(j - 1, j)
-            if tower._section_fault(T, sec, j - 1, j) is None:
+            if tower._section_fault(T, j - 1, j) is None:
                 tiles = T.translate_arr(sec, T.domain_arr(j - 1))
                 tiles = tiles.reshape(-1, *tiles.shape[2:])
                 assert len(np.unique(tiles, axis=0)) == len(tiles), (T, j)
